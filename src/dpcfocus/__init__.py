@@ -40,6 +40,7 @@ from .beamforming import (
     benchmark_weights,
     dpc_beamformer,
     evaluate_snr,
+    orientation_snr,
     polarization_angle_map,
     thermal_noise_power,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "norm",
     "normalize",
     "orientation_grid",
+    "orientation_snr",
     "orientation_sweep",
     "polarization_angle_map",
     "polarized_gain",

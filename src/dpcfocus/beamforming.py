@@ -18,13 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PolarizedChannel
+from .channel import ChannelGeometry, PolarizedChannel, _pattern, _sin_from_cos
 
 BOLTZMANN = 1.380649e-23
 "Boltzmann constant in J/K (exact SI value)."
 
 LINEAR_POL_TOL = 1e-6
 "Relative imaginary part above which a weight pair is not linearly polarized."
+
+SNR_TILE_ELEMENTS = 16384
+"""Antenna x orientation elements per ``orientation_snr`` tile.
+
+128 KiB per float64 temporary, so a tile's working set stays in L2 (about
+25 antennas of the default 648-orientation grid).
+"""
 
 
 def thermal_noise_power(bandwidth: float, temperature: float = 290.0) -> float:
@@ -142,6 +149,67 @@ def evaluate_snr(channel: PolarizedChannel, budget: LinkBudget) -> SnrTriple:
         snr_dual=rho * (gamma_x**2 + gamma_y**2),
         snr_switched=rho * max(gamma_x, gamma_y) ** 2,
     )
+
+
+def orientation_snr(geom: ChannelGeometry, directions, budget: LinkBudget) -> np.ndarray:
+    """Received SNRs for many receive-dipole directions at one RX placement.
+
+    Returns an (m, 3) array whose row i holds (DPC, dual, switched) for
+    ``directions[i]``, the same quantities as
+    ``evaluate_snr(geom.channel_for(directions[i]), budget)``. The
+    propagation phase cancels under both the DPC and the phase-only
+    conjugate weights, so only channel magnitudes are needed:
+
+        snr_dpc      = rho * (sum_k sqrt(|h_x,k|^2 + |h_y,k|^2))^2 / n
+        snr_dual     = rho * ((sum_k |h_x,k|)^2 + (sum_k |h_y,k|)^2) / n
+        snr_switched = rho * max(sum_k |h_x,k|, sum_k |h_y,k|)^2 / n
+
+    The magnitudes are built tile by tile (``SNR_TILE_ELEMENTS`` antenna x
+    direction entries at a time) and the column sums accumulate in a fixed
+    order, so repeated calls return identical arrays.
+    """
+    v = np.asarray(directions, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError("directions must be an (m, 3) array")
+    n = geom.p_hat.shape[0]
+    m = v.shape[0]
+    amp_up = np.abs(geom.h_up)
+    amp_x = amp_up * np.abs(geom.g_tx_x)
+    amp_y = amp_up * np.abs(geom.g_tx_y)
+    # per direction: sum_k sqrt(|h_x,k|^2 + |h_y,k|^2), sum_k |h_x,k|, sum_k |h_y,k|
+    sums = np.zeros((3, m))
+    cols = max(1, min(m, SNR_TILE_ELEMENTS))
+    rows = max(1, SNR_TILE_ELEMENTS // cols)
+    for j0 in range(0, m, cols):
+        vt = v[j0:j0 + cols].T
+        acc = sums[:, j0:j0 + cols]
+        for k0 in range(0, n, rows):
+            k1 = min(n, k0 + rows)
+            cos_vp = geom.p_hat[k0:k1] @ vt
+            # the pattern is even in cos(theta), so theta_rx = pi - theta needs no flip
+            g_rx = _pattern(cos_vp, _sin_from_cos(cos_vp), geom.pattern_ratio)
+            np.abs(g_rx, out=g_rx)
+            mag_x = geom.e_x[k0:k1] @ vt
+            np.abs(mag_x, out=mag_x)
+            mag_x *= g_rx
+            mag_x *= amp_x[k0:k1, None]
+            mag_y = geom.e_y[k0:k1] @ vt
+            np.abs(mag_y, out=mag_y)
+            mag_y *= g_rx
+            mag_y *= amp_y[k0:k1, None]
+            acc[1] += mag_x.sum(axis=0)
+            acc[2] += mag_y.sum(axis=0)
+            np.square(mag_x, out=mag_x)
+            np.square(mag_y, out=mag_y)
+            mag_x += mag_y
+            np.sqrt(mag_x, out=mag_x)
+            acc[0] += mag_x.sum(axis=0)
+    rho = budget.transmit_power / budget.noise_power / n
+    snr = np.empty((m, 3))
+    snr[:, 0] = rho * np.square(sums[0])
+    snr[:, 1] = rho * (np.square(sums[1]) + np.square(sums[2]))
+    snr[:, 2] = rho * np.square(np.maximum(sums[1], sums[2]))
+    return snr
 
 
 @dataclass

@@ -32,6 +32,7 @@ from . import __version__
 from .beamforming import dpc_beamformer, polarization_angle_map
 from .channel import ChannelGeometry
 from .experiments import (
+    NARROWBAND_MARGIN,
     SweepConfig,
     distance_sweep,
     ergodic_rate,
@@ -40,7 +41,6 @@ from .experiments import (
     orientation_sweep,
 )
 from .geometry import Z_HAT, build_circular_array, orientation_grid, rx_position
-from .perf import tune_process_allocator
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 3
@@ -212,7 +212,7 @@ def _stats_values(stats) -> tuple:
     )
 
 
-def run_fig3(config, layout, out_dir: Path, workers: int) -> list[Path]:
+def run_fig3(config, layout, out_dir: Path) -> list[Path]:
     header = ["distance_m", "antenna_index", "x_m", "y_m", "pol_angle_deg", "nonlinear"]
     rows = []
     for d in FIG3_DISTANCES_M:
@@ -232,7 +232,7 @@ def run_fig3(config, layout, out_dir: Path, workers: int) -> list[Path]:
     return [path]
 
 
-def run_fig5(config, layout, out_dir: Path, workers: int) -> list[Path]:
+def run_fig5(config, layout, out_dir: Path) -> list[Path]:
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
     budget = config.budget()
     header = ["alpha_deg", "sample_count"] + _stats_columns("switched") + _stats_columns("dual")
@@ -240,7 +240,7 @@ def run_fig5(config, layout, out_dir: Path, workers: int) -> list[Path]:
     for alpha in config.alpha_values:
         records = orientation_sweep(
             layout, alpha, FIG5_DISTANCE_M, budget,
-            grid=grid, workers=workers, bandwidth=config.bandwidth,
+            grid=grid, bandwidth=config.bandwidth,
         )
         sw = improvement_stats(records, "switched")
         du = improvement_stats(records, "dual")
@@ -252,11 +252,11 @@ def run_fig5(config, layout, out_dir: Path, workers: int) -> list[Path]:
     return [path]
 
 
-def run_fig6(config, layout, out_dir: Path, workers: int) -> list[Path]:
+def run_fig6(config, layout, out_dir: Path) -> list[Path]:
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
     results = distance_sweep(
         layout, FIG6_ALPHA, config.distance_values, config.budget(),
-        grid=grid, workers=workers, bandwidth=config.bandwidth,
+        grid=grid, bandwidth=config.bandwidth,
     )
     header = ["distance_m", "sample_count"] + _stats_columns("switched") + _stats_columns("dual")
     rows = [
@@ -270,11 +270,11 @@ def run_fig6(config, layout, out_dir: Path, workers: int) -> list[Path]:
     return [path]
 
 
-def run_fig7(config, layout, out_dir: Path, workers: int) -> list[Path]:
+def run_fig7(config, layout, out_dir: Path) -> list[Path]:
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
     results = distance_sweep(
         layout, FIG6_ALPHA, config.distance_values, config.budget(),
-        grid=grid, workers=workers, bandwidth=config.bandwidth,
+        grid=grid, bandwidth=config.bandwidth,
     )
     header = ["distance_m", "sample_count", "rate_dpc_bps", "rate_dual_bps", "rate_switched_bps"]
     rows = []
@@ -286,7 +286,7 @@ def run_fig7(config, layout, out_dir: Path, workers: int) -> list[Path]:
     return [path]
 
 
-def run_sweep(config, layout, out_dir: Path, workers: int) -> list[Path]:
+def run_sweep(config, layout, out_dir: Path) -> list[Path]:
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
     budget = config.budget()
     header = (
@@ -300,7 +300,7 @@ def run_sweep(config, layout, out_dir: Path, workers: int) -> list[Path]:
         for d in config.distance_values:
             records = orientation_sweep(
                 layout, alpha, d, budget,
-                grid=grid, workers=workers, bandwidth=config.bandwidth,
+                grid=grid, bandwidth=config.bandwidth,
             )
             sw = improvement_stats(records, "switched")
             du = improvement_stats(records, "dual")
@@ -316,7 +316,7 @@ def run_sweep(config, layout, out_dir: Path, workers: int) -> list[Path]:
     return [path]
 
 
-def run_check(config, layout, out_dir: Path, workers: int) -> list[Path]:
+def run_check(config, layout, out_dir: Path) -> list[Path]:
     header = [
         "distance_m",
         "radius_m",
@@ -329,7 +329,7 @@ def run_check(config, layout, out_dir: Path, workers: int) -> list[Path]:
     for d in config.distance_values:
         delay, valid = narrowband_check(d, config.radius, config.bandwidth)
         rows.append((d, config.radius, config.bandwidth,
-                     delay, 0.1 / config.bandwidth, valid))
+                     delay, NARROWBAND_MARGIN / config.bandwidth, valid))
     path = out_dir / "check.csv"
     _write_csv(path, header, rows)
     return [path]
@@ -347,20 +347,20 @@ SCENARIOS = {
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+class _Parser(argparse.ArgumentParser):
+    "Usage errors end with one stderr line and exit code 2."
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dpcfocus",
         description="Near-field polarized link simulator: scenario runs and sweeps.",
     )
@@ -374,21 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
             "--scale", type=_positive_float, default=1.0,
             help="multiply the array radius by this factor for reduced-size runs",
         )
-        sp.add_argument(
-            "--threads", type=_positive_int, default=1,
-            help="worker threads for orientation sweeps (results are identical)",
-        )
     return parser
 
 
 def main(argv=None) -> int:
-    tune_process_allocator()
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else default_config()
         if args.scale != 1.0:
             config = config.scaled(args.scale)
-    except ConfigError as exc:
+        if args.command in ("fig6", "fig7"):
+            d = config.distance_values
+            if any(b <= a for a, b in zip(d, d[1:])):
+                raise ConfigError(f"{args.command} needs distance_m strictly ascending")
+    except ValueError as exc:
         print(f"dpcfocus: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
@@ -404,7 +403,7 @@ def main(argv=None) -> int:
 
     layout = build_circular_array(config.radius, config.wavelength)
     started = time.perf_counter()
-    outputs = SCENARIOS[args.command](config, layout, out_dir, args.threads)
+    outputs = SCENARIOS[args.command](config, layout, out_dir)
     elapsed = time.perf_counter() - started
 
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
@@ -414,7 +413,6 @@ def main(argv=None) -> int:
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "scenario": args.command,
         "scale": args.scale,
-        "threads": args.threads,
         "runtime_s": elapsed,
         "config": config_to_mapping(config),
         "derived": {

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamforming import LinkBudget, SnrTriple, evaluate_snr, thermal_noise_power
+from .beamforming import LinkBudget, SnrTriple, orientation_snr, thermal_noise_power
 from .channel import ChannelGeometry
 from .geometry import SPEED_OF_LIGHT, ArrayLayout, orientation_grid, rx_position
 
@@ -24,6 +23,10 @@ NARROWBAND_MARGIN = 0.1
 
 DEFAULT_ALPHAS_DEG = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 DEFAULT_DISTANCES_M = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,15 @@ class SweepConfig:
         )
         for name in ("radius", "carrier_frequency", "azimuth_step", "elevation_step",
                      "bandwidth", "transmit_power", "noise_power"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not _positive_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be positive and finite")
         if not self.alpha_values:
             raise ValueError("alpha_values must be non-empty")
-        if not self.distance_values or any(d <= 0 for d in self.distance_values):
-            raise ValueError("distance_values must be non-empty and positive")
+        # the RX must sit in front of the array: alpha = 90 degrees is the array plane
+        if not all(0.0 <= a < math.pi / 2.0 for a in self.alpha_values):
+            raise ValueError("alpha_values must lie in [0, 90) degrees")
+        if not self.distance_values or not all(map(_positive_finite, self.distance_values)):
+            raise ValueError("distance_values must be non-empty, positive and finite")
 
     @property
     def wavelength(self) -> float:
@@ -122,16 +128,14 @@ def orientation_sweep(
     budget: LinkBudget,
     *,
     grid: np.ndarray | None = None,
-    workers: int = 1,
     bandwidth: float | None = None,
 ) -> list[SweepRecord]:
     """One SNR triple per receive-dipole orientation at a fixed RX center.
 
-    The position-dependent channel factors are computed once and shared by
-    every orientation. Each orientation is evaluated independently and
-    written to its own slot, so the output is identical for any ``workers``
-    count. When ``bandwidth`` is given, a failing narrowband check issues a
-    warning but the sweep still runs.
+    The position-dependent channel factors are computed once, and every
+    orientation's SNRs come from one batched magnitude pass
+    (``orientation_snr``). When ``bandwidth`` is given, a failing narrowband
+    check issues a warning but the sweep still runs.
     """
     if grid is None:
         grid = orientation_grid()
@@ -145,20 +149,15 @@ def orientation_sweep(
                 stacklevel=2,
             )
     geom = ChannelGeometry(layout, rx_position(distance, alpha))
-    triples: list[SnrTriple | None] = [None] * len(grid)
-
-    def evaluate(i: int) -> None:
-        triples[i] = evaluate_snr(geom.channel_for(grid[i]), budget)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(evaluate, range(len(grid))))
-    else:
-        for i in range(len(grid)):
-            evaluate(i)
+    snr = orientation_snr(geom, grid, budget)
     return [
-        SweepRecord(alpha=alpha, distance=distance, orientation_index=i, snr=t)
-        for i, t in enumerate(triples)
+        SweepRecord(
+            alpha=alpha,
+            distance=distance,
+            orientation_index=i,
+            snr=SnrTriple(snr_dpc=dpc, snr_dual=dual, snr_switched=switched),
+        )
+        for i, (dpc, dual, switched) in enumerate(snr.tolist())
     ]
 
 
@@ -208,7 +207,6 @@ def distance_sweep(
     budget: LinkBudget,
     *,
     grid: np.ndarray | None = None,
-    workers: int = 1,
     bandwidth: float | None = None,
 ) -> list[DistanceResult]:
     "Orientation sweep at each distance (ascending), both baselines summarized."
@@ -221,9 +219,7 @@ def distance_sweep(
         grid = orientation_grid()
     results = []
     for d in distances:
-        records = orientation_sweep(
-            layout, alpha, d, budget, grid=grid, workers=workers, bandwidth=bandwidth
-        )
+        records = orientation_sweep(layout, alpha, d, budget, grid=grid, bandwidth=bandwidth)
         results.append(
             DistanceResult(
                 distance=d,

@@ -1,9 +1,6 @@
 import numpy as np
 
 from dpcfocus.channel import PolarizedChannel
-from dpcfocus.perf import tune_process_allocator
-
-tune_process_allocator()
 
 
 def random_channel(rng: np.random.Generator, n: int, scale: float = 1.0) -> PolarizedChannel:

@@ -269,15 +269,15 @@ def test_criterion_7_invariant_suite(
             failures.append("global-phase invariance violated")
             break
 
-    # sweep determinism: byte-identical CSV bodies across reruns and thread counts
-    outs = [tmp_path / name for name in ("t1", "t1b", "t4")]
-    for out, threads in zip(outs, ("1", "1", "4")):
-        code = main(["fig6", "--out", str(out), "--scale", "0.1", "--threads", threads])
+    # sweep determinism: byte-identical CSV bodies across reruns
+    outs = [tmp_path / name for name in ("run1", "run2", "run3")]
+    for out in outs:
+        code = main(["fig6", "--out", str(out), "--scale", "0.1"])
         if code != 0:
             failures.append(f"fig6 smoke run exited {code}")
     bodies = [(out / "fig6.csv").read_bytes() for out in outs]
     if not bodies[0] == bodies[1] == bodies[2]:
-        failures.append("sweep CSVs differ across reruns or thread counts")
+        failures.append("sweep CSVs differ across reruns")
 
     report(
         7,

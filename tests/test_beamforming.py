@@ -4,17 +4,28 @@ import math
 import numpy as np
 import pytest
 
+from dpcfocus import beamforming
 from dpcfocus.beamforming import (
+    SNR_TILE_ELEMENTS,
     LinkBudget,
     PolarizationMap,
     benchmark_weights,
     dpc_beamformer,
     evaluate_snr,
+    orientation_snr,
     polarization_angle_map,
     thermal_noise_power,
 )
 from dpcfocus.channel import ChannelGeometry, PolarizedChannel, assemble_channel
-from dpcfocus.geometry import RxPose, Z_HAT, build_circular_array, rx_position
+from dpcfocus.geometry import (
+    SPEED_OF_LIGHT,
+    ArrayLayout,
+    RxPose,
+    Z_HAT,
+    build_circular_array,
+    orientation_grid,
+    rx_position,
+)
 from conftest import random_channel
 from oracles import grid_search_gain
 
@@ -259,3 +270,96 @@ def test_polarization_spread_shrinks_with_distance():
         pol = polarization_angle_map(dpc_beamformer(geom.channel_for(Z_HAT)))
         stds.append(float(np.std(pol.angles)))
     assert stds[0] > stds[1]
+
+
+KERNEL_WAVELENGTH = SPEED_OF_LIGHT / 300e9
+KERNEL_BUDGET = LinkBudget(transmit_power=1e-3, noise_power=thermal_noise_power(100e6))
+DEFAULT_GRID = orientation_grid()
+GRID_30_20 = orientation_grid(math.radians(30.0), math.radians(20.0))
+
+
+@pytest.fixture(scope="module")
+def kernel_layout():
+    return build_circular_array(radius=0.01, wavelength=KERNEL_WAVELENGTH)
+
+
+def first_antennas(layout, n):
+    "The first ``n`` elements of ``layout`` as a layout of their own."
+    return ArrayLayout(
+        positions=layout.positions[:n],
+        wavelength=layout.wavelength,
+        dipole_length=layout.dipole_length,
+        radius=layout.radius,
+    )
+
+
+def oracle_snr(geom, grid, budget):
+    rows = []
+    for v in grid:
+        t = evaluate_snr(geom.channel_for(v), budget)
+        rows.append((t.snr_dpc, t.snr_dual, t.snr_switched))
+    return np.array(rows)
+
+
+def assert_kernel_matches_oracle(layout, alpha, distance, grid):
+    geom = ChannelGeometry(layout, rx_position(distance, alpha))
+    fast = orientation_snr(geom, grid, KERNEL_BUDGET)
+    slow = oracle_snr(geom, grid, KERNEL_BUDGET)
+    assert fast.shape == (grid.shape[0], 3)
+    # exact zeros (an all-null channel) must stay exact
+    assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, GRID_30_20], ids=["10x10deg", "30x20deg"])
+@pytest.mark.parametrize("distance", [0.1, 1.0])
+@pytest.mark.parametrize("alpha_deg", [0.0, 30.0, 60.0])
+def test_orientation_snr_matches_evaluate_snr(kernel_layout, alpha_deg, distance, grid):
+    # alpha = 0 puts the RX over the centre antenna, so v = z hits its sin-floor null
+    assert_kernel_matches_oracle(kernel_layout, math.radians(alpha_deg), distance, grid)
+
+
+def test_orientation_snr_matches_evaluate_snr_random_placements(kernel_layout):
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        alpha = rng.uniform(0.0, math.radians(89.0))
+        distance = rng.uniform(0.02, 1.5)
+        assert_kernel_matches_oracle(kernel_layout, alpha, distance, GRID_30_20)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_orientation_snr_tile_boundaries(kernel_layout, offset):
+    tile_antennas = SNR_TILE_ELEMENTS // DEFAULT_GRID.shape[0]
+    layout = first_antennas(kernel_layout, tile_antennas + offset)
+    assert_kernel_matches_oracle(layout, math.radians(30.0), 0.1, DEFAULT_GRID)
+
+
+def test_orientation_snr_long_dipoles():
+    # a 1.5-wavelength dipole's pattern changes sign, so the kernel must use |g|
+    layout = build_circular_array(
+        radius=0.005, wavelength=KERNEL_WAVELENGTH, dipole_length=1.5 * KERNEL_WAVELENGTH
+    )
+    assert_kernel_matches_oracle(layout, math.radians(30.0), 0.05, DEFAULT_GRID)
+
+
+def test_orientation_snr_single_antenna(kernel_layout):
+    layout = first_antennas(kernel_layout, 1)
+    assert_kernel_matches_oracle(layout, math.radians(30.0), 0.1, DEFAULT_GRID)
+
+
+def test_orientation_snr_tiles_narrower_than_the_grid(kernel_layout, monkeypatch):
+    # fewer tile elements than directions: the grid is split into column blocks
+    monkeypatch.setattr(beamforming, "SNR_TILE_ELEMENTS", 100)
+    assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, DEFAULT_GRID)
+
+
+def test_orientation_snr_is_bit_reproducible(kernel_layout):
+    geom = ChannelGeometry(kernel_layout, rx_position(0.1, math.radians(30.0)))
+    first = orientation_snr(geom, DEFAULT_GRID, KERNEL_BUDGET)
+    second = orientation_snr(geom, DEFAULT_GRID, KERNEL_BUDGET)
+    assert np.array_equal(first, second)
+
+
+def test_orientation_snr_rejects_bad_directions(kernel_layout):
+    geom = ChannelGeometry(kernel_layout, rx_position(0.1, 0.0))
+    with pytest.raises(ValueError):
+        orientation_snr(geom, Z_HAT, KERNEL_BUDGET)

@@ -152,12 +152,7 @@ def test_fig5_runs_are_byte_identical(tmp_path, tiny_config_path):
     out3 = tmp_path / "c"
     assert main(["fig5", "--config", str(tiny_config_path), "--out", str(out1)]) == EXIT_OK
     assert main(["fig5", "--config", str(tiny_config_path), "--out", str(out2)]) == EXIT_OK
-    assert (
-        main(
-            ["fig5", "--config", str(tiny_config_path), "--out", str(out3), "--threads", "3"]
-        )
-        == EXIT_OK
-    )
+    assert main(["fig5", "--config", str(tiny_config_path), "--out", str(out3)]) == EXIT_OK
     body1 = (out1 / "fig5.csv").read_bytes()
     assert body1 == (out2 / "fig5.csv").read_bytes()
     assert body1 == (out3 / "fig5.csv").read_bytes()
@@ -227,3 +222,50 @@ def test_default_config_used_when_no_file_given(tmp_path):
     assert math.isclose(
         manifest["derived"]["noise_power_w"], defaults.noise_power, rel_tol=1e-12
     )
+
+
+def one_line(text):
+    return len(text.splitlines()) == 1 and text.endswith("\n")
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+def test_bad_scale_is_a_one_line_usage_error(tmp_path, capsys, scale):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--out", str(tmp_path / "out"), "--scale", scale])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert one_line(err) and "--scale" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, old, new",
+    [
+        ("fig5", "alpha_deg = 0, 30", "alpha_deg = 0, nan"),
+        ("fig5", "alpha_deg = 0, 30", "alpha_deg = 0, 90"),
+        ("fig5", "alpha_deg = 0, 30", "alpha_deg = -10, 30"),
+        ("fig5", "bandwidth_hz = 100e6", "bandwidth_hz = inf"),
+        ("fig5", "radius_m = 0.008", "radius_m = nan"),
+        ("fig6", "distance_m = 0.1, 0.3", "distance_m = 0.2, 0.1"),
+        ("fig7", "distance_m = 0.1, 0.3", "distance_m = 0.3, 0.3"),
+    ],
+)
+def test_bad_config_value_is_a_one_line_config_error(tmp_path, capsys, scenario, old, new):
+    assert old in TINY_CONFIG
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY_CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    code = main([scenario, "--config", str(path), "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert one_line(err) and err.startswith("dpcfocus: config error:")
+    assert not (out / f"{scenario}.csv").exists()
+
+
+def test_sweep_accepts_distances_in_any_order(tmp_path):
+    path = tmp_path / "shuffled.cfg"
+    path.write_text(TINY_CONFIG.replace("distance_m = 0.1, 0.3", "distance_m = 0.3, 0.1"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    header, rows = read_csv(out / "sweep.csv")
+    assert [row[1] for row in rows] == ["0.3", "0.1", "0.3", "0.1"]

@@ -71,12 +71,6 @@ def test_orientation_sweep_duplicate_pole_orientations(small_layout):
         assert r.snr == first
 
 
-def test_orientation_sweep_worker_count_does_not_change_results(small_layout, coarse_grid):
-    seq = orientation_sweep(small_layout, 0.3, 0.2, BUDGET, grid=coarse_grid)
-    par = orientation_sweep(small_layout, 0.3, 0.2, BUDGET, grid=coarse_grid, workers=4)
-    assert all(a.snr == b.snr for a, b in zip(seq, par))
-
-
 def test_orientation_sweep_warns_when_narrowband_fails(small_layout, coarse_grid):
     with pytest.warns(RuntimeWarning):
         orientation_sweep(
