@@ -2,8 +2,8 @@
 
 Computes the polarized line-of-sight channel between a circular transmit
 lattice and a single receive dipole, synthesizes the per-antenna optimal
-beamformer plus two benchmark architectures, and drives orientation and
-distance sweeps for SNR-improvement and rate studies.
+beamformer plus two benchmark architectures, and drives orientation sweeps
+over RX placements for SNR-improvement and rate studies.
 """
 
 __version__ = "0.1.0"
@@ -16,10 +16,6 @@ from .geometry import (
     ArrayLayout,
     RxPose,
     build_circular_array,
-    cross,
-    dot,
-    norm,
-    normalize,
     orientation_grid,
     rx_position,
 )
@@ -45,15 +41,11 @@ from .beamforming import (
     thermal_noise_power,
 )
 from .experiments import (
-    DistanceResult,
     DistributionStats,
     SweepConfig,
-    SweepRecord,
-    distance_sweep,
     ergodic_rate,
     improvement_stats,
     improvements_db,
-    median_improvement_sequence,
     narrowband_check,
     orientation_sweep,
 )
@@ -66,7 +58,6 @@ __all__ = [
     "ArrayLayout",
     "Beamformer",
     "ChannelGeometry",
-    "DistanceResult",
     "DistributionStats",
     "LinkBudget",
     "PolarizationMap",
@@ -74,24 +65,17 @@ __all__ = [
     "RxPose",
     "SnrTriple",
     "SweepConfig",
-    "SweepRecord",
     "assemble_channel",
     "benchmark_weights",
     "build_circular_array",
-    "cross",
     "dipole_pattern",
-    "distance_sweep",
-    "dot",
     "dpc_beamformer",
     "ergodic_rate",
     "evaluate_snr",
     "impinging_field_dir",
     "improvement_stats",
     "improvements_db",
-    "median_improvement_sequence",
     "narrowband_check",
-    "norm",
-    "normalize",
     "orientation_grid",
     "orientation_snr",
     "orientation_sweep",

@@ -51,6 +51,8 @@ class LinkBudget:
     def __post_init__(self):
         if self.transmit_power <= 0 or self.noise_power <= 0:
             raise ValueError("transmit_power and noise_power must be positive")
+        if not math.isfinite(self.transmit_power / self.noise_power):
+            raise ValueError("transmit_power / noise_power must be finite")
 
 
 @dataclass

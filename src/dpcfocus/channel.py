@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ANTENNA_ORDERING, X_HAT, Y_HAT, ArrayLayout, RxPose
+from .geometry import X_HAT, Y_HAT, ArrayLayout, RxPose
 
 SIN_THETA_FLOOR = 1e-9
 "Below this sin(theta) the dipole pattern is pinned to its axial-null limit 0."
@@ -116,12 +116,11 @@ def polarized_gain(u_hat, v_hat, p_vec, wavelength: float, dipole_length: float)
 class PolarizedChannel:
     """Complex channel vectors for the x- and y-oriented TX dipole sets.
 
-    Entries follow the antenna ordering named by ``layout_ref``.
+    Entries follow the row order of the layout's ``positions``.
     """
 
     h_x: np.ndarray
     h_y: np.ndarray
-    layout_ref: str = ANTENNA_ORDERING
 
     def __post_init__(self):
         self.h_x = np.asarray(self.h_x, dtype=complex)

@@ -34,7 +34,6 @@ from .channel import ChannelGeometry
 from .experiments import (
     NARROWBAND_MARGIN,
     SweepConfig,
-    distance_sweep,
     ergodic_rate,
     improvement_stats,
     narrowband_check,
@@ -192,14 +191,13 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _stats_columns(prefix: str) -> list[str]:
-    return [
-        f"{prefix}_median_db",
-        f"{prefix}_lower_quartile_db",
-        f"{prefix}_upper_quartile_db",
-        f"{prefix}_lower_whisker_db",
-        f"{prefix}_upper_whisker_db",
-    ]
+STATS_COLUMNS = [
+    f"{baseline}_{stat}_db"
+    for baseline in ("switched", "dual")
+    for stat in ("median", "lower_quartile", "upper_quartile", "lower_whisker", "upper_whisker")
+]
+RATE_COLUMNS = ["rate_dpc_bps", "rate_dual_bps", "rate_switched_bps"]
+SWEEP_COLUMNS = ["alpha_deg", "distance_m", "sample_count"] + STATS_COLUMNS + RATE_COLUMNS
 
 
 def _stats_values(stats) -> tuple:
@@ -232,88 +230,53 @@ def run_fig3(config, layout, out_dir: Path) -> list[Path]:
     return [path]
 
 
-def run_fig5(config, layout, out_dir: Path) -> list[Path]:
+def _run_placements(config, layout, out_dir: Path, name: str, placements, columns) -> list[Path]:
+    """Write ``<name>.csv``: one row per (alpha, distance) placement.
+
+    Each row is the placement's full ``sweep.csv`` row (``SWEEP_COLUMNS``)
+    cut down to ``columns``.
+    """
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
     budget = config.budget()
-    header = ["alpha_deg", "sample_count"] + _stats_columns("switched") + _stats_columns("dual")
+    keep = [SWEEP_COLUMNS.index(c) for c in columns]
     rows = []
-    for alpha in config.alpha_values:
-        records = orientation_sweep(
-            layout, alpha, FIG5_DISTANCE_M, budget,
-            grid=grid, bandwidth=config.bandwidth,
+    for alpha, d in placements:
+        snr = orientation_sweep(layout, alpha, d, budget, grid=grid, bandwidth=config.bandwidth)
+        sw = improvement_stats(snr, "switched")
+        du = improvement_stats(snr, "dual")
+        row = (
+            (_deg(alpha), d, sw.sample_count)
+            + _stats_values(sw)
+            + _stats_values(du)
+            + ergodic_rate(snr, config.bandwidth)
         )
-        sw = improvement_stats(records, "switched")
-        du = improvement_stats(records, "dual")
-        rows.append(
-            (_deg(alpha), sw.sample_count) + _stats_values(sw) + _stats_values(du)
-        )
-    path = out_dir / "fig5.csv"
-    _write_csv(path, header, rows)
+        rows.append(tuple(row[i] for i in keep))
+    path = out_dir / f"{name}.csv"
+    _write_csv(path, columns, rows)
     return [path]
+
+
+def run_fig5(config, layout, out_dir: Path) -> list[Path]:
+    placements = [(alpha, FIG5_DISTANCE_M) for alpha in config.alpha_values]
+    return _run_placements(config, layout, out_dir, "fig5", placements,
+                           ["alpha_deg", "sample_count"] + STATS_COLUMNS)
 
 
 def run_fig6(config, layout, out_dir: Path) -> list[Path]:
-    grid = orientation_grid(config.azimuth_step, config.elevation_step)
-    results = distance_sweep(
-        layout, FIG6_ALPHA, config.distance_values, config.budget(),
-        grid=grid, bandwidth=config.bandwidth,
-    )
-    header = ["distance_m", "sample_count"] + _stats_columns("switched") + _stats_columns("dual")
-    rows = [
-        (r.distance, r.vs_switched.sample_count)
-        + _stats_values(r.vs_switched)
-        + _stats_values(r.vs_dual)
-        for r in results
-    ]
-    path = out_dir / "fig6.csv"
-    _write_csv(path, header, rows)
-    return [path]
+    placements = [(FIG6_ALPHA, d) for d in config.distance_values]
+    return _run_placements(config, layout, out_dir, "fig6", placements,
+                           ["distance_m", "sample_count"] + STATS_COLUMNS)
 
 
 def run_fig7(config, layout, out_dir: Path) -> list[Path]:
-    grid = orientation_grid(config.azimuth_step, config.elevation_step)
-    results = distance_sweep(
-        layout, FIG6_ALPHA, config.distance_values, config.budget(),
-        grid=grid, bandwidth=config.bandwidth,
-    )
-    header = ["distance_m", "sample_count", "rate_dpc_bps", "rate_dual_bps", "rate_switched_bps"]
-    rows = []
-    for r in results:
-        rates = ergodic_rate(r.records, config.bandwidth)
-        rows.append((r.distance, len(r.records)) + rates)
-    path = out_dir / "fig7.csv"
-    _write_csv(path, header, rows)
-    return [path]
+    placements = [(FIG6_ALPHA, d) for d in config.distance_values]
+    return _run_placements(config, layout, out_dir, "fig7", placements,
+                           ["distance_m", "sample_count"] + RATE_COLUMNS)
 
 
 def run_sweep(config, layout, out_dir: Path) -> list[Path]:
-    grid = orientation_grid(config.azimuth_step, config.elevation_step)
-    budget = config.budget()
-    header = (
-        ["alpha_deg", "distance_m", "sample_count"]
-        + _stats_columns("switched")
-        + _stats_columns("dual")
-        + ["rate_dpc_bps", "rate_dual_bps", "rate_switched_bps"]
-    )
-    rows = []
-    for alpha in config.alpha_values:
-        for d in config.distance_values:
-            records = orientation_sweep(
-                layout, alpha, d, budget,
-                grid=grid, bandwidth=config.bandwidth,
-            )
-            sw = improvement_stats(records, "switched")
-            du = improvement_stats(records, "dual")
-            rates = ergodic_rate(records, config.bandwidth)
-            rows.append(
-                (_deg(alpha), d, sw.sample_count)
-                + _stats_values(sw)
-                + _stats_values(du)
-                + rates
-            )
-    path = out_dir / "sweep.csv"
-    _write_csv(path, header, rows)
-    return [path]
+    placements = [(alpha, d) for alpha in config.alpha_values for d in config.distance_values]
+    return _run_placements(config, layout, out_dir, "sweep", placements, SWEEP_COLUMNS)
 
 
 def run_check(config, layout, out_dir: Path) -> list[Path]:

@@ -1,9 +1,10 @@
-"""Orientation and distance sweeps, improvement statistics, achievable rates.
+"""Orientation sweeps, improvement statistics, achievable rates.
 
 A sweep fixes the RX center, walks the receive dipole over an orientation
-grid, and records the three architecture SNRs per orientation. Distributions
-of the DPC advantage (in dB over a benchmark) are then summarized with
-box-plot statistics, and rates follow from averaging B*log2(1+SNR).
+grid, and returns the three architecture SNRs per orientation as one (m, 3)
+array with columns (DPC, dual, switched). Distributions of the DPC advantage
+(in dB over a benchmark) are then summarized with box-plot statistics, and
+rates follow from averaging B*log2(1+SNR).
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamforming import LinkBudget, SnrTriple, orientation_snr, thermal_noise_power
+from .beamforming import LinkBudget, orientation_snr, thermal_noise_power
 from .channel import ChannelGeometry
-from .geometry import SPEED_OF_LIGHT, ArrayLayout, orientation_grid, rx_position
+from .geometry import SPEED_OF_LIGHT, ArrayLayout, _even_divisions, orientation_grid, rx_position
 
 NARROWBAND_MARGIN = 0.1
 "Delay spread must stay below this fraction of the symbol time 1/B."
+
+BASELINE_COLUMNS = {"dual": 1, "switched": 2}
+"Column of each benchmark architecture in an (m, 3) SNR array; column 0 is DPC."
 
 DEFAULT_ALPHAS_DEG = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 DEFAULT_DISTANCES_M = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -65,6 +69,13 @@ class SweepConfig:
             raise ValueError("alpha_values must lie in [0, 90) degrees")
         if not self.distance_values or not all(map(_positive_finite, self.distance_values)):
             raise ValueError("distance_values must be non-empty, positive and finite")
+        if not math.isfinite(self.wavelength):
+            raise ValueError("carrier_frequency is too small: the wavelength overflows")
+        if not math.isfinite(1.0 / self.bandwidth):
+            raise ValueError("bandwidth is too small: the symbol time 1/B overflows")
+        _even_divisions(2.0 * math.pi, self.azimuth_step, "azimuth_step")
+        _even_divisions(math.pi, self.elevation_step, "elevation_step")
+        self.budget()  # rejects a link budget whose P/N overflows
 
     @property
     def wavelength(self) -> float:
@@ -78,16 +89,6 @@ class SweepConfig:
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         return replace(self, radius=self.radius * factor)
-
-
-@dataclass
-class SweepRecord:
-    "SNR triple for one receive-dipole orientation at one RX placement."
-
-    alpha: float
-    distance: float
-    orientation_index: int
-    snr: SnrTriple
 
 
 @dataclass
@@ -129,13 +130,14 @@ def orientation_sweep(
     *,
     grid: np.ndarray | None = None,
     bandwidth: float | None = None,
-) -> list[SweepRecord]:
-    """One SNR triple per receive-dipole orientation at a fixed RX center.
+) -> np.ndarray:
+    """SNRs of every receive-dipole orientation at a fixed RX center.
 
-    The position-dependent channel factors are computed once, and every
-    orientation's SNRs come from one batched magnitude pass
-    (``orientation_snr``). When ``bandwidth`` is given, a failing narrowband
-    check issues a warning but the sweep still runs.
+    Returns ``orientation_snr``'s (m, 3) array: row i holds the (DPC, dual,
+    switched) SNRs for ``grid[i]``. The position-dependent channel factors
+    are computed once and every orientation comes from one batched
+    magnitude pass. When ``bandwidth`` is given, a failing narrowband check
+    issues a warning but the sweep still runs.
     """
     if grid is None:
         grid = orientation_grid()
@@ -149,35 +151,27 @@ def orientation_sweep(
                 stacklevel=2,
             )
     geom = ChannelGeometry(layout, rx_position(distance, alpha))
-    snr = orientation_snr(geom, grid, budget)
-    return [
-        SweepRecord(
-            alpha=alpha,
-            distance=distance,
-            orientation_index=i,
-            snr=SnrTriple(snr_dpc=dpc, snr_dual=dual, snr_switched=switched),
-        )
-        for i, (dpc, dual, switched) in enumerate(snr.tolist())
-    ]
+    return orientation_snr(geom, grid, budget)
 
 
-def improvements_db(records: list[SweepRecord], baseline: str) -> np.ndarray:
-    "Per-record DPC SNR advantage over ``baseline`` (switched or dual), in dB."
-    if baseline == "switched":
-        base = np.array([r.snr.snr_switched for r in records])
-    elif baseline == "dual":
-        base = np.array([r.snr.snr_dual for r in records])
-    else:
+def _snr_rows(snr) -> np.ndarray:
+    snr = np.asarray(snr, dtype=float)
+    if snr.ndim != 2 or snr.shape[1] != 3 or snr.shape[0] == 0:
+        raise ValueError("snr must be a non-empty (m, 3) array of (DPC, dual, switched)")
+    return snr
+
+
+def improvements_db(snr, baseline: str) -> np.ndarray:
+    "Per-orientation DPC SNR advantage over ``baseline`` (switched or dual), in dB."
+    if baseline not in BASELINE_COLUMNS:
         raise ValueError(f"unknown baseline {baseline!r}; expected 'switched' or 'dual'")
-    dpc = np.array([r.snr.snr_dpc for r in records])
-    return 10.0 * np.log10(dpc / base)
+    snr = _snr_rows(snr)
+    return 10.0 * np.log10(snr[:, 0] / snr[:, BASELINE_COLUMNS[baseline]])
 
 
-def improvement_stats(records: list[SweepRecord], baseline: str) -> DistributionStats:
+def improvement_stats(snr, baseline: str) -> DistributionStats:
     "Box-plot statistics of the dB improvement over ``baseline``."
-    if not records:
-        raise ValueError("no records to summarize")
-    imp = improvements_db(records, baseline)
+    imp = improvements_db(snr, baseline)
     q1, med, q3 = np.percentile(imp, [25.0, 50.0, 75.0])
     iqr = q3 - q1
     return DistributionStats(
@@ -190,68 +184,14 @@ def improvement_stats(records: list[SweepRecord], baseline: str) -> Distribution
     )
 
 
-@dataclass
-class DistanceResult:
-    "Orientation-sweep summary at one transceiver distance."
-
-    distance: float
-    vs_switched: DistributionStats
-    vs_dual: DistributionStats
-    records: list[SweepRecord]
-
-
-def distance_sweep(
-    layout: ArrayLayout,
-    alpha: float,
-    distances,
-    budget: LinkBudget,
-    *,
-    grid: np.ndarray | None = None,
-    bandwidth: float | None = None,
-) -> list[DistanceResult]:
-    "Orientation sweep at each distance (ascending), both baselines summarized."
-    distances = [float(d) for d in distances]
-    if not distances:
-        raise ValueError("distances must be non-empty")
-    if any(b <= a for a, b in zip(distances, distances[1:])):
-        raise ValueError("distances must be strictly ascending")
-    if grid is None:
-        grid = orientation_grid()
-    results = []
-    for d in distances:
-        records = orientation_sweep(layout, alpha, d, budget, grid=grid, bandwidth=bandwidth)
-        results.append(
-            DistanceResult(
-                distance=d,
-                vs_switched=improvement_stats(records, "switched"),
-                vs_dual=improvement_stats(records, "dual"),
-                records=records,
-            )
-        )
-    return results
-
-
-def median_improvement_sequence(results: list[DistanceResult], baseline: str) -> np.ndarray:
-    "Median dB improvement against ``baseline`` at each swept distance."
-    if baseline == "switched":
-        return np.array([r.vs_switched.median for r in results])
-    if baseline == "dual":
-        return np.array([r.vs_dual.median for r in results])
-    raise ValueError(f"unknown baseline {baseline!r}; expected 'switched' or 'dual'")
-
-
-def ergodic_rate(records: list[SweepRecord], bandwidth: float) -> tuple[float, float, float]:
+def ergodic_rate(snr, bandwidth: float) -> tuple[float, float, float]:
     """Mean achievable rate B*log2(1+SNR) per architecture, in bits/second.
 
     Returns (rate_dpc, rate_dual, rate_switched), each averaged over the
-    given records with equal weight.
+    rows of the (m, 3) SNR array with equal weight.
     """
-    if not records:
-        raise ValueError("no records to average")
+    snr = _snr_rows(snr)
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    snr = np.array(
-        [[r.snr.snr_dpc, r.snr.snr_dual, r.snr.snr_switched] for r in records]
-    )
     rates = bandwidth * np.log2(1.0 + snr).mean(axis=0)
     return float(rates[0]), float(rates[1]), float(rates[2])

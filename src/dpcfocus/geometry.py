@@ -14,41 +14,15 @@ X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
-ANTENNA_ORDERING = "row-major-yx"
-"Element index runs over y ascending, then x ascending within each row."
-
-
-def dot(a, b) -> float:
-    "Euclidean dot product of two 3-vectors."
-    return float(np.dot(a, b))
-
-
-def cross(a, b) -> np.ndarray:
-    "Right-handed cross product of two 3-vectors."
-    return np.cross(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def norm(a) -> float:
-    "Euclidean length of a 3-vector."
-    return float(np.linalg.norm(a))
-
-
-def normalize(a) -> np.ndarray:
-    "Scale a vector to unit length; rejects the zero vector."
-    a = np.asarray(a, dtype=float)
-    length = np.linalg.norm(a)
-    if length == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return a / length
-
 
 @dataclass(frozen=True)
 class ArrayLayout:
     """Planar transmit array on z = 0, one crossed-dipole pair per element.
 
     ``positions`` is an (n, 3) array in meters whose row order fixes the
-    antenna index used by the channel vectors and beamformer weights
-    (see ``ANTENNA_ORDERING``).
+    antenna index used by the channel vectors and beamformer weights. The
+    lattice builder orders it row-major by y: y ascending, then x ascending
+    within each row.
     """
 
     positions: np.ndarray
@@ -173,7 +147,8 @@ def orientation_grid(
 def _even_divisions(full_range: float, step: float, name: str) -> int:
     if step <= 0:
         raise ValueError(f"{name} must be positive")
-    n = round(full_range / step)
+    ratio = full_range / step  # overflows to inf for a subnormal step
+    n = round(ratio) if math.isfinite(ratio) else 0
     if n < 1 or abs(n * step - full_range) > 1e-9:
         raise ValueError(f"{name} must divide its range evenly")
     return n

@@ -22,8 +22,8 @@ from dpcfocus.beamforming import (
 from dpcfocus.channel import ChannelGeometry, PolarizedChannel
 from dpcfocus.cli import main
 from dpcfocus.experiments import (
-    distance_sweep,
     ergodic_rate,
+    improvement_stats,
     improvements_db,
     narrowband_check,
     orientation_sweep,
@@ -57,8 +57,8 @@ def full_layout():
 
 
 @pytest.fixture(scope="module")
-def alpha_sweep_records(full_layout):
-    "648 orientations per angle in the alpha grid, RX at 10 cm."
+def alpha_sweep_snr(full_layout):
+    "(648, 3) SNR array per angle in the alpha grid, RX at 10 cm."
     grid = orientation_grid()
     return {
         alpha: orientation_sweep(full_layout, alpha, 0.10, BUDGET, grid=grid)
@@ -67,16 +67,19 @@ def alpha_sweep_records(full_layout):
 
 
 @pytest.fixture(scope="module")
-def range_sweep_results(full_layout):
-    "648 orientations per distance on the 10..100 cm grid, 30 degrees off axis."
-    return distance_sweep(
-        full_layout, math.radians(30.0), DISTANCE_GRID, BUDGET,
-        bandwidth=BANDWIDTH_HZ,
-    )
+def range_sweep_snr(full_layout):
+    "(648, 3) SNR array per distance on the 10..100 cm grid, 30 degrees off axis."
+    grid = orientation_grid()
+    return {
+        d: orientation_sweep(
+            full_layout, math.radians(30.0), d, BUDGET, grid=grid, bandwidth=BANDWIDTH_HZ
+        )
+        for d in DISTANCE_GRID
+    }
 
 
-def test_criterion_1_median_improvements(alpha_sweep_records):
-    pooled = [r for records in alpha_sweep_records.values() for r in records]
+def test_criterion_1_median_improvements(alpha_sweep_snr):
+    pooled = np.concatenate(list(alpha_sweep_snr.values()))
     med_sw = float(np.median(improvements_db(pooled, "switched")))
     med_dual = float(np.median(improvements_db(pooled, "dual")))
     ok = abs(med_sw - 1.9) <= 0.3 and abs(med_dual - 0.4) <= 0.2
@@ -90,22 +93,22 @@ def test_criterion_1_median_improvements(alpha_sweep_records):
     assert abs(med_dual - 0.4) <= 0.2
 
 
-def test_criterion_2_far_field_fade(range_sweep_results):
-    near = range_sweep_results[0]
-    far = range_sweep_results[-1]
-    assert near.distance == 0.1 and far.distance == 1.0
-    medians = [r.vs_dual.median for r in range_sweep_results]
+def test_criterion_2_far_field_fade(range_sweep_snr):
+    assert list(range_sweep_snr) == DISTANCE_GRID
+    medians = [improvement_stats(snr, "dual").median for snr in range_sweep_snr.values()]
+    near = medians[0]  # 10 cm
+    far = medians[-1]  # 100 cm
     # decreasing trend with at most 0.05 dB of non-monotonic jitter per step
     jitter_ok = all(b <= a + 0.05 for a, b in zip(medians, medians[1:]))
-    ok = far.vs_dual.median < near.vs_dual.median and far.vs_dual.median < 0.1 and jitter_ok
+    ok = far < near and far < 0.1 and jitter_ok
     report(
         2, ok,
-        f"median over dual {near.vs_dual.median:.4f} dB at 10 cm vs "
-        f"{far.vs_dual.median:.4f} dB at 100 cm (must shrink and end below 0.1 dB); "
+        f"median over dual {near:.4f} dB at 10 cm vs "
+        f"{far:.4f} dB at 100 cm (must shrink and end below 0.1 dB); "
         f"trend monotone within 0.05 dB: {jitter_ok}",
     )
-    assert far.vs_dual.median < near.vs_dual.median
-    assert far.vs_dual.median < 0.1
+    assert far < near
+    assert far < 0.1
     assert jitter_ok
 
 
@@ -129,14 +132,14 @@ def test_criterion_3_polarization_spread_contrast(full_layout):
     assert ratio >= 3.0
 
 
-def test_criterion_4_rate_hierarchy_and_agreement(range_sweep_results):
+def test_criterion_4_rate_hierarchy_and_agreement(range_sweep_snr):
     worst_gap = 0.0
     hierarchy_ok = True
-    for result in range_sweep_results:
-        rate_dpc, rate_dual, rate_sw = ergodic_rate(result.records, BANDWIDTH_HZ)
+    for distance, snr in range_sweep_snr.items():
+        rate_dpc, rate_dual, rate_sw = ergodic_rate(snr, BANDWIDTH_HZ)
         hierarchy_ok &= rate_dpc >= rate_dual * (1.0 - 1e-12)
         hierarchy_ok &= rate_dual >= rate_sw * (1.0 - 1e-12)
-        if result.distance >= 0.5:
+        if distance >= 0.5:
             worst_gap = max(worst_gap, abs(rate_dpc - rate_dual) / rate_dual)
     ok = hierarchy_ok and worst_gap <= 0.02
     report(
@@ -194,7 +197,7 @@ def test_criterion_6_optimality_against_grid_search():
 
 
 def test_criterion_7_invariant_suite(
-    full_layout, alpha_sweep_records, range_sweep_results, tmp_path
+    full_layout, alpha_sweep_snr, range_sweep_snr, tmp_path
 ):
     rng = np.random.default_rng(55)
     failures = []
@@ -213,19 +216,15 @@ def test_criterion_7_invariant_suite(
         failures.append(f"hierarchy broken on {bad}/10000 random channels")
 
     # hierarchy on every experiment channel from the reproduction sweeps
-    experiment_records = [
-        r for records in alpha_sweep_records.values() for r in records
-    ] + [r for result in range_sweep_results for r in result.records]
-    bad = sum(
-        1
-        for r in experiment_records
-        if not (
-            r.snr.snr_dpc >= r.snr.snr_dual * (1.0 - 1e-12)
-            and r.snr.snr_dual >= r.snr.snr_switched * (1.0 - 1e-12)
-        )
+    experiment_snr = np.concatenate(
+        list(alpha_sweep_snr.values()) + list(range_sweep_snr.values())
     )
+    bad = int(np.count_nonzero(
+        (experiment_snr[:, 0] < experiment_snr[:, 1] * (1.0 - 1e-12))
+        | (experiment_snr[:, 1] < experiment_snr[:, 2] * (1.0 - 1e-12))
+    ))
     if bad:
-        failures.append(f"hierarchy broken on {bad}/{len(experiment_records)} sweep records")
+        failures.append(f"hierarchy broken on {bad}/{len(experiment_snr)} sweep orientations")
 
     # closed-form gain identity and exact per-antenna power, incl. a full-size channel
     geom = ChannelGeometry(full_layout, rx_position(0.10, math.radians(30.0)))
@@ -284,7 +283,7 @@ def test_criterion_7_invariant_suite(
         not failures,
         "; ".join(failures)
         if failures
-        else "hierarchy (1e4 random + all sweep records), gain identity, "
+        else "hierarchy (1e4 random + all sweep orientations), gain identity, "
         "per-antenna power, real x/y ratio, phase invariance, deterministic CSVs",
     )
     assert not failures

@@ -54,6 +54,10 @@ def test_link_budget_validation():
         LinkBudget(transmit_power=0.0, noise_power=1.0)
     with pytest.raises(ValueError):
         LinkBudget(transmit_power=1.0, noise_power=-2.0)
+    with pytest.raises(ValueError):
+        LinkBudget(transmit_power=1e300, noise_power=1e-300)  # P/N overflows to inf
+    with pytest.raises(ValueError):
+        LinkBudget(transmit_power=math.nan, noise_power=1.0)
 
 
 def test_dpc_beamformer_single_polarization_channel():

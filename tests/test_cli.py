@@ -1,14 +1,20 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpcfocus.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_OUTPUT_ERROR,
+    LIST_KEYS,
+    OPTIONAL_KEYS,
+    REQUIRED_KEYS,
     ConfigError,
     config_to_mapping,
     default_config,
@@ -17,6 +23,7 @@ from dpcfocus.cli import (
     mapping_to_config_text,
     parse_config_text,
 )
+from dpcfocus.experiments import SweepConfig
 from dpcfocus.geometry import build_circular_array
 
 TINY_CONFIG = """\
@@ -248,6 +255,13 @@ def test_bad_scale_is_a_one_line_usage_error(tmp_path, capsys, scale):
         ("fig5", "radius_m = 0.008", "radius_m = nan"),
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 0.2, 0.1"),
         ("fig7", "distance_m = 0.1, 0.3", "distance_m = 0.3, 0.3"),
+        ("check", "azimuth_step_deg = 30", "azimuth_step_deg = 7"),
+        ("check", "azimuth_step_deg = 30", "azimuth_step_deg = 1e-320"),
+        ("fig5", "elevation_step_deg = 30", "elevation_step_deg = 7"),
+        ("fig5", "transmit_power_w = 1e-3", "transmit_power_w = 1e300"),
+        ("fig5", "transmit_power_w = 1e-3", "transmit_power_w = 1e-3\nnoise_power_w = 1e-320"),
+        ("check", "carrier_frequency_hz = 300e9", "carrier_frequency_hz = 5e-324"),
+        ("check", "bandwidth_hz = 100e6", "bandwidth_hz = 5e-324\nnoise_power_w = 1e-13"),
     ],
 )
 def test_bad_config_value_is_a_one_line_config_error(tmp_path, capsys, scenario, old, new):
@@ -262,6 +276,27 @@ def test_bad_config_value_is_a_one_line_config_error(tmp_path, capsys, scenario,
     assert not (out / f"{scenario}.csv").exists()
 
 
+def test_figure_rows_are_columns_of_sweep_rows(tmp_path, tiny_config_path):
+    out = tmp_path / "out"
+    for scenario in ("sweep", "fig5", "fig6", "fig7"):
+        assert main([scenario, "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
+    sweep_header, sweep_rows = read_csv(out / "sweep.csv")
+    sweep = {(row[0], row[1]): dict(zip(sweep_header, row)) for row in sweep_rows}
+    # fig5 sits at 10 cm, fig6 and fig7 at 30 degrees: both lie on the TINY_CONFIG grid
+    figures = {
+        "fig5": lambda row: (row["alpha_deg"], "0.1"),
+        "fig6": lambda row: ("30.0", row["distance_m"]),
+        "fig7": lambda row: ("30.0", row["distance_m"]),
+    }
+    for scenario, placement in figures.items():
+        header, rows = read_csv(out / f"{scenario}.csv")
+        assert len(rows) == 2
+        for row in rows:
+            named = dict(zip(header, row))
+            expected = sweep[placement(named)]
+            assert named == {column: expected[column] for column in header}
+
+
 def test_sweep_accepts_distances_in_any_order(tmp_path):
     path = tmp_path / "shuffled.cfg"
     path.write_text(TINY_CONFIG.replace("distance_m = 0.1, 0.3", "distance_m = 0.3, 0.1"))
@@ -269,3 +304,94 @@ def test_sweep_accepts_distances_in_any_order(tmp_path):
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
     header, rows = read_csv(out / "sweep.csv")
     assert [row[1] for row in rows] == ["0.3", "0.1", "0.3", "0.1"]
+
+
+# A fixed example sequence and no example database keep the Tier-1 gate deterministic.
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+configs = st.builds(
+    SweepConfig,
+    radius=st.floats(1e-6, 10.0),
+    carrier_frequency=st.floats(1e6, 1e15),
+    alpha_values=st.lists(st.floats(0.0, math.radians(89.9)), min_size=1, max_size=4),
+    distance_values=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=4),
+    azimuth_step=st.integers(1, 360).map(lambda n: 2.0 * math.pi / n),
+    elevation_step=st.integers(1, 180).map(lambda n: math.pi / n),
+    bandwidth=st.floats(1e-3, 1e15),
+    transmit_power=st.floats(1e-12, 1e6),
+    noise_power=st.none() | st.floats(1e-30, 1.0),
+)
+
+
+@PROPERTY_SETTINGS
+@given(configs)
+def test_config_echo_roundtrips(config):
+    mapping = config_to_mapping(config)
+    assert config_to_mapping(parse_config_text(mapping_to_config_text(mapping))) == mapping
+
+
+POSITIVE = st.floats(0.0, math.inf, exclude_min=True, allow_infinity=False)
+# Memory bounds: the array holds about (2 * radius / wavelength)^2 antennas and the
+# orientation grid (360 / az_step) * (180 / el_step) rows, and no pre-flight check
+# refuses an oversized run yet. radius <= 0.05 m at <= 300 GHz keeps the array under
+# 32 000 antennas; steps of at least 1 degree keep the grid under 65 000 rows. The
+# keys that size an allocation therefore take bad values only from BAD_TOKENS.
+SIZING_KEYS = ("radius_m", "carrier_frequency_hz", "azimuth_step_deg", "elevation_step_deg")
+VALID_VALUES = {
+    "radius_m": st.floats(0.0, 0.05, exclude_min=True),
+    "carrier_frequency_hz": st.floats(0.0, 300e9, exclude_min=True),
+    "bandwidth_hz": POSITIVE,
+    "transmit_power_w": POSITIVE,
+    "noise_power_w": POSITIVE,
+    "alpha_deg": st.floats(0.0, 90.0, exclude_max=True),
+    "distance_m": POSITIVE,
+    "azimuth_step_deg": st.integers(1, 360).map(lambda n: 360.0 / n),
+    "elevation_step_deg": st.integers(1, 180).map(lambda n: 180.0 / n),
+}
+BAD_TOKENS = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "0", "-0.0", "1e-320", "5e-324", "1e400", "abc", "1,", ""]
+)
+TEXT = st.characters(exclude_categories=["Cs"])  # lone surrogates cannot be written as UTF-8
+BAD_VALUES = (
+    BAD_TOKENS
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.text(TEXT, max_size=8)
+)
+
+
+@st.composite
+def config_texts(draw):
+    """Config files of in-range values, with up to three faults: a key dropped,
+    repeated or given a bad value, or a junk line added."""
+    lines = {}
+    for key in REQUIRED_KEYS + OPTIONAL_KEYS:
+        count = draw(st.integers(1, 3)) if key in LIST_KEYS else 1
+        values = [repr(draw(VALID_VALUES[key])) for _ in range(count)]
+        lines[key] = [f"{key} = {', '.join(values)}"]
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(lines)))
+        fault = draw(st.sampled_from(["bad value", "drop", "repeat", "junk line"]))
+        if fault == "bad value":
+            lines[key] = [f"{key} = {draw(BAD_TOKENS if key in SIZING_KEYS else BAD_VALUES)}"]
+        elif fault == "drop":
+            lines[key] = []
+        elif fault == "repeat":
+            lines[key] = lines[key] * 2
+        else:  # without "=", a junk line can never set a key
+            lines[key].append(draw(st.text(TEXT.filter(lambda c: c != "="), max_size=20)))
+    return "\n".join(draw(st.permutations([line for group in lines.values() for line in group])))
+
+
+@PROPERTY_SETTINGS
+@given(config_texts(), st.just("1") | st.sampled_from(["0.5", "0", "nan", "x"]))
+def test_check_on_fuzzed_config_only_returns_exit_codes(text, scale):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text)
+        out = Path(tmp) / "out"
+        try:
+            code = main(["check", "--config", str(path), "--out", str(out), "--scale", scale])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert code in (0, 2, 3, 4)
+        assert (out / "check.csv").exists() == (code == EXIT_OK)

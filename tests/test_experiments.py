@@ -4,20 +4,18 @@ import statistics
 import numpy as np
 import pytest
 
-from dpcfocus.beamforming import LinkBudget, SnrTriple, thermal_noise_power
+from dpcfocus.beamforming import LinkBudget, orientation_snr, thermal_noise_power
+from dpcfocus.channel import ChannelGeometry
 from dpcfocus.experiments import (
     DistributionStats,
     SweepConfig,
-    SweepRecord,
-    distance_sweep,
     ergodic_rate,
     improvement_stats,
     improvements_db,
-    median_improvement_sequence,
     narrowband_check,
     orientation_sweep,
 )
-from dpcfocus.geometry import SPEED_OF_LIGHT, build_circular_array, orientation_grid
+from dpcfocus.geometry import SPEED_OF_LIGHT, build_circular_array, orientation_grid, rx_position
 
 BUDGET = LinkBudget(transmit_power=1e-3, noise_power=thermal_noise_power(100e6))
 WAVELENGTH = SPEED_OF_LIGHT / 300e9
@@ -34,41 +32,32 @@ def coarse_grid():
     return orientation_grid(math.radians(30.0), math.radians(30.0))
 
 
-def records_from_ratios(ratios, base=1.0):
-    "Records whose DPC/baseline SNR ratio is prescribed (both baselines equal)."
-    return [
-        SweepRecord(
-            alpha=0.0,
-            distance=0.1,
-            orientation_index=i,
-            snr=SnrTriple(snr_dpc=base * r, snr_dual=base, snr_switched=base),
-        )
-        for i, r in enumerate(ratios)
-    ]
+def snr_from_ratios(ratios, base=1.0):
+    "(m, 3) SNR rows whose DPC/baseline ratio is prescribed (both baselines equal)."
+    dpc = base * np.asarray(ratios, dtype=float)
+    return np.column_stack((dpc, np.full_like(dpc, base), np.full_like(dpc, base)))
 
 
 def test_orientation_sweep_shape_and_ordering(small_layout):
-    records = orientation_sweep(small_layout, math.radians(30.0), 0.1, BUDGET)
-    assert len(records) == 648
-    assert [r.orientation_index for r in records] == list(range(648))
-    assert all(r.alpha == math.radians(30.0) and r.distance == 0.1 for r in records)
+    alpha = math.radians(30.0)
+    snr = orientation_sweep(small_layout, alpha, 0.1, BUDGET)
+    assert snr.shape == (648, 3) and snr.dtype == np.float64
+    geom = ChannelGeometry(small_layout, rx_position(0.1, alpha))
+    assert np.array_equal(snr, orientation_snr(geom, orientation_grid(), BUDGET))
 
 
 def test_orientation_sweep_hierarchy_per_record(small_layout, coarse_grid):
-    records = orientation_sweep(
+    snr = orientation_sweep(
         small_layout, math.radians(20.0), 0.15, BUDGET, grid=coarse_grid
     )
-    for r in records:
-        assert r.snr.snr_dpc >= r.snr.snr_dual * (1.0 - 1e-12)
-        assert r.snr.snr_dual >= r.snr.snr_switched * (1.0 - 1e-12)
+    assert np.all(snr[:, 0] >= snr[:, 1] * (1.0 - 1e-12))
+    assert np.all(snr[:, 1] >= snr[:, 2] * (1.0 - 1e-12))
 
 
 def test_orientation_sweep_duplicate_pole_orientations(small_layout):
-    records = orientation_sweep(small_layout, math.radians(30.0), 0.1, BUDGET)
+    snr = orientation_sweep(small_layout, math.radians(30.0), 0.1, BUDGET)
     # elevation 0 repeats the +z dipole for every azimuth
-    first = records[0].snr
-    for r in records[1:36]:
-        assert r.snr == first
+    assert np.array_equal(snr[1:36], np.broadcast_to(snr[0], (35, 3)))
 
 
 def test_orientation_sweep_warns_when_narrowband_fails(small_layout, coarse_grid):
@@ -79,12 +68,12 @@ def test_orientation_sweep_warns_when_narrowband_fails(small_layout, coarse_grid
 
 
 def test_improvement_stats_constant_distributions():
-    stats = improvement_stats(records_from_ratios([1.0] * 10), "switched")
+    stats = improvement_stats(snr_from_ratios([1.0] * 10), "switched")
     for field in ("median", "lower_quartile", "upper_quartile", "lower_whisker", "upper_whisker"):
         assert getattr(stats, field) == 0.0
     assert stats.sample_count == 10
 
-    stats2 = improvement_stats(records_from_ratios([2.0, 2.0, 2.0]), "dual")
+    stats2 = improvement_stats(snr_from_ratios([2.0, 2.0, 2.0]), "dual")
     assert math.isclose(stats2.median, 3.010299956639812, rel_tol=1e-12)
     assert math.isclose(stats2.lower_quartile, stats2.upper_quartile, rel_tol=1e-12)
 
@@ -92,9 +81,9 @@ def test_improvement_stats_constant_distributions():
 def test_improvement_stats_quartiles_match_inclusive_convention():
     rng = np.random.default_rng(4)
     ratios = 10.0 ** (rng.uniform(0.0, 0.5, size=101) / 10.0)
-    records = records_from_ratios(list(ratios))
-    stats = improvement_stats(records, "switched")
-    imp = improvements_db(records, "switched")
+    snr = snr_from_ratios(ratios)
+    stats = improvement_stats(snr, "switched")
+    imp = improvements_db(snr, "switched")
     q1, q2, q3 = statistics.quantiles(imp.tolist(), n=4, method="inclusive")
     assert math.isclose(stats.lower_quartile, q1, rel_tol=1e-12)
     assert math.isclose(stats.median, q2, rel_tol=1e-12)
@@ -110,8 +99,8 @@ def test_improvement_stats_quartiles_match_inclusive_convention():
 
 def test_improvement_stats_whiskers_clamp_to_extremes():
     imp_db = [0.0, 1.0, 2.0, 3.0, 100.0]
-    records = records_from_ratios([10.0 ** (x / 10.0) for x in imp_db])
-    stats = improvement_stats(records, "switched")
+    snr = snr_from_ratios([10.0 ** (x / 10.0) for x in imp_db])
+    stats = improvement_stats(snr, "switched")
     assert math.isclose(stats.lower_quartile, 1.0, rel_tol=1e-12)
     assert math.isclose(stats.upper_quartile, 3.0, rel_tol=1e-12)
     # lower fence would sit at -2 dB but the data floor is 0
@@ -122,71 +111,54 @@ def test_improvement_stats_whiskers_clamp_to_extremes():
 
 def test_improvement_stats_rejects_bad_input():
     with pytest.raises(ValueError):
-        improvement_stats([], "switched")
+        improvement_stats(np.empty((0, 3)), "switched")
     with pytest.raises(ValueError):
-        improvement_stats(records_from_ratios([1.0]), "best")
+        improvement_stats(np.ones((4, 2)), "dual")
+    with pytest.raises(ValueError):
+        improvement_stats(snr_from_ratios([1.0]), "best")
 
 
 def test_improvements_are_nonnegative_for_model_channels(small_layout, coarse_grid):
-    records = orientation_sweep(
+    snr = orientation_sweep(
         small_layout, math.radians(40.0), 0.12, BUDGET, grid=coarse_grid
     )
-    assert np.all(improvements_db(records, "switched") >= -1e-12)
-    assert np.all(improvements_db(records, "dual") >= -1e-12)
-
-
-def test_distance_sweep_single_point_matches_direct_call(small_layout, coarse_grid):
-    results = distance_sweep(
-        small_layout, math.radians(30.0), [0.2], BUDGET, grid=coarse_grid
-    )
-    assert len(results) == 1
-    records = orientation_sweep(
-        small_layout, math.radians(30.0), 0.2, BUDGET, grid=coarse_grid
-    )
-    assert results[0].vs_switched == improvement_stats(records, "switched")
-    assert results[0].vs_dual == improvement_stats(records, "dual")
-
-
-def test_distance_sweep_requires_ascending_distances(small_layout):
-    with pytest.raises(ValueError):
-        distance_sweep(small_layout, 0.0, [0.3, 0.2], BUDGET)
-    with pytest.raises(ValueError):
-        distance_sweep(small_layout, 0.0, [], BUDGET)
+    assert np.all(improvements_db(snr, "switched") >= -1e-12)
+    assert np.all(improvements_db(snr, "dual") >= -1e-12)
 
 
 def test_distance_sweep_dual_advantage_fades_with_range(small_layout, coarse_grid):
-    results = distance_sweep(
-        small_layout, math.radians(30.0), [0.1, 1.0], BUDGET, grid=coarse_grid
+    near, far = (
+        orientation_sweep(small_layout, math.radians(30.0), d, BUDGET, grid=coarse_grid)
+        for d in (0.1, 1.0)
     )
-    medians = median_improvement_sequence(results, "dual")
-    assert medians[-1] < medians[0]
-    assert np.all(median_improvement_sequence(results, "switched") >= 0.0)
+    assert improvement_stats(far, "dual").median < improvement_stats(near, "dual").median
+    assert improvement_stats(near, "switched").median >= 0.0
+    assert improvement_stats(far, "switched").median >= 0.0
 
 
 def test_ergodic_rate_reference_point():
-    records = [
-        SweepRecord(0.0, 0.1, 0, SnrTriple(snr_dpc=1.0, snr_dual=1.0, snr_switched=1.0))
-    ]
-    rate_dpc, rate_dual, rate_sw = ergodic_rate(records, bandwidth=1e8)
+    rate_dpc, rate_dual, rate_sw = ergodic_rate(np.ones((1, 3)), bandwidth=1e8)
     assert math.isclose(rate_dpc, 1e8, rel_tol=1e-12)
     assert math.isclose(rate_dual, 1e8, rel_tol=1e-12)
     assert math.isclose(rate_sw, 1e8, rel_tol=1e-12)
 
 
 def test_ergodic_rate_preserves_hierarchy(small_layout, coarse_grid):
-    records = orientation_sweep(
+    snr = orientation_sweep(
         small_layout, math.radians(10.0), 0.1, BUDGET, grid=coarse_grid
     )
-    rate_dpc, rate_dual, rate_sw = ergodic_rate(records, bandwidth=100e6)
+    rate_dpc, rate_dual, rate_sw = ergodic_rate(snr, bandwidth=100e6)
     assert rate_dpc >= rate_dual >= rate_sw
     assert rate_sw > 0.0
 
 
 def test_ergodic_rate_rejects_bad_input():
     with pytest.raises(ValueError):
-        ergodic_rate([], bandwidth=1e8)
+        ergodic_rate(np.empty((0, 3)), bandwidth=1e8)
     with pytest.raises(ValueError):
-        ergodic_rate(records_from_ratios([1.0]), bandwidth=0.0)
+        ergodic_rate(np.ones(3), bandwidth=1e8)
+    with pytest.raises(ValueError):
+        ergodic_rate(snr_from_ratios([1.0]), bandwidth=0.0)
 
 
 def test_narrowband_check_reference_values():
@@ -222,10 +194,9 @@ def test_improvements_invariant_under_joint_power_scaling(small_layout, coarse_g
         transmit_power=BUDGET.transmit_power * 7.0, noise_power=BUDGET.noise_power * 7.0
     )
     scaled = orientation_sweep(small_layout, 0.2, 0.15, scaled_budget, grid=coarse_grid)
-    for a, b in zip(base, scaled):
-        da = improvements_db([a], "switched")[0]
-        db = improvements_db([b], "switched")[0]
-        assert abs(da - db) <= 1e-12
+    da = improvements_db(base, "switched")
+    db = improvements_db(scaled, "switched")
+    assert np.all(np.abs(da - db) <= 1e-12)
 
 
 def test_sweep_config_defaults_and_validation():
@@ -246,12 +217,18 @@ def test_sweep_config_defaults_and_validation():
         SweepConfig(distance_values=())
     with pytest.raises(ValueError):
         SweepConfig(alpha_values=())
+    with pytest.raises(ValueError, match="azimuth_step"):
+        SweepConfig(azimuth_step=math.radians(7.0))
+    with pytest.raises(ValueError, match="elevation_step"):
+        SweepConfig(elevation_step=math.radians(7.0))
+    with pytest.raises(ValueError, match="noise_power"):
+        SweepConfig(transmit_power=1e300)
     with pytest.raises(ValueError):
         config.scaled(0.0)
 
 
 def test_distribution_stats_sample_count_matches_grid(small_layout, coarse_grid):
-    records = orientation_sweep(small_layout, 0.1, 0.3, BUDGET, grid=coarse_grid)
-    stats = improvement_stats(records, "dual")
+    snr = orientation_sweep(small_layout, 0.1, 0.3, BUDGET, grid=coarse_grid)
+    stats = improvement_stats(snr, "dual")
     assert stats.sample_count == coarse_grid.shape[0]
     assert isinstance(stats, DistributionStats)

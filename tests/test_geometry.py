@@ -5,46 +5,14 @@ import pytest
 
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
-    X_HAT,
-    Y_HAT,
     Z_HAT,
     ArrayLayout,
     RxPose,
     build_circular_array,
-    cross,
-    dot,
-    norm,
-    normalize,
     orientation_grid,
     rx_position,
 )
 from oracles import brute_force_disc_count
-
-
-def test_dot_cross_norm_basics():
-    assert dot(X_HAT, Y_HAT) == 0.0
-    assert np.array_equal(cross(X_HAT, Y_HAT), Z_HAT)
-    assert norm(np.array([3.0, 4.0, 0.0])) == 5.0
-
-
-def test_normalize_returns_unit_vector():
-    v = normalize([1.0, 2.0, -2.0])
-    assert math.isclose(norm(v), 1.0, rel_tol=1e-12)
-    assert np.allclose(v * 3.0, [1.0, 2.0, -2.0])
-
-
-def test_normalize_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        normalize(np.zeros(3))
-
-
-def test_cross_is_orthogonal_to_its_inputs():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = rng.normal(size=3)
-        b = rng.normal(size=3)
-        bound = 1e-12 * norm(a) * norm(b) ** 2
-        assert abs(dot(cross(a, b), a)) <= max(bound, 1e-16)
 
 
 def test_single_element_array():
