@@ -16,6 +16,7 @@ from .geometry import (
     ArrayLayout,
     RxPose,
     build_circular_array,
+    orientation_classes,
     orientation_grid,
     rx_position,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "improvement_stats",
     "improvements_db",
     "narrowband_check",
+    "orientation_classes",
     "orientation_grid",
     "orientation_snr",
     "orientation_sweep",

@@ -14,11 +14,13 @@ Three ways of driving the crossed-dipole array are compared:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelGeometry, PolarizedChannel, _pattern, _sin_from_cos
+from .geometry import orientation_classes
 
 BOLTZMANN = 1.380649e-23
 "Boltzmann constant in J/K (exact SI value)."
@@ -29,8 +31,8 @@ LINEAR_POL_TOL = 1e-6
 SNR_TILE_ELEMENTS = 16384
 """Antenna x orientation elements per ``orientation_snr`` tile.
 
-128 KiB per float64 temporary, so a tile's working set stays in L2 (about
-25 antennas of the default 648-orientation grid).
+128 KiB per float64 temporary, so a tile's working set stays in L2: about
+100 antennas x the 163 symmetry classes of the default 648-orientation grid.
 """
 
 
@@ -51,8 +53,14 @@ class LinkBudget:
     def __post_init__(self):
         if self.transmit_power <= 0 or self.noise_power <= 0:
             raise ValueError("transmit_power and noise_power must be positive")
-        if not math.isfinite(self.transmit_power / self.noise_power):
+        ratio = self.transmit_power / self.noise_power
+        if not math.isfinite(ratio):
             raise ValueError("transmit_power / noise_power must be finite")
+        # below the smallest normal float the SNRs underflow toward 0
+        if ratio < sys.float_info.min:
+            raise ValueError(
+                f"transmit_power / noise_power must be at least {sys.float_info.min:.4g}"
+            )
 
 
 @dataclass
@@ -166,13 +174,20 @@ def orientation_snr(geom: ChannelGeometry, directions, budget: LinkBudget) -> np
         snr_dual     = rho * ((sum_k |h_x,k|)^2 + (sum_k |h_y,k|)^2) / n
         snr_switched = rho * max(sum_k |h_x,k|, sum_k |h_y,k|)^2 / n
 
-    The magnitudes are built tile by tile (``SNR_TILE_ELEMENTS`` antenna x
-    direction entries at a time) and the column sums accumulate in a fixed
-    order, so repeated calls return identical arrays.
+    Directions that share their SNRs by symmetry (``orientation_classes``)
+    are evaluated once and the result is copied to every member: v and -v
+    always, and (vx, vy, vz) with (vx, -vy, vz) when the RX center has
+    y == 0 and the layout is closed under y -> -y. The magnitudes are built
+    tile by tile (``SNR_TILE_ELEMENTS`` antenna x direction entries at a
+    time) and the column sums accumulate in a fixed order, so repeated
+    calls return identical arrays.
     """
     v = np.asarray(directions, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError("directions must be an (m, 3) array")
+    mirror = geom.rx_center[1] == 0.0 and geom.layout.mirror_symmetric
+    first, inverse = orientation_classes(v, mirror)
+    v = v[first]
     n = geom.p_hat.shape[0]
     m = v.shape[0]
     amp_up = np.abs(geom.h_up)
@@ -211,7 +226,7 @@ def orientation_snr(geom: ChannelGeometry, directions, budget: LinkBudget) -> np
     snr[:, 0] = rho * np.square(sums[0])
     snr[:, 1] = rho * (np.square(sums[1]) + np.square(sums[2]))
     snr[:, 2] = rho * np.square(np.maximum(sums[1], sums[2]))
-    return snr
+    return snr[inverse]
 
 
 @dataclass

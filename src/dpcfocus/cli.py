@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -39,7 +40,14 @@ from .experiments import (
     narrowband_check,
     orientation_sweep,
 )
-from .geometry import Z_HAT, build_circular_array, orientation_grid, rx_position
+from .geometry import (
+    Z_HAT,
+    _even_divisions,
+    build_circular_array,
+    orientation_classes,
+    orientation_grid,
+    rx_position,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 3
@@ -62,6 +70,12 @@ REQUIRED_KEYS = (
 )
 OPTIONAL_KEYS = ("noise_power_w",)
 LIST_KEYS = ("alpha_deg", "distance_m")
+
+GEOMETRY_BYTES_PER_ANTENNA = 8 * 32
+"""Estimated peak bytes per antenna of a ``ChannelGeometry``.
+
+Its 17 float64 arrays per antenna plus the temporaries that build them.
+"""
 
 
 class ConfigError(ValueError):
@@ -184,11 +198,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    # format every row first, so a refused value leaves no partial file behind
+    body = [[_fmt(v) for v in row] for row in rows]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(body)
 
 
 STATS_COLUMNS = [
@@ -308,6 +323,23 @@ SCENARIOS = {
 }
 
 
+def _estimated_bytes(config: SweepConfig) -> float:
+    """Rough peak memory of a run, worked out before anything is allocated.
+
+    Counts the lattice build (two float64 meshgrids, their float64 radii and
+    a bool mask, each (2*floor(R/pitch)+1)^2 entries), the orientation grid
+    with its temporaries (six float64 per direction) and
+    ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice point. The lattice side
+    is bounded by 2*R/pitch + 1 in float arithmetic, so an absurd
+    configuration gives a huge or infinite estimate, never an overflow.
+    """
+    side = 2.0 * (config.radius / (config.wavelength / 2.0)) + 1.0
+    lattice = side * side * (3 * 8 + 1 + GEOMETRY_BYTES_PER_ANTENNA)
+    n_az = _even_divisions(2.0 * math.pi, config.azimuth_step, "azimuth_step")
+    n_el = _even_divisions(math.pi, config.elevation_step, "elevation_step")
+    return lattice + float(n_az) * n_el * 6 * 8
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -350,6 +382,13 @@ def main(argv=None) -> int:
             d = config.distance_values
             if any(b <= a for a, b in zip(d, d[1:])):
                 raise ConfigError(f"{args.command} needs distance_m strictly ascending")
+        need = _estimated_bytes(config)
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > physical:
+            raise ConfigError(
+                f"the run needs an estimated {need:.3g} bytes, more than the "
+                f"{physical:.3g} bytes of physical memory"
+            )
     except ValueError as exc:
         print(f"dpcfocus: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -383,6 +422,8 @@ def main(argv=None) -> int:
             "wavelength_m": config.wavelength,
             "noise_power_w": config.noise_power,
             "orientation_count": int(grid.shape[0]),
+            # the CLI's RX centers lie on the xz plane of a mirror-symmetric lattice
+            "orientation_classes": int(orientation_classes(grid, mirror=True)[0].size),
         },
         "box_plot": {
             "quartiles": "linear interpolation",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,9 @@ def test_link_budget_validation():
         LinkBudget(transmit_power=1e300, noise_power=1e-300)  # P/N overflows to inf
     with pytest.raises(ValueError):
         LinkBudget(transmit_power=math.nan, noise_power=1.0)
+    with pytest.raises(ValueError):
+        LinkBudget(transmit_power=5e-324, noise_power=1.0)  # every SNR would underflow to 0
+    LinkBudget(transmit_power=sys.float_info.min, noise_power=1.0)
 
 
 def test_dpc_beamformer_single_polarization_channel():
@@ -306,7 +310,10 @@ def oracle_snr(geom, grid, budget):
 
 
 def assert_kernel_matches_oracle(layout, alpha, distance, grid):
-    geom = ChannelGeometry(layout, rx_position(distance, alpha))
+    assert_geometry_matches_oracle(ChannelGeometry(layout, rx_position(distance, alpha)), grid)
+
+
+def assert_geometry_matches_oracle(geom, grid):
     fast = orientation_snr(geom, grid, KERNEL_BUDGET)
     slow = oracle_snr(geom, grid, KERNEL_BUDGET)
     assert fast.shape == (grid.shape[0], 3)
@@ -354,6 +361,31 @@ def test_orientation_snr_tiles_narrower_than_the_grid(kernel_layout, monkeypatch
     # fewer tile elements than directions: the grid is split into column blocks
     monkeypatch.setattr(beamforming, "SNR_TILE_ELEMENTS", 100)
     assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, DEFAULT_GRID)
+
+
+@pytest.mark.parametrize("alpha_deg, distance", [(30.0, 0.1), (60.0, 1.0)])
+def test_orientation_snr_without_mirror_symmetric_layout(kernel_layout, alpha_deg, distance):
+    layout = first_antennas(kernel_layout, 24)  # the lowest rows of the lattice
+    assert not layout.mirror_symmetric
+    assert_kernel_matches_oracle(layout, math.radians(alpha_deg), distance, DEFAULT_GRID)
+
+
+def test_orientation_snr_with_rx_off_the_xz_plane(kernel_layout):
+    assert kernel_layout.mirror_symmetric
+    geom = ChannelGeometry(kernel_layout, np.array([0.02, 0.03, 0.1]))
+    assert_geometry_matches_oracle(geom, DEFAULT_GRID)
+
+
+def test_orientation_snr_on_a_shuffled_grid(kernel_layout):
+    grid = np.random.default_rng(11).permutation(DEFAULT_GRID)
+    assert_kernel_matches_oracle(kernel_layout, math.radians(60.0), 1.0, grid)
+
+
+def test_orientation_snr_on_random_directions(kernel_layout):
+    # no two random directions are exact partners, so every one is evaluated directly
+    v = np.random.default_rng(13).normal(size=(300, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, v)
 
 
 def test_orientation_snr_is_bit_reproducible(kernel_layout):

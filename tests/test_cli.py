@@ -16,6 +16,7 @@ from dpcfocus.cli import (
     OPTIONAL_KEYS,
     REQUIRED_KEYS,
     ConfigError,
+    _write_csv,
     config_to_mapping,
     default_config,
     load_config,
@@ -128,6 +129,16 @@ def test_check_scenario_outputs(tmp_path, tiny_config_path):
     assert manifest["outputs"] == ["check.csv"]
     layout = build_circular_array(0.008, 299792458.0 / 300e9)
     assert manifest["derived"]["n_tx"] == layout.n_tx
+    assert manifest["derived"]["orientation_count"] == 72
+    # 12 x 6 grid: the pole, two elevation ring pairs of 7 classes, an equator of 4
+    assert manifest["derived"]["orientation_classes"] == 19
+
+
+def test_refused_csv_value_leaves_no_file(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError):
+        _write_csv(path, ["a"], [(1.0,), (math.nan,)])
+    assert not path.exists()
 
 
 def test_manifest_config_echo_roundtrips(tmp_path, tiny_config_path):
@@ -262,6 +273,10 @@ def test_bad_scale_is_a_one_line_usage_error(tmp_path, capsys, scale):
         ("fig5", "transmit_power_w = 1e-3", "transmit_power_w = 1e-3\nnoise_power_w = 1e-320"),
         ("check", "carrier_frequency_hz = 300e9", "carrier_frequency_hz = 5e-324"),
         ("check", "bandwidth_hz = 100e6", "bandwidth_hz = 5e-324\nnoise_power_w = 1e-13"),
+        ("fig5", "transmit_power_w = 1e-3", "transmit_power_w = 5e-324\nnoise_power_w = 1.0"),
+        # terabyte-sized runs, refused by the memory estimate before anything allocates
+        ("check", "radius_m = 0.008", "radius_m = 1000"),
+        ("check", "azimuth_step_deg = 30", "azimuth_step_deg = 1e-7"),
     ],
 )
 def test_bad_config_value_is_a_one_line_config_error(tmp_path, capsys, scenario, old, new):
@@ -332,10 +347,11 @@ def test_config_echo_roundtrips(config):
 
 POSITIVE = st.floats(0.0, math.inf, exclude_min=True, allow_infinity=False)
 # Memory bounds: the array holds about (2 * radius / wavelength)^2 antennas and the
-# orientation grid (360 / az_step) * (180 / el_step) rows, and no pre-flight check
-# refuses an oversized run yet. radius <= 0.05 m at <= 300 GHz keeps the array under
-# 32 000 antennas; steps of at least 1 degree keep the grid under 65 000 rows. The
-# keys that size an allocation therefore take bad values only from BAD_TOKENS.
+# orientation grid (360 / az_step) * (180 / el_step) rows, and the pre-flight check
+# refuses only runs larger than physical memory. radius <= 0.05 m at <= 300 GHz keeps
+# the array under 32 000 antennas; steps of at least 1 degree keep the grid under
+# 65 000 rows. The keys that size an allocation therefore take bad values only from
+# BAD_TOKENS.
 SIZING_KEYS = ("radius_m", "carrier_frequency_hz", "azimuth_step_deg", "elevation_step_deg")
 VALID_VALUES = {
     "radius_m": st.floats(0.0, 0.05, exclude_min=True),

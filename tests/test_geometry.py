@@ -9,6 +9,7 @@ from dpcfocus.geometry import (
     ArrayLayout,
     RxPose,
     build_circular_array,
+    orientation_classes,
     orientation_grid,
     rx_position,
 )
@@ -41,6 +42,22 @@ def test_layout_reflection_symmetry():
     points = {(x, y) for x, y, _ in layout.positions.tolist()}
     assert {(-x, y) for x, y in points} == points
     assert {(x, -y) for x, y in points} == points
+
+
+def test_layout_mirror_symmetry_is_exact_and_lazy():
+    layout = build_circular_array(radius=2.6, wavelength=1.0)
+    assert "mirror_symmetric" not in vars(layout)  # construction does not pay for the check
+    assert layout.mirror_symmetric
+
+    def variant(positions, radius=2.6):
+        return ArrayLayout(positions=positions, wavelength=1.0, dipole_length=0.5, radius=radius)
+
+    assert variant(layout.positions[::-1]).mirror_symmetric
+    assert not variant(layout.positions[: layout.n_tx // 2]).mirror_symmetric
+    assert not variant(layout.positions + [0.0, 0.25, 0.0], radius=3.0).mirror_symmetric
+    nudged = layout.positions.copy()
+    nudged[-1, 1] = np.nextafter(nudged[-1, 1], 0.0)
+    assert not variant(nudged).mirror_symmetric
 
 
 def test_layout_ordering_is_row_major_by_y_then_x():
@@ -122,3 +139,61 @@ def test_orientation_grid_rejects_uneven_steps():
         orientation_grid(elevation_step=math.radians(13.0))
     with pytest.raises(ValueError):
         orientation_grid(azimuth_step=-1.0)
+
+
+@pytest.mark.parametrize(
+    "az_deg, el_deg", [(10, 10), (30, 20), (40, 10), (7.5, 10), (10, 7.5), (72, 36)]
+)
+def test_orientation_grid_partners_are_exact_reflections(az_deg, el_deg):
+    n_az = round(360 / az_deg)
+    n_el = round(180 / el_deg)
+    grid = orientation_grid(math.radians(az_deg), math.radians(el_deg)).reshape(n_el, n_az, 3)
+    j = np.arange(n_az)
+    # azimuth j -> n_az - j is vy -> -vy
+    assert np.array_equal(grid[:, -j % n_az], grid * [1.0, -1.0, 1.0])
+    if n_az % 2 == 0:
+        # azimuth j -> n_az/2 - j (a -> pi - a) is vx -> -vx
+        assert np.array_equal(grid[:, (n_az // 2 - j) % n_az], grid * [-1.0, 1.0, 1.0])
+    # elevation i -> n_el - i is vz -> -vz
+    assert np.array_equal(grid[n_el - np.arange(1, n_el)], grid[1:] * [1.0, 1.0, -1.0])
+
+
+# Orbit counts: the pole is one class; with the mirror, each pair of elevation rings
+# (el, pi - el) of n_az directions gives (2 * n_az + 4) / 4 classes and the equator
+# (n_az + 4) / 4, when n_az is even. With an odd n_az only the mirror has partners.
+@pytest.mark.parametrize(
+    "az_deg, el_deg, mirrored, unmirrored",
+    [(10, 10, 163, 307), (30, 20, 29, 49), (40, 10, 86, 154), (7.5, 10, 214, 409)],
+)
+def test_orientation_class_counts(az_deg, el_deg, mirrored, unmirrored):
+    grid = orientation_grid(math.radians(az_deg), math.radians(el_deg))
+    assert orientation_classes(grid, mirror=True)[0].size == mirrored
+    assert orientation_classes(grid, mirror=False)[0].size == unmirrored
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_orientation_class_members_are_sign_flips_of_their_representative(mirror):
+    grid = np.random.default_rng(5).permutation(orientation_grid())
+    first, inverse = orientation_classes(grid, mirror)
+    assert np.array_equal(inverse[first], np.arange(first.size))
+    rep = grid[first][inverse]
+    transforms = [[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]
+    if mirror:
+        transforms += [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]]
+    related = np.zeros(grid.shape[0], dtype=bool)
+    for t in transforms:
+        related |= np.all(grid == rep * t, axis=1)
+    assert related.all()
+
+
+def test_orientation_classes_never_group_by_tolerance():
+    rng = np.random.default_rng(9)
+    v = rng.normal(size=(200, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    first, inverse = orientation_classes(v, mirror=True)
+    assert first.size == 200 and np.array_equal(first[inverse], np.arange(200))
+    # an exact negation is the same class, one ulp off is not
+    exact = np.array([[0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]])
+    assert orientation_classes(exact, mirror=False)[0].size == 1
+    exact[1, 2] = np.nextafter(-0.8, 0.0)
+    assert orientation_classes(exact, mirror=True)[0].size == 2
