@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelGeometry, PolarizedChannel, _pattern, _sin_from_cos
-from .geometry import orientation_classes
+from .channel import PolarizedChannel, _pattern, _series, pattern_series
+from .geometry import ArrayLayout, orientation_classes
 
 BOLTZMANN = 1.380649e-23
 "Boltzmann constant in J/K (exact SI value)."
@@ -33,6 +33,13 @@ SNR_TILE_ELEMENTS = 16384
 
 128 KiB per float64 temporary, so a tile's working set stays in L2: about
 100 antennas x the 163 symmetry classes of the default 648-orientation grid.
+"""
+
+ANTENNA_BLOCK = 8192
+"""Antennas whose per-antenna geometry ``orientation_snr`` holds at a time.
+
+About 20 float64 values per antenna, so a block takes about 1.3 MB and the
+geometry of a full aperture never exists at once.
 """
 
 
@@ -161,13 +168,15 @@ def evaluate_snr(channel: PolarizedChannel, budget: LinkBudget) -> SnrTriple:
     )
 
 
-def orientation_snr(geom: ChannelGeometry, directions, budget: LinkBudget) -> np.ndarray:
+def orientation_snr(
+    layout: ArrayLayout, rx_center, directions, budget: LinkBudget
+) -> np.ndarray:
     """Received SNRs for many receive-dipole directions at one RX placement.
 
     Returns an (m, 3) array whose row i holds (DPC, dual, switched) for
     ``directions[i]``, the same quantities as
-    ``evaluate_snr(geom.channel_for(directions[i]), budget)``. The
-    propagation phase cancels under both the DPC and the phase-only
+    ``evaluate_snr(ChannelGeometry(layout, rx_center).channel_for(directions[i]), budget)``.
+    The propagation phase cancels under both the DPC and the phase-only
     conjugate weights, so only channel magnitudes are needed:
 
         snr_dpc      = rho * (sum_k sqrt(|h_x,k|^2 + |h_y,k|^2))^2 / n
@@ -177,56 +186,100 @@ def orientation_snr(geom: ChannelGeometry, directions, budget: LinkBudget) -> np
     Directions that share their SNRs by symmetry (``orientation_classes``)
     are evaluated once and the result is copied to every member: v and -v
     always, and (vx, vy, vz) with (vx, -vy, vz) when the RX center has
-    y == 0 and the layout is closed under y -> -y. The magnitudes are built
-    tile by tile (``SNR_TILE_ELEMENTS`` antenna x direction entries at a
-    time) and the column sums accumulate in a fixed order, so repeated
-    calls return identical arrays.
+    y == 0 and the layout is closed under y -> -y.
+
+    The geometry is built from the positions in blocks of about
+    ``ANTENNA_BLOCK`` antennas (``_block_geometry``), and within a block the
+    magnitudes are built tile by tile (``SNR_TILE_ELEMENTS`` antenna x
+    direction entries at a time) as
+    |h_x,k| = |(e_x,k . v) g_rx(p_k . v)| with the dipole pattern g_rx of
+    ``channel._pattern``. Blocks hold whole tiles, so the column sums
+    accumulate in the same fixed order whatever the block size, and
+    repeated calls return identical arrays.
+
+    Raises
+    ------
+    ValueError
+        If ``directions`` is not an (m, 3) array or the RX center coincides
+        with a TX element.
     """
     v = np.asarray(directions, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError("directions must be an (m, 3) array")
-    mirror = geom.rx_center[1] == 0.0 and geom.layout.mirror_symmetric
+    rx = np.asarray(rx_center, dtype=float)
+    mirror = rx[1] == 0.0 and layout.mirror_symmetric
     first, inverse = orientation_classes(v, mirror)
     v = v[first]
-    n = geom.p_hat.shape[0]
+    n = layout.n_tx
     m = v.shape[0]
-    amp_up = np.abs(geom.h_up)
-    amp_x = amp_up * np.abs(geom.g_tx_x)
-    amp_y = amp_up * np.abs(geom.g_tx_y)
+    ratio = layout.dipole_length / layout.wavelength
+    coeffs = pattern_series(ratio)
+    # amplitudes are taken relative to lambda / (4 pi r0), so that no square taken in a
+    # tile underflows or overflows, however far the RX is; the aperture radius bounds r0
+    # away from 0 for an RX at the origin
+    r0 = max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), layout.radius)
     # per direction: sum_k sqrt(|h_x,k|^2 + |h_y,k|^2), sum_k |h_x,k|, sum_k |h_y,k|
     sums = np.zeros((3, m))
     cols = max(1, min(m, SNR_TILE_ELEMENTS))
     rows = max(1, SNR_TILE_ELEMENTS // cols)
-    for j0 in range(0, m, cols):
-        vt = v[j0:j0 + cols].T
-        acc = sums[:, j0:j0 + cols]
-        for k0 in range(0, n, rows):
-            k1 = min(n, k0 + rows)
-            cos_vp = geom.p_hat[k0:k1] @ vt
-            # the pattern is even in cos(theta), so theta_rx = pi - theta needs no flip
-            g_rx = _pattern(cos_vp, _sin_from_cos(cos_vp), geom.pattern_ratio)
-            np.abs(g_rx, out=g_rx)
-            mag_x = geom.e_x[k0:k1] @ vt
-            np.abs(mag_x, out=mag_x)
-            mag_x *= g_rx
-            mag_x *= amp_x[k0:k1, None]
-            mag_y = geom.e_y[k0:k1] @ vt
-            np.abs(mag_y, out=mag_y)
-            mag_y *= g_rx
-            mag_y *= amp_y[k0:k1, None]
-            acc[1] += mag_x.sum(axis=0)
-            acc[2] += mag_y.sum(axis=0)
-            np.square(mag_x, out=mag_x)
-            np.square(mag_y, out=mag_y)
-            mag_x += mag_y
-            np.sqrt(mag_x, out=mag_x)
-            acc[0] += mag_x.sum(axis=0)
-    rho = budget.transmit_power / budget.noise_power / n
+    block = rows * max(1, ANTENNA_BLOCK // rows)
+    for b0 in range(0, n, block):
+        p_hat, e_x, e_y = _block_geometry(layout.positions[b0:b0 + block], rx, r0, coeffs)
+        for j0 in range(0, m, cols):
+            vt = v[j0:j0 + cols].T
+            acc = sums[:, j0:j0 + cols]
+            for k0 in range(0, p_hat.shape[0], rows):
+                g_rx = _pattern(p_hat[k0:k0 + rows] @ vt, ratio)
+                mag_x = e_x[k0:k0 + rows] @ vt
+                mag_x *= g_rx
+                np.abs(mag_x, out=mag_x)
+                mag_y = e_y[k0:k0 + rows] @ vt
+                mag_y *= g_rx
+                np.abs(mag_y, out=mag_y)
+                acc[1] += mag_x.sum(axis=0)
+                acc[2] += mag_y.sum(axis=0)
+                np.square(mag_x, out=mag_x)
+                np.square(mag_y, out=mag_y)
+                mag_x += mag_y
+                np.sqrt(mag_x, out=mag_x)
+                acc[0] += mag_x.sum(axis=0)
+    # sqrt(rho) = sqrt(P / N) / sqrt(n) joins the amplitude scale before anything is squared
+    sums *= (layout.wavelength / (4.0 * math.pi * r0)) * (
+        math.sqrt(budget.transmit_power / budget.noise_power) / math.sqrt(n)
+    )
     snr = np.empty((m, 3))
-    snr[:, 0] = rho * np.square(sums[0])
-    snr[:, 1] = rho * (np.square(sums[1]) + np.square(sums[2]))
-    snr[:, 2] = rho * np.square(np.maximum(sums[1], sums[2]))
+    snr[:, 0] = np.square(sums[0])
+    snr[:, 1] = np.square(sums[1]) + np.square(sums[2])
+    snr[:, 2] = np.square(np.maximum(sums[1], sums[2]))
     return snr[inverse]
+
+
+def _block_geometry(positions, rx, r0: float, coeffs):
+    """Unit displacements and amplitude-scaled field vectors of an antenna block.
+
+    Returns ``(p_hat, e_x, e_y)``, each (k, 3). With r the distance from an
+    antenna to ``rx`` and c = p_hat . u for its TX dipole along u,
+    ``e_u = (r0 / r) * h(c^2) * (u - c p_hat)``, where h is the series of
+    ``channel.pattern_series``. Since |u - c p_hat| is sin(theta_tx) and
+    g_tx = sin(theta_tx) h(c^2), this is |h_up| * g_tx * (4 pi r0 / lambda)
+    times the unit impinging-field direction, without a division by
+    sin(theta_tx). Distances come from chained ``np.hypot``, which neither
+    overflows nor underflows for any finite displacement.
+    """
+    disp = rx - positions
+    dist = np.hypot(np.hypot(disp[:, 0], disp[:, 1]), disp[:, 2])
+    if np.any(dist == 0.0):
+        raise ValueError("RX is co-located with a TX element")
+    p_hat = disp / dist[:, None]
+    amp = r0 / dist
+    fields = []
+    for axis in (0, 1):
+        cos_tx = p_hat[:, axis]
+        scale = amp * _series(np.square(cos_tx), coeffs)
+        e = p_hat * (-scale * cos_tx)[:, None]
+        e[:, axis] += scale
+        fields.append(e)
+    return (p_hat, *fields)
 
 
 @dataclass

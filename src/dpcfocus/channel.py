@@ -12,16 +12,22 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .geometry import X_HAT, Y_HAT, ArrayLayout, RxPose
 
-SIN_THETA_FLOOR = 1e-9
-"Below this sin(theta) the dipole pattern is pinned to its axial-null limit 0."
-
 TRANSVERSE_FLOOR = 1e-12
 "Below this transverse norm the impinging-field direction is degenerate."
+
+SERIES_CANCELLATION_LIMIT = 2.0**10
+"""Largest ratio of the pattern series' coefficient mass to the pattern's peak.
+
+Horner's rule then loses at most 10 of float64's 53 bits against the peak.
+"""
+
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494"
 
 
 def unpolarized_gain(p_vec, wavelength: float) -> complex:
@@ -44,29 +50,104 @@ def unpolarized_gain(p_vec, wavelength: float) -> complex:
 def dipole_pattern(theta, length_over_wavelength: float = 0.5):
     """Normalized dipole field pattern at polar angle ``theta`` off the axis.
 
-    Accepts scalars or arrays (radians). The axial direction (sin(theta)
-    below ``SIN_THETA_FLOOR``) returns 0, the analytic limit for the
-    half-wave dipole.
+    Accepts scalars or arrays (radians). The pattern is
+    (cos(pi*L*cos(theta)) - cos(pi*L)) / sin(theta) for a dipole of L
+    wavelengths, evaluated as ``_pattern`` does, so the axial directions
+    give exactly 0.
     """
     theta = np.asarray(theta, dtype=float)
-    out = _pattern(np.cos(theta), np.sin(theta), length_over_wavelength)
-    if out.ndim == 0:
-        return float(out)
+    out = _pattern(np.atleast_1d(np.cos(theta)), length_over_wavelength)
+    if theta.ndim == 0:
+        return float(out[0])
     return out
 
 
-def _pattern(cos_theta, sin_theta, length_over_wavelength):
-    # (cos(pi*L*cos(theta)) - cos(pi*L)) / sin(theta), L in wavelengths
-    k = math.pi * length_over_wavelength
-    num = np.cos(k * np.asarray(cos_theta))
-    num -= math.cos(k)
-    sin_theta = np.asarray(sin_theta)
-    return np.divide(
-        num,
-        sin_theta,
-        out=np.zeros_like(num),
-        where=sin_theta >= SIN_THETA_FLOOR,
-    )
+@lru_cache(maxsize=16)
+def pattern_series(length_over_wavelength: float) -> tuple[float, ...]:
+    """Taylor coefficients h_0..h_N, lowest first, of the pattern's entire part.
+
+    The pattern of a dipole of L wavelengths is sqrt(1 - c^2) * h(c^2), with
+    c = cos(theta) and h(x) = (cos(pi*L*sqrt(x)) - cos(pi*L)) / (1 - x).
+    With a_j = (-1)^j (pi*L)^(2j) / (2j)! the Taylor coefficients of
+    cos(pi*L*sqrt(x)), the numerator vanishes at x = 1, so
+    h_n = -sum_{j>n} a_j. These tail sums are formed in 60-digit decimal
+    arithmetic and rounded once to float64.
+
+    The degree N is the smallest (at least 1) whose dropped terms, bounded
+    on [0, 1] by sum_{n>N} |h_n| <= sum_{j>N+1} (j-N-1) |a_j|, stay below
+    2^-53 of the coefficient mass sum_n |h_n|, the scale of the rounding
+    error of Horner's rule itself. A half-wave dipole needs N = 9.
+
+    Raises
+    ------
+    ValueError
+        If L is not positive and finite, or if the coefficient mass exceeds
+        ``SERIES_CANCELLATION_LIMIT`` times the peak of |h| on [0, 1]: the
+        series of such a long dipole cancels too much to be summed to
+        float64 accuracy.
+    """
+    # imported on first use, so that importing the package does not pay for it
+    from decimal import Decimal, localcontext
+
+    length = float(length_over_wavelength)
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError("the dipole length must be positive and finite")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k2 = (Decimal(_PI_DIGITS) * Decimal(length)) ** 2
+        a = [Decimal(1)]
+        # past j^2 > k2 the terms fall faster than geometrically; stop once negligible
+        while len(a) < 4 or len(a) ** 2 <= k2 or abs(a[-1]) > Decimal("1e-40"):
+            if len(a) > 1000:
+                raise ValueError(
+                    f"a dipole of {length!r} wavelengths is too long for the pattern series"
+                )
+            j = len(a)
+            a.append(-a[-1] * k2 / ((2 * j - 1) * (2 * j)))
+        tail = sum(a[1:])
+        h = []
+        for n in range(len(a) - 1):
+            h.append(-tail)
+            tail -= a[n + 1]
+        mass = sum(abs(c) for c in h)
+        degree = 1
+        while sum((j - degree - 1) * abs(a[j]) for j in range(degree + 2, len(a))) > (
+            mass * Decimal(2) ** -53
+        ):
+            degree += 1
+        coeffs = tuple(float(c) for c in h[: degree + 1])
+        mass = float(mass)
+    peak = float(np.max(np.abs(_series(np.linspace(0.0, 1.0, 257), coeffs))))
+    if not mass <= SERIES_CANCELLATION_LIMIT * peak:
+        raise ValueError(
+            f"a dipole of {length!r} wavelengths is too long for the pattern series: "
+            "its coefficients cancel beyond float64 accuracy"
+        )
+    return coeffs
+
+
+def _series(x: np.ndarray, coeffs) -> np.ndarray:
+    "sum_n coeffs[n] * x^n by Horner's rule, into a new array."
+    out = x * coeffs[-1]
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def _pattern(cos_theta: np.ndarray, length_over_wavelength: float) -> np.ndarray:
+    """Dipole pattern sqrt(1 - c^2) * h(c^2) of a float64 array c (ndim >= 1).
+
+    The pattern is even in c, so theta and pi - theta need no sign flip.
+    """
+    out = _series(np.square(cos_theta), pattern_series(length_over_wavelength))
+    # (1 - c)(1 + c) keeps sin(theta) accurate next to the axial null, where 1 - c^2 is not
+    sin2 = 1.0 - cos_theta
+    sin2 *= cos_theta + 1.0
+    np.maximum(sin2, 0.0, out=sin2)
+    out *= np.sqrt(sin2, out=sin2)
+    return out
 
 
 def impinging_field_dir(u_hat, p_hat) -> np.ndarray:
@@ -160,28 +241,21 @@ class ChannelGeometry:
         )
         cos_tx_x = self.p_hat[:, 0]
         cos_tx_y = self.p_hat[:, 1]
-        self.g_tx_x = _pattern(cos_tx_x, _sin_from_cos(cos_tx_x), self.pattern_ratio)
-        self.g_tx_y = _pattern(cos_tx_y, _sin_from_cos(cos_tx_y), self.pattern_ratio)
+        self.g_tx_x = _pattern(cos_tx_x, self.pattern_ratio)
+        self.g_tx_y = _pattern(cos_tx_y, self.pattern_ratio)
         self.e_x = _transverse_unit(X_HAT, self.p_hat, cos_tx_x)
         self.e_y = _transverse_unit(Y_HAT, self.p_hat, cos_tx_y)
 
     def channel_for(self, v_hat) -> PolarizedChannel:
         "Channel vectors for a receive dipole along the unit vector ``v_hat``."
         v = np.asarray(v_hat, dtype=float)
-        cos_vp = self.p_hat @ v
-        # theta_rx = pi - arccos(v . p_hat): cosine flips sign, sine unchanged
-        g_rx = _pattern(-cos_vp, _sin_from_cos(cos_vp), self.pattern_ratio)
+        # theta_rx = pi - arccos(v . p_hat); the pattern is even in cos(theta)
+        g_rx = _pattern(self.p_hat @ v, self.pattern_ratio)
         real_x = self.g_tx_x * g_rx
         real_x *= self.e_x @ v
         real_y = self.g_tx_y * g_rx
         real_y *= self.e_y @ v
         return PolarizedChannel(h_x=self.h_up * real_x, h_y=self.h_up * real_y)
-
-
-def _sin_from_cos(cos_theta):
-    s = 1.0 - np.square(cos_theta)
-    np.maximum(s, 0.0, out=s)
-    return np.sqrt(s, out=s)
 
 
 def _transverse_unit(u, p_hat, cos_up):

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beamforming import dpc_beamformer, polarization_angle_map
+from .beamforming import ANTENNA_BLOCK, dpc_beamformer, polarization_angle_map
 from .channel import ChannelGeometry
 from .experiments import (
     NARROWBAND_MARGIN,
@@ -75,6 +75,8 @@ GEOMETRY_BYTES_PER_ANTENNA = 8 * 32
 """Estimated peak bytes per antenna of a ``ChannelGeometry``.
 
 Its 17 float64 arrays per antenna plus the temporaries that build them.
+fig3 builds one for the whole lattice; the sweep kernel builds at most
+``ANTENNA_BLOCK`` antennas' worth at a time.
 """
 
 
@@ -225,11 +227,24 @@ def _stats_values(stats) -> tuple:
     )
 
 
+def scenario_placements(name: str, config) -> list[tuple[float, float]]:
+    "The (alpha, distance) RX placements scenario ``name`` evaluates, in order."
+    if name == "fig3":
+        return [(FIG3_ALPHA, d) for d in FIG3_DISTANCES_M]
+    if name == "fig5":
+        return [(alpha, FIG5_DISTANCE_M) for alpha in config.alpha_values]
+    if name in ("fig6", "fig7"):
+        return [(FIG6_ALPHA, d) for d in config.distance_values]
+    if name == "sweep":
+        return [(alpha, d) for alpha in config.alpha_values for d in config.distance_values]
+    return []
+
+
 def run_fig3(config, layout, out_dir: Path) -> list[Path]:
     header = ["distance_m", "antenna_index", "x_m", "y_m", "pol_angle_deg", "nonlinear"]
     rows = []
-    for d in FIG3_DISTANCES_M:
-        geom = ChannelGeometry(layout, rx_position(d, FIG3_ALPHA))
+    for alpha, d in scenario_placements("fig3", config):
+        geom = ChannelGeometry(layout, rx_position(d, alpha))
         pol = polarization_angle_map(dpc_beamformer(geom.channel_for(Z_HAT)))
         angles_deg = np.degrees(pol.angles)
         if not np.all(np.isfinite(angles_deg)):
@@ -245,8 +260,8 @@ def run_fig3(config, layout, out_dir: Path) -> list[Path]:
     return [path]
 
 
-def _run_placements(config, layout, out_dir: Path, name: str, placements, columns) -> list[Path]:
-    """Write ``<name>.csv``: one row per (alpha, distance) placement.
+def _run_placements(config, layout, out_dir: Path, name: str, columns) -> list[Path]:
+    """Write ``<name>.csv``: one row per placement of ``scenario_placements``.
 
     Each row is the placement's full ``sweep.csv`` row (``SWEEP_COLUMNS``)
     cut down to ``columns``.
@@ -255,7 +270,7 @@ def _run_placements(config, layout, out_dir: Path, name: str, placements, column
     budget = config.budget()
     keep = [SWEEP_COLUMNS.index(c) for c in columns]
     rows = []
-    for alpha, d in placements:
+    for alpha, d in scenario_placements(name, config):
         snr = orientation_sweep(layout, alpha, d, budget, grid=grid, bandwidth=config.bandwidth)
         sw = improvement_stats(snr, "switched")
         du = improvement_stats(snr, "dual")
@@ -272,26 +287,22 @@ def _run_placements(config, layout, out_dir: Path, name: str, placements, column
 
 
 def run_fig5(config, layout, out_dir: Path) -> list[Path]:
-    placements = [(alpha, FIG5_DISTANCE_M) for alpha in config.alpha_values]
-    return _run_placements(config, layout, out_dir, "fig5", placements,
+    return _run_placements(config, layout, out_dir, "fig5",
                            ["alpha_deg", "sample_count"] + STATS_COLUMNS)
 
 
 def run_fig6(config, layout, out_dir: Path) -> list[Path]:
-    placements = [(FIG6_ALPHA, d) for d in config.distance_values]
-    return _run_placements(config, layout, out_dir, "fig6", placements,
+    return _run_placements(config, layout, out_dir, "fig6",
                            ["distance_m", "sample_count"] + STATS_COLUMNS)
 
 
 def run_fig7(config, layout, out_dir: Path) -> list[Path]:
-    placements = [(FIG6_ALPHA, d) for d in config.distance_values]
-    return _run_placements(config, layout, out_dir, "fig7", placements,
+    return _run_placements(config, layout, out_dir, "fig7",
                            ["distance_m", "sample_count"] + RATE_COLUMNS)
 
 
 def run_sweep(config, layout, out_dir: Path) -> list[Path]:
-    placements = [(alpha, d) for alpha in config.alpha_values for d in config.distance_values]
-    return _run_placements(config, layout, out_dir, "sweep", placements, SWEEP_COLUMNS)
+    return _run_placements(config, layout, out_dir, "sweep", SWEEP_COLUMNS)
 
 
 def run_check(config, layout, out_dir: Path) -> list[Path]:
@@ -323,21 +334,27 @@ SCENARIOS = {
 }
 
 
-def _estimated_bytes(config: SweepConfig) -> float:
+def _estimated_bytes(config: SweepConfig, scenario: str) -> float:
     """Rough peak memory of a run, worked out before anything is allocated.
 
     Counts the lattice build (two float64 meshgrids, their float64 radii and
-    a bool mask, each (2*floor(R/pitch)+1)^2 entries), the orientation grid
-    with its temporaries (six float64 per direction) and
-    ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice point. The lattice side
-    is bounded by 2*R/pitch + 1 in float arithmetic, so an absurd
-    configuration gives a huge or infinite estimate, never an overflow.
+    a bool mask, each (2*floor(R/pitch)+1)^2 entries) and the orientation
+    grid with its temporaries (six float64 per direction). fig3 adds
+    ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice point; the other
+    scenarios add the float64 positions of every lattice point plus one
+    ``ANTENNA_BLOCK`` of geometry. The lattice side is bounded by
+    2*R/pitch + 1 in float arithmetic, so an absurd configuration gives a
+    huge or infinite estimate, never an overflow.
     """
     side = 2.0 * (config.radius / (config.wavelength / 2.0)) + 1.0
-    lattice = side * side * (3 * 8 + 1 + GEOMETRY_BYTES_PER_ANTENNA)
+    if scenario == "fig3":
+        per_point, fixed = GEOMETRY_BYTES_PER_ANTENNA, 0.0
+    else:
+        per_point, fixed = 3 * 8, float(ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA)
+    lattice = side * side * (3 * 8 + 1 + per_point)
     n_az = _even_divisions(2.0 * math.pi, config.azimuth_step, "azimuth_step")
     n_el = _even_divisions(math.pi, config.elevation_step, "elevation_step")
-    return lattice + float(n_az) * n_el * 6 * 8
+    return lattice + fixed + float(n_az) * n_el * 6 * 8
 
 
 def _positive_float(text: str) -> float:
@@ -382,7 +399,7 @@ def main(argv=None) -> int:
             d = config.distance_values
             if any(b <= a for a, b in zip(d, d[1:])):
                 raise ConfigError(f"{args.command} needs distance_m strictly ascending")
-        need = _estimated_bytes(config)
+        need = _estimated_bytes(config, args.command)
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > physical:
             raise ConfigError(
@@ -419,6 +436,7 @@ def main(argv=None) -> int:
         "config": config_to_mapping(config),
         "derived": {
             "n_tx": layout.n_tx,
+            "placements": len(scenario_placements(args.command, config)),
             "wavelength_m": config.wavelength,
             "noise_power_w": config.noise_power,
             "orientation_count": int(grid.shape[0]),

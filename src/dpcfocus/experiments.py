@@ -10,13 +10,13 @@ rates follow from averaging B*log2(1+SNR).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .beamforming import LinkBudget, orientation_snr, thermal_noise_power
-from .channel import ChannelGeometry
 from .geometry import SPEED_OF_LIGHT, ArrayLayout, _even_divisions, orientation_grid, rx_position
 
 NARROWBAND_MARGIN = 0.1
@@ -73,9 +73,25 @@ class SweepConfig:
             raise ValueError("carrier_frequency is too small: the wavelength overflows")
         if not math.isfinite(1.0 / self.bandwidth):
             raise ValueError("bandwidth is too small: the symbol time 1/B overflows")
+        # the lattice pitch is half a wavelength; a smaller radius keeps only the centre
+        # element, which is at the RX dipole's axial null for v = z when alpha = 0
+        if self.radius / (self.wavelength / 2.0) < 1.0:
+            raise ValueError(
+                "radius must be at least half a wavelength: a smaller lattice has one element"
+            )
         _even_divisions(2.0 * math.pi, self.azimuth_step, "azimuth_step")
         _even_divisions(math.pi, self.elevation_step, "elevation_step")
         self.budget()  # rejects a link budget whose P/N overflows
+        # the weakest link, from the aperture rim at distance d + R, must keep the SNR's
+        # P/N * (lambda / (4 pi r))^2 factor at or above the smallest normal float
+        root = math.sqrt(self.transmit_power / self.noise_power)
+        for d in self.distance_values:
+            weakest = root * (self.wavelength / (4.0 * math.pi * (d + self.radius)))
+            if weakest * weakest < sys.float_info.min:
+                raise ValueError(
+                    f"distance {d!r} m is too large: P/N * (lambda / (4 pi (d + R)))^2 "
+                    f"falls below {sys.float_info.min:.4g}"
+                )
 
     @property
     def wavelength(self) -> float:
@@ -135,8 +151,8 @@ def orientation_sweep(
 
     Returns ``orientation_snr``'s (m, 3) array: row i holds the (DPC, dual,
     switched) SNRs for ``grid[i]``. The position-dependent channel factors
-    are computed once and every orientation comes from one batched
-    magnitude pass. When ``bandwidth`` is given, a failing narrowband check
+    are built in antenna blocks and every orientation comes from one batched
+    magnitude pass per block. When ``bandwidth`` is given, a failing narrowband check
     issues a warning but the sweep still runs.
     """
     if grid is None:
@@ -150,8 +166,7 @@ def orientation_sweep(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    geom = ChannelGeometry(layout, rx_position(distance, alpha))
-    return orientation_snr(geom, grid, budget)
+    return orientation_snr(layout, rx_position(distance, alpha), grid, budget)
 
 
 def _snr_rows(snr) -> np.ndarray:
@@ -165,8 +180,10 @@ def improvements_db(snr, baseline: str) -> np.ndarray:
     "Per-orientation DPC SNR advantage over ``baseline`` (switched or dual), in dB."
     if baseline not in BASELINE_COLUMNS:
         raise ValueError(f"unknown baseline {baseline!r}; expected 'switched' or 'dual'")
-    snr = _snr_rows(snr)
-    return 10.0 * np.log10(snr[:, 0] / snr[:, BASELINE_COLUMNS[baseline]])
+    snr = _snr_rows(snr)[:, [0, BASELINE_COLUMNS[baseline]]]
+    if not np.all(snr > 0.0):
+        raise ValueError("SNRs must be positive: a zero SNR has no dB improvement")
+    return 10.0 * np.log10(snr[:, 0] / snr[:, 1])
 
 
 def improvement_stats(snr, baseline: str) -> DistributionStats:

@@ -7,8 +7,11 @@ route.
 
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
+
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
 def brute_force_disc_count(radius: float, pitch: float) -> int:
@@ -95,3 +98,44 @@ def grid_search_gain(h_x, h_y, phase_step_deg=1.0, power_step=1e-3) -> float:
         best_y = (h_y[k] * rotations).real.max(axis=1)
         total += (amp_x[None, :] * best_x[:, None] + amp_y[None, :] * best_y[:, None]).max(axis=1)
     return float(total.max())
+
+
+def _decimal_cos(z: Decimal) -> Decimal:
+    total, term, k = Decimal(0), Decimal(1), 0
+    while abs(term) > Decimal(10) ** -70:
+        total += term
+        k += 1
+        term = -term * z * z / ((2 * k - 1) * (2 * k))
+    return total
+
+
+def decimal_pattern(cos_theta: float, length_over_wavelength: float) -> float:
+    """(cos(pi*L*c) - cos(pi*L)) / sqrt(1 - c^2) in 80-digit decimal arithmetic.
+
+    Evaluated at the exact binary values of c and L, then rounded once;
+    |c| < 1 is required.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        c = Decimal(cos_theta)
+        k = PI * Decimal(length_over_wavelength)
+        return float((_decimal_cos(k * c) - _decimal_cos(k)) / ((1 - c) * (1 + c)).sqrt())
+
+
+def decimal_pattern_series(length_over_wavelength: float, count: int) -> list[float]:
+    """The first ``count`` Taylor coefficients of h(x) = (cos(pi*L*sqrt(x)) - cos(pi*L)) / (1 - x).
+
+    Formed as forward partial sums of the numerator's coefficients (dividing
+    by 1 - x is summing them), in 80-digit decimal arithmetic.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        k2 = (PI * Decimal(length_over_wavelength)) ** 2
+        partial = 1 - _decimal_cos(PI * Decimal(length_over_wavelength))
+        a_j = Decimal(1)
+        out = []
+        for j in range(1, count + 1):
+            out.append(float(partial))
+            a_j = -a_j * k2 / ((2 * j - 1) * (2 * j))
+            partial += a_j
+        return out

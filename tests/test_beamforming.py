@@ -301,7 +301,8 @@ def first_antennas(layout, n):
     )
 
 
-def oracle_snr(geom, grid, budget):
+def oracle_snr(layout, rx_center, grid, budget):
+    geom = ChannelGeometry(layout, rx_center)
     rows = []
     for v in grid:
         t = evaluate_snr(geom.channel_for(v), budget)
@@ -310,12 +311,12 @@ def oracle_snr(geom, grid, budget):
 
 
 def assert_kernel_matches_oracle(layout, alpha, distance, grid):
-    assert_geometry_matches_oracle(ChannelGeometry(layout, rx_position(distance, alpha)), grid)
+    assert_rx_matches_oracle(layout, rx_position(distance, alpha), grid)
 
 
-def assert_geometry_matches_oracle(geom, grid):
-    fast = orientation_snr(geom, grid, KERNEL_BUDGET)
-    slow = oracle_snr(geom, grid, KERNEL_BUDGET)
+def assert_rx_matches_oracle(layout, rx_center, grid):
+    fast = orientation_snr(layout, rx_center, grid, KERNEL_BUDGET)
+    slow = oracle_snr(layout, rx_center, grid, KERNEL_BUDGET)
     assert fast.shape == (grid.shape[0], 3)
     # exact zeros (an all-null channel) must stay exact
     assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
@@ -325,7 +326,7 @@ def assert_geometry_matches_oracle(geom, grid):
 @pytest.mark.parametrize("distance", [0.1, 1.0])
 @pytest.mark.parametrize("alpha_deg", [0.0, 30.0, 60.0])
 def test_orientation_snr_matches_evaluate_snr(kernel_layout, alpha_deg, distance, grid):
-    # alpha = 0 puts the RX over the centre antenna, so v = z hits its sin-floor null
+    # alpha = 0 puts the RX over the centre antenna, so v = z hits its axial null
     assert_kernel_matches_oracle(kernel_layout, math.radians(alpha_deg), distance, grid)
 
 
@@ -372,8 +373,7 @@ def test_orientation_snr_without_mirror_symmetric_layout(kernel_layout, alpha_de
 
 def test_orientation_snr_with_rx_off_the_xz_plane(kernel_layout):
     assert kernel_layout.mirror_symmetric
-    geom = ChannelGeometry(kernel_layout, np.array([0.02, 0.03, 0.1]))
-    assert_geometry_matches_oracle(geom, DEFAULT_GRID)
+    assert_rx_matches_oracle(kernel_layout, np.array([0.02, 0.03, 0.1]), DEFAULT_GRID)
 
 
 def test_orientation_snr_on_a_shuffled_grid(kernel_layout):
@@ -389,13 +389,41 @@ def test_orientation_snr_on_random_directions(kernel_layout):
 
 
 def test_orientation_snr_is_bit_reproducible(kernel_layout):
-    geom = ChannelGeometry(kernel_layout, rx_position(0.1, math.radians(30.0)))
-    first = orientation_snr(geom, DEFAULT_GRID, KERNEL_BUDGET)
-    second = orientation_snr(geom, DEFAULT_GRID, KERNEL_BUDGET)
+    rx = rx_position(0.1, math.radians(30.0))
+    first = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+    second = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     assert np.array_equal(first, second)
 
 
+@pytest.mark.parametrize("block", [1, 250, 700])
+def test_orientation_snr_bits_do_not_depend_on_the_antenna_block(kernel_layout, monkeypatch, block):
+    # blocks hold whole tiles, so the column sums accumulate in the same order; the
+    # 1257-antenna layout fits one default block, which the oracle tests check
+    rx = rx_position(0.1, math.radians(30.0))
+    default = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
+    assert np.array_equal(orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET), default)
+
+
 def test_orientation_snr_rejects_bad_directions(kernel_layout):
-    geom = ChannelGeometry(kernel_layout, rx_position(0.1, 0.0))
     with pytest.raises(ValueError):
-        orientation_snr(geom, Z_HAT, KERNEL_BUDGET)
+        orientation_snr(kernel_layout, rx_position(0.1, 0.0), Z_HAT, KERNEL_BUDGET)
+
+
+def test_orientation_snr_rejects_a_colocated_rx(kernel_layout):
+    with pytest.raises(ValueError, match="co-located"):
+        orientation_snr(kernel_layout, kernel_layout.positions[7], GRID_30_20, KERNEL_BUDGET)
+
+
+def test_orientation_snr_distances_do_not_overflow(kernel_layout):
+    # |rx - p|^2 overflows float64 at 1e200 m; the SNRs underflow to 0 instead of NaN
+    with np.errstate(over="raise", invalid="raise"):
+        far = orientation_snr(kernel_layout, rx_position(1e200, 0.3), GRID_30_20, KERNEL_BUDGET)
+    assert np.all(far == 0.0)
+    # at 1e150 m every factor is representable and the free-space 1/r^2 law holds
+    snr = [
+        orientation_snr(kernel_layout, rx_position(d, 0.3), GRID_30_20, KERNEL_BUDGET)
+        for d in (1e150, 2e150)
+    ]
+    assert np.all(snr[0] > 0.0)
+    assert np.allclose(snr[0], 4.0 * snr[1], rtol=1e-12, atol=0.0)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from dpcfocus.channel import (
     ChannelGeometry,
     PolarizedChannel,
+    _pattern,
     assemble_channel,
     dipole_pattern,
     impinging_field_dir,
+    pattern_series,
     polarized_gain,
     unpolarized_gain,
 )
@@ -23,7 +26,7 @@ from dpcfocus.geometry import (
     build_circular_array,
     rx_position,
 )
-from oracles import scalar_channel, scalar_gain
+from oracles import decimal_pattern, decimal_pattern_series, scalar_channel, scalar_gain
 
 
 def single_element_layout(wavelength=1.0):
@@ -77,6 +80,59 @@ def test_dipole_pattern_symmetry_and_array_input():
     rev = dipole_pattern(math.pi - theta)
     assert np.allclose(fwd, rev, atol=1e-12)
     assert np.all(np.abs(fwd) <= 1.0 + 1e-12)
+
+
+EPS = sys.float_info.epsilon
+
+
+def cosines_up_to_the_axis():
+    "Random cosines, plus the floats next to +-1 and points ever closer to the axis."
+    near = [math.nextafter(1.0, 0.0), math.nextafter(math.nextafter(1.0, 0.0), 0.0)]
+    near += [1.0 - 10.0**-k for k in (15, 12, 9, 6, 3)]
+    random = np.random.default_rng(3).uniform(-1.0, 1.0, size=200).tolist()
+    return np.array(near + [-c for c in near] + [0.0, 0.5, -0.5] + random)
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, 1.5])
+def test_pattern_matches_a_decimal_reference(length):
+    c = cosines_up_to_the_axis()
+    got = _pattern(c, length)
+    want = np.array([decimal_pattern(x, length) for x in c])
+    # Horner's rule errs by a small multiple of eps * sum_n |h_n| x^n, and the
+    # sqrt(1 - c^2) factor carries that to the pattern
+    mass = sum(abs(h) for h in pattern_series(length))
+    sine = np.sqrt((1.0 - c) * (1.0 + c))
+    assert np.all(np.abs(got - want) <= 2.0 * EPS * (np.abs(want) + sine * mass))
+    if length == 0.5:
+        # h has no zero on [0, 1], so the half-wave pattern is accurate right up to the axis
+        assert np.all(np.abs(got - want) <= 2.0 * EPS * np.abs(want))
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, 1.5])
+def test_pattern_series_degree_comes_from_the_tail_bound(length):
+    coeffs = pattern_series(length)
+    exact = decimal_pattern_series(length, 60)
+    mass = sum(abs(h) for h in exact)
+    degree = len(coeffs) - 1
+    for n, h in enumerate(coeffs):
+        assert abs(h - exact[n]) <= EPS * abs(exact[n])
+    # the dropped terms are below the rounding of Horner's rule, one term fewer is not
+    assert sum(abs(h) for h in exact[degree + 1:]) <= 2.0**-53 * mass
+    assert sum(abs(h) for h in exact[degree:]) > 2.0**-53 * mass
+    if length == 0.5:
+        assert degree == 9
+
+
+@pytest.mark.parametrize("length", [5.0, 0.0, -0.5, math.inf, math.nan])
+def test_pattern_series_refuses_lengths_it_cannot_sum(length):
+    with pytest.raises(ValueError, match="dipole"):
+        pattern_series(length)
+
+
+def test_long_dipole_pattern_is_refused_not_miscomputed():
+    # a 5-wavelength dipole's coefficients reach 3.5e5 against a pattern peak of about 6
+    with pytest.raises(ValueError, match="cancel"):
+        dipole_pattern(0.3, 5.0)
 
 
 def test_impinging_field_dir_cases():

@@ -16,6 +16,7 @@ from dpcfocus.cli import (
     OPTIONAL_KEYS,
     REQUIRED_KEYS,
     ConfigError,
+    _estimated_bytes,
     _write_csv,
     config_to_mapping,
     default_config,
@@ -23,9 +24,10 @@ from dpcfocus.cli import (
     main,
     mapping_to_config_text,
     parse_config_text,
+    scenario_placements,
 )
 from dpcfocus.experiments import SweepConfig
-from dpcfocus.geometry import build_circular_array
+from dpcfocus.geometry import SPEED_OF_LIGHT, build_circular_array
 
 TINY_CONFIG = """\
 # reduced-size run for fast tests
@@ -132,6 +134,7 @@ def test_check_scenario_outputs(tmp_path, tiny_config_path):
     assert manifest["derived"]["orientation_count"] == 72
     # 12 x 6 grid: the pole, two elevation ring pairs of 7 classes, an equator of 4
     assert manifest["derived"]["orientation_classes"] == 19
+    assert manifest["derived"]["placements"] == 0  # check evaluates no RX placement
 
 
 def test_refused_csv_value_leaves_no_file(tmp_path):
@@ -178,6 +181,27 @@ def test_fig5_runs_are_byte_identical(tmp_path, tiny_config_path):
     header, rows = read_csv(out1 / "fig5.csv")
     assert [row[0] for row in rows] == ["0.0", "30.0"]
     assert all(row[1] == "72" for row in rows)  # 12 x 6 coarse orientation grid
+
+
+def test_manifest_counts_placements(tmp_path, tiny_config_path):
+    for scenario, placements in (("fig5", 2), ("sweep", 4), ("fig3", 2)):
+        out = tmp_path / scenario
+        assert main([scenario, "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["derived"]["placements"] == placements
+    config = default_config()
+    assert len(scenario_placements("fig5", config)) == 7
+    assert len(scenario_placements("fig6", config)) == 10
+    assert len(scenario_placements("sweep", config)) == 70
+
+
+def test_preflight_charges_fig3_for_its_full_geometry_only():
+    config = default_config()
+    # fig3 holds a ChannelGeometry for the whole lattice: the estimate is as before
+    assert _estimated_bytes(config, "fig3") == 101668930.1420481
+    # the sweep kernel holds the positions and one antenna block of geometry
+    for scenario in ("fig5", "fig6", "fig7", "sweep", "check"):
+        assert _estimated_bytes(config, scenario) < 0.25 * _estimated_bytes(config, "fig3")
 
 
 def test_fig3_output_schema(tmp_path, tiny_config_path):
@@ -274,6 +298,10 @@ def test_bad_scale_is_a_one_line_usage_error(tmp_path, capsys, scale):
         ("check", "carrier_frequency_hz = 300e9", "carrier_frequency_hz = 5e-324"),
         ("check", "bandwidth_hz = 100e6", "bandwidth_hz = 5e-324\nnoise_power_w = 1e-13"),
         ("fig5", "transmit_power_w = 1e-3", "transmit_power_w = 5e-324\nnoise_power_w = 1.0"),
+        # one lattice element, which sits at the v = z axial null when alpha = 0
+        ("sweep", "radius_m = 0.008", "radius_m = 0.0001"),
+        # every SNR of the rim link would fall below the smallest normal float
+        ("sweep", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e200"),
         # terabyte-sized runs, refused by the memory estimate before anything allocates
         ("check", "radius_m = 0.008", "radius_m = 1000"),
         ("check", "azimuth_step_deg = 30", "azimuth_step_deg = 1e-7"),
@@ -324,8 +352,15 @@ def test_sweep_accepts_distances_in_any_order(tmp_path):
 # A fixed example sequence and no example database keep the Tier-1 gate deterministic.
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
+
+def sweep_config(radius, carrier_frequency, **kwargs):
+    "A SweepConfig whose radius is raised to one wavelength where it would hold one element."
+    radius = max(radius, SPEED_OF_LIGHT / carrier_frequency)
+    return SweepConfig(radius=radius, carrier_frequency=carrier_frequency, **kwargs)
+
+
 configs = st.builds(
-    SweepConfig,
+    sweep_config,
     radius=st.floats(1e-6, 10.0),
     carrier_frequency=st.floats(1e6, 1e15),
     alpha_values=st.lists(st.floats(0.0, math.radians(89.9)), min_size=1, max_size=4),

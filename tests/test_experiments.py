@@ -1,5 +1,6 @@
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -42,8 +43,19 @@ def test_orientation_sweep_shape_and_ordering(small_layout):
     alpha = math.radians(30.0)
     snr = orientation_sweep(small_layout, alpha, 0.1, BUDGET)
     assert snr.shape == (648, 3) and snr.dtype == np.float64
-    geom = ChannelGeometry(small_layout, rx_position(0.1, alpha))
-    assert np.array_equal(snr, orientation_snr(geom, orientation_grid(), BUDGET))
+    rx = rx_position(0.1, alpha)
+    assert np.array_equal(snr, orientation_snr(small_layout, rx, orientation_grid(), BUDGET))
+
+
+def test_orientation_sweep_never_builds_channel_geometry(small_layout, coarse_grid, monkeypatch):
+    expected = orientation_sweep(small_layout, 0.4, 0.2, BUDGET, grid=coarse_grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep path built a ChannelGeometry")
+
+    monkeypatch.setattr(ChannelGeometry, "__init__", refuse)
+    got = orientation_sweep(small_layout, 0.4, 0.2, BUDGET, grid=coarse_grid)
+    assert np.array_equal(got, expected)
 
 
 def test_orientation_sweep_hierarchy_per_record(small_layout, coarse_grid):
@@ -107,6 +119,20 @@ def test_improvement_stats_whiskers_clamp_to_extremes():
     assert math.isclose(stats.lower_whisker, 0.0, abs_tol=1e-12)
     # upper fence 1.5*IQR above q3 cuts off the outlier at 100
     assert math.isclose(stats.upper_whisker, 6.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "column, refused", [(0, {"switched", "dual"}), (1, {"dual"}), (2, {"switched"})]
+)
+def test_improvements_db_refuses_a_zero_snr(column, refused):
+    snr = snr_from_ratios([2.0, 3.0])
+    snr[1, column] = 0.0
+    for baseline in ("switched", "dual"):
+        if baseline in refused:
+            with pytest.raises(ValueError, match="positive"):
+                improvements_db(snr, baseline)
+        else:
+            assert np.all(np.isfinite(improvements_db(snr, baseline)))
 
 
 def test_improvement_stats_rejects_bad_input():
@@ -225,6 +251,30 @@ def test_sweep_config_defaults_and_validation():
         SweepConfig(transmit_power=1e300)
     with pytest.raises(ValueError):
         config.scaled(0.0)
+
+
+def test_sweep_config_refuses_a_single_element_lattice():
+    half_wave = WAVELENGTH / 2.0
+    with pytest.raises(ValueError, match="half a wavelength"):
+        SweepConfig(radius=0.0001)
+    with pytest.raises(ValueError, match="half a wavelength"):
+        SweepConfig(radius=half_wave * (1.0 - 1e-12))
+    assert SweepConfig(radius=half_wave).radius == half_wave
+    assert build_circular_array(half_wave, WAVELENGTH).n_tx == 5
+    with pytest.raises(ValueError, match="half a wavelength"):
+        SweepConfig().scaled(1e-4)
+
+
+def test_sweep_config_refuses_distances_past_the_weakest_link_floor():
+    config = SweepConfig()
+    root = math.sqrt(config.transmit_power / config.noise_power)
+    # largest distance whose rim link keeps P/N * (lambda / (4 pi r))^2 above the floor
+    floor = math.sqrt(sys.float_info.min)
+    limit = root * config.wavelength / (4.0 * math.pi * floor) - config.radius
+    SweepConfig(distance_values=(0.1, limit * (1.0 - 1e-9)))
+    for far in (limit * (1.0 + 1e-9), 1e200, sys.float_info.max):
+        with pytest.raises(ValueError, match="too large"):
+            SweepConfig(distance_values=(0.1, far))
 
 
 def test_distribution_stats_sample_count_matches_grid(small_layout, coarse_grid):
