@@ -13,7 +13,9 @@ Three ways of driving the crossed-dipole array are compared:
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -28,19 +30,35 @@ BOLTZMANN = 1.380649e-23
 LINEAR_POL_TOL = 1e-6
 "Relative imaginary part above which a weight pair is not linearly polarized."
 
-SNR_TILE_ELEMENTS = 16384
-"""Antenna x orientation elements per ``orientation_snr`` tile.
+SNR_TILE_ELEMENTS = 65536
+"""Antenna x direction elements per ``orientation_snr`` tile.
 
-128 KiB per float64 temporary, so a tile's working set stays in L2: about
-100 antennas x the 163 symmetry classes of the default 648-orientation grid.
+512 KiB per float64 buffer: about 400 antennas x the 163 symmetry classes of
+the default 648-orientation grid. Each worker evaluates its tiles into three
+such buffers, 1.5 MiB, so they stay in a 2 MiB L2. With a quarter of this
+size, the per-call cost of Python and the hand-offs of the interpreter lock
+ate the second thread's gain; with four times it, a tile's matrix product
+costs 2.3 times as much per entry, as OpenBLAS starts threading it.
 """
 
 ANTENNA_BLOCK = 8192
-"""Antennas whose per-antenna geometry ``orientation_snr`` holds at a time.
+"""Antennas whose per-antenna geometry one ``orientation_snr`` worker holds at a time.
 
 About 20 float64 values per antenna, so a block takes about 1.3 MB and the
 geometry of a full aperture never exists at once.
 """
+
+
+def available_cpus() -> int:
+    "CPUs this process may run on: its affinity mask where the platform has one."
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+MAX_WORKERS = available_cpus()
+"Most threads ``orientation_snr`` runs its antenna blocks on."
 
 
 def thermal_noise_power(bandwidth: float, temperature: float = 290.0) -> float:
@@ -193,9 +211,12 @@ def orientation_snr(
     magnitudes are built tile by tile (``SNR_TILE_ELEMENTS`` antenna x
     direction entries at a time) as
     |h_x,k| = |(e_x,k . v) g_rx(p_k . v)| with the dipole pattern g_rx of
-    ``channel._pattern``. Blocks hold whole tiles, so the column sums
-    accumulate in the same fixed order whatever the block size, and
-    repeated calls return identical arrays.
+    ``channel._pattern``. The blocks run on ``kernel_workers`` threads, each
+    under a copy of the caller's context, so ``np.errstate`` holds in them
+    too. Blocks hold whole tiles and the per-tile column sums are added in
+    tile order by the calling thread, so the result does not depend on the
+    block size or the number of threads, and repeated calls return
+    identical arrays.
 
     Raises
     ------
@@ -218,31 +239,17 @@ def orientation_snr(
     # tile underflows or overflows, however far the RX is; the aperture radius bounds r0
     # away from 0 for an RX at the origin
     r0 = max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), layout.radius)
+    rows, cols, block = _tiling(m)
+
+    def block_sums(b0):
+        p_hat, e = _block_geometry(layout.positions[b0:b0 + block], rx, r0, coeffs)
+        return _tile_sums(p_hat, e, v, ratio, rows, cols)
+
     # per direction: sum_k sqrt(|h_x,k|^2 + |h_y,k|^2), sum_k |h_x,k|, sum_k |h_y,k|
     sums = np.zeros((3, m))
-    cols = max(1, min(m, SNR_TILE_ELEMENTS))
-    rows = max(1, SNR_TILE_ELEMENTS // cols)
-    block = rows * max(1, ANTENNA_BLOCK // rows)
-    for b0 in range(0, n, block):
-        p_hat, e_x, e_y = _block_geometry(layout.positions[b0:b0 + block], rx, r0, coeffs)
-        for j0 in range(0, m, cols):
-            vt = v[j0:j0 + cols].T
-            acc = sums[:, j0:j0 + cols]
-            for k0 in range(0, p_hat.shape[0], rows):
-                g_rx = _pattern(p_hat[k0:k0 + rows] @ vt, ratio)
-                mag_x = e_x[k0:k0 + rows] @ vt
-                mag_x *= g_rx
-                np.abs(mag_x, out=mag_x)
-                mag_y = e_y[k0:k0 + rows] @ vt
-                mag_y *= g_rx
-                np.abs(mag_y, out=mag_y)
-                acc[1] += mag_x.sum(axis=0)
-                acc[2] += mag_y.sum(axis=0)
-                np.square(mag_x, out=mag_x)
-                np.square(mag_y, out=mag_y)
-                mag_x += mag_y
-                np.sqrt(mag_x, out=mag_x)
-                acc[0] += mag_x.sum(axis=0)
+    for tiles in _in_order(block_sums, range(0, n, block), kernel_workers(n, m)):
+        for part in tiles:
+            sums += part
     # sqrt(rho) = sqrt(P / N) / sqrt(n) joins the amplitude scale before anything is squared
     sums *= (layout.wavelength / (4.0 * math.pi * r0)) * (
         math.sqrt(budget.transmit_power / budget.noise_power) / math.sqrt(n)
@@ -254,10 +261,72 @@ def orientation_snr(
     return snr[inverse]
 
 
+def _tiling(m: int) -> tuple[int, int, int]:
+    "(rows, cols, block): antennas and directions per tile, antennas per block."
+    cols = max(1, min(m, SNR_TILE_ELEMENTS))
+    rows = max(1, SNR_TILE_ELEMENTS // cols)
+    return rows, cols, rows * max(1, ANTENNA_BLOCK // rows)
+
+
+def kernel_workers(n_tx: int, m: int) -> int:
+    """Threads ``orientation_snr`` uses for ``n_tx`` antennas and ``m`` evaluated
+    directions: one per antenna block, at most ``MAX_WORKERS``."""
+    return min(MAX_WORKERS, -(-n_tx // _tiling(m)[2]))
+
+
+def _in_order(task, starts, workers: int):
+    "Yield ``task(s)`` for each s of ``starts`` in order, computed on ``workers`` threads."
+    if workers <= 1:
+        yield from map(task, starts)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # imported on first use
+
+    # np.errstate is a context variable: run each task in a copy of the caller's context
+    contexts = [contextvars.copy_context() for _ in starts]
+    with ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(lambda ctx, s: ctx.run(task, s), contexts, starts)
+
+
+def _tile_sums(p_hat, e, v, ratio: float, rows: int, cols: int) -> np.ndarray:
+    """Per-tile column sums of one antenna block, a (tiles, 3, m) array.
+
+    Tile t covers ``rows`` antennas from ``t * rows`` on; its entry holds, per
+    direction, the sums over those antennas of sqrt(|h_x|^2 + |h_y|^2), |h_x|
+    and |h_y| in the units of ``_block_geometry``. Every tile is evaluated
+    into the same three buffers of ``rows * cols`` float64, allocated once,
+    with the x and y dipoles side by side so that each step is one call.
+    """
+    k = p_hat.shape[0]
+    m = v.shape[0]
+    out = np.empty((-(-k // rows), 3, m))
+    buffers = np.empty((3, rows * cols))
+    for j0 in range(0, m, cols):
+        vt = v[j0:j0 + cols].T
+        c = vt.shape[1]
+        for t, k0 in enumerate(range(0, k, rows)):
+            r = min(rows, k - k0)
+            tile = buffers[:, :r * c].reshape(3, r, c)
+            g_rx, mags = tile[0], tile[1:]
+            # tile[1] holds the RX cosines until the pattern has consumed them
+            np.matmul(p_hat[k0:k0 + r], vt, out=tile[1])
+            _pattern(tile[1], ratio, out=g_rx, scratch=tile[2])
+            np.matmul(e[:, k0:k0 + r], vt, out=mags)
+            mags *= g_rx
+            np.abs(mags, out=mags)
+            sums = out[t, :, j0:j0 + c]
+            np.sum(mags, axis=1, out=sums[1:])
+            np.square(mags, out=mags)
+            np.add(mags[0], mags[1], out=g_rx)
+            np.sqrt(g_rx, out=g_rx)
+            np.sum(g_rx, axis=0, out=sums[0])
+    return out
+
+
 def _block_geometry(positions, rx, r0: float, coeffs):
     """Unit displacements and amplitude-scaled field vectors of an antenna block.
 
-    Returns ``(p_hat, e_x, e_y)``, each (k, 3). With r the distance from an
+    Returns ``(p_hat, e)``, p_hat (k, 3) and e (2, k, 3), where ``e[0]`` and
+    ``e[1]`` belong to the x and y dipoles. With r the distance from an
     antenna to ``rx`` and c = p_hat . u for its TX dipole along u,
     ``e_u = (r0 / r) * h(c^2) * (u - c p_hat)``, where h is the series of
     ``channel.pattern_series``. Since |u - c p_hat| is sin(theta_tx) and
@@ -272,14 +341,13 @@ def _block_geometry(positions, rx, r0: float, coeffs):
         raise ValueError("RX is co-located with a TX element")
     p_hat = disp / dist[:, None]
     amp = r0 / dist
-    fields = []
+    e = np.empty((2, *p_hat.shape))
     for axis in (0, 1):
         cos_tx = p_hat[:, axis]
         scale = amp * _series(np.square(cos_tx), coeffs)
-        e = p_hat * (-scale * cos_tx)[:, None]
-        e[:, axis] += scale
-        fields.append(e)
-    return (p_hat, *fields)
+        np.multiply(p_hat, (-scale * cos_tx)[:, None], out=e[axis])
+        e[axis, :, axis] += scale
+    return p_hat, e
 
 
 @dataclass

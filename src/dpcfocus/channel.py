@@ -126,9 +126,9 @@ def pattern_series(length_over_wavelength: float) -> tuple[float, ...]:
     return coeffs
 
 
-def _series(x: np.ndarray, coeffs) -> np.ndarray:
-    "sum_n coeffs[n] * x^n by Horner's rule, into a new array."
-    out = x * coeffs[-1]
+def _series(x: np.ndarray, coeffs, out: np.ndarray | None = None) -> np.ndarray:
+    "sum_n coeffs[n] * x^n by Horner's rule, into ``out`` (not ``x``; a new array if None)."
+    out = np.multiply(x, coeffs[-1], out=out)
     out += coeffs[-2]
     for c in coeffs[-3::-1]:
         out *= x
@@ -136,15 +136,24 @@ def _series(x: np.ndarray, coeffs) -> np.ndarray:
     return out
 
 
-def _pattern(cos_theta: np.ndarray, length_over_wavelength: float) -> np.ndarray:
+def _pattern(
+    cos_theta: np.ndarray,
+    length_over_wavelength: float,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Dipole pattern sqrt(1 - c^2) * h(c^2) of a float64 array c (ndim >= 1).
 
     The pattern is even in c, so theta and pi - theta need no sign flip.
+    Given ``out`` and ``scratch``, distinct float64 arrays of c's shape, it
+    allocates nothing: the pattern goes to ``out``, and ``scratch`` and c
+    itself are overwritten.
     """
-    out = _series(np.square(cos_theta), pattern_series(length_over_wavelength))
+    x = np.square(cos_theta, out=scratch)
+    out = _series(x, pattern_series(length_over_wavelength), out)
     # (1 - c)(1 + c) keeps sin(theta) accurate next to the axial null, where 1 - c^2 is not
-    sin2 = 1.0 - cos_theta
-    sin2 *= cos_theta + 1.0
+    sin2 = np.subtract(1.0, cos_theta, out=x)
+    sin2 *= np.add(cos_theta, 1.0, out=None if scratch is None else cos_theta)
     np.maximum(sin2, 0.0, out=sin2)
     out *= np.sqrt(sin2, out=sin2)
     return out

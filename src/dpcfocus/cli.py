@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import os
+import resource
 import sys
 import time
 from datetime import datetime, timezone
@@ -30,7 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beamforming import ANTENNA_BLOCK, dpc_beamformer, polarization_angle_map
+from .beamforming import (
+    ANTENNA_BLOCK,
+    SNR_TILE_ELEMENTS,
+    available_cpus,
+    dpc_beamformer,
+    kernel_workers,
+    polarization_angle_map,
+)
 from .channel import ChannelGeometry
 from .experiments import (
     NARROWBAND_MARGIN,
@@ -71,12 +79,15 @@ REQUIRED_KEYS = (
 OPTIONAL_KEYS = ("noise_power_w",)
 LIST_KEYS = ("alpha_deg", "distance_m")
 
+SWEEP_SCENARIOS = ("fig5", "fig6", "fig7", "sweep")
+"Scenarios whose placements run the ``orientation_snr`` kernel."
+
 GEOMETRY_BYTES_PER_ANTENNA = 8 * 32
 """Estimated peak bytes per antenna of a ``ChannelGeometry``.
 
 Its 17 float64 arrays per antenna plus the temporaries that build them.
-fig3 builds one for the whole lattice; the sweep kernel builds at most
-``ANTENNA_BLOCK`` antennas' worth at a time.
+fig3 builds one for the whole lattice; each worker of the sweep kernel
+builds at most ``ANTENNA_BLOCK`` antennas' worth at a time.
 """
 
 
@@ -334,6 +345,12 @@ SCENARIOS = {
 }
 
 
+def _lattice_bound(config: SweepConfig) -> float:
+    "Upper bound on the lattice's antenna count, (2 R / pitch + 1)^2, in float arithmetic."
+    side = 2.0 * (config.radius / (config.wavelength / 2.0)) + 1.0
+    return side * side
+
+
 def _estimated_bytes(config: SweepConfig, scenario: str) -> float:
     """Rough peak memory of a run, worked out before anything is allocated.
 
@@ -341,20 +358,42 @@ def _estimated_bytes(config: SweepConfig, scenario: str) -> float:
     a bool mask, each (2*floor(R/pitch)+1)^2 entries) and the orientation
     grid with its temporaries (six float64 per direction). fig3 adds
     ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice point; the other
-    scenarios add the float64 positions of every lattice point plus one
-    ``ANTENNA_BLOCK`` of geometry. The lattice side is bounded by
-    2*R/pitch + 1 in float arithmetic, so an absurd configuration gives a
-    huge or infinite estimate, never an overflow.
+    scenarios add the float64 positions of every lattice point plus, for
+    each worker of the sweep kernel, one ``ANTENNA_BLOCK`` of geometry and
+    three float64 tile buffers of ``SNR_TILE_ELEMENTS``. The lattice is
+    bounded by ``_lattice_bound`` in float arithmetic, so an absurd
+    configuration gives a huge or infinite estimate, never an overflow.
     """
-    side = 2.0 * (config.radius / (config.wavelength / 2.0)) + 1.0
+    points = _lattice_bound(config)
+    n_az = _even_divisions(2.0 * math.pi, config.azimuth_step, "azimuth_step")
+    n_el = _even_divisions(math.pi, config.elevation_step, "elevation_step")
     if scenario == "fig3":
         per_point, fixed = GEOMETRY_BYTES_PER_ANTENNA, 0.0
     else:
-        per_point, fixed = 3 * 8, float(ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA)
-    lattice = side * side * (3 * 8 + 1 + per_point)
-    n_az = _even_divisions(2.0 * math.pi, config.azimuth_step, "azimuth_step")
-    n_el = _even_divisions(math.pi, config.elevation_step, "elevation_step")
-    return lattice + fixed + float(n_az) * n_el * 6 * 8
+        # every direction of the grid is an upper bound on the classes evaluated
+        workers = kernel_workers(int(min(points, 2.0**53)), n_az * n_el)
+        per_point = 3 * 8
+        fixed = workers * float(ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA
+                                + 3 * 8 * SNR_TILE_ELEMENTS)
+    return points * (3 * 8 + 1 + per_point) + fixed + float(n_az) * n_el * 6 * 8
+
+
+def _refuse_unbounded_links(config: SweepConfig, scenario: str) -> None:
+    """Raise ``ConfigError`` for a placement whose strongest link is not finite.
+
+    Every TX element lies on z = 0, so ``d cos(alpha)`` bounds each TX-RX
+    distance from below, and P/N * n * (lambda / (4 pi d cos(alpha)))^2,
+    with n the lattice bound, bounds every SNR of the placement from above.
+    """
+    root = math.sqrt(config.transmit_power / config.noise_power)
+    for alpha, d in scenario_placements(scenario, config):
+        near = d * math.cos(alpha)
+        amp = root * (config.wavelength / (4.0 * math.pi * near)) if near > 0.0 else math.inf
+        if not math.isfinite(amp * amp * _lattice_bound(config)):
+            raise ConfigError(
+                f"distance {d!r} m at alpha {_deg(alpha)!r} deg is too small: "
+                "P/N * n * (lambda / (4 pi d cos alpha))^2 overflows"
+            )
 
 
 def _positive_float(text: str) -> float:
@@ -406,6 +445,7 @@ def main(argv=None) -> int:
                 f"the run needs an estimated {need:.3g} bytes, more than the "
                 f"{physical:.3g} bytes of physical memory"
             )
+        _refuse_unbounded_links(config, args.command)
     except ValueError as exc:
         print(f"dpcfocus: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -426,6 +466,10 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - started
 
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
+    # the CLI's RX centers lie on the xz plane of a mirror-symmetric lattice
+    classes = int(orientation_classes(grid, mirror=True)[0].size)
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     manifest = {
         "tool": "dpcfocus",
         "tool_version": __version__,
@@ -440,9 +484,16 @@ def main(argv=None) -> int:
             "wavelength_m": config.wavelength,
             "noise_power_w": config.noise_power,
             "orientation_count": int(grid.shape[0]),
-            # the CLI's RX centers lie on the xz plane of a mirror-symmetric lattice
-            "orientation_classes": int(orientation_classes(grid, mirror=True)[0].size),
+            "orientation_classes": classes,
         },
+        "host": {
+            "cpus": available_cpus(),
+            "kernel_workers": (
+                kernel_workers(layout.n_tx, classes) if args.command in SWEEP_SCENARIOS else 0
+            ),
+            "numpy": np.__version__,
+        },
+        "peak_rss_bytes": peak_rss * (1 if sys.platform == "darwin" else 1024),
         "box_plot": {
             "quartiles": "linear interpolation",
             "whiskers": "1.5*IQR beyond the quartiles, clamped to data extremes",

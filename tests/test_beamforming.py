@@ -24,6 +24,7 @@ from dpcfocus.geometry import (
     RxPose,
     Z_HAT,
     build_circular_array,
+    orientation_classes,
     orientation_grid,
     rx_position,
 )
@@ -340,8 +341,11 @@ def test_orientation_snr_matches_evaluate_snr_random_placements(kernel_layout):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_orientation_snr_tile_boundaries(kernel_layout, offset):
-    tile_antennas = SNR_TILE_ELEMENTS // DEFAULT_GRID.shape[0]
-    layout = first_antennas(kernel_layout, tile_antennas + offset)
+    # a tile spans the evaluated symmetry classes; the lowest lattice rows are not
+    # mirror-symmetric, so every class of v and -v is evaluated
+    classes = orientation_classes(DEFAULT_GRID, mirror=False)[0].size
+    layout = first_antennas(kernel_layout, SNR_TILE_ELEMENTS // classes + offset)
+    assert not layout.mirror_symmetric
     assert_kernel_matches_oracle(layout, math.radians(30.0), 0.1, DEFAULT_GRID)
 
 
@@ -395,14 +399,30 @@ def test_orientation_snr_is_bit_reproducible(kernel_layout):
     assert np.array_equal(first, second)
 
 
-@pytest.mark.parametrize("block", [1, 250, 700])
-def test_orientation_snr_bits_do_not_depend_on_the_antenna_block(kernel_layout, monkeypatch, block):
-    # blocks hold whole tiles, so the column sums accumulate in the same order; the
-    # 1257-antenna layout fits one default block, which the oracle tests check
+@pytest.fixture
+def threaded(monkeypatch):
+    "Two worker threads on blocks of one tile each."
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 1000, 8192])
+def test_orientation_snr_bits_do_not_depend_on_block_or_workers(
+    kernel_layout, monkeypatch, block, workers
+):
+    # blocks hold whole tiles and the caller adds the per-tile sums in tile order; the
+    # 1257-antenna layout is four tiles, one default block, which the oracle tests check
     rx = rx_position(0.1, math.radians(30.0))
     default = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
     assert np.array_equal(orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET), default)
+
+
+def test_orientation_snr_on_threads_matches_evaluate_snr(kernel_layout, threaded):
+    assert beamforming.kernel_workers(kernel_layout.n_tx, 163) == 2
+    assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, DEFAULT_GRID)
 
 
 def test_orientation_snr_rejects_bad_directions(kernel_layout):
@@ -410,16 +430,32 @@ def test_orientation_snr_rejects_bad_directions(kernel_layout):
         orientation_snr(kernel_layout, rx_position(0.1, 0.0), Z_HAT, KERNEL_BUDGET)
 
 
-def test_orientation_snr_rejects_a_colocated_rx(kernel_layout):
+@pytest.mark.parametrize("antenna", [7, -1])
+def test_orientation_snr_rejects_a_colocated_rx(kernel_layout, threaded, antenna):
+    # antenna -1 sits in the last block, which a worker thread evaluates
+    rx = kernel_layout.positions[antenna]
     with pytest.raises(ValueError, match="co-located"):
-        orientation_snr(kernel_layout, kernel_layout.positions[7], GRID_30_20, KERNEL_BUDGET)
+        orientation_snr(kernel_layout, rx, GRID_30_20, KERNEL_BUDGET)
 
 
-def test_orientation_snr_distances_do_not_overflow(kernel_layout):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_orientation_snr_distances_do_not_overflow(kernel_layout, monkeypatch, workers):
+    if workers > 1:
+        # blocks of one 4096-element tile: 29 classes x 141 antennas, nine blocks
+        monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
+        monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)
+        monkeypatch.setattr(beamforming, "SNR_TILE_ELEMENTS", 4096)
+    assert beamforming.kernel_workers(kernel_layout.n_tx, 29) == workers
     # |rx - p|^2 overflows float64 at 1e200 m; the SNRs underflow to 0 instead of NaN
     with np.errstate(over="raise", invalid="raise"):
         far = orientation_snr(kernel_layout, rx_position(1e200, 0.3), GRID_30_20, KERNEL_BUDGET)
     assert np.all(far == 0.0)
+    # 1e-300 m above the centre antenna, in a middle block, its amplitude r0 / r = 1e298
+    # overflows when squared in a tile; at P/N = 1e-300 nothing else overflows, so the
+    # caller's errstate must reach the thread that evaluates the tile
+    tiny = LinkBudget(transmit_power=1e-300, noise_power=1.0)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        orientation_snr(kernel_layout, rx_position(1e-300, 0.0), GRID_30_20, tiny)
     # at 1e150 m every factor is representable and the free-space 1/r^2 law holds
     snr = [
         orientation_snr(kernel_layout, rx_position(d, 0.3), GRID_30_20, KERNEL_BUDGET)

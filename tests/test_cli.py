@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpcfocus import beamforming
 from dpcfocus.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_OUTPUT_ERROR,
+    GEOMETRY_BYTES_PER_ANTENNA,
     LIST_KEYS,
     OPTIONAL_KEYS,
     REQUIRED_KEYS,
@@ -135,6 +137,12 @@ def test_check_scenario_outputs(tmp_path, tiny_config_path):
     # 12 x 6 grid: the pole, two elevation ring pairs of 7 classes, an equator of 4
     assert manifest["derived"]["orientation_classes"] == 19
     assert manifest["derived"]["placements"] == 0  # check evaluates no RX placement
+    assert manifest["host"] == {
+        "cpus": beamforming.available_cpus(),
+        "kernel_workers": 0,
+        "numpy": np.__version__,
+    }
+    assert isinstance(manifest["peak_rss_bytes"], int) and manifest["peak_rss_bytes"] > 2**20
 
 
 def test_refused_csv_value_leaves_no_file(tmp_path):
@@ -184,24 +192,46 @@ def test_fig5_runs_are_byte_identical(tmp_path, tiny_config_path):
 
 
 def test_manifest_counts_placements(tmp_path, tiny_config_path):
-    for scenario, placements in (("fig5", 2), ("sweep", 4), ("fig3", 2)):
+    # TINY_CONFIG's lattice is one antenna block, so the kernel runs in the calling thread
+    for scenario, placements, workers in (("fig5", 2, 1), ("sweep", 4, 1), ("fig3", 2, 0)):
         out = tmp_path / scenario
         assert main([scenario, "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["placements"] == placements
+        assert manifest["host"]["cpus"] == beamforming.available_cpus()
+        assert manifest["host"]["kernel_workers"] == workers
+        assert manifest["host"]["numpy"] == np.__version__
+        assert manifest["peak_rss_bytes"] > 2**20
     config = default_config()
     assert len(scenario_placements("fig5", config)) == 7
     assert len(scenario_placements("fig6", config)) == 10
     assert len(scenario_placements("sweep", config)) == 70
 
 
-def test_preflight_charges_fig3_for_its_full_geometry_only():
+def test_preflight_charges_fig3_for_its_full_geometry_only(monkeypatch):
     config = default_config()
     # fig3 holds a ChannelGeometry for the whole lattice: the estimate is as before
     assert _estimated_bytes(config, "fig3") == 101668930.1420481
-    # the sweep kernel holds the positions and one antenna block of geometry
+    # the sweep kernel holds the positions and, per worker, one antenna block of geometry
+    # and three tile buffers; the workers are pinned to two CPUs' worth
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
     for scenario in ("fig5", "fig6", "fig7", "sweep", "check"):
         assert _estimated_bytes(config, scenario) < 0.25 * _estimated_bytes(config, "fig3")
+
+
+def test_preflight_charges_each_kernel_worker(monkeypatch):
+    per_worker = (
+        beamforming.ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA
+        + 3 * 8 * beamforming.SNR_TILE_ELEMENTS
+    )
+    full = default_config()  # about 283 000 antennas: 36 blocks
+    tiny = parse_config_text(TINY_CONFIG)  # one block: one worker, however many CPUs
+    estimates = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
+        estimates.append((_estimated_bytes(full, "fig5"), _estimated_bytes(tiny, "sweep")))
+    assert [e[0] - estimates[0][0] for e in estimates] == [0, per_worker, 2 * per_worker]
+    assert [e[1] for e in estimates] == [estimates[0][1]] * 3
 
 
 def test_fig3_output_schema(tmp_path, tiny_config_path):
@@ -302,6 +332,11 @@ def test_bad_scale_is_a_one_line_usage_error(tmp_path, capsys, scale):
         ("sweep", "radius_m = 0.008", "radius_m = 0.0001"),
         # every SNR of the rim link would fall below the smallest normal float
         ("sweep", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e200"),
+        # the strongest link, from an antenna at least d cos(alpha) away, would overflow
+        ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-300, 0.3"),
+        ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-160, 0.3"),
+        ("sweep", "distance_m = 0.1, 0.3", "distance_m = 1e-300, 0.3"),
+        ("fig7", "distance_m = 0.1, 0.3", "distance_m = 5e-324, 0.3"),
         # terabyte-sized runs, refused by the memory estimate before anything allocates
         ("check", "radius_m = 0.008", "radius_m = 1000"),
         ("check", "azimuth_step_deg = 30", "azimuth_step_deg = 1e-7"),
