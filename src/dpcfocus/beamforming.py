@@ -17,6 +17,7 @@ import contextvars
 import math
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,10 @@ ANTENNA_BLOCK = 8192
 """Antennas whose per-antenna geometry one ``orientation_snr`` worker holds at a time.
 
 About 20 float64 values per antenna, so a block takes about 1.3 MB and the
-geometry of a full aperture never exists at once.
+geometry of a full aperture never exists at once. A block is rounded down to
+whole tiles, and to at most ``SNR_TILE_ELEMENTS / (3 m)`` tiles for ``m``
+evaluated directions, so the per-tile column sums it returns fit in one tile
+buffer however fine the orientation grid.
 """
 
 
@@ -58,7 +62,10 @@ def available_cpus() -> int:
 
 
 MAX_WORKERS = available_cpus()
-"Most threads ``orientation_snr`` runs its antenna blocks on."
+"""Most threads ``orientation_snr`` runs its antenna blocks on.
+
+Speed-ups were measured on two CPUs only; beyond that the scaling is untested.
+"""
 
 
 def thermal_noise_power(bandwidth: float, temperature: float = 290.0) -> float:
@@ -216,7 +223,12 @@ def orientation_snr(
     too. Blocks hold whole tiles and the per-tile column sums are added in
     tile order by the calling thread, so the result does not depend on the
     block size or the number of threads, and repeated calls return
-    identical arrays.
+    identical arrays. At most two blocks per thread are in flight, so the
+    memory held does not grow with the number of blocks.
+
+    The tiles square amplitudes relative to the RX range r0 (at least the
+    aperture radius): an antenna closer to the RX than about 1e-154 r0
+    overflows them and gives infinite SNRs.
 
     Raises
     ------
@@ -265,7 +277,9 @@ def _tiling(m: int) -> tuple[int, int, int]:
     "(rows, cols, block): antennas and directions per tile, antennas per block."
     cols = max(1, min(m, SNR_TILE_ELEMENTS))
     rows = max(1, SNR_TILE_ELEMENTS // cols)
-    return rows, cols, rows * max(1, ANTENNA_BLOCK // rows)
+    # a block returns 3 m column sums per tile: together at most one tile buffer
+    tiles = max(1, min(ANTENNA_BLOCK // rows, SNR_TILE_ELEMENTS // (3 * m)))
+    return rows, cols, rows * tiles
 
 
 def kernel_workers(n_tx: int, m: int) -> int:
@@ -275,16 +289,29 @@ def kernel_workers(n_tx: int, m: int) -> int:
 
 
 def _in_order(task, starts, workers: int):
-    "Yield ``task(s)`` for each s of ``starts`` in order, computed on ``workers`` threads."
+    """Yield ``task(s)`` for each s of ``starts`` in order, computed on ``workers`` threads.
+
+    At most ``2 * workers`` tasks are queued or running at a time, so results
+    that wait for an earlier one stay few however many tasks there are.
+    """
     if workers <= 1:
         yield from map(task, starts)
         return
     from concurrent.futures import ThreadPoolExecutor  # imported on first use
 
-    # np.errstate is a context variable: run each task in a copy of the caller's context
-    contexts = [contextvars.copy_context() for _ in starts]
+    pending = deque()
     with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(lambda ctx, s: ctx.run(task, s), contexts, starts)
+        try:
+            for s in starts:
+                # np.errstate is a context variable: run each task in a copy of the caller's
+                pending.append(pool.submit(contextvars.copy_context().run, task, s))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _tile_sums(p_hat, e, v, ratio: float, rows: int, cols: int) -> np.ndarray:

@@ -22,7 +22,6 @@ import csv
 import json
 import math
 import os
-import resource
 import sys
 import time
 from datetime import datetime, timezone
@@ -357,25 +356,31 @@ def _estimated_bytes(config: SweepConfig, scenario: str) -> float:
     Counts the lattice build (two float64 meshgrids, their float64 radii and
     a bool mask, each (2*floor(R/pitch)+1)^2 entries) and the orientation
     grid with its temporaries (six float64 per direction). fig3 adds
-    ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice point; the other
-    scenarios add the float64 positions of every lattice point plus, for
-    each worker of the sweep kernel, one ``ANTENNA_BLOCK`` of geometry and
-    three float64 tile buffers of ``SNR_TILE_ELEMENTS``. The lattice is
-    bounded by ``_lattice_bound`` in float arithmetic, so an absurd
-    configuration gives a huge or infinite estimate, never an overflow.
+    ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice point. The other
+    scenarios hold the float64 positions of every lattice point and then run
+    the sweep kernel, once the build's temporaries are gone; each kernel
+    worker holds one ``ANTENNA_BLOCK`` of geometry, three float64 tile
+    buffers of ``SNR_TILE_ELEMENTS`` and at most three blocks' column sums
+    (two in flight per worker, one being added by the caller), each at most
+    a tile buffer or 3 m float64. The lattice is bounded by
+    ``_lattice_bound`` in float arithmetic, so an absurd configuration gives
+    a huge or infinite estimate, never an overflow.
     """
     points = _lattice_bound(config)
     n_az = _even_divisions(2.0 * math.pi, config.azimuth_step, "azimuth_step")
     n_el = _even_divisions(math.pi, config.elevation_step, "elevation_step")
+    grid = float(n_az) * n_el * 6 * 8
     if scenario == "fig3":
-        per_point, fixed = GEOMETRY_BYTES_PER_ANTENNA, 0.0
-    else:
-        # every direction of the grid is an upper bound on the classes evaluated
-        workers = kernel_workers(int(min(points, 2.0**53)), n_az * n_el)
-        per_point = 3 * 8
-        fixed = workers * float(ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA
-                                + 3 * 8 * SNR_TILE_ELEMENTS)
-    return points * (3 * 8 + 1 + per_point) + fixed + float(n_az) * n_el * 6 * 8
+        return points * (3 * 8 + 1 + GEOMETRY_BYTES_PER_ANTENNA) + grid
+    # every direction of the grid is an upper bound on the classes evaluated
+    directions = n_az * n_el
+    workers = kernel_workers(int(min(points, 2.0**53)), directions)
+    kernel = workers * float(
+        ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA
+        + 3 * 8 * SNR_TILE_ELEMENTS
+        + 3 * 8 * max(SNR_TILE_ELEMENTS, 3 * directions)
+    )
+    return points * 3 * 8 + max(points * (3 * 8 + 1), kernel) + grid
 
 
 def _refuse_unbounded_links(config: SweepConfig, scenario: str) -> None:
@@ -384,15 +389,21 @@ def _refuse_unbounded_links(config: SweepConfig, scenario: str) -> None:
     Every TX element lies on z = 0, so ``d cos(alpha)`` bounds each TX-RX
     distance from below, and P/N * n * (lambda / (4 pi d cos(alpha)))^2,
     with n the lattice bound, bounds every SNR of the placement from above.
+    The sweep kernel squares half-wave dipole amplitudes relative to
+    max(d, R), so n * (max(d, R) / (d cos(alpha)))^2 bounds its sums of
+    squares; it must be finite too, even where a small P/N keeps the SNR so.
     """
     root = math.sqrt(config.transmit_power / config.noise_power)
+    n = _lattice_bound(config)
     for alpha, d in scenario_placements(scenario, config):
         near = d * math.cos(alpha)
         amp = root * (config.wavelength / (4.0 * math.pi * near)) if near > 0.0 else math.inf
-        if not math.isfinite(amp * amp * _lattice_bound(config)):
+        rel = max(d, config.radius) / near if near > 0.0 else math.inf
+        if not (math.isfinite(amp * amp * n) and math.isfinite(rel * rel * n)):
             raise ConfigError(
                 f"distance {d!r} m at alpha {_deg(alpha)!r} deg is too small: "
-                "P/N * n * (lambda / (4 pi d cos alpha))^2 overflows"
+                "P/N * n * (lambda / (4 pi d cos alpha))^2 or "
+                "n * (max(d, R) / (d cos alpha))^2 overflows"
             )
 
 
@@ -468,8 +479,14 @@ def main(argv=None) -> int:
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
     # the CLI's RX centers lie on the xz plane of a mirror-symmetric lattice
     classes = int(orientation_classes(grid, mirror=True)[0].size)
-    # ru_maxrss is in KiB on Linux and in bytes on macOS
-    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    try:
+        import resource
+    except ImportError:  # not on every platform; the manifest then records null
+        peak_rss = None
+    else:
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak_rss *= 1 if sys.platform == "darwin" else 1024
     manifest = {
         "tool": "dpcfocus",
         "tool_version": __version__,
@@ -493,7 +510,7 @@ def main(argv=None) -> int:
             ),
             "numpy": np.__version__,
         },
-        "peak_rss_bytes": peak_rss * (1 if sys.platform == "darwin" else 1024),
+        "peak_rss_bytes": peak_rss,
         "box_plot": {
             "quartiles": "linear interpolation",
             "whiskers": "1.5*IQR beyond the quartiles, clamped to data extremes",

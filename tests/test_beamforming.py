@@ -425,6 +425,22 @@ def test_orientation_snr_on_threads_matches_evaluate_snr(kernel_layout, threaded
     assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, DEFAULT_GRID)
 
 
+def test_orientation_snr_blocks_shrink_on_fine_grids(kernel_layout, monkeypatch):
+    # 2000 directions: 32-antenna tiles, and a block's per-tile sums (3 x 2000 each)
+    # fit in one tile buffer only up to 10 tiles, so the layout spans four blocks
+    v = np.random.default_rng(17).normal(size=(2000, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    rows, _, block = beamforming._tiling(2000)
+    assert (rows, block) == (32, 320)
+    assert (block // rows) * 3 * 2000 <= SNR_TILE_ELEMENTS
+    rx = rx_position(0.1, math.radians(30.0))
+    one = orientation_snr(kernel_layout, rx, v, KERNEL_BUDGET)
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
+    assert beamforming.kernel_workers(kernel_layout.n_tx, 2000) == 2
+    assert np.array_equal(orientation_snr(kernel_layout, rx, v, KERNEL_BUDGET), one)
+    assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, v)
+
+
 def test_orientation_snr_rejects_bad_directions(kernel_layout):
     with pytest.raises(ValueError):
         orientation_snr(kernel_layout, rx_position(0.1, 0.0), Z_HAT, KERNEL_BUDGET)

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpcfocus import beamforming
+from dpcfocus.beamforming import LinkBudget, orientation_snr
 from dpcfocus.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -29,7 +32,12 @@ from dpcfocus.cli import (
     scenario_placements,
 )
 from dpcfocus.experiments import SweepConfig
-from dpcfocus.geometry import SPEED_OF_LIGHT, build_circular_array
+from dpcfocus.geometry import (
+    SPEED_OF_LIGHT,
+    build_circular_array,
+    orientation_grid,
+    rx_position,
+)
 
 TINY_CONFIG = """\
 # reduced-size run for fast tests
@@ -145,6 +153,14 @@ def test_check_scenario_outputs(tmp_path, tiny_config_path):
     assert isinstance(manifest["peak_rss_bytes"], int) and manifest["peak_rss_bytes"] > 2**20
 
 
+def test_manifest_peak_rss_is_null_without_resource(tmp_path, tiny_config_path, monkeypatch):
+    # platforms without the resource module still run; the manifest records null
+    monkeypatch.setitem(sys.modules, "resource", None)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["peak_rss_bytes"] is None
+
+
 def test_refused_csv_value_leaves_no_file(tmp_path):
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError):
@@ -220,18 +236,43 @@ def test_preflight_charges_fig3_for_its_full_geometry_only(monkeypatch):
 
 
 def test_preflight_charges_each_kernel_worker(monkeypatch):
+    # per worker: a block of geometry, three tile buffers and three blocks' column
+    # sums, each at most a tile buffer on the 648-direction grid
     per_worker = (
         beamforming.ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA
-        + 3 * 8 * beamforming.SNR_TILE_ELEMENTS
+        + 2 * 3 * 8 * beamforming.SNR_TILE_ELEMENTS
     )
-    full = default_config()  # about 283 000 antennas: 36 blocks
+    # about 70 000 antennas, nine blocks; from one worker on, the kernel outweighs the
+    # lattice build's temporaries
+    half = default_config().scaled(0.5)
     tiny = parse_config_text(TINY_CONFIG)  # one block: one worker, however many CPUs
     estimates = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
-        estimates.append((_estimated_bytes(full, "fig5"), _estimated_bytes(tiny, "sweep")))
-    assert [e[0] - estimates[0][0] for e in estimates] == [0, per_worker, 2 * per_worker]
+        estimates.append((_estimated_bytes(half, "fig5"), _estimated_bytes(tiny, "sweep")))
+    # to a byte: the estimate is a float sum of about 2e7
+    charged = [e[0] - estimates[0][0] for e in estimates]
+    assert charged == pytest.approx([0, per_worker, 2 * per_worker], rel=0, abs=1.0)
     assert [e[1] for e in estimates] == [estimates[0][1]] * 3
+
+
+def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
+    # about 16 200 classes: a tile is four antennas, and the per-tile column sums of
+    # a whole 8192-antenna block would take 800 MB; blocks are cut to fit a tile buffer
+    text = TINY_CONFIG.replace("step_deg = 30", "step_deg = 1")
+    config = parse_config_text(text)
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
+    layout = build_circular_array(config.radius, config.wavelength)
+    grid = orientation_grid(config.azimuth_step, config.elevation_step)
+    budget = LinkBudget(config.transmit_power, config.noise_power)
+    assert beamforming.kernel_workers(layout.n_tx, 16200) == 2
+    tracemalloc.start()
+    try:
+        orientation_snr(layout, rx_position(0.1, math.radians(30.0)), grid, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _estimated_bytes(config, "fig5")
 
 
 def test_fig3_output_schema(tmp_path, tiny_config_path):
@@ -335,6 +376,13 @@ def test_bad_scale_is_a_one_line_usage_error(tmp_path, capsys, scale):
         # the strongest link, from an antenna at least d cos(alpha) away, would overflow
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-300, 0.3"),
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-160, 0.3"),
+        # a small P/N keeps that bound finite, but the kernel's squared amplitudes,
+        # relative to max(d, R), would overflow
+        (
+            "fig6",
+            "transmit_power_w = 1e-3\nalpha_deg = 0, 30\ndistance_m = 0.1, 0.3",
+            "transmit_power_w = 1e-20\nalpha_deg = 0, 30\ndistance_m = 1e-160, 0.3",
+        ),
         ("sweep", "distance_m = 0.1, 0.3", "distance_m = 1e-300, 0.3"),
         ("fig7", "distance_m = 0.1, 0.3", "distance_m = 5e-324, 0.3"),
         # terabyte-sized runs, refused by the memory estimate before anything allocates
