@@ -38,6 +38,7 @@ from .beamforming import (
     dpc_beamformer,
     evaluate_snr,
     orientation_snr,
+    orientation_snrs,
     polarization_angle_map,
     thermal_noise_power,
 )
@@ -49,6 +50,7 @@ from .experiments import (
     improvements_db,
     narrowband_check,
     orientation_sweep,
+    placement_sweeps,
 )
 
 __all__ = [
@@ -80,7 +82,9 @@ __all__ = [
     "orientation_classes",
     "orientation_grid",
     "orientation_snr",
+    "orientation_snrs",
     "orientation_sweep",
+    "placement_sweeps",
     "polarization_angle_map",
     "polarized_gain",
     "rx_position",

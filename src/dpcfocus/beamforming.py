@@ -19,6 +19,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ LINEAR_POL_TOL = 1e-6
 "Relative imaginary part above which a weight pair is not linearly polarized."
 
 SNR_TILE_ELEMENTS = 65536
-"""Antenna x direction elements per ``orientation_snr`` tile.
+"""Antenna x direction elements per ``orientation_snrs`` tile.
 
 512 KiB per float64 buffer: about 400 antennas x the 163 symmetry classes of
 the default 648-orientation grid. Each worker evaluates its tiles into three
@@ -43,7 +44,7 @@ costs 2.3 times as much per entry, as OpenBLAS starts threading it.
 """
 
 ANTENNA_BLOCK = 8192
-"""Antennas whose per-antenna geometry one ``orientation_snr`` worker holds at a time.
+"""Antennas whose per-antenna geometry one ``orientation_snrs`` task holds at a time.
 
 About 20 float64 values per antenna, so a block takes about 1.3 MB and the
 geometry of a full aperture never exists at once. A block is rounded down to
@@ -62,7 +63,7 @@ def available_cpus() -> int:
 
 
 MAX_WORKERS = available_cpus()
-"""Most threads ``orientation_snr`` runs its antenna blocks on.
+"""Most threads ``orientation_snrs`` runs its (placement, antenna block) tasks on.
 
 Speed-ups were measured on two CPUs only; beyond that the scaling is untested.
 """
@@ -208,23 +209,44 @@ def orientation_snr(
         snr_dual     = rho * ((sum_k |h_x,k|)^2 + (sum_k |h_y,k|)^2) / n
         snr_switched = rho * max(sum_k |h_x,k|, sum_k |h_y,k|)^2 / n
 
+    This is ``orientation_snrs`` for the one RX center ``rx_center``; see
+    there for how the sums are evaluated.
+
+    Raises
+    ------
+    ValueError
+        If ``directions`` is not an (m, 3) array or the RX center coincides
+        with a TX element.
+    """
+    (snr,) = orientation_snrs(layout, [rx_center], directions, budget)
+    return snr
+
+
+def orientation_snrs(layout: ArrayLayout, rx_centers, directions, budget: LinkBudget):
+    """Yield ``orientation_snr``'s (m, 3) array for each of ``rx_centers``, in order.
+
     Directions that share their SNRs by symmetry (``orientation_classes``)
     are evaluated once and the result is copied to every member: v and -v
     always, and (vx, vy, vz) with (vx, -vy, vz) when the RX center has
-    y == 0 and the layout is closed under y -> -y.
+    y == 0 and the layout is closed under y -> -y. The classes and their
+    tiling are worked out once per call for each of the two cases.
 
     The geometry is built from the positions in blocks of about
     ``ANTENNA_BLOCK`` antennas (``_block_geometry``), and within a block the
     magnitudes are built tile by tile (``SNR_TILE_ELEMENTS`` antenna x
     direction entries at a time) as
     |h_x,k| = |(e_x,k . v) g_rx(p_k . v)| with the dipole pattern g_rx of
-    ``channel._pattern``. The blocks run on ``kernel_workers`` threads, each
-    under a copy of the caller's context, so ``np.errstate`` holds in them
-    too. Blocks hold whole tiles and the per-tile column sums are added in
-    tile order by the calling thread, so the result does not depend on the
-    block size or the number of threads, and repeated calls return
-    identical arrays. At most two blocks per thread are in flight, so the
-    memory held does not grow with the number of blocks.
+    ``channel._pattern``. The (placement, block) tasks of all the RX centers
+    form one stream, run in order on ``min(MAX_WORKERS, tasks)`` threads,
+    each task under a copy of the caller's context, so ``np.errstate``
+    holds in them too. Blocks hold whole tiles and each placement's per-tile
+    column sums are added in tile order by the calling thread, so a
+    placement's array depends on neither the block size, the number of
+    threads nor the other RX centers of the call, and repeated calls return
+    identical arrays. An array is yielded as soon as its last block is
+    summed; at most two tasks per thread are in flight, so the memory held
+    grows with neither the number of blocks nor of placements. Abandoning
+    the iterator cancels the queued tasks and stops its threads.
 
     The tiles square amplitudes relative to the RX range r0 (at least the
     aperture radius): an antenna closer to the RX than about 1e-154 r0
@@ -233,44 +255,64 @@ def orientation_snr(
     Raises
     ------
     ValueError
-        If ``directions`` is not an (m, 3) array or the RX center coincides
-        with a TX element.
+        If ``directions`` is not an (m, 3) array, or, once the iteration
+        reaches it, an RX center coincides with a TX element.
     """
     v = np.asarray(directions, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError("directions must be an (m, 3) array")
-    rx = np.asarray(rx_center, dtype=float)
-    mirror = rx[1] == 0.0 and layout.mirror_symmetric
-    first, inverse = orientation_classes(v, mirror)
-    v = v[first]
     n = layout.n_tx
-    m = v.shape[0]
     ratio = layout.dipole_length / layout.wavelength
     coeffs = pattern_series(ratio)
-    # amplitudes are taken relative to lambda / (4 pi r0), so that no square taken in a
-    # tile underflows or overflows, however far the RX is; the aperture radius bounds r0
-    # away from 0 for an RX at the origin
-    r0 = max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), layout.radius)
-    rows, cols, block = _tiling(m)
+    folds = {}  # per mirror flag
+    placements = []
+    for rx in rx_centers:
+        rx = np.asarray(rx, dtype=float)
+        mirror = bool(rx[1] == 0.0 and layout.mirror_symmetric)
+        if mirror not in folds:
+            first, inverse = orientation_classes(v, mirror)
+            folds[mirror] = _Fold(v[first], inverse, *_tiling(first.size))
+        # amplitudes are taken relative to lambda / (4 pi r0), so that no square taken in
+        # a tile underflows or overflows, however far the RX is; the aperture radius
+        # bounds r0 away from 0 for an RX at the origin
+        r0 = max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), layout.radius)
+        placements.append((rx, r0, folds[mirror]))
 
-    def block_sums(b0):
-        p_hat, e = _block_geometry(layout.positions[b0:b0 + block], rx, r0, coeffs)
-        return _tile_sums(p_hat, e, v, ratio, rows, cols)
+    def block_sums(task):
+        rx, r0, fold, b0 = task
+        p_hat, e = _block_geometry(layout.positions[b0:b0 + fold.block], rx, r0, coeffs)
+        return _tile_sums(p_hat, e, fold.directions, ratio, fold.rows, fold.cols)
 
-    # per direction: sum_k sqrt(|h_x,k|^2 + |h_y,k|^2), sum_k |h_x,k|, sum_k |h_y,k|
-    sums = np.zeros((3, m))
-    for tiles in _in_order(block_sums, range(0, n, block), kernel_workers(n, m)):
-        for part in tiles:
-            sums += part
+    tasks = [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, fold.block)]
+    results = _in_order(block_sums, tasks, min(MAX_WORKERS, len(tasks)))
     # sqrt(rho) = sqrt(P / N) / sqrt(n) joins the amplitude scale before anything is squared
-    sums *= (layout.wavelength / (4.0 * math.pi * r0)) * (
-        math.sqrt(budget.transmit_power / budget.noise_power) / math.sqrt(n)
-    )
-    snr = np.empty((m, 3))
-    snr[:, 0] = np.square(sums[0])
-    snr[:, 1] = np.square(sums[1]) + np.square(sums[2])
-    snr[:, 2] = np.square(np.maximum(sums[1], sums[2]))
-    return snr[inverse]
+    root = math.sqrt(budget.transmit_power / budget.noise_power) / math.sqrt(n)
+    try:
+        for _, r0, fold in placements:
+            m = fold.directions.shape[0]
+            # per direction: sum_k sqrt(|h_x,k|^2 + |h_y,k|^2), sum_k |h_x,k|, sum_k |h_y,k|
+            sums = np.zeros((3, m))
+            for _ in range(0, n, fold.block):
+                for part in next(results):
+                    sums += part
+            sums *= (layout.wavelength / (4.0 * math.pi * r0)) * root
+            snr = np.empty((m, 3))
+            snr[:, 0] = np.square(sums[0])
+            snr[:, 1] = np.square(sums[1]) + np.square(sums[2])
+            snr[:, 2] = np.square(np.maximum(sums[1], sums[2]))
+            yield snr[fold.inverse]
+    finally:
+        results.close()
+
+
+class _Fold(NamedTuple):
+    "The directions a placement evaluates, the member -> class map, and their tiling."
+
+    directions: np.ndarray
+    inverse: np.ndarray
+    rows: int
+    cols: int
+    block: int
 
 
 def _tiling(m: int) -> tuple[int, int, int]:
@@ -282,29 +324,30 @@ def _tiling(m: int) -> tuple[int, int, int]:
     return rows, cols, rows * tiles
 
 
-def kernel_workers(n_tx: int, m: int) -> int:
-    """Threads ``orientation_snr`` uses for ``n_tx`` antennas and ``m`` evaluated
-    directions: one per antenna block, at most ``MAX_WORKERS``."""
-    return min(MAX_WORKERS, -(-n_tx // _tiling(m)[2]))
+def kernel_workers(n_tx: int, m: int, placements: int = 1) -> int:
+    """Threads ``orientation_snrs`` uses for ``placements`` RX centers of ``n_tx``
+    antennas and ``m`` evaluated directions each: one per (placement, antenna
+    block) task, at most ``MAX_WORKERS``."""
+    return min(MAX_WORKERS, placements * -(-n_tx // _tiling(m)[2]))
 
 
-def _in_order(task, starts, workers: int):
-    """Yield ``task(s)`` for each s of ``starts`` in order, computed on ``workers`` threads.
+def _in_order(task, args, workers: int):
+    """Yield ``task(a)`` for each a of ``args`` in order, computed on ``workers`` threads.
 
     At most ``2 * workers`` tasks are queued or running at a time, so results
     that wait for an earlier one stay few however many tasks there are.
     """
     if workers <= 1:
-        yield from map(task, starts)
+        yield from map(task, args)
         return
     from concurrent.futures import ThreadPoolExecutor  # imported on first use
 
     pending = deque()
     with ThreadPoolExecutor(workers) as pool:
         try:
-            for s in starts:
+            for a in args:
                 # np.errstate is a context variable: run each task in a copy of the caller's
-                pending.append(pool.submit(contextvars.copy_context().run, task, s))
+                pending.append(pool.submit(contextvars.copy_context().run, task, a))
                 if len(pending) == 2 * workers:
                     yield pending.popleft().result()
             while pending:

@@ -24,7 +24,9 @@ import math
 import os
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,7 @@ from .experiments import (
     ergodic_rate,
     improvement_stats,
     narrowband_check,
-    orientation_sweep,
+    placement_sweeps,
 )
 from .geometry import (
     Z_HAT,
@@ -250,23 +252,48 @@ def scenario_placements(name: str, config) -> list[tuple[float, float]]:
     return []
 
 
+def _polarization_map_deg(layout, alpha: float, distance: float):
+    """Polarization axes in degrees and the nonlinear flags of one fig3 placement.
+
+    The placement's full-lattice geometry is freed on return, so the
+    geometries of two distances never exist at once.
+    """
+    geom = ChannelGeometry(layout, rx_position(distance, alpha))
+    pol = polarization_angle_map(dpc_beamformer(geom.channel_for(Z_HAT)))
+    angles_deg = np.degrees(pol.angles)
+    if not np.all(np.isfinite(angles_deg)):
+        raise ValueError("polarization map contains undefined angles")
+    return angles_deg, pol.nonlinear
+
+
 def run_fig3(config, layout, out_dir: Path) -> list[Path]:
+    """Write ``fig3.csv``: one row per antenna and distance.
+
+    The maps of both distances are worked out before the file is opened, so
+    an undefined angle leaves no file. Rows are then formatted as they are
+    written, as ``_write_csv`` formats them, and never held all at once.
+    """
     header = ["distance_m", "antenna_index", "x_m", "y_m", "pol_angle_deg", "nonlinear"]
-    rows = []
-    for alpha, d in scenario_placements("fig3", config):
-        geom = ChannelGeometry(layout, rx_position(d, alpha))
-        pol = polarization_angle_map(dpc_beamformer(geom.channel_for(Z_HAT)))
-        angles_deg = np.degrees(pol.angles)
-        if not np.all(np.isfinite(angles_deg)):
-            raise ValueError("polarization map contains undefined angles")
-        xs = layout.positions[:, 0]
-        ys = layout.positions[:, 1]
-        rows.extend(
-            (d, k, xs[k], ys[k], angles_deg[k], bool(pol.nonlinear[k]))
-            for k in range(layout.n_tx)
-        )
+    maps = [
+        (d, *_polarization_map_deg(layout, alpha, d))
+        for alpha, d in scenario_placements("fig3", config)
+    ]
+    # lattice positions are finite by construction, and so are the checked angles
+    xs = layout.positions[:, 0].tolist()
+    ys = layout.positions[:, 1].tolist()
     path = out_dir / "fig3.csv"
-    _write_csv(path, header, rows)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for d, angles_deg, nonlinear in maps:
+            writer.writerows(zip(
+                repeat(_fmt(d)),
+                map(str, range(layout.n_tx)),
+                map(repr, xs),
+                map(repr, ys),
+                map(repr, angles_deg.tolist()),
+                map(_fmt, nonlinear.tolist()),
+            ))
     return [path]
 
 
@@ -277,11 +304,13 @@ def _run_placements(config, layout, out_dir: Path, name: str, columns) -> list[P
     cut down to ``columns``.
     """
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
-    budget = config.budget()
     keep = [SWEEP_COLUMNS.index(c) for c in columns]
+    placements = scenario_placements(name, config)
+    sweeps = placement_sweeps(
+        layout, placements, config.budget(), grid=grid, bandwidth=config.bandwidth
+    )
     rows = []
-    for alpha, d in scenario_placements(name, config):
-        snr = orientation_sweep(layout, alpha, d, budget, grid=grid, bandwidth=config.bandwidth)
+    for (alpha, d), snr in zip(placements, sweeps, strict=True):
         sw = improvement_stats(snr, "switched")
         du = improvement_stats(snr, "dual")
         row = (
@@ -353,34 +382,48 @@ def _lattice_bound(config: SweepConfig) -> float:
 def _estimated_bytes(config: SweepConfig, scenario: str) -> float:
     """Rough peak memory of a run, worked out before anything is allocated.
 
-    Counts the lattice build (two float64 meshgrids, their float64 radii and
-    a bool mask, each (2*floor(R/pitch)+1)^2 entries) and the orientation
-    grid with its temporaries (six float64 per direction). fig3 adds
-    ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice point. The other
-    scenarios hold the float64 positions of every lattice point and then run
-    the sweep kernel, once the build's temporaries are gone; each kernel
-    worker holds one ``ANTENNA_BLOCK`` of geometry, three float64 tile
-    buffers of ``SNR_TILE_ELEMENTS`` and at most three blocks' column sums
-    (two in flight per worker, one being added by the caller), each at most
-    a tile buffer or 3 m float64. The lattice is bounded by
-    ``_lattice_bound`` in float arithmetic, so an absurd configuration gives
-    a huge or infinite estimate, never an overflow.
+    Every run holds the float64 positions of every lattice point and the
+    orientation grid with its temporaries (six float64 per direction), and
+    then passes through phases whose peaks are charged as the largest one:
+
+    * the lattice build: two float64 meshgrids, their float64 radii and a
+      bool mask, each (2*floor(R/pitch)+1)^2 entries, of which the positions
+      are a part;
+    * fig3, per distance: ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice
+      point while the maps of the earlier distances are held (a float64
+      angle and a bool flag each); then the writer, which holds every map
+      plus three lists of Python floats (x, y and one map's angles) and one
+      list of bools;
+    * the sweep kernel: each of its workers (``kernel_workers`` for all the
+      scenario's placements) holds one ``ANTENNA_BLOCK`` of geometry, three
+      float64 tile buffers of ``SNR_TILE_ELEMENTS`` and at most three
+      blocks' column sums (two in flight per worker, one being added by the
+      caller), each at most a tile buffer or 3 m float64.
+
+    The lattice is bounded by ``_lattice_bound`` in float arithmetic, so an
+    absurd configuration gives a huge or infinite estimate, never an
+    overflow.
     """
     points = _lattice_bound(config)
     n_az = _even_divisions(2.0 * math.pi, config.azimuth_step, "azimuth_step")
     n_el = _even_divisions(math.pi, config.elevation_step, "elevation_step")
     grid = float(n_az) * n_el * 6 * 8
+    build = points * (3 * 8 + 1)
     if scenario == "fig3":
-        return points * (3 * 8 + 1 + GEOMETRY_BYTES_PER_ANTENNA) + grid
+        maps = (8 + 1) * len(FIG3_DISTANCES_M)
+        geometry = maps - (8 + 1) + GEOMETRY_BYTES_PER_ANTENNA
+        writer = maps + 3 * (8 + 24) + 8  # a list entry points at a 24-byte float or a bool
+        return points * 3 * 8 + max(build, points * max(geometry, writer)) + grid
     # every direction of the grid is an upper bound on the classes evaluated
     directions = n_az * n_el
-    workers = kernel_workers(int(min(points, 2.0**53)), directions)
+    placements = len(scenario_placements(scenario, config))
+    workers = kernel_workers(int(min(points, 2.0**53)), directions, placements)
     kernel = workers * float(
         ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA
         + 3 * 8 * SNR_TILE_ELEMENTS
         + 3 * 8 * max(SNR_TILE_ELEMENTS, 3 * directions)
     )
-    return points * 3 * 8 + max(points * (3 * 8 + 1), kernel) + grid
+    return points * 3 * 8 + max(build, kernel) + grid
 
 
 def _refuse_unbounded_links(config: SweepConfig, scenario: str) -> None:
@@ -473,9 +516,17 @@ def main(argv=None) -> int:
 
     layout = build_circular_array(config.radius, config.wavelength)
     started = time.perf_counter()
-    outputs = SCENARIOS[args.command](config, layout, out_dir)
+    issued = []
+    try:
+        # recorded under the filters in force, then shown as they would have been
+        with warnings.catch_warnings(record=True) as issued:
+            outputs = SCENARIOS[args.command](config, layout, out_dir)
+    finally:
+        for w in issued:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     elapsed = time.perf_counter() - started
 
+    placements = len(scenario_placements(args.command, config))
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
     # the CLI's RX centers lie on the xz plane of a mirror-symmetric lattice
     classes = int(orientation_classes(grid, mirror=True)[0].size)
@@ -497,7 +548,7 @@ def main(argv=None) -> int:
         "config": config_to_mapping(config),
         "derived": {
             "n_tx": layout.n_tx,
-            "placements": len(scenario_placements(args.command, config)),
+            "placements": placements,
             "wavelength_m": config.wavelength,
             "noise_power_w": config.noise_power,
             "orientation_count": int(grid.shape[0]),
@@ -506,7 +557,8 @@ def main(argv=None) -> int:
         "host": {
             "cpus": available_cpus(),
             "kernel_workers": (
-                kernel_workers(layout.n_tx, classes) if args.command in SWEEP_SCENARIOS else 0
+                kernel_workers(layout.n_tx, classes, placements)
+                if args.command in SWEEP_SCENARIOS else 0
             ),
             "numpy": np.__version__,
         },
@@ -516,6 +568,7 @@ def main(argv=None) -> int:
             "whiskers": "1.5*IQR beyond the quartiles, clamped to data extremes",
         },
         "outputs": [p.name for p in outputs],
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in issued],
     }
     with open(out_dir / "manifest.json", "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamforming import LinkBudget, orientation_snr, thermal_noise_power
+from .beamforming import LinkBudget, orientation_snrs, thermal_noise_power
 from .geometry import SPEED_OF_LIGHT, ArrayLayout, _even_divisions, orientation_grid, rx_position
 
 NARROWBAND_MARGIN = 0.1
@@ -150,23 +150,53 @@ def orientation_sweep(
     """SNRs of every receive-dipole orientation at a fixed RX center.
 
     Returns ``orientation_snr``'s (m, 3) array: row i holds the (DPC, dual,
-    switched) SNRs for ``grid[i]``. The position-dependent channel factors
-    are built in antenna blocks and every orientation comes from one batched
-    magnitude pass per block. When ``bandwidth`` is given, a failing narrowband check
-    issues a warning but the sweep still runs.
+    switched) SNRs for ``grid[i]``. This is ``placement_sweeps`` for the one
+    placement (``alpha``, ``distance``). When ``bandwidth`` is given, a
+    failing narrowband check issues a warning but the sweep still runs.
+    """
+    if bandwidth is not None:
+        _warn_if_not_narrowband(distance, layout.radius, bandwidth)
+    (snr,) = placement_sweeps(layout, [(alpha, distance)], budget, grid=grid)
+    return snr
+
+
+def placement_sweeps(
+    layout: ArrayLayout,
+    placements,
+    budget: LinkBudget,
+    *,
+    grid: np.ndarray | None = None,
+    bandwidth: float | None = None,
+):
+    """Iterator over ``orientation_sweep``'s array for each (alpha, distance) of ``placements``.
+
+    The arrays come in placement order, each as soon as it is ready, from one
+    ``orientation_snrs`` stream: the antenna blocks of all placements share
+    one set of worker threads, and each array is bit-identical to the one
+    ``orientation_sweep`` returns for its placement alone. When ``bandwidth``
+    is given, every placement whose narrowband check fails issues a warning
+    before the first sweep runs; the sweeps still run.
     """
     if grid is None:
         grid = orientation_grid()
+    placements = list(placements)
     if bandwidth is not None:
-        delay, ok = narrowband_check(distance, layout.radius, bandwidth)
-        if not ok:
-            warnings.warn(
-                f"delay spread {delay:.3e} s is not small against the symbol time "
-                f"{1.0 / bandwidth:.3e} s; narrowband results are questionable",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return orientation_snr(layout, rx_position(distance, alpha), grid, budget)
+        for _, distance in placements:
+            _warn_if_not_narrowband(distance, layout.radius, bandwidth)
+    rx_centers = [rx_position(distance, alpha) for alpha, distance in placements]
+    return orientation_snrs(layout, rx_centers, grid, budget)
+
+
+def _warn_if_not_narrowband(distance: float, radius: float, bandwidth: float) -> None:
+    "Warn, pointing at the caller of the public function, if the narrowband check fails."
+    delay, ok = narrowband_check(distance, radius, bandwidth)
+    if not ok:
+        warnings.warn(
+            f"delay spread {delay:.3e} s is not small against the symbol time "
+            f"{1.0 / bandwidth:.3e} s; narrowband results are questionable",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 def _snr_rows(snr) -> np.ndarray:

@@ -1,6 +1,8 @@
 import cmath
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dpcfocus.beamforming import (
     dpc_beamformer,
     evaluate_snr,
     orientation_snr,
+    orientation_snrs,
     polarization_angle_map,
     thermal_noise_power,
 )
@@ -479,3 +482,103 @@ def test_orientation_snr_distances_do_not_overflow(kernel_layout, monkeypatch, w
     ]
     assert np.all(snr[0] > 0.0)
     assert np.allclose(snr[0], 4.0 * snr[1], rtol=1e-12, atol=0.0)
+
+
+STREAM_RXS = [
+    rx_position(0.1, math.radians(30.0)),
+    rx_position(1.0, 0.0),
+    np.array([0.02, 0.03, 0.1]),  # off the xz plane: no y-mirror fold
+    rx_position(0.3, math.radians(60.0)),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 8192], ids=["one-tile", "default"])
+def test_orientation_snrs_is_bit_equal_to_one_placement_calls(
+    kernel_layout, monkeypatch, block, workers
+):
+    alone = [orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET) for rx in STREAM_RXS]
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
+    # at least one block per placement: every worker asked for starts
+    assert beamforming.kernel_workers(kernel_layout.n_tx, 163, len(STREAM_RXS)) == workers
+    streamed = list(orientation_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET))
+    assert len(streamed) == len(alone)
+    for got, expected in zip(streamed, alone):
+        assert np.array_equal(got, expected)
+
+
+def test_orientation_snrs_mixes_mirror_and_plain_placements(kernel_layout, threaded):
+    # the fold of the y = 0 placements evaluates 163 classes, the other one 307
+    assert kernel_layout.mirror_symmetric
+    assert orientation_classes(DEFAULT_GRID, mirror=True)[0].size == 163
+    assert orientation_classes(DEFAULT_GRID, mirror=False)[0].size == 307
+    streamed = orientation_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET)
+    for rx, fast in zip(STREAM_RXS, streamed, strict=True):
+        slow = oracle_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+        assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
+
+
+def test_orientation_snrs_kernel_workers_count_every_placement(kernel_layout, monkeypatch):
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", 3)
+    # one block per placement on the 163-class grid
+    assert [beamforming.kernel_workers(kernel_layout.n_tx, 163, p) for p in (0, 1, 2, 70)] == [
+        0, 1, 2, 3
+    ]
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)  # four one-tile blocks each
+    assert beamforming.kernel_workers(kernel_layout.n_tx, 163) == 3
+
+
+def test_orientation_snrs_raises_at_a_colocated_rx_after_earlier_placements(
+    kernel_layout, threaded
+):
+    baseline = threading.active_count()
+    rxs = [STREAM_RXS[0], kernel_layout.positions[-1], STREAM_RXS[1]]
+    stream = orientation_snrs(kernel_layout, rxs, GRID_30_20, KERNEL_BUDGET)
+    first = next(stream)
+    assert np.array_equal(first, orientation_snr(kernel_layout, rxs[0], GRID_30_20, KERNEL_BUDGET))
+    with pytest.raises(ValueError, match="co-located"):
+        next(stream)
+    assert threading.active_count() == baseline
+
+
+def test_orientation_snrs_keeps_the_callers_errstate_on_later_placements(kernel_layout, threaded):
+    # as in test_orientation_snr_distances_do_not_overflow: at P/N = 1e-300 only the
+    # square of r0 / r = 1e298, 1e-300 m above the centre antenna, overflows, and it
+    # does so in a worker thread, on the second placement
+    tiny = LinkBudget(transmit_power=1e-300, noise_power=1.0)
+    rxs = [rx_position(0.1, 0.3), rx_position(1e-300, 0.0)]
+    assert beamforming.kernel_workers(kernel_layout.n_tx, 29, len(rxs)) == 2
+    with np.errstate(over="raise"):
+        stream = orientation_snrs(kernel_layout, rxs, GRID_30_20, tiny)
+        assert np.all(np.isfinite(next(stream)))
+        with pytest.raises(FloatingPointError):
+            next(stream)
+
+
+def test_abandoning_orientation_snrs_cancels_its_queued_tasks(kernel_layout, threaded, monkeypatch):
+    baseline = threading.active_count()
+    started = []
+    tile_sums = beamforming._tile_sums
+
+    def counted(*args):
+        started.append(None)
+        if len(started) > 2:
+            time.sleep(0.5)  # hold both workers while the consumer stops
+        return tile_sums(*args)
+
+    monkeypatch.setattr(beamforming, "_tile_sums", counted)
+    rxs = [rx_position(d, 0.3) for d in np.linspace(0.1, 1.0, 20)]
+
+    def consume():
+        # one block per placement on the 29-class grid: 20 tasks, of which the first
+        # five are submitted (four, then one more after the first is taken)
+        for i, _ in enumerate(orientation_snrs(kernel_layout, rxs, GRID_30_20, KERNEL_BUDGET)):
+            if i == 1:
+                raise RuntimeError("the consumer stops")
+
+    with pytest.raises(RuntimeError, match="the consumer stops"):
+        consume()
+    assert threading.active_count() == baseline
+    # the fifth task is still queued behind the two sleeping ones, and is cancelled
+    assert 3 <= len(started) <= 4

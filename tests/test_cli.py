@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -208,8 +210,11 @@ def test_fig5_runs_are_byte_identical(tmp_path, tiny_config_path):
 
 
 def test_manifest_counts_placements(tmp_path, tiny_config_path):
-    # TINY_CONFIG's lattice is one antenna block, so the kernel runs in the calling thread
-    for scenario, placements, workers in (("fig5", 2, 1), ("sweep", 4, 1), ("fig3", 2, 0)):
+    # TINY_CONFIG's lattice is one antenna block, so each placement is one kernel task
+    cpus = beamforming.available_cpus()
+    for scenario, placements, workers in (
+        ("fig5", 2, min(cpus, 2)), ("sweep", 4, min(cpus, 4)), ("fig3", 2, 0)
+    ):
         out = tmp_path / scenario
         assert main([scenario, "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
@@ -226,8 +231,8 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
 
 def test_preflight_charges_fig3_for_its_full_geometry_only(monkeypatch):
     config = default_config()
-    # fig3 holds a ChannelGeometry for the whole lattice: the estimate is as before
-    assert _estimated_bytes(config, "fig3") == 101668930.1420481
+    # fig3 holds a ChannelGeometry for the whole lattice beside the first distance's map
+    assert _estimated_bytes(config, "fig3") == 104562533.7332808
     # the sweep kernel holds the positions and, per worker, one antenna block of geometry
     # and three tile buffers; the workers are pinned to two CPUs' worth
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
@@ -245,15 +250,16 @@ def test_preflight_charges_each_kernel_worker(monkeypatch):
     # about 70 000 antennas, nine blocks; from one worker on, the kernel outweighs the
     # lattice build's temporaries
     half = default_config().scaled(0.5)
-    tiny = parse_config_text(TINY_CONFIG)  # one block: one worker, however many CPUs
+    # one block per placement, four placements: a worker per placement up to the CPUs
+    tiny = parse_config_text(TINY_CONFIG)
     estimates = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
         estimates.append((_estimated_bytes(half, "fig5"), _estimated_bytes(tiny, "sweep")))
     # to a byte: the estimate is a float sum of about 2e7
-    charged = [e[0] - estimates[0][0] for e in estimates]
-    assert charged == pytest.approx([0, per_worker, 2 * per_worker], rel=0, abs=1.0)
-    assert [e[1] for e in estimates] == [estimates[0][1]] * 3
+    for column in (0, 1):
+        charged = [e[column] - estimates[0][column] for e in estimates]
+        assert charged == pytest.approx([0, per_worker, 2 * per_worker], rel=0, abs=1.0)
 
 
 def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
@@ -273,6 +279,84 @@ def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= _estimated_bytes(config, "fig5")
+
+
+def test_preflight_covers_a_fig3_run(tmp_path):
+    # fig3 must not hold its rows: as tuples and then lists of strings they took about
+    # 1.2 kB per antenna, four times the estimate
+    path = tmp_path / "fig3.cfg"
+    path.write_text(TINY_CONFIG.replace("radius_m = 0.008", "radius_m = 0.03"))
+    config = load_config(path)
+    layout = build_circular_array(config.radius, config.wavelength)
+    assert layout.n_tx > 10_000
+    tracemalloc.start()
+    try:
+        assert main(["fig3", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _estimated_bytes(config, "fig3")
+
+
+@pytest.mark.parametrize("scenario", ["fig5", "sweep"])
+def test_csvs_do_not_depend_on_the_worker_count(tmp_path, tiny_config_path, monkeypatch, scenario):
+    bodies = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
+        out = tmp_path / str(workers)
+        assert main([scenario, "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["host"]["kernel_workers"] == min(workers, manifest["derived"]["placements"])
+        bodies.append((out / f"{scenario}.csv").read_bytes())
+    assert bodies == [bodies[0]] * 3
+
+
+def fresh_python(*args):
+    "Run a fresh interpreter on this test run's import path; returns the completed process."
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_manifest_records_the_narrowband_warnings(tmp_path):
+    # at 1 THz the 1.07 ps delay spread at 0.1 m and 0.36 ps at 0.3 m both fail the
+    # 0.1 ps margin; each distinct warning is shown once on stderr, as before
+    path = tmp_path / "wide.cfg"
+    path.write_text(TINY_CONFIG.replace("bandwidth_hz = 100e6", "bandwidth_hz = 1e12"))
+    delays = [(math.hypot(d, 0.008) - d) / SPEED_OF_LIGHT for d in (0.1, 0.3)]
+    bodies = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        done = fresh_python("-m", "dpcfocus", "sweep", "--config", str(path), "--out", str(out))
+        assert done.returncode == EXIT_OK, done.stderr
+        recorded = json.loads((out / "manifest.json").read_text())["warnings"]
+        assert recorded == [
+            f"RuntimeWarning: delay spread {delay:.3e} s is not small against the symbol "
+            "time 1.000e-12 s; narrowband results are questionable"
+            for delay in delays
+        ]
+        shown = [line for line in done.stderr.splitlines() if "RuntimeWarning" in line]
+        assert [line.split(": ", 1)[1] for line in shown] == recorded
+        bodies.append((out / "sweep.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
+def test_manifest_records_no_warnings_for_a_narrowband_run(tmp_path, tiny_config_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == []
+
+
+def test_importing_the_cli_defers_threads_and_decimal():
+    # both are imported on first use, so a run's set-up does not pay for them
+    code = (
+        "import sys, dpcfocus.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'decimal') if m in sys.modules))"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_fig3_output_schema(tmp_path, tiny_config_path):
