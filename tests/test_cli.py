@@ -223,6 +223,7 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
         assert manifest["host"]["kernel_workers"] == workers
         assert manifest["host"]["numpy"] == np.__version__
         assert manifest["peak_rss_bytes"] > 2**20
+        assert manifest["warnings"] == []  # every TINY_CONFIG placement is narrowband
     config = default_config()
     assert len(scenario_placements("fig5", config)) == 7
     assert len(scenario_placements("fig6", config)) == 10
@@ -340,12 +341,6 @@ def test_manifest_records_the_narrowband_warnings(tmp_path):
         assert [line.split(": ", 1)[1] for line in shown] == recorded
         bodies.append((out / "sweep.csv").read_bytes())
     assert bodies[0] == bodies[1]
-
-
-def test_manifest_records_no_warnings_for_a_narrowband_run(tmp_path, tiny_config_path):
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
-    assert json.loads((out / "manifest.json").read_text())["warnings"] == []
 
 
 def test_importing_the_cli_defers_threads_and_decimal():
