@@ -43,6 +43,9 @@ ate the second thread's gain; with four times it, a tile's matrix product
 costs 2.3 times as much per entry, as OpenBLAS starts threading it.
 """
 
+UNIT_TOL = 1e-12
+"Largest | |v| - 1 | of a receive direction the SNR kernel accepts."
+
 ANTENNA_BLOCK = 8192
 """Antennas whose per-antenna geometry one ``orientation_snrs`` task holds at a time.
 
@@ -215,21 +218,24 @@ def orientation_snr(
     Raises
     ------
     ValueError
-        If ``directions`` is not an (m, 3) array or the RX center coincides
-        with a TX element.
+        If ``directions`` is not a non-empty (m, 3) array of unit vectors,
+        the RX center is not a finite 3-vector, or it coincides with a TX
+        element.
     """
     (snr,) = orientation_snrs(layout, [rx_center], directions, budget)
     return snr
 
 
 def orientation_snrs(layout: ArrayLayout, rx_centers, directions, budget: LinkBudget):
-    """Yield ``orientation_snr``'s (m, 3) array for each of ``rx_centers``, in order.
+    """Iterator over ``orientation_snr``'s (m, 3) array for each of ``rx_centers``, in order.
 
     Directions that share their SNRs by symmetry (``orientation_classes``)
     are evaluated once and the result is copied to every member: v and -v
-    always, and (vx, vy, vz) with (vx, -vy, vz) when the RX center has
-    y == 0 and the layout is closed under y -> -y. The classes and their
-    tiling are worked out once per call for each of the two cases.
+    always; (vx, vy, vz) with (vx, -vy, vz) when the RX center has y == 0
+    and the layout is closed under y -> -y; and every sign change and the
+    swap vx <-> vy when the RX center lies on the z axis (x == y == 0) and
+    the layout is closed under all 8 symmetries of the square. The classes
+    and their tiling are worked out once per call for each of these folds.
 
     The geometry is built from the positions in blocks of about
     ``ANTENNA_BLOCK`` antennas (``_block_geometry``), and within a block the
@@ -255,35 +261,71 @@ def orientation_snrs(layout: ArrayLayout, rx_centers, directions, budget: LinkBu
     Raises
     ------
     ValueError
-        If ``directions`` is not an (m, 3) array, or, once the iteration
-        reaches it, an RX center coincides with a TX element.
+        At the call, before any task is queued: if ``directions`` is not a
+        non-empty (m, 3) array of unit vectors (within ``UNIT_TOL``), or an
+        RX center is not a finite 3-vector. Once the iteration reaches it:
+        if an RX center coincides with a TX element.
     """
+    placements = _placements(layout, rx_centers, directions)
+    return _stream(layout, placements, budget)
+
+
+def kernel_plan(layout: ArrayLayout, rx_centers, directions) -> tuple[list[int], int]:
+    """``(classes, workers)`` of ``orientation_snrs`` on the same arguments.
+
+    ``classes[i]`` is the number of directions evaluated for RX center i,
+    after its symmetry fold; ``workers`` is the number of threads the call
+    runs on (``MAX_WORKERS`` at most).
+    """
+    placements = _placements(layout, rx_centers, directions)
+    classes = [fold.directions.shape[0] for _, _, fold in placements]
+    return classes, min(MAX_WORKERS, len(_tasks(layout.n_tx, placements)))
+
+
+def _placements(layout: ArrayLayout, rx_centers, directions) -> list:
+    "Check the kernel's input and fold the directions: ``(rx, r0, fold)`` per RX center."
     v = np.asarray(directions, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise ValueError("directions must be an (m, 3) array")
-    n = layout.n_tx
-    ratio = layout.dipole_length / layout.wavelength
-    coeffs = pattern_series(ratio)
-    folds = {}  # per mirror flag
+    if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] == 0:
+        raise ValueError("directions must be a non-empty (m, 3) array")
+    norm = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+    if not np.all(np.abs(norm - 1.0) <= UNIT_TOL):  # also refuses NaN and inf
+        raise ValueError(f"directions must be unit vectors, to within {UNIT_TOL:g}")
+    folds = {}  # per (mirror, square) pair
     placements = []
     for rx in rx_centers:
         rx = np.asarray(rx, dtype=float)
+        if rx.shape != (3,) or not np.all(np.isfinite(rx)):
+            raise ValueError("an RX center must be a finite 3-vector")
         mirror = bool(rx[1] == 0.0 and layout.mirror_symmetric)
-        if mirror not in folds:
-            first, inverse = orientation_classes(v, mirror)
-            folds[mirror] = _Fold(v[first], inverse, *_tiling(first.size))
+        square = bool(mirror and rx[0] == 0.0 and layout.square_symmetric)
+        if (mirror, square) not in folds:
+            first, inverse = orientation_classes(v, mirror, square)
+            folds[mirror, square] = _Fold(v[first], inverse, *_tiling(first.size))
         # amplitudes are taken relative to lambda / (4 pi r0), so that no square taken in
         # a tile underflows or overflows, however far the RX is; the aperture radius
         # bounds r0 away from 0 for an RX at the origin
         r0 = max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), layout.radius)
-        placements.append((rx, r0, folds[mirror]))
+        placements.append((rx, r0, folds[mirror, square]))
+    return placements
+
+
+def _tasks(n: int, placements) -> list:
+    "The (rx, r0, fold, first antenna) task of every antenna block of every placement."
+    return [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, fold.block)]
+
+
+def _stream(layout: ArrayLayout, placements, budget: LinkBudget):
+    "The iterator ``orientation_snrs`` returns."
+    n = layout.n_tx
+    ratio = layout.dipole_length / layout.wavelength
+    coeffs = pattern_series(ratio)
 
     def block_sums(task):
         rx, r0, fold, b0 = task
         p_hat, e = _block_geometry(layout.positions[b0:b0 + fold.block], rx, r0, coeffs)
         return _tile_sums(p_hat, e, fold.directions, ratio, fold.rows, fold.cols)
 
-    tasks = [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, fold.block)]
+    tasks = _tasks(n, placements)
     results = _in_order(block_sums, tasks, min(MAX_WORKERS, len(tasks)))
     # sqrt(rho) = sqrt(P / N) / sqrt(n) joins the amplitude scale before anything is squared
     root = math.sqrt(budget.transmit_power / budget.noise_power) / math.sqrt(n)
@@ -317,6 +359,8 @@ class _Fold(NamedTuple):
 
 def _tiling(m: int) -> tuple[int, int, int]:
     "(rows, cols, block): antennas and directions per tile, antennas per block."
+    if m < 1:
+        raise ValueError("the kernel needs at least one direction")
     cols = max(1, min(m, SNR_TILE_ELEMENTS))
     rows = max(1, SNR_TILE_ELEMENTS // cols)
     # a block returns 3 m column sums per tile: together at most one tile buffer
@@ -364,12 +408,16 @@ def _tile_sums(p_hat, e, v, ratio: float, rows: int, cols: int) -> np.ndarray:
     direction, the sums over those antennas of sqrt(|h_x|^2 + |h_y|^2), |h_x|
     and |h_y| in the units of ``_block_geometry``. Every tile is evaluated
     into the same three buffers of ``rows * cols`` float64, allocated once,
-    with the x and y dipoles side by side so that each step is one call.
+    with the x and y dipoles side by side so that each step is one call. The
+    column sums are products with a row of ones, which BLAS takes in one pass
+    over the tile, where ``np.sum`` over the antenna axis strides across it;
+    either way they depend on the tile alone.
     """
     k = p_hat.shape[0]
     m = v.shape[0]
     out = np.empty((-(-k // rows), 3, m))
     buffers = np.empty((3, rows * cols))
+    ones = np.ones(rows)
     for j0 in range(0, m, cols):
         vt = v[j0:j0 + cols].T
         c = vt.shape[1]
@@ -384,11 +432,11 @@ def _tile_sums(p_hat, e, v, ratio: float, rows: int, cols: int) -> np.ndarray:
             mags *= g_rx
             np.abs(mags, out=mags)
             sums = out[t, :, j0:j0 + c]
-            np.sum(mags, axis=1, out=sums[1:])
+            np.matmul(ones[:r], mags, out=sums[1:])
             np.square(mags, out=mags)
             np.add(mags[0], mags[1], out=g_rx)
             np.sqrt(g_rx, out=g_rx)
-            np.sum(g_rx, axis=0, out=sums[0])
+            np.matmul(ones[:r], g_rx, out=sums[0])
     return out
 
 

@@ -64,19 +64,22 @@ def dipole_pattern(theta, length_over_wavelength: float = 0.5):
 
 @lru_cache(maxsize=16)
 def pattern_series(length_over_wavelength: float) -> tuple[float, ...]:
-    """Taylor coefficients h_0..h_N, lowest first, of the pattern's entire part.
+    """Coefficients h_0..h_N, lowest first, of a polynomial for the pattern's entire part.
 
     The pattern of a dipole of L wavelengths is sqrt(1 - c^2) * h(c^2), with
     c = cos(theta) and h(x) = (cos(pi*L*sqrt(x)) - cos(pi*L)) / (1 - x).
     With a_j = (-1)^j (pi*L)^(2j) / (2j)! the Taylor coefficients of
-    cos(pi*L*sqrt(x)), the numerator vanishes at x = 1, so
-    h_n = -sum_{j>n} a_j. These tail sums are formed in 60-digit decimal
-    arithmetic and rounded once to float64.
-
-    The degree N is the smallest (at least 1) whose dropped terms, bounded
-    on [0, 1] by sum_{n>N} |h_n| <= sum_{j>N+1} (j-N-1) |a_j|, stay below
-    2^-53 of the coefficient mass sum_n |h_n|, the scale of the rounding
-    error of Horner's rule itself. A half-wave dipole needs N = 9.
+    cos(pi*L*sqrt(x)), the numerator vanishes at x = 1, so h's Taylor
+    coefficients are the tail sums -sum_{j>n} a_j. These are formed in
+    60-digit decimal arithmetic until the terms fall below 1e-40, and then
+    Chebyshev-economized on [0, 1]: while the degree exceeds 1, the top term
+    h_N x^N is traded for the lower-degree rest of c T*_N, with
+    T*_N(x) = T_N(2x - 1) and c = h_N / 2^(2N-1) its shifted-Chebyshev
+    coefficient, which changes h by at most |c| on [0, 1]. Terms are dropped
+    while the sum of their |c| stays within 2^-53 of the Taylor coefficient
+    mass sum_n |h_n|, the scale of the rounding error of Horner's rule
+    itself, and the result is rounded once to float64. A half-wave dipole
+    needs N = 7, where the Taylor series itself would need 9.
 
     Raises
     ------
@@ -109,14 +112,19 @@ def pattern_series(length_over_wavelength: float) -> tuple[float, ...]:
         for n in range(len(a) - 1):
             h.append(-tail)
             tail -= a[n + 1]
-        mass = sum(abs(c) for c in h)
-        degree = 1
-        while sum((j - degree - 1) * abs(a[j]) for j in range(degree + 2, len(a))) > (
-            mass * Decimal(2) ** -53
-        ):
-            degree += 1
-        coeffs = tuple(float(c) for c in h[: degree + 1])
-        mass = float(mass)
+        budget = sum(abs(c) for c in h) * Decimal(2) ** -53
+        chebyshev = _shifted_chebyshev(len(h) - 1)
+        while len(h) > 2:
+            top = len(h) - 1
+            c = h[top] / 2 ** (2 * top - 1)
+            if abs(c) > budget:
+                break
+            budget -= abs(c)
+            for n, t in enumerate(chebyshev[top][:top]):
+                h[n] -= c * t
+            h.pop()
+        coeffs = tuple(float(c) for c in h)
+    mass = sum(abs(c) for c in coeffs)
     peak = float(np.max(np.abs(_series(np.linspace(0.0, 1.0, 257), coeffs))))
     if not mass <= SERIES_CANCELLATION_LIMIT * peak:
         raise ValueError(
@@ -124,6 +132,24 @@ def pattern_series(length_over_wavelength: float) -> tuple[float, ...]:
             "its coefficients cancel beyond float64 accuracy"
         )
     return coeffs
+
+
+def _shifted_chebyshev(degree: int) -> list[list[int]]:
+    """Integer coefficients, lowest first, of T*_k(x) = T_k(2x - 1) for k <= ``degree``.
+
+    By T*_{k+1} = 2 (2x - 1) T*_k - T*_{k-1}, from T*_0 = 1 and T*_1 = 2x - 1.
+    """
+    rows = [[1], [-1, 2]]
+    while len(rows) <= degree:
+        prev, last = rows[-2], rows[-1]
+        nxt = [0] * (len(last) + 1)
+        for n, t in enumerate(last):
+            nxt[n] -= 2 * t
+            nxt[n + 1] += 4 * t
+        for n, t in enumerate(prev):
+            nxt[n] -= t
+        rows.append(nxt)
+    return rows
 
 
 def _series(x: np.ndarray, coeffs, out: np.ndarray | None = None) -> np.ndarray:

@@ -37,6 +37,7 @@ from .beamforming import (
     SNR_TILE_ELEMENTS,
     available_cpus,
     dpc_beamformer,
+    kernel_plan,
     kernel_workers,
     polarization_angle_map,
 )
@@ -386,9 +387,10 @@ def _estimated_bytes(config: SweepConfig, scenario: str) -> float:
     orientation grid with its temporaries (six float64 per direction), and
     then passes through phases whose peaks are charged as the largest one:
 
-    * the lattice build: two float64 meshgrids, their float64 radii and a
-      bool mask, each (2*floor(R/pitch)+1)^2 entries, of which the positions
-      are a part;
+    * the lattice build: at most three float64 arrays and a bool mask of
+      (2*floor(R/pitch)+1)^2 entries each (it holds two: the larger and the
+      smaller |coordinate| of every lattice point, whose hypot overwrites the
+      first), of which the positions are a part;
     * fig3, per distance: ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice
       point while the maps of the earlier distances are held (a float64
       angle and a bool flag each); then the writer, which holds every map
@@ -526,10 +528,14 @@ def main(argv=None) -> int:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     elapsed = time.perf_counter() - started
 
-    placements = len(scenario_placements(args.command, config))
+    placements = scenario_placements(args.command, config)
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
     # the CLI's RX centers lie on the xz plane of a mirror-symmetric lattice
     classes = int(orientation_classes(grid, mirror=True)[0].size)
+    evaluated, workers = [], 0
+    if args.command in SWEEP_SCENARIOS:
+        rx_centers = [rx_position(d, alpha) for alpha, d in placements]
+        evaluated, workers = kernel_plan(layout, rx_centers, grid)
     try:
         import resource
     except ImportError:  # not on every platform; the manifest then records null
@@ -548,18 +554,16 @@ def main(argv=None) -> int:
         "config": config_to_mapping(config),
         "derived": {
             "n_tx": layout.n_tx,
-            "placements": placements,
+            "placements": len(placements),
             "wavelength_m": config.wavelength,
             "noise_power_w": config.noise_power,
             "orientation_count": int(grid.shape[0]),
             "orientation_classes": classes,
+            "directions_evaluated": sum(evaluated),
         },
         "host": {
             "cpus": available_cpus(),
-            "kernel_workers": (
-                kernel_workers(layout.n_tx, classes, placements)
-                if args.command in SWEEP_SCENARIOS else 0
-            ),
+            "kernel_workers": workers,
             "numpy": np.__version__,
         },
         "peak_rss_bytes": peak_rss,

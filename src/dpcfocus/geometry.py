@@ -54,15 +54,30 @@ class ArrayLayout:
         """Whether the positions are closed under the reflection y -> -y.
 
         Worked out exactly on first use and cached (about 60 ms for 283 000
-        elements on a 2-vCPU Xeon), so layout construction does not pay for it.
+        elements on a 2-vCPU Xeon), so constructing a layout does not pay for
+        it; ``build_circular_array`` records it instead, as its lattice is
+        closed by construction.
         """
-        x = self.positions[:, 0]
-        y = self.positions[:, 1]
-        order = np.lexsort((y, x))
-        mirrored = np.lexsort((-y, x))
-        return bool(
-            np.array_equal(x[order], x[mirrored]) and np.array_equal(y[order], -y[mirrored])
-        )
+        x, y = self.positions[:, 0], self.positions[:, 1]
+        return _same_points(x, y, x, -y)
+
+    @cached_property
+    def square_symmetric(self) -> bool:
+        """Whether the positions are closed under all 8 symmetries of the square.
+
+        These are generated by y -> -y and x <-> y, so this is
+        ``mirror_symmetric`` and closure under the swap, each checked exactly
+        by sorting, on first use, and cached.
+        """
+        x, y = self.positions[:, 0], self.positions[:, 1]
+        return self.mirror_symmetric and _same_points(x, y, y, x)
+
+
+def _same_points(x, y, x2, y2) -> bool:
+    "Whether the points (x, y) and (x2, y2) are the same multiset, compared exactly."
+    order = np.lexsort((y, x))
+    other = np.lexsort((y2, x2))
+    return bool(np.array_equal(x[order], x2[other]) and np.array_equal(y[order], y2[other]))
 
 
 def build_circular_array(
@@ -73,6 +88,12 @@ def build_circular_array(
     The lattice is centered on the origin (one element sits exactly there)
     and keeps every point with ``hypot(x, y) <= radius``, boundary included.
     ``dipole_length`` defaults to a half wavelength.
+
+    The coordinates are the integer multiples of the pitch, which are exact
+    under negation, and the test is taken on the sorted |x| and |y|, so the
+    lattice is closed under all 8 symmetries of the square whatever the
+    libm; the layout records ``mirror_symmetric`` and ``square_symmetric``
+    as true instead of sorting its positions to find out.
 
     Parameters
     ----------
@@ -88,17 +109,21 @@ def build_circular_array(
     pitch = wavelength / 2.0
     n_max = int(math.floor(radius / pitch))
     coords = np.arange(-n_max, n_max + 1) * pitch
-    xx, yy = np.meshgrid(coords, coords)  # rows scan y, columns scan x
-    keep = np.hypot(xx, yy) <= radius
-    x = xx[keep]
-    y = yy[keep]
-    positions = np.column_stack((x, y, np.zeros_like(x)))
-    return ArrayLayout(
+    size = np.abs(coords)
+    # rows scan y, columns scan x
+    radial = np.maximum.outer(size, size)
+    np.hypot(radial, np.minimum.outer(size, size), out=radial)
+    rows, cols = np.nonzero(radial <= radius)
+    del radial
+    positions = np.column_stack((coords[cols], coords[rows], np.zeros(rows.size)))
+    layout = ArrayLayout(
         positions=positions,
         wavelength=wavelength,
         dipole_length=dipole_length,
         radius=radius,
     )
+    vars(layout).update(mirror_symmetric=True, square_symmetric=True)
+    return layout
 
 
 def rx_position(distance: float, alpha: float) -> np.ndarray:
@@ -146,9 +171,10 @@ def orientation_grid(
 
     The sine and cosine tables are exactly symmetric under the reflections
     the steps admit (az -> -az; az -> pi - az for an even azimuth count;
-    el -> pi - el), so cos 90 deg and sin 180 deg are exactly 0, and when
-    -v or (vx, -vy, vz) of a grid direction v lies on the grid, it lies
-    there exactly, as ``orientation_classes`` requires.
+    az -> pi/2 - az when 4 divides it; el -> pi - el), so cos 90 deg and
+    sin 180 deg are exactly 0, and when -v, (vx, -vy, vz) or (vy, vx, vz)
+    of a grid direction v lies on the grid, it lies there exactly, as
+    ``orientation_classes`` requires.
     """
     n_az = _even_divisions(2.0 * math.pi, azimuth_step, "azimuth_step")
     n_el = _even_divisions(math.pi, elevation_step, "elevation_step")
@@ -168,41 +194,60 @@ def orientation_grid(
 def _full_turn(n: int, step: float) -> np.ndarray:
     """(cos, sin) of ``i * step`` for i < n, where ``n * step`` is a full turn.
 
-    Entries past a quarter turn are copied from their reflections with the
-    sign set exactly: i -> n/2 - i (a -> pi - a) for even n, then i -> n - i
-    (a -> -a). A quarter turn gets a cosine of exactly 0.
+    Entries past an eighth of a turn are copied from their reflections with
+    the sign set exactly: i -> n/4 - i (a -> pi/2 - a, which swaps cos and
+    sin, and gives pi/4 a sine equal to its cosine) when 4 divides n, then
+    i -> n/2 - i (a -> pi - a) for even n, then i -> n - i (a -> -a). A
+    quarter turn thus gets a cosine of exactly 0.
     """
     i = np.arange(n)
     table = np.stack((np.cos(i * step), np.sin(i * step)))
+    if n % 4 == 0:
+        quarter = n // 4
+        up = i[(2 * i > quarter) & (i <= quarter)]
+        table[:, up] = table[::-1, quarter - up]
+        if quarter % 2 == 0:
+            table[1, quarter // 2] = table[0, quarter // 2]  # a = pi/4 is its own partner
     if n % 2 == 0:
         half = n // 2
         up = i[(2 * i > half) & (i <= half)]
         table[:, up] = table[:, half - up] * [[-1.0], [1.0]]
-        if half % 2 == 0:
-            table[0, half // 2] = 0.0
     up = i[2 * i > n]
     table[:, up] = table[:, n - up] * [[1.0], [-1.0]]
     return table
 
 
-def orientation_classes(directions, mirror: bool) -> tuple[np.ndarray, np.ndarray]:
+def orientation_classes(
+    directions, mirror: bool, square: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Group receive directions whose SNRs are equal by symmetry.
 
     v and -v always give the same channel magnitudes. With ``mirror``, so do
     (vx, vy, vz) and (vx, -vy, vz), which holds when the RX center lies on
-    the xz plane and the layout is closed under y -> -y. Returns
+    the xz plane and the layout is closed under y -> -y. With ``square``,
+    every sign change of vx, vy and vz and the swap vx <-> vy give the same
+    SNRs, which holds when the RX center lies on the z axis and the layout
+    is closed under all 8 symmetries of the square
+    (``ArrayLayout.square_symmetric``): x -> -x and y -> -y map every
+    dipole's |h| to itself, and x <-> y swaps sum_k |h_x,k| and
+    sum_k |h_y,k|, which the three SNRs treat alike. Returns
     ``(first, inverse)``: ``directions[first]`` holds one member of each
     class and ``inverse[i]`` is the class of ``directions[i]``.
 
-    Each direction is reduced to a canonical form with sign changes only,
+    Each direction is reduced to a canonical form with sign changes and a
+    swap only ((max(|vx|, |vy|), min(|vx|, |vy|), |vz|) with ``square``),
     and classes are formed by exact equality of those forms, never by a
     tolerance: a direction with no exact partner is a class of its own.
     """
     v = np.array(directions, dtype=float)
-    lead = np.where(v[:, 2] != 0.0, v[:, 2], np.where(v[:, 0] != 0.0, v[:, 0], v[:, 1]))
-    v[lead < 0.0] *= -1.0
-    if mirror:
-        v[:, 1] = np.abs(v[:, 1])
+    if square:
+        a = np.abs(v)
+        v = np.column_stack((np.maximum(a[:, 0], a[:, 1]), np.minimum(a[:, 0], a[:, 1]), a[:, 2]))
+    else:
+        lead = np.where(v[:, 2] != 0.0, v[:, 2], np.where(v[:, 0] != 0.0, v[:, 0], v[:, 1]))
+        v[lead < 0.0] *= -1.0
+        if mirror:
+            v[:, 1] = np.abs(v[:, 1])
     v += 0.0  # -0.0 -> +0.0
     _, first, inverse = np.unique(v, axis=0, return_index=True, return_inverse=True)
     return first, inverse.reshape(-1)  # numpy 2.0.0 returns inverse as (m, 1)

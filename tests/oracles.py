@@ -122,7 +122,7 @@ def decimal_pattern(cos_theta: float, length_over_wavelength: float) -> float:
         return float((_decimal_cos(k * c) - _decimal_cos(k)) / ((1 - c) * (1 + c)).sqrt())
 
 
-def decimal_pattern_series(length_over_wavelength: float, count: int) -> list[float]:
+def decimal_pattern_series(length_over_wavelength: float, count: int) -> list[Decimal]:
     """The first ``count`` Taylor coefficients of h(x) = (cos(pi*L*sqrt(x)) - cos(pi*L)) / (1 - x).
 
     Formed as forward partial sums of the numerator's coefficients (dividing
@@ -135,7 +135,62 @@ def decimal_pattern_series(length_over_wavelength: float, count: int) -> list[fl
         a_j = Decimal(1)
         out = []
         for j in range(1, count + 1):
-            out.append(float(partial))
+            out.append(partial)
             a_j = -a_j * k2 / ((2 * j - 1) * (2 * j))
             partial += a_j
         return out
+
+
+def decimal_chebyshev_series(taylor) -> list[Decimal]:
+    """Coefficients c_k of sum_n taylor[n] x^n = sum_k c_k T*_k(x), with T*_k(x) = T_k(2x - 1).
+
+    Built by Horner's rule in the shifted-Chebyshev basis, from
+    x T*_0 = (T*_0 + T*_1) / 2 and x T*_k = (T*_{k-1} + 2 T*_k + T*_{k+1}) / 4,
+    in 80-digit decimal arithmetic.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        c = [Decimal(0)]
+        for h in reversed(taylor):
+            times_x = [Decimal(0)] * (len(c) + 1)
+            for k, ck in enumerate(c):
+                if k == 0:
+                    times_x[0] += ck / 2
+                    times_x[1] += ck / 2
+                else:
+                    times_x[k - 1] += ck / 4
+                    times_x[k] += ck / 2
+                    times_x[k + 1] += ck / 4
+            times_x[0] += h
+            c = times_x
+        return c
+
+
+def decimal_chebyshev_value(c, x) -> Decimal:
+    "sum_k c[k] T*_k(x) by Clenshaw's recurrence, in 80-digit decimal arithmetic."
+    with localcontext() as ctx:
+        ctx.prec = 80
+        y = 2 * Decimal(x) - 1
+        b1 = b2 = Decimal(0)
+        for ck in reversed(c[1:]):
+            b1, b2 = 2 * y * b1 - b2 + ck, b1
+        return y * b1 - b2 + c[0]
+
+
+def economized_pattern_series(length_over_wavelength: float):
+    """The economized pattern series, worked out on a separate route.
+
+    Expands 60 Taylor coefficients of h in the shifted-Chebyshev basis and
+    drops the top terms while their |c_k| sum to at most 2^-53 of the
+    Taylor coefficient mass. Returns ``(kept, dropped, mass)``: the kept
+    Chebyshev coefficients, the |c_k| of the dropped ones, top first, and the
+    mass.
+    """
+    taylor = decimal_pattern_series(length_over_wavelength, 60)
+    c = decimal_chebyshev_series(taylor)
+    mass = sum(abs(h) for h in taylor)
+    budget = mass * Decimal(2) ** -53
+    dropped = []
+    while len(c) > 2 and sum(dropped) + abs(c[-1]) <= budget:
+        dropped.append(abs(c.pop()))
+    return c, dropped, mass

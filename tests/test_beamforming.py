@@ -449,6 +449,52 @@ def test_orientation_snr_rejects_bad_directions(kernel_layout):
         orientation_snr(kernel_layout, rx_position(0.1, 0.0), Z_HAT, KERNEL_BUDGET)
 
 
+@pytest.fixture
+def no_kernel_tasks(monkeypatch):
+    "Fails the test if the kernel builds any block geometry."
+
+    def refuse(*args):
+        raise AssertionError("a kernel task ran")
+
+    monkeypatch.setattr(beamforming, "_block_geometry", refuse)
+
+
+def refused_at_the_call(layout, rx_centers, directions, match):
+    # orientation_snrs refuses before it returns its iterator, so before any task is queued
+    with pytest.raises(ValueError, match=match):
+        orientation_snrs(layout, rx_centers, directions, KERNEL_BUDGET)
+
+
+def test_kernel_refuses_an_empty_grid(kernel_layout, no_kernel_tasks):
+    refused_at_the_call(kernel_layout, [rx_position(0.1, 0.3)], np.empty((0, 3)), "non-empty")
+    with pytest.raises(ValueError, match="at least one direction"):
+        beamforming.kernel_workers(kernel_layout.n_tx, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kernel_refuses_a_non_finite_direction(kernel_layout, no_kernel_tasks, bad):
+    grid = GRID_30_20.copy()
+    grid[5, 1] = bad
+    refused_at_the_call(kernel_layout, [rx_position(0.1, 0.3)], grid, "unit vectors")
+
+
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-11, 0.0])
+def test_kernel_refuses_a_direction_off_unit_length(kernel_layout, no_kernel_tasks, scale):
+    grid = GRID_30_20.copy()
+    grid[7] *= scale
+    refused_at_the_call(kernel_layout, [rx_position(0.1, 0.3)], grid, "unit vectors")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kernel_refuses_a_non_finite_rx_center(kernel_layout, no_kernel_tasks, bad):
+    rxs = [rx_position(0.1, 0.3), np.array([0.0, bad, 0.1])]
+    refused_at_the_call(kernel_layout, rxs, GRID_30_20, "finite 3-vector")
+
+
+def test_kernel_refuses_a_two_element_rx_center(kernel_layout, no_kernel_tasks):
+    refused_at_the_call(kernel_layout, [np.array([0.0, 0.1])], GRID_30_20, "finite 3-vector")
+
+
 @pytest.mark.parametrize("antenna", [7, -1])
 def test_orientation_snr_rejects_a_colocated_rx(kernel_layout, threaded, antenna):
     # antenna -1 sits in the last block, which a worker thread evaluates
@@ -484,6 +530,39 @@ def test_orientation_snr_distances_do_not_overflow(kernel_layout, monkeypatch, w
     assert np.allclose(snr[0], 4.0 * snr[1], rtol=1e-12, atol=0.0)
 
 
+def test_square_fold_on_the_z_axis_matches_the_mirror_fold_and_the_oracle(
+    kernel_layout, monkeypatch
+):
+    # on the z axis the whole square group folds the grid; with it switched off the
+    # same layout gets the mirror fold, whose evaluated directions differ
+    rx = rx_position(0.1, 0.0)
+    assert beamforming.kernel_plan(kernel_layout, [rx], DEFAULT_GRID)[0] == [46]
+    square = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            beamforming, "orientation_classes",
+            lambda v, mirror, square=False: orientation_classes(v, mirror),
+        )
+        assert beamforming.kernel_plan(kernel_layout, [rx], DEFAULT_GRID)[0] == [163]
+        mirror = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+    assert np.all(np.abs(square - mirror) <= 1e-12 * np.abs(mirror))
+    assert_rx_matches_oracle(kernel_layout, rx, DEFAULT_GRID)
+
+
+def test_no_square_fold_for_a_layout_closed_under_the_mirror_only(kernel_layout):
+    # a lattice stretched along x keeps y -> -y (and x -> -x) but not x <-> y
+    stretched = ArrayLayout(
+        positions=kernel_layout.positions * [1.25, 1.0, 1.0],
+        wavelength=kernel_layout.wavelength,
+        dipole_length=kernel_layout.dipole_length,
+        radius=1.25 * kernel_layout.radius,
+    )
+    assert stretched.mirror_symmetric and not stretched.square_symmetric
+    rx = rx_position(0.1, 0.0)
+    assert beamforming.kernel_plan(stretched, [rx], DEFAULT_GRID)[0] == [163]
+    assert_rx_matches_oracle(stretched, rx, DEFAULT_GRID)
+
+
 STREAM_RXS = [
     rx_position(0.1, math.radians(30.0)),
     rx_position(1.0, 0.0),
@@ -509,10 +588,11 @@ def test_orientation_snrs_is_bit_equal_to_one_placement_calls(
 
 
 def test_orientation_snrs_mixes_mirror_and_plain_placements(kernel_layout, threaded):
-    # the fold of the y = 0 placements evaluates 163 classes, the other one 307
-    assert kernel_layout.mirror_symmetric
-    assert orientation_classes(DEFAULT_GRID, mirror=True)[0].size == 163
-    assert orientation_classes(DEFAULT_GRID, mirror=False)[0].size == 307
+    # the fold of the placement on the z axis evaluates 46 classes, of the other y = 0
+    # placements 163, and of the one off the xz plane 307
+    assert kernel_layout.square_symmetric
+    classes, _ = beamforming.kernel_plan(kernel_layout, STREAM_RXS, DEFAULT_GRID)
+    assert classes == [163, 46, 307, 163]
     streamed = orientation_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET)
     for rx, fast in zip(STREAM_RXS, streamed, strict=True):
         slow = oracle_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
@@ -558,27 +638,33 @@ def test_orientation_snrs_keeps_the_callers_errstate_on_later_placements(kernel_
 
 def test_abandoning_orientation_snrs_cancels_its_queued_tasks(kernel_layout, threaded, monkeypatch):
     baseline = threading.active_count()
-    started = []
-    tile_sums = beamforming._tile_sums
-
-    def counted(*args):
-        started.append(None)
-        if len(started) > 2:
-            time.sleep(0.5)  # hold both workers while the consumer stops
-        return tile_sums(*args)
-
-    monkeypatch.setattr(beamforming, "_tile_sums", counted)
     rxs = [rx_position(d, 0.3) for d in np.linspace(0.1, 1.0, 20)]
+    started = []  # placement indices, in the order their tasks start
+    both_held = threading.Event()
+    block_geometry = beamforming._block_geometry
+
+    def counted(positions, rx, *args):
+        i = next(i for i, r in enumerate(rxs) if np.array_equal(r, rx))
+        started.append(i)
+        if i >= 2:
+            if {2, 3} <= set(started):
+                both_held.set()
+            time.sleep(0.5)  # hold both workers while the consumer stops
+        return block_geometry(positions, rx, *args)
+
+    monkeypatch.setattr(beamforming, "_block_geometry", counted)
 
     def consume():
         # one block per placement on the 29-class grid: 20 tasks, of which the first
         # five are submitted (four, then one more after the first is taken)
         for i, _ in enumerate(orientation_snrs(kernel_layout, rxs, GRID_30_20, KERNEL_BUDGET)):
             if i == 1:
+                # stop only once both workers hold a sleeping task, the third and fourth
+                assert both_held.wait(timeout=30.0)
                 raise RuntimeError("the consumer stops")
 
     with pytest.raises(RuntimeError, match="the consumer stops"):
         consume()
     assert threading.active_count() == baseline
     # the fifth task is still queued behind the two sleeping ones, and is cancelled
-    assert 3 <= len(started) <= 4
+    assert sorted(started) == [0, 1, 2, 3]

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from dpcfocus.geometry import (
     build_circular_array,
     rx_position,
 )
-from oracles import decimal_pattern, decimal_pattern_series, scalar_channel, scalar_gain
+from oracles import (
+    decimal_chebyshev_value,
+    decimal_pattern,
+    economized_pattern_series,
+    scalar_channel,
+    scalar_gain,
+)
 
 
 def single_element_layout(wavelength=1.0):
@@ -110,17 +117,24 @@ def test_pattern_matches_a_decimal_reference(length):
 
 @pytest.mark.parametrize("length", [0.5, 1.0, 1.5])
 def test_pattern_series_degree_comes_from_the_tail_bound(length):
+    # the series is the Taylor series economized on [0, 1]: its degree is where the
+    # dropped shifted-Chebyshev terms, each at most |c_k| there, reach 2^-53 of the
+    # Taylor coefficient mass; one more term would pass it
     coeffs = pattern_series(length)
-    exact = decimal_pattern_series(length, 60)
-    mass = sum(abs(h) for h in exact)
+    kept, dropped, mass = economized_pattern_series(length)
     degree = len(coeffs) - 1
-    for n, h in enumerate(coeffs):
-        assert abs(h - exact[n]) <= EPS * abs(exact[n])
-    # the dropped terms are below the rounding of Horner's rule, one term fewer is not
-    assert sum(abs(h) for h in exact[degree + 1:]) <= 2.0**-53 * mass
-    assert sum(abs(h) for h in exact[degree:]) > 2.0**-53 * mass
+    assert degree == len(kept) - 1
+    assert sum(dropped) <= Decimal(2) ** -53 * mass < sum(dropped) + abs(kept[-1])
+    # the rounded coefficients are the oracle's kept Chebyshev terms
+    for x in np.linspace(0.0, 1.0, 33):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            got = Decimal(0)
+            for h in reversed(coeffs):
+                got = got * Decimal(x) + Decimal(h)
+        assert abs(got - decimal_chebyshev_value(kept, x)) <= Decimal(EPS) * mass
     if length == 0.5:
-        assert degree == 9
+        assert degree == 7  # the Taylor series itself needs 9
 
 
 @pytest.mark.parametrize("length", [5.0, 0.0, -0.5, math.inf, math.nan])

@@ -37,6 +37,7 @@ from dpcfocus.experiments import SweepConfig
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
     build_circular_array,
+    orientation_classes,
     orientation_grid,
     rx_position,
 )
@@ -147,6 +148,7 @@ def test_check_scenario_outputs(tmp_path, tiny_config_path):
     # 12 x 6 grid: the pole, two elevation ring pairs of 7 classes, an equator of 4
     assert manifest["derived"]["orientation_classes"] == 19
     assert manifest["derived"]["placements"] == 0  # check evaluates no RX placement
+    assert manifest["derived"]["directions_evaluated"] == 0
     assert manifest["host"] == {
         "cpus": beamforming.available_cpus(),
         "kernel_workers": 0,
@@ -211,14 +213,22 @@ def test_fig5_runs_are_byte_identical(tmp_path, tiny_config_path):
 
 def test_manifest_counts_placements(tmp_path, tiny_config_path):
     # TINY_CONFIG's lattice is one antenna block, so each placement is one kernel task
+    # on the 72-direction grid an RX on the z axis (alpha = 0) evaluates the 7 classes of
+    # the square's symmetries, and one at alpha = 30 degrees the 19 of the mirror's
+    grid = orientation_grid(math.radians(30.0), math.radians(30.0))
+    assert orientation_classes(grid, True, True)[0].size == 7
+    assert orientation_classes(grid, True)[0].size == 19
     cpus = beamforming.available_cpus()
-    for scenario, placements, workers in (
-        ("fig5", 2, min(cpus, 2)), ("sweep", 4, min(cpus, 4)), ("fig3", 2, 0)
+    for scenario, placements, workers, evaluated in (
+        ("fig5", 2, min(cpus, 2), 7 + 19),
+        ("sweep", 4, min(cpus, 4), 2 * (7 + 19)),
+        ("fig3", 2, 0, 0),
     ):
         out = tmp_path / scenario
         assert main([scenario, "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["placements"] == placements
+        assert manifest["derived"]["directions_evaluated"] == evaluated
         assert manifest["host"]["cpus"] == beamforming.available_cpus()
         assert manifest["host"]["kernel_workers"] == workers
         assert manifest["host"]["numpy"] == np.__version__
@@ -312,12 +322,29 @@ def test_csvs_do_not_depend_on_the_worker_count(tmp_path, tiny_config_path, monk
     assert bodies == [bodies[0]] * 3
 
 
-def fresh_python(*args):
-    "Run a fresh interpreter on this test run's import path; returns the completed process."
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+def fresh_python(*args, **env):
+    """Run a fresh interpreter on this test run's import path, with ``env`` added to the
+    environment; returns the completed process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+@pytest.mark.parametrize("scenario", ["fig5", "sweep"])
+def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, tiny_config_path, scenario):
+    # the kernel's matrix products and column sums go to BLAS, which may split them
+    # across its own threads
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = fresh_python(
+            "-m", "dpcfocus", scenario, "--config", str(tiny_config_path), "--out", str(out),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        bodies.append((out / f"{scenario}.csv").read_bytes())
+    assert bodies[0] == bodies[1]
 
 
 def test_manifest_records_the_narrowband_warnings(tmp_path):

@@ -46,18 +46,53 @@ def test_layout_reflection_symmetry():
 
 def test_layout_mirror_symmetry_is_exact_and_lazy():
     layout = build_circular_array(radius=2.6, wavelength=1.0)
-    assert "mirror_symmetric" not in vars(layout)  # construction does not pay for the check
-    assert layout.mirror_symmetric
+    # the lattice builder records the flag, closed by construction, instead of sorting
+    assert vars(layout)["mirror_symmetric"] is True
 
     def variant(positions, radius=2.6):
         return ArrayLayout(positions=positions, wavelength=1.0, dipole_length=0.5, radius=radius)
 
+    fresh = variant(layout.positions)
+    assert "mirror_symmetric" not in vars(fresh)  # construction does not pay for the check
+    assert fresh.mirror_symmetric
     assert variant(layout.positions[::-1]).mirror_symmetric
     assert not variant(layout.positions[: layout.n_tx // 2]).mirror_symmetric
     assert not variant(layout.positions + [0.0, 0.25, 0.0], radius=3.0).mirror_symmetric
     nudged = layout.positions.copy()
     nudged[-1, 1] = np.nextafter(nudged[-1, 1], 0.0)
     assert not variant(nudged).mirror_symmetric
+
+
+def test_layout_square_symmetry_is_exact_and_lazy():
+    layout = build_circular_array(radius=2.6, wavelength=1.0)
+
+    def variant(positions, radius=2.6):
+        return ArrayLayout(positions=positions, wavelength=1.0, dipole_length=0.5, radius=radius)
+
+    fresh = variant(layout.positions[::-1])
+    assert "square_symmetric" not in vars(fresh)
+    assert fresh.square_symmetric
+    # stretched along x: closed under y -> -y and x -> -x, but not under x <-> y
+    stretched = variant(layout.positions * [1.5, 1.0, 1.0], radius=3.9)
+    assert stretched.mirror_symmetric and not stretched.square_symmetric
+    # closed under x <-> y, but not under y -> -y
+    upper = layout.positions[layout.positions[:, 0] + layout.positions[:, 1] >= 0.0]
+    assert not variant(upper).mirror_symmetric and not variant(upper).square_symmetric
+    nudged = layout.positions.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], 0.0)
+    assert not variant(nudged).square_symmetric
+
+
+@pytest.mark.parametrize(
+    "radius, wavelength",
+    [(2.6, 1.0), (0.7, 1.0), (0.008, SPEED_OF_LIGHT / 300e9), (0.3, 0.07), (1.0, 0.3)],
+)
+def test_lattice_records_the_symmetries_the_sorts_find(radius, wavelength):
+    layout = build_circular_array(radius, wavelength)
+    assert vars(layout)["mirror_symmetric"] is True
+    assert vars(layout)["square_symmetric"] is True
+    fresh = ArrayLayout(layout.positions, wavelength, layout.dipole_length, radius)
+    assert fresh.mirror_symmetric and fresh.square_symmetric
 
 
 def test_layout_ordering_is_row_major_by_y_then_x():
@@ -161,28 +196,47 @@ def test_orientation_grid_partners_are_exact_reflections(az_deg, el_deg):
 # Orbit counts: the pole is one class; with the mirror, each pair of elevation rings
 # (el, pi - el) of n_az directions gives (2 * n_az + 4) / 4 classes and the equator
 # (n_az + 4) / 4, when n_az is even. With an odd n_az only the mirror has partners.
+# The square's 16-element group (with v -> -v) folds a ring pair into (n_az + 8) / 8
+# classes and the equator into (n_az + 8) / 16 when 4 divides n_az.
 @pytest.mark.parametrize(
-    "az_deg, el_deg, mirrored, unmirrored",
-    [(10, 10, 163, 307), (30, 20, 29, 49), (40, 10, 86, 154), (7.5, 10, 214, 409)],
+    "az_deg, el_deg, mirrored, unmirrored, squared",
+    [(10, 10, 163, 307, 46), (30, 20, 29, 49, 9), (40, 10, 86, 154, 46),
+     (7.5, 10, 214, 409, 64)],
 )
-def test_orientation_class_counts(az_deg, el_deg, mirrored, unmirrored):
+def test_orientation_class_counts(az_deg, el_deg, mirrored, unmirrored, squared):
     grid = orientation_grid(math.radians(az_deg), math.radians(el_deg))
     assert orientation_classes(grid, mirror=True)[0].size == mirrored
     assert orientation_classes(grid, mirror=False)[0].size == unmirrored
+    assert orientation_classes(grid, True, True)[0].size == squared
 
 
-@pytest.mark.parametrize("mirror", [False, True])
-def test_orientation_class_members_are_sign_flips_of_their_representative(mirror):
+@pytest.mark.parametrize("az_deg, el_deg", [(10, 10), (30, 20), (7.5, 10), (90, 45)])
+def test_orientation_grid_is_exactly_symmetric_under_the_swap(az_deg, el_deg):
+    # azimuth j -> n_az/4 - j (az -> 90 deg - az) is vx <-> vy when 4 divides n_az
+    n_az = round(360 / az_deg)
+    n_el = round(180 / el_deg)
+    grid = orientation_grid(math.radians(az_deg), math.radians(el_deg)).reshape(n_el, n_az, 3)
+    j = np.arange(n_az)
+    assert np.array_equal(grid[:, (n_az // 4 - j) % n_az], grid[:, :, [1, 0, 2]])
+
+
+@pytest.mark.parametrize("mirror, square", [(False, False), (True, False), (True, True)])
+def test_orientation_class_members_are_sign_flips_of_their_representative(mirror, square):
     grid = np.random.default_rng(5).permutation(orientation_grid())
-    first, inverse = orientation_classes(grid, mirror)
+    first, inverse = orientation_classes(grid, mirror, square)
     assert np.array_equal(inverse[first], np.arange(first.size))
     rep = grid[first][inverse]
-    transforms = [[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]
-    if mirror:
-        transforms += [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]]
+    if square:
+        signs = np.array(np.meshgrid([1.0, -1.0], [1.0, -1.0], [1.0, -1.0])).reshape(3, -1).T
+        images = [rep[:, axes] * t for axes in ([0, 1, 2], [1, 0, 2]) for t in signs]
+    else:
+        transforms = [[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]
+        if mirror:
+            transforms += [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]]
+        images = [rep * t for t in transforms]
     related = np.zeros(grid.shape[0], dtype=bool)
-    for t in transforms:
-        related |= np.all(grid == rep * t, axis=1)
+    for image in images:
+        related |= np.all(grid == image, axis=1)
     assert related.all()
 
 
@@ -197,3 +251,6 @@ def test_orientation_classes_never_group_by_tolerance():
     assert orientation_classes(exact, mirror=False)[0].size == 1
     exact[1, 2] = np.nextafter(-0.8, 0.0)
     assert orientation_classes(exact, mirror=True)[0].size == 2
+    assert orientation_classes(exact, True, True)[0].size == 2
+    swapped = np.array([[0.6, 0.0, 0.8], [0.0, -0.6, 0.8], [0.0, np.nextafter(0.6, 1.0), 0.8]])
+    assert orientation_classes(swapped, True, True)[0].size == 2
