@@ -266,56 +266,55 @@ def orientation_snrs(layout: ArrayLayout, rx_centers, directions, budget: LinkBu
         RX center is not a finite 3-vector. Once the iteration reaches it:
         if an RX center coincides with a TX element.
     """
-    placements = _placements(layout, rx_centers, directions)
-    return _stream(layout, placements, budget)
+    placements = fold_placements(
+        rx_centers, directions, layout.radius, layout.mirror_symmetric, layout.square_symmetric
+    )
+    return folded_snrs(layout, placements, budget)
 
 
-def kernel_plan(layout: ArrayLayout, rx_centers, directions) -> tuple[list[int], int]:
-    """``(classes, workers)`` of ``orientation_snrs`` on the same arguments.
+def fold_placements(
+    rx_centers, directions, radius: float, mirror_symmetric: bool, square_symmetric: bool,
+    folds: dict | None = None,
+) -> list:
+    """Check the RX centers and fold the directions: ``(rx, r0, fold)`` per RX center.
 
-    ``classes[i]`` is the number of directions evaluated for RX center i,
-    after its symmetry fold; ``workers`` is the number of threads the call
-    runs on (``MAX_WORKERS`` at most).
+    ``radius`` and the two flags are those of the ``ArrayLayout`` the
+    placements will run on, so the folds exist before it is built. ``folds``
+    maps ``(mirror, square)`` to folds of ``directions`` worked out earlier;
+    the ones worked out here are added to it.
     """
-    placements = _placements(layout, rx_centers, directions)
-    classes = [fold.directions.shape[0] for _, _, fold in placements]
-    return classes, min(MAX_WORKERS, len(_tasks(layout.n_tx, placements)))
+    folds = {} if folds is None else folds
+    placements = []
+    for rx in rx_centers:
+        rx = np.asarray(rx, dtype=float)
+        if rx.shape != (3,) or not np.all(np.isfinite(rx)):
+            raise ValueError("an RX center must be a finite 3-vector")
+        mirror = bool(rx[1] == 0.0 and mirror_symmetric)
+        square = bool(mirror and rx[0] == 0.0 and square_symmetric)
+        if (mirror, square) not in folds:
+            folds[mirror, square] = fold_directions(directions, mirror, square)
+        # amplitudes are taken relative to lambda / (4 pi r0), so that no square taken in
+        # a tile underflows or overflows, however far the RX is; the aperture radius
+        # bounds r0 away from 0 for an RX at the origin
+        r0 = max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), radius)
+        placements.append((rx, r0, folds[mirror, square]))
+    return placements
 
 
-def _placements(layout: ArrayLayout, rx_centers, directions) -> list:
-    "Check the kernel's input and fold the directions: ``(rx, r0, fold)`` per RX center."
+def fold_directions(directions, mirror: bool, square: bool = False) -> _Fold:
+    "Check the directions and return their ``orientation_classes`` with the kernel's tiling."
     v = np.asarray(directions, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] == 0:
         raise ValueError("directions must be a non-empty (m, 3) array")
     norm = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
     if not np.all(np.abs(norm - 1.0) <= UNIT_TOL):  # also refuses NaN and inf
         raise ValueError(f"directions must be unit vectors, to within {UNIT_TOL:g}")
-    folds = {}  # per (mirror, square) pair
-    placements = []
-    for rx in rx_centers:
-        rx = np.asarray(rx, dtype=float)
-        if rx.shape != (3,) or not np.all(np.isfinite(rx)):
-            raise ValueError("an RX center must be a finite 3-vector")
-        mirror = bool(rx[1] == 0.0 and layout.mirror_symmetric)
-        square = bool(mirror and rx[0] == 0.0 and layout.square_symmetric)
-        if (mirror, square) not in folds:
-            first, inverse = orientation_classes(v, mirror, square)
-            folds[mirror, square] = _Fold(v[first], inverse, *_tiling(first.size))
-        # amplitudes are taken relative to lambda / (4 pi r0), so that no square taken in
-        # a tile underflows or overflows, however far the RX is; the aperture radius
-        # bounds r0 away from 0 for an RX at the origin
-        r0 = max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), layout.radius)
-        placements.append((rx, r0, folds[mirror, square]))
-    return placements
+    first, inverse = orientation_classes(v, mirror, square)
+    return _Fold(v[first], inverse, *_tiling(first.size))
 
 
-def _tasks(n: int, placements) -> list:
-    "The (rx, r0, fold, first antenna) task of every antenna block of every placement."
-    return [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, fold.block)]
-
-
-def _stream(layout: ArrayLayout, placements, budget: LinkBudget):
-    "The iterator ``orientation_snrs`` returns."
+def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
+    """``orientation_snrs`` on ``fold_placements`` worked out for ``layout``'s radius and flags."""
     n = layout.n_tx
     ratio = layout.dipole_length / layout.wavelength
     coeffs = pattern_series(ratio)
@@ -325,8 +324,9 @@ def _stream(layout: ArrayLayout, placements, budget: LinkBudget):
         p_hat, e = _block_geometry(layout.positions[b0:b0 + fold.block], rx, r0, coeffs)
         return _tile_sums(p_hat, e, fold.directions, ratio, fold.rows, fold.cols)
 
-    tasks = _tasks(n, placements)
-    results = _in_order(block_sums, tasks, min(MAX_WORKERS, len(tasks)))
+    # one (rx, r0, fold, first antenna) task per antenna block of every placement
+    tasks = [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, fold.block)]
+    results = _in_order(block_sums, tasks, kernel_workers(n, placements))
     # sqrt(rho) = sqrt(P / N) / sqrt(n) joins the amplitude scale before anything is squared
     root = math.sqrt(budget.transmit_power / budget.noise_power) / math.sqrt(n)
     try:
@@ -359,8 +359,6 @@ class _Fold(NamedTuple):
 
 def _tiling(m: int) -> tuple[int, int, int]:
     "(rows, cols, block): antennas and directions per tile, antennas per block."
-    if m < 1:
-        raise ValueError("the kernel needs at least one direction")
     cols = max(1, min(m, SNR_TILE_ELEMENTS))
     rows = max(1, SNR_TILE_ELEMENTS // cols)
     # a block returns 3 m column sums per tile: together at most one tile buffer
@@ -368,11 +366,11 @@ def _tiling(m: int) -> tuple[int, int, int]:
     return rows, cols, rows * tiles
 
 
-def kernel_workers(n_tx: int, m: int, placements: int = 1) -> int:
-    """Threads ``orientation_snrs`` uses for ``placements`` RX centers of ``n_tx``
-    antennas and ``m`` evaluated directions each: one per (placement, antenna
-    block) task, at most ``MAX_WORKERS``."""
-    return min(MAX_WORKERS, placements * -(-n_tx // _tiling(m)[2]))
+def kernel_workers(n_tx, placements) -> int:
+    """Threads ``folded_snrs`` runs ``placements`` on for a layout of ``n_tx`` antennas:
+    one per (placement, antenna block) task, at most ``MAX_WORKERS``. A block's size
+    depends only on its fold, so no larger ``n_tx`` gives fewer."""
+    return min(MAX_WORKERS, sum(-(-n_tx // fold.block) for _, _, fold in placements))
 
 
 def _in_order(task, args, workers: int):
@@ -420,6 +418,9 @@ def _tile_sums(p_hat, e, v, ratio: float, rows: int, cols: int) -> np.ndarray:
     ones = np.ones(rows)
     for j0 in range(0, m, cols):
         vt = v[j0:j0 + cols].T
+        # the e . v product is faster on a C-contiguous block; the p_hat . v product keeps
+        # the strided view, as a copy there moves a near-axis SNR 1.1e-12 from the oracle
+        vc = np.ascontiguousarray(vt)
         c = vt.shape[1]
         for t, k0 in enumerate(range(0, k, rows)):
             r = min(rows, k - k0)
@@ -428,7 +429,7 @@ def _tile_sums(p_hat, e, v, ratio: float, rows: int, cols: int) -> np.ndarray:
             # tile[1] holds the RX cosines until the pattern has consumed them
             np.matmul(p_hat[k0:k0 + r], vt, out=tile[1])
             _pattern(tile[1], ratio, out=g_rx, scratch=tile[2])
-            np.matmul(e[:, k0:k0 + r], vt, out=mags)
+            np.matmul(e[:, k0:k0 + r], vc, out=mags)
             mags *= g_rx
             np.abs(mags, out=mags)
             sums = out[t, :, j0:j0 + c]

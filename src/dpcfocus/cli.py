@@ -28,16 +28,18 @@ import warnings
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .beamforming import (
-    ANTENNA_BLOCK,
     SNR_TILE_ELEMENTS,
     available_cpus,
     dpc_beamformer,
-    kernel_plan,
+    fold_directions,
+    fold_placements,
+    folded_snrs,
     kernel_workers,
     polarization_angle_map,
 )
@@ -45,16 +47,15 @@ from .channel import ChannelGeometry
 from .experiments import (
     NARROWBAND_MARGIN,
     SweepConfig,
+    _warn_if_not_narrowband,
     ergodic_rate,
     improvement_stats,
     narrowband_check,
-    placement_sweeps,
 )
 from .geometry import (
     Z_HAT,
     _even_divisions,
     build_circular_array,
-    orientation_classes,
     orientation_grid,
     rx_position,
 )
@@ -81,15 +82,12 @@ REQUIRED_KEYS = (
 OPTIONAL_KEYS = ("noise_power_w",)
 LIST_KEYS = ("alpha_deg", "distance_m")
 
-SWEEP_SCENARIOS = ("fig5", "fig6", "fig7", "sweep")
-"Scenarios whose placements run the ``orientation_snr`` kernel."
-
 GEOMETRY_BYTES_PER_ANTENNA = 8 * 32
 """Estimated peak bytes per antenna of a ``ChannelGeometry``.
 
 Its 17 float64 arrays per antenna plus the temporaries that build them.
 fig3 builds one for the whole lattice; each worker of the sweep kernel
-builds at most ``ANTENNA_BLOCK`` antennas' worth at a time.
+builds one antenna block's worth at a time.
 """
 
 
@@ -228,6 +226,13 @@ STATS_COLUMNS = [
 ]
 RATE_COLUMNS = ["rate_dpc_bps", "rate_dual_bps", "rate_switched_bps"]
 SWEEP_COLUMNS = ["alpha_deg", "distance_m", "sample_count"] + STATS_COLUMNS + RATE_COLUMNS
+PLACEMENT_COLUMNS = {
+    "fig5": ["alpha_deg", "sample_count"] + STATS_COLUMNS,
+    "fig6": ["distance_m", "sample_count"] + STATS_COLUMNS,
+    "fig7": ["distance_m", "sample_count"] + RATE_COLUMNS,
+    "sweep": SWEEP_COLUMNS,
+}
+"The CSV columns of each scenario whose placements run the SNR kernel."
 
 
 def _stats_values(stats) -> tuple:
@@ -267,7 +272,7 @@ def _polarization_map_deg(layout, alpha: float, distance: float):
     return angles_deg, pol.nonlinear
 
 
-def run_fig3(config, layout, out_dir: Path) -> list[Path]:
+def run_fig3(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     """Write ``fig3.csv``: one row per antenna and distance.
 
     The maps of both distances are worked out before the file is opened, so
@@ -276,8 +281,7 @@ def run_fig3(config, layout, out_dir: Path) -> list[Path]:
     """
     header = ["distance_m", "antenna_index", "x_m", "y_m", "pol_angle_deg", "nonlinear"]
     maps = [
-        (d, *_polarization_map_deg(layout, alpha, d))
-        for alpha, d in scenario_placements("fig3", config)
+        (d, *_polarization_map_deg(layout, alpha, d)) for alpha, d in plan.placements
     ]
     # lattice positions are finite by construction, and so are the checked angles
     xs = layout.positions[:, 0].tolist()
@@ -298,20 +302,21 @@ def run_fig3(config, layout, out_dir: Path) -> list[Path]:
     return [path]
 
 
-def _run_placements(config, layout, out_dir: Path, name: str, columns) -> list[Path]:
-    """Write ``<name>.csv``: one row per placement of ``scenario_placements``.
+def run_placements(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
+    """Write ``<scenario>.csv``: one row per placement of the plan, from its kernel folds.
 
     Each row is the placement's full ``sweep.csv`` row (``SWEEP_COLUMNS``)
-    cut down to ``columns``.
+    cut down to the scenario's ``PLACEMENT_COLUMNS``. Every placement whose
+    narrowband check fails issues a warning before the first sweep runs.
     """
-    grid = orientation_grid(config.azimuth_step, config.elevation_step)
+    config = plan.config
+    columns = PLACEMENT_COLUMNS[plan.scenario]
     keep = [SWEEP_COLUMNS.index(c) for c in columns]
-    placements = scenario_placements(name, config)
-    sweeps = placement_sweeps(
-        layout, placements, config.budget(), grid=grid, bandwidth=config.bandwidth
-    )
+    for _, d in plan.placements:
+        _warn_if_not_narrowband(d, config.radius, config.bandwidth)
+    sweeps = folded_snrs(layout, plan.kernel, config.budget())
     rows = []
-    for (alpha, d), snr in zip(placements, sweeps, strict=True):
+    for (alpha, d), snr in zip(plan.placements, sweeps, strict=True):
         sw = improvement_stats(snr, "switched")
         du = improvement_stats(snr, "dual")
         row = (
@@ -321,31 +326,13 @@ def _run_placements(config, layout, out_dir: Path, name: str, columns) -> list[P
             + ergodic_rate(snr, config.bandwidth)
         )
         rows.append(tuple(row[i] for i in keep))
-    path = out_dir / f"{name}.csv"
+    path = out_dir / f"{plan.scenario}.csv"
     _write_csv(path, columns, rows)
     return [path]
 
 
-def run_fig5(config, layout, out_dir: Path) -> list[Path]:
-    return _run_placements(config, layout, out_dir, "fig5",
-                           ["alpha_deg", "sample_count"] + STATS_COLUMNS)
-
-
-def run_fig6(config, layout, out_dir: Path) -> list[Path]:
-    return _run_placements(config, layout, out_dir, "fig6",
-                           ["distance_m", "sample_count"] + STATS_COLUMNS)
-
-
-def run_fig7(config, layout, out_dir: Path) -> list[Path]:
-    return _run_placements(config, layout, out_dir, "fig7",
-                           ["distance_m", "sample_count"] + RATE_COLUMNS)
-
-
-def run_sweep(config, layout, out_dir: Path) -> list[Path]:
-    return _run_placements(config, layout, out_dir, "sweep", SWEEP_COLUMNS)
-
-
-def run_check(config, layout, out_dir: Path) -> list[Path]:
+def run_check(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
+    config = plan.config
     header = [
         "distance_m",
         "radius_m",
@@ -364,92 +351,118 @@ def run_check(config, layout, out_dir: Path) -> list[Path]:
     return [path]
 
 
-SCENARIOS = {
-    "fig3": run_fig3,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "fig7": run_fig7,
-    "sweep": run_sweep,
-    "check": run_check,
-}
+SCENARIOS = {"fig3": run_fig3, **dict.fromkeys(PLACEMENT_COLUMNS, run_placements),
+             "check": run_check}
 
 
-def _lattice_bound(config: SweepConfig) -> float:
-    "Upper bound on the lattice's antenna count, (2 R / pitch + 1)^2, in float arithmetic."
-    side = 2.0 * (config.radius / (config.wavelength / 2.0)) + 1.0
-    return side * side
+class RunPlan(NamedTuple):
+    """What ``plan_run`` works out for a run, once, before the lattice is allocated.
+
+    ``kernel`` holds the ``fold_placements`` of the placements the SNR kernel
+    runs, none for fig3 and check; ``orientation_classes`` counts the classes
+    of a placement on the xz plane off the z axis; ``kernel_workers`` is
+    ``beamforming.kernel_workers`` of ``lattice_bound`` and ``kernel``.
+    """
+
+    config: SweepConfig
+    scenario: str
+    placements: tuple
+    grid: np.ndarray
+    kernel: tuple
+    orientation_classes: int
+    lattice_bound: float
+    kernel_workers: int
+    estimated_bytes: float
 
 
-def _estimated_bytes(config: SweepConfig, scenario: str) -> float:
-    """Rough peak memory of a run, worked out before anything is allocated.
+def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
+    """The ``RunPlan`` of ``scenario`` under ``config``, or ``ConfigError``.
 
-    Every run holds the float64 positions of every lattice point and the
-    orientation grid with its temporaries (six float64 per direction), and
-    then passes through phases whose peaks are charged as the largest one:
+    Refuses fig6 and fig7 distances that do not ascend strictly, a run whose
+    estimated peak memory exceeds physical memory, and a placement whose
+    strongest link is not finite. The charge is the float64 positions of the
+    lattice bound n = (2 R / pitch + 1)^2, in float arithmetic so that an
+    absurd configuration gives a huge or infinite estimate, never an
+    overflow, and the orientation grid with its temporaries (six float64 per
+    direction), held throughout, plus the largest of these phases:
 
-    * the lattice build: at most three float64 arrays and a bool mask of
-      (2*floor(R/pitch)+1)^2 entries each (it holds two: the larger and the
-      smaller |coordinate| of every lattice point, whose hypot overwrites the
-      first), of which the positions are a part;
+    * the lattice build: at most three float64 arrays and a bool mask of n
+      entries each (it holds two: the larger and the smaller |coordinate| of
+      every lattice point, whose hypot overwrites the first), of which the
+      positions are a part;
     * fig3, per distance: ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice
       point while the maps of the earlier distances are held (a float64
       angle and a bool flag each); then the writer, which holds every map
       plus three lists of Python floats (x, y and one map's angles) and one
       list of bools;
-    * the sweep kernel: each of its workers (``kernel_workers`` for all the
-      scenario's placements) holds one ``ANTENNA_BLOCK`` of geometry, three
-      float64 tile buffers of ``SNR_TILE_ELEMENTS`` and at most three
-      blocks' column sums (two in flight per worker, one being added by the
-      caller), each at most a tile buffer or 3 m float64.
+    * the sweep kernel: each of its workers holds the geometry of the
+      folds' largest antenna block, three float64 tile buffers of
+      ``SNR_TILE_ELEMENTS`` and at most three blocks' column sums (two in
+      flight per worker, one being added by the caller), each at most a
+      tile buffer or 3 m float64.
 
-    The lattice is bounded by ``_lattice_bound`` in float arithmetic, so an
-    absurd configuration gives a huge or infinite estimate, never an
-    overflow.
+    The grid is built only once the charge without the kernel fits. Every
+    TX element lies on z = 0, so d cos(alpha) bounds each TX-RX distance
+    from below: P/N * n * (lambda / (4 pi d cos alpha))^2 bounds the SNRs of
+    a placement, and n * (max(d, R) / (d cos alpha))^2 the kernel's sums of
+    squares, as it scales amplitudes relative to max(d, R).
     """
-    points = _lattice_bound(config)
+    if scenario in ("fig6", "fig7"):
+        d = config.distance_values
+        if any(b <= a for a, b in zip(d, d[1:])):
+            raise ConfigError(f"{scenario} needs distance_m strictly ascending")
+    placements = tuple(scenario_placements(scenario, config))
+    side = 2.0 * (config.radius / (config.wavelength / 2.0)) + 1.0
+    points = side * side
     n_az = _even_divisions(2.0 * math.pi, config.azimuth_step, "azimuth_step")
     n_el = _even_divisions(math.pi, config.elevation_step, "elevation_step")
-    grid = float(n_az) * n_el * 6 * 8
-    build = points * (3 * 8 + 1)
+    grid_bytes = float(n_az) * n_el * 6 * 8
+    phase = points * (3 * 8 + 1)  # the lattice build
     if scenario == "fig3":
         maps = (8 + 1) * len(FIG3_DISTANCES_M)
         geometry = maps - (8 + 1) + GEOMETRY_BYTES_PER_ANTENNA
         writer = maps + 3 * (8 + 24) + 8  # a list entry points at a 24-byte float or a bool
-        return points * 3 * 8 + max(build, points * max(geometry, writer)) + grid
-    # every direction of the grid is an upper bound on the classes evaluated
-    directions = n_az * n_el
-    placements = len(scenario_placements(scenario, config))
-    workers = kernel_workers(int(min(points, 2.0**53)), directions, placements)
-    kernel = workers * float(
-        ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA
-        + 3 * 8 * SNR_TILE_ELEMENTS
-        + 3 * 8 * max(SNR_TILE_ELEMENTS, 3 * directions)
-    )
-    return points * 3 * 8 + max(build, kernel) + grid
-
-
-def _refuse_unbounded_links(config: SweepConfig, scenario: str) -> None:
-    """Raise ``ConfigError`` for a placement whose strongest link is not finite.
-
-    Every TX element lies on z = 0, so ``d cos(alpha)`` bounds each TX-RX
-    distance from below, and P/N * n * (lambda / (4 pi d cos(alpha)))^2,
-    with n the lattice bound, bounds every SNR of the placement from above.
-    The sweep kernel squares half-wave dipole amplitudes relative to
-    max(d, R), so n * (max(d, R) / (d cos(alpha)))^2 bounds its sums of
-    squares; it must be finite too, even where a small P/N keeps the SNR so.
-    """
+        phase = max(phase, points * max(geometry, writer))
+    _refuse_beyond_memory(points * 3 * 8 + phase + grid_bytes)
     root = math.sqrt(config.transmit_power / config.noise_power)
-    n = _lattice_bound(config)
-    for alpha, d in scenario_placements(scenario, config):
+    for alpha, d in placements:
         near = d * math.cos(alpha)
         amp = root * (config.wavelength / (4.0 * math.pi * near)) if near > 0.0 else math.inf
         rel = max(d, config.radius) / near if near > 0.0 else math.inf
-        if not (math.isfinite(amp * amp * n) and math.isfinite(rel * rel * n)):
+        if not (math.isfinite(amp * amp * points) and math.isfinite(rel * rel * points)):
             raise ConfigError(
                 f"distance {d!r} m at alpha {_deg(alpha)!r} deg is too small: "
                 "P/N * n * (lambda / (4 pi d cos alpha))^2 or "
                 "n * (max(d, R) / (d cos alpha))^2 overflows"
             )
+
+    grid = orientation_grid(config.azimuth_step, config.elevation_step)
+    folds = {(True, False): fold_directions(grid, mirror=True)}
+    kernel = ()
+    if scenario in PLACEMENT_COLUMNS:
+        # build_circular_array's lattice is closed under the square's 8 symmetries
+        rx_centers = [rx_position(d, alpha) for alpha, d in placements]
+        kernel = tuple(fold_placements(rx_centers, grid, config.radius, True, True, folds))
+    workers = kernel_workers(int(min(points, 2.0**53)), kernel)
+    block = max((fold.block for _, _, fold in kernel), default=0)
+    kernel_bytes = workers * float(
+        block * GEOMETRY_BYTES_PER_ANTENNA
+        + 3 * 8 * SNR_TILE_ELEMENTS
+        + 3 * 8 * max(SNR_TILE_ELEMENTS, 3 * grid.shape[0])
+    )
+    need = points * 3 * 8 + max(phase, kernel_bytes) + grid_bytes
+    _refuse_beyond_memory(need)
+    classes = int(folds[True, False].directions.shape[0])
+    return RunPlan(config, scenario, placements, grid, kernel, classes, points, workers, need)
+
+
+def _refuse_beyond_memory(need: float) -> None:
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise ConfigError(
+            f"the run needs an estimated {need:.3g} bytes, more than the "
+            f"{physical:.3g} bytes of physical memory"
+        )
 
 
 def _positive_float(text: str) -> float:
@@ -490,18 +503,7 @@ def main(argv=None) -> int:
         config = load_config(args.config) if args.config else default_config()
         if args.scale != 1.0:
             config = config.scaled(args.scale)
-        if args.command in ("fig6", "fig7"):
-            d = config.distance_values
-            if any(b <= a for a, b in zip(d, d[1:])):
-                raise ConfigError(f"{args.command} needs distance_m strictly ascending")
-        need = _estimated_bytes(config, args.command)
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > physical:
-            raise ConfigError(
-                f"the run needs an estimated {need:.3g} bytes, more than the "
-                f"{physical:.3g} bytes of physical memory"
-            )
-        _refuse_unbounded_links(config, args.command)
+        plan = plan_run(config, args.command)
     except ValueError as exc:
         print(f"dpcfocus: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -522,20 +524,12 @@ def main(argv=None) -> int:
     try:
         # recorded under the filters in force, then shown as they would have been
         with warnings.catch_warnings(record=True) as issued:
-            outputs = SCENARIOS[args.command](config, layout, out_dir)
+            outputs = SCENARIOS[args.command](plan, layout, out_dir)
     finally:
         for w in issued:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     elapsed = time.perf_counter() - started
 
-    placements = scenario_placements(args.command, config)
-    grid = orientation_grid(config.azimuth_step, config.elevation_step)
-    # the CLI's RX centers lie on the xz plane of a mirror-symmetric lattice
-    classes = int(orientation_classes(grid, mirror=True)[0].size)
-    evaluated, workers = [], 0
-    if args.command in SWEEP_SCENARIOS:
-        rx_centers = [rx_position(d, alpha) for alpha, d in placements]
-        evaluated, workers = kernel_plan(layout, rx_centers, grid)
     try:
         import resource
     except ImportError:  # not on every platform; the manifest then records null
@@ -554,16 +548,17 @@ def main(argv=None) -> int:
         "config": config_to_mapping(config),
         "derived": {
             "n_tx": layout.n_tx,
-            "placements": len(placements),
+            "placements": len(plan.placements),
             "wavelength_m": config.wavelength,
             "noise_power_w": config.noise_power,
-            "orientation_count": int(grid.shape[0]),
-            "orientation_classes": classes,
-            "directions_evaluated": sum(evaluated),
+            "orientation_count": int(plan.grid.shape[0]),
+            "orientation_classes": plan.orientation_classes,
+            "directions_evaluated": sum(fold.directions.shape[0] for _, _, fold in plan.kernel),
         },
         "host": {
             "cpus": available_cpus(),
-            "kernel_workers": workers,
+            # what the kernel ran: the plan's folds on the built lattice
+            "kernel_workers": kernel_workers(layout.n_tx, plan.kernel),
             "numpy": np.__version__,
         },
         "peak_rss_bytes": peak_rss,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpcfocus import beamforming
+from dpcfocus import beamforming, cli, experiments, geometry
 from dpcfocus.beamforming import LinkBudget, orientation_snr
 from dpcfocus.cli import (
     EXIT_CONFIG_ERROR,
@@ -23,7 +23,6 @@ from dpcfocus.cli import (
     OPTIONAL_KEYS,
     REQUIRED_KEYS,
     ConfigError,
-    _estimated_bytes,
     _write_csv,
     config_to_mapping,
     default_config,
@@ -31,6 +30,7 @@ from dpcfocus.cli import (
     main,
     mapping_to_config_text,
     parse_config_text,
+    plan_run,
     scenario_placements,
 )
 from dpcfocus.experiments import SweepConfig
@@ -243,21 +243,23 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
 def test_preflight_charges_fig3_for_its_full_geometry_only(monkeypatch):
     config = default_config()
     # fig3 holds a ChannelGeometry for the whole lattice beside the first distance's map
-    assert _estimated_bytes(config, "fig3") == 104562533.7332808
+    fig3 = plan_run(config, "fig3").estimated_bytes
+    assert fig3 == 104562533.7332808
     # the sweep kernel holds the positions and, per worker, one antenna block of geometry
     # and three tile buffers; the workers are pinned to two CPUs' worth
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
     for scenario in ("fig5", "fig6", "fig7", "sweep", "check"):
-        assert _estimated_bytes(config, scenario) < 0.25 * _estimated_bytes(config, "fig3")
+        assert plan_run(config, scenario).estimated_bytes < 0.25 * fig3
+
+
+def largest_block(plan):
+    return max(fold.block for _, _, fold in plan.kernel)
 
 
 def test_preflight_charges_each_kernel_worker(monkeypatch):
-    # per worker: a block of geometry, three tile buffers and three blocks' column
-    # sums, each at most a tile buffer on the 648-direction grid
-    per_worker = (
-        beamforming.ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA
-        + 2 * 3 * 8 * beamforming.SNR_TILE_ELEMENTS
-    )
+    # per worker: the largest block of geometry among the folds, three tile buffers and
+    # three blocks' column sums, each at most a tile buffer on these grids
+    tile_buffers = 2 * 3 * 8 * beamforming.SNR_TILE_ELEMENTS
     # about 70 000 antennas, nine blocks; from one worker on, the kernel outweighs the
     # lattice build's temporaries
     half = default_config().scaled(0.5)
@@ -266,9 +268,15 @@ def test_preflight_charges_each_kernel_worker(monkeypatch):
     estimates = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
-        estimates.append((_estimated_bytes(half, "fig5"), _estimated_bytes(tiny, "sweep")))
+        plans = plan_run(half, "fig5"), plan_run(tiny, "sweep")
+        assert [plan.kernel_workers for plan in plans] == [workers, workers]
+        estimates.append([plan.estimated_bytes for plan in plans])
+    # the 163-class fold's blocks are 8040 antennas; the 7 classes of TINY_CONFIG's
+    # square fold make one tile of 9362 antennas, past ANTENNA_BLOCK
+    assert [largest_block(plan) for plan in plans] == [8040, 9362]
     # to a byte: the estimate is a float sum of about 2e7
-    for column in (0, 1):
+    for column, plan in enumerate(plans):
+        per_worker = largest_block(plan) * GEOMETRY_BYTES_PER_ANTENNA + tile_buffers
         charged = [e[column] - estimates[0][column] for e in estimates]
         assert charged == pytest.approx([0, per_worker, 2 * per_worker], rel=0, abs=1.0)
 
@@ -282,14 +290,15 @@ def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
     layout = build_circular_array(config.radius, config.wavelength)
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
     budget = LinkBudget(config.transmit_power, config.noise_power)
-    assert beamforming.kernel_workers(layout.n_tx, 16200) == 2
+    plan = plan_run(config, "fig5")
+    assert plan.kernel_workers == 2
     tracemalloc.start()
     try:
         orientation_snr(layout, rx_position(0.1, math.radians(30.0)), grid, budget)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _estimated_bytes(config, "fig5")
+    assert peak <= plan.estimated_bytes
 
 
 def test_preflight_covers_a_fig3_run(tmp_path):
@@ -306,7 +315,72 @@ def test_preflight_covers_a_fig3_run(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _estimated_bytes(config, "fig3")
+    assert peak <= plan_run(config, "fig3").estimated_bytes
+
+
+def test_a_fig5_run_derives_each_quantity_once(tmp_path, tiny_config_path, monkeypatch):
+    # the plan works out the placements, the grid and one fold per symmetry used (the
+    # square's at alpha = 0, the mirror's at 30 degrees) before the lattice exists;
+    # the kernel, the pre-flight and the manifest all read them from it
+    calls = {"scenario_placements": 0, "orientation_grid": 0, "orientation_classes": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "scenario_placements")
+    for module in (geometry, experiments, cli):
+        counted(module, "orientation_grid")
+    for module in (geometry, beamforming):
+        counted(module, "orientation_classes")
+    out = tmp_path / "out"
+    assert main(["fig5", "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
+    assert calls == {"scenario_placements": 1, "orientation_grid": 1, "orientation_classes": 2}
+    assert not hasattr(beamforming, "kernel_plan")
+
+
+# a 5525-antenna lattice under a bound of 7225: one 8190-antenna block of the full
+# 144-direction grid, but the 13 classes of the square's fold make 5041-antenna blocks
+EDGE_CONFIG = (
+    TINY_CONFIG.replace("radius_m = 0.008", "radius_m = 0.021")
+    .replace("carrier_frequency_hz = 300e9", "carrier_frequency_hz = 299792458000.0")
+    .replace("alpha_deg = 0, 30", "alpha_deg = 0")
+    .replace("distance_m = 0.1, 0.3", "distance_m = 0.1")
+    .replace("elevation_step_deg = 30", "elevation_step_deg = 15")
+)
+
+
+@pytest.mark.parametrize(
+    "text, scale", [(TINY_CONFIG, 1.0), (EDGE_CONFIG, 1.0), (None, 0.1)],
+    ids=["tiny", "edge", "default-0.1"],
+)
+def test_the_preflight_charges_the_kernel_workers_the_run_starts(
+    tmp_path, monkeypatch, text, scale
+):
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
+    args = ["--scale", repr(scale)]
+    config = default_config().scaled(scale)
+    if text is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        args += ["--config", str(path)]
+        config = load_config(path)
+    for scenario in ("fig5", "fig6", "fig7", "sweep"):
+        plan = plan_run(config, scenario)
+        out = tmp_path / scenario
+        assert main([scenario, "--out", str(out), *args]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert plan.lattice_bound >= manifest["derived"]["n_tx"]
+        assert plan.kernel_workers >= manifest["host"]["kernel_workers"]
+        if text is EDGE_CONFIG and scenario == "fig5":
+            assert manifest["derived"]["n_tx"] == 5525
+            assert manifest["derived"]["directions_evaluated"] == 13
+            assert plan.kernel_workers == manifest["host"]["kernel_workers"] == 2
 
 
 @pytest.mark.parametrize("scenario", ["fig5", "sweep"])
