@@ -46,14 +46,18 @@ costs 2.3 times as much per entry, as OpenBLAS starts threading it.
 UNIT_TOL = 1e-12
 "Largest | |v| - 1 | of a receive direction the SNR kernel accepts."
 
-ANTENNA_BLOCK = 8192
+ANTENNA_BLOCK = 4096
 """Antennas whose per-antenna geometry one ``orientation_snrs`` task holds at a time.
 
-About 20 float64 values per antenna, so a block takes about 1.3 MB and the
-geometry of a full aperture never exists at once. A block is rounded down to
-whole tiles, and to at most ``SNR_TILE_ELEMENTS / (3 m)`` tiles for ``m``
-evaluated directions, so the per-tile column sums it returns fit in one tile
-buffer however fine the orientation grid.
+About 20 float64 values per antenna, so a block takes about 0.65 MB beside a
+worker's 1.5 MiB of tile buffers, and the geometry of a full aperture never
+exists at once. A block is rounded down to whole tiles, and to at most
+``SNR_TILE_ELEMENTS / (3 m)`` tiles for ``m`` evaluated directions, so the
+per-tile column sums it returns fit in one tile buffer however fine the
+orientation grid. Against 8192, this size cuts a full-size run's peak memory
+by about 1 MiB at no measured cost in time; 2048 cut 0.5 MiB more but made
+``sweep --scale 0.1`` about 10% slower, as its 2837-antenna lattice then
+takes two blocks per placement.
 """
 
 

@@ -53,6 +53,7 @@ from .experiments import (
     narrowband_check,
 )
 from .geometry import (
+    LATTICE_CHUNK,
     Z_HAT,
     _even_divisions,
     build_circular_array,
@@ -386,10 +387,9 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     overflow, and the orientation grid with its temporaries (six float64 per
     direction), held throughout, plus the largest of these phases:
 
-    * the lattice build: at most three float64 arrays and a bool mask of n
-      entries each (it holds two: the larger and the smaller |coordinate| of
-      every lattice point, whose hypot overwrites the first), of which the
-      positions are a part;
+    * the lattice build: beside the positions, one chunk's temporaries, at
+      most 40 bytes a point of ``geometry.LATTICE_CHUNK`` points or of one
+      row if that is longer, and three integers per row;
     * fig3, per distance: ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice
       point while the maps of the earlier distances are held (a float64
       angle and a bool flag each); then the writer, which holds every map
@@ -417,7 +417,7 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     n_az = _even_divisions(2.0 * math.pi, config.azimuth_step, "azimuth_step")
     n_el = _even_divisions(math.pi, config.elevation_step, "elevation_step")
     grid_bytes = float(n_az) * n_el * 6 * 8
-    phase = points * (3 * 8 + 1)  # the lattice build
+    phase = 40.0 * max(LATTICE_CHUNK, side) + 3 * 8 * side  # the lattice build
     if scenario == "fig3":
         maps = (8 + 1) * len(FIG3_DISTANCES_M)
         geometry = maps - (8 + 1) + GEOMETRY_BYTES_PER_ANTENNA
@@ -525,6 +525,8 @@ def main(argv=None) -> int:
         # recorded under the filters in force, then shown as they would have been
         with warnings.catch_warnings(record=True) as issued:
             outputs = SCENARIOS[args.command](plan, layout, out_dir)
+    except OSError as exc:  # the scenarios read no files: an output cannot be written
+        return _output_error(exc)
     finally:
         for w in issued:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
@@ -569,10 +571,18 @@ def main(argv=None) -> int:
         "outputs": [p.name for p in outputs],
         "warnings": [f"{w.category.__name__}: {w.message}" for w in issued],
     }
-    with open(out_dir / "manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        with open(out_dir / "manifest.json", "w") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as exc:
+        return _output_error(exc)
     return EXIT_OK
+
+
+def _output_error(exc: OSError) -> int:
+    print(f"dpcfocus: cannot write output: {exc}", file=sys.stderr)
+    return EXIT_OUTPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -218,17 +218,41 @@ def improvements_db(snr, baseline: str) -> np.ndarray:
 
 def improvement_stats(snr, baseline: str) -> DistributionStats:
     "Box-plot statistics of the dB improvement over ``baseline``."
-    imp = improvements_db(snr, baseline)
-    q1, med, q3 = np.percentile(imp, [25.0, 50.0, 75.0])
+    imp = np.sort(improvements_db(snr, baseline))
+    q1, med, q3 = (_linear_quantile(imp, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     return DistributionStats(
-        median=float(med),
-        lower_quartile=float(q1),
-        upper_quartile=float(q3),
-        lower_whisker=float(max(q1 - 1.5 * iqr, imp.min())),
-        upper_whisker=float(min(q3 + 1.5 * iqr, imp.max())),
+        median=med,
+        lower_quartile=q1,
+        upper_quartile=q3,
+        lower_whisker=float(max(q1 - 1.5 * iqr, imp[0])),
+        upper_whisker=float(min(q3 + 1.5 * iqr, imp[-1])),
         sample_count=int(imp.size),
     )
+
+
+def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """Quantile ``q`` of the ascending ``ordered``, as ``np.quantile``'s default
+    linear method gives it, bit for bit; NaN if ``ordered`` holds a NaN.
+
+    The index is (n - 1) q; from below, fraction t of the way to the next
+    entry, the value is a + (b - a) t for t < 0.5 and b - (b - a)(1 - t)
+    otherwise. numpy takes an index at or past the last entry as the last
+    entry both ways, with t = index + 1. ``np.percentile`` itself would
+    import ``numpy.ma`` (through ``np.unique``) on first use: 1.2 MiB, 10 ms.
+    """
+    last = ordered.size - 1
+    if math.isnan(ordered[last]):
+        return math.nan
+    at = last * q
+    if at >= last:
+        a = b = float(ordered[last])
+        t = at + 1.0
+    else:
+        i = math.floor(at)
+        a, b, t = float(ordered[i]), float(ordered[i + 1]), at - i
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1.0 - t)
 
 
 def ergodic_rate(snr, bandwidth: float) -> tuple[float, float, float]:
@@ -240,5 +264,6 @@ def ergodic_rate(snr, bandwidth: float) -> tuple[float, float, float]:
     snr = _snr_rows(snr)
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    rates = bandwidth * np.log2(1.0 + snr).mean(axis=0)
+    # log1p keeps the rate of an SNR below the spacing of floats near 1
+    rates = bandwidth * (np.log1p(snr) / math.log(2.0)).mean(axis=0)
     return float(rates[0]), float(rates[1]), float(rates[2])

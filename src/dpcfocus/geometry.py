@@ -15,6 +15,15 @@ X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
+LATTICE_CHUNK = 1 << 14
+"""Lattice points whose clip test ``build_circular_array`` takes at a time.
+
+A chunk is whole rows of the lattice's x >= 0 half, at least one row, so
+the build holds at most about 40 bytes per chunk point beside the positions
+(0.6 MiB) and nothing that spans the lattice's bounding square.
+``ArrayLayout`` checks its radius on as many positions at a time.
+"""
+
 
 @dataclass(frozen=True)
 class ArrayLayout:
@@ -37,11 +46,12 @@ class ArrayLayout:
             raise ValueError("positions must be a non-empty (n, 3) array")
         if self.wavelength <= 0 or self.dipole_length <= 0 or self.radius <= 0:
             raise ValueError("wavelength, dipole_length and radius must be positive")
-        if np.any(pos[:, 2] != 0.0):
+        if pos[:, 2].any():
             raise ValueError("array elements must lie on the z = 0 plane")
-        radial = np.hypot(pos[:, 0], pos[:, 1])
-        if np.any(radial > self.radius * (1.0 + 1e-12)):
-            raise ValueError("array elements must lie within the aperture radius")
+        for k0 in range(0, pos.shape[0], LATTICE_CHUNK):
+            chunk = pos[k0:k0 + LATTICE_CHUNK]
+            if np.any(np.hypot(chunk[:, 0], chunk[:, 1]) > self.radius * (1.0 + 1e-12)):
+                raise ValueError("array elements must lie within the aperture radius")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -109,13 +119,17 @@ def build_circular_array(
     pitch = wavelength / 2.0
     n_max = int(math.floor(radius / pitch))
     coords = np.arange(-n_max, n_max + 1) * pitch
-    size = np.abs(coords)
-    # rows scan y, columns scan x
-    radial = np.maximum.outer(size, size)
-    np.hypot(radial, np.minimum.outer(size, size), out=radial)
-    rows, cols = np.nonzero(radial <= radius)
-    del radial
-    positions = np.column_stack((coords[cols], coords[rows], np.zeros(rows.size)))
+    size = coords[n_max:]  # |coordinate| from the centre out, exact under negation
+    # rows scan y; the rows at y and -y keep the same points, so count those at y >= 0
+    half = np.concatenate([kept.sum(axis=1) for _, kept in _kept_rows(size, size, radius)])
+    counts = np.concatenate((half[:0:-1], half))
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    positions = np.zeros((int(starts[-1]), 3))
+    for r0, kept in _kept_rows(coords, size, radius):
+        r1 = r0 + kept.shape[0]
+        rows = slice(starts[r0], starts[r1])
+        positions[rows, 0] = np.broadcast_to(coords, kept.shape)[kept]
+        positions[rows, 1] = np.repeat(coords[r0:r1], counts[r0:r1])
     layout = ArrayLayout(
         positions=positions,
         wavelength=wavelength,
@@ -124,6 +138,24 @@ def build_circular_array(
     )
     vars(layout).update(mirror_symmetric=True, square_symmetric=True)
     return layout
+
+
+def _kept_rows(ys, size, radius: float):
+    """Yield ``(first, kept)`` for chunks of the lattice rows at ``ys``, in order.
+
+    ``kept[i]`` marks the points of row ``ys[first + i]`` in the aperture,
+    over the columns at x = -size[-1], ..., size[-1] (``size`` ascends from
+    0). The test is taken on the x >= 0 half, ``LATTICE_CHUNK`` points at a
+    time, and mirrored onto x < 0, whose |x| are the same floats.
+    """
+    step = max(1, LATTICE_CHUNK // size.size)
+    for first in range(0, ys.size, step):
+        a = np.abs(ys[first:first + step])
+        radial = np.maximum.outer(a, size)
+        np.hypot(radial, np.minimum.outer(a, size), out=radial)
+        kept = radial <= radius
+        del radial
+        yield first, np.concatenate((kept[:, :0:-1], kept), axis=1)
 
 
 def rx_position(distance: float, alpha: float) -> np.ndarray:

@@ -586,7 +586,7 @@ STREAM_RXS = [
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("block", [1, 8192], ids=["one-tile", "default"])
+@pytest.mark.parametrize("block", [1, 4096], ids=["one-tile", "default"])
 def test_orientation_snrs_is_bit_equal_to_one_placement_calls(
     kernel_layout, monkeypatch, block, workers
 ):

@@ -120,6 +120,23 @@ def test_main_unwritable_output_exit_code(tmp_path, tiny_config_path):
     assert code == EXIT_OUTPUT_ERROR
 
 
+@pytest.mark.parametrize(
+    "scenario, name",
+    [("check", "check.csv"), ("check", "manifest.json"), ("fig3", "fig3.csv"),
+     ("fig5", "fig5.csv")],
+)
+def test_an_output_file_that_cannot_be_opened_is_an_output_error(
+    tmp_path, tiny_config_path, capsys, scenario, name
+):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code = main([scenario, "--config", str(tiny_config_path), "--out", str(out)])
+    assert code == EXIT_OUTPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("dpcfocus: cannot write output: ") and name in err
+    assert len(err.splitlines()) == 1
+
+
 def test_main_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["does-not-exist"])
@@ -260,7 +277,7 @@ def test_preflight_charges_each_kernel_worker(monkeypatch):
     # per worker: the largest block of geometry among the folds, three tile buffers and
     # three blocks' column sums, each at most a tile buffer on these grids
     tile_buffers = 2 * 3 * 8 * beamforming.SNR_TILE_ELEMENTS
-    # about 70 000 antennas, nine blocks; from one worker on, the kernel outweighs the
+    # about 70 000 antennas, 18 blocks; from one worker on, the kernel outweighs the
     # lattice build's temporaries
     half = default_config().scaled(0.5)
     # one block per placement, four placements: a worker per placement up to the CPUs
@@ -271,9 +288,9 @@ def test_preflight_charges_each_kernel_worker(monkeypatch):
         plans = plan_run(half, "fig5"), plan_run(tiny, "sweep")
         assert [plan.kernel_workers for plan in plans] == [workers, workers]
         estimates.append([plan.estimated_bytes for plan in plans])
-    # the 163-class fold's blocks are 8040 antennas; the 7 classes of TINY_CONFIG's
+    # the 163-class fold's blocks are 4020 antennas; the 7 classes of TINY_CONFIG's
     # square fold make one tile of 9362 antennas, past ANTENNA_BLOCK
-    assert [largest_block(plan) for plan in plans] == [8040, 9362]
+    assert [largest_block(plan) for plan in plans] == [4020, 9362]
     # to a byte: the estimate is a float sum of about 2e7
     for column, plan in enumerate(plans):
         per_worker = largest_block(plan) * GEOMETRY_BYTES_PER_ANTENNA + tile_buffers
@@ -283,7 +300,7 @@ def test_preflight_charges_each_kernel_worker(monkeypatch):
 
 def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
     # about 16 200 classes: a tile is four antennas, and the per-tile column sums of
-    # a whole 8192-antenna block would take 800 MB; blocks are cut to fit a tile buffer
+    # a whole 4096-antenna block would take 400 MB; blocks are cut to fit a tile buffer
     text = TINY_CONFIG.replace("step_deg = 30", "step_deg = 1")
     config = parse_config_text(text)
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
@@ -299,6 +316,22 @@ def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= plan.estimated_bytes
+
+
+def test_preflight_covers_the_lattice_build():
+    # the build holds its positions and one chunk of rows; it held the hypot of every
+    # point of the bounding square and its mask, 17.3 MiB beside 6.5 MiB of positions
+    config = default_config()
+    tracemalloc.start()
+    try:
+        layout = build_circular_array(config.radius, config.wavelength)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert layout.n_tx == 283177
+    # a check run holds only the lattice beside the grid
+    assert peak <= plan_run(config, "check").estimated_bytes
+    assert peak <= 1.25 * layout.positions.nbytes
 
 
 def test_preflight_covers_a_fig3_run(tmp_path):
@@ -344,8 +377,8 @@ def test_a_fig5_run_derives_each_quantity_once(tmp_path, tiny_config_path, monke
     assert not hasattr(beamforming, "kernel_plan")
 
 
-# a 5525-antenna lattice under a bound of 7225: one 8190-antenna block of the full
-# 144-direction grid, but the 13 classes of the square's fold make 5041-antenna blocks
+# a 5525-antenna lattice under a bound of 7225: the 13 classes of the square's fold
+# make 5041-antenna blocks, two for the lattice and two for its bound
 EDGE_CONFIG = (
     TINY_CONFIG.replace("radius_m = 0.008", "radius_m = 0.021")
     .replace("carrier_frequency_hz = 300e9", "carrier_frequency_hz = 299792458000.0")
@@ -444,7 +477,7 @@ def test_manifest_records_the_narrowband_warnings(tmp_path):
     assert bodies[0] == bodies[1]
 
 
-def test_importing_the_cli_defers_threads_and_decimal():
+def test_importing_the_cli_defers_threads_and_decimal(tmp_path, tiny_config_path):
     # both are imported on first use, so a run's set-up does not pay for them
     code = (
         "import sys, dpcfocus.cli; "
@@ -453,6 +486,16 @@ def test_importing_the_cli_defers_threads_and_decimal():
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+    # the quartiles come from one sort: np.percentile would import numpy.ma
+    for scenario in ("fig5", "sweep"):
+        args = [scenario, "--config", str(tiny_config_path), "--out", str(tmp_path / scenario)]
+        code = (
+            f"import sys, dpcfocus.cli; dpcfocus.cli.main({args!r}); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        done = fresh_python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 def test_fig3_output_schema(tmp_path, tiny_config_path):

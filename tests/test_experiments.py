@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpcfocus.beamforming import LinkBudget, orientation_snr, thermal_noise_power
 from dpcfocus.channel import ChannelGeometry
@@ -135,6 +136,31 @@ def test_improvement_stats_quartiles_match_inclusive_convention():
     )
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 700),
+    distinct=st.integers(1, 700),
+    spread_db=st.sampled_from([1e-9, 0.5, 6.0, 40.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_improvement_stats_are_numpys_quartiles_bit_for_bit(n, distinct, spread_db, seed):
+    # each column draws its dB levels from a pool of `distinct` values of both signs, so
+    # small pools tie; np.percentile's linear quartiles and min / max are the oracle
+    rng = np.random.default_rng(seed)
+    pool = 10.0 ** (rng.uniform(-spread_db, spread_db, size=(3, distinct)) / 10.0)
+    snr = np.column_stack([rng.choice(levels, size=n) for levels in pool])
+    for baseline in ("switched", "dual"):
+        imp = improvements_db(snr, baseline)
+        q1, med, q3 = np.percentile(imp, [25.0, 50.0, 75.0])
+        iqr = q3 - q1
+        expected = [med, q1, q3, max(q1 - 1.5 * iqr, imp.min()), min(q3 + 1.5 * iqr, imp.max())]
+        stats = improvement_stats(snr, baseline)
+        got = [stats.median, stats.lower_quartile, stats.upper_quartile,
+               stats.lower_whisker, stats.upper_whisker]
+        assert np.array(got).tobytes() == np.array(expected, dtype=float).tobytes()
+        assert stats.sample_count == n
+
+
 def test_improvement_stats_whiskers_clamp_to_extremes():
     imp_db = [0.0, 1.0, 2.0, 3.0, 100.0]
     snr = snr_from_ratios([10.0 ** (x / 10.0) for x in imp_db])
@@ -193,6 +219,13 @@ def test_ergodic_rate_reference_point():
     assert math.isclose(rate_dpc, 1e8, rel_tol=1e-12)
     assert math.isclose(rate_dual, 1e8, rel_tol=1e-12)
     assert math.isclose(rate_sw, 1e8, rel_tol=1e-12)
+
+
+def test_ergodic_rate_keeps_the_rate_of_a_tiny_snr():
+    # 1 + 1e-17 rounds to 1, so log2(1 + SNR) gave 0; the rate is B SNR / ln 2
+    rates = ergodic_rate(np.full((4, 3), 1e-17), bandwidth=1e8)
+    for rate in rates:
+        assert math.isclose(rate, 1e8 * 1e-17 / math.log(2.0), rel_tol=1e-12)
 
 
 def test_ergodic_rate_preserves_hierarchy(small_layout, coarse_grid):
