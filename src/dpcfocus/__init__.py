@@ -37,8 +37,6 @@ from .beamforming import (
     benchmark_weights,
     dpc_beamformer,
     evaluate_snr,
-    orientation_snr,
-    orientation_snrs,
     polarization_angle_map,
     thermal_noise_power,
 )
@@ -49,7 +47,6 @@ from .experiments import (
     improvement_stats,
     improvements_db,
     narrowband_check,
-    orientation_sweep,
     placement_sweeps,
 )
 
@@ -81,9 +78,6 @@ __all__ = [
     "narrowband_check",
     "orientation_classes",
     "orientation_grid",
-    "orientation_snr",
-    "orientation_snrs",
-    "orientation_sweep",
     "placement_sweeps",
     "polarization_angle_map",
     "polarized_gain",

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import PolarizedChannel, _pattern, _series, pattern_series
-from .geometry import ArrayLayout, orientation_classes
+from .geometry import ArrayLayout, _positive_finite, orientation_classes
 
 BOLTZMANN = 1.380649e-23
 "Boltzmann constant in J/K (exact SI value)."
@@ -33,7 +33,7 @@ LINEAR_POL_TOL = 1e-6
 "Relative imaginary part above which a weight pair is not linearly polarized."
 
 SNR_TILE_ELEMENTS = 65536
-"""Antenna x direction elements per ``orientation_snrs`` tile.
+"""Antenna x direction elements per ``folded_snrs`` tile.
 
 512 KiB per float64 buffer: about 400 antennas x the 163 symmetry classes of
 the default 648-orientation grid. Each worker evaluates its tiles into three
@@ -47,7 +47,7 @@ UNIT_TOL = 1e-12
 "Largest | |v| - 1 | of a receive direction the SNR kernel accepts."
 
 ANTENNA_BLOCK = 4096
-"""Antennas whose per-antenna geometry one ``orientation_snrs`` task holds at a time.
+"""Antennas whose per-antenna geometry one ``folded_snrs`` task holds at a time.
 
 About 20 float64 values per antenna, so a block takes about 0.65 MB beside a
 worker's 1.5 MiB of tile buffers, and the geometry of a full aperture never
@@ -70,7 +70,7 @@ def available_cpus() -> int:
 
 
 MAX_WORKERS = available_cpus()
-"""Most threads ``orientation_snrs`` runs its (placement, antenna block) tasks on.
+"""Most threads ``folded_snrs`` runs its (placement, antenna block) tasks on.
 
 Speed-ups were measured on two CPUs only; beyond that the scaling is untested.
 """
@@ -78,8 +78,8 @@ Speed-ups were measured on two CPUs only; beyond that the scaling is untested.
 
 def thermal_noise_power(bandwidth: float, temperature: float = 290.0) -> float:
     "k_B * T * B noise floor in watts."
-    if bandwidth <= 0 or temperature <= 0:
-        raise ValueError("bandwidth and temperature must be positive")
+    if not (_positive_finite(bandwidth) and _positive_finite(temperature)):
+        raise ValueError("bandwidth and temperature must be positive and finite")
     return BOLTZMANN * temperature * bandwidth
 
 
@@ -201,81 +201,6 @@ def evaluate_snr(channel: PolarizedChannel, budget: LinkBudget) -> SnrTriple:
     )
 
 
-def orientation_snr(
-    layout: ArrayLayout, rx_center, directions, budget: LinkBudget
-) -> np.ndarray:
-    """Received SNRs for many receive-dipole directions at one RX placement.
-
-    Returns an (m, 3) array whose row i holds (DPC, dual, switched) for
-    ``directions[i]``, the same quantities as
-    ``evaluate_snr(ChannelGeometry(layout, rx_center).channel_for(directions[i]), budget)``.
-    The propagation phase cancels under both the DPC and the phase-only
-    conjugate weights, so only channel magnitudes are needed:
-
-        snr_dpc      = rho * (sum_k sqrt(|h_x,k|^2 + |h_y,k|^2))^2 / n
-        snr_dual     = rho * ((sum_k |h_x,k|)^2 + (sum_k |h_y,k|)^2) / n
-        snr_switched = rho * max(sum_k |h_x,k|, sum_k |h_y,k|)^2 / n
-
-    This is ``orientation_snrs`` for the one RX center ``rx_center``; see
-    there for how the sums are evaluated.
-
-    Raises
-    ------
-    ValueError
-        If ``directions`` is not a non-empty (m, 3) array of unit vectors,
-        the RX center is not a finite 3-vector, or it coincides with a TX
-        element.
-    """
-    (snr,) = orientation_snrs(layout, [rx_center], directions, budget)
-    return snr
-
-
-def orientation_snrs(layout: ArrayLayout, rx_centers, directions, budget: LinkBudget):
-    """Iterator over ``orientation_snr``'s (m, 3) array for each of ``rx_centers``, in order.
-
-    Directions that share their SNRs by symmetry (``orientation_classes``)
-    are evaluated once and the result is copied to every member: v and -v
-    always; (vx, vy, vz) with (vx, -vy, vz) when the RX center has y == 0
-    and the layout is closed under y -> -y; and every sign change and the
-    swap vx <-> vy when the RX center lies on the z axis (x == y == 0) and
-    the layout is closed under all 8 symmetries of the square. The classes
-    and their tiling are worked out once per call for each of these folds.
-
-    The geometry is built from the positions in blocks of about
-    ``ANTENNA_BLOCK`` antennas (``_block_geometry``), and within a block the
-    magnitudes are built tile by tile (``SNR_TILE_ELEMENTS`` antenna x
-    direction entries at a time) as
-    |h_x,k| = |(e_x,k . v) g_rx(p_k . v)| with the dipole pattern g_rx of
-    ``channel._pattern``. The (placement, block) tasks of all the RX centers
-    form one stream, run in order on ``min(MAX_WORKERS, tasks)`` threads,
-    each task under a copy of the caller's context, so ``np.errstate``
-    holds in them too. Blocks hold whole tiles and each placement's per-tile
-    column sums are added in tile order by the calling thread, so a
-    placement's array depends on neither the block size, the number of
-    threads nor the other RX centers of the call, and repeated calls return
-    identical arrays. An array is yielded as soon as its last block is
-    summed; at most two tasks per thread are in flight, so the memory held
-    grows with neither the number of blocks nor of placements. Abandoning
-    the iterator cancels the queued tasks and stops its threads.
-
-    The tiles square amplitudes relative to the RX range r0 (at least the
-    aperture radius): an antenna closer to the RX than about 1e-154 r0
-    overflows them and gives infinite SNRs.
-
-    Raises
-    ------
-    ValueError
-        At the call, before any task is queued: if ``directions`` is not a
-        non-empty (m, 3) array of unit vectors (within ``UNIT_TOL``), or an
-        RX center is not a finite 3-vector. Once the iteration reaches it:
-        if an RX center coincides with a TX element.
-    """
-    placements = fold_placements(
-        rx_centers, directions, layout.radius, layout.mirror_symmetric, layout.square_symmetric
-    )
-    return folded_snrs(layout, placements, budget)
-
-
 def fold_placements(
     rx_centers, directions, radius: float, mirror_symmetric: bool, square_symmetric: bool,
     folds: dict | None = None,
@@ -318,7 +243,56 @@ def fold_directions(directions, mirror: bool, square: bool = False) -> _Fold:
 
 
 def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
-    """``orientation_snrs`` on ``fold_placements`` worked out for ``layout``'s radius and flags."""
+    """Iterator over the received SNRs at each of ``placements``, in order.
+
+    ``placements`` is ``fold_placements`` worked out for ``layout``'s radius
+    and symmetry flags. Each item is an (m, 3) array whose row i holds
+    (DPC, dual, switched) for the placement's ``directions[i]``, the same
+    quantities as
+    ``evaluate_snr(ChannelGeometry(layout, rx).channel_for(directions[i]), budget)``.
+    The propagation phase cancels under both the DPC and the phase-only
+    conjugate weights, so only channel magnitudes are needed:
+
+        snr_dpc      = rho * (sum_k sqrt(|h_x,k|^2 + |h_y,k|^2))^2 / n
+        snr_dual     = rho * ((sum_k |h_x,k|)^2 + (sum_k |h_y,k|)^2) / n
+        snr_switched = rho * max(sum_k |h_x,k|, sum_k |h_y,k|)^2 / n
+
+    Directions that share their SNRs by symmetry (``orientation_classes``)
+    are evaluated once and the result is copied to every member: v and -v
+    always; (vx, vy, vz) with (vx, -vy, vz) when the RX center has y == 0
+    and the layout is closed under y -> -y; and every sign change and the
+    swap vx <-> vy when the RX center lies on the z axis (x == y == 0) and
+    the layout is closed under all 8 symmetries of the square. The classes
+    and their tiling are worked out once per fold.
+
+    The geometry is built from the positions in blocks of about
+    ``ANTENNA_BLOCK`` antennas (``_block_geometry``), and within a block the
+    magnitudes are built tile by tile (``SNR_TILE_ELEMENTS`` antenna x
+    direction entries at a time) as
+    |h_x,k| = |(e_x,k . v) g_rx(p_k . v)| with the dipole pattern g_rx of
+    ``channel._pattern``. The (placement, block) tasks of all the placements
+    form one stream, run in order on ``kernel_workers`` threads, each task
+    under a copy of the caller's context, so ``np.errstate`` holds in them
+    too. Blocks hold whole tiles and each placement's per-tile column sums
+    are added in tile order by the calling thread, so a placement's array
+    depends on neither the block size, the number of threads nor the other
+    placements of the call, and repeated calls return identical arrays. An
+    array is yielded as soon as its last block is summed; at most two tasks
+    per thread are in flight, so the memory held grows with neither the
+    number of blocks nor of placements. Abandoning the iterator cancels the
+    queued tasks and stops its threads.
+
+    The tiles square amplitudes relative to the RX range r0 (at least the
+    aperture radius): an antenna closer to the RX than about 1e-154 r0
+    overflows them and gives infinite SNRs.
+
+    Raises
+    ------
+    ValueError
+        Once the iteration reaches it: if an RX center coincides with a TX
+        element. ``fold_placements`` refuses bad directions and RX centers
+        before any task exists.
+    """
     n = layout.n_tx
     ratio = layout.dipole_length / layout.wavelength
     coeffs = pattern_series(ratio)
@@ -471,6 +445,33 @@ def _block_geometry(positions, rx, r0: float, coeffs):
         np.multiply(p_hat, (-scale * cos_tx)[:, None], out=e[axis])
         e[axis, :, axis] += scale
     return p_hat, e
+
+
+def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
+    """Polarization axis of each antenna's DPC weights, in radians, for an RX dipole along z.
+
+    The same angles as ``polarization_angle_map(dpc_beamformer(
+    ChannelGeometry(layout, rx).channel_for(Z_HAT)))``, taken from the
+    kernel's real factors: with a_u = ``e[u, :, 2]`` of ``_block_geometry``,
+    h_u = K a_u for a complex K shared by both dipoles of an antenna, so the
+    weight pair's relative phasor is |K|^2 a_x a_y, real, and the axis is
+    atan2(a_x a_y, a_x^2) in (-pi/2, pi/2]. As there, an antenna with
+    a_x == 0 radiates along y (pi/2) unless a_y == 0 too, when it puts its
+    power on the x dipole (0). Evaluated ``ANTENNA_BLOCK`` antennas at a time
+    in the calling thread.
+    """
+    rx = np.asarray(rx, dtype=float)
+    coeffs = pattern_series(layout.dipole_length / layout.wavelength)
+    r0 = max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), layout.radius)
+    angles = np.empty(layout.n_tx)
+    for b0 in range(0, layout.n_tx, ANTENNA_BLOCK):
+        _, e = _block_geometry(layout.positions[b0:b0 + ANTENNA_BLOCK], rx, r0, coeffs)
+        a_x, a_y = e[0, :, 2], e[1, :, 2]
+        block = np.arctan2(a_x * a_y, np.square(a_x))
+        block[(a_x == 0.0) & (a_y != 0.0)] = math.pi / 2.0
+        block += 0.0  # -0.0 -> +0.0
+        angles[b0:b0 + a_x.size] = block
+    return angles
 
 
 @dataclass

@@ -34,16 +34,15 @@ import numpy as np
 
 from . import __version__
 from .beamforming import (
+    ANTENNA_BLOCK,
     SNR_TILE_ELEMENTS,
     available_cpus,
-    dpc_beamformer,
     fold_directions,
     fold_placements,
     folded_snrs,
     kernel_workers,
-    polarization_angle_map,
+    polarization_angles,
 )
-from .channel import ChannelGeometry
 from .experiments import (
     NARROWBAND_MARGIN,
     SweepConfig,
@@ -54,7 +53,6 @@ from .experiments import (
 )
 from .geometry import (
     LATTICE_CHUNK,
-    Z_HAT,
     _even_divisions,
     build_circular_array,
     orientation_grid,
@@ -84,11 +82,11 @@ OPTIONAL_KEYS = ("noise_power_w",)
 LIST_KEYS = ("alpha_deg", "distance_m")
 
 GEOMETRY_BYTES_PER_ANTENNA = 8 * 32
-"""Estimated peak bytes per antenna of a ``ChannelGeometry``.
+"""Estimated peak bytes per antenna of ``beamforming._block_geometry``.
 
-Its 17 float64 arrays per antenna plus the temporaries that build them.
-fig3 builds one for the whole lattice; each worker of the sweep kernel
-builds one antenna block's worth at a time.
+Its about 20 float64 values per antenna plus the temporaries that build
+them, rounded up. Each worker of the sweep kernel, and fig3's map in the
+calling thread, holds one antenna block's worth at a time.
 """
 
 
@@ -259,18 +257,12 @@ def scenario_placements(name: str, config) -> list[tuple[float, float]]:
     return []
 
 
-def _polarization_map_deg(layout, alpha: float, distance: float):
-    """Polarization axes in degrees and the nonlinear flags of one fig3 placement.
-
-    The placement's full-lattice geometry is freed on return, so the
-    geometries of two distances never exist at once.
-    """
-    geom = ChannelGeometry(layout, rx_position(distance, alpha))
-    pol = polarization_angle_map(dpc_beamformer(geom.channel_for(Z_HAT)))
-    angles_deg = np.degrees(pol.angles)
+def _polarization_map_deg(layout, alpha: float, distance: float) -> np.ndarray:
+    "Polarization axes in degrees of one fig3 placement, for an RX dipole along z."
+    angles_deg = np.degrees(polarization_angles(layout, rx_position(distance, alpha)))
     if not np.all(np.isfinite(angles_deg)):
         raise ValueError("polarization map contains undefined angles")
-    return angles_deg, pol.nonlinear
+    return angles_deg
 
 
 def run_fig3(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
@@ -279,11 +271,11 @@ def run_fig3(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     The maps of both distances are worked out before the file is opened, so
     an undefined angle leaves no file. Rows are then formatted as they are
     written, as ``_write_csv`` formats them, and never held all at once.
+    An antenna's two channel entries share one complex factor, so its DPC
+    weights are in phase or opposed and the ``nonlinear`` column is 0.
     """
     header = ["distance_m", "antenna_index", "x_m", "y_m", "pol_angle_deg", "nonlinear"]
-    maps = [
-        (d, *_polarization_map_deg(layout, alpha, d)) for alpha, d in plan.placements
-    ]
+    maps = [(d, _polarization_map_deg(layout, alpha, d)) for alpha, d in plan.placements]
     # lattice positions are finite by construction, and so are the checked angles
     xs = layout.positions[:, 0].tolist()
     ys = layout.positions[:, 1].tolist()
@@ -291,14 +283,14 @@ def run_fig3(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for d, angles_deg, nonlinear in maps:
+        for d, angles_deg in maps:
             writer.writerows(zip(
                 repeat(_fmt(d)),
                 map(str, range(layout.n_tx)),
                 map(repr, xs),
                 map(repr, ys),
                 map(repr, angles_deg.tolist()),
-                map(_fmt, nonlinear.tolist()),
+                repeat("0"),
             ))
     return [path]
 
@@ -308,7 +300,9 @@ def run_placements(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
 
     Each row is the placement's full ``sweep.csv`` row (``SWEEP_COLUMNS``)
     cut down to the scenario's ``PLACEMENT_COLUMNS``. Every placement whose
-    narrowband check fails issues a warning before the first sweep runs.
+    narrowband check fails issues a warning before the first sweep runs. A
+    placement with an SNR of 0 raises ``ConfigError`` before the file is
+    opened.
     """
     config = plan.config
     columns = PLACEMENT_COLUMNS[plan.scenario]
@@ -318,6 +312,11 @@ def run_placements(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     sweeps = folded_snrs(layout, plan.kernel, config.budget())
     rows = []
     for (alpha, d), snr in zip(plan.placements, sweeps, strict=True):
+        if not np.all(snr > 0.0):
+            raise ConfigError(
+                f"distance {d!r} m at alpha {_deg(alpha)!r} deg is too large: "
+                "an SNR underflows to 0, which has no dB improvement"
+            )
         sw = improvement_stats(snr, "switched")
         du = improvement_stats(snr, "dual")
         row = (
@@ -390,11 +389,11 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     * the lattice build: beside the positions, one chunk's temporaries, at
       most 40 bytes a point of ``geometry.LATTICE_CHUNK`` points or of one
       row if that is longer, and three integers per row;
-    * fig3, per distance: ``GEOMETRY_BYTES_PER_ANTENNA`` for every lattice
-      point while the maps of the earlier distances are held (a float64
-      angle and a bool flag each); then the writer, which holds every map
-      plus three lists of Python floats (x, y and one map's angles) and one
-      list of bools;
+    * fig3: the writer, which holds every distance's map (a float64 angle
+      per lattice point) plus three lists of Python floats (x, y and one
+      map's angles), and beside it ``GEOMETRY_BYTES_PER_ANTENNA`` for one
+      ``beamforming.ANTENNA_BLOCK``, the geometry a map is built from, which
+      bounds the map phase too;
     * the sweep kernel: each of its workers holds the geometry of the
       folds' largest antenna block, three float64 tile buffers of
       ``SNR_TILE_ELEMENTS`` and at most three blocks' column sums (two in
@@ -419,10 +418,10 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     grid_bytes = float(n_az) * n_el * 6 * 8
     phase = 40.0 * max(LATTICE_CHUNK, side) + 3 * 8 * side  # the lattice build
     if scenario == "fig3":
-        maps = (8 + 1) * len(FIG3_DISTANCES_M)
-        geometry = maps - (8 + 1) + GEOMETRY_BYTES_PER_ANTENNA
-        writer = maps + 3 * (8 + 24) + 8  # a list entry points at a 24-byte float or a bool
-        phase = max(phase, points * max(geometry, writer))
+        # the writer holds every map and three lists (x, y and one map's angles) whose
+        # entries point at 24-byte floats; a map is built beside one block of geometry
+        writer = 8 * len(FIG3_DISTANCES_M) + 3 * (8 + 24)
+        phase = max(phase, points * writer + ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA)
     _refuse_beyond_memory(points * 3 * 8 + phase + grid_bytes)
     root = math.sqrt(config.transmit_power / config.noise_power)
     for alpha, d in placements:
@@ -525,6 +524,9 @@ def main(argv=None) -> int:
         # recorded under the filters in force, then shown as they would have been
         with warnings.catch_warnings(record=True) as issued:
             outputs = SCENARIOS[args.command](plan, layout, out_dir)
+    except ConfigError as exc:
+        print(f"dpcfocus: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except OSError as exc:  # the scenarios read no files: an output cannot be written
         return _output_error(exc)
     finally:

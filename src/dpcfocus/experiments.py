@@ -16,8 +16,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamforming import LinkBudget, orientation_snrs, thermal_noise_power
-from .geometry import SPEED_OF_LIGHT, ArrayLayout, _even_divisions, orientation_grid, rx_position
+from .beamforming import LinkBudget, fold_placements, folded_snrs, thermal_noise_power
+from .geometry import (
+    SPEED_OF_LIGHT,
+    ArrayLayout,
+    _even_divisions,
+    _positive_finite,
+    orientation_grid,
+    rx_position,
+)
 
 NARROWBAND_MARGIN = 0.1
 "Delay spread must stay below this fraction of the symbol time 1/B."
@@ -27,10 +34,6 @@ BASELINE_COLUMNS = {"dual": 1, "switched": 2}
 
 DEFAULT_ALPHAS_DEG = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 DEFAULT_DISTANCES_M = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
-
-def _positive_finite(value: float) -> bool:
-    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -132,32 +135,13 @@ def narrowband_check(
     aperture rim relative to its center. ``valid`` means the spread stays
     under ``margin`` symbol times (1/bandwidth).
     """
-    if distance <= 0 or radius < 0 or bandwidth <= 0:
-        raise ValueError("distance and bandwidth must be positive, radius non-negative")
+    if not (_positive_finite(distance) and _positive_finite(bandwidth)
+            and 0 <= radius < math.inf):
+        raise ValueError(
+            "distance and bandwidth must be positive and finite, radius finite and non-negative"
+        )
     delay = (math.hypot(distance, radius) - distance) / SPEED_OF_LIGHT
     return delay, delay < margin / bandwidth
-
-
-def orientation_sweep(
-    layout: ArrayLayout,
-    alpha: float,
-    distance: float,
-    budget: LinkBudget,
-    *,
-    grid: np.ndarray | None = None,
-    bandwidth: float | None = None,
-) -> np.ndarray:
-    """SNRs of every receive-dipole orientation at a fixed RX center.
-
-    Returns ``orientation_snr``'s (m, 3) array: row i holds the (DPC, dual,
-    switched) SNRs for ``grid[i]``. This is ``placement_sweeps`` for the one
-    placement (``alpha``, ``distance``). When ``bandwidth`` is given, a
-    failing narrowband check issues a warning but the sweep still runs.
-    """
-    if bandwidth is not None:
-        _warn_if_not_narrowband(distance, layout.radius, bandwidth)
-    (snr,) = placement_sweeps(layout, [(alpha, distance)], budget, grid=grid)
-    return snr
 
 
 def placement_sweeps(
@@ -168,14 +152,16 @@ def placement_sweeps(
     grid: np.ndarray | None = None,
     bandwidth: float | None = None,
 ):
-    """Iterator over ``orientation_sweep``'s array for each (alpha, distance) of ``placements``.
+    """Iterator over the SNRs of every receive-dipole orientation, per (alpha, distance).
 
-    The arrays come in placement order, each as soon as it is ready, from one
-    ``orientation_snrs`` stream: the antenna blocks of all placements share
-    one set of worker threads, and each array is bit-identical to the one
-    ``orientation_sweep`` returns for its placement alone. When ``bandwidth``
-    is given, every placement whose narrowband check fails issues a warning
-    before the first sweep runs; the sweeps still run.
+    Each item is an (m, 3) array whose row i holds the (DPC, dual, switched)
+    SNRs for ``grid[i]`` (default ``orientation_grid()``) with the RX center
+    at ``rx_position(distance, alpha)``. The arrays come in placement order,
+    each as soon as it is ready, from one ``folded_snrs`` stream: the antenna
+    blocks of all placements share one set of worker threads, and each array
+    is bit-identical to the one a call with its placement alone yields. When
+    ``bandwidth`` is given, every placement whose narrowband check fails
+    issues a warning before the first sweep runs; the sweeps still run.
     """
     if grid is None:
         grid = orientation_grid()
@@ -184,7 +170,10 @@ def placement_sweeps(
         for _, distance in placements:
             _warn_if_not_narrowband(distance, layout.radius, bandwidth)
     rx_centers = [rx_position(distance, alpha) for alpha, distance in placements]
-    return orientation_snrs(layout, rx_centers, grid, budget)
+    folded = fold_placements(
+        rx_centers, grid, layout.radius, layout.mirror_symmetric, layout.square_symmetric
+    )
+    return folded_snrs(layout, folded, budget)
 
 
 def _warn_if_not_narrowband(distance: float, radius: float, bandwidth: float) -> None:
@@ -262,8 +251,8 @@ def ergodic_rate(snr, bandwidth: float) -> tuple[float, float, float]:
     rows of the (m, 3) SNR array with equal weight.
     """
     snr = _snr_rows(snr)
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not _positive_finite(bandwidth):
+        raise ValueError("bandwidth must be positive and finite")
     # log1p keeps the rate of an SNR below the spacing of floats near 1
     rates = bandwidth * (np.log1p(snr) / math.log(2.0)).mean(axis=0)
     return float(rates[0]), float(rates[1]), float(rates[2])

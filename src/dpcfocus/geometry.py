@@ -25,6 +25,10 @@ the build holds at most about 40 bytes per chunk point beside the positions
 """
 
 
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class ArrayLayout:
     """Planar transmit array on z = 0, one crossed-dipole pair per element.
@@ -44,8 +48,8 @@ class ArrayLayout:
         pos = np.ascontiguousarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise ValueError("positions must be a non-empty (n, 3) array")
-        if self.wavelength <= 0 or self.dipole_length <= 0 or self.radius <= 0:
-            raise ValueError("wavelength, dipole_length and radius must be positive")
+        if not all(map(_positive_finite, (self.wavelength, self.dipole_length, self.radius))):
+            raise ValueError("wavelength, dipole_length and radius must be positive and finite")
         if pos[:, 2].any():
             raise ValueError("array elements must lie on the z = 0 plane")
         for k0 in range(0, pos.shape[0], LATTICE_CHUNK):
@@ -112,8 +116,8 @@ def build_circular_array(
     wavelength : float
         Carrier wavelength in meters; the lattice pitch is half of it.
     """
-    if radius <= 0 or wavelength <= 0:
-        raise ValueError("radius and wavelength must be positive")
+    if not (_positive_finite(radius) and _positive_finite(wavelength)):
+        raise ValueError("radius and wavelength must be positive and finite")
     if dipole_length is None:
         dipole_length = wavelength / 2.0
     pitch = wavelength / 2.0
@@ -164,8 +168,8 @@ def rx_position(distance: float, alpha: float) -> np.ndarray:
     ``alpha`` is the polar angle from the array normal (z-axis) in radians;
     the result is ``(distance*sin(alpha), 0, distance*cos(alpha))``.
     """
-    if distance <= 0:
-        raise ValueError("distance must be positive")
+    if not (_positive_finite(distance) and math.isfinite(alpha)):
+        raise ValueError("distance must be positive and finite, alpha finite")
     return np.array([distance * math.sin(alpha), 0.0, distance * math.cos(alpha)])
 
 

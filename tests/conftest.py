@@ -1,5 +1,6 @@
 import numpy as np
 
+from dpcfocus.beamforming import fold_placements, folded_snrs
 from dpcfocus.channel import PolarizedChannel
 
 
@@ -8,3 +9,17 @@ def random_channel(rng: np.random.Generator, n: int, scale: float = 1.0) -> Pola
     h_x = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
     h_y = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
     return PolarizedChannel(h_x=h_x, h_y=h_y)
+
+
+def kernel_snrs(layout, rx_centers, directions, budget):
+    "The SNR kernel's (m, 3) array for each of ``rx_centers``, in order, folded for ``layout``."
+    placements = fold_placements(
+        rx_centers, directions, layout.radius, layout.mirror_symmetric, layout.square_symmetric
+    )
+    return folded_snrs(layout, placements, budget)
+
+
+def kernel_snr(layout, rx_center, directions, budget):
+    "The SNR kernel's (m, 3) array for the one RX center ``rx_center``."
+    (snr,) = kernel_snrs(layout, [rx_center], directions, budget)
+    return snr

@@ -16,12 +16,12 @@ from dpcfocus.beamforming import (
     benchmark_weights,
     dpc_beamformer,
     evaluate_snr,
-    orientation_snr,
-    orientation_snrs,
     polarization_angle_map,
+    polarization_angles,
     thermal_noise_power,
 )
 from dpcfocus.channel import ChannelGeometry, PolarizedChannel, assemble_channel
+from dpcfocus.cli import FIG3_ALPHA, FIG3_DISTANCES_M
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
     ArrayLayout,
@@ -32,7 +32,7 @@ from dpcfocus.geometry import (
     orientation_grid,
     rx_position,
 )
-from conftest import random_channel
+from conftest import kernel_snr, kernel_snrs, random_channel
 from oracles import grid_search_gain
 
 UNIT_BUDGET = LinkBudget(transmit_power=1.0, noise_power=1.0)
@@ -285,6 +285,36 @@ def test_polarization_spread_shrinks_with_distance():
     assert stds[0] > stds[1]
 
 
+FIG3_LAYOUT = build_circular_array(0.1 * 0.15, SPEED_OF_LIGHT / 300e9)  # fig3 at scale 0.1
+
+
+@pytest.mark.parametrize("block", [1000, 4096])
+@pytest.mark.parametrize(
+    "alpha, distance",
+    [(FIG3_ALPHA, d) for d in FIG3_DISTANCES_M] + [(0.0, FIG3_DISTANCES_M[0])],
+)
+def test_polarization_angles_match_the_complex_map(monkeypatch, block, alpha, distance):
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
+    rx = rx_position(distance, alpha)
+    real = polarization_angles(FIG3_LAYOUT, rx)
+    channel = ChannelGeometry(FIG3_LAYOUT, rx).channel_for(Z_HAT)
+    pol = polarization_angle_map(dpc_beamformer(channel))
+    assert not pol.nonlinear.any()
+    assert np.max(np.abs(np.degrees(real) - np.degrees(pol.angles))) <= 1e-12
+
+
+def test_polarization_angles_keep_the_edge_rules_on_the_z_axis():
+    # over the centre, the x = 0 column has a_x = 0 and radiates along y; the centre
+    # antenna itself has a_x = a_y = 0 and puts its power on the x dipole
+    angles = np.degrees(polarization_angles(FIG3_LAYOUT, rx_position(0.15, 0.0)))
+    x, y = FIG3_LAYOUT.positions[:, 0], FIG3_LAYOUT.positions[:, 1]
+    column = (x == 0.0) & (y != 0.0)
+    assert column.sum() == 60
+    assert np.all(angles[column] == 90.0)
+    centre = angles[(x == 0.0) & (y == 0.0)]
+    assert centre.tolist() == [0.0] and not np.signbit(centre[0])
+
+
 KERNEL_WAVELENGTH = SPEED_OF_LIGHT / 300e9
 KERNEL_BUDGET = LinkBudget(transmit_power=1e-3, noise_power=thermal_noise_power(100e6))
 DEFAULT_GRID = orientation_grid()
@@ -332,7 +362,7 @@ def assert_kernel_matches_oracle(layout, alpha, distance, grid):
 
 
 def assert_rx_matches_oracle(layout, rx_center, grid):
-    fast = orientation_snr(layout, rx_center, grid, KERNEL_BUDGET)
+    fast = kernel_snr(layout, rx_center, grid, KERNEL_BUDGET)
     slow = oracle_snr(layout, rx_center, grid, KERNEL_BUDGET)
     assert fast.shape == (grid.shape[0], 3)
     # exact zeros (an all-null channel) must stay exact
@@ -410,8 +440,8 @@ def test_orientation_snr_on_random_directions(kernel_layout):
 
 def test_orientation_snr_is_bit_reproducible(kernel_layout):
     rx = rx_position(0.1, math.radians(30.0))
-    first = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
-    second = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+    first = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+    second = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     assert np.array_equal(first, second)
 
 
@@ -430,10 +460,10 @@ def test_orientation_snr_bits_do_not_depend_on_block_or_workers(
     # blocks hold whole tiles and the caller adds the per-tile sums in tile order; the
     # 1257-antenna layout is four tiles, one default block, which the oracle tests check
     rx = rx_position(0.1, math.radians(30.0))
-    default = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+    default = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
     monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
-    assert np.array_equal(orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET), default)
+    assert np.array_equal(kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET), default)
 
 
 def test_orientation_snr_on_threads_matches_evaluate_snr(kernel_layout, threaded):
@@ -452,16 +482,16 @@ def test_orientation_snr_blocks_shrink_on_fine_grids(kernel_layout, monkeypatch)
     assert (rows, block) == (32, 320)
     assert (block // rows) * 3 * 2000 <= SNR_TILE_ELEMENTS
     rx = rx_position(0.1, math.radians(30.0))
-    one = orientation_snr(kernel_layout, rx, v, KERNEL_BUDGET)
+    one = kernel_snr(kernel_layout, rx, v, KERNEL_BUDGET)
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
     assert beamforming.kernel_workers(kernel_layout.n_tx, folded(kernel_layout, [rx], v)) == 2
-    assert np.array_equal(orientation_snr(kernel_layout, rx, v, KERNEL_BUDGET), one)
+    assert np.array_equal(kernel_snr(kernel_layout, rx, v, KERNEL_BUDGET), one)
     assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, v)
 
 
 def test_orientation_snr_rejects_bad_directions(kernel_layout):
     with pytest.raises(ValueError):
-        orientation_snr(kernel_layout, rx_position(0.1, 0.0), Z_HAT, KERNEL_BUDGET)
+        kernel_snr(kernel_layout, rx_position(0.1, 0.0), Z_HAT, KERNEL_BUDGET)
 
 
 @pytest.fixture
@@ -475,9 +505,9 @@ def no_kernel_tasks(monkeypatch):
 
 
 def refused_at_the_call(layout, rx_centers, directions, match):
-    # orientation_snrs refuses before it returns its iterator, so before any task is queued
+    # fold_placements refuses before folded_snrs is called, so before any task is queued
     with pytest.raises(ValueError, match=match):
-        orientation_snrs(layout, rx_centers, directions, KERNEL_BUDGET)
+        kernel_snrs(layout, rx_centers, directions, KERNEL_BUDGET)
 
 
 def test_kernel_refuses_an_empty_grid(kernel_layout, no_kernel_tasks):
@@ -513,7 +543,7 @@ def test_orientation_snr_rejects_a_colocated_rx(kernel_layout, threaded, antenna
     # antenna -1 sits in the last block, which a worker thread evaluates
     rx = kernel_layout.positions[antenna]
     with pytest.raises(ValueError, match="co-located"):
-        orientation_snr(kernel_layout, rx, GRID_30_20, KERNEL_BUDGET)
+        kernel_snr(kernel_layout, rx, GRID_30_20, KERNEL_BUDGET)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -527,17 +557,17 @@ def test_orientation_snr_distances_do_not_overflow(kernel_layout, monkeypatch, w
     assert beamforming.kernel_workers(kernel_layout.n_tx, placements) == workers
     # |rx - p|^2 overflows float64 at 1e200 m; the SNRs underflow to 0 instead of NaN
     with np.errstate(over="raise", invalid="raise"):
-        far = orientation_snr(kernel_layout, rx_position(1e200, 0.3), GRID_30_20, KERNEL_BUDGET)
+        far = kernel_snr(kernel_layout, rx_position(1e200, 0.3), GRID_30_20, KERNEL_BUDGET)
     assert np.all(far == 0.0)
     # 1e-300 m above the centre antenna, in a middle block, its amplitude r0 / r = 1e298
     # overflows when squared in a tile; at P/N = 1e-300 nothing else overflows, so the
     # caller's errstate must reach the thread that evaluates the tile
     tiny = LinkBudget(transmit_power=1e-300, noise_power=1.0)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        orientation_snr(kernel_layout, rx_position(1e-300, 0.0), GRID_30_20, tiny)
+        kernel_snr(kernel_layout, rx_position(1e-300, 0.0), GRID_30_20, tiny)
     # at 1e150 m every factor is representable and the free-space 1/r^2 law holds
     snr = [
-        orientation_snr(kernel_layout, rx_position(d, 0.3), GRID_30_20, KERNEL_BUDGET)
+        kernel_snr(kernel_layout, rx_position(d, 0.3), GRID_30_20, KERNEL_BUDGET)
         for d in (1e150, 2e150)
     ]
     assert np.all(snr[0] > 0.0)
@@ -551,14 +581,14 @@ def test_square_fold_on_the_z_axis_matches_the_mirror_fold_and_the_oracle(
     # same layout gets the mirror fold, whose evaluated directions differ
     rx = rx_position(0.1, 0.0)
     assert evaluated(kernel_layout, [rx], DEFAULT_GRID) == [46]
-    square = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+    square = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     with monkeypatch.context() as patch:
         patch.setattr(
             beamforming, "orientation_classes",
             lambda v, mirror, square=False: orientation_classes(v, mirror),
         )
         assert evaluated(kernel_layout, [rx], DEFAULT_GRID) == [163]
-        mirror = orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+        mirror = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     assert np.all(np.abs(square - mirror) <= 1e-12 * np.abs(mirror))
     assert_rx_matches_oracle(kernel_layout, rx, DEFAULT_GRID)
 
@@ -590,13 +620,13 @@ STREAM_RXS = [
 def test_orientation_snrs_is_bit_equal_to_one_placement_calls(
     kernel_layout, monkeypatch, block, workers
 ):
-    alone = [orientation_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET) for rx in STREAM_RXS]
+    alone = [kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET) for rx in STREAM_RXS]
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
     monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
     # at least one block per placement: every worker asked for starts
     stream = folded(kernel_layout, STREAM_RXS, DEFAULT_GRID)
     assert beamforming.kernel_workers(kernel_layout.n_tx, stream) == workers
-    streamed = list(orientation_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET))
+    streamed = list(kernel_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET))
     assert len(streamed) == len(alone)
     for got, expected in zip(streamed, alone):
         assert np.array_equal(got, expected)
@@ -607,7 +637,7 @@ def test_orientation_snrs_mixes_mirror_and_plain_placements(kernel_layout, threa
     # placements 163, and of the one off the xz plane 307
     assert kernel_layout.square_symmetric
     assert evaluated(kernel_layout, STREAM_RXS, DEFAULT_GRID) == [163, 46, 307, 163]
-    streamed = orientation_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET)
+    streamed = kernel_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET)
     for rx, fast in zip(STREAM_RXS, streamed, strict=True):
         slow = oracle_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
         assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
@@ -634,9 +664,9 @@ def test_orientation_snrs_raises_at_a_colocated_rx_after_earlier_placements(
 ):
     baseline = threading.active_count()
     rxs = [STREAM_RXS[0], kernel_layout.positions[-1], STREAM_RXS[1]]
-    stream = orientation_snrs(kernel_layout, rxs, GRID_30_20, KERNEL_BUDGET)
+    stream = kernel_snrs(kernel_layout, rxs, GRID_30_20, KERNEL_BUDGET)
     first = next(stream)
-    assert np.array_equal(first, orientation_snr(kernel_layout, rxs[0], GRID_30_20, KERNEL_BUDGET))
+    assert np.array_equal(first, kernel_snr(kernel_layout, rxs[0], GRID_30_20, KERNEL_BUDGET))
     with pytest.raises(ValueError, match="co-located"):
         next(stream)
     assert threading.active_count() == baseline
@@ -651,7 +681,7 @@ def test_orientation_snrs_keeps_the_callers_errstate_on_later_placements(kernel_
     placements = folded(kernel_layout, rxs, GRID_30_20)
     assert beamforming.kernel_workers(kernel_layout.n_tx, placements) == 2
     with np.errstate(over="raise"):
-        stream = orientation_snrs(kernel_layout, rxs, GRID_30_20, tiny)
+        stream = kernel_snrs(kernel_layout, rxs, GRID_30_20, tiny)
         assert np.all(np.isfinite(next(stream)))
         with pytest.raises(FloatingPointError):
             next(stream)
@@ -678,7 +708,7 @@ def test_abandoning_orientation_snrs_cancels_its_queued_tasks(kernel_layout, thr
     def consume():
         # one block per placement on the 29-class grid: 20 tasks, of which the first
         # five are submitted (four, then one more after the first is taken)
-        for i, _ in enumerate(orientation_snrs(kernel_layout, rxs, GRID_30_20, KERNEL_BUDGET)):
+        for i, _ in enumerate(kernel_snrs(kernel_layout, rxs, GRID_30_20, KERNEL_BUDGET)):
             if i == 1:
                 # stop only once both workers hold a sleeping task, the third and fourth
                 assert both_held.wait(timeout=30.0)
@@ -749,10 +779,10 @@ def test_orientation_snrs_matches_the_oracle_on_drawn_inputs(inputs, tile, worke
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(beamforming, "SNR_TILE_ELEMENTS", tile)
         patch.setattr(beamforming, "MAX_WORKERS", 1)
-        alone = list(orientation_snrs(layout, rxs, grid, KERNEL_BUDGET))
+        alone = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET))
         patch.setattr(beamforming, "MAX_WORKERS", workers)
         patch.setattr(beamforming, "ANTENNA_BLOCK", block)
-        streamed = list(orientation_snrs(layout, rxs, grid, KERNEL_BUDGET))
+        streamed = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET))
     assert len(streamed) == len(rxs)
     for rx, fast, first in zip(rxs, streamed, alone):
         assert np.array_equal(fast, first)

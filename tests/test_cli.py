@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpcfocus import beamforming, cli, experiments, geometry
-from dpcfocus.beamforming import LinkBudget, orientation_snr
+from dpcfocus.beamforming import LinkBudget
 from dpcfocus.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -41,6 +41,7 @@ from dpcfocus.geometry import (
     orientation_grid,
     rx_position,
 )
+from conftest import kernel_snr
 
 TINY_CONFIG = """\
 # reduced-size run for fast tests
@@ -257,16 +258,16 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
     assert len(scenario_placements("sweep", config)) == 70
 
 
-def test_preflight_charges_fig3_for_its_full_geometry_only(monkeypatch):
+def test_preflight_charges_fig3_for_its_writer_and_one_block_of_geometry(monkeypatch):
     config = default_config()
-    # fig3 holds a ChannelGeometry for the whole lattice beside the first distance's map
+    # fig3 holds its maps and the writer's lists beside one antenna block of geometry
     fig3 = plan_run(config, "fig3").estimated_bytes
-    assert fig3 == 104562533.7332808
+    assert fig3 == 50270941.05095567
     # the sweep kernel holds the positions and, per worker, one antenna block of geometry
     # and three tile buffers; the workers are pinned to two CPUs' worth
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
     for scenario in ("fig5", "fig6", "fig7", "sweep", "check"):
-        assert plan_run(config, scenario).estimated_bytes < 0.25 * fig3
+        assert plan_run(config, scenario).estimated_bytes < 0.4 * fig3
 
 
 def largest_block(plan):
@@ -311,7 +312,7 @@ def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
     assert plan.kernel_workers == 2
     tracemalloc.start()
     try:
-        orientation_snr(layout, rx_position(0.1, math.radians(30.0)), grid, budget)
+        kernel_snr(layout, rx_position(0.1, math.radians(30.0)), grid, budget)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -596,6 +597,10 @@ def test_bad_scale_is_a_one_line_usage_error(tmp_path, capsys, scale):
         ("sweep", "radius_m = 0.008", "radius_m = 0.0001"),
         # every SNR of the rim link would fall below the smallest normal float
         ("sweep", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e200"),
+        # valid, but 1e150 m out some SNRs underflow float64 to 0, which has no dB value
+        ("sweep", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e150"),
+        ("fig6", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e150"),
+        ("fig7", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e150"),
         # the strongest link, from an antenna at least d cos(alpha) away, would overflow
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-300, 0.3"),
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-160, 0.3"),

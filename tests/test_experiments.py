@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpcfocus.beamforming import LinkBudget, orientation_snr, thermal_noise_power
+from dpcfocus.beamforming import LinkBudget, thermal_noise_power
 from dpcfocus.channel import ChannelGeometry
 from dpcfocus.experiments import (
     DistributionStats,
@@ -15,10 +15,16 @@ from dpcfocus.experiments import (
     improvement_stats,
     improvements_db,
     narrowband_check,
-    orientation_sweep,
     placement_sweeps,
 )
-from dpcfocus.geometry import SPEED_OF_LIGHT, build_circular_array, orientation_grid, rx_position
+from dpcfocus.geometry import (
+    SPEED_OF_LIGHT,
+    ArrayLayout,
+    build_circular_array,
+    orientation_grid,
+    rx_position,
+)
+from conftest import kernel_snr
 
 BUDGET = LinkBudget(transmit_power=1e-3, noise_power=thermal_noise_power(100e6))
 WAVELENGTH = SPEED_OF_LIGHT / 300e9
@@ -43,42 +49,38 @@ def snr_from_ratios(ratios, base=1.0):
 
 def test_orientation_sweep_shape_and_ordering(small_layout):
     alpha = math.radians(30.0)
-    snr = orientation_sweep(small_layout, alpha, 0.1, BUDGET)
+    (snr,) = placement_sweeps(small_layout, [(alpha, 0.1)], BUDGET)
     assert snr.shape == (648, 3) and snr.dtype == np.float64
     rx = rx_position(0.1, alpha)
-    assert np.array_equal(snr, orientation_snr(small_layout, rx, orientation_grid(), BUDGET))
+    assert np.array_equal(snr, kernel_snr(small_layout, rx, orientation_grid(), BUDGET))
 
 
 def test_orientation_sweep_never_builds_channel_geometry(small_layout, coarse_grid, monkeypatch):
-    expected = orientation_sweep(small_layout, 0.4, 0.2, BUDGET, grid=coarse_grid)
+    (expected,) = placement_sweeps(small_layout, [(0.4, 0.2)], BUDGET, grid=coarse_grid)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep path built a ChannelGeometry")
 
     monkeypatch.setattr(ChannelGeometry, "__init__", refuse)
-    got = orientation_sweep(small_layout, 0.4, 0.2, BUDGET, grid=coarse_grid)
+    (got,) = placement_sweeps(small_layout, [(0.4, 0.2)], BUDGET, grid=coarse_grid)
     assert np.array_equal(got, expected)
 
 
 def test_orientation_sweep_hierarchy_per_record(small_layout, coarse_grid):
-    snr = orientation_sweep(
-        small_layout, math.radians(20.0), 0.15, BUDGET, grid=coarse_grid
-    )
+    (snr,) = placement_sweeps(small_layout, [(math.radians(20.0), 0.15)], BUDGET, grid=coarse_grid)
     assert np.all(snr[:, 0] >= snr[:, 1] * (1.0 - 1e-12))
     assert np.all(snr[:, 1] >= snr[:, 2] * (1.0 - 1e-12))
 
 
 def test_orientation_sweep_duplicate_pole_orientations(small_layout):
-    snr = orientation_sweep(small_layout, math.radians(30.0), 0.1, BUDGET)
+    (snr,) = placement_sweeps(small_layout, [(math.radians(30.0), 0.1)], BUDGET)
     # elevation 0 repeats the +z dipole for every azimuth
     assert np.array_equal(snr[1:36], np.broadcast_to(snr[0], (35, 3)))
 
 
 def test_orientation_sweep_warns_when_narrowband_fails(small_layout, coarse_grid):
     with pytest.warns(RuntimeWarning) as record:
-        orientation_sweep(
-            small_layout, 0.0, 0.1, BUDGET, grid=coarse_grid, bandwidth=1e12
-        )
+        placement_sweeps(small_layout, [(0.0, 0.1)], BUDGET, grid=coarse_grid, bandwidth=1e12)
     assert [w.filename for w in record] == [__file__]  # points at the caller
 
 
@@ -86,7 +88,7 @@ def test_placement_sweeps_match_one_placement_sweeps(small_layout, coarse_grid):
     placements = [(0.0, 0.1), (math.radians(30.0), 0.3), (math.radians(60.0), 1.0)]
     streamed = placement_sweeps(small_layout, placements, BUDGET, grid=coarse_grid)
     for (alpha, d), snr in zip(placements, streamed, strict=True):
-        expected = orientation_sweep(small_layout, alpha, d, BUDGET, grid=coarse_grid)
+        (expected,) = placement_sweeps(small_layout, [(alpha, d)], BUDGET, grid=coarse_grid)
         assert np.array_equal(snr, expected)
 
 
@@ -197,18 +199,14 @@ def test_improvement_stats_rejects_bad_input():
 
 
 def test_improvements_are_nonnegative_for_model_channels(small_layout, coarse_grid):
-    snr = orientation_sweep(
-        small_layout, math.radians(40.0), 0.12, BUDGET, grid=coarse_grid
-    )
+    (snr,) = placement_sweeps(small_layout, [(math.radians(40.0), 0.12)], BUDGET, grid=coarse_grid)
     assert np.all(improvements_db(snr, "switched") >= -1e-12)
     assert np.all(improvements_db(snr, "dual") >= -1e-12)
 
 
 def test_distance_sweep_dual_advantage_fades_with_range(small_layout, coarse_grid):
-    near, far = (
-        orientation_sweep(small_layout, math.radians(30.0), d, BUDGET, grid=coarse_grid)
-        for d in (0.1, 1.0)
-    )
+    placements = [(math.radians(30.0), d) for d in (0.1, 1.0)]
+    near, far = placement_sweeps(small_layout, placements, BUDGET, grid=coarse_grid)
     assert improvement_stats(far, "dual").median < improvement_stats(near, "dual").median
     assert improvement_stats(near, "switched").median >= 0.0
     assert improvement_stats(far, "switched").median >= 0.0
@@ -229,9 +227,7 @@ def test_ergodic_rate_keeps_the_rate_of_a_tiny_snr():
 
 
 def test_ergodic_rate_preserves_hierarchy(small_layout, coarse_grid):
-    snr = orientation_sweep(
-        small_layout, math.radians(10.0), 0.1, BUDGET, grid=coarse_grid
-    )
+    (snr,) = placement_sweeps(small_layout, [(math.radians(10.0), 0.1)], BUDGET, grid=coarse_grid)
     rate_dpc, rate_dual, rate_sw = ergodic_rate(snr, bandwidth=100e6)
     assert rate_dpc >= rate_dual >= rate_sw
     assert rate_sw > 0.0
@@ -274,14 +270,41 @@ def test_narrowband_check_monotonicity_and_threshold():
 
 
 def test_improvements_invariant_under_joint_power_scaling(small_layout, coarse_grid):
-    base = orientation_sweep(small_layout, 0.2, 0.15, BUDGET, grid=coarse_grid)
+    (base,) = placement_sweeps(small_layout, [(0.2, 0.15)], BUDGET, grid=coarse_grid)
     scaled_budget = LinkBudget(
         transmit_power=BUDGET.transmit_power * 7.0, noise_power=BUDGET.noise_power * 7.0
     )
-    scaled = orientation_sweep(small_layout, 0.2, 0.15, scaled_budget, grid=coarse_grid)
+    (scaled,) = placement_sweeps(small_layout, [(0.2, 0.15)], scaled_budget, grid=coarse_grid)
     da = improvements_db(base, "switched")
     db = improvements_db(scaled, "switched")
     assert np.all(np.abs(da - db) <= 1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: ArrayLayout(np.zeros((1, 3)), bad, 5e-4, 0.01),
+        lambda bad: ArrayLayout(np.zeros((1, 3)), 1e-3, bad, 0.01),
+        lambda bad: ArrayLayout(np.zeros((1, 3)), 1e-3, 5e-4, bad),
+        lambda bad: build_circular_array(bad, 1e-3),
+        lambda bad: build_circular_array(0.01, bad),
+        lambda bad: thermal_noise_power(bad),
+        lambda bad: thermal_noise_power(1e8, bad),
+        lambda bad: ergodic_rate(np.ones((2, 3)), bad),
+        lambda bad: rx_position(bad, 0.1),
+        lambda bad: rx_position(0.1, bad),
+        lambda bad: narrowband_check(bad, 0.15, 1e8),
+        lambda bad: narrowband_check(0.1, bad, 1e8),
+        lambda bad: narrowband_check(0.1, 0.15, bad),
+    ],
+    ids=["wavelength", "dipole_length", "radius", "array-radius", "array-wavelength",
+         "bandwidth", "temperature", "rate-bandwidth", "rx-distance", "rx-alpha",
+         "narrowband-distance", "narrowband-radius", "narrowband-bandwidth"],
+)
+def test_library_inputs_must_be_positive_and_finite(call, bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        call(bad)
 
 
 def test_sweep_config_defaults_and_validation():
@@ -337,7 +360,7 @@ def test_sweep_config_refuses_distances_past_the_weakest_link_floor():
 
 
 def test_distribution_stats_sample_count_matches_grid(small_layout, coarse_grid):
-    snr = orientation_sweep(small_layout, 0.1, 0.3, BUDGET, grid=coarse_grid)
+    (snr,) = placement_sweeps(small_layout, [(0.1, 0.3)], BUDGET, grid=coarse_grid)
     stats = improvement_stats(snr, "dual")
     assert stats.sample_count == coarse_grid.shape[0]
     assert isinstance(stats, DistributionStats)
