@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import PolarizedChannel, _pattern, _series, pattern_series
+from .channel import PolarizedChannel, _series, pattern_series
 from .geometry import ArrayLayout, _positive_finite, orientation_classes
 
 BOLTZMANN = 1.380649e-23
@@ -33,14 +33,12 @@ LINEAR_POL_TOL = 1e-6
 "Relative imaginary part above which a weight pair is not linearly polarized."
 
 SNR_TILE_ELEMENTS = 65536
-"""Antenna x direction elements per ``folded_snrs`` tile.
+"""Antenna x direction entries per ``folded_snrs`` tile.
 
-512 KiB per float64 buffer: about 400 antennas x the 163 symmetry classes of
-the default 648-orientation grid. Each worker evaluates its tiles into three
-such buffers, 1.5 MiB, so they stay in a 2 MiB L2. With a quarter of this
-size, the per-call cost of Python and the hand-offs of the interpreter lock
-ate the second thread's gain; with four times it, a tile's matrix product
-costs 2.3 times as much per entry, as OpenBLAS starts threading it.
+A tile is ``SNR_TILE_ELEMENTS // m`` antennas (at least one) for m evaluated
+directions, about 400 antennas x the 163 symmetry classes of the default
+648-orientation grid. Each tile's column sums are added in antenna order,
+and the tiles' sums in tile order, so this size fixes the bits of every SNR.
 """
 
 UNIT_TOL = 1e-12
@@ -49,16 +47,33 @@ UNIT_TOL = 1e-12
 ANTENNA_BLOCK = 4096
 """Antennas whose per-antenna geometry one ``folded_snrs`` task holds at a time.
 
-About 20 float64 values per antenna, so a block takes about 0.65 MB beside a
-worker's 1.5 MiB of tile buffers, and the geometry of a full aperture never
-exists at once. A block is rounded down to whole tiles, and to at most
-``SNR_TILE_ELEMENTS / (3 m)`` tiles for ``m`` evaluated directions, so the
-per-tile column sums it returns fit in one tile buffer however fine the
-orientation grid. Against 8192, this size cuts a full-size run's peak memory
-by about 1 MiB at no measured cost in time; 2048 cut 0.5 MiB more but made
-``sweep --scale 0.1`` about 10% slower, as its 2837-antenna lattice then
-takes two blocks per placement.
+About 20 float64 values per antenna, so a block takes about 0.65 MB, and the
+geometry of a full aperture never exists at once. A block is rounded down to
+whole tiles, and to at most ``SNR_TILE_ELEMENTS / (3 m)`` tiles for ``m``
+evaluated directions, so the per-tile column sums it returns take at most
+``SNR_TILE_ELEMENTS`` float64 however fine the orientation grid. Against
+8192, this size cut a full-size run's peak memory by about 1 MiB at no
+measured cost in time; 2048 cut 0.5 MiB more but made ``sweep --scale 0.1``
+about 10% slower, as its 2837-antenna lattice then takes two blocks per
+placement.
 """
+
+KERNEL_SOURCE = "tile_sums.c"
+"The C source of the tile kernel, beside this module."
+
+KERNEL_FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
+"""Flags ``cc`` builds the tile kernel with.
+
+Without contraction no multiply and add fuse, so every instruction set the
+source is cloned for gives the same bits; without errno, ``sqrt`` vectorizes.
+"""
+
+KERNEL_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+"Directory the built tile kernel is kept in, beside the package's byte code."
+
+
+class KernelBuildError(RuntimeError):
+    "Raised when the C compiler ``cc`` is missing or fails to build the tile kernel."
 
 
 def available_cpus() -> int:
@@ -267,22 +282,26 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
 
     The geometry is built from the positions in blocks of about
     ``ANTENNA_BLOCK`` antennas (``_block_geometry``), and within a block the
-    magnitudes are built tile by tile (``SNR_TILE_ELEMENTS`` antenna x
-    direction entries at a time) as
-    |h_x,k| = |(e_x,k . v) g_rx(p_k . v)| with the dipole pattern g_rx of
-    ``channel._pattern``. The (placement, block) tasks of all the placements
-    form one stream, run in order on ``kernel_workers`` threads, each task
-    under a copy of the caller's context, so ``np.errstate`` holds in them
-    too. Blocks hold whole tiles and each placement's per-tile column sums
-    are added in tile order by the calling thread, so a placement's array
-    depends on neither the block size, the number of threads nor the other
-    placements of the call, and repeated calls return identical arrays. An
-    array is yielded as soon as its last block is summed; at most two tasks
-    per thread are in flight, so the memory held grows with neither the
-    number of blocks nor of placements. Abandoning the iterator cancels the
-    queued tasks and stops its threads.
+    magnitudes |h_x,k| = |(e_x,k . v) g_rx| and |h_y,k| of each antenna and
+    direction, with the dipole pattern g_rx = |p_k x v| h((p_k . v)^2) and h
+    the series of ``channel.pattern_series``, are summed by one compiled loop (``_tile_sums``),
+    in tiles of ``SNR_TILE_ELEMENTS // m`` antennas. The loop is built with
+    ``cc`` on first use and kept in ``KERNEL_CACHE``. The (placement, block)
+    tasks of all the placements form one stream, run in order on
+    ``kernel_workers`` threads; the loop runs without the interpreter lock,
+    so the threads share the CPUs. Each task runs under a copy of the
+    caller's context and raises the loop's floating-point exceptions again
+    there, so ``np.errstate`` holds in them too. Blocks hold whole tiles and
+    each placement's per-tile column sums are added in tile order by the
+    calling thread, so a placement's array depends on neither the block
+    size, the number of threads nor the other placements of the call, and
+    repeated calls return identical arrays. An array is yielded as soon as
+    its last block is summed; at most two tasks per thread are in flight, so
+    the memory held grows with neither the number of blocks nor of
+    placements. Abandoning the iterator cancels the queued tasks and stops
+    its threads.
 
-    The tiles square amplitudes relative to the RX range r0 (at least the
+    The loop squares amplitudes relative to the RX range r0 (at least the
     aperture radius): an antenna closer to the RX than about 1e-154 r0
     overflows them and gives infinite SNRs.
 
@@ -292,15 +311,18 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
         Once the iteration reaches it: if an RX center coincides with a TX
         element. ``fold_placements`` refuses bad directions and RX centers
         before any task exists.
+    KernelBuildError
+        At the first item, if the tile kernel is not built yet and ``cc``
+        is missing or fails.
     """
     n = layout.n_tx
-    ratio = layout.dipole_length / layout.wavelength
-    coeffs = pattern_series(ratio)
+    coeffs = pattern_series(layout.dipole_length / layout.wavelength)
+    kernel = _tile_kernel()  # built, if need be, before any task is queued
 
     def block_sums(task):
         rx, r0, fold, b0 = task
         p_hat, e = _block_geometry(layout.positions[b0:b0 + fold.block], rx, r0, coeffs)
-        return _tile_sums(p_hat, e, fold.directions, ratio, fold.rows, fold.cols)
+        return _tile_sums(kernel, p_hat, e, fold.directions, coeffs, fold.rows)
 
     # one (rx, r0, fold, first antenna) task per antenna block of every placement
     tasks = [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, fold.block)]
@@ -331,17 +353,15 @@ class _Fold(NamedTuple):
     directions: np.ndarray
     inverse: np.ndarray
     rows: int
-    cols: int
     block: int
 
 
-def _tiling(m: int) -> tuple[int, int, int]:
-    "(rows, cols, block): antennas and directions per tile, antennas per block."
-    cols = max(1, min(m, SNR_TILE_ELEMENTS))
-    rows = max(1, SNR_TILE_ELEMENTS // cols)
-    # a block returns 3 m column sums per tile: together at most one tile buffer
+def _tiling(m: int) -> tuple[int, int]:
+    "(rows, block): antennas per tile and per block, for m evaluated directions."
+    rows = max(1, SNR_TILE_ELEMENTS // m)
+    # a block returns 3 m column sums per tile: together at most SNR_TILE_ELEMENTS
     tiles = max(1, min(ANTENNA_BLOCK // rows, SNR_TILE_ELEMENTS // (3 * m)))
-    return rows, cols, rows * tiles
+    return rows, rows * tiles
 
 
 def kernel_workers(n_tx, placements) -> int:
@@ -377,46 +397,114 @@ def _in_order(task, args, workers: int):
                 future.cancel()
 
 
-def _tile_sums(p_hat, e, v, ratio: float, rows: int, cols: int) -> np.ndarray:
+_FP_REPLAYS = (
+    (1, np.multiply, 1e308, 10.0),  # overflow
+    (2, np.subtract, math.inf, math.inf),  # invalid
+    (4, np.divide, 1.0, 0.0),  # divide by zero
+    (8, np.multiply, 1e-300, 1e-300),  # underflow
+)
+"(bit of ``tile_sums``' return, ufunc, operands) that raise each exception in numpy."
+
+
+def _tile_sums(kernel, p_hat, e, v, coeffs, rows: int) -> np.ndarray:
     """Per-tile column sums of one antenna block, a (tiles, 3, m) array.
 
     Tile t covers ``rows`` antennas from ``t * rows`` on; its entry holds, per
-    direction, the sums over those antennas of sqrt(|h_x|^2 + |h_y|^2), |h_x|
-    and |h_y| in the units of ``_block_geometry``. Every tile is evaluated
-    into the same three buffers of ``rows * cols`` float64, allocated once,
-    with the x and y dipoles side by side so that each step is one call. The
-    column sums are products with a row of ones, which BLAS takes in one pass
-    over the tile, where ``np.sum`` over the antenna axis strides across it;
-    either way they depend on the tile alone.
+    direction of ``v``, the sums over those antennas of sqrt(|h_x|^2 + |h_y|^2),
+    |h_x| and |h_y| in the units of ``_block_geometry``, added in antenna
+    order by ``kernel`` (``_tile_kernel``), with the pattern series ``coeffs``.
     """
-    k = p_hat.shape[0]
-    m = v.shape[0]
+    p_hat, e, v, coeffs = (np.ascontiguousarray(a, dtype=float) for a in (p_hat, e, v, coeffs))
+    k, m = p_hat.shape[0], v.shape[0]
+    # the loop reads and writes exactly these shapes
+    if p_hat.shape != (k, 3) or e.shape != (2, k, 3) or v.shape != (m, 3) or rows < 1:
+        raise ValueError("tile kernel operands of mismatched shapes")
     out = np.empty((-(-k // rows), 3, m))
-    buffers = np.empty((3, rows * cols))
-    ones = np.ones(rows)
-    for j0 in range(0, m, cols):
-        vt = v[j0:j0 + cols].T
-        # the e . v product is faster on a C-contiguous block; the p_hat . v product keeps
-        # the strided view, as a copy there moves a near-axis SNR 1.1e-12 from the oracle
-        vc = np.ascontiguousarray(vt)
-        c = vt.shape[1]
-        for t, k0 in enumerate(range(0, k, rows)):
-            r = min(rows, k - k0)
-            tile = buffers[:, :r * c].reshape(3, r, c)
-            g_rx, mags = tile[0], tile[1:]
-            # tile[1] holds the RX cosines until the pattern has consumed them
-            np.matmul(p_hat[k0:k0 + r], vt, out=tile[1])
-            _pattern(tile[1], ratio, out=g_rx, scratch=tile[2])
-            np.matmul(e[:, k0:k0 + r], vc, out=mags)
-            mags *= g_rx
-            np.abs(mags, out=mags)
-            sums = out[t, :, j0:j0 + c]
-            np.matmul(ones[:r], mags, out=sums[1:])
-            np.square(mags, out=mags)
-            np.add(mags[0], mags[1], out=g_rx)
-            np.sqrt(g_rx, out=g_rx)
-            np.matmul(ones[:r], g_rx, out=sums[0])
+    raised = kernel(p_hat.ctypes.data, e.ctypes.data, v.ctypes.data, coeffs.ctypes.data,
+                    coeffs.size, k, m, rows, out.ctypes.data)
+    # the loop's floating-point exceptions, raised again in numpy under its errstate
+    for bit, op, a, b in _FP_REPLAYS:
+        if raised & bit:
+            op(np.full(1, a), b)
     return out
+
+
+_kernel = None
+
+
+def _tile_kernel():
+    "The compiled ``tile_sums`` function, loaded from ``KERNEL_CACHE`` on first use."
+    global _kernel
+    if _kernel is None:
+        _kernel = _load_kernel(KERNEL_CACHE)
+    return _kernel
+
+
+def _load_kernel(cache: str):
+    """Load the tile kernel from ``cache``, building it there first if it is not there.
+
+    The library's name holds a CRC-32 of the source, the flags and the
+    machine, so an edited source never loads a stale build. It is compiled
+    under a temporary name and renamed into place, so a concurrent run never
+    loads a partial file. If ``cache`` cannot be written, the library is
+    built in a private temporary directory, which is removed once it is
+    loaded. ``ctypes.CDLL`` functions release the interpreter lock.
+    """
+    import platform
+    import tempfile
+    import zlib
+
+    source = os.path.join(os.path.dirname(__file__), KERNEL_SOURCE)
+    with open(source, "rb") as handle:
+        key = zlib.crc32(handle.read())
+    key = zlib.crc32(" ".join((*KERNEL_FLAGS, platform.machine())).encode(), key)
+    name = f"tile_sums-{key:08x}.so"
+    path = os.path.join(cache, name)
+    if not os.path.isfile(path):
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, partial = tempfile.mkstemp(suffix=".so", dir=cache)
+        except OSError:
+            with tempfile.TemporaryDirectory() as private:
+                path = os.path.join(private, name)
+                _compile(source, path)
+                return _open(path)
+        os.close(fd)
+        try:
+            _compile(source, partial)
+            os.replace(partial, path)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    return _open(path)
+
+
+def _compile(source: str, target: str, *extra: str) -> None:
+    "Build the shared library ``target`` from ``source`` with ``cc``, or raise KernelBuildError."
+    import subprocess
+
+    command = ["cc", *KERNEL_FLAGS, *extra, "-o", target, source, "-lm"]
+    try:
+        subprocess.run(command, check=True, capture_output=True, text=True)
+    except FileNotFoundError:
+        raise KernelBuildError("no C compiler 'cc' was found; the SNR kernel needs one") from None
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.splitlines() or ["no message"]
+        first = next((line for line in lines if "error" in line), lines[0])
+        raise KernelBuildError(f"'cc' exited with status {exc.returncode}: {first}") from None
+
+
+def _open(path: str):
+    "The ``tile_sums`` function of the shared library at ``path``, typed for ``_tile_sums``."
+    import ctypes
+
+    try:
+        kernel = ctypes.CDLL(path).tile_sums
+    except (OSError, AttributeError) as exc:
+        raise KernelBuildError(f"cannot load the SNR kernel from {path}: {exc}") from None
+    kernel.argtypes = (ctypes.c_void_p,) * 4 + (ctypes.c_long,) * 4 + (ctypes.c_void_p,)
+    kernel.restype = ctypes.c_int
+    return kernel
 
 
 def _block_geometry(positions, rx, r0: float, coeffs):

@@ -152,9 +152,9 @@ def _shifted_chebyshev(degree: int) -> list[list[int]]:
     return rows
 
 
-def _series(x: np.ndarray, coeffs, out: np.ndarray | None = None) -> np.ndarray:
-    "sum_n coeffs[n] * x^n by Horner's rule, into ``out`` (not ``x``; a new array if None)."
-    out = np.multiply(x, coeffs[-1], out=out)
+def _series(x: np.ndarray, coeffs) -> np.ndarray:
+    "sum_n coeffs[n] * x^n by Horner's rule, as a new array."
+    out = x * coeffs[-1]
     out += coeffs[-2]
     for c in coeffs[-3::-1]:
         out *= x
@@ -162,26 +162,16 @@ def _series(x: np.ndarray, coeffs, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _pattern(
-    cos_theta: np.ndarray,
-    length_over_wavelength: float,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
+def _pattern(cos_theta: np.ndarray, length_over_wavelength: float) -> np.ndarray:
     """Dipole pattern sqrt(1 - c^2) * h(c^2) of a float64 array c (ndim >= 1).
 
     The pattern is even in c, so theta and pi - theta need no sign flip.
-    Given ``out`` and ``scratch``, distinct float64 arrays of c's shape, it
-    allocates nothing: the pattern goes to ``out``, and ``scratch`` and c
-    itself are overwritten.
     """
-    x = np.square(cos_theta, out=scratch)
-    out = _series(x, pattern_series(length_over_wavelength), out)
+    out = _series(np.square(cos_theta), pattern_series(length_over_wavelength))
     # (1 - c)(1 + c) keeps sin(theta) accurate next to the axial null, where 1 - c^2 is not
-    sin2 = np.subtract(1.0, cos_theta, out=x)
-    sin2 *= np.add(cos_theta, 1.0, out=None if scratch is None else cos_theta)
+    sin2 = (1.0 - cos_theta) * (1.0 + cos_theta)
     np.maximum(sin2, 0.0, out=sin2)
-    out *= np.sqrt(sin2, out=sin2)
+    out *= np.sqrt(sin2)
     return out
 
 
@@ -284,8 +274,11 @@ class ChannelGeometry:
     def channel_for(self, v_hat) -> PolarizedChannel:
         "Channel vectors for a receive dipole along the unit vector ``v_hat``."
         v = np.asarray(v_hat, dtype=float)
-        # theta_rx = pi - arccos(v . p_hat); the pattern is even in cos(theta)
-        g_rx = _pattern(self.p_hat @ v, self.pattern_ratio)
+        # theta_rx = pi - arccos(v . p_hat); the pattern sin(theta) h(cos^2) is even in
+        # cos(theta), and |p_hat x v| keeps the sine accurate next to the RX dipole's
+        # axis, where the rounded cosine does not
+        g_rx = _series(np.square(self.p_hat @ v), pattern_series(self.pattern_ratio))
+        g_rx *= np.linalg.norm(np.cross(self.p_hat, v), axis=1)
         real_x = self.g_tx_x * g_rx
         real_x *= self.e_x @ v
         real_y = self.g_tx_y * g_rx

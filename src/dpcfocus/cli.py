@@ -36,6 +36,7 @@ from . import __version__
 from .beamforming import (
     ANTENNA_BLOCK,
     SNR_TILE_ELEMENTS,
+    KernelBuildError,
     available_cpus,
     fold_directions,
     fold_placements,
@@ -62,6 +63,7 @@ from .geometry import (
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 3
 EXIT_OUTPUT_ERROR = 4
+EXIT_BUILD_ERROR = 5
 
 FIG3_DISTANCES_M = (0.15, 1.0)
 FIG3_ALPHA = math.radians(30.0)
@@ -395,10 +397,9 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
       ``beamforming.ANTENNA_BLOCK``, the geometry a map is built from, which
       bounds the map phase too;
     * the sweep kernel: each of its workers holds the geometry of the
-      folds' largest antenna block, three float64 tile buffers of
-      ``SNR_TILE_ELEMENTS`` and at most three blocks' column sums (two in
-      flight per worker, one being added by the caller), each at most a
-      tile buffer or 3 m float64.
+      folds' largest antenna block and at most three blocks' column sums
+      (two in flight per worker, one being added by the caller), each at
+      most ``SNR_TILE_ELEMENTS`` or 3 m float64.
 
     The grid is built only once the charge without the kernel fits. Every
     TX element lies on z = 0, so d cos(alpha) bounds each TX-RX distance
@@ -445,9 +446,7 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     workers = kernel_workers(int(min(points, 2.0**53)), kernel)
     block = max((fold.block for _, _, fold in kernel), default=0)
     kernel_bytes = workers * float(
-        block * GEOMETRY_BYTES_PER_ANTENNA
-        + 3 * 8 * SNR_TILE_ELEMENTS
-        + 3 * 8 * max(SNR_TILE_ELEMENTS, 3 * grid.shape[0])
+        block * GEOMETRY_BYTES_PER_ANTENNA + 3 * 8 * max(SNR_TILE_ELEMENTS, 3 * grid.shape[0])
     )
     need = points * 3 * 8 + max(phase, kernel_bytes) + grid_bytes
     _refuse_beyond_memory(need)
@@ -529,6 +528,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     except OSError as exc:  # the scenarios read no files: an output cannot be written
         return _output_error(exc)
+    except KernelBuildError as exc:
+        print(f"dpcfocus: cannot build the SNR kernel: {exc}", file=sys.stderr)
+        return EXIT_BUILD_ERROR
     finally:
         for w in issued:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)

@@ -202,7 +202,10 @@ def improvements_db(snr, baseline: str) -> np.ndarray:
     snr = _snr_rows(snr)[:, [0, BASELINE_COLUMNS[baseline]]]
     if not np.all(snr > 0.0):
         raise ValueError("SNRs must be positive: a zero SNR has no dB improvement")
-    return 10.0 * np.log10(snr[:, 0] / snr[:, 1])
+    a, b = snr[:, 0], snr[:, 1]
+    # log1p of the relative difference keeps every digit when a is close to b, where
+    # log10(a / b) keeps only those of the rounded a / b past 1
+    return (10.0 / math.log(10.0)) * np.log1p((a - b) / b)
 
 
 def improvement_stats(snr, baseline: str) -> DistributionStats:

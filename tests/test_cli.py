@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from dpcfocus import beamforming, cli, experiments, geometry
 from dpcfocus.beamforming import LinkBudget
 from dpcfocus.cli import (
+    EXIT_BUILD_ERROR,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_OUTPUT_ERROR,
@@ -136,6 +137,43 @@ def test_an_output_file_that_cannot_be_opened_is_an_output_error(
     err = capsys.readouterr().err
     assert err.startswith("dpcfocus: cannot write output: ") and name in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.fixture
+def unbuilt_kernel(tmp_path, monkeypatch):
+    "No tile kernel loaded, and an empty cache: the next kernel call builds it."
+    monkeypatch.setattr(beamforming, "_kernel", None)
+    monkeypatch.setattr(beamforming, "KERNEL_CACHE", str(tmp_path / "cache"))
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_a_kernel_that_cannot_be_built_is_a_one_line_build_error(
+    tmp_path, tiny_config_path, capsys, monkeypatch, unbuilt_kernel, compiler
+):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if compiler == "failing":
+        cc = bin_dir / "cc"
+        cc.write_text("#!/bin/sh\necho 'cc: error: out of luck' >&2\necho more >&2\nexit 1\n")
+        cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    out = tmp_path / "out"
+    code = main(["fig5", "--config", str(tiny_config_path), "--out", str(out)])
+    assert code == EXIT_BUILD_ERROR
+    err = capsys.readouterr().err
+    assert one_line(err) and err.startswith("dpcfocus: cannot build the SNR kernel: ")
+    assert ("out of luck" in err) == (compiler == "failing")
+    assert not (out / "fig5.csv").exists() and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("scenario", ["fig3", "check"])
+def test_fig3_and_check_never_build_the_kernel(
+    tmp_path, tiny_config_path, monkeypatch, unbuilt_kernel, scenario
+):
+    monkeypatch.setattr(beamforming, "_load_kernel", lambda cache: pytest.fail("built"))
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
+    assert beamforming._kernel is None
 
 
 def test_main_unknown_subcommand_is_usage_error():
@@ -264,7 +302,7 @@ def test_preflight_charges_fig3_for_its_writer_and_one_block_of_geometry(monkeyp
     fig3 = plan_run(config, "fig3").estimated_bytes
     assert fig3 == 50270941.05095567
     # the sweep kernel holds the positions and, per worker, one antenna block of geometry
-    # and three tile buffers; the workers are pinned to two CPUs' worth
+    # and column sums; the workers are pinned to two CPUs' worth
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
     for scenario in ("fig5", "fig6", "fig7", "sweep", "check"):
         assert plan_run(config, scenario).estimated_bytes < 0.4 * fig3
@@ -275,9 +313,9 @@ def largest_block(plan):
 
 
 def test_preflight_charges_each_kernel_worker(monkeypatch):
-    # per worker: the largest block of geometry among the folds, three tile buffers and
-    # three blocks' column sums, each at most a tile buffer on these grids
-    tile_buffers = 2 * 3 * 8 * beamforming.SNR_TILE_ELEMENTS
+    # per worker: the largest block of geometry among the folds and three blocks' column
+    # sums, each at most SNR_TILE_ELEMENTS float64 on these grids
+    column_sums = 3 * 8 * beamforming.SNR_TILE_ELEMENTS
     # about 70 000 antennas, 18 blocks; from one worker on, the kernel outweighs the
     # lattice build's temporaries
     half = default_config().scaled(0.5)
@@ -294,14 +332,14 @@ def test_preflight_charges_each_kernel_worker(monkeypatch):
     assert [largest_block(plan) for plan in plans] == [4020, 9362]
     # to a byte: the estimate is a float sum of about 2e7
     for column, plan in enumerate(plans):
-        per_worker = largest_block(plan) * GEOMETRY_BYTES_PER_ANTENNA + tile_buffers
+        per_worker = largest_block(plan) * GEOMETRY_BYTES_PER_ANTENNA + column_sums
         charged = [e[column] - estimates[0][column] for e in estimates]
         assert charged == pytest.approx([0, per_worker, 2 * per_worker], rel=0, abs=1.0)
 
 
 def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
     # about 16 200 classes: a tile is four antennas, and the per-tile column sums of
-    # a whole 4096-antenna block would take 400 MB; blocks are cut to fit a tile buffer
+    # a whole 4096-antenna block would take 400 MB; blocks are cut to SNR_TILE_ELEMENTS
     text = TINY_CONFIG.replace("step_deg = 30", "step_deg = 1")
     config = parse_config_text(text)
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
@@ -441,8 +479,8 @@ def fresh_python(*args, **env):
 
 @pytest.mark.parametrize("scenario", ["fig5", "sweep"])
 def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, tiny_config_path, scenario):
-    # the kernel's matrix products and column sums go to BLAS, which may split them
-    # across its own threads
+    # BLAS may split what numpy gives it across its own threads; no CSV cell may
+    # depend on that
     bodies = []
     for threads in ("1", "2"):
         out = tmp_path / threads

@@ -189,6 +189,22 @@ def test_improvements_db_refuses_a_zero_snr(column, refused):
             assert np.all(np.isfinite(improvements_db(snr, baseline)))
 
 
+@pytest.mark.parametrize("baseline", ["switched", "dual"])
+def test_improvements_db_keeps_its_digits_for_close_snrs(baseline):
+    # DPC 1e-9 above the baseline: 10 log10(a / b) of the rounded a / b keeps about 7
+    # significant digits; compared with the exact value of the binary inputs
+    from decimal import Decimal, localcontext
+
+    b = 0.7
+    snr = np.array([[b * (1.0 + 1e-9), b, b], [b * (1.0 + 3e-12), b, b]])
+    got = improvements_db(snr, baseline)
+    for (a, b, _), value in zip(snr, got):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = 10 * (Decimal(a) / Decimal(b)).ln() / Decimal(10).ln()
+        assert abs(Decimal(value) - want) <= Decimal(4e-16) * abs(want)
+
+
 def test_improvement_stats_rejects_bad_input():
     with pytest.raises(ValueError):
         improvement_stats(np.empty((0, 3)), "switched")

@@ -1,0 +1,116 @@
+"""The compiled tile kernel: its build, its cache and its source."""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dpcfocus import beamforming
+from dpcfocus.beamforming import KERNEL_FLAGS, KERNEL_SOURCE, KernelBuildError, LinkBudget
+from dpcfocus.geometry import SPEED_OF_LIGHT, build_circular_array, orientation_grid, rx_position
+from conftest import kernel_snr, kernel_snrs
+
+SOURCE = Path(beamforming.__file__).with_name(KERNEL_SOURCE)
+LAYOUT = build_circular_array(radius=0.004, wavelength=SPEED_OF_LIGHT / 300e9)
+GRID = orientation_grid(math.radians(30.0), math.radians(30.0))
+BUDGET = LinkBudget(transmit_power=1e-3, noise_power=1e-12)
+RX = rx_position(0.05, math.radians(30.0))
+
+
+def snr_with(monkeypatch, kernel):
+    "The kernel's SNRs at ``RX`` with ``kernel`` as the loaded tile kernel."
+    with monkeypatch.context() as patch:
+        patch.setattr(beamforming, "_kernel", kernel)
+        return kernel_snr(LAYOUT, RX, GRID, BUDGET)
+
+
+def refuse_to_compile(*args):
+    raise AssertionError("the compiler ran")
+
+
+def test_the_source_compiles_without_warnings(tmp_path):
+    beamforming._compile(str(SOURCE), str(tmp_path / "kernel.so"), "-Wall", "-Wextra", "-Werror")
+
+
+def test_every_instruction_set_gives_the_same_bits(tmp_path, monkeypatch):
+    # without contraction the clone this CPU runs rounds each step as the baseline does
+    target = tmp_path / "baseline.so"
+    beamforming._compile(str(SOURCE), str(target), "-DCLONES=")
+    baseline = beamforming._open(str(target))
+    layout = build_circular_array(radius=0.01, wavelength=SPEED_OF_LIGHT / 300e9)
+    rxs = [rx_position(d, math.radians(a)) for a in (0.0, 30.0) for d in (0.02, 1.0)]
+    runs = []
+    for kernel in (baseline, beamforming._tile_kernel()):
+        with monkeypatch.context() as patch:
+            patch.setattr(beamforming, "_kernel", kernel)
+            runs.append(list(kernel_snrs(layout, rxs, orientation_grid(), BUDGET)))
+    assert all(np.array_equal(a, b) for a, b in zip(*runs, strict=True))
+
+
+def test_a_cached_kernel_loads_without_the_compiler(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    built = beamforming._load_kernel(str(cache))
+    # one library under its keyed name, and no partial file beside it
+    (library,) = cache.iterdir()
+    assert library.name.startswith("tile_sums-") and library.suffix == ".so"
+    monkeypatch.setattr(beamforming, "_compile", refuse_to_compile)
+    cached = beamforming._load_kernel(str(cache))
+    expected = snr_with(monkeypatch, beamforming._tile_kernel())
+    assert np.array_equal(snr_with(monkeypatch, built), expected)
+    assert np.array_equal(snr_with(monkeypatch, cached), expected)
+
+
+def test_changed_flags_are_built_again(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    beamforming._load_kernel(str(cache))
+    monkeypatch.setattr(beamforming, "KERNEL_FLAGS", KERNEL_FLAGS + ("-DEDITED",))
+    beamforming._load_kernel(str(cache))
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch):
+    # a cache under a plain file cannot be made, whoever runs the test
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    private = tmp_path / "tmp"
+    private.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(private))
+    kernel = beamforming._load_kernel(str(blocker / "cache"))
+    assert list(private.iterdir()) == []  # the private build is removed once loaded
+    assert np.array_equal(snr_with(monkeypatch, kernel),
+                          snr_with(monkeypatch, beamforming._tile_kernel()))
+
+
+def test_a_missing_compiler_is_a_build_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    with pytest.raises(KernelBuildError, match="no C compiler 'cc'"):
+        beamforming._load_kernel(str(tmp_path / "cache"))
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_a_library_that_does_not_load_is_a_build_error(tmp_path):
+    built = tmp_path / "built"
+    beamforming._load_kernel(str(built))
+    (library,) = built.iterdir()
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / library.name).write_bytes(b"not a shared library")
+    with pytest.raises(KernelBuildError, match="cannot load"):
+        beamforming._load_kernel(str(broken))
+
+
+def test_the_caller_sees_the_loops_floating_point_exceptions(monkeypatch):
+    # every bit the loop may return is raised again under the caller's errstate
+    real = beamforming._tile_kernel()
+    for bit, name, message in ((1, "over", "overflow"), (2, "invalid", "invalid value"),
+                               (4, "divide", "divide by zero"), (8, "under", "underflow")):
+        def kernel(*args, bit=bit):
+            assert real(*args) == 0
+            return bit
+
+        with np.errstate(**{name: "raise"}), pytest.raises(FloatingPointError, match=message):
+            snr_with(monkeypatch, kernel)
+        with np.errstate(all="ignore"):
+            snr_with(monkeypatch, kernel)
