@@ -1,14 +1,19 @@
-"""Per-antenna beamformer synthesis and the SNR of three TX architectures.
+"""The received SNR of three TX architectures, from channel magnitudes alone.
 
 Three ways of driving the crossed-dipole array are compared:
 
-* full per-antenna amplitude and phase control over both dipoles
-  (``dpc_beamformer``), which can set an arbitrary polarization state at
-  each antenna;
+* full per-antenna amplitude and phase control over both dipoles (DPC),
+  which can set an arbitrary polarization state at each antenna;
 * a dual-polarization array: phase-only conjugate weights on both dipole
   sets, combined digitally across two chains;
 * a switched-polarization array: the same phase-only weights, but only the
   better of the two dipole sets transmits.
+
+The propagation phase cancels under the optimal and the conjugate weights,
+so ``folded_snrs`` needs only the per-antenna magnitudes |h_x,k| and |h_y,k|.
+The complex weights themselves and the SNR triple by direct inner products
+are the reference route of ``tests/oracles.py``, which the kernel is checked
+against.
 """
 
 from __future__ import annotations
@@ -23,14 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import PolarizedChannel, _series, pattern_series
+from .channel import _series, pattern_series
 from .geometry import ArrayLayout, _positive_finite, orientation_classes
 
 BOLTZMANN = 1.380649e-23
 "Boltzmann constant in J/K (exact SI value)."
-
-LINEAR_POL_TOL = 1e-6
-"Relative imaginary part above which a weight pair is not linearly polarized."
 
 SNR_TILE_ELEMENTS = 65536
 """Antenna x direction entries per ``folded_snrs`` tile.
@@ -118,104 +120,6 @@ class LinkBudget:
             )
 
 
-@dataclass
-class Beamformer:
-    """Complex weights for the x- and y-oriented dipole sets.
-
-    Each antenna k holds |f_x,k|^2 + |f_y,k|^2 = 1/n_tx, the per-antenna
-    power budget.
-    """
-
-    f_x: np.ndarray
-    f_y: np.ndarray
-
-    def __post_init__(self):
-        self.f_x = np.asarray(self.f_x, dtype=complex)
-        self.f_y = np.asarray(self.f_y, dtype=complex)
-        if self.f_x.ndim != 1 or self.f_x.shape != self.f_y.shape:
-            raise ValueError("f_x and f_y must be 1-D arrays of equal length")
-
-    @property
-    def n_tx(self) -> int:
-        return self.f_x.shape[0]
-
-
-@dataclass
-class SnrTriple:
-    "Linear-scale received SNR under the three TX architectures."
-
-    snr_dpc: float
-    snr_dual: float
-    snr_switched: float
-
-
-def dpc_beamformer(channel: PolarizedChannel) -> Beamformer:
-    """SNR-maximizing weights under the per-antenna power constraint.
-
-    Every antenna conjugates the phases of its two channel entries and
-    splits its 1/n_tx power budget across the dipole pair in proportion to
-    |h_x,k| : |h_y,k|. An antenna with no channel at all (both entries zero)
-    contributes nothing whatever it transmits; it gets the full budget on
-    its x dipole so the output stays deterministic.
-    """
-    n = channel.n_tx
-    mag_x = np.abs(channel.h_x)
-    mag_y = np.abs(channel.h_y)
-    amp = np.sqrt(mag_x * mag_x + mag_y * mag_y)
-    alive = amp > 0.0
-    inv = np.divide(1.0 / math.sqrt(n), amp, out=np.zeros(n), where=alive)
-    f_x = np.conj(channel.h_x)
-    f_x *= inv
-    f_y = np.conj(channel.h_y)
-    f_y *= inv
-    if not alive.all():
-        f_x[~alive] = 1.0 / math.sqrt(n)
-    return Beamformer(f_x=f_x, f_y=f_y)
-
-
-def benchmark_weights(channel: PolarizedChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-only conjugate weights with uniform amplitude 1/sqrt(n_tx).
-
-    These drive both benchmark architectures. A zero channel entry has no
-    defined phase; it gets phase 0 by convention.
-    """
-    n = channel.n_tx
-    root = math.sqrt(n)
-    return _conj_phases(channel.h_x) / root, _conj_phases(channel.h_y) / root
-
-
-def _conj_phases(h):
-    mag = np.abs(h)
-    nz = mag > 0.0
-    inv = np.divide(1.0, mag, out=np.zeros(h.shape[0]), where=nz)
-    out = np.conj(h)
-    out *= inv
-    if not nz.all():
-        out[~nz] = 1.0  # zero entries have phase 0 by convention
-    return out
-
-
-def evaluate_snr(channel: PolarizedChannel, budget: LinkBudget) -> SnrTriple:
-    """Received SNR for the DPC, dual- and switched-polarization arrays.
-
-    The benchmark beams yield the per-polarization gains
-    gamma_x = |h_x^T f_x^b| and gamma_y = |h_y^T f_y^b|; switched keeps the
-    better one, dual combines both digitally. The DPC SNR comes from the
-    actual inner product with the optimal weights.
-    """
-    f_x_b, f_y_b = benchmark_weights(channel)
-    gamma_x = abs(np.dot(channel.h_x, f_x_b))
-    gamma_y = abs(np.dot(channel.h_y, f_y_b))
-    opt = dpc_beamformer(channel)
-    gain_dpc = abs(np.dot(channel.h_x, opt.f_x) + np.dot(channel.h_y, opt.f_y))
-    rho = budget.transmit_power / budget.noise_power
-    return SnrTriple(
-        snr_dpc=rho * gain_dpc**2,
-        snr_dual=rho * (gamma_x**2 + gamma_y**2),
-        snr_switched=rho * max(gamma_x, gamma_y) ** 2,
-    )
-
-
 def fold_placements(
     rx_centers, directions, radius: float, mirror_symmetric: bool, square_symmetric: bool,
     folds: dict | None = None,
@@ -262,10 +166,11 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
 
     ``placements`` is ``fold_placements`` worked out for ``layout``'s radius
     and symmetry flags. Each item is an (m, 3) array whose row i holds
-    (DPC, dual, switched) for the placement's ``directions[i]``, the same
-    quantities as
-    ``evaluate_snr(ChannelGeometry(layout, rx).channel_for(directions[i]), budget)``.
-    The propagation phase cancels under both the DPC and the phase-only
+    (DPC, dual, switched) for the placement's ``directions[i]``: the SNRs
+    that the test oracle ``evaluate_snr`` (``tests/oracles.py``) works out
+    from the complex weights and
+    ``ChannelGeometry(layout, rx).channel_for(directions[i])``. The
+    propagation phase cancels under both the DPC and the phase-only
     conjugate weights, so only channel magnitudes are needed:
 
         snr_dpc      = rho * (sum_k sqrt(|h_x,k|^2 + |h_y,k|^2))^2 / n
@@ -538,9 +443,9 @@ def _block_geometry(positions, rx, r0: float, coeffs):
 def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
     """Polarization axis of each antenna's DPC weights, in radians, for an RX dipole along z.
 
-    The same angles as ``polarization_angle_map(dpc_beamformer(
-    ChannelGeometry(layout, rx).channel_for(Z_HAT)))``, taken from the
-    kernel's real factors: with a_u = ``e[u, :, 2]`` of ``_block_geometry``,
+    The same angles as the test oracle's ``polarization_angle_map(
+    dpc_beamformer(ChannelGeometry(layout, rx).channel_for(Z_HAT)))``
+    (``tests/oracles.py``), taken from the kernel's real factors: with a_u = ``e[u, :, 2]`` of ``_block_geometry``,
     h_u = K a_u for a complex K shared by both dipoles of an antenna, so the
     weight pair's relative phasor is |K|^2 a_x a_y, real, and the axis is
     atan2(a_x a_y, a_x^2) in (-pi/2, pi/2]. As there, an antenna with
@@ -560,43 +465,3 @@ def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
         block += 0.0  # -0.0 -> +0.0
         angles[b0:b0 + a_x.size] = block
     return angles
-
-
-@dataclass
-class PolarizationMap:
-    """Per-antenna polarization axes radiated by a beamformer.
-
-    ``angles`` holds the linear-polarization axis in (-pi/2, pi/2], measured
-    from the x dipole toward the y dipole; NaN marks antennas that radiate
-    nothing. ``nonlinear`` marks antennas whose weight pair is not
-    phase-aligned (an elliptical state); their angle entry comes from the
-    in-phase component only and should be treated with care.
-    """
-
-    angles: np.ndarray
-    nonlinear: np.ndarray
-
-    @property
-    def n_tx(self) -> int:
-        return self.angles.shape[0]
-
-
-def polarization_angle_map(bf: Beamformer) -> PolarizationMap:
-    """Polarization axis of the field radiated by each antenna.
-
-    For weights with aligned (or opposed) phases the radiated field is
-    linearly polarized at the signed angle atan(f_y,k / f_x,k); the fold to
-    (-pi/2, pi/2] reflects that a polarization axis has no sign. Antennas
-    whose weight pair has a relative phase away from 0 or pi are flagged in
-    ``nonlinear`` instead of being silently projected.
-    """
-    f_x = bf.f_x
-    f_y = bf.f_y
-    rel = f_y * np.conj(f_x)  # relative phasor between the dipole pair
-    nonlinear = np.abs(rel.imag) > LINEAR_POL_TOL * np.abs(rel)
-    angles = np.arctan2(rel.real, np.abs(f_x) ** 2)
-    pure_y = (f_x == 0) & (f_y != 0)
-    angles = np.where(pure_y, math.pi / 2.0, angles)
-    dead = (f_x == 0) & (f_y == 0)
-    angles = np.where(dead, np.nan, angles)
-    return PolarizationMap(angles=angles, nonlinear=nonlinear)

@@ -9,14 +9,13 @@ at short range, so every antenna gets its own evaluation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import X_HAT, Y_HAT, ArrayLayout, RxPose
+from .geometry import X_HAT, Y_HAT, ArrayLayout
 
 TRANSVERSE_FLOOR = 1e-12
 "Below this transverse norm the impinging-field direction is degenerate."
@@ -28,38 +27,6 @@ Horner's rule then loses at most 10 of float64's 53 bits against the peak.
 """
 
 _PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494"
-
-
-def unpolarized_gain(p_vec, wavelength: float) -> complex:
-    """Free-space gain over the TX-to-RX displacement ``p_vec``.
-
-    The magnitude falls off as wavelength/(4*pi*r) and the phase carries the
-    propagation delay, -2*pi*r/wavelength.
-
-    Raises
-    ------
-    ValueError
-        If ``p_vec`` has zero length (co-located TX and RX).
-    """
-    r = float(np.linalg.norm(p_vec))
-    if r == 0.0:
-        raise ValueError("TX and RX are co-located; the path gain is undefined")
-    return (wavelength / (4.0 * math.pi * r)) * cmath.exp(-2j * math.pi * r / wavelength)
-
-
-def dipole_pattern(theta, length_over_wavelength: float = 0.5):
-    """Normalized dipole field pattern at polar angle ``theta`` off the axis.
-
-    Accepts scalars or arrays (radians). The pattern is
-    (cos(pi*L*cos(theta)) - cos(pi*L)) / sin(theta) for a dipole of L
-    wavelengths, evaluated as ``_pattern`` does, so the axial directions
-    give exactly 0.
-    """
-    theta = np.asarray(theta, dtype=float)
-    out = _pattern(np.atleast_1d(np.cos(theta)), length_over_wavelength)
-    if theta.ndim == 0:
-        return float(out[0])
-    return out
 
 
 @lru_cache(maxsize=16)
@@ -175,49 +142,6 @@ def _pattern(cos_theta: np.ndarray, length_over_wavelength: float) -> np.ndarray
     return out
 
 
-def impinging_field_dir(u_hat, p_hat) -> np.ndarray:
-    """Unit direction of the electric field arriving along ``p_hat`` from a
-    dipole oriented along ``u_hat``.
-
-    This is the transverse part of the dipole direction, p x (u x p),
-    normalized. When ``u_hat`` and ``p_hat`` are (anti)parallel the
-    transverse part vanishes and the zero vector is returned to mark the
-    degeneracy; the dipole does not radiate along its own axis, so the
-    channel term is zero there regardless.
-    """
-    u = np.asarray(u_hat, dtype=float)
-    p = np.asarray(p_hat, dtype=float)
-    w = np.cross(p, np.cross(u, p))
-    n = np.linalg.norm(w)
-    if n < TRANSVERSE_FLOOR:
-        return np.zeros(3)
-    return w / n
-
-
-def polarized_gain(u_hat, v_hat, p_vec, wavelength: float, dipole_length: float) -> complex:
-    """Complex gain from one TX dipole (along ``u_hat``) into the RX dipole
-    (along ``v_hat``) over the displacement ``p_vec``.
-
-    Composes the free-space term with the two field patterns and the
-    polarization projection. The TX pattern is evaluated at the angle
-    between the dipole and the departing ray; the RX pattern at the angle
-    between the receive dipole and the arriving ray (the reversed
-    direction).
-    """
-    p_vec = np.asarray(p_vec, dtype=float)
-    u = np.asarray(u_hat, dtype=float)
-    v = np.asarray(v_hat, dtype=float)
-    h_up = unpolarized_gain(p_vec, wavelength)
-    p_hat = p_vec / np.linalg.norm(p_vec)
-    ratio = dipole_length / wavelength
-    theta_tx = math.acos(float(np.clip(np.dot(u, p_hat), -1.0, 1.0)))
-    theta_rx = math.pi - math.acos(float(np.clip(np.dot(v, p_hat), -1.0, 1.0)))
-    g_tx = dipole_pattern(theta_tx, ratio)
-    g_rx = dipole_pattern(theta_rx, ratio)
-    beta = float(np.dot(v, impinging_field_dir(u, p_hat)))
-    return h_up * (g_tx * g_rx * beta)
-
-
 @dataclass
 class PolarizedChannel:
     """Complex channel vectors for the x- and y-oriented TX dipole sets.
@@ -294,12 +218,3 @@ def _transverse_unit(u, p_hat, cos_up):
     ok = n >= TRANSVERSE_FLOOR
     out[ok] = w[ok] / n[ok, None]
     return out
-
-
-def assemble_channel(layout: ArrayLayout, pose: RxPose) -> PolarizedChannel:
-    """Channel vectors h_x, h_y from every TX element to the posed receiver.
-
-    Entry k uses the displacement from the k-th element to the RX center;
-    h_x takes the TX dipole along x, h_y the one along y.
-    """
-    return ChannelGeometry(layout, pose.position).channel_for(pose.v_hat)

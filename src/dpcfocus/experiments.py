@@ -192,6 +192,9 @@ def _snr_rows(snr) -> np.ndarray:
     snr = np.asarray(snr, dtype=float)
     if snr.ndim != 2 or snr.shape[1] != 3 or snr.shape[0] == 0:
         raise ValueError("snr must be a non-empty (m, 3) array of (DPC, dual, switched)")
+    # NaN fails both tests; a zero SNR is allowed, with rate 0
+    if not np.all((snr >= 0.0) & (snr < math.inf)):
+        raise ValueError("SNRs must be finite and non-negative")
     return snr
 
 

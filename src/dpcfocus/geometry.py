@@ -173,28 +173,6 @@ def rx_position(distance: float, alpha: float) -> np.ndarray:
     return np.array([distance * math.sin(alpha), 0.0, distance * math.cos(alpha)])
 
 
-@dataclass(frozen=True)
-class RxPose:
-    "Receiver placement: range and polar angle of the center, dipole direction."
-
-    distance: float
-    alpha: float
-    v_hat: np.ndarray
-
-    def __post_init__(self):
-        if self.distance <= 0:
-            raise ValueError("distance must be positive")
-        v = np.array(self.v_hat, dtype=float)
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError("v_hat must be a 3D unit vector")
-        v.setflags(write=False)
-        object.__setattr__(self, "v_hat", v)
-
-    @property
-    def position(self) -> np.ndarray:
-        return rx_position(self.distance, self.alpha)
-
-
 def orientation_grid(
     azimuth_step: float = math.radians(10.0),
     elevation_step: float = math.radians(10.0),

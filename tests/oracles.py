@@ -1,15 +1,29 @@
 """Independent reference implementations used to check the library.
 
-Everything here recomputes results from first principles, mostly with scalar
-math/cmath, so the vectorized library paths are verified against a separate
-route.
+Everything here recomputes results on a separate route, so the library's
+fast paths are verified against it:
+
+* the channel of one dipole pair, composed step by step with scalar
+  math/cmath (``scalar_gain``, ``scalar_channel``);
+* the complex weights and the received SNRs by direct inner products
+  (``dpc_beamformer``, ``benchmark_weights``, ``evaluate_snr``) and the
+  polarization axes those weights radiate (``polarization_angle_map``),
+  which the SNR kernel ``folded_snrs`` and ``polarization_angles`` must
+  match; they take the complex channel of ``ChannelGeometry``;
+* a brute-force search over weights, and the dipole pattern and its series
+  in decimal arithmetic.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 import numpy as np
+
+from dpcfocus.beamforming import LinkBudget
+from dpcfocus.channel import PolarizedChannel
 
 PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
@@ -69,6 +83,147 @@ def scalar_channel(positions, rx_center, v_hat, wavelength, dipole_length):
         h_x.append(scalar_gain((1.0, 0.0, 0.0), v, p, wavelength, dipole_length))
         h_y.append(scalar_gain((0.0, 1.0, 0.0), v, p, wavelength, dipole_length))
     return np.array(h_x), np.array(h_y)
+
+
+LINEAR_POL_TOL = 1e-6
+"Relative imaginary part above which a weight pair is not linearly polarized."
+
+
+@dataclass
+class Beamformer:
+    """Complex weights for the x- and y-oriented dipole sets.
+
+    Each antenna k holds |f_x,k|^2 + |f_y,k|^2 = 1/n_tx, the per-antenna
+    power budget.
+    """
+
+    f_x: np.ndarray
+    f_y: np.ndarray
+
+    def __post_init__(self):
+        self.f_x = np.asarray(self.f_x, dtype=complex)
+        self.f_y = np.asarray(self.f_y, dtype=complex)
+        if self.f_x.ndim != 1 or self.f_x.shape != self.f_y.shape:
+            raise ValueError("f_x and f_y must be 1-D arrays of equal length")
+
+    @property
+    def n_tx(self) -> int:
+        return self.f_x.shape[0]
+
+
+class SnrTriple(NamedTuple):
+    "Linear-scale received SNR under the three TX architectures: one (DPC, dual, switched) row."
+
+    snr_dpc: float
+    snr_dual: float
+    snr_switched: float
+
+
+def dpc_beamformer(channel: PolarizedChannel) -> Beamformer:
+    """SNR-maximizing weights under the per-antenna power constraint.
+
+    Every antenna conjugates the phases of its two channel entries and
+    splits its 1/n_tx power budget across the dipole pair in proportion to
+    |h_x,k| : |h_y,k|. An antenna with no channel at all (both entries zero)
+    contributes nothing whatever it transmits; it gets the full budget on
+    its x dipole so the output stays deterministic.
+    """
+    n = channel.n_tx
+    mag_x = np.abs(channel.h_x)
+    mag_y = np.abs(channel.h_y)
+    amp = np.sqrt(mag_x * mag_x + mag_y * mag_y)
+    alive = amp > 0.0
+    inv = np.divide(1.0 / math.sqrt(n), amp, out=np.zeros(n), where=alive)
+    f_x = np.conj(channel.h_x)
+    f_x *= inv
+    f_y = np.conj(channel.h_y)
+    f_y *= inv
+    if not alive.all():
+        f_x[~alive] = 1.0 / math.sqrt(n)
+    return Beamformer(f_x=f_x, f_y=f_y)
+
+
+def benchmark_weights(channel: PolarizedChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-only conjugate weights with uniform amplitude 1/sqrt(n_tx).
+
+    These drive both benchmark architectures. A zero channel entry has no
+    defined phase; it gets phase 0 by convention.
+    """
+    n = channel.n_tx
+    root = math.sqrt(n)
+    return _conj_phases(channel.h_x) / root, _conj_phases(channel.h_y) / root
+
+
+def _conj_phases(h):
+    mag = np.abs(h)
+    nz = mag > 0.0
+    inv = np.divide(1.0, mag, out=np.zeros(h.shape[0]), where=nz)
+    out = np.conj(h)
+    out *= inv
+    if not nz.all():
+        out[~nz] = 1.0  # zero entries have phase 0 by convention
+    return out
+
+
+def evaluate_snr(channel: PolarizedChannel, budget: LinkBudget) -> SnrTriple:
+    """Received SNR for the DPC, dual- and switched-polarization arrays.
+
+    The benchmark beams yield the per-polarization gains
+    gamma_x = |h_x^T f_x^b| and gamma_y = |h_y^T f_y^b|; switched keeps the
+    better one, dual combines both digitally. The DPC SNR comes from the
+    actual inner product with the optimal weights.
+    """
+    f_x_b, f_y_b = benchmark_weights(channel)
+    gamma_x = abs(np.dot(channel.h_x, f_x_b))
+    gamma_y = abs(np.dot(channel.h_y, f_y_b))
+    opt = dpc_beamformer(channel)
+    gain_dpc = abs(np.dot(channel.h_x, opt.f_x) + np.dot(channel.h_y, opt.f_y))
+    rho = budget.transmit_power / budget.noise_power
+    return SnrTriple(
+        snr_dpc=rho * gain_dpc**2,
+        snr_dual=rho * (gamma_x**2 + gamma_y**2),
+        snr_switched=rho * max(gamma_x, gamma_y) ** 2,
+    )
+
+
+@dataclass
+class PolarizationMap:
+    """Per-antenna polarization axes radiated by a beamformer.
+
+    ``angles`` holds the linear-polarization axis in (-pi/2, pi/2], measured
+    from the x dipole toward the y dipole; NaN marks antennas that radiate
+    nothing. ``nonlinear`` marks antennas whose weight pair is not
+    phase-aligned (an elliptical state); their angle entry comes from the
+    in-phase component only and should be treated with care.
+    """
+
+    angles: np.ndarray
+    nonlinear: np.ndarray
+
+    @property
+    def n_tx(self) -> int:
+        return self.angles.shape[0]
+
+
+def polarization_angle_map(bf: Beamformer) -> PolarizationMap:
+    """Polarization axis of the field radiated by each antenna.
+
+    For weights with aligned (or opposed) phases the radiated field is
+    linearly polarized at the signed angle atan(f_y,k / f_x,k); the fold to
+    (-pi/2, pi/2] reflects that a polarization axis has no sign. Antennas
+    whose weight pair has a relative phase away from 0 or pi are flagged in
+    ``nonlinear`` instead of being silently projected.
+    """
+    f_x = bf.f_x
+    f_y = bf.f_y
+    rel = f_y * np.conj(f_x)  # relative phasor between the dipole pair
+    nonlinear = np.abs(rel.imag) > LINEAR_POL_TOL * np.abs(rel)
+    angles = np.arctan2(rel.real, np.abs(f_x) ** 2)
+    pure_y = (f_x == 0) & (f_y != 0)
+    angles = np.where(pure_y, math.pi / 2.0, angles)
+    dead = (f_x == 0) & (f_y == 0)
+    angles = np.where(dead, np.nan, angles)
+    return PolarizationMap(angles=angles, nonlinear=nonlinear)
 
 
 def grid_search_gain(h_x, h_y, phase_step_deg=1.0, power_step=1e-3) -> float:

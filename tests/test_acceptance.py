@@ -12,13 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dpcfocus.beamforming import (
-    LinkBudget,
-    dpc_beamformer,
-    evaluate_snr,
-    polarization_angles,
-    thermal_noise_power,
-)
+from dpcfocus.beamforming import LinkBudget, polarization_angles, thermal_noise_power
 from dpcfocus.channel import ChannelGeometry, PolarizedChannel
 from dpcfocus.cli import main
 from dpcfocus.experiments import (
@@ -36,7 +30,7 @@ from dpcfocus.geometry import (
     rx_position,
 )
 from conftest import random_channel
-from oracles import grid_search_gain
+from oracles import dpc_beamformer, evaluate_snr, grid_search_gain
 
 RADIUS_M = 0.15
 CARRIER_HZ = 300e9

@@ -12,20 +12,16 @@ from dpcfocus import beamforming
 from dpcfocus.beamforming import (
     SNR_TILE_ELEMENTS,
     LinkBudget,
-    PolarizationMap,
-    benchmark_weights,
-    dpc_beamformer,
-    evaluate_snr,
-    polarization_angle_map,
     polarization_angles,
     thermal_noise_power,
 )
-from dpcfocus.channel import ChannelGeometry, PolarizedChannel, assemble_channel
+from dpcfocus.channel import ChannelGeometry, PolarizedChannel
 from dpcfocus.cli import FIG3_ALPHA, FIG3_DISTANCES_M
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
     ArrayLayout,
-    RxPose,
+    X_HAT,
+    Y_HAT,
     Z_HAT,
     build_circular_array,
     orientation_classes,
@@ -33,7 +29,15 @@ from dpcfocus.geometry import (
     rx_position,
 )
 from conftest import kernel_snr, kernel_snrs, random_channel
-from oracles import grid_search_gain
+from oracles import (
+    Beamformer,
+    benchmark_weights,
+    dpc_beamformer,
+    evaluate_snr,
+    grid_search_gain,
+    polarization_angle_map,
+    scalar_gain,
+)
 
 UNIT_BUDGET = LinkBudget(transmit_power=1.0, noise_power=1.0)
 
@@ -220,19 +224,13 @@ def test_dpc_beamformer_matches_exhaustive_grid_search():
         assert closed - brute <= 1e-3 * closed
 
 
-def _bf(f_x, f_y):
-    from dpcfocus.beamforming import Beamformer
-
-    return Beamformer(f_x=f_x, f_y=f_y)
-
-
 def test_polarization_angle_map_reference_points():
     n = 4
     f_x = np.array([1.0, 1.0, 0.0, 1.0], dtype=complex) / math.sqrt(n)
     f_y = np.array([0.0, 1.0, 1.0, -1.0], dtype=complex) / math.sqrt(n)
     f_x[1] /= math.sqrt(2.0)
     f_y[1] /= math.sqrt(2.0)
-    pol = polarization_angle_map(_bf(f_x, f_y))
+    pol = polarization_angle_map(Beamformer(f_x, f_y))
     assert pol.angles[0] == 0.0
     assert math.isclose(pol.angles[1], math.pi / 4.0, rel_tol=1e-12)
     assert pol.angles[2] == math.pi / 2.0
@@ -243,7 +241,7 @@ def test_polarization_angle_map_reference_points():
 def test_polarization_angle_map_flags_elliptical_and_dead():
     f_x = np.array([1.0, 0.0], dtype=complex)
     f_y = np.array([1j, 0.0], dtype=complex)
-    pol = polarization_angle_map(_bf(f_x, f_y))
+    pol = polarization_angle_map(Beamformer(f_x, f_y))
     assert pol.nonlinear[0]
     assert math.isnan(pol.angles[1])
     assert not pol.nonlinear[1]
@@ -256,7 +254,7 @@ def test_polarization_angles_fold_into_half_open_interval():
     phase = rng.uniform(-math.pi, math.pi, size=200)
     f_x = amp * np.exp(1j * phase)
     f_y = sign * np.sqrt(1.0 - amp**2) * np.exp(1j * phase)
-    pol = polarization_angle_map(_bf(f_x, f_y))
+    pol = polarization_angle_map(Beamformer(f_x, f_y))
     finite = np.isfinite(pol.angles)
     assert np.all(pol.angles[finite] > -math.pi / 2.0)
     assert np.all(pol.angles[finite] <= math.pi / 2.0)
@@ -266,9 +264,7 @@ def test_polarization_angles_fold_into_half_open_interval():
 def test_model_channels_drive_linear_polarization():
     wavelength = 0.001
     layout = build_circular_array(radius=0.02, wavelength=wavelength)
-    ch = assemble_channel(
-        layout, RxPose(distance=0.15, alpha=math.radians(30.0), v_hat=Z_HAT)
-    )
+    ch = ChannelGeometry(layout, rx_position(0.15, math.radians(30.0))).channel_for(Z_HAT)
     pol = polarization_angle_map(dpc_beamformer(ch))
     assert not pol.nonlinear.any()
     assert np.all(np.isfinite(pol.angles))
@@ -338,11 +334,7 @@ def first_antennas(layout, n):
 
 def oracle_snr(layout, rx_center, grid, budget):
     geom = ChannelGeometry(layout, rx_center)
-    rows = []
-    for v in grid:
-        t = evaluate_snr(geom.channel_for(v), budget)
-        rows.append((t.snr_dpc, t.snr_dual, t.snr_switched))
-    return np.array(rows)
+    return np.array([evaluate_snr(geom.channel_for(v), budget) for v in grid])
 
 
 def folded(layout, rx_centers, grid):
@@ -406,6 +398,64 @@ def test_orientation_snr_long_dipoles():
 def test_orientation_snr_single_antenna(kernel_layout):
     layout = first_antennas(kernel_layout, 1)
     assert_kernel_matches_oracle(layout, math.radians(30.0), 0.1, DEFAULT_GRID)
+
+
+@pytest.mark.parametrize(
+    "rx, v, null",
+    [
+        # broadside: the y dipole is cross-polarized to v = x, the x dipole to v = y
+        ((0.0, 0.0, 1.0), X_HAT, "y"),
+        ((0.0, 0.0, 1.0), Y_HAT, "x"),
+        # along the x dipole's own axis, which does not radiate there
+        ((1.0, 0.0, 0.0), Y_HAT, "x"),
+        # along the receive dipole's own axis: no channel at all
+        ((0.0, 0.0, 1.0), Z_HAT, "both"),
+        # 30 degrees off boresight at 15 cm, the ray whose x-dipole gain
+        # test_scalar_gain_off_axis_ray_is_frozen pins: the y dipole's field is along y
+        ((0.075, 0.0, 0.15 * math.sqrt(3.0) / 2.0), Z_HAT, "y"),
+    ],
+    ids=["broadside-x", "broadside-y", "tx-axis", "rx-axis", "off-axis"],
+)
+def test_single_antenna_nulls_leave_one_dipole(rx, v, null):
+    # one antenna at the origin: dual == switched wherever one of its dipoles is
+    # nulled, and each SNR is P/N |h|^2 with h the scalar oracle's gains
+    layout = ArrayLayout(
+        positions=np.zeros((1, 3)),
+        wavelength=KERNEL_WAVELENGTH,
+        dipole_length=KERNEL_WAVELENGTH / 2.0,
+        radius=KERNEL_WAVELENGTH,
+    )
+    ((dpc, dual, switched),) = kernel_snr(layout, np.array(rx), v[None, :], KERNEL_BUDGET)
+    g_x, g_y = (
+        abs(scalar_gain(u, tuple(v), rx, KERNEL_WAVELENGTH, layout.dipole_length))
+        for u in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    )
+    assert (g_x == 0.0, g_y == 0.0) == (null in ("x", "both"), null in ("y", "both"))
+    rho = KERNEL_BUDGET.transmit_power / KERNEL_BUDGET.noise_power
+    want = rho * (g_x**2 + g_y**2)
+    assert dual == switched
+    for got in (dpc, dual):
+        assert abs(got - want) <= 1e-12 * want
+
+
+def quarter_turn(a):
+    "Rotate the rows (or the one vector) ``a`` by 90 degrees about z: (x, y, z) -> (-y, x, z)."
+    a = np.asarray(a, dtype=float)
+    return np.stack((-a[..., 1], a[..., 0], a[..., 2]), axis=-1)
+
+
+@pytest.mark.parametrize(
+    "rx",
+    [rx_position(0.1, math.radians(30.0)), rx_position(1.0, 0.0), np.array([0.02, 0.03, 0.1])],
+    ids=["xz-plane", "z-axis", "off-plane"],
+)
+def test_snrs_are_unchanged_by_a_quarter_turn_about_z(kernel_layout, rx):
+    # the square lattice maps onto itself, and its x and y dipoles onto each other, so
+    # the turn swaps sum_k |h_x,k| and sum_k |h_y,k|, which the three SNRs treat alike
+    assert kernel_layout.square_symmetric
+    before = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
+    after = kernel_snr(kernel_layout, quarter_turn(rx), quarter_turn(DEFAULT_GRID), KERNEL_BUDGET)
+    assert np.all(np.abs(after - before) <= 1e-12 * np.abs(before))
 
 
 def test_orientation_snr_tiles_narrower_than_the_grid(kernel_layout, monkeypatch):
@@ -788,6 +838,20 @@ def test_orientation_snrs_matches_the_oracle_on_drawn_inputs(inputs, tile, worke
         assert np.array_equal(fast, first)
         slow = oracle_snr(layout, rx, grid, KERNEL_BUDGET)
         assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kernel_inputs())
+def test_dpc_snr_never_exceeds_the_free_space_bound(inputs):
+    # per antenna |h_x|^2 + |h_y|^2 <= |h_up|^2 = (lambda / (4 pi r))^2: the half-wave
+    # pattern is at most sin(theta), and the two TX dipoles' transverse fields project
+    # v onto the plane normal to the ray; so the DPC gain is at most sum_k |h_up,k| / sqrt(n)
+    layout, rxs, grid = inputs
+    rho = KERNEL_BUDGET.transmit_power / KERNEL_BUDGET.noise_power
+    for rx, snr in zip(rxs, kernel_snrs(layout, rxs, grid, KERNEL_BUDGET), strict=True):
+        r = np.linalg.norm(rx - layout.positions, axis=1)
+        bound = rho * np.sum(layout.wavelength / (4.0 * math.pi * r)) ** 2 / layout.n_tx
+        assert np.all(snr[:, 0] <= bound * (1.0 + 1e-12))
 
 
 def test_orientation_snr_far_on_the_z_axis_near_v_equals_z():

@@ -10,12 +10,8 @@ from dpcfocus.channel import (
     ChannelGeometry,
     PolarizedChannel,
     _pattern,
-    assemble_channel,
-    dipole_pattern,
-    impinging_field_dir,
+    _transverse_unit,
     pattern_series,
-    polarized_gain,
-    unpolarized_gain,
 )
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
@@ -23,7 +19,6 @@ from dpcfocus.geometry import (
     Y_HAT,
     Z_HAT,
     ArrayLayout,
-    RxPose,
     build_circular_array,
     rx_position,
 )
@@ -50,41 +45,51 @@ def rotation_about_z(angle):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def test_unpolarized_gain_reference_points():
-    g = unpolarized_gain([0.0, 0.0, 1.0], wavelength=1.0)
+def pattern_at(theta, length_over_wavelength=0.5):
+    "The dipole pattern at polar angles ``theta`` (an array), through ``_pattern``."
+    return _pattern(np.cos(np.atleast_1d(np.asarray(theta, dtype=float))), length_over_wavelength)
+
+
+def transverse(u, p_hat):
+    "``_transverse_unit`` of one dipole ``u`` and one unit ray ``p_hat``."
+    u, p_hat = np.asarray(u, dtype=float), np.asarray(p_hat, dtype=float)
+    return _transverse_unit(u, p_hat[None, :], np.array([np.dot(u, p_hat)]))[0]
+
+
+def test_scalar_gain_free_space_reference_points():
+    # co-polarized dipoles broadside to the ray: both patterns and the projection are 1,
+    # so the gain is the free-space term lambda / (4 pi r) exp(-2 pi j r / lambda)
+    g = scalar_gain((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.0, 0.5)
     assert math.isclose(abs(g), 1.0 / (4.0 * math.pi), rel_tol=1e-12)
     assert abs(g.imag) < 1e-12  # phase is 0 mod 2*pi at one wavelength
 
-    g2 = unpolarized_gain([0.0, 2.0, 0.0], wavelength=1.0)
+    g2 = scalar_gain((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 2.0, 0.0), 1.0, 0.5)
     assert math.isclose(abs(g2), 1.0 / (8.0 * math.pi), rel_tol=1e-12)
     assert abs(g2.imag) < 1e-12
 
-    g3 = unpolarized_gain([0.25, 0.0, 0.0], wavelength=1.0)
+    g3 = scalar_gain((0.0, 1.0, 0.0), (0.0, 1.0, 0.0), (0.25, 0.0, 0.0), 1.0, 0.5)
     assert math.isclose(abs(g3), 1.0 / math.pi, rel_tol=1e-12)
     assert math.isclose(cmath.phase(g3), -math.pi / 2.0, rel_tol=1e-12)
 
 
-def test_unpolarized_gain_rejects_colocation():
-    with pytest.raises(ValueError):
-        unpolarized_gain(np.zeros(3), wavelength=1.0)
+def test_pattern_reference_points():
+    peak, axis, opposite, near_axis, diagonal = pattern_at(
+        [math.pi / 2.0, 0.0, math.pi, 1e-10, math.pi / 4.0]
+    )
+    assert math.isclose(peak, 1.0, rel_tol=1e-12)
+    assert axis == 0.0
+    assert opposite == 0.0
+    assert near_axis == 0.0
+    assert math.isclose(diagonal, 0.6279332232978174, rel_tol=1e-12)
+    assert round(diagonal, 4) == 0.6279  # the textbook figure 0.628 at 3 decimals
+    assert round(diagonal, 3) == 0.628
 
 
-def test_dipole_pattern_reference_points():
-    assert math.isclose(dipole_pattern(math.pi / 2.0), 1.0, rel_tol=1e-12)
-    assert dipole_pattern(0.0) == 0.0
-    assert dipole_pattern(math.pi) == 0.0
-    assert dipole_pattern(1e-10) == 0.0
-    val = dipole_pattern(math.pi / 4.0)
-    assert math.isclose(val, 0.6279332232978174, rel_tol=1e-12)
-    assert round(val, 4) == 0.6279  # the textbook figure 0.628 at 3 decimals
-    assert round(val, 3) == 0.628
-
-
-def test_dipole_pattern_symmetry_and_array_input():
+def test_pattern_symmetry_and_bound():
     rng = np.random.default_rng(5)
     theta = rng.uniform(0.0, math.pi, size=500)
-    fwd = dipole_pattern(theta)
-    rev = dipole_pattern(math.pi - theta)
+    fwd = pattern_at(theta)
+    rev = pattern_at(math.pi - theta)
     assert np.allclose(fwd, rev, atol=1e-12)
     assert np.all(np.abs(fwd) <= 1.0 + 1e-12)
 
@@ -146,58 +151,41 @@ def test_pattern_series_refuses_lengths_it_cannot_sum(length):
 def test_long_dipole_pattern_is_refused_not_miscomputed():
     # a 5-wavelength dipole's coefficients reach 3.5e5 against a pattern peak of about 6
     with pytest.raises(ValueError, match="cancel"):
-        dipole_pattern(0.3, 5.0)
+        pattern_at(0.3, 5.0)
 
 
-def test_impinging_field_dir_cases():
-    assert np.allclose(impinging_field_dir(X_HAT, Z_HAT), X_HAT, atol=1e-15)
+def test_transverse_unit_cases():
+    assert np.allclose(transverse(X_HAT, Z_HAT), X_HAT, atol=1e-15)
     p = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
     expected = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
-    assert np.allclose(impinging_field_dir(X_HAT, p), expected, atol=1e-12)
-    assert np.array_equal(impinging_field_dir(Z_HAT, Z_HAT), np.zeros(3))
+    assert np.allclose(transverse(X_HAT, p), expected, atol=1e-12)
+    assert np.array_equal(transverse(Z_HAT, Z_HAT), np.zeros(3))
 
 
-def test_impinging_field_is_transverse_and_unit():
+def test_transverse_unit_is_transverse_and_unit():
     rng = np.random.default_rng(9)
     for _ in range(300):
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         p = rng.normal(size=3)
         p /= np.linalg.norm(p)
-        e = impinging_field_dir(u, p)
+        e = transverse(u, p)
         if np.array_equal(e, np.zeros(3)):
             continue
         assert abs(np.dot(e, p)) < 1e-9
         assert math.isclose(float(np.linalg.norm(e)), 1.0, rel_tol=1e-12)
 
 
-def test_polarized_gain_broadside_copolarized():
-    g = polarized_gain(X_HAT, X_HAT, [0.0, 0.0, 1.0], wavelength=1.0, dipole_length=0.5)
-    assert cmath.isclose(g, unpolarized_gain([0.0, 0.0, 1.0], 1.0), rel_tol=1e-12)
-
-
-def test_polarized_gain_cross_polarized_is_zero():
-    g = polarized_gain(X_HAT, Y_HAT, [0.0, 0.0, 1.0], wavelength=1.0, dipole_length=0.5)
-    assert g == 0.0
-
-
-def test_polarized_gain_axial_degeneracy_is_zero():
-    g = polarized_gain(Z_HAT, X_HAT, [0.0, 0.0, 5.0], wavelength=1.0, dipole_length=0.5)
-    assert g == 0.0
-
-
-def test_polarized_gain_off_axis_ray_matches_scalar_composition():
+def test_scalar_gain_off_axis_ray_is_frozen():
     # 30 degrees off boresight at 15 cm, 300 GHz, receive dipole along z
     wavelength = SPEED_OF_LIGHT / 300e9
     p = 0.15 * np.array([0.5, 0.0, math.sqrt(3.0) / 2.0])
-    g = polarized_gain(X_HAT, Z_HAT, p, wavelength, wavelength / 2.0)
+    g = scalar_gain((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(p), wavelength, wavelength / 2.0)
     frozen = complex(-7.185018559676502e-05, 5.4900680886638995e-05)
     assert cmath.isclose(g, frozen, rel_tol=1e-10)
-    oracle = scalar_gain((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(p), wavelength, wavelength / 2.0)
-    assert cmath.isclose(g, oracle, rel_tol=1e-12)
 
 
-def test_polarized_never_exceeds_unpolarized():
+def test_scalar_gain_never_exceeds_free_space():
     rng = np.random.default_rng(21)
     for _ in range(300):
         u = rng.normal(size=3)
@@ -205,11 +193,11 @@ def test_polarized_never_exceeds_unpolarized():
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
         p = rng.normal(size=3) * rng.uniform(0.1, 10.0)
-        g = polarized_gain(u, v, p, wavelength=1.0, dipole_length=0.5)
-        assert abs(g) <= abs(unpolarized_gain(p, 1.0)) * (1.0 + 1e-12)
+        g = scalar_gain(u, v, p, wavelength=1.0, dipole_length=0.5)
+        assert abs(g) <= 1.0 / (4.0 * math.pi * np.linalg.norm(p)) * (1.0 + 1e-12)
 
 
-def test_polarized_gain_phase_is_propagation_delay_mod_pi():
+def test_scalar_gain_phase_is_propagation_delay_mod_pi():
     rng = np.random.default_rng(33)
     wavelength = 0.01
     hits = 0
@@ -219,7 +207,7 @@ def test_polarized_gain_phase_is_propagation_delay_mod_pi():
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
         p = rng.normal(size=3) * rng.uniform(0.05, 2.0)
-        g = polarized_gain(u, v, p, wavelength, wavelength / 2.0)
+        g = scalar_gain(u, v, p, wavelength, wavelength / 2.0)
         if abs(g) < 1e-18:
             continue
         hits += 1
@@ -230,7 +218,7 @@ def test_polarized_gain_phase_is_propagation_delay_mod_pi():
     assert hits > 150
 
 
-def test_polarized_gain_invariant_under_z_rotation():
+def test_scalar_gain_invariant_under_z_rotation():
     rng = np.random.default_rng(41)
     for _ in range(50):
         rot = rotation_about_z(rng.uniform(0.0, 2.0 * math.pi))
@@ -239,8 +227,8 @@ def test_polarized_gain_invariant_under_z_rotation():
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
         p = rng.normal(size=3) * rng.uniform(0.2, 3.0)
-        g = polarized_gain(u, v, p, wavelength=0.1, dipole_length=0.05)
-        g_rot = polarized_gain(rot @ u, rot @ v, rot @ p, wavelength=0.1, dipole_length=0.05)
+        g = scalar_gain(u, v, p, wavelength=0.1, dipole_length=0.05)
+        g_rot = scalar_gain(rot @ u, rot @ v, rot @ p, wavelength=0.1, dipole_length=0.05)
         assert cmath.isclose(g, g_rot, rel_tol=1e-9, abs_tol=1e-18)
 
 
@@ -249,60 +237,56 @@ def test_polarized_channel_validation():
         PolarizedChannel(h_x=np.zeros(3, dtype=complex), h_y=np.zeros(2, dtype=complex))
 
 
-def test_assemble_channel_single_antenna_boresight():
+def test_channel_for_single_antenna_boresight():
     layout = single_element_layout(wavelength=1.0)
-    pose = RxPose(distance=1.0, alpha=0.0, v_hat=X_HAT)
-    ch = assemble_channel(layout, pose)
+    ch = ChannelGeometry(layout, rx_position(1.0, 0.0)).channel_for(X_HAT)
     assert ch.n_tx == 1
     assert cmath.isclose(ch.h_x[0], 1.0 / (4.0 * math.pi), rel_tol=1e-12, abs_tol=1e-15)
     assert ch.h_y[0] == 0.0
 
 
-def test_assemble_channel_negates_with_receive_dipole():
+def test_channel_for_negates_with_receive_dipole():
     wavelength = 0.01
     layout = build_circular_array(radius=0.03, wavelength=wavelength)
     v = np.array([1.0, 2.0, 2.0]) / 3.0
-    up = assemble_channel(layout, RxPose(distance=0.08, alpha=0.4, v_hat=v))
-    down = assemble_channel(layout, RxPose(distance=0.08, alpha=0.4, v_hat=-v))
+    geom = ChannelGeometry(layout, rx_position(0.08, 0.4))
+    up = geom.channel_for(v)
+    down = geom.channel_for(-v)
     assert np.allclose(down.h_x, -up.h_x, rtol=1e-12, atol=0.0)
     assert np.allclose(down.h_y, -up.h_y, rtol=1e-12, atol=0.0)
 
 
-def test_assemble_channel_matches_scalar_oracle():
+def test_channel_for_matches_scalar_oracle():
     wavelength = 0.02
     layout = build_circular_array(radius=0.05, wavelength=wavelength)
     rng = np.random.default_rng(13)
     for _ in range(4):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        pose = RxPose(
-            distance=float(rng.uniform(0.05, 0.5)),
-            alpha=float(rng.uniform(0.0, math.radians(60.0))),
-            v_hat=v,
-        )
-        ch = assemble_channel(layout, pose)
+        rx = rx_position(float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.0, math.radians(60.0))))
+        ch = ChannelGeometry(layout, rx).channel_for(v)
         h_x, h_y = scalar_channel(
-            layout.positions.tolist(), pose.position.tolist(), v.tolist(),
+            layout.positions.tolist(), rx.tolist(), v.tolist(),
             wavelength, layout.dipole_length,
         )
         assert np.allclose(ch.h_x, h_x, rtol=1e-12, atol=1e-20)
         assert np.allclose(ch.h_y, h_y, rtol=1e-12, atol=1e-20)
 
 
-def test_assemble_channel_equivariant_under_scene_rotation():
+def test_channel_for_equivariant_under_scene_rotation():
     # rotate array, RX and dipole axes together: per-antenna gains are unchanged
     wavelength = 0.03
     layout = build_circular_array(radius=0.05, wavelength=wavelength)
     v = np.array([0.0, 0.6, 0.8])
-    pose = RxPose(distance=0.2, alpha=math.radians(25.0), v_hat=v)
-    ch = assemble_channel(layout, pose)
+    rx = rx_position(0.2, math.radians(25.0))
+    ch = ChannelGeometry(layout, rx).channel_for(v)
     rot = rotation_about_z(math.radians(72.5))
-    rx_rot = rot @ pose.position
+    rx_rot = rot @ rx
     v_rot = rot @ v
     for k in range(layout.n_tx):
         p_rot = rx_rot - rot @ layout.positions[k]
-        gx = polarized_gain(rot @ X_HAT, v_rot, p_rot, wavelength, layout.dipole_length)
-        gy = polarized_gain(rot @ Y_HAT, v_rot, p_rot, wavelength, layout.dipole_length)
+        gx = scalar_gain(rot @ X_HAT, v_rot, p_rot, wavelength, layout.dipole_length)
+        gy = scalar_gain(rot @ Y_HAT, v_rot, p_rot, wavelength, layout.dipole_length)
         assert cmath.isclose(gx, complex(ch.h_x[k]), rel_tol=1e-9, abs_tol=1e-18)
         assert cmath.isclose(gy, complex(ch.h_y[k]), rel_tol=1e-9, abs_tol=1e-18)
 
@@ -313,17 +297,16 @@ def test_channel_geometry_rejects_colocated_rx():
         ChannelGeometry(layout, np.array([0.5, 0.0, 0.0]))
 
 
-def test_channel_geometry_reuse_matches_fresh_assembly():
+def test_channel_geometry_reuse_matches_fresh_geometry():
     wavelength = 0.02
     layout = build_circular_array(radius=0.04, wavelength=wavelength)
-    geom = ChannelGeometry(layout, rx_position(0.15, math.radians(20.0)))
+    rx = rx_position(0.15, math.radians(20.0))
+    geom = ChannelGeometry(layout, rx)
     rng = np.random.default_rng(17)
     for _ in range(5):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        fresh = assemble_channel(
-            layout, RxPose(distance=0.15, alpha=math.radians(20.0), v_hat=v)
-        )
+        fresh = ChannelGeometry(layout, rx).channel_for(v)
         reused = geom.channel_for(v)
         assert np.array_equal(fresh.h_x, reused.h_x)
         assert np.array_equal(fresh.h_y, reused.h_y)
@@ -333,9 +316,7 @@ def test_full_scale_channel_has_real_xy_ratio():
     # 15 cm aperture at 300 GHz, RX at 15 cm and 30 degrees, dipole along z
     wavelength = SPEED_OF_LIGHT / 300e9
     layout = build_circular_array(radius=0.15, wavelength=wavelength)
-    ch = assemble_channel(
-        layout, RxPose(distance=0.15, alpha=math.radians(30.0), v_hat=Z_HAT)
-    )
+    ch = ChannelGeometry(layout, rx_position(0.15, math.radians(30.0))).channel_for(Z_HAT)
     both = (np.abs(ch.h_x) > 1e-18) & (np.abs(ch.h_y) > 1e-18)
     assert np.count_nonzero(both) > 0.9 * layout.n_tx
     cross = ch.h_x[both] * np.conj(ch.h_y[both])

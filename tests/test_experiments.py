@@ -205,6 +205,24 @@ def test_improvements_db_keeps_its_digits_for_close_snrs(baseline):
         assert abs(Decimal(value) - want) <= Decimal(4e-16) * abs(want)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -2.0])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_snr_rows_refuse_non_finite_and_negative_snrs(bad, column):
+    # these got through as a NaN or negative rate, or as NaN and inf quartiles
+    snr = snr_from_ratios([2.0, 3.0, 4.0])
+    snr[1, column] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ergodic_rate(snr, bandwidth=1e8)
+    for baseline in ("switched", "dual"):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            improvement_stats(snr, baseline)
+
+
+def test_a_zero_snr_has_rate_zero():
+    rates = ergodic_rate(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]), bandwidth=1e8)
+    assert rates == (5e7, 5e7, 0.0)
+
+
 def test_improvement_stats_rejects_bad_input():
     with pytest.raises(ValueError):
         improvement_stats(np.empty((0, 3)), "switched")

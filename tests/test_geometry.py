@@ -5,9 +5,7 @@ import pytest
 
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
-    Z_HAT,
     ArrayLayout,
-    RxPose,
     build_circular_array,
     orientation_classes,
     orientation_grid,
@@ -140,15 +138,6 @@ def test_rx_position_norm_and_zero_y():
         assert math.isclose(float(np.linalg.norm(p)), d, rel_tol=1e-12)
     with pytest.raises(ValueError):
         rx_position(0.0, 0.3)
-
-
-def test_rx_pose_validation():
-    pose = RxPose(distance=0.5, alpha=math.radians(30.0), v_hat=Z_HAT)
-    assert np.allclose(pose.position, rx_position(0.5, math.radians(30.0)))
-    with pytest.raises(ValueError):
-        RxPose(distance=-1.0, alpha=0.0, v_hat=Z_HAT)
-    with pytest.raises(ValueError):
-        RxPose(distance=1.0, alpha=0.0, v_hat=np.array([1.0, 1.0, 0.0]))
 
 
 def test_orientation_grid_default():
