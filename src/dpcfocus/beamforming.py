@@ -47,17 +47,17 @@ UNIT_TOL = 1e-12
 "Largest | |v| - 1 | of a receive direction the SNR kernel accepts."
 
 ANTENNA_BLOCK = 4096
-"""Antennas whose per-antenna geometry one ``folded_snrs`` task holds at a time.
+"""Antennas one ``folded_snrs`` task sums, and ``polarization_angles`` maps, at a time.
 
-About 20 float64 values per antenna, so a block takes about 0.65 MB, and the
-geometry of a full aperture never exists at once. A block is rounded down to
+A kernel task reads its block's positions in place and builds their geometry
+in the compiled loop, 64 antennas at a time on the stack; what it holds in
+numpy is the per-tile column sums it returns. A block is rounded down to
 whole tiles, and to at most ``SNR_TILE_ELEMENTS / (3 m)`` tiles for ``m``
-evaluated directions, so the per-tile column sums it returns take at most
-``SNR_TILE_ELEMENTS`` float64 however fine the orientation grid. Against
-8192, this size cut a full-size run's peak memory by about 1 MiB at no
-measured cost in time; 2048 cut 0.5 MiB more but made ``sweep --scale 0.1``
+evaluated directions, so those sums take at most ``SNR_TILE_ELEMENTS``
+float64 however fine the orientation grid. 2048 made ``sweep --scale 0.1``
 about 10% slower, as its 2837-antenna lattice then takes two blocks per
-placement.
+placement. ``polarization_angles`` builds its numpy geometry, about 20
+float64 values per antenna, one block at a time.
 """
 
 KERNEL_SOURCE = "tile_sums.c"
@@ -134,19 +134,26 @@ def fold_placements(
     folds = {} if folds is None else folds
     placements = []
     for rx in rx_centers:
-        rx = np.asarray(rx, dtype=float)
-        if rx.shape != (3,) or not np.all(np.isfinite(rx)):
-            raise ValueError("an RX center must be a finite 3-vector")
+        rx, r0 = _rx_center(rx, radius)
         mirror = bool(rx[1] == 0.0 and mirror_symmetric)
         square = bool(mirror and rx[0] == 0.0 and square_symmetric)
         if (mirror, square) not in folds:
             folds[mirror, square] = fold_directions(directions, mirror, square)
-        # amplitudes are taken relative to lambda / (4 pi r0), so that no square taken in
-        # a tile underflows or overflows, however far the RX is; the aperture radius
-        # bounds r0 away from 0 for an RX at the origin
-        r0 = max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), radius)
         placements.append((rx, r0, folds[mirror, square]))
     return placements
+
+
+def _rx_center(rx, radius: float) -> tuple[np.ndarray, float]:
+    """The checked RX center as a float64 3-vector, and its reference range r0.
+
+    Amplitudes are taken relative to lambda / (4 pi r0), so that no square
+    taken in a tile underflows or overflows, however far the RX is; the
+    aperture ``radius`` bounds r0 away from 0 for an RX at the origin.
+    """
+    rx = np.asarray(rx, dtype=float)
+    if rx.shape != (3,) or not np.all(np.isfinite(rx)):
+        raise ValueError("an RX center must be a finite 3-vector")
+    return rx, max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), radius)
 
 
 def fold_directions(directions, mirror: bool, square: bool = False) -> _Fold:
@@ -185,16 +192,18 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
     the layout is closed under all 8 symmetries of the square. The classes
     and their tiling are worked out once per fold.
 
-    The geometry is built from the positions in blocks of about
-    ``ANTENNA_BLOCK`` antennas (``_block_geometry``), and within a block the
-    magnitudes |h_x,k| = |(e_x,k . v) g_rx| and |h_y,k| of each antenna and
-    direction, with the dipole pattern g_rx = |p_k x v| h((p_k . v)^2) and h
-    the series of ``channel.pattern_series``, are summed by one compiled loop (``_tile_sums``),
-    in tiles of ``SNR_TILE_ELEMENTS // m`` antennas. The loop is built with
-    ``cc`` on first use and kept in ``KERNEL_CACHE``. The (placement, block)
-    tasks of all the placements form one stream, run in order on
-    ``kernel_workers`` threads; the loop runs without the interpreter lock,
-    so the threads share the CPUs. Each task runs under a copy of the
+    Each task is one call of a compiled loop (``_tile_sums``) on a block of
+    about ``ANTENNA_BLOCK`` antennas: from the positions, the RX center and
+    r0 it builds each antenna's unit displacement p_k and amplitude-scaled
+    field vectors e_x,k and e_y,k, then sums the magnitudes
+    |h_x,k| = |(e_x,k . v) g_rx| and |h_y,k| of each antenna and direction,
+    with the dipole pattern g_rx = |p_k x v| h((p_k . v)^2) and h the series
+    of ``channel.pattern_series``, in tiles of ``SNR_TILE_ELEMENTS // m``
+    antennas. The loop is built with ``cc`` on first use and kept in
+    ``KERNEL_CACHE``. The (placement, block) tasks of all the placements
+    form one stream, run in order on ``kernel_workers`` threads; a task runs
+    no numpy pass and the loop runs without the interpreter lock, so the
+    threads share the CPUs. Each task runs under a copy of the
     caller's context and raises the loop's floating-point exceptions again
     there, so ``np.errstate`` holds in them too. Blocks hold whole tiles and
     each placement's per-tile column sums are added in tile order by the
@@ -221,13 +230,13 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
         is missing or fails.
     """
     n = layout.n_tx
-    coeffs = pattern_series(layout.dipole_length / layout.wavelength)
+    coeffs = np.array(pattern_series(layout.dipole_length / layout.wavelength))
     kernel = _tile_kernel()  # built, if need be, before any task is queued
 
     def block_sums(task):
         rx, r0, fold, b0 = task
-        p_hat, e = _block_geometry(layout.positions[b0:b0 + fold.block], rx, r0, coeffs)
-        return _tile_sums(kernel, p_hat, e, fold.directions, coeffs, fold.rows)
+        positions = layout.positions[b0:b0 + fold.block]
+        return _tile_sums(kernel, positions, rx, r0, fold.directions, coeffs, fold.rows)
 
     # one (rx, r0, fold, first antenna) task per antenna block of every placement
     tasks = [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, fold.block)]
@@ -311,22 +320,34 @@ _FP_REPLAYS = (
 "(bit of ``tile_sums``' return, ufunc, operands) that raise each exception in numpy."
 
 
-def _tile_sums(kernel, p_hat, e, v, coeffs, rows: int) -> np.ndarray:
+_COLOCATED = 16
+"The bit of ``tile_sums``' return that marks an antenna at the RX."
+
+
+def _tile_sums(kernel, positions, rx, r0: float, v, coeffs, rows: int) -> np.ndarray:
     """Per-tile column sums of one antenna block, a (tiles, 3, m) array.
 
-    Tile t covers ``rows`` antennas from ``t * rows`` on; its entry holds, per
-    direction of ``v``, the sums over those antennas of sqrt(|h_x|^2 + |h_y|^2),
-    |h_x| and |h_y| in the units of ``_block_geometry``, added in antenna
-    order by ``kernel`` (``_tile_kernel``), with the pattern series ``coeffs``.
+    Tile t covers ``rows`` antennas of ``positions`` from ``t * rows`` on; its
+    entry holds, per direction of ``v``, the sums over those antennas of
+    sqrt(|h_x|^2 + |h_y|^2), |h_x| and |h_y| in units of lambda / (4 pi r0)
+    for an RX at ``rx``, added in antenna order by ``kernel``
+    (``_tile_kernel``), with the pattern series ``coeffs``. The loop builds
+    each antenna's geometry itself; the operands are read in place.
+
+    Raises ``ValueError`` if an antenna coincides with ``rx``.
     """
-    p_hat, e, v, coeffs = (np.ascontiguousarray(a, dtype=float) for a in (p_hat, e, v, coeffs))
-    k, m = p_hat.shape[0], v.shape[0]
+    positions, rx, v, coeffs = (
+        np.ascontiguousarray(a, dtype=float) for a in (positions, rx, v, coeffs)
+    )
+    k, m = positions.shape[0], v.shape[0]
     # the loop reads and writes exactly these shapes
-    if p_hat.shape != (k, 3) or e.shape != (2, k, 3) or v.shape != (m, 3) or rows < 1:
+    if positions.shape != (k, 3) or rx.shape != (3,) or v.shape != (m, 3) or rows < 1:
         raise ValueError("tile kernel operands of mismatched shapes")
     out = np.empty((-(-k // rows), 3, m))
-    raised = kernel(p_hat.ctypes.data, e.ctypes.data, v.ctypes.data, coeffs.ctypes.data,
-                    coeffs.size, k, m, rows, out.ctypes.data)
+    raised = kernel(positions.ctypes.data, rx.ctypes.data, r0, v.ctypes.data,
+                    coeffs.ctypes.data, coeffs.size, k, m, rows, out.ctypes.data)
+    if raised & _COLOCATED:
+        raise ValueError("RX is co-located with a TX element")
     # the loop's floating-point exceptions, raised again in numpy under its errstate
     for bit, op, a, b in _FP_REPLAYS:
         if raised & bit:
@@ -351,9 +372,11 @@ def _load_kernel(cache: str):
     The library's name holds a CRC-32 of the source, the flags and the
     machine, so an edited source never loads a stale build. It is compiled
     under a temporary name and renamed into place, so a concurrent run never
-    loads a partial file. If ``cache`` cannot be written, the library is
-    built in a private temporary directory, which is removed once it is
-    loaded. ``ctypes.CDLL`` functions release the interpreter lock.
+    loads a partial file; once it is in place, every other
+    ``tile_sums-*.so`` in ``cache``, a build of an earlier source or flags,
+    is removed. If ``cache`` cannot be written, the library is built in a
+    private temporary directory, which is removed once it is loaded.
+    ``ctypes.CDLL`` functions release the interpreter lock.
     """
     import platform
     import tempfile
@@ -381,6 +404,12 @@ def _load_kernel(cache: str):
         finally:
             if os.path.exists(partial):
                 os.unlink(partial)
+        for other in os.listdir(cache):
+            if other.startswith("tile_sums-") and other.endswith(".so") and other != name:
+                try:
+                    os.unlink(os.path.join(cache, other))
+                except OSError:  # already removed by a concurrent build
+                    pass
     return _open(path)
 
 
@@ -407,37 +436,12 @@ def _open(path: str):
         kernel = ctypes.CDLL(path).tile_sums
     except (OSError, AttributeError) as exc:
         raise KernelBuildError(f"cannot load the SNR kernel from {path}: {exc}") from None
-    kernel.argtypes = (ctypes.c_void_p,) * 4 + (ctypes.c_long,) * 4 + (ctypes.c_void_p,)
+    kernel.argtypes = (
+        (ctypes.c_void_p,) * 2 + (ctypes.c_double,) + (ctypes.c_void_p,) * 2
+        + (ctypes.c_long,) * 4 + (ctypes.c_void_p,)
+    )
     kernel.restype = ctypes.c_int
     return kernel
-
-
-def _block_geometry(positions, rx, r0: float, coeffs):
-    """Unit displacements and amplitude-scaled field vectors of an antenna block.
-
-    Returns ``(p_hat, e)``, p_hat (k, 3) and e (2, k, 3), where ``e[0]`` and
-    ``e[1]`` belong to the x and y dipoles. With r the distance from an
-    antenna to ``rx`` and c = p_hat . u for its TX dipole along u,
-    ``e_u = (r0 / r) * h(c^2) * (u - c p_hat)``, where h is the series of
-    ``channel.pattern_series``. Since |u - c p_hat| is sin(theta_tx) and
-    g_tx = sin(theta_tx) h(c^2), this is |h_up| * g_tx * (4 pi r0 / lambda)
-    times the unit impinging-field direction, without a division by
-    sin(theta_tx). Distances come from chained ``np.hypot``, which neither
-    overflows nor underflows for any finite displacement.
-    """
-    disp = rx - positions
-    dist = np.hypot(np.hypot(disp[:, 0], disp[:, 1]), disp[:, 2])
-    if np.any(dist == 0.0):
-        raise ValueError("RX is co-located with a TX element")
-    p_hat = disp / dist[:, None]
-    amp = r0 / dist
-    e = np.empty((2, *p_hat.shape))
-    for axis in (0, 1):
-        cos_tx = p_hat[:, axis]
-        scale = amp * _series(np.square(cos_tx), coeffs)
-        np.multiply(p_hat, (-scale * cos_tx)[:, None], out=e[axis])
-        e[axis, :, axis] += scale
-    return p_hat, e
 
 
 def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
@@ -445,21 +449,34 @@ def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
 
     The same angles as the test oracle's ``polarization_angle_map(
     dpc_beamformer(ChannelGeometry(layout, rx).channel_for(Z_HAT)))``
-    (``tests/oracles.py``), taken from the kernel's real factors: with a_u = ``e[u, :, 2]`` of ``_block_geometry``,
-    h_u = K a_u for a complex K shared by both dipoles of an antenna, so the
-    weight pair's relative phasor is |K|^2 a_x a_y, real, and the axis is
-    atan2(a_x a_y, a_x^2) in (-pi/2, pi/2]. As there, an antenna with
-    a_x == 0 radiates along y (pi/2) unless a_y == 0 too, when it puts its
-    power on the x dipole (0). Evaluated ``ANTENNA_BLOCK`` antennas at a time
-    in the calling thread.
+    (``tests/oracles.py``), taken from the kernel's real factors: the z
+    component of the field vector e_u of the TX dipole along u is
+    a_u = p_z * (-(r0 / r) h(p_u^2) p_u), with p the unit displacement to the
+    RX and r its length. h_u = K a_u for a complex K shared by both dipoles
+    of an antenna, so the weight pair's relative phasor is |K|^2 a_x a_y,
+    real, and the axis is atan2(a_x a_y, a_x^2) in (-pi/2, pi/2]. As there,
+    an antenna with a_x == 0 radiates along y (pi/2) unless a_y == 0 too,
+    when it puts its power on the x dipole (0). Evaluated ``ANTENNA_BLOCK``
+    antennas at a time in the calling thread, with distances from chained
+    ``np.hypot``.
+
+    Raises ``ValueError`` if ``rx`` is not a finite 3-vector or coincides
+    with a TX element.
     """
-    rx = np.asarray(rx, dtype=float)
+    rx, r0 = _rx_center(rx, layout.radius)
     coeffs = pattern_series(layout.dipole_length / layout.wavelength)
-    r0 = max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), layout.radius)
     angles = np.empty(layout.n_tx)
     for b0 in range(0, layout.n_tx, ANTENNA_BLOCK):
-        _, e = _block_geometry(layout.positions[b0:b0 + ANTENNA_BLOCK], rx, r0, coeffs)
-        a_x, a_y = e[0, :, 2], e[1, :, 2]
+        disp = rx - layout.positions[b0:b0 + ANTENNA_BLOCK]
+        dist = np.hypot(np.hypot(disp[:, 0], disp[:, 1]), disp[:, 2])
+        if np.any(dist == 0.0):
+            raise ValueError("RX is co-located with a TX element")
+        p_hat = disp / dist[:, None]
+        amp = r0 / dist
+        a_x, a_y = (
+            p_hat[:, 2] * (-(amp * _series(np.square(p_hat[:, u]), coeffs)) * p_hat[:, u])
+            for u in (0, 1)
+        )
         block = np.arctan2(a_x * a_y, np.square(a_x))
         block[(a_x == 0.0) & (a_y != 0.0)] = math.pi / 2.0
         block += 0.0  # -0.0 -> +0.0

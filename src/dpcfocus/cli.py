@@ -84,11 +84,12 @@ OPTIONAL_KEYS = ("noise_power_w",)
 LIST_KEYS = ("alpha_deg", "distance_m")
 
 GEOMETRY_BYTES_PER_ANTENNA = 8 * 32
-"""Estimated peak bytes per antenna of ``beamforming._block_geometry``.
+"""Estimated peak bytes per antenna of the geometry ``beamforming.polarization_angles`` builds.
 
 Its about 20 float64 values per antenna plus the temporaries that build
-them, rounded up. Each worker of the sweep kernel, and fig3's map in the
-calling thread, holds one antenna block's worth at a time.
+them, rounded up. fig3's map holds one ``ANTENNA_BLOCK``'s worth at a time,
+in the calling thread; the sweep kernel builds its geometry on the stack of
+the compiled loop and holds none.
 """
 
 
@@ -396,10 +397,10 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
       map's angles), and beside it ``GEOMETRY_BYTES_PER_ANTENNA`` for one
       ``beamforming.ANTENNA_BLOCK``, the geometry a map is built from, which
       bounds the map phase too;
-    * the sweep kernel: each of its workers holds the geometry of the
-      folds' largest antenna block and at most three blocks' column sums
-      (two in flight per worker, one being added by the caller), each at
-      most ``SNR_TILE_ELEMENTS`` or 3 m float64.
+    * the sweep kernel: each of its workers holds at most three blocks'
+      column sums (two in flight per worker, one being added by the
+      caller), each at most ``SNR_TILE_ELEMENTS`` or 3 m float64; the
+      compiled loop builds each antenna's geometry on its own stack.
 
     The grid is built only once the charge without the kernel fits. Every
     TX element lies on z = 0, so d cos(alpha) bounds each TX-RX distance
@@ -444,10 +445,7 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
         rx_centers = [rx_position(d, alpha) for alpha, d in placements]
         kernel = tuple(fold_placements(rx_centers, grid, config.radius, True, True, folds))
     workers = kernel_workers(int(min(points, 2.0**53)), kernel)
-    block = max((fold.block for _, _, fold in kernel), default=0)
-    kernel_bytes = workers * float(
-        block * GEOMETRY_BYTES_PER_ANTENNA + 3 * 8 * max(SNR_TILE_ELEMENTS, 3 * grid.shape[0])
-    )
+    kernel_bytes = workers * float(3 * 8 * max(SNR_TILE_ELEMENTS, 3 * grid.shape[0]))
     need = points * 3 * 8 + max(phase, kernel_bytes) + grid_bytes
     _refuse_beyond_memory(need)
     classes = int(folds[True, False].directions.shape[0])

@@ -1,20 +1,27 @@
 /* Per-tile column sums of the SNR kernel, loaded by dpcfocus.beamforming.
 
-   Antenna i of a block has the unit displacement p_i (to the RX) and the
-   field vectors e_x,i and e_y,i of its two dipoles. For a receive direction
-   v_j, with c = p_i . v_j, the RX pattern is g = |p_i x v_j| h(c^2), h the
-   polynomial `coeffs` (lowest degree first), and the channel magnitudes are
-   a_x = |(e_x,i . v_j) g| and a_y = |(e_y,i . v_j) g|. Tile t holds antennas
-   t * rows up to (t + 1) * rows; out[t][0..2][j] receive the sums over its
-   antennas, added in antenna order, of sqrt(a_x^2 + a_y^2), a_x and a_y.
-   Built with -ffp-contract=off, so every clone rounds every step alike.
-   Returns the floating-point exceptions raised, as bits: 1 overflow,
-   2 invalid, 4 divide by zero, 8 underflow. */
+   Antenna i of a block sits at pos_i; d_i = rx - pos_i is its displacement
+   to the RX, r_i = |d_i| and p_i = d_i / r_i. Its TX dipole along axis u
+   (x or y) has the field vector e_u,i = s_u (u - p_u p_i), with
+   s_u = (r0 / r_i) h(p_u^2), h the polynomial `coeffs` (lowest degree
+   first), so |e_u,i| is |h_up| g_tx up to one constant. The geometry of
+   GROUP antennas at a time is built into a stack buffer, then read for
+   every receive direction v_j: with c = p_i . v_j, the RX pattern is
+   g = |p_i x v_j| h(c^2), and the channel magnitudes are
+   a_x = |(e_x,i . v_j) g| and a_y = |(e_y,i . v_j) g|. Tile t holds
+   antennas t * rows up to (t + 1) * rows; out[t][0..2][j] receive the sums
+   over its antennas, added in antenna order, of sqrt(a_x^2 + a_y^2), a_x
+   and a_y. Built with -ffp-contract=off, so every clone rounds every step
+   alike. Returns the floating-point exceptions raised, as bits:
+   1 overflow, 2 invalid, 4 divide by zero, 8 underflow; and 16 if an
+   antenna sits at the RX, when the sums are undefined. */
 
 #include <fenv.h>
 #include <math.h>
 
 #define CHUNK 256 /* directions held in L1 at a time */
+#define GROUP 64  /* antennas whose geometry is held at a time */
+#define COLOCATED 16
 
 #ifndef CLONES /* -DCLONES= builds the baseline instruction set alone */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -24,10 +31,55 @@
 #endif
 #endif
 
-CLONES int tile_sums(const double *p, const double *e, const double *v, const double *coeffs,
-                     long n_coeffs, long k, long m, long rows, double *out)
+/* Unit displacements p[0..2] and field vectors e[u][0..2] of antennas
+   pos[0..n-1]; returns nonzero if one of them sits at rx. */
+static inline int geometry(const double *pos, const double *rx, double r0, const double *coeffs,
+                           long n_coeffs, int n, double p[3][GROUP], double e[2][3][GROUP])
+{
+    double amp[GROUP], hx[GROUP], hy[GROUP];
+    int at_rx = 0;
+    for (int i = 0; i < n; i++) {
+        double dx = rx[0] - pos[3 * i], dy = rx[1] - pos[3 * i + 1], dz = rx[2] - pos[3 * i + 2];
+        /* scaled by the largest component, no finite displacement overflows its square */
+        double ax = fabs(dx), ay = fabs(dy), az = fabs(dz);
+        double s = ax > ay ? ax : ay;
+        s = s > az ? s : az;
+        at_rx |= s == 0.0;
+        double qx = dx / s, qy = dy / s, qz = dz / s;
+        double r = s * sqrt(qx * qx + qy * qy + qz * qz);
+        p[0][i] = dx / r;
+        p[1][i] = dy / r;
+        p[2][i] = dz / r;
+        amp[i] = r0 / r;
+        hx[i] = hy[i] = coeffs[n_coeffs - 1];
+    }
+    /* Horner's rule in the order of channel._series, one degree over the group at a time */
+    for (long d = n_coeffs - 2; d >= 0; d--) {
+        const double cd = coeffs[d];
+        for (int i = 0; i < n; i++) {
+            hx[i] = hx[i] * (p[0][i] * p[0][i]) + cd;
+            hy[i] = hy[i] * (p[1][i] * p[1][i]) + cd;
+        }
+    }
+    for (int i = 0; i < n; i++) {
+        double sx = amp[i] * hx[i], sy = amp[i] * hy[i];
+        double tx = -(sx * p[0][i]), ty = -(sy * p[1][i]);
+        e[0][0][i] = p[0][i] * tx + sx;
+        e[0][1][i] = p[1][i] * tx;
+        e[0][2][i] = p[2][i] * tx;
+        e[1][0][i] = p[0][i] * ty;
+        e[1][1][i] = p[1][i] * ty + sy;
+        e[1][2][i] = p[2][i] * ty;
+    }
+    return at_rx;
+}
+
+CLONES int tile_sums(const double *pos, const double *rx, double r0, const double *v,
+                     const double *coeffs, long n_coeffs, long k, long m, long rows, double *out)
 {
     double vx[CHUNK], vy[CHUNK], vz[CHUNK], x[CHUNK], h[CHUNK], s0[CHUNK], s1[CHUNK], s2[CHUNK];
+    double p[3][GROUP], e[2][3][GROUP];
+    int at_rx = 0;
     feclearexcept(FE_ALL_EXCEPT);
     for (long t0 = 0; t0 < k; t0 += rows) {
         long t1 = k - t0 < rows ? k : t0 + rows;
@@ -40,34 +92,37 @@ CLONES int tile_sums(const double *p, const double *e, const double *v, const do
                 vz[j] = v[3 * (j0 + j) + 2];
                 s0[j] = s1[j] = s2[j] = 0.0;
             }
-            for (long i = t0; i < t1; i++) {
-                const double px = p[3 * i], py = p[3 * i + 1], pz = p[3 * i + 2];
-                const double *ex = e + 3 * i, *ey = e + 3 * (k + i);
-                const double xx = ex[0], xy = ex[1], xz = ex[2];
-                const double yx = ey[0], yy = ey[1], yz = ey[2];
-                const double top = coeffs[n_coeffs - 1];
-                for (int j = 0; j < n; j++) {
-                    double c = px * vx[j] + py * vy[j] + pz * vz[j];
-                    x[j] = c * c;
-                    h[j] = top;
-                }
-                /* Horner's rule, one degree over all the chunk's directions at a time */
-                for (long d = n_coeffs - 2; d >= 0; d--) {
-                    const double cd = coeffs[d];
-                    for (int j = 0; j < n; j++)
-                        h[j] = h[j] * x[j] + cd;
-                }
-                for (int j = 0; j < n; j++) {
-                    /* the sine from |p x v| stays accurate next to the axial null */
-                    double qx = py * vz[j] - pz * vy[j];
-                    double qy = pz * vx[j] - px * vz[j];
-                    double qz = px * vy[j] - py * vx[j];
-                    double g = h[j] * sqrt(qx * qx + qy * qy + qz * qz);
-                    double ax = fabs((xx * vx[j] + xy * vy[j] + xz * vz[j]) * g);
-                    double ay = fabs((yx * vx[j] + yy * vy[j] + yz * vz[j]) * g);
-                    s0[j] += sqrt(ax * ax + ay * ay);
-                    s1[j] += ax;
-                    s2[j] += ay;
+            for (long g0 = t0; g0 < t1; g0 += GROUP) {
+                int count = t1 - g0 < GROUP ? (int)(t1 - g0) : GROUP;
+                at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, e);
+                for (int i = 0; i < count; i++) {
+                    const double px = p[0][i], py = p[1][i], pz = p[2][i];
+                    const double xx = e[0][0][i], xy = e[0][1][i], xz = e[0][2][i];
+                    const double yx = e[1][0][i], yy = e[1][1][i], yz = e[1][2][i];
+                    const double top = coeffs[n_coeffs - 1];
+                    for (int j = 0; j < n; j++) {
+                        double c = px * vx[j] + py * vy[j] + pz * vz[j];
+                        x[j] = c * c;
+                        h[j] = top;
+                    }
+                    /* Horner's rule, one degree over all the chunk's directions at a time */
+                    for (long d = n_coeffs - 2; d >= 0; d--) {
+                        const double cd = coeffs[d];
+                        for (int j = 0; j < n; j++)
+                            h[j] = h[j] * x[j] + cd;
+                    }
+                    for (int j = 0; j < n; j++) {
+                        /* the sine from |p x v| stays accurate next to the axial null */
+                        double qx = py * vz[j] - pz * vy[j];
+                        double qy = pz * vx[j] - px * vz[j];
+                        double qz = px * vy[j] - py * vx[j];
+                        double g = h[j] * sqrt(qx * qx + qy * qy + qz * qz);
+                        double ax = fabs((xx * vx[j] + xy * vy[j] + xz * vz[j]) * g);
+                        double ay = fabs((yx * vx[j] + yy * vy[j] + yz * vz[j]) * g);
+                        s0[j] += sqrt(ax * ax + ay * ay);
+                        s1[j] += ax;
+                        s2[j] += ay;
+                    }
                 }
             }
             for (int j = 0; j < n; j++) {
@@ -78,5 +133,6 @@ CLONES int tile_sums(const double *p, const double *e, const double *v, const do
         }
     }
     return (fetestexcept(FE_OVERFLOW) ? 1 : 0) | (fetestexcept(FE_INVALID) ? 2 : 0)
-           | (fetestexcept(FE_DIVBYZERO) ? 4 : 0) | (fetestexcept(FE_UNDERFLOW) ? 8 : 0);
+           | (fetestexcept(FE_DIVBYZERO) ? 4 : 0) | (fetestexcept(FE_UNDERFLOW) ? 8 : 0)
+           | (at_rx ? COLOCATED : 0);
 }

@@ -311,6 +311,21 @@ def test_polarization_angles_keep_the_edge_rules_on_the_z_axis():
     assert centre.tolist() == [0.0] and not np.signbit(centre[0])
 
 
+@pytest.mark.parametrize(
+    "rx", [(math.nan, 0.0, 0.1), (0.0, -math.inf, 0.1), (0.0, 0.1)],
+    ids=["nan", "inf", "two-element"],
+)
+def test_polarization_angles_refuse_a_bad_rx(rx):
+    # refused as fold_placements refuses it for the kernel, not mapped to NaN angles
+    with pytest.raises(ValueError, match="finite 3-vector"):
+        polarization_angles(FIG3_LAYOUT, np.array(rx))
+
+
+def test_polarization_angles_refuse_a_colocated_rx():
+    with pytest.raises(ValueError, match="co-located"):
+        polarization_angles(FIG3_LAYOUT, FIG3_LAYOUT.positions[-1])
+
+
 KERNEL_WAVELENGTH = SPEED_OF_LIGHT / 300e9
 KERNEL_BUDGET = LinkBudget(transmit_power=1e-3, noise_power=thermal_noise_power(100e6))
 DEFAULT_GRID = orientation_grid()
@@ -546,18 +561,24 @@ def test_orientation_snr_rejects_bad_directions(kernel_layout):
 
 @pytest.fixture
 def no_kernel_tasks(monkeypatch):
-    "Fails the test if the kernel builds any block geometry."
+    "Fails the test if any kernel task runs: every task is one ``_tile_sums`` call."
 
     def refuse(*args):
         raise AssertionError("a kernel task ran")
 
-    monkeypatch.setattr(beamforming, "_block_geometry", refuse)
+    monkeypatch.setattr(beamforming, "_tile_sums", refuse)
 
 
 def refused_at_the_call(layout, rx_centers, directions, match):
     # fold_placements refuses before folded_snrs is called, so before any task is queued
     with pytest.raises(ValueError, match=match):
         kernel_snrs(layout, rx_centers, directions, KERNEL_BUDGET)
+
+
+def test_no_kernel_tasks_fails_a_valid_call(kernel_layout, no_kernel_tasks):
+    # the refusals below would pass vacuously if the fixture patched a function no task calls
+    with pytest.raises(AssertionError, match="a kernel task ran"):
+        kernel_snr(kernel_layout, rx_position(0.1, 0.3), GRID_30_20, KERNEL_BUDGET)
 
 
 def test_kernel_refuses_an_empty_grid(kernel_layout, no_kernel_tasks):
@@ -742,18 +763,18 @@ def test_abandoning_orientation_snrs_cancels_its_queued_tasks(kernel_layout, thr
     rxs = [rx_position(d, 0.3) for d in np.linspace(0.1, 1.0, 20)]
     started = []  # placement indices, in the order their tasks start
     both_held = threading.Event()
-    block_geometry = beamforming._block_geometry
+    tile_sums = beamforming._tile_sums
 
-    def counted(positions, rx, *args):
+    def counted(kernel, positions, rx, *args):
         i = next(i for i, r in enumerate(rxs) if np.array_equal(r, rx))
         started.append(i)
         if i >= 2:
             if {2, 3} <= set(started):
                 both_held.set()
             time.sleep(0.5)  # hold both workers while the consumer stops
-        return block_geometry(positions, rx, *args)
+        return tile_sums(kernel, positions, rx, *args)
 
-    monkeypatch.setattr(beamforming, "_block_geometry", counted)
+    monkeypatch.setattr(beamforming, "_tile_sums", counted)
 
     def consume():
         # one block per placement on the 29-class grid: 20 tasks, of which the first

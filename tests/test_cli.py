@@ -14,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from dpcfocus import beamforming, cli, experiments, geometry
 from dpcfocus.beamforming import LinkBudget
+from dpcfocus.channel import ChannelGeometry
 from dpcfocus.cli import (
     EXIT_BUILD_ERROR,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_OUTPUT_ERROR,
-    GEOMETRY_BYTES_PER_ANTENNA,
     LIST_KEYS,
     OPTIONAL_KEYS,
     REQUIRED_KEYS,
@@ -43,6 +43,7 @@ from dpcfocus.geometry import (
     rx_position,
 )
 from conftest import kernel_snr
+from oracles import evaluate_snr
 
 TINY_CONFIG = """\
 # reduced-size run for fast tests
@@ -301,8 +302,8 @@ def test_preflight_charges_fig3_for_its_writer_and_one_block_of_geometry(monkeyp
     # fig3 holds its maps and the writer's lists beside one antenna block of geometry
     fig3 = plan_run(config, "fig3").estimated_bytes
     assert fig3 == 50270941.05095567
-    # the sweep kernel holds the positions and, per worker, one antenna block of geometry
-    # and column sums; the workers are pinned to two CPUs' worth
+    # the sweep kernel holds the positions and, per worker, column sums; the workers are
+    # pinned to two CPUs' worth
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
     for scenario in ("fig5", "fig6", "fig7", "sweep", "check"):
         assert plan_run(config, scenario).estimated_bytes < 0.4 * fig3
@@ -313,8 +314,8 @@ def largest_block(plan):
 
 
 def test_preflight_charges_each_kernel_worker(monkeypatch):
-    # per worker: the largest block of geometry among the folds and three blocks' column
-    # sums, each at most SNR_TILE_ELEMENTS float64 on these grids
+    # per worker: three blocks' column sums, each at most SNR_TILE_ELEMENTS float64 on
+    # these grids; the compiled loop builds the geometry on its stack
     column_sums = 3 * 8 * beamforming.SNR_TILE_ELEMENTS
     # about 70 000 antennas, 18 blocks; from one worker on, the kernel outweighs the
     # lattice build's temporaries
@@ -330,11 +331,10 @@ def test_preflight_charges_each_kernel_worker(monkeypatch):
     # the 163-class fold's blocks are 4020 antennas; the 7 classes of TINY_CONFIG's
     # square fold make one tile of 9362 antennas, past ANTENNA_BLOCK
     assert [largest_block(plan) for plan in plans] == [4020, 9362]
-    # to a byte: the estimate is a float sum of about 2e7
-    for column, plan in enumerate(plans):
-        per_worker = largest_block(plan) * GEOMETRY_BYTES_PER_ANTENNA + column_sums
+    # to a byte: the estimate is a float sum of about 2e7, and no block's size enters it
+    for column in range(len(plans)):
         charged = [e[column] - estimates[0][column] for e in estimates]
-        assert charged == pytest.approx([0, per_worker, 2 * per_worker], rel=0, abs=1.0)
+        assert charged == pytest.approx([0, column_sums, 2 * column_sums], rel=0, abs=1.0)
 
 
 def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
@@ -795,3 +795,67 @@ def test_check_on_fuzzed_config_only_returns_exit_codes(text, scale):
             code = exc.code
         assert code in (0, 2, 3, 4)
         assert (out / "check.csv").exists() == (code == EXIT_OK)
+
+
+@st.composite
+def small_run_configs(draw):
+    """A config of 13 to about 200 antennas at 300 GHz, at most 72 directions and up
+    to three angles and three distances, as text for ``main``."""
+    wavelength = SPEED_OF_LIGHT / 300e9
+    alphas = draw(st.lists(st.sampled_from([0.0, 30.0]) | st.floats(0.0, 60.0),
+                           min_size=1, max_size=3))
+    distances = draw(st.lists(st.floats(0.02, 1.0), min_size=1, max_size=3))
+    return "\n".join([
+        f"radius_m = {draw(st.floats(1.0, 4.0)) * wavelength!r}",
+        "carrier_frequency_hz = 300e9",
+        "bandwidth_hz = 100e6",
+        "transmit_power_w = 1e-3",
+        f"alpha_deg = {', '.join(map(repr, alphas))}",
+        f"distance_m = {', '.join(map(repr, distances))}",
+        f"azimuth_step_deg = {draw(st.sampled_from([30, 45, 60, 90]))}",
+        f"elevation_step_deg = {draw(st.sampled_from([30, 45, 90]))}",
+    ]) + "\n"
+
+
+def oracle_sweep_row(layout, grid, config, alpha, distance):
+    """The full ``sweep.csv`` row of one placement, from the oracle's SNRs: quartiles by
+    ``np.percentile`` and whiskers 1.5 IQR beyond them, clamped to the data extremes."""
+    geom = ChannelGeometry(layout, rx_position(distance, alpha))
+    snr = np.array([evaluate_snr(geom.channel_for(v), config.budget()) for v in grid])
+    row = [math.degrees(alpha), distance, grid.shape[0]]
+    for column in (2, 1):  # switched, then dual, as in STATS_COLUMNS
+        improvement = 10.0 * np.log10(snr[:, 0] / snr[:, column])
+        q1, median, q3 = np.percentile(improvement, [25.0, 50.0, 75.0])
+        iqr = q3 - q1
+        row += [median, q1, q3, max(q1 - 1.5 * iqr, improvement.min()),
+                min(q3 + 1.5 * iqr, improvement.max())]
+    return row + list(config.bandwidth * np.mean(np.log2(1.0 + snr), axis=0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(small_run_configs())
+def test_cli_rows_match_the_oracle_on_drawn_configs(text):
+    # every row of fig5 and sweep, end to end through main, within the reference rule of
+    # perfbench/rowcheck.py: 1e-9 relative or 1e-9 absolute
+    config = parse_config_text(text)
+    layout = build_circular_array(config.radius, config.wavelength)
+    grid = orientation_grid(config.azimuth_step, config.elevation_step)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text)
+        for scenario in ("fig5", "sweep"):
+            out = Path(tmp) / scenario
+            assert main([scenario, "--config", str(path), "--out", str(out)]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["box_plot"] == {
+                "quartiles": "linear interpolation",
+                "whiskers": "1.5*IQR beyond the quartiles, clamped to data extremes",
+            }
+            header, rows = read_csv(out / f"{scenario}.csv")
+            placements = scenario_placements(scenario, config)
+            assert header == cli.PLACEMENT_COLUMNS[scenario] and len(rows) == len(placements)
+            keep = [cli.SWEEP_COLUMNS.index(c) for c in header]
+            for (alpha, distance), raw in zip(placements, rows):
+                want = oracle_sweep_row(layout, grid, config, alpha, distance)
+                for name, got, value in zip(header, map(float, raw), (want[i] for i in keep)):
+                    assert abs(got - value) <= max(1e-9 * abs(value), 1e-9), name

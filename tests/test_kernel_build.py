@@ -63,11 +63,17 @@ def test_a_cached_kernel_loads_without_the_compiler(tmp_path, monkeypatch):
 
 
 def test_changed_flags_are_built_again(tmp_path, monkeypatch):
+    # the new build replaces the superseded one; a concurrent build's partial file stays
     cache = tmp_path / "cache"
     beamforming._load_kernel(str(cache))
+    (first,) = cache.iterdir()
+    partial = cache / "tmpabc123.so"
+    partial.write_bytes(b"")
     monkeypatch.setattr(beamforming, "KERNEL_FLAGS", KERNEL_FLAGS + ("-DEDITED",))
     beamforming._load_kernel(str(cache))
-    assert len(list(cache.iterdir())) == 2
+    (library,) = set(cache.iterdir()) - {partial}
+    assert library.name.startswith("tile_sums-") and library.name != first.name
+    assert partial.exists()
 
 
 def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch):
