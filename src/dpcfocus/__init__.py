@@ -10,50 +10,45 @@ direct inner products live in ``tests/oracles.py``, the reference route the
 library is checked against.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .geometry import (
-    SPEED_OF_LIGHT,
-    X_HAT,
-    Y_HAT,
-    Z_HAT,
-    ArrayLayout,
-    build_circular_array,
-    orientation_classes,
-    orientation_grid,
-    rx_position,
-)
-from .channel import ChannelGeometry, PolarizedChannel
-from .beamforming import LinkBudget, thermal_noise_power
-from .experiments import (
-    DistributionStats,
-    SweepConfig,
-    ergodic_rate,
-    improvement_stats,
-    improvements_db,
-    narrowband_check,
-    placement_sweeps,
-)
+# Each public name, keyed to its home module, is imported on first access (PEP 562),
+# so ``import dpcfocus`` loads no numpy. That lets ``dpcfocus.cli`` set the
+# BLAS defaults before numpy starts its thread pool.
+_HOME_OF = {
+    "SPEED_OF_LIGHT": "geometry",
+    "X_HAT": "geometry",
+    "Y_HAT": "geometry",
+    "Z_HAT": "geometry",
+    "ArrayLayout": "geometry",
+    "ChannelGeometry": "channel",
+    "DistributionStats": "experiments",
+    "LinkBudget": "beamforming",
+    "PolarizedChannel": "channel",
+    "SweepConfig": "experiments",
+    "build_circular_array": "geometry",
+    "ergodic_rate": "experiments",
+    "improvement_stats": "experiments",
+    "improvements_db": "experiments",
+    "narrowband_check": "experiments",
+    "orientation_classes": "geometry",
+    "orientation_grid": "geometry",
+    "placement_sweeps": "experiments",
+    "rx_position": "geometry",
+    "thermal_noise_power": "beamforming",
+}
+__all__ = list(_HOME_OF)
 
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "X_HAT",
-    "Y_HAT",
-    "Z_HAT",
-    "ArrayLayout",
-    "ChannelGeometry",
-    "DistributionStats",
-    "LinkBudget",
-    "PolarizedChannel",
-    "SweepConfig",
-    "build_circular_array",
-    "ergodic_rate",
-    "improvement_stats",
-    "improvements_db",
-    "narrowband_check",
-    "orientation_classes",
-    "orientation_grid",
-    "placement_sweeps",
-    "rx_position",
-    "thermal_noise_power",
-]
+
+def __getattr__(name):
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -30,6 +30,11 @@ from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
+# No CLI path calls BLAS, yet numpy's OpenBLAS starts a worker per extra CPU
+# on load, and each spins for about 0.1 s of CPU before it parks. Set before
+# numpy is first imported; a value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

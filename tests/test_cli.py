@@ -470,8 +470,10 @@ def test_csvs_do_not_depend_on_the_worker_count(tmp_path, tiny_config_path, monk
 
 def fresh_python(*args, **env):
     """Run a fresh interpreter on this test run's import path, with ``env`` added to the
-    environment; returns the completed process."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    environment; returns the completed process. ``OPENBLAS_NUM_THREADS`` comes only from
+    ``env``: this process holds the value that importing ``dpcfocus.cli`` set."""
+    inherited = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env = dict(inherited, PYTHONPATH=os.pathsep.join(sys.path), **env)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
@@ -535,6 +537,57 @@ def test_importing_the_cli_defers_threads_and_decimal(tmp_path, tiny_config_path
         done = fresh_python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+
+def test_importing_the_package_loads_no_numpy():
+    # its names load on first use, so dpcfocus.cli can set BLAS defaults before numpy loads
+    done = fresh_python("-c", "import sys, dpcfocus; print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_the_package_exports_its_modules_objects():
+    code = (
+        "import dpcfocus\n"
+        "from dpcfocus import beamforming, channel, experiments, geometry\n"
+        "modules = (beamforming, channel, experiments, geometry)\n"
+        "assert set(dpcfocus.__all__) <= set(dir(dpcfocus))\n"
+        "for name in dpcfocus.__all__:\n"
+        "    homes = [getattr(m, name) for m in modules if hasattr(m, name)]\n"
+        "    assert homes and all(obj is getattr(dpcfocus, name) for obj in homes), name\n"
+        "assert getattr(dpcfocus, 'no_such_name', None) is None\n"
+        "print(len(dpcfocus.__all__))"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "20"
+    done = fresh_python("-m", "dpcfocus", "--version")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"dpcfocus {cli.__version__}"
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_the_cli_defaults_blas_to_one_thread(preset):
+    # no CLI path calls BLAS, and an idle OpenBLAS worker spins for about 0.1 s of CPU;
+    # a value the caller set wins
+    code = (
+        "import os, dpcfocus.cli\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else 0\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], threads)"
+    )
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    done = fresh_python("-c", code, **env)
+    assert done.returncode == 0, done.stderr
+    value, threads = done.stdout.split()
+    assert value == (preset or "1")
+    if threads == "0":
+        pytest.skip("no /proc/self/task to count threads in")
+    if preset is None:
+        assert int(threads) == 1
+    elif beamforming.available_cpus() >= 2:
+        # the same probe sees OpenBLAS's worker, so the count above is not vacuous
+        assert int(threads) >= 2
 
 
 def test_fig3_output_schema(tmp_path, tiny_config_path):

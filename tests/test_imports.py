@@ -3,8 +3,7 @@
 No linter is among the test dependencies, so this reads each module's syntax
 tree with the standard library's ``ast``: every name an ``import`` binds
 must be read somewhere in the module, as a name or as the base of an
-attribute. The package's ``__init__`` is left out, as it imports names only
-to export them.
+attribute.
 """
 
 import ast
@@ -13,9 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    path for path in (ROOT / "src" / "dpcfocus").glob("*.py") if path.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "dpcfocus").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
