@@ -89,7 +89,10 @@ def available_cpus() -> int:
 MAX_WORKERS = available_cpus()
 """Most threads ``folded_snrs`` runs its (placement, antenna block) tasks on.
 
-Speed-ups were measured on two CPUs only; beyond that the scaling is untested.
+Each worker is first moved to its own CPU of the affinity mask and then given
+the whole mask back (``_place_thread``), so two workers share no CPU on a host
+that never rebalances threads. Speed-ups were measured on two CPUs only;
+beyond that the scaling is untested.
 """
 
 
@@ -200,10 +203,12 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
     with the dipole pattern g_rx = |p_k x v| h((p_k . v)^2) and h the series
     of ``channel.pattern_series``, in tiles of ``SNR_TILE_ELEMENTS // m``
     antennas. The loop is built with ``cc`` on first use and kept in
-    ``KERNEL_CACHE``. The (placement, block) tasks of all the placements
-    form one stream, run in order on ``kernel_workers`` threads; a task runs
-    no numpy pass and the loop runs without the interpreter lock, so the
-    threads share the CPUs. Each task runs under a copy of the
+    ``KERNEL_CACHE``; it sums 16 directions at a time in registers, with the
+    antennas innermost. The (placement, block) tasks of all the placements
+    form one stream, run in order on ``kernel_workers`` threads of
+    ``_in_order``, each placed on its own CPU; a task runs no numpy pass and
+    the loop runs without the interpreter lock, so the threads share the
+    CPUs. Each task runs under a copy of the
     caller's context and raises the loop's floating-point exceptions again
     there, so ``np.errstate`` holds in them too. Blocks hold whole tiles and
     each placement's per-tile column sums are added in tile order by the
@@ -289,26 +294,81 @@ def _in_order(task, args, workers: int):
     """Yield ``task(a)`` for each a of ``args`` in order, computed on ``workers`` threads.
 
     At most ``2 * workers`` tasks are queued or running at a time, so results
-    that wait for an earlier one stay few however many tasks there are.
+    that wait for an earlier one stay few however many tasks there are. Each
+    task runs in a copy of the caller's context, and an exception it raises
+    is raised in the caller at its item. Abandoning the iterator drops the
+    queued tasks and joins the workers. Built on ``threading`` and
+    ``queue.SimpleQueue`` alone: ``concurrent.futures`` would import
+    ``logging``, about 6 ms at the start of every stream. Each worker first
+    moves to its own CPU (``_place_thread``).
     """
     if workers <= 1:
         yield from map(task, args)
         return
-    from concurrent.futures import ThreadPoolExecutor  # imported on first use
+    import threading
+    from queue import Empty, SimpleQueue
 
+    todo = SimpleQueue()  # (context, a, reply) per task, then one None per worker
+
+    def work(i):
+        _place_thread(i)
+        while (job := todo.get()) is not None:
+            context, a, reply = job
+            try:
+                reply.put((True, context.run(task, a)))
+            except BaseException as exc:  # raised again in the caller
+                reply.put((False, exc))
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(workers)]
+    for thread in threads:
+        thread.start()
     pending = deque()
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            for a in args:
-                # np.errstate is a context variable: run each task in a copy of the caller's
-                pending.append(pool.submit(contextvars.copy_context().run, task, a))
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+    try:
+        for a in args:
+            # np.errstate is a context variable: run each task in a copy of the caller's
+            reply = SimpleQueue()
+            todo.put((contextvars.copy_context(), a, reply))
+            pending.append(reply)
+            if len(pending) == 2 * workers:
+                yield _reply(pending.popleft())
+        while pending:
+            yield _reply(pending.popleft())
+    finally:
+        try:  # drop the tasks no worker has taken yet
+            while True:
+                todo.get_nowait()
+        except Empty:
+            pass
+        for _ in threads:
+            todo.put(None)
+        for thread in threads:
+            thread.join()
+
+
+def _reply(reply):
+    "The result a worker put in ``reply``, once it is there; or its exception, raised."
+    ok, value = reply.get()
+    if not ok:
+        raise value
+    return value
+
+
+def _place_thread(i: int) -> None:
+    """Move the calling thread to CPU ``i`` (modulo their count) of its affinity mask,
+    then give it back the whole mask.
+
+    A thread starts on the CPU of the thread that made it. Where the scheduler does not
+    rebalance threads between CPUs (``cpuset.sched_load_balance`` 0), workers started
+    from one thread would take turns on that CPU; placed, each stays where it was put.
+    Where it does rebalance, the restored mask leaves it free to move the thread. A
+    platform without ``sched_setaffinity``, or a refusal, skips the placement.
+    """
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {sorted(mask)[i % len(mask)]})
+        os.sched_setaffinity(0, mask)
+    except (AttributeError, OSError):
+        pass
 
 
 _FP_REPLAYS = (

@@ -547,6 +547,7 @@ def main(argv=None) -> int:
         # ru_maxrss is in KiB on Linux and in bytes on macOS
         peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         peak_rss *= 1 if sys.platform == "darwin" else 1024
+    evaluated = sum(fold.directions.shape[0] for _, _, fold in plan.kernel)
     manifest = {
         "tool": "dpcfocus",
         "tool_version": __version__,
@@ -562,7 +563,9 @@ def main(argv=None) -> int:
             "noise_power_w": config.noise_power,
             "orientation_count": int(plan.grid.shape[0]),
             "orientation_classes": plan.orientation_classes,
-            "directions_evaluated": sum(fold.directions.shape[0] for _, _, fold in plan.kernel),
+            "directions_evaluated": evaluated,
+            # the kernel's work: runtime_s / antenna_direction_pairs bounds the time per pair
+            "antenna_direction_pairs": layout.n_tx * evaluated,
         },
         "host": {
             "cpus": available_cpus(),

@@ -5,21 +5,27 @@
    (x or y) has the field vector e_u,i = s_u (u - p_u p_i), with
    s_u = (r0 / r_i) h(p_u^2), h the polynomial `coeffs` (lowest degree
    first), so |e_u,i| is |h_up| g_tx up to one constant. The geometry of
-   GROUP antennas at a time is built into a stack buffer, then read for
-   every receive direction v_j: with c = p_i . v_j, the RX pattern is
-   g = |p_i x v_j| h(c^2), and the channel magnitudes are
+   GROUP antennas of a tile at a time is built once into a stack buffer,
+   then read for every receive direction v_j: with c = p_i . v_j, the RX
+   pattern is g = |p_i x v_j| h(c^2), and the channel magnitudes are
    a_x = |(e_x,i . v_j) g| and a_y = |(e_y,i . v_j) g|. Tile t holds
    antennas t * rows up to (t + 1) * rows; out[t][0..2][j] receive the sums
    over its antennas, added in antenna order, of sqrt(a_x^2 + a_y^2), a_x
-   and a_y. Built with -ffp-contract=off, so every clone rounds every step
-   alike. Returns the floating-point exceptions raised, as bits:
+   and a_y. The directions go J at a time through the group's antennas,
+   with c^2, h and the three sums held in J-wide locals that the compiler
+   keeps in registers; the sums go back to `out` once per group. A last
+   partial J-tile repeats its first direction in the spare lanes, which are
+   not stored, so they raise no flag the real lane does not. Built with
+   -ffp-contract=off, so every clone rounds every step alike, and a
+   direction's sums take the same bits whatever directions share its
+   J-tile. Returns the floating-point exceptions raised, as bits:
    1 overflow, 2 invalid, 4 divide by zero, 8 underflow; and 16 if an
    antenna sits at the RX, when the sums are undefined. */
 
 #include <fenv.h>
 #include <math.h>
 
-#define CHUNK 256 /* directions held in L1 at a time */
+#define J 16      /* directions summed at a time, in registers */
 #define GROUP 64  /* antennas whose geometry is held at a time */
 #define COLOCATED 16
 
@@ -77,41 +83,47 @@ static inline int geometry(const double *pos, const double *rx, double r0, const
 CLONES int tile_sums(const double *pos, const double *rx, double r0, const double *v,
                      const double *coeffs, long n_coeffs, long k, long m, long rows, double *out)
 {
-    double vx[CHUNK], vy[CHUNK], vz[CHUNK], x[CHUNK], h[CHUNK], s0[CHUNK], s1[CHUNK], s2[CHUNK];
     double p[3][GROUP], e[2][3][GROUP];
+    const double top = coeffs[n_coeffs - 1];
     int at_rx = 0;
     feclearexcept(FE_ALL_EXCEPT);
     for (long t0 = 0; t0 < k; t0 += rows) {
         long t1 = k - t0 < rows ? k : t0 + rows;
         double *o = out + t0 / rows * 3 * m;
-        for (long j0 = 0; j0 < m; j0 += CHUNK) {
-            int n = m - j0 < CHUNK ? (int)(m - j0) : CHUNK;
-            for (int j = 0; j < n; j++) {
-                vx[j] = v[3 * (j0 + j)];
-                vy[j] = v[3 * (j0 + j) + 1];
-                vz[j] = v[3 * (j0 + j) + 2];
-                s0[j] = s1[j] = s2[j] = 0.0;
-            }
-            for (long g0 = t0; g0 < t1; g0 += GROUP) {
-                int count = t1 - g0 < GROUP ? (int)(t1 - g0) : GROUP;
-                at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, e);
+        for (long g0 = t0; g0 < t1; g0 += GROUP) {
+            int count = t1 - g0 < GROUP ? (int)(t1 - g0) : GROUP;
+            at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, e);
+            for (long j0 = 0; j0 < m; j0 += J) {
+                /* lanes past the last direction repeat the first one: the same
+                   operations on the same values raise no new flag, and are not stored */
+                long lane[J];
+                double vx[J], vy[J], vz[J], s0[J], s1[J], s2[J];
+                for (int j = 0; j < J; j++) {
+                    lane[j] = j0 + j < m ? j0 + j : j0;
+                    vx[j] = v[3 * lane[j]];
+                    vy[j] = v[3 * lane[j] + 1];
+                    vz[j] = v[3 * lane[j] + 2];
+                    s0[j] = g0 == t0 ? 0.0 : o[lane[j]];
+                    s1[j] = g0 == t0 ? 0.0 : o[m + lane[j]];
+                    s2[j] = g0 == t0 ? 0.0 : o[2 * m + lane[j]];
+                }
                 for (int i = 0; i < count; i++) {
                     const double px = p[0][i], py = p[1][i], pz = p[2][i];
                     const double xx = e[0][0][i], xy = e[0][1][i], xz = e[0][2][i];
                     const double yx = e[1][0][i], yy = e[1][1][i], yz = e[1][2][i];
-                    const double top = coeffs[n_coeffs - 1];
-                    for (int j = 0; j < n; j++) {
+                    double x[J], h[J];
+                    for (int j = 0; j < J; j++) {
                         double c = px * vx[j] + py * vy[j] + pz * vz[j];
                         x[j] = c * c;
                         h[j] = top;
                     }
-                    /* Horner's rule, one degree over all the chunk's directions at a time */
+                    /* Horner's rule, one degree over the register tile at a time */
                     for (long d = n_coeffs - 2; d >= 0; d--) {
                         const double cd = coeffs[d];
-                        for (int j = 0; j < n; j++)
+                        for (int j = 0; j < J; j++)
                             h[j] = h[j] * x[j] + cd;
                     }
-                    for (int j = 0; j < n; j++) {
+                    for (int j = 0; j < J; j++) {
                         /* the sine from |p x v| stays accurate next to the axial null */
                         double qx = py * vz[j] - pz * vy[j];
                         double qy = pz * vx[j] - px * vz[j];
@@ -124,11 +136,11 @@ CLONES int tile_sums(const double *pos, const double *rx, double r0, const doubl
                         s2[j] += ay;
                     }
                 }
-            }
-            for (int j = 0; j < n; j++) {
-                o[j0 + j] = s0[j];
-                o[m + j0 + j] = s1[j];
-                o[2 * m + j0 + j] = s2[j];
+                for (int j = 0; j < J && j0 + j < m; j++) {
+                    o[j0 + j] = s0[j];
+                    o[m + j0 + j] = s1[j];
+                    o[2 * m + j0 + j] = s2[j];
+                }
             }
         }
     }

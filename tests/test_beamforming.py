@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 import sys
 import threading
 import time
@@ -790,6 +791,82 @@ def test_abandoning_orientation_snrs_cancels_its_queued_tasks(kernel_layout, thr
     assert threading.active_count() == baseline
     # the fifth task is still queued behind the two sleeping ones, and is cancelled
     assert sorted(started) == [0, 1, 2, 3]
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+)
+
+
+@needs_affinity
+@pytest.mark.parametrize("workers", [2, 3])
+def test_kernel_workers_each_move_to_a_cpu_and_get_their_mask_back(
+    kernel_layout, monkeypatch, workers
+):
+    calls = []  # (thread, mask) per call
+    real = os.sched_setaffinity
+
+    def recorded(pid, mask):
+        calls.append((threading.get_ident(), set(mask)))
+        real(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recorded)
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)  # four one-tile blocks
+    caller = os.sched_getaffinity(0)
+    streamed = list(kernel_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET))
+    assert os.sched_getaffinity(0) == caller
+    assert len(streamed) == len(STREAM_RXS)
+    threads = {thread for thread, _ in calls}
+    assert threading.get_ident() not in threads and len(threads) == workers
+    cpus = sorted(caller)
+    moved = []
+    for thread in threads:
+        # one CPU of the process mask, then that mask again
+        (cpu,), restored = (mask for t, mask in calls if t == thread)
+        assert restored == caller
+        moved.append(cpu)
+    # worker i takes CPU i of the mask, so on two or more CPUs no two workers share one
+    assert sorted(moved) == sorted(cpus[i % len(cpus)] for i in range(workers))
+
+
+@pytest.mark.parametrize("placement", ["absent", "refused"])
+def test_kernel_workers_without_placement_give_the_same_bits(
+    kernel_layout, monkeypatch, placement
+):
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", 1)
+    alone = list(kernel_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET))
+    if placement == "absent":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        def refuse(pid, mask):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
+    streamed = kernel_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET)
+    for got, expected in zip(streamed, alone, strict=True):
+        assert np.array_equal(got, expected)
+
+
+def test_more_kernel_workers_than_cpus_keep_the_order(kernel_layout, monkeypatch):
+    # eight workers on four one-tile blocks per placement, switching threads often:
+    # a reply lost or taken out of order would change an array
+    rxs = STREAM_RXS * 3
+    alone = [kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET) for rx in rxs]
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", 8)
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        streamed = list(kernel_snrs(kernel_layout, rxs, DEFAULT_GRID, KERNEL_BUDGET))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == baseline
+    for got, expected in zip(streamed, alone, strict=True):
+        assert np.array_equal(got, expected)
 
 
 @st.composite

@@ -206,6 +206,7 @@ def test_check_scenario_outputs(tmp_path, tiny_config_path):
     assert manifest["derived"]["orientation_classes"] == 19
     assert manifest["derived"]["placements"] == 0  # check evaluates no RX placement
     assert manifest["derived"]["directions_evaluated"] == 0
+    assert manifest["derived"]["antenna_direction_pairs"] == 0
     assert manifest["host"] == {
         "cpus": beamforming.available_cpus(),
         "kernel_workers": 0,
@@ -286,6 +287,11 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["placements"] == placements
         assert manifest["derived"]["directions_evaluated"] == evaluated
+        # every evaluated direction of a placement is summed over the whole lattice
+        plan = plan_run(load_config(tiny_config_path), scenario)
+        assert manifest["derived"]["antenna_direction_pairs"] == manifest["derived"]["n_tx"] * sum(
+            fold.directions.shape[0] for _, _, fold in plan.kernel
+        )
         assert manifest["host"]["cpus"] == beamforming.available_cpus()
         assert manifest["host"]["kernel_workers"] == workers
         assert manifest["host"]["numpy"] == np.__version__
@@ -537,6 +543,21 @@ def test_importing_the_cli_defers_threads_and_decimal(tmp_path, tiny_config_path
         done = fresh_python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+
+def test_a_threaded_run_imports_no_executor_or_logging(tmp_path):
+    # the kernel's pool is threading and queue alone: concurrent.futures would import
+    # logging, traceback and string at the start of every stream
+    args = ["sweep", "--scale", "0.1", "--out", str(tmp_path)]
+    code = (
+        f"import sys, dpcfocus.cli; assert dpcfocus.cli.main({args!r}) == 0; "
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    workers = json.loads((tmp_path / "manifest.json").read_text())["host"]["kernel_workers"]
+    assert workers == min(beamforming.available_cpus(), 70)  # one block per placement
 
 
 def test_importing_the_package_loads_no_numpy():

@@ -9,6 +9,7 @@ import pytest
 
 from dpcfocus import beamforming
 from dpcfocus.beamforming import KERNEL_FLAGS, KERNEL_SOURCE, KernelBuildError, LinkBudget
+from dpcfocus.channel import pattern_series
 from dpcfocus.geometry import SPEED_OF_LIGHT, build_circular_array, orientation_grid, rx_position
 from conftest import kernel_snr, kernel_snrs
 
@@ -47,6 +48,22 @@ def test_every_instruction_set_gives_the_same_bits(tmp_path, monkeypatch):
             patch.setattr(beamforming, "_kernel", kernel)
             runs.append(list(kernel_snrs(layout, rxs, orientation_grid(), BUDGET)))
     assert all(np.array_equal(a, b) for a, b in zip(*runs, strict=True))
+
+
+@pytest.mark.parametrize("m", [1, 15, 16, 17, 33, 163, 300])
+def test_each_direction_sums_as_it_would_alone(m):
+    # the loop takes 16 directions at a time and pads the last tile with a real one;
+    # 100-antenna tiles split into 64-antenna groups, and the last tile is partial
+    kernel = beamforming._tile_kernel()
+    positions = build_circular_array(radius=0.004, wavelength=SPEED_OF_LIGHT / 300e9).positions
+    v = np.random.default_rng(m).normal(size=(m, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    coeffs = np.array(pattern_series(0.5))
+    together = beamforming._tile_sums(kernel, positions, RX, 0.05, v, coeffs, 100)
+    assert together.shape == (-(-positions.shape[0] // 100), 3, m)
+    for j in range(m):
+        alone = beamforming._tile_sums(kernel, positions, RX, 0.05, v[j:j + 1], coeffs, 100)
+        assert np.array_equal(together[:, :, j], alone[:, :, 0])
 
 
 def test_a_cached_kernel_loads_without_the_compiler(tmp_path, monkeypatch):
