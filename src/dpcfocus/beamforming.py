@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _series, pattern_series
+from .channel import pattern_series
 from .geometry import ArrayLayout, _positive_finite, orientation_classes
 
 BOLTZMANN = 1.380649e-23
@@ -47,7 +47,7 @@ UNIT_TOL = 1e-12
 "Largest | |v| - 1 | of a receive direction the SNR kernel accepts."
 
 ANTENNA_BLOCK = 4096
-"""Antennas one ``folded_snrs`` task sums, and ``polarization_angles`` maps, at a time.
+"""Antennas one ``folded_snrs`` task sums at a time.
 
 A kernel task reads its block's positions in place and builds their geometry
 in the compiled loop, 64 antennas at a time on the stack; what it holds in
@@ -56,12 +56,11 @@ whole tiles, and to at most ``SNR_TILE_ELEMENTS / (3 m)`` tiles for ``m``
 evaluated directions, so those sums take at most ``SNR_TILE_ELEMENTS``
 float64 however fine the orientation grid. 2048 made ``sweep --scale 0.1``
 about 10% slower, as its 2837-antenna lattice then takes two blocks per
-placement. ``polarization_angles`` builds its numpy geometry, about 20
-float64 values per antenna, one block at a time.
+placement.
 """
 
 KERNEL_SOURCE = "tile_sums.c"
-"The C source of the tile kernel, beside this module."
+"The C source of the tile kernel and of fig3's field factors, beside this module."
 
 KERNEL_FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
 """Flags ``cc`` builds the tile kernel with.
@@ -381,7 +380,7 @@ _FP_REPLAYS = (
 
 
 _COLOCATED = 16
-"The bit of ``tile_sums``' return that marks an antenna at the RX."
+"The bit of ``tile_sums``' and ``field_z``'s return that marks an antenna at the RX."
 
 
 def _tile_sums(kernel, positions, rx, r0: float, v, coeffs, rows: int) -> np.ndarray:
@@ -390,9 +389,10 @@ def _tile_sums(kernel, positions, rx, r0: float, v, coeffs, rows: int) -> np.nda
     Tile t covers ``rows`` antennas of ``positions`` from ``t * rows`` on; its
     entry holds, per direction of ``v``, the sums over those antennas of
     sqrt(|h_x|^2 + |h_y|^2), |h_x| and |h_y| in units of lambda / (4 pi r0)
-    for an RX at ``rx``, added in antenna order by ``kernel``
-    (``_tile_kernel``), with the pattern series ``coeffs``. The loop builds
-    each antenna's geometry itself; the operands are read in place.
+    for an RX at ``rx``, added in antenna order by the ``tile_sums`` of
+    ``kernel`` (``_tile_kernel``), with the pattern series ``coeffs``. The
+    loop builds each antenna's geometry itself; the operands are read in
+    place.
 
     Raises ``ValueError`` if an antenna coincides with ``rx``.
     """
@@ -404,8 +404,8 @@ def _tile_sums(kernel, positions, rx, r0: float, v, coeffs, rows: int) -> np.nda
     if positions.shape != (k, 3) or rx.shape != (3,) or v.shape != (m, 3) or rows < 1:
         raise ValueError("tile kernel operands of mismatched shapes")
     out = np.empty((-(-k // rows), 3, m))
-    raised = kernel(positions.ctypes.data, rx.ctypes.data, r0, v.ctypes.data,
-                    coeffs.ctypes.data, coeffs.size, k, m, rows, out.ctypes.data)
+    raised = kernel.tile_sums(positions.ctypes.data, rx.ctypes.data, r0, v.ctypes.data,
+                              coeffs.ctypes.data, coeffs.size, k, m, rows, out.ctypes.data)
     if raised & _COLOCATED:
         raise ValueError("RX is co-located with a TX element")
     # the loop's floating-point exceptions, raised again in numpy under its errstate
@@ -419,7 +419,7 @@ _kernel = None
 
 
 def _tile_kernel():
-    "The compiled ``tile_sums`` function, loaded from ``KERNEL_CACHE`` on first use."
+    "The compiled kernel library, loaded from ``KERNEL_CACHE`` on first use."
     global _kernel
     if _kernel is None:
         _kernel = _load_kernel(KERNEL_CACHE)
@@ -489,19 +489,21 @@ def _compile(source: str, target: str, *extra: str) -> None:
 
 
 def _open(path: str):
-    "The ``tile_sums`` function of the shared library at ``path``, typed for ``_tile_sums``."
+    """The shared library at ``path``, its ``tile_sums`` typed for ``_tile_sums`` and its
+    ``field_z`` for ``polarization_angles``."""
     import ctypes
 
+    pointer, real, count = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
     try:
-        kernel = ctypes.CDLL(path).tile_sums
+        library = ctypes.CDLL(path)
+        tile_sums, field_z = library.tile_sums, library.field_z
     except (OSError, AttributeError) as exc:
         raise KernelBuildError(f"cannot load the SNR kernel from {path}: {exc}") from None
-    kernel.argtypes = (
-        (ctypes.c_void_p,) * 2 + (ctypes.c_double,) + (ctypes.c_void_p,) * 2
-        + (ctypes.c_long,) * 4 + (ctypes.c_void_p,)
-    )
-    kernel.restype = ctypes.c_int
-    return kernel
+    tile_sums.argtypes = (pointer, pointer, real, pointer, pointer, count, count, count, count,
+                          pointer)
+    field_z.argtypes = (pointer, pointer, real, pointer, count, count, pointer)
+    tile_sums.restype = field_z.restype = ctypes.c_int
+    return library
 
 
 def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
@@ -516,29 +518,24 @@ def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
     of an antenna, so the weight pair's relative phasor is |K|^2 a_x a_y,
     real, and the axis is atan2(a_x a_y, a_x^2) in (-pi/2, pi/2]. As there,
     an antenna with a_x == 0 radiates along y (pi/2) unless a_y == 0 too,
-    when it puts its power on the x dipole (0). Evaluated ``ANTENNA_BLOCK``
-    antennas at a time in the calling thread, with distances from chained
-    ``np.hypot``.
+    when it puts its power on the x dipole (0). a_x and a_y of the whole
+    lattice come from one call of the compiled ``field_z``, which builds the
+    geometry as the SNR kernel's loop does, in the calling thread.
 
     Raises ``ValueError`` if ``rx`` is not a finite 3-vector or coincides
-    with a TX element.
+    with a TX element, and ``KernelBuildError`` if the kernel is not built
+    yet and ``cc`` is missing or fails.
     """
     rx, r0 = _rx_center(rx, layout.radius)
-    coeffs = pattern_series(layout.dipole_length / layout.wavelength)
-    angles = np.empty(layout.n_tx)
-    for b0 in range(0, layout.n_tx, ANTENNA_BLOCK):
-        disp = rx - layout.positions[b0:b0 + ANTENNA_BLOCK]
-        dist = np.hypot(np.hypot(disp[:, 0], disp[:, 1]), disp[:, 2])
-        if np.any(dist == 0.0):
-            raise ValueError("RX is co-located with a TX element")
-        p_hat = disp / dist[:, None]
-        amp = r0 / dist
-        a_x, a_y = (
-            p_hat[:, 2] * (-(amp * _series(np.square(p_hat[:, u]), coeffs)) * p_hat[:, u])
-            for u in (0, 1)
-        )
-        block = np.arctan2(a_x * a_y, np.square(a_x))
-        block[(a_x == 0.0) & (a_y != 0.0)] = math.pi / 2.0
-        block += 0.0  # -0.0 -> +0.0
-        angles[b0:b0 + a_x.size] = block
+    rx = np.ascontiguousarray(rx)
+    coeffs = np.array(pattern_series(layout.dipole_length / layout.wavelength))
+    a = np.empty((2, layout.n_tx))
+    raised = _tile_kernel().field_z(layout.positions.ctypes.data, rx.ctypes.data, r0,
+                                    coeffs.ctypes.data, coeffs.size, layout.n_tx, a.ctypes.data)
+    if raised & _COLOCATED:
+        raise ValueError("RX is co-located with a TX element")
+    a_x, a_y = a
+    angles = np.arctan2(a_x * a_y, np.square(a_x))
+    angles[(a_x == 0.0) & (a_y != 0.0)] = math.pi / 2.0
+    angles += 0.0  # -0.0 -> +0.0
     return angles

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import __version__
 from .beamforming import (
-    ANTENNA_BLOCK,
     SNR_TILE_ELEMENTS,
     KernelBuildError,
     available_cpus,
@@ -87,16 +86,6 @@ REQUIRED_KEYS = (
 )
 OPTIONAL_KEYS = ("noise_power_w",)
 LIST_KEYS = ("alpha_deg", "distance_m")
-
-GEOMETRY_BYTES_PER_ANTENNA = 8 * 32
-"""Estimated peak bytes per antenna of the geometry ``beamforming.polarization_angles`` builds.
-
-Its about 20 float64 values per antenna plus the temporaries that build
-them, rounded up. fig3's map holds one ``ANTENNA_BLOCK``'s worth at a time,
-in the calling thread; the sweep kernel builds its geometry on the stack of
-the compiled loop and holds none.
-"""
-
 
 class ConfigError(ValueError):
     "Raised when a run configuration file is missing, malformed or invalid."
@@ -397,11 +386,11 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     * the lattice build: beside the positions, one chunk's temporaries, at
       most 40 bytes a point of ``geometry.LATTICE_CHUNK`` points or of one
       row if that is longer, and three integers per row;
-    * fig3: the writer, which holds every distance's map (a float64 angle
-      per lattice point) plus three lists of Python floats (x, y and one
-      map's angles), and beside it ``GEOMETRY_BYTES_PER_ANTENNA`` for one
-      ``beamforming.ANTENNA_BLOCK``, the geometry a map is built from, which
-      bounds the map phase too;
+    * fig3: every distance's map (a float64 angle per lattice point) and
+      beside it the larger of what builds one map, the a_x and a_y of
+      ``beamforming.polarization_angles`` and three float64 temporaries of
+      its ``atan2``, and what writes them, three lists of Python floats (x,
+      y and one map's angles);
     * the sweep kernel: each of its workers holds at most three blocks'
       column sums (two in flight per worker, one being added by the
       caller), each at most ``SNR_TILE_ELEMENTS`` or 3 m float64; the
@@ -425,10 +414,10 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     grid_bytes = float(n_az) * n_el * 6 * 8
     phase = 40.0 * max(LATTICE_CHUNK, side) + 3 * 8 * side  # the lattice build
     if scenario == "fig3":
-        # the writer holds every map and three lists (x, y and one map's angles) whose
-        # entries point at 24-byte floats; a map is built beside one block of geometry
-        writer = 8 * len(FIG3_DISTANCES_M) + 3 * (8 + 24)
-        phase = max(phase, points * writer + ANTENNA_BLOCK * GEOMETRY_BYTES_PER_ANTENNA)
+        # a map is built from a_x, a_y and three atan2 temporaries; the writer holds three
+        # lists (x, y and one map's angles) whose entries point at 24-byte floats
+        build, writer = 2 * 8 + 3 * 8, 3 * (8 + 24)
+        phase = max(phase, points * (8 * len(FIG3_DISTANCES_M) + max(build, writer)))
     _refuse_beyond_memory(points * 3 * 8 + phase + grid_bytes)
     root = math.sqrt(config.transmit_power / config.noise_power)
     for alpha, d in placements:

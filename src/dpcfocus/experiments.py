@@ -126,14 +126,12 @@ class DistributionStats:
     sample_count: int
 
 
-def narrowband_check(
-    distance: float, radius: float, bandwidth: float, margin: float = NARROWBAND_MARGIN
-) -> tuple[float, bool]:
+def narrowband_check(distance: float, radius: float, bandwidth: float) -> tuple[float, bool]:
     """Boresight delay spread across the aperture and a narrowband verdict.
 
     The spread is (sqrt(d^2 + R^2) - d) / c, the extra flight time from the
     aperture rim relative to its center. ``valid`` means the spread stays
-    under ``margin`` symbol times (1/bandwidth).
+    under ``NARROWBAND_MARGIN`` symbol times (1/bandwidth).
     """
     if not (_positive_finite(distance) and _positive_finite(bandwidth)
             and 0 <= radius < math.inf):
@@ -141,7 +139,7 @@ def narrowband_check(
             "distance and bandwidth must be positive and finite, radius finite and non-negative"
         )
     delay = (math.hypot(distance, radius) - distance) / SPEED_OF_LIGHT
-    return delay, delay < margin / bandwidth
+    return delay, delay < NARROWBAND_MARGIN / bandwidth
 
 
 def placement_sweeps(

@@ -94,14 +94,12 @@ def _same_points(x, y, x2, y2) -> bool:
     return bool(np.array_equal(x[order], x2[other]) and np.array_equal(y[order], y2[other]))
 
 
-def build_circular_array(
-    radius: float, wavelength: float, dipole_length: float | None = None
-) -> ArrayLayout:
+def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
     """Half-wavelength square lattice clipped to a circular aperture.
 
     The lattice is centered on the origin (one element sits exactly there)
     and keeps every point with ``hypot(x, y) <= radius``, boundary included.
-    ``dipole_length`` defaults to a half wavelength.
+    Its dipoles are half a wavelength long.
 
     The coordinates are the integer multiples of the pitch, which are exact
     under negation, and the test is taken on the sorted |x| and |y|, so the
@@ -118,8 +116,6 @@ def build_circular_array(
     """
     if not (_positive_finite(radius) and _positive_finite(wavelength)):
         raise ValueError("radius and wavelength must be positive and finite")
-    if dipole_length is None:
-        dipole_length = wavelength / 2.0
     pitch = wavelength / 2.0
     n_max = int(math.floor(radius / pitch))
     coords = np.arange(-n_max, n_max + 1) * pitch
@@ -137,7 +133,7 @@ def build_circular_array(
     layout = ArrayLayout(
         positions=positions,
         wavelength=wavelength,
-        dipole_length=dipole_length,
+        dipole_length=wavelength / 2.0,
         radius=radius,
     )
     vars(layout).update(mirror_symmetric=True, square_symmetric=True)

@@ -1,4 +1,5 @@
-/* Per-tile column sums of the SNR kernel, loaded by dpcfocus.beamforming.
+/* The SNR kernel's per-tile column sums, and the per-antenna field factors
+   of the fig3 polarization map, loaded by dpcfocus.beamforming.
 
    Antenna i of a block sits at pos_i; d_i = rx - pos_i is its displacement
    to the RX, r_i = |d_i| and p_i = d_i / r_i. Its TX dipole along axis u
@@ -20,7 +21,8 @@
    direction's sums take the same bits whatever directions share its
    J-tile. Returns the floating-point exceptions raised, as bits:
    1 overflow, 2 invalid, 4 divide by zero, 8 underflow; and 16 if an
-   antenna sits at the RX, when the sums are undefined. */
+   antenna sits at the RX, when the sums are undefined. field_z builds the
+   same geometry and keeps only the z components e_x,z and e_y,z. */
 
 #include <fenv.h>
 #include <math.h>
@@ -147,4 +149,25 @@ CLONES int tile_sums(const double *pos, const double *rx, double r0, const doubl
     return (fetestexcept(FE_OVERFLOW) ? 1 : 0) | (fetestexcept(FE_INVALID) ? 2 : 0)
            | (fetestexcept(FE_DIVBYZERO) ? 4 : 0) | (fetestexcept(FE_UNDERFLOW) ? 8 : 0)
            | (at_rx ? COLOCATED : 0);
+}
+
+/* a[i] and a[k + i]: the z components of e_x,i and e_y,i of antennas
+   pos[0..k-1]. Returns COLOCATED if one of them sits at rx, when those
+   entries are undefined.
+   Not cloned: a fig3 run is bound by its CSV writer, and clones would only
+   add compile time. */
+int field_z(const double *pos, const double *rx, double r0, const double *coeffs, long n_coeffs,
+            long k, double *a)
+{
+    double p[3][GROUP], e[2][3][GROUP];
+    int at_rx = 0;
+    for (long g0 = 0; g0 < k; g0 += GROUP) {
+        int count = k - g0 < GROUP ? (int)(k - g0) : GROUP;
+        at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, e);
+        for (int i = 0; i < count; i++) {
+            a[g0 + i] = e[0][2][i];
+            a[k + g0 + i] = e[1][2][i];
+        }
+    }
+    return at_rx ? COLOCATED : 0;
 }

@@ -3,12 +3,19 @@
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dpcfocus import beamforming
-from dpcfocus.beamforming import KERNEL_FLAGS, KERNEL_SOURCE, KernelBuildError, LinkBudget
+from dpcfocus.beamforming import (
+    KERNEL_FLAGS,
+    KERNEL_SOURCE,
+    KernelBuildError,
+    LinkBudget,
+    polarization_angles,
+)
 from dpcfocus.channel import pattern_series
 from dpcfocus.geometry import SPEED_OF_LIGHT, build_circular_array, orientation_grid, rx_position
 from conftest import kernel_snr, kernel_snrs
@@ -42,12 +49,15 @@ def test_every_instruction_set_gives_the_same_bits(tmp_path, monkeypatch):
     baseline = beamforming._open(str(target))
     layout = build_circular_array(radius=0.01, wavelength=SPEED_OF_LIGHT / 300e9)
     rxs = [rx_position(d, math.radians(a)) for a in (0.0, 30.0) for d in (0.02, 1.0)]
-    runs = []
+    runs, maps = [], []
     for kernel in (baseline, beamforming._tile_kernel()):
         with monkeypatch.context() as patch:
             patch.setattr(beamforming, "_kernel", kernel)
             runs.append(list(kernel_snrs(layout, rxs, orientation_grid(), BUDGET)))
+            # fig3's angles: field_z is built for the baseline set in both, until it is cloned
+            maps.append(b"".join(polarization_angles(layout, rx).tobytes() for rx in rxs))
     assert all(np.array_equal(a, b) for a, b in zip(*runs, strict=True))
+    assert maps[0] == maps[1]
 
 
 @pytest.mark.parametrize("m", [1, 15, 16, 17, 33, 163, 300])
@@ -129,10 +139,11 @@ def test_the_caller_sees_the_loops_floating_point_exceptions(monkeypatch):
     real = beamforming._tile_kernel()
     for bit, name, message in ((1, "over", "overflow"), (2, "invalid", "invalid value"),
                                (4, "divide", "divide by zero"), (8, "under", "underflow")):
-        def kernel(*args, bit=bit):
-            assert real(*args) == 0
+        def tile_sums(*args, bit=bit):
+            assert real.tile_sums(*args) == 0
             return bit
 
+        kernel = SimpleNamespace(tile_sums=tile_sums)
         with np.errstate(**{name: "raise"}), pytest.raises(FloatingPointError, match=message):
             snr_with(monkeypatch, kernel)
         with np.errstate(all="ignore"):

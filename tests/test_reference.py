@@ -1,25 +1,38 @@
-"""The benchmark's correctness gate, run as part of the unit tests.
+"""The benchmark's correctness gate and the committed scenario outputs.
 
 The rows ``perfbench/run.py`` checks on every benchmark run are checked here
 too, with the benchmark's own reference values and row comparison
-(``perfbench/reference.json`` and ``perfbench/rowcheck.check_table``, at
-that module's 1e-9 tolerance), so a kernel that drifts fails here first.
-The perfbench files are only read.
+(``perfbench/reference.json`` and ``perfbench/rowcheck``, at that module's
+1e-9 tolerance), so a kernel that drifts fails here first. The perfbench
+files are only read. ``tests/reference`` holds whole CSVs of the other
+scenarios, compared by the same rule.
 """
 
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from dpcfocus.cli import EXIT_OK, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.append(str(PERFBENCH))
 
-from rowcheck import REL_TOL, check_table, close  # noqa: E402
+from rowcheck import (  # noqa: E402
+    ABS_TOL,
+    REL_TOL,
+    check_fig3,
+    check_table,
+    close,
+    parse_row,
+    read_table,
+    row_matches,
+)
 from workloads import make_workload  # noqa: E402
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+CSV_REFERENCES = Path(__file__).resolve().parent / "reference"
 
 
 def run_workload(workload, tmp_path):
@@ -55,3 +68,42 @@ def test_sweep_at_scale_one_tenth_matches_the_reference(tmp_path):
     assert manifest["derived"]["placements"] == 70
     tally = check_table(path, table["header"], table["rows"], ["alpha_deg", "distance_m"])
     assert (tally.attempted, tally.failed) == (70, 0)
+
+
+def test_fig3_at_full_size_matches_the_reference(tmp_path):
+    # both distances' maps over the whole 283 177-antenna lattice
+    workload = make_workload("fig3_map", 1)
+    reference = REFERENCE["fig3_scale1"]
+    path, manifest = run_workload(workload, tmp_path)
+    assert manifest["derived"]["n_tx"] == reference["n_tx"]
+    tally = check_fig3(path, reference)
+    assert (tally.attempted, tally.failed) == (2 * reference["n_tx"], 0)
+
+
+def cells_match(header, got, want) -> bool:
+    """``rowcheck``'s rule, and each nonzero cell within its absolute floor to 1e-9 of itself.
+
+    check.csv's delay columns, 1e-12 s to 1e-9 s, would otherwise pass
+    whatever they held.
+    """
+    return row_matches(header, got, want) and all(
+        abs(w) > ABS_TOL or w == 0.0 or close(g / w, 1.0) for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("scenario", ["fig5", "fig6", "fig7", "check"])
+def test_a_scale_one_tenth_run_matches_its_committed_csv(tmp_path, scenario):
+    """Every cell of a default-config ``--scale 0.1`` run against ``tests/reference``.
+
+    A reference CSV may be regenerated only in a change whose CHANGES.md
+    entry says which cells moved and why.
+    """
+    out = tmp_path / "out"
+    assert main([scenario, "--scale", "0.1", "--out", str(out)]) == EXIT_OK
+    header, rows = read_table(out / f"{scenario}.csv")
+    want_header, want_rows = read_table(CSV_REFERENCES / f"{scenario}_scale0.1.csv")
+    assert header == want_header
+    assert len(rows) == len(want_rows)
+    for got, want in zip(rows, want_rows):
+        got, want = parse_row(header, got), parse_row(header, want)
+        assert cells_match(header, got, want), (got, want)
