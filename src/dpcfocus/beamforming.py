@@ -196,11 +196,14 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
 
     Each task is one call of a compiled loop (``_tile_sums``) on a block of
     about ``ANTENNA_BLOCK`` antennas: from the positions, the RX center and
-    r0 it builds each antenna's unit displacement p_k and amplitude-scaled
-    field vectors e_x,k and e_y,k, then sums the magnitudes
-    |h_x,k| = |(e_x,k . v) g_rx| and |h_y,k| of each antenna and direction,
-    with the dipole pattern g_rx = |p_k x v| h((p_k . v)^2) and h the series
-    of ``channel.pattern_series``, in tiles of ``SNR_TILE_ELEMENTS // m``
+    r0 it builds each antenna's unit displacement p_k and the amplitude
+    scales s_u,k = (r0 / r_k) h(p_u,k^2) of its dipoles along u = x, y, with
+    h the series of ``channel.pattern_series``. Per antenna and direction it
+    forms w = v - (p_k . v) p_k, the part of v across the ray, and sums the
+    magnitudes |h_x,k| = |s_x,k w_x g_rx| and |h_y,k| = |s_y,k w_y g_rx|,
+    with the dipole pattern g_rx = |w| h((p_k . v)^2): s_u,k w_u is the
+    projection onto v of the field vector s_u,k (u - p_u,k p_k), and |w| is
+    |p_k x v|. The sums go in tiles of ``SNR_TILE_ELEMENTS // m``
     antennas. The loop is built with ``cc`` on first use and kept in
     ``KERNEL_CACHE``; it sums 16 directions at a time in registers, with the
     antennas innermost. The (placement, block) tasks of all the placements
@@ -391,8 +394,9 @@ def _tile_sums(kernel, positions, rx, r0: float, v, coeffs, rows: int) -> np.nda
     sqrt(|h_x|^2 + |h_y|^2), |h_x| and |h_y| in units of lambda / (4 pi r0)
     for an RX at ``rx``, added in antenna order by the ``tile_sums`` of
     ``kernel`` (``_tile_kernel``), with the pattern series ``coeffs``. The
-    loop builds each antenna's geometry itself; the operands are read in
-    place.
+    loop builds each antenna's geometry itself, its unit displacement p and
+    amplitude scales (s_x, s_y), and takes |h_u| = |s_u w_u| |w| h(c^2) with
+    c = p . v and w = v - c p; the operands are read in place.
 
     Raises ``ValueError`` if an antenna coincides with ``rx``.
     """

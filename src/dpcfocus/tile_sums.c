@@ -3,26 +3,30 @@
 
    Antenna i of a block sits at pos_i; d_i = rx - pos_i is its displacement
    to the RX, r_i = |d_i| and p_i = d_i / r_i. Its TX dipole along axis u
-   (x or y) has the field vector e_u,i = s_u (u - p_u p_i), with
-   s_u = (r0 / r_i) h(p_u^2), h the polynomial `coeffs` (lowest degree
+   (x or y) has the field vector e_u,i = s_u,i (u - p_u p_i), with
+   s_u,i = (r0 / r_i) h(p_u^2), h the polynomial `coeffs` (lowest degree
    first), so |e_u,i| is |h_up| g_tx up to one constant. The geometry of
-   GROUP antennas of a tile at a time is built once into a stack buffer,
-   then read for every receive direction v_j: with c = p_i . v_j, the RX
-   pattern is g = |p_i x v_j| h(c^2), and the channel magnitudes are
-   a_x = |(e_x,i . v_j) g| and a_y = |(e_y,i . v_j) g|. Tile t holds
-   antennas t * rows up to (t + 1) * rows; out[t][0..2][j] receive the sums
-   over its antennas, added in antenna order, of sqrt(a_x^2 + a_y^2), a_x
-   and a_y. The directions go J at a time through the group's antennas,
-   with c^2, h and the three sums held in J-wide locals that the compiler
-   keeps in registers; the sums go back to `out` once per group. A last
-   partial J-tile repeats its first direction in the spare lanes, which are
-   not stored, so they raise no flag the real lane does not. Built with
-   -ffp-contract=off, so every clone rounds every step alike, and a
-   direction's sums take the same bits whatever directions share its
-   J-tile. Returns the floating-point exceptions raised, as bits:
-   1 overflow, 2 invalid, 4 divide by zero, 8 underflow; and 16 if an
-   antenna sits at the RX, when the sums are undefined. field_z builds the
-   same geometry and keeps only the z components e_x,z and e_y,z. */
+   GROUP antennas of a tile at a time, p_i and (s_x,i, s_y,i), is built once
+   into a stack buffer, then read for every receive direction v_j. With
+   c = p_i . v_j, the part of v_j across the ray, w = v_j - c p_i, carries
+   both factors: e_u,i . v_j = s_u,i w_u and |p_i x v_j| = |w|. So the RX
+   pattern is g = |w| h(c^2), and the channel magnitudes are
+   a_x = |s_x,i w_x g| and a_y = |s_y,i w_y g|. An error in c moves w only
+   along p_i, so it enters |w| at second order, and the sine stays accurate
+   next to the RX dipole's axial null. Tile t holds antennas t * rows up to
+   (t + 1) * rows; out[t][0..2][j] receive the sums over its antennas, added
+   in antenna order, of sqrt(a_x^2 + a_y^2), a_x and a_y. The directions go
+   J at a time through the group's antennas, with w, c^2, h and the three
+   sums held in J-wide locals that the compiler keeps in registers; the sums
+   go back to `out` once per group. A last partial J-tile repeats its first
+   direction in the spare lanes, which are not stored, so they raise no flag
+   the real lane does not. Built with -ffp-contract=off, so every clone
+   rounds every step alike, and a direction's sums take the same bits
+   whatever directions share its J-tile. Returns the floating-point
+   exceptions raised, as bits: 1 overflow, 2 invalid, 4 divide by zero,
+   8 underflow; and 16 if an antenna sits at the RX, when the sums are
+   undefined. field_z builds the same geometry and forms only the z
+   components of the field vectors, e_u,z = p_z (-(s_u p_u)). */
 
 #include <fenv.h>
 #include <math.h>
@@ -39,45 +43,39 @@
 #endif
 #endif
 
-/* Unit displacements p[0..2] and field vectors e[u][0..2] of antennas
+/* Unit displacements p[0..2] and field scales s[0..1] = (s_x, s_y) of antennas
    pos[0..n-1]; returns nonzero if one of them sits at rx. */
 static inline int geometry(const double *pos, const double *rx, double r0, const double *coeffs,
-                           long n_coeffs, int n, double p[3][GROUP], double e[2][3][GROUP])
+                           long n_coeffs, int n, double p[3][GROUP], double s[2][GROUP])
 {
-    double amp[GROUP], hx[GROUP], hy[GROUP];
+    double amp[GROUP];
     int at_rx = 0;
     for (int i = 0; i < n; i++) {
         double dx = rx[0] - pos[3 * i], dy = rx[1] - pos[3 * i + 1], dz = rx[2] - pos[3 * i + 2];
         /* scaled by the largest component, no finite displacement overflows its square */
         double ax = fabs(dx), ay = fabs(dy), az = fabs(dz);
-        double s = ax > ay ? ax : ay;
-        s = s > az ? s : az;
-        at_rx |= s == 0.0;
-        double qx = dx / s, qy = dy / s, qz = dz / s;
-        double r = s * sqrt(qx * qx + qy * qy + qz * qz);
+        double big = ax > ay ? ax : ay;
+        big = big > az ? big : az;
+        at_rx |= big == 0.0;
+        double qx = dx / big, qy = dy / big, qz = dz / big;
+        double r = big * sqrt(qx * qx + qy * qy + qz * qz);
         p[0][i] = dx / r;
         p[1][i] = dy / r;
         p[2][i] = dz / r;
         amp[i] = r0 / r;
-        hx[i] = hy[i] = coeffs[n_coeffs - 1];
+        s[0][i] = s[1][i] = coeffs[n_coeffs - 1];
     }
     /* Horner's rule in the order of channel._series, one degree over the group at a time */
     for (long d = n_coeffs - 2; d >= 0; d--) {
         const double cd = coeffs[d];
         for (int i = 0; i < n; i++) {
-            hx[i] = hx[i] * (p[0][i] * p[0][i]) + cd;
-            hy[i] = hy[i] * (p[1][i] * p[1][i]) + cd;
+            s[0][i] = s[0][i] * (p[0][i] * p[0][i]) + cd;
+            s[1][i] = s[1][i] * (p[1][i] * p[1][i]) + cd;
         }
     }
     for (int i = 0; i < n; i++) {
-        double sx = amp[i] * hx[i], sy = amp[i] * hy[i];
-        double tx = -(sx * p[0][i]), ty = -(sy * p[1][i]);
-        e[0][0][i] = p[0][i] * tx + sx;
-        e[0][1][i] = p[1][i] * tx;
-        e[0][2][i] = p[2][i] * tx;
-        e[1][0][i] = p[0][i] * ty;
-        e[1][1][i] = p[1][i] * ty + sy;
-        e[1][2][i] = p[2][i] * ty;
+        s[0][i] *= amp[i];
+        s[1][i] *= amp[i];
     }
     return at_rx;
 }
@@ -85,7 +83,7 @@ static inline int geometry(const double *pos, const double *rx, double r0, const
 CLONES int tile_sums(const double *pos, const double *rx, double r0, const double *v,
                      const double *coeffs, long n_coeffs, long k, long m, long rows, double *out)
 {
-    double p[3][GROUP], e[2][3][GROUP];
+    double p[3][GROUP], s[2][GROUP];
     const double top = coeffs[n_coeffs - 1];
     int at_rx = 0;
     feclearexcept(FE_ALL_EXCEPT);
@@ -94,7 +92,7 @@ CLONES int tile_sums(const double *pos, const double *rx, double r0, const doubl
         double *o = out + t0 / rows * 3 * m;
         for (long g0 = t0; g0 < t1; g0 += GROUP) {
             int count = t1 - g0 < GROUP ? (int)(t1 - g0) : GROUP;
-            at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, e);
+            at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, s);
             for (long j0 = 0; j0 < m; j0 += J) {
                 /* lanes past the last direction repeat the first one: the same
                    operations on the same values raise no new flag, and are not stored */
@@ -111,12 +109,17 @@ CLONES int tile_sums(const double *pos, const double *rx, double r0, const doubl
                 }
                 for (int i = 0; i < count; i++) {
                     const double px = p[0][i], py = p[1][i], pz = p[2][i];
-                    const double xx = e[0][0][i], xy = e[0][1][i], xz = e[0][2][i];
-                    const double yx = e[1][0][i], yy = e[1][1][i], yz = e[1][2][i];
-                    double x[J], h[J];
+                    const double sx = s[0][i], sy = s[1][i];
+                    double wx[J], wy[J], wz[J], x[J], h[J];
                     for (int j = 0; j < J; j++) {
+                        /* w = v - c p: e_u . v = s_u w_u, and |w| = |p x v| is the sine.
+                           Formed here, beside c: formed in the sqrt loop from a J-wide c,
+                           GCC 12 made the AVX-512 clone mostly scalar, twice as slow */
                         double c = px * vx[j] + py * vy[j] + pz * vz[j];
                         x[j] = c * c;
+                        wx[j] = vx[j] - c * px;
+                        wy[j] = vy[j] - c * py;
+                        wz[j] = vz[j] - c * pz;
                         h[j] = top;
                     }
                     /* Horner's rule, one degree over the register tile at a time */
@@ -126,13 +129,9 @@ CLONES int tile_sums(const double *pos, const double *rx, double r0, const doubl
                             h[j] = h[j] * x[j] + cd;
                     }
                     for (int j = 0; j < J; j++) {
-                        /* the sine from |p x v| stays accurate next to the axial null */
-                        double qx = py * vz[j] - pz * vy[j];
-                        double qy = pz * vx[j] - px * vz[j];
-                        double qz = px * vy[j] - py * vx[j];
-                        double g = h[j] * sqrt(qx * qx + qy * qy + qz * qz);
-                        double ax = fabs((xx * vx[j] + xy * vy[j] + xz * vz[j]) * g);
-                        double ay = fabs((yx * vx[j] + yy * vy[j] + yz * vz[j]) * g);
+                        double g = h[j] * sqrt(wx[j] * wx[j] + wy[j] * wy[j] + wz[j] * wz[j]);
+                        double ax = fabs(sx * wx[j] * g);
+                        double ay = fabs(sy * wy[j] * g);
                         s0[j] += sqrt(ax * ax + ay * ay);
                         s1[j] += ax;
                         s2[j] += ay;
@@ -159,14 +158,14 @@ CLONES int tile_sums(const double *pos, const double *rx, double r0, const doubl
 int field_z(const double *pos, const double *rx, double r0, const double *coeffs, long n_coeffs,
             long k, double *a)
 {
-    double p[3][GROUP], e[2][3][GROUP];
+    double p[3][GROUP], s[2][GROUP];
     int at_rx = 0;
     for (long g0 = 0; g0 < k; g0 += GROUP) {
         int count = k - g0 < GROUP ? (int)(k - g0) : GROUP;
-        at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, e);
+        at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, s);
         for (int i = 0; i < count; i++) {
-            a[g0 + i] = e[0][2][i];
-            a[k + g0 + i] = e[1][2][i];
+            a[g0 + i] = p[2][i] * -(s[0][i] * p[0][i]);
+            a[k + g0 + i] = p[2][i] * -(s[1][i] * p[1][i]);
         }
     }
     return at_rx ? COLOCATED : 0;

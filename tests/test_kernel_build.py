@@ -1,7 +1,10 @@
 """The compiled tile kernel: its build, its cache and its source."""
 
 import math
+import shutil
 import tempfile
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,6 +39,24 @@ def snr_with(monkeypatch, kernel):
 
 def refuse_to_compile(*args):
     raise AssertionError("the compiler ran")
+
+
+def copy_of(library):
+    "A stand-in for ``_compile`` that writes the bytes of ``library`` to its target."
+    def compile_copy(source, target, *extra):
+        shutil.copyfile(library, target)
+
+    return compile_copy
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """One build through ``_load_kernel`` into an empty cache, for the tests that
+    need only a built library: its cache, its path and the loaded library."""
+    cache = tmp_path_factory.mktemp("built") / "cache"
+    kernel = beamforming._load_kernel(str(cache))
+    (library,) = cache.iterdir()
+    return SimpleNamespace(cache=cache, library=library, kernel=kernel)
 
 
 def test_the_source_compiles_without_warnings(tmp_path):
@@ -76,21 +97,69 @@ def test_each_direction_sums_as_it_would_alone(m):
         assert np.array_equal(together[:, :, j], alone[:, :, 0])
 
 
-def test_a_cached_kernel_loads_without_the_compiler(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    built = beamforming._load_kernel(str(cache))
+def exact_sums(position, rx, r0, v, coeffs):
+    """``_tile_sums``' (sqrt(a_x^2 + a_y^2), a_x, a_y) for one antenna and direction,
+    exact from the same float inputs, each rounded once to float.
+
+    With d = rx - position, r = |d| and p = d / r, w = v - (p . v) p is exact in
+    rationals, and so is each a_u^2 = (r0 / r)^2 h(p_u^2)^2 w_u^2 h(c^2)^2 |w|^2 with
+    c = p . v. Only the last square root is taken, in 40-digit decimals.
+    """
+    d = [Fraction(a) - Fraction(b) for a, b in zip(rx, position)]
+    v = [Fraction(x) for x in v]
+    r2 = sum(x * x for x in d)
+    dv = sum(a * b for a, b in zip(d, v))
+
+    def h(x):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + Fraction(c)
+        return acc
+
+    def root(q):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            return float((Decimal(q.numerator) / Decimal(q.denominator)).sqrt())
+
+    w = [a - dv * b / r2 for a, b in zip(v, d)]
+    common = Fraction(r0) ** 2 * h(dv * dv / r2) ** 2 * sum(x * x for x in w) / r2
+    a2 = [common * h(d[u] * d[u] / r2) ** 2 * w[u] ** 2 for u in (0, 1)]
+    return [root(a2[0] + a2[1]), root(a2[0]), root(a2[1])]
+
+
+@pytest.mark.parametrize("theta", [s * 10.0**-e for e in range(3, 13) for s in (1, -1)])
+def test_magnitudes_stay_exact_next_to_the_axial_null(theta):
+    # an RX dipole theta from the antenna's ray sees |h_u| <= peak theta^2, and the
+    # error of the sine enters multiplied by |w_u| <= theta; a sine taken as
+    # sqrt((1 - c)(1 + c)) is about 1e-16 off whatever theta, and fails here
+    position, rx, r0 = np.array([[0.003, -0.002, 0.0]]), np.array([0.011, 0.023, 0.047]), 0.05
+    coeffs = np.array(pattern_series(0.5))
+    d = rx - position[0]
+    p = d / np.linalg.norm(d)
+    across = np.cross(p, (0.3, 0.5, 0.8))
+    v = math.cos(theta) * p + math.sin(theta) * across / np.linalg.norm(across)
+    v /= np.linalg.norm(v)
+    # a bound on this antenna's magnitudes: |w| <= 1 and h(0) = 1 is the RX pattern's peak
+    peak = r0 / np.linalg.norm(d) * math.hypot(*np.polyval(coeffs[::-1], p[:2] ** 2))
+    got = beamforming._tile_sums(beamforming._tile_kernel(), position, rx, r0, v[None], coeffs, 1)
+    want = exact_sums(position[0].tolist(), rx.tolist(), r0, v.tolist(), coeffs.tolist())
+    assert np.all(np.abs(got[0, :, 0] - want) <= 1e-15 * abs(theta) * peak)
+
+
+def test_a_cached_kernel_loads_without_the_compiler(built, monkeypatch):
     # one library under its keyed name, and no partial file beside it
-    (library,) = cache.iterdir()
+    (library,) = built.cache.iterdir()
     assert library.name.startswith("tile_sums-") and library.suffix == ".so"
     monkeypatch.setattr(beamforming, "_compile", refuse_to_compile)
-    cached = beamforming._load_kernel(str(cache))
+    cached = beamforming._load_kernel(str(built.cache))
     expected = snr_with(monkeypatch, beamforming._tile_kernel())
-    assert np.array_equal(snr_with(monkeypatch, built), expected)
+    assert np.array_equal(snr_with(monkeypatch, built.kernel), expected)
     assert np.array_equal(snr_with(monkeypatch, cached), expected)
 
 
-def test_changed_flags_are_built_again(tmp_path, monkeypatch):
+def test_changed_flags_are_built_again(tmp_path, monkeypatch, built):
     # the new build replaces the superseded one; a concurrent build's partial file stays
+    monkeypatch.setattr(beamforming, "_compile", copy_of(built.library))
     cache = tmp_path / "cache"
     beamforming._load_kernel(str(cache))
     (first,) = cache.iterdir()
@@ -103,8 +172,9 @@ def test_changed_flags_are_built_again(tmp_path, monkeypatch):
     assert partial.exists()
 
 
-def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch):
+def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch, built):
     # a cache under a plain file cannot be made, whoever runs the test
+    monkeypatch.setattr(beamforming, "_compile", copy_of(built.library))
     blocker = tmp_path / "file"
     blocker.write_text("")
     private = tmp_path / "tmp"
@@ -123,13 +193,10 @@ def test_a_missing_compiler_is_a_build_error(tmp_path, monkeypatch):
     assert list((tmp_path / "cache").iterdir()) == []
 
 
-def test_a_library_that_does_not_load_is_a_build_error(tmp_path):
-    built = tmp_path / "built"
-    beamforming._load_kernel(str(built))
-    (library,) = built.iterdir()
+def test_a_library_that_does_not_load_is_a_build_error(tmp_path, built):
     broken = tmp_path / "broken"
     broken.mkdir()
-    (broken / library.name).write_bytes(b"not a shared library")
+    (broken / built.library.name).write_bytes(b"not a shared library")
     with pytest.raises(KernelBuildError, match="cannot load"):
         beamforming._load_kernel(str(broken))
 

@@ -91,19 +91,27 @@ def cells_match(header, got, want) -> bool:
     )
 
 
-@pytest.mark.parametrize("scenario", ["fig5", "fig6", "fig7", "check"])
-def test_a_scale_one_tenth_run_matches_its_committed_csv(tmp_path, scenario):
-    """Every cell of a default-config ``--scale 0.1`` run against ``tests/reference``.
-
-    A reference CSV may be regenerated only in a change whose CHANGES.md
-    entry says which cells moved and why.
-    """
+def assert_run_matches_committed_csv(tmp_path, scenario, scale):
+    "Every cell of a default-config ``--scale`` run against ``tests/reference``."
     out = tmp_path / "out"
-    assert main([scenario, "--scale", "0.1", "--out", str(out)]) == EXIT_OK
+    assert main([scenario, "--scale", scale, "--out", str(out)]) == EXIT_OK
     header, rows = read_table(out / f"{scenario}.csv")
-    want_header, want_rows = read_table(CSV_REFERENCES / f"{scenario}_scale0.1.csv")
+    want_header, want_rows = read_table(CSV_REFERENCES / f"{scenario}_scale{scale}.csv")
     assert header == want_header
     assert len(rows) == len(want_rows)
     for got, want in zip(rows, want_rows):
         got, want = parse_row(header, got), parse_row(header, want)
         assert cells_match(header, got, want), (got, want)
+
+
+@pytest.mark.parametrize("scenario", ["fig5", "fig6", "fig7", "check"])
+def test_a_scale_one_tenth_run_matches_its_committed_csv(tmp_path, scenario):
+    """A reference CSV may be regenerated only in a change whose CHANGES.md
+    entry says which cells moved and why."""
+    assert_run_matches_committed_csv(tmp_path, scenario, "0.1")
+
+
+@pytest.mark.parametrize("scenario", ["fig6", "fig7"])
+def test_a_full_size_run_matches_its_committed_csv(tmp_path, scenario):
+    # 283 177 antennas; fig5 at full size is the reference.json row above
+    assert_run_matches_committed_csv(tmp_path, scenario, "1")
