@@ -18,7 +18,6 @@ against.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import sys
@@ -34,15 +33,6 @@ from .geometry import ArrayLayout, _positive_finite, orientation_classes
 BOLTZMANN = 1.380649e-23
 "Boltzmann constant in J/K (exact SI value)."
 
-SNR_TILE_ELEMENTS = 65536
-"""Antenna x direction entries per ``folded_snrs`` tile.
-
-A tile is ``SNR_TILE_ELEMENTS // m`` antennas (at least one) for m evaluated
-directions, about 400 antennas x the 163 symmetry classes of the default
-648-orientation grid. Each tile's column sums are added in antenna order,
-and the tiles' sums in tile order, so this size fixes the bits of every SNR.
-"""
-
 UNIT_TOL = 1e-12
 "Largest | |v| - 1 | of a receive direction the SNR kernel accepts."
 
@@ -51,30 +41,28 @@ ANTENNA_BLOCK = 4096
 
 A kernel task reads its block's positions in place and builds their geometry
 in the compiled loop, 64 antennas at a time on the stack; what it holds in
-numpy is the per-tile column sums it returns. A block is rounded down to
-whole tiles, and to at most ``SNR_TILE_ELEMENTS / (3 m)`` tiles for ``m``
-evaluated directions, so those sums take at most ``SNR_TILE_ELEMENTS``
-float64 however fine the orientation grid. 2048 made ``sweep --scale 0.1``
-about 10% slower, as its 2837-antenna lattice then takes two blocks per
-placement.
+numpy is the block's (3, m) column sums for m evaluated directions, added in
+antenna order. The caller adds a placement's block sums in block order, so
+this size fixes the bits of every SNR. 2048 made ``sweep --scale 0.1`` about
+10% slower, as its 2837-antenna lattice then takes two blocks per placement.
 """
 
 KERNEL_SOURCE = "tile_sums.c"
-"The C source of the tile kernel and of fig3's field factors, beside this module."
+"The C source of the SNR kernel and of fig3's field factors, beside this module."
 
 KERNEL_FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
-"""Flags ``cc`` builds the tile kernel with.
+"""Flags ``cc`` builds the SNR kernel with.
 
 Without contraction no multiply and add fuse, so every instruction set the
 source is cloned for gives the same bits; without errno, ``sqrt`` vectorizes.
 """
 
 KERNEL_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
-"Directory the built tile kernel is kept in, beside the package's byte code."
+"Directory the built SNR kernel is kept in, beside the package's byte code."
 
 
 class KernelBuildError(RuntimeError):
-    "Raised when the C compiler ``cc`` is missing or fails to build the tile kernel."
+    "Raised when the C compiler ``cc`` is missing or fails to build the SNR kernel."
 
 
 def available_cpus() -> int:
@@ -149,7 +137,7 @@ def _rx_center(rx, radius: float) -> tuple[np.ndarray, float]:
     """The checked RX center as a float64 3-vector, and its reference range r0.
 
     Amplitudes are taken relative to lambda / (4 pi r0), so that no square
-    taken in a tile underflows or overflows, however far the RX is; the
+    taken in the kernel underflows or overflows, however far the RX is; the
     aperture ``radius`` bounds r0 away from 0 for an RX at the origin.
     """
     rx = np.asarray(rx, dtype=float)
@@ -159,7 +147,7 @@ def _rx_center(rx, radius: float) -> tuple[np.ndarray, float]:
 
 
 def fold_directions(directions, mirror: bool, square: bool = False) -> _Fold:
-    "Check the directions and return their ``orientation_classes`` with the kernel's tiling."
+    "Check the directions and return their ``orientation_classes``."
     v = np.asarray(directions, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] == 0:
         raise ValueError("directions must be a non-empty (m, 3) array")
@@ -167,7 +155,7 @@ def fold_directions(directions, mirror: bool, square: bool = False) -> _Fold:
     if not np.all(np.abs(norm - 1.0) <= UNIT_TOL):  # also refuses NaN and inf
         raise ValueError(f"directions must be unit vectors, to within {UNIT_TOL:g}")
     first, inverse = orientation_classes(v, mirror, square)
-    return _Fold(v[first], inverse, *_tiling(first.size))
+    return _Fold(v[first], inverse)
 
 
 def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
@@ -192,10 +180,10 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
     and the layout is closed under y -> -y; and every sign change and the
     swap vx <-> vy when the RX center lies on the z axis (x == y == 0) and
     the layout is closed under all 8 symmetries of the square. The classes
-    and their tiling are worked out once per fold.
+    are worked out once per fold.
 
     Each task is one call of a compiled loop (``_tile_sums``) on a block of
-    about ``ANTENNA_BLOCK`` antennas: from the positions, the RX center and
+    ``ANTENNA_BLOCK`` antennas: from the positions, the RX center and
     r0 it builds each antenna's unit displacement p_k and the amplitude
     scales s_u,k = (r0 / r_k) h(p_u,k^2) of its dipoles along u = x, y, with
     h the series of ``channel.pattern_series``. Per antenna and direction it
@@ -203,24 +191,23 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
     magnitudes |h_x,k| = |s_x,k w_x g_rx| and |h_y,k| = |s_y,k w_y g_rx|,
     with the dipole pattern g_rx = |w| h((p_k . v)^2): s_u,k w_u is the
     projection onto v of the field vector s_u,k (u - p_u,k p_k), and |w| is
-    |p_k x v|. The sums go in tiles of ``SNR_TILE_ELEMENTS // m``
-    antennas. The loop is built with ``cc`` on first use and kept in
+    |p_k x v|. A task returns its block's (3, m) column sums, added in
+    antenna order. The loop is built with ``cc`` on first use and kept in
     ``KERNEL_CACHE``; it sums 16 directions at a time in registers, with the
     antennas innermost. The (placement, block) tasks of all the placements
     form one stream, run in order on ``kernel_workers`` threads of
     ``_in_order``, each placed on its own CPU; a task runs no numpy pass and
     the loop runs without the interpreter lock, so the threads share the
-    CPUs. Each task runs under a copy of the
-    caller's context and raises the loop's floating-point exceptions again
-    there, so ``np.errstate`` holds in them too. Blocks hold whole tiles and
-    each placement's per-tile column sums are added in tile order by the
-    calling thread, so a placement's array depends on neither the block
-    size, the number of threads nor the other placements of the call, and
-    repeated calls return identical arrays. An array is yielded as soon as
-    its last block is summed; at most two tasks per thread are in flight, so
-    the memory held grows with neither the number of blocks nor of
-    placements. Abandoning the iterator cancels the queued tasks and stops
-    its threads.
+    CPUs. A task hands back the loop's flags with its sums, and the calling
+    thread raises them as it adds that block, so ``np.errstate`` and the
+    co-location check act at the placement's item. The calling thread adds
+    each placement's block sums in block order, so a placement's array
+    depends on ``ANTENNA_BLOCK`` but on neither the number of threads nor
+    the other placements of the call, and repeated calls return identical
+    arrays. An array is yielded as soon as its last block is summed; at
+    most two tasks per thread are in flight, so the memory held grows with
+    neither the number of blocks nor of placements. Abandoning the iterator
+    cancels the queued tasks and stops its threads.
 
     The loop squares amplitudes relative to the RX range r0 (at least the
     aperture radius): an antenna closer to the RX than about 1e-154 r0
@@ -233,20 +220,21 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
         element. ``fold_placements`` refuses bad directions and RX centers
         before any task exists.
     KernelBuildError
-        At the first item, if the tile kernel is not built yet and ``cc``
+        At the first item, if the SNR kernel is not built yet and ``cc``
         is missing or fails.
     """
     n = layout.n_tx
     coeffs = np.array(pattern_series(layout.dipole_length / layout.wavelength))
     kernel = _tile_kernel()  # built, if need be, before any task is queued
+    block = ANTENNA_BLOCK
 
     def block_sums(task):
         rx, r0, fold, b0 = task
-        positions = layout.positions[b0:b0 + fold.block]
-        return _tile_sums(kernel, positions, rx, r0, fold.directions, coeffs, fold.rows)
+        positions = layout.positions[b0:b0 + block]
+        return _tile_sums(kernel, positions, rx, r0, fold.directions, coeffs)
 
     # one (rx, r0, fold, first antenna) task per antenna block of every placement
-    tasks = [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, fold.block)]
+    tasks = [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, block)]
     results = _in_order(block_sums, tasks, kernel_workers(n, placements))
     # sqrt(rho) = sqrt(P / N) / sqrt(n) joins the amplitude scale before anything is squared
     root = math.sqrt(budget.transmit_power / budget.noise_power) / math.sqrt(n)
@@ -255,9 +243,10 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
             m = fold.directions.shape[0]
             # per direction: sum_k sqrt(|h_x,k|^2 + |h_y,k|^2), sum_k |h_x,k|, sum_k |h_y,k|
             sums = np.zeros((3, m))
-            for _ in range(0, n, fold.block):
-                for part in next(results):
-                    sums += part
+            for _ in range(0, n, block):
+                part, raised = next(results)
+                _raise_flags(raised)
+                sums += part
             sums *= (layout.wavelength / (4.0 * math.pi * r0)) * root
             snr = np.empty((m, 3))
             snr[:, 0] = np.square(sums[0])
@@ -269,40 +258,29 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
 
 
 class _Fold(NamedTuple):
-    "The directions a placement evaluates, the member -> class map, and their tiling."
+    "The directions a placement evaluates and the member -> class map."
 
     directions: np.ndarray
     inverse: np.ndarray
-    rows: int
-    block: int
 
 
-def _tiling(m: int) -> tuple[int, int]:
-    "(rows, block): antennas per tile and per block, for m evaluated directions."
-    rows = max(1, SNR_TILE_ELEMENTS // m)
-    # a block returns 3 m column sums per tile: together at most SNR_TILE_ELEMENTS
-    tiles = max(1, min(ANTENNA_BLOCK // rows, SNR_TILE_ELEMENTS // (3 * m)))
-    return rows, rows * tiles
-
-
-def kernel_workers(n_tx, placements) -> int:
+def kernel_workers(n_tx: int, placements) -> int:
     """Threads ``folded_snrs`` runs ``placements`` on for a layout of ``n_tx`` antennas:
-    one per (placement, antenna block) task, at most ``MAX_WORKERS``. A block's size
-    depends only on its fold, so no larger ``n_tx`` gives fewer."""
-    return min(MAX_WORKERS, sum(-(-n_tx // fold.block) for _, _, fold in placements))
+    one per (placement, antenna block) task, at most ``MAX_WORKERS``. Only the number
+    of placements counts; each takes ceil(n_tx / ``ANTENNA_BLOCK``) tasks."""
+    return min(MAX_WORKERS, len(placements) * -(-n_tx // ANTENNA_BLOCK))
 
 
 def _in_order(task, args, workers: int):
     """Yield ``task(a)`` for each a of ``args`` in order, computed on ``workers`` threads.
 
     At most ``2 * workers`` tasks are queued or running at a time, so results
-    that wait for an earlier one stay few however many tasks there are. Each
-    task runs in a copy of the caller's context, and an exception it raises
-    is raised in the caller at its item. Abandoning the iterator drops the
-    queued tasks and joins the workers. Built on ``threading`` and
-    ``queue.SimpleQueue`` alone: ``concurrent.futures`` would import
-    ``logging``, about 6 ms at the start of every stream. Each worker first
-    moves to its own CPU (``_place_thread``).
+    that wait for an earlier one stay few however many tasks there are. An
+    exception a task raises is raised in the caller at its item. Abandoning
+    the iterator drops the queued tasks and joins the workers. Built on
+    ``threading`` and ``queue.SimpleQueue`` alone: ``concurrent.futures``
+    would import ``logging``, about 6 ms at the start of every stream. Each
+    worker first moves to its own CPU (``_place_thread``).
     """
     if workers <= 1:
         yield from map(task, args)
@@ -310,14 +288,14 @@ def _in_order(task, args, workers: int):
     import threading
     from queue import Empty, SimpleQueue
 
-    todo = SimpleQueue()  # (context, a, reply) per task, then one None per worker
+    todo = SimpleQueue()  # (a, reply) per task, then one None per worker
 
     def work(i):
         _place_thread(i)
         while (job := todo.get()) is not None:
-            context, a, reply = job
+            a, reply = job
             try:
-                reply.put((True, context.run(task, a)))
+                reply.put((True, task(a)))
             except BaseException as exc:  # raised again in the caller
                 reply.put((False, exc))
 
@@ -327,9 +305,8 @@ def _in_order(task, args, workers: int):
     pending = deque()
     try:
         for a in args:
-            # np.errstate is a context variable: run each task in a copy of the caller's
             reply = SimpleQueue()
-            todo.put((contextvars.copy_context(), a, reply))
+            todo.put((a, reply))
             pending.append(reply)
             if len(pending) == 2 * workers:
                 yield _reply(pending.popleft())
@@ -386,37 +363,41 @@ _COLOCATED = 16
 "The bit of ``tile_sums``' and ``field_z``'s return that marks an antenna at the RX."
 
 
-def _tile_sums(kernel, positions, rx, r0: float, v, coeffs, rows: int) -> np.ndarray:
-    """Per-tile column sums of one antenna block, a (tiles, 3, m) array.
+def _tile_sums(kernel, positions, rx, r0: float, v, coeffs) -> tuple[np.ndarray, int]:
+    """Column sums of one antenna block, a (3, m) array, and the flags the loop raised.
 
-    Tile t covers ``rows`` antennas of ``positions`` from ``t * rows`` on; its
-    entry holds, per direction of ``v``, the sums over those antennas of
-    sqrt(|h_x|^2 + |h_y|^2), |h_x| and |h_y| in units of lambda / (4 pi r0)
-    for an RX at ``rx``, added in antenna order by the ``tile_sums`` of
-    ``kernel`` (``_tile_kernel``), with the pattern series ``coeffs``. The
-    loop builds each antenna's geometry itself, its unit displacement p and
-    amplitude scales (s_x, s_y), and takes |h_u| = |s_u w_u| |w| h(c^2) with
-    c = p . v and w = v - c p; the operands are read in place.
-
-    Raises ``ValueError`` if an antenna coincides with ``rx``.
+    Per direction of ``v``, the array holds the sums over the antennas of
+    ``positions`` of sqrt(|h_x|^2 + |h_y|^2), |h_x| and |h_y| in units of
+    lambda / (4 pi r0) for an RX at ``rx``, added in antenna order by the
+    ``tile_sums`` of ``kernel`` (``_tile_kernel``), with the pattern series
+    ``coeffs``. The loop builds each antenna's geometry itself, its unit
+    displacement p and amplitude scales (s_x, s_y), and takes
+    |h_u| = |s_u w_u| |w| h(c^2) with c = p . v and w = v - c p; the operands
+    are read in place. The flags are for ``_raise_flags``, in the thread
+    whose errstate should hold.
     """
     positions, rx, v, coeffs = (
         np.ascontiguousarray(a, dtype=float) for a in (positions, rx, v, coeffs)
     )
     k, m = positions.shape[0], v.shape[0]
     # the loop reads and writes exactly these shapes
-    if positions.shape != (k, 3) or rx.shape != (3,) or v.shape != (m, 3) or rows < 1:
-        raise ValueError("tile kernel operands of mismatched shapes")
-    out = np.empty((-(-k // rows), 3, m))
+    if positions.shape != (k, 3) or rx.shape != (3,) or v.shape != (m, 3):
+        raise ValueError("SNR kernel operands of mismatched shapes")
+    out = np.empty((3, m))
     raised = kernel.tile_sums(positions.ctypes.data, rx.ctypes.data, r0, v.ctypes.data,
-                              coeffs.ctypes.data, coeffs.size, k, m, rows, out.ctypes.data)
+                              coeffs.ctypes.data, coeffs.size, k, m, out.ctypes.data)
+    return out, raised
+
+
+def _raise_flags(raised: int) -> None:
+    """Raise what a kernel call returned in ``raised``: ``ValueError`` if an antenna
+    sits at the RX, else each floating-point exception again in numpy, under the
+    calling thread's errstate."""
     if raised & _COLOCATED:
         raise ValueError("RX is co-located with a TX element")
-    # the loop's floating-point exceptions, raised again in numpy under its errstate
     for bit, op, a, b in _FP_REPLAYS:
         if raised & bit:
             op(np.full(1, a), b)
-    return out
 
 
 _kernel = None
@@ -431,7 +412,7 @@ def _tile_kernel():
 
 
 def _load_kernel(cache: str):
-    """Load the tile kernel from ``cache``, building it there first if it is not there.
+    """Load the SNR kernel from ``cache``, building it there first if it is not there.
 
     The library's name holds a CRC-32 of the source, the flags and the
     machine, so an edited source never loads a stale build. It is compiled
@@ -503,8 +484,7 @@ def _open(path: str):
         tile_sums, field_z = library.tile_sums, library.field_z
     except (OSError, AttributeError) as exc:
         raise KernelBuildError(f"cannot load the SNR kernel from {path}: {exc}") from None
-    tile_sums.argtypes = (pointer, pointer, real, pointer, pointer, count, count, count, count,
-                          pointer)
+    tile_sums.argtypes = (pointer, pointer, real, pointer, pointer, count, count, count, pointer)
     field_z.argtypes = (pointer, pointer, real, pointer, count, count, pointer)
     tile_sums.restype = field_z.restype = ctypes.c_int
     return library
@@ -536,8 +516,7 @@ def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
     a = np.empty((2, layout.n_tx))
     raised = _tile_kernel().field_z(layout.positions.ctypes.data, rx.ctypes.data, r0,
                                     coeffs.ctypes.data, coeffs.size, layout.n_tx, a.ctypes.data)
-    if raised & _COLOCATED:
-        raise ValueError("RX is co-located with a TX element")
+    _raise_flags(raised)
     a_x, a_y = a
     angles = np.arctan2(a_x * a_y, np.square(a_x))
     angles[(a_x == 0.0) & (a_y != 0.0)] = math.pi / 2.0

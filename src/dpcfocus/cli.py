@@ -39,7 +39,6 @@ import numpy as np
 
 from . import __version__
 from .beamforming import (
-    SNR_TILE_ELEMENTS,
     KernelBuildError,
     available_cpus,
     fold_directions,
@@ -393,8 +392,8 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
       y and one map's angles);
     * the sweep kernel: each of its workers holds at most three blocks'
       column sums (two in flight per worker, one being added by the
-      caller), each at most ``SNR_TILE_ELEMENTS`` or 3 m float64; the
-      compiled loop builds each antenna's geometry on its own stack.
+      caller), each 3 m float64 for m directions; the compiled loop builds
+      each antenna's geometry on its own stack.
 
     The grid is built only once the charge without the kernel fits. Every
     TX element lies on z = 0, so d cos(alpha) bounds each TX-RX distance
@@ -439,7 +438,7 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
         rx_centers = [rx_position(d, alpha) for alpha, d in placements]
         kernel = tuple(fold_placements(rx_centers, grid, config.radius, True, True, folds))
     workers = kernel_workers(int(min(points, 2.0**53)), kernel)
-    kernel_bytes = workers * float(3 * 8 * max(SNR_TILE_ELEMENTS, 3 * grid.shape[0]))
+    kernel_bytes = workers * float(3 * 3 * 8 * grid.shape[0])
     need = points * 3 * 8 + max(phase, kernel_bytes) + grid_bytes
     _refuse_beyond_memory(need)
     classes = int(folds[True, False].directions.shape[0])
@@ -558,7 +557,7 @@ def main(argv=None) -> int:
         },
         "host": {
             "cpus": available_cpus(),
-            # what the kernel ran: the plan's folds on the built lattice
+            # what the kernel ran: the plan's placements on the built lattice
             "kernel_workers": kernel_workers(layout.n_tx, plan.kernel),
             "numpy": np.__version__,
         },

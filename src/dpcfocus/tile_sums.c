@@ -1,28 +1,28 @@
-/* The SNR kernel's per-tile column sums, and the per-antenna field factors
-   of the fig3 polarization map, loaded by dpcfocus.beamforming.
+/* The SNR kernel's column sums over one antenna block, and the per-antenna
+   field factors of the fig3 polarization map, loaded by dpcfocus.beamforming.
 
    Antenna i of a block sits at pos_i; d_i = rx - pos_i is its displacement
    to the RX, r_i = |d_i| and p_i = d_i / r_i. Its TX dipole along axis u
    (x or y) has the field vector e_u,i = s_u,i (u - p_u p_i), with
    s_u,i = (r0 / r_i) h(p_u^2), h the polynomial `coeffs` (lowest degree
    first), so |e_u,i| is |h_up| g_tx up to one constant. The geometry of
-   GROUP antennas of a tile at a time, p_i and (s_x,i, s_y,i), is built once
-   into a stack buffer, then read for every receive direction v_j. With
+   GROUP antennas at a time, p_i and (s_x,i, s_y,i), is built once into a
+   stack buffer, then read for every receive direction v_j. With
    c = p_i . v_j, the part of v_j across the ray, w = v_j - c p_i, carries
    both factors: e_u,i . v_j = s_u,i w_u and |p_i x v_j| = |w|. So the RX
    pattern is g = |w| h(c^2), and the channel magnitudes are
-   a_x = |s_x,i w_x g| and a_y = |s_y,i w_y g|. An error in c moves w only
-   along p_i, so it enters |w| at second order, and the sine stays accurate
-   next to the RX dipole's axial null. Tile t holds antennas t * rows up to
-   (t + 1) * rows; out[t][0..2][j] receive the sums over its antennas, added
-   in antenna order, of sqrt(a_x^2 + a_y^2), a_x and a_y. The directions go
-   J at a time through the group's antennas, with w, c^2, h and the three
-   sums held in J-wide locals that the compiler keeps in registers; the sums
-   go back to `out` once per group. A last partial J-tile repeats its first
+   a_x = |s_x,i w_x g| and a_y = |s_y,i w_y g|. out[0..2][j] receive the
+   sums over the block's k antennas, added in antenna order, of
+   sqrt(a_x^2 + a_y^2), a_x and a_y. The directions go J at a time through
+   a group's antennas, with w, c^2, h and the three sums held in J-wide
+   locals (the register tile) that the compiler keeps in registers; the sums
+   go back to `out` once per group. An error in c moves w only along p_i,
+   so it enters |w| at second order, and the sine stays accurate next to the
+   RX dipole's axial null. A last partial register tile repeats its first
    direction in the spare lanes, which are not stored, so they raise no flag
    the real lane does not. Built with -ffp-contract=off, so every clone
    rounds every step alike, and a direction's sums take the same bits
-   whatever directions share its J-tile. Returns the floating-point
+   whatever directions share its register tile. Returns the floating-point
    exceptions raised, as bits: 1 overflow, 2 invalid, 4 divide by zero,
    8 underflow; and 16 if an antenna sits at the RX, when the sums are
    undefined. field_z builds the same geometry and forms only the z
@@ -81,67 +81,64 @@ static inline int geometry(const double *pos, const double *rx, double r0, const
 }
 
 CLONES int tile_sums(const double *pos, const double *rx, double r0, const double *v,
-                     const double *coeffs, long n_coeffs, long k, long m, long rows, double *out)
+                     const double *coeffs, long n_coeffs, long k, long m, double *out)
 {
     double p[3][GROUP], s[2][GROUP];
     const double top = coeffs[n_coeffs - 1];
     int at_rx = 0;
     feclearexcept(FE_ALL_EXCEPT);
-    for (long t0 = 0; t0 < k; t0 += rows) {
-        long t1 = k - t0 < rows ? k : t0 + rows;
-        double *o = out + t0 / rows * 3 * m;
-        for (long g0 = t0; g0 < t1; g0 += GROUP) {
-            int count = t1 - g0 < GROUP ? (int)(t1 - g0) : GROUP;
-            at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, s);
-            for (long j0 = 0; j0 < m; j0 += J) {
-                /* lanes past the last direction repeat the first one: the same
-                   operations on the same values raise no new flag, and are not stored */
-                long lane[J];
-                double vx[J], vy[J], vz[J], s0[J], s1[J], s2[J];
+    for (long g0 = 0; g0 < k; g0 += GROUP) {
+        int count = k - g0 < GROUP ? (int)(k - g0) : GROUP;
+        at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, s);
+        for (long j0 = 0; j0 < m; j0 += J) {
+            /* lanes past the last direction repeat the first one: the same
+               operations on the same values raise no new flag, and are not stored */
+            long lane[J];
+            double vx[J], vy[J], vz[J], s0[J], s1[J], s2[J];
+            for (int j = 0; j < J; j++) {
+                lane[j] = j0 + j < m ? j0 + j : j0;
+                vx[j] = v[3 * lane[j]];
+                vy[j] = v[3 * lane[j] + 1];
+                vz[j] = v[3 * lane[j] + 2];
+                s0[j] = g0 == 0 ? 0.0 : out[lane[j]];
+                s1[j] = g0 == 0 ? 0.0 : out[m + lane[j]];
+                s2[j] = g0 == 0 ? 0.0 : out[2 * m + lane[j]];
+            }
+            for (int i = 0; i < count; i++) {
+                const double px = p[0][i], py = p[1][i], pz = p[2][i];
+                const double sx = s[0][i], sy = s[1][i];
+                double wx[J], wy[J], wz[J], x[J], h[J];
                 for (int j = 0; j < J; j++) {
-                    lane[j] = j0 + j < m ? j0 + j : j0;
-                    vx[j] = v[3 * lane[j]];
-                    vy[j] = v[3 * lane[j] + 1];
-                    vz[j] = v[3 * lane[j] + 2];
-                    s0[j] = g0 == t0 ? 0.0 : o[lane[j]];
-                    s1[j] = g0 == t0 ? 0.0 : o[m + lane[j]];
-                    s2[j] = g0 == t0 ? 0.0 : o[2 * m + lane[j]];
+                    /* w = v - c p: e_u . v = s_u w_u, and |w| = |p x v| is the sine.
+                       Formed here, beside c: in an earlier loop nest, formed in the
+                       sqrt loop from a J-wide c, GCC 12 made the AVX-512 clone mostly
+                       scalar, twice as slow (tests/test_kernel_build.py reads it) */
+                    double c = px * vx[j] + py * vy[j] + pz * vz[j];
+                    x[j] = c * c;
+                    wx[j] = vx[j] - c * px;
+                    wy[j] = vy[j] - c * py;
+                    wz[j] = vz[j] - c * pz;
+                    h[j] = top;
                 }
-                for (int i = 0; i < count; i++) {
-                    const double px = p[0][i], py = p[1][i], pz = p[2][i];
-                    const double sx = s[0][i], sy = s[1][i];
-                    double wx[J], wy[J], wz[J], x[J], h[J];
-                    for (int j = 0; j < J; j++) {
-                        /* w = v - c p: e_u . v = s_u w_u, and |w| = |p x v| is the sine.
-                           Formed here, beside c: formed in the sqrt loop from a J-wide c,
-                           GCC 12 made the AVX-512 clone mostly scalar, twice as slow */
-                        double c = px * vx[j] + py * vy[j] + pz * vz[j];
-                        x[j] = c * c;
-                        wx[j] = vx[j] - c * px;
-                        wy[j] = vy[j] - c * py;
-                        wz[j] = vz[j] - c * pz;
-                        h[j] = top;
-                    }
-                    /* Horner's rule, one degree over the register tile at a time */
-                    for (long d = n_coeffs - 2; d >= 0; d--) {
-                        const double cd = coeffs[d];
-                        for (int j = 0; j < J; j++)
-                            h[j] = h[j] * x[j] + cd;
-                    }
-                    for (int j = 0; j < J; j++) {
-                        double g = h[j] * sqrt(wx[j] * wx[j] + wy[j] * wy[j] + wz[j] * wz[j]);
-                        double ax = fabs(sx * wx[j] * g);
-                        double ay = fabs(sy * wy[j] * g);
-                        s0[j] += sqrt(ax * ax + ay * ay);
-                        s1[j] += ax;
-                        s2[j] += ay;
-                    }
+                /* Horner's rule, one degree over the register tile at a time */
+                for (long d = n_coeffs - 2; d >= 0; d--) {
+                    const double cd = coeffs[d];
+                    for (int j = 0; j < J; j++)
+                        h[j] = h[j] * x[j] + cd;
                 }
-                for (int j = 0; j < J && j0 + j < m; j++) {
-                    o[j0 + j] = s0[j];
-                    o[m + j0 + j] = s1[j];
-                    o[2 * m + j0 + j] = s2[j];
+                for (int j = 0; j < J; j++) {
+                    double g = h[j] * sqrt(wx[j] * wx[j] + wy[j] * wy[j] + wz[j] * wz[j]);
+                    double ax = fabs(sx * wx[j] * g);
+                    double ay = fabs(sy * wy[j] * g);
+                    s0[j] += sqrt(ax * ax + ay * ay);
+                    s1[j] += ax;
+                    s2[j] += ay;
                 }
+            }
+            for (int j = 0; j < J && j0 + j < m; j++) {
+                out[j0 + j] = s0[j];
+                out[m + j0 + j] = s1[j];
+                out[2 * m + j0 + j] = s2[j];
             }
         }
     }

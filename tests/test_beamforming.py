@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from dpcfocus import beamforming
 from dpcfocus.beamforming import (
-    SNR_TILE_ELEMENTS,
     LinkBudget,
     polarization_angles,
     thermal_noise_power,
@@ -393,11 +392,12 @@ def test_orientation_snr_matches_evaluate_snr_random_placements(kernel_layout):
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_orientation_snr_tile_boundaries(kernel_layout, offset):
-    # a tile spans the evaluated symmetry classes; the lowest lattice rows are not
-    # mirror-symmetric, so every class of v and -v is evaluated
-    classes = orientation_classes(DEFAULT_GRID, mirror=False)[0].size
-    layout = first_antennas(kernel_layout, SNR_TILE_ELEMENTS // classes + offset)
+def test_orientation_snr_block_boundaries(kernel_layout, monkeypatch, offset):
+    # two blocks of 128 antennas, each two groups of 64, and one antenna more or less;
+    # the lowest lattice rows are not mirror-symmetric, so every class of v and -v is
+    # evaluated
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 128)
+    layout = first_antennas(kernel_layout, 256 + offset)
     assert not layout.mirror_symmetric
     assert_kernel_matches_oracle(layout, math.radians(30.0), 0.1, DEFAULT_GRID)
 
@@ -474,9 +474,9 @@ def test_snrs_are_unchanged_by_a_quarter_turn_about_z(kernel_layout, rx):
     assert np.all(np.abs(after - before) <= 1e-12 * np.abs(before))
 
 
-def test_orientation_snr_tiles_narrower_than_the_grid(kernel_layout, monkeypatch):
-    # fewer tile elements than directions: every tile is one antenna over the whole grid
-    monkeypatch.setattr(beamforming, "SNR_TILE_ELEMENTS", 100)
+def test_orientation_snr_one_antenna_blocks(kernel_layout, monkeypatch):
+    # every block is one antenna over the whole grid, added by the caller
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)
     assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, DEFAULT_GRID)
 
 
@@ -511,25 +511,30 @@ def test_orientation_snr_is_bit_reproducible(kernel_layout):
     assert np.array_equal(first, second)
 
 
+FOUR_BLOCKS = 400
+"An ``ANTENNA_BLOCK`` that splits the 1257-antenna ``kernel_layout`` into four blocks."
+
+
 @pytest.fixture
 def threaded(monkeypatch):
-    "Two worker threads on blocks of one tile each."
+    "Two worker threads on four blocks per placement."
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
-    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", FOUR_BLOCKS)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("block", [1, 1000, 8192])
-def test_orientation_snr_bits_do_not_depend_on_block_or_workers(
+def test_orientation_snr_bits_do_not_depend_on_workers(
     kernel_layout, monkeypatch, block, workers
 ):
-    # blocks hold whole tiles and the caller adds the per-tile sums in tile order; the
-    # 1257-antenna layout is four tiles, one default block, which the oracle tests check
+    # the caller adds the block sums in block order, so at one block size the worker
+    # count leaves every bit; 8192 makes the 1257-antenna layout one block
     rx = rx_position(0.1, math.radians(30.0))
-    default = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", 1)
+    alone = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
-    assert np.array_equal(kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET), default)
+    assert np.array_equal(kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET), alone)
 
 
 def test_orientation_snr_on_threads_matches_evaluate_snr(kernel_layout, threaded):
@@ -539,20 +544,27 @@ def test_orientation_snr_on_threads_matches_evaluate_snr(kernel_layout, threaded
     assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, DEFAULT_GRID)
 
 
-def test_orientation_snr_blocks_shrink_on_fine_grids(kernel_layout, monkeypatch):
-    # 2000 directions: 32-antenna tiles, and a block's per-tile sums (3 x 2000 each)
-    # stay within SNR_TILE_ELEMENTS only up to 10 tiles, so the layout spans four blocks
-    v = np.random.default_rng(17).normal(size=(2000, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    rows, block = beamforming._tiling(2000)
-    assert (rows, block) == (32, 320)
-    assert (block // rows) * 3 * 2000 <= SNR_TILE_ELEMENTS
-    rx = rx_position(0.1, math.radians(30.0))
-    one = kernel_snr(kernel_layout, rx, v, KERNEL_BUDGET)
-    monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
-    assert beamforming.kernel_workers(kernel_layout.n_tx, folded(kernel_layout, [rx], v)) == 2
-    assert np.array_equal(kernel_snr(kernel_layout, rx, v, KERNEL_BUDGET), one)
-    assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, v)
+def test_a_one_degree_grid_runs_one_task_per_antenna_block(monkeypatch):
+    # about 16 200 classes leave the block size alone: each task returns the (3, m)
+    # column sums of a whole ANTENNA_BLOCK, and the 5041-antenna lattice takes two
+    layout = build_circular_array(radius=0.02, wavelength=KERNEL_WAVELENGTH)
+    grid = orientation_grid(math.radians(1.0), math.radians(1.0))
+    rxs = [rx_position(0.1, math.radians(30.0)), rx_position(0.3, math.radians(60.0))]
+    tasks = []  # (antennas, directions) per task
+    tile_sums = beamforming._tile_sums
+
+    def counted(kernel, positions, rx, r0, v, coeffs):
+        tasks.append((positions.shape[0], v.shape[0]))
+        return tile_sums(kernel, positions, rx, r0, v, coeffs)
+
+    monkeypatch.setattr(beamforming, "_tile_sums", counted)
+    snrs = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET))
+    blocks = -(-layout.n_tx // beamforming.ANTENNA_BLOCK)
+    assert (layout.n_tx, blocks) == (5041, 2)
+    assert len(snrs) == len(rxs) and len(tasks) == len(rxs) * blocks
+    m = evaluated(layout, rxs[:1], grid)[0]
+    assert m > 16000
+    assert tasks[:blocks] == [(4096, m), (5041 - 4096, m)]
 
 
 def test_orientation_snr_rejects_bad_directions(kernel_layout):
@@ -621,10 +633,9 @@ def test_orientation_snr_rejects_a_colocated_rx(kernel_layout, threaded, antenna
 @pytest.mark.parametrize("workers", [1, 2])
 def test_orientation_snr_distances_do_not_overflow(kernel_layout, monkeypatch, workers):
     if workers > 1:
-        # blocks of one 4096-element tile: 29 classes x 141 antennas, nine blocks
+        # blocks of 141 antennas, nine blocks
         monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
-        monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)
-        monkeypatch.setattr(beamforming, "SNR_TILE_ELEMENTS", 4096)
+        monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 141)
     placements = folded(kernel_layout, [rx_position(1.0, 0.3)], GRID_30_20)
     assert beamforming.kernel_workers(kernel_layout.n_tx, placements) == workers
     # |rx - p|^2 overflows float64 at 1e200 m; the SNRs underflow to 0 instead of NaN
@@ -632,8 +643,8 @@ def test_orientation_snr_distances_do_not_overflow(kernel_layout, monkeypatch, w
         far = kernel_snr(kernel_layout, rx_position(1e200, 0.3), GRID_30_20, KERNEL_BUDGET)
     assert np.all(far == 0.0)
     # 1e-300 m above the centre antenna, in a middle block, its amplitude r0 / r = 1e298
-    # overflows when squared in a tile; at P/N = 1e-300 nothing else overflows, so the
-    # caller's errstate must reach the thread that evaluates the tile
+    # overflows when squared in the loop; at P/N = 1e-300 nothing else overflows, so the
+    # loop's flags must reach the caller's errstate from the thread that evaluates it
     tiny = LinkBudget(transmit_power=1e-300, noise_power=1.0)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         kernel_snr(kernel_layout, rx_position(1e-300, 0.0), GRID_30_20, tiny)
@@ -688,12 +699,12 @@ STREAM_RXS = [
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("block", [1, 4096], ids=["one-tile", "default"])
+@pytest.mark.parametrize("block", [FOUR_BLOCKS, 4096], ids=["four-blocks", "default"])
 def test_orientation_snrs_is_bit_equal_to_one_placement_calls(
     kernel_layout, monkeypatch, block, workers
 ):
-    alone = [kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET) for rx in STREAM_RXS]
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
+    alone = [kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET) for rx in STREAM_RXS]
     monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
     # at least one block per placement: every worker asked for starts
     stream = folded(kernel_layout, STREAM_RXS, DEFAULT_GRID)
@@ -724,10 +735,10 @@ def test_orientation_snrs_kernel_workers_count_every_placement(kernel_layout, mo
         beamforming.kernel_workers(n, folded(kernel_layout, [rx] * p, DEFAULT_GRID))
         for p in (0, 1, 2, 70)
     ] == [0, 1, 2, 3]
-    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)  # four one-tile blocks each
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 402)  # four blocks each
     one = folded(kernel_layout, [rx], DEFAULT_GRID)
     assert beamforming.kernel_workers(n, one) == 3
-    # a block's size depends on its fold alone, so more antennas never start fewer workers
+    # more antennas never start fewer workers
     assert [beamforming.kernel_workers(k, one) for k in (1, 402, 403, n, 10**12)] == [1, 1, 2, 3, 3]
 
 
@@ -760,6 +771,7 @@ def test_orientation_snrs_keeps_the_callers_errstate_on_later_placements(kernel_
 
 
 def test_abandoning_orientation_snrs_cancels_its_queued_tasks(kernel_layout, threaded, monkeypatch):
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 4096)  # one block per placement
     baseline = threading.active_count()
     rxs = [rx_position(d, 0.3) for d in np.linspace(0.1, 1.0, 20)]
     started = []  # placement indices, in the order their tasks start
@@ -778,8 +790,8 @@ def test_abandoning_orientation_snrs_cancels_its_queued_tasks(kernel_layout, thr
     monkeypatch.setattr(beamforming, "_tile_sums", counted)
 
     def consume():
-        # one block per placement on the 29-class grid: 20 tasks, of which the first
-        # five are submitted (four, then one more after the first is taken)
+        # 20 tasks, of which the first five are submitted (four, then one more after the
+        # first is taken)
         for i, _ in enumerate(kernel_snrs(kernel_layout, rxs, GRID_30_20, KERNEL_BUDGET)):
             if i == 1:
                 # stop only once both workers hold a sleeping task, the third and fourth
@@ -812,7 +824,7 @@ def test_kernel_workers_each_move_to_a_cpu_and_get_their_mask_back(
 
     monkeypatch.setattr(os, "sched_setaffinity", recorded)
     monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
-    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)  # four one-tile blocks
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", FOUR_BLOCKS)
     caller = os.sched_getaffinity(0)
     streamed = list(kernel_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET))
     assert os.sched_getaffinity(0) == caller
@@ -834,7 +846,7 @@ def test_kernel_workers_each_move_to_a_cpu_and_get_their_mask_back(
 def test_kernel_workers_without_placement_give_the_same_bits(
     kernel_layout, monkeypatch, placement
 ):
-    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", FOUR_BLOCKS)
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 1)
     alone = list(kernel_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET))
     if placement == "absent":
@@ -851,11 +863,11 @@ def test_kernel_workers_without_placement_give_the_same_bits(
 
 
 def test_more_kernel_workers_than_cpus_keep_the_order(kernel_layout, monkeypatch):
-    # eight workers on four one-tile blocks per placement, switching threads often:
+    # eight workers on four blocks per placement, switching threads often:
     # a reply lost or taken out of order would change an array
     rxs = STREAM_RXS * 3
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", FOUR_BLOCKS)
     alone = [kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET) for rx in rxs]
-    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 1)
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 8)
     baseline = threading.active_count()
     interval = sys.getswitchinterval()
@@ -914,22 +926,16 @@ def kernel_inputs(draw):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    kernel_inputs(),
-    st.sampled_from([256, 2048, SNR_TILE_ELEMENTS]),
-    st.integers(1, 3),
-    st.integers(1, 600),
-)
-def test_orientation_snrs_matches_the_oracle_on_drawn_inputs(inputs, tile, workers, block):
-    # the tile size fixes which antennas each column sum adds; at one tile size the
-    # arrays are bit-equal across worker counts and block sizes
+@given(kernel_inputs(), st.integers(1, 3), st.integers(1, 600))
+def test_orientation_snrs_matches_the_oracle_on_drawn_inputs(inputs, workers, block):
+    # the block size fixes which antennas each column sum adds; at one block size the
+    # arrays are bit-equal across worker counts
     layout, rxs, grid = inputs
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(beamforming, "SNR_TILE_ELEMENTS", tile)
+        patch.setattr(beamforming, "ANTENNA_BLOCK", block)
         patch.setattr(beamforming, "MAX_WORKERS", 1)
         alone = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET))
         patch.setattr(beamforming, "MAX_WORKERS", workers)
-        patch.setattr(beamforming, "ANTENNA_BLOCK", block)
         streamed = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET))
     assert len(streamed) == len(rxs)
     for rx, fast, first in zip(rxs, streamed, alone):

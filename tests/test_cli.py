@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -314,37 +315,31 @@ def test_preflight_charges_fig3_for_its_maps_and_writer(monkeypatch):
         assert plan_run(config, scenario).estimated_bytes < 0.4 * fig3
 
 
-def largest_block(plan):
-    return max(fold.block for _, _, fold in plan.kernel)
-
-
 def test_preflight_charges_each_kernel_worker(monkeypatch):
-    # per worker: three blocks' column sums, each at most SNR_TILE_ELEMENTS float64 on
-    # these grids; the compiled loop builds the geometry on its stack
-    column_sums = 3 * 8 * beamforming.SNR_TILE_ELEMENTS
-    # about 70 000 antennas, 18 blocks; from one worker on, the kernel outweighs the
-    # lattice build's temporaries
-    half = default_config().scaled(0.5)
+    # per worker: three blocks' column sums, each 3 m float64 for the m directions of
+    # the grid; the compiled loop builds the geometry on its stack. On 2-degree grids,
+    # 16 200 directions, the kernel outweighs the lattice build's temporaries from one
+    # worker on
+    two_degrees = {"azimuth_step": math.radians(2.0), "elevation_step": math.radians(2.0)}
+    # about 70 000 antennas, 18 blocks
+    half = replace(default_config().scaled(0.5), **two_degrees)
     # one block per placement, four placements: a worker per placement up to the CPUs
-    tiny = parse_config_text(TINY_CONFIG)
+    tiny = replace(parse_config_text(TINY_CONFIG), **two_degrees)
     estimates = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
         plans = plan_run(half, "fig5"), plan_run(tiny, "sweep")
         assert [plan.kernel_workers for plan in plans] == [workers, workers]
         estimates.append([plan.estimated_bytes for plan in plans])
-    # the 163-class fold's blocks are 4020 antennas; the 7 classes of TINY_CONFIG's
-    # square fold make one tile of 9362 antennas, past ANTENNA_BLOCK
-    assert [largest_block(plan) for plan in plans] == [4020, 9362]
     # to a byte: the estimate is a float sum of about 2e7, and no block's size enters it
-    for column in range(len(plans)):
+    for column, plan in enumerate(plans):
+        column_sums = 3 * 8 * 3 * plan.grid.shape[0]
         charged = [e[column] - estimates[0][column] for e in estimates]
         assert charged == pytest.approx([0, column_sums, 2 * column_sums], rel=0, abs=1.0)
 
 
 def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
-    # about 16 200 classes: a tile is four antennas, and the per-tile column sums of
-    # a whole 4096-antenna block would take 400 MB; blocks are cut to SNR_TILE_ELEMENTS
+    # about 16 200 classes: each block's column sums are 3 x 16 200 float64
     text = TINY_CONFIG.replace("step_deg = 30", "step_deg = 1")
     config = parse_config_text(text)
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)

@@ -111,7 +111,7 @@ def test_a_scale_one_tenth_run_matches_its_committed_csv(tmp_path, scenario):
     assert_run_matches_committed_csv(tmp_path, scenario, "0.1")
 
 
-@pytest.mark.parametrize("scenario", ["fig6", "fig7"])
+@pytest.mark.parametrize("scenario", ["fig6", "fig7", "sweep"])
 def test_a_full_size_run_matches_its_committed_csv(tmp_path, scenario):
     # 283 177 antennas; fig5 at full size is the reference.json row above
     assert_run_matches_committed_csv(tmp_path, scenario, "1")
