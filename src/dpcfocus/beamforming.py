@@ -110,6 +110,14 @@ class LinkBudget:
             )
 
 
+def link_snrs(gains, budget: LinkBudget, wavelength: float, r0: float) -> np.ndarray:
+    """The SNRs of the budget-free ``gains`` that ``folded_snrs`` yields for a placement
+    of reference range ``r0``: P/N * (lambda / (4 pi r0))^2 times each. The root of
+    that factor is applied twice, so the factor itself need not be a normal float."""
+    link = math.sqrt(budget.transmit_power / budget.noise_power) * wavelength / (4 * math.pi * r0)
+    return np.asarray(gains) * link * link
+
+
 def fold_placements(
     rx_centers, directions, radius: float, mirror_symmetric: bool, square_symmetric: bool,
     folds: dict | None = None,
@@ -136,14 +144,16 @@ def fold_placements(
 def _rx_center(rx, radius: float) -> tuple[np.ndarray, float]:
     """The checked RX center as a float64 3-vector, and its reference range r0.
 
-    Amplitudes are taken relative to lambda / (4 pi r0), so that no square
-    taken in the kernel underflows or overflows, however far the RX is; the
-    aperture ``radius`` bounds r0 away from 0 for an RX at the origin.
+    Amplitudes are taken relative to lambda / (4 pi r0). Every TX element lies
+    on z = 0, so r0 = |rx_z| bounds each TX-RX distance from below: every
+    amplitude r0 / r is at most 1, and no sum or square taken in the kernel
+    overflows, however near or far the RX is. An RX on the array plane takes
+    max(|rx|, ``radius``) instead.
     """
     rx = np.asarray(rx, dtype=float)
     if rx.shape != (3,) or not np.all(np.isfinite(rx)):
         raise ValueError("an RX center must be a finite 3-vector")
-    return rx, max(float(np.hypot(np.hypot(rx[0], rx[1]), rx[2])), radius)
+    return rx, abs(float(rx[2])) or max(float(np.hypot(rx[0], rx[1])), radius)
 
 
 def fold_directions(directions, mirror: bool, square: bool = False) -> _Fold:
@@ -158,44 +168,36 @@ def fold_directions(directions, mirror: bool, square: bool = False) -> _Fold:
     return _Fold(v[first], inverse)
 
 
-def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
-    """Iterator over the received SNRs at each of ``placements``, in order.
+def folded_snrs(layout: ArrayLayout, placements):
+    """Iterator over the budget-free gains at each of ``placements``, in order.
 
     ``placements`` is ``fold_placements`` worked out for ``layout``'s radius
     and symmetry flags. Each item is an (m, 3) array whose row i holds
-    (DPC, dual, switched) for the placement's ``directions[i]``: the SNRs
-    that the test oracle ``evaluate_snr`` (``tests/oracles.py``) works out
-    from the complex weights and
-    ``ChannelGeometry(layout, rx).channel_for(directions[i])``. The
-    propagation phase cancels under both the DPC and the phase-only
-    conjugate weights, so only channel magnitudes are needed:
+    (DPC, dual, switched) for the placement's ``directions[i]``, with the
+    channel magnitudes a_u,k = |h_u,k| in units of lambda / (4 pi r0):
 
-        snr_dpc      = rho * (sum_k sqrt(|h_x,k|^2 + |h_y,k|^2))^2 / n
-        snr_dual     = rho * ((sum_k |h_x,k|)^2 + (sum_k |h_y,k|)^2) / n
-        snr_switched = rho * max(sum_k |h_x,k|, sum_k |h_y,k|)^2 / n
+        dpc      = (sum_k sqrt(a_x,k^2 + a_y,k^2))^2 / n
+        dual     = ((sum_k a_x,k)^2 + (sum_k a_y,k)^2) / n
+        switched = max(sum_k a_x,k, sum_k a_y,k)^2 / n
 
-    Directions that share their SNRs by symmetry (``orientation_classes``)
-    are evaluated once and the result is copied to every member: v and -v
-    always; (vx, vy, vz) with (vx, -vy, vz) when the RX center has y == 0
-    and the layout is closed under y -> -y; and every sign change and the
-    swap vx <-> vy when the RX center lies on the z axis (x == y == 0) and
-    the layout is closed under all 8 symmetries of the square. The classes
-    are worked out once per fold.
+    ``link_snrs`` turns them into the SNRs that the test oracle
+    ``evaluate_snr`` (``tests/oracles.py``) works out from the complex
+    weights and ``ChannelGeometry(layout, rx).channel_for(directions[i])``;
+    their ratios are the SNRs' ratios. The propagation phase cancels under
+    both the DPC and the phase-only conjugate weights, so only channel
+    magnitudes are needed. As r0 bounds every TX-RX distance from below,
+    every amplitude scale r0 / r_k is at most 1 and no sum or square
+    overflows; gains can still underflow, as for an RX on the z axis at
+    v = +-z, which only its off-axis antennas reach.
 
-    Each task is one call of a compiled loop (``_tile_sums``) on a block of
-    ``ANTENNA_BLOCK`` antennas: from the positions, the RX center and
-    r0 it builds each antenna's unit displacement p_k and the amplitude
-    scales s_u,k = (r0 / r_k) h(p_u,k^2) of its dipoles along u = x, y, with
-    h the series of ``channel.pattern_series``. Per antenna and direction it
-    forms w = v - (p_k . v) p_k, the part of v across the ray, and sums the
-    magnitudes |h_x,k| = |s_x,k w_x g_rx| and |h_y,k| = |s_y,k w_y g_rx|,
-    with the dipole pattern g_rx = |w| h((p_k . v)^2): s_u,k w_u is the
-    projection onto v of the field vector s_u,k (u - p_u,k p_k), and |w| is
-    |p_k x v|. A task returns its block's (3, m) column sums, added in
-    antenna order. The loop is built with ``cc`` on first use and kept in
-    ``KERNEL_CACHE``; it sums 16 directions at a time in registers, with the
-    antennas innermost. The (placement, block) tasks of all the placements
-    form one stream, run in order on ``kernel_workers`` threads of
+    Directions that share their gains by symmetry (``orientation_classes``
+    of the fold) are evaluated once and the result is copied to every
+    member.
+
+    Each task is one call of the compiled loop (``_tile_sums``) on a block
+    of ``ANTENNA_BLOCK`` antennas, which returns the block's (3, m) column
+    sums, added in antenna order. The (placement, block) tasks of all the
+    placements form one stream, run in order on ``kernel_workers`` threads of
     ``_in_order``, each placed on its own CPU; a task runs no numpy pass and
     the loop runs without the interpreter lock, so the threads share the
     CPUs. A task hands back the loop's flags with its sums, and the calling
@@ -208,10 +210,6 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
     most two tasks per thread are in flight, so the memory held grows with
     neither the number of blocks nor of placements. Abandoning the iterator
     cancels the queued tasks and stops its threads.
-
-    The loop squares amplitudes relative to the RX range r0 (at least the
-    aperture radius): an antenna closer to the RX than about 1e-154 r0
-    overflows them and gives infinite SNRs.
 
     Raises
     ------
@@ -236,23 +234,21 @@ def folded_snrs(layout: ArrayLayout, placements, budget: LinkBudget):
     # one (rx, r0, fold, first antenna) task per antenna block of every placement
     tasks = [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, block)]
     results = _in_order(block_sums, tasks, kernel_workers(n, placements))
-    # sqrt(rho) = sqrt(P / N) / sqrt(n) joins the amplitude scale before anything is squared
-    root = math.sqrt(budget.transmit_power / budget.noise_power) / math.sqrt(n)
     try:
-        for _, r0, fold in placements:
+        for _, _, fold in placements:
             m = fold.directions.shape[0]
-            # per direction: sum_k sqrt(|h_x,k|^2 + |h_y,k|^2), sum_k |h_x,k|, sum_k |h_y,k|
+            # per direction: sum_k sqrt(a_x,k^2 + a_y,k^2), sum_k a_x,k, sum_k a_y,k
             sums = np.zeros((3, m))
             for _ in range(0, n, block):
                 part, raised = next(results)
                 _raise_flags(raised)
                 sums += part
-            sums *= (layout.wavelength / (4.0 * math.pi * r0)) * root
-            snr = np.empty((m, 3))
-            snr[:, 0] = np.square(sums[0])
-            snr[:, 1] = np.square(sums[1]) + np.square(sums[2])
-            snr[:, 2] = np.square(np.maximum(sums[1], sums[2]))
-            yield snr[fold.inverse]
+            sums /= math.sqrt(n)
+            gains = np.empty((m, 3))
+            gains[:, 0] = np.square(sums[0])
+            gains[:, 1] = np.square(sums[1]) + np.square(sums[2])
+            gains[:, 2] = np.square(np.maximum(sums[1], sums[2]))
+            yield gains[fold.inverse]
     finally:
         results.close()
 

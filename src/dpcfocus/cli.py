@@ -12,7 +12,8 @@ check  narrowband-validity table over the configured distances
 Each run writes one ``<scenario>.csv`` plus a ``manifest.json`` that echoes
 the resolved configuration and derived quantities. CSV bodies are
 deterministic: rerunning a scenario with the same configuration reproduces
-them byte for byte (timestamps live only in the manifest).
+them byte for byte (timestamps live only in the manifest). Every output
+replaces its older copy whole, or not at all (``_replaced``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import os
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -45,6 +47,7 @@ from .beamforming import (
     fold_placements,
     folded_snrs,
     kernel_workers,
+    link_snrs,
     polarization_angles,
 )
 from .experiments import (
@@ -85,6 +88,7 @@ REQUIRED_KEYS = (
 )
 OPTIONAL_KEYS = ("noise_power_w",)
 LIST_KEYS = ("alpha_deg", "distance_m")
+MANIFEST = "manifest.json"
 
 class ConfigError(ValueError):
     "Raised when a run configuration file is missing, malformed or invalid."
@@ -205,10 +209,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _replaced(path: Path):
+    """A text handle on a file beside ``path`` that replaces it once closed, or is
+    removed if anything fails. An older manifest goes before any output replaces
+    its older copy, so no manifest ever describes outputs of another run."""
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w", newline="") as handle:
+            yield handle
+        (path.parent / MANIFEST).unlink(missing_ok=True)
+        os.replace(partial, path)
+    finally:  # a no-op once the file is in place
+        partial.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    # format every row first, so a refused value leaves no partial file behind
+    # format every row first, so a refused value never reaches the file
     body = [[_fmt(v) for v in row] for row in rows]
-    with open(path, "w", newline="") as handle:
+    with _replaced(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(body)
@@ -253,30 +272,24 @@ def scenario_placements(name: str, config) -> list[tuple[float, float]]:
     return []
 
 
-def _polarization_map_deg(layout, alpha: float, distance: float) -> np.ndarray:
-    "Polarization axes in degrees of one fig3 placement, for an RX dipole along z."
-    angles_deg = np.degrees(polarization_angles(layout, rx_position(distance, alpha)))
-    if not np.all(np.isfinite(angles_deg)):
-        raise ValueError("polarization map contains undefined angles")
-    return angles_deg
-
-
 def run_fig3(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     """Write ``fig3.csv``: one row per antenna and distance.
 
-    The maps of both distances are worked out before the file is opened, so
-    an undefined angle leaves no file. Rows are then formatted as they are
-    written, as ``_write_csv`` formats them, and never held all at once.
+    The maps of both distances are worked out before the file is opened.
+    Rows are then formatted as they are written, as ``_write_csv`` formats
+    them, and never held all at once.
     An antenna's two channel entries share one complex factor, so its DPC
     weights are in phase or opposed and the ``nonlinear`` column is 0.
     """
     header = ["distance_m", "antenna_index", "x_m", "y_m", "pol_angle_deg", "nonlinear"]
-    maps = [(d, _polarization_map_deg(layout, alpha, d)) for alpha, d in plan.placements]
-    # lattice positions are finite by construction, and so are the checked angles
+    maps = [(d, np.degrees(polarization_angles(layout, rx_position(d, alpha))))
+            for alpha, d in plan.placements]
+    # lattice positions are finite by construction, and so is every angle: with r0 <= r,
+    # a_x and a_y lie in [-1, 1], so atan2 never sees an inf
     xs = layout.positions[:, 0].tolist()
     ys = layout.positions[:, 1].tolist()
     path = out_dir / "fig3.csv"
-    with open(path, "w", newline="") as handle:
+    with _replaced(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for d, angles_deg in maps:
@@ -295,26 +308,23 @@ def run_placements(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     """Write ``<scenario>.csv``: one row per placement of the plan, from its kernel folds.
 
     Each row is the placement's full ``sweep.csv`` row (``SWEEP_COLUMNS``)
-    cut down to the scenario's ``PLACEMENT_COLUMNS``. Every placement whose
-    narrowband check fails issues a warning before the first sweep runs. A
-    placement with an SNR of 0 raises ``ConfigError`` before the file is
-    opened.
+    cut down to the scenario's ``PLACEMENT_COLUMNS``: the statistics read the
+    kernel's budget-free gains, and only the rates apply the link budget.
+    Every placement whose narrowband check fails issues a warning before the
+    first sweep runs.
     """
     config = plan.config
     columns = PLACEMENT_COLUMNS[plan.scenario]
     keep = [SWEEP_COLUMNS.index(c) for c in columns]
     for _, d in plan.placements:
         _warn_if_not_narrowband(d, config.radius, config.bandwidth)
-    sweeps = folded_snrs(layout, plan.kernel, config.budget())
+    budget = config.budget()
+    sweeps = folded_snrs(layout, plan.kernel)
     rows = []
-    for (alpha, d), snr in zip(plan.placements, sweeps, strict=True):
-        if not np.all(snr > 0.0):
-            raise ConfigError(
-                f"distance {d!r} m at alpha {_deg(alpha)!r} deg is too large: "
-                "an SNR underflows to 0, which has no dB improvement"
-            )
-        sw = improvement_stats(snr, "switched")
-        du = improvement_stats(snr, "dual")
+    for (alpha, d), (_, r0, _), gains in zip(plan.placements, plan.kernel, sweeps, strict=True):
+        sw = improvement_stats(gains, "switched")
+        du = improvement_stats(gains, "dual")
+        snr = link_snrs(gains, budget, layout.wavelength, r0)
         row = (
             (_deg(alpha), d, sw.sample_count)
             + _stats_values(sw)
@@ -376,7 +386,7 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
 
     Refuses fig6 and fig7 distances that do not ascend strictly, a run whose
     estimated peak memory exceeds physical memory, and a placement whose
-    strongest link is not finite. The charge is the float64 positions of the
+    rate bound is not finite. The charge is the float64 positions of the
     lattice bound n = (2 R / pitch + 1)^2, in float arithmetic so that an
     absurd configuration gives a huge or infinite estimate, never an
     overflow, and the orientation grid with its temporaries (six float64 per
@@ -398,8 +408,7 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     The grid is built only once the charge without the kernel fits. Every
     TX element lies on z = 0, so d cos(alpha) bounds each TX-RX distance
     from below: P/N * n * (lambda / (4 pi d cos alpha))^2 bounds the SNRs of
-    a placement, and n * (max(d, R) / (d cos alpha))^2 the kernel's sums of
-    squares, as it scales amplitudes relative to max(d, R).
+    a placement, and B log2(1 + that bound) its rates.
     """
     if scenario in ("fig6", "fig7"):
         d = config.distance_values
@@ -422,12 +431,10 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     for alpha, d in placements:
         near = d * math.cos(alpha)
         amp = root * (config.wavelength / (4.0 * math.pi * near)) if near > 0.0 else math.inf
-        rel = max(d, config.radius) / near if near > 0.0 else math.inf
-        if not (math.isfinite(amp * amp * points) and math.isfinite(rel * rel * points)):
+        if not math.isfinite(config.bandwidth * math.log1p(amp * amp * points) / math.log(2.0)):
             raise ConfigError(
-                f"distance {d!r} m at alpha {_deg(alpha)!r} deg is too small: "
-                "P/N * n * (lambda / (4 pi d cos alpha))^2 or "
-                "n * (max(d, R) / (d cos alpha))^2 overflows"
+                f"distance {d!r} m at alpha {_deg(alpha)!r} deg: the rate bound "
+                "B * log2(1 + P/N * n * (lambda / (4 pi d cos alpha))^2) overflows"
             )
 
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
@@ -514,7 +521,7 @@ def main(argv=None) -> int:
         # recorded under the filters in force, then shown as they would have been
         with warnings.catch_warnings(record=True) as issued:
             outputs = SCENARIOS[args.command](plan, layout, out_dir)
-    except ConfigError as exc:
+    except ValueError as exc:  # a value the plan admits but float64 cannot carry through
         print(f"dpcfocus: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except OSError as exc:  # the scenarios read no files: an output cannot be written
@@ -570,7 +577,7 @@ def main(argv=None) -> int:
         "warnings": [f"{w.category.__name__}: {w.message}" for w in issued],
     }
     try:
-        with open(out_dir / "manifest.json", "w") as handle:
+        with _replaced(out_dir / MANIFEST) as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
     except OSError as exc:

@@ -10,13 +10,12 @@ rates follow from averaging B*log2(1+SNR).
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamforming import LinkBudget, fold_placements, folded_snrs, thermal_noise_power
+from .beamforming import LinkBudget, fold_placements, folded_snrs, link_snrs, thermal_noise_power
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayLayout,
@@ -85,16 +84,6 @@ class SweepConfig:
         _even_divisions(2.0 * math.pi, self.azimuth_step, "azimuth_step")
         _even_divisions(math.pi, self.elevation_step, "elevation_step")
         self.budget()  # rejects a link budget whose P/N overflows
-        # the weakest link, from the aperture rim at distance d + R, must keep the SNR's
-        # P/N * (lambda / (4 pi r))^2 factor at or above the smallest normal float
-        root = math.sqrt(self.transmit_power / self.noise_power)
-        for d in self.distance_values:
-            weakest = root * (self.wavelength / (4.0 * math.pi * (d + self.radius)))
-            if weakest * weakest < sys.float_info.min:
-                raise ValueError(
-                    f"distance {d!r} m is too large: P/N * (lambda / (4 pi (d + R)))^2 "
-                    f"falls below {sys.float_info.min:.4g}"
-                )
 
     @property
     def wavelength(self) -> float:
@@ -171,7 +160,8 @@ def placement_sweeps(
     folded = fold_placements(
         rx_centers, grid, layout.radius, layout.mirror_symmetric, layout.square_symmetric
     )
-    return folded_snrs(layout, folded, budget)
+    gains = folded_snrs(layout, folded)
+    return (link_snrs(g, budget, layout.wavelength, r0) for (_, r0, _), g in zip(folded, gains))
 
 
 def _warn_if_not_narrowband(distance: float, radius: float, bandwidth: float) -> None:

@@ -21,7 +21,8 @@ LATTICE_CHUNK = 1 << 14
 A chunk is whole rows of the lattice's x >= 0 half, at least one row, so
 the build holds at most about 40 bytes per chunk point beside the positions
 (0.6 MiB) and nothing that spans the lattice's bounding square.
-``ArrayLayout`` checks its radius on as many positions at a time.
+``ArrayLayout`` checks that positions are finite and within its radius on as
+many positions at a time.
 """
 
 
@@ -54,6 +55,8 @@ class ArrayLayout:
             raise ValueError("array elements must lie on the z = 0 plane")
         for k0 in range(0, pos.shape[0], LATTICE_CHUNK):
             chunk = pos[k0:k0 + LATTICE_CHUNK]
+            if not np.isfinite(chunk).all():  # hypot(nan, y) > radius is False
+                raise ValueError("array element positions must be finite")
             if np.any(np.hypot(chunk[:, 0], chunk[:, 1]) > self.radius * (1.0 + 1e-12)):
                 raise ValueError("array elements must lie within the aperture radius")
         pos.setflags(write=False)

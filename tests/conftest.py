@@ -1,6 +1,6 @@
 import numpy as np
 
-from dpcfocus.beamforming import fold_placements, folded_snrs
+from dpcfocus.beamforming import fold_placements, folded_snrs, link_snrs
 from dpcfocus.channel import PolarizedChannel
 
 
@@ -12,11 +12,15 @@ def random_channel(rng: np.random.Generator, n: int, scale: float = 1.0) -> Pola
 
 
 def kernel_snrs(layout, rx_centers, directions, budget):
-    "The SNR kernel's (m, 3) array for each of ``rx_centers``, in order, folded for ``layout``."
+    """The SNRs of the kernel's (m, 3) gains under ``budget`` for each of ``rx_centers``,
+    in order, folded for ``layout``."""
     placements = fold_placements(
         rx_centers, directions, layout.radius, layout.mirror_symmetric, layout.square_symmetric
     )
-    return folded_snrs(layout, placements, budget)
+    gains = folded_snrs(layout, placements)
+    return (
+        link_snrs(g, budget, layout.wavelength, r0) for (_, r0, _), g in zip(placements, gains)
+    )
 
 
 def kernel_snr(layout, rx_center, directions, budget):

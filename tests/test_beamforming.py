@@ -642,12 +642,12 @@ def test_orientation_snr_distances_do_not_overflow(kernel_layout, monkeypatch, w
     with np.errstate(over="raise", invalid="raise"):
         far = kernel_snr(kernel_layout, rx_position(1e200, 0.3), GRID_30_20, KERNEL_BUDGET)
     assert np.all(far == 0.0)
-    # 1e-300 m above the centre antenna, in a middle block, its amplitude r0 / r = 1e298
-    # overflows when squared in the loop; at P/N = 1e-300 nothing else overflows, so the
-    # loop's flags must reach the caller's errstate from the thread that evaluates it
-    tiny = LinkBudget(transmit_power=1e-300, noise_power=1.0)
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        kernel_snr(kernel_layout, rx_position(1e-300, 0.0), GRID_30_20, tiny)
+    # with r0 <= r no amplitude overflows, however near the RX; the subnormal v_x of
+    # v = (1e-310, 0, 1) underflows in the loop instead, and the loop's flags must reach
+    # the caller's errstate from the threads that evaluate it
+    near_z = np.array([[1e-310, 0.0, 1.0]])
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        kernel_snr(kernel_layout, rx_position(1.0, 0.0), near_z, KERNEL_BUDGET)
     # at 1e150 m every factor is representable and the free-space 1/r^2 law holds
     snr = [
         kernel_snr(kernel_layout, rx_position(d, 0.3), GRID_30_20, KERNEL_BUDGET)
@@ -756,15 +756,14 @@ def test_orientation_snrs_raises_at_a_colocated_rx_after_earlier_placements(
 
 
 def test_orientation_snrs_keeps_the_callers_errstate_on_later_placements(kernel_layout, threaded):
-    # as in test_orientation_snr_distances_do_not_overflow: at P/N = 1e-300 only the
-    # square of r0 / r = 1e298, 1e-300 m above the centre antenna, overflows, and it
-    # does so in a worker thread, on the second placement
-    tiny = LinkBudget(transmit_power=1e-300, noise_power=1.0)
-    rxs = [rx_position(0.1, 0.3), rx_position(1e-300, 0.0)]
-    placements = folded(kernel_layout, rxs, GRID_30_20)
+    # as in test_orientation_snr_distances_do_not_overflow: v = (1e-310, 0, 1) underflows
+    # in the loop, in worker threads, and only the second placement evaluates it
+    placements = folded(kernel_layout, [rx_position(0.1, 0.3)], GRID_30_20) + folded(
+        kernel_layout, [rx_position(0.1, 0.0)], [[1e-310, 0.0, 1.0]]
+    )
     assert beamforming.kernel_workers(kernel_layout.n_tx, placements) == 2
-    with np.errstate(over="raise"):
-        stream = kernel_snrs(kernel_layout, rxs, GRID_30_20, tiny)
+    with np.errstate(under="raise"):
+        stream = beamforming.folded_snrs(kernel_layout, placements)
         assert np.all(np.isfinite(next(stream)))
         with pytest.raises(FloatingPointError):
             next(stream)

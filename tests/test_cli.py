@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -139,6 +140,88 @@ def test_an_output_file_that_cannot_be_opened_is_an_output_error(
     err = capsys.readouterr().err
     assert err.startswith("dpcfocus: cannot write output: ") and name in err
     assert len(err.splitlines()) == 1
+
+
+def outputs_of(out):
+    "Each file in ``out`` by name, with its bytes."
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+FILE_SIZE_LIMITED = """\
+import resource, signal, sys
+from dpcfocus.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]),) * 2)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("scenario, limit", [("fig3", 50_000), ("fig5", 500)])
+def test_a_write_past_the_file_size_limit_leaves_the_last_run_whole(
+    tmp_path, tiny_config_path, scenario, limit
+):
+    # fig3 streams its rows and fig5 writes them at once; either run stops at the limit,
+    # in a child process, and leaves the files of the run before it as they were
+    out = tmp_path / "out"
+    args = [scenario, "--config", str(tiny_config_path), "--out", str(out)]
+    assert main(args + ["--scale", "0.5"]) == EXIT_OK
+    before = outputs_of(out)
+    done = fresh_python("-c", FILE_SIZE_LIMITED, str(limit), *args)
+    assert done.returncode == EXIT_OUTPUT_ERROR
+    assert done.stderr.startswith("dpcfocus: cannot write output: [Errno 27] File too large")
+    assert one_line(done.stderr)
+    assert outputs_of(out) == before
+
+
+def test_a_csv_write_that_fails_midway_leaves_the_last_run_whole(
+    tmp_path, tiny_config_path, capsys, monkeypatch
+):
+    out = tmp_path / "out"
+    args = ["fig5", "--config", str(tiny_config_path), "--out", str(out)]
+    assert main(args + ["--scale", "0.5"]) == EXIT_OK
+    before = outputs_of(out)
+    real = csv.writer
+
+    class HalfWriter:
+        "Writes the header and one row, then fails as a full disk would."
+
+        def __init__(self, handle, **kwargs):
+            self.handle, self.writer = handle, real(handle, **kwargs)
+            self.writerow = self.writer.writerow
+
+        def writerows(self, rows):
+            self.writer.writerows(list(rows)[:1])
+            self.handle.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.csv, "writer", HalfWriter)
+    assert main(args) == EXIT_OUTPUT_ERROR
+    err = capsys.readouterr().err
+    assert err == "dpcfocus: cannot write output: [Errno 28] No space left on device\n"
+    assert outputs_of(out) == before
+
+
+def test_a_failed_manifest_pairs_no_manifest_with_the_new_outputs(
+    tmp_path, tiny_config_path, monkeypatch
+):
+    out = tmp_path / "out"
+    assert main(["fig6", "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
+    fresh = tmp_path / "fresh"
+    assert main(["fig5", "--config", str(tiny_config_path), "--out", str(fresh)]) == EXIT_OK
+    before = outputs_of(out)
+
+    def half_dump(obj, handle, **kwargs):
+        handle.write("{")
+        handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.json, "dump", half_dump)
+    code = main(["fig5", "--config", str(tiny_config_path), "--out", str(out)])
+    assert code == EXIT_OUTPUT_ERROR
+    # fig6's manifest went before fig5.csv came in, and no manifest came after it
+    assert outputs_of(out) == {
+        "fig5.csv": (fresh / "fig5.csv").read_bytes(), "fig6.csv": before["fig6.csv"]
+    }
 
 
 @pytest.fixture
@@ -701,24 +784,17 @@ def test_bad_scale_is_a_one_line_usage_error(tmp_path, capsys, scale):
         ("fig5", "transmit_power_w = 1e-3", "transmit_power_w = 5e-324\nnoise_power_w = 1.0"),
         # one lattice element, which sits at the v = z axial null when alpha = 0
         ("sweep", "radius_m = 0.008", "radius_m = 0.0001"),
-        # every SNR of the rim link would fall below the smallest normal float
+        # valid, but this far out an RX on the z axis sees v = z gains fall as (R/d)^4,
+        # to float64's 0, which has no dB value
         ("sweep", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e200"),
-        # valid, but 1e150 m out some SNRs underflow float64 to 0, which has no dB value
         ("sweep", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e150"),
-        ("fig6", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e150"),
-        ("fig7", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e150"),
-        # the strongest link, from an antenna at least d cos(alpha) away, would overflow
+        # the rate bound, from an antenna at least d cos(alpha) away, would overflow
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-300, 0.3"),
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-160, 0.3"),
-        # a small P/N keeps that bound finite, but the kernel's squared amplitudes,
-        # relative to max(d, R), would overflow
-        (
-            "fig6",
-            "transmit_power_w = 1e-3\nalpha_deg = 0, 30\ndistance_m = 0.1, 0.3",
-            "transmit_power_w = 1e-20\nalpha_deg = 0, 30\ndistance_m = 1e-160, 0.3",
-        ),
         ("sweep", "distance_m = 0.1, 0.3", "distance_m = 1e-300, 0.3"),
         ("fig7", "distance_m = 0.1, 0.3", "distance_m = 5e-324, 0.3"),
+        # and so would B log2(1 + SNR) at any distance
+        ("fig7", "bandwidth_hz = 100e6", "bandwidth_hz = 1e306\nnoise_power_w = 1e-300"),
         # terabyte-sized runs, refused by the memory estimate before anything allocates
         ("check", "radius_m = 0.008", "radius_m = 1000"),
         ("check", "azimuth_step_deg = 30", "azimuth_step_deg = 1e-7"),
@@ -736,13 +812,68 @@ def test_bad_config_value_is_a_one_line_config_error(tmp_path, capsys, scenario,
     assert not (out / f"{scenario}.csv").exists()
 
 
-def test_figure_rows_are_columns_of_sweep_rows(tmp_path, tiny_config_path):
+ONCE_REFUSED = [
+    # 1e150 m and 1e200 m out, off the z axis: every gain is representable
+    ("sweep", "alpha_deg = 0, 30\ndistance_m = 0.1, 0.3",
+     "alpha_deg = 30\ndistance_m = 0.1, 1e150"),
+    ("fig6", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e150"),
+    ("fig7", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e150"),
+    ("sweep", "alpha_deg = 0, 30\ndistance_m = 0.1, 0.3",
+     "alpha_deg = 30\ndistance_m = 0.1, 1e200"),
+    # P/N * n * (lambda / (4 pi d cos alpha))^2 stays finite at this small P/N
+    ("fig6", "transmit_power_w = 1e-3\nalpha_deg = 0, 30\ndistance_m = 0.1, 0.3",
+     "transmit_power_w = 1e-20\nalpha_deg = 0, 30\ndistance_m = 1e-160, 0.3"),
+]
+
+
+@pytest.mark.parametrize("scenario, old, new", ONCE_REFUSED)
+def test_far_and_low_budget_placements_are_run(tmp_path, scenario, old, new):
+    assert old in TINY_CONFIG
+
+    def run(text, out):
+        path = tmp_path / f"{out}.cfg"
+        path.write_text(TINY_CONFIG.replace(old, text))
+        assert main([scenario, "--config", str(path), "--out", str(tmp_path / out)]) == EXIT_OK
+        header, rows = read_csv(tmp_path / out / f"{scenario}.csv")
+        return header, [[float(v) for v in row] for row in rows]
+
+    header, rows = run(new, "extreme")
+    stats = [i for i, c in enumerate(header) if c in cli.STATS_COLUMNS]
+    rates = [i for i, c in enumerate(header) if c in cli.RATE_COLUMNS]
+    assert rows and all(math.isfinite(v) for row in rows for v in row)
+    assert all(row[i] >= 0.0 for row in rows for i in rates)
+    if "1e150" in new:  # far beyond the aperture the improvements no longer change
+        _, near = run(new.replace("1e150", "1e100"), "near")
+        for got, want in zip(rows, near, strict=True):
+            for i in stats:
+                assert abs(got[i] - want[i]) <= 1e-12 * max(abs(want[i]), 1.0), header[i]
+
+
+def test_fig5_does_not_depend_on_the_link_budget(tmp_path):
+    # the statistics are ratios of budget-free gains, even at a P/N of 5.7e-296
+    bodies = []
+    for power in ("1e-3", "2.3e-308"):
+        path = tmp_path / f"{power}.cfg"
+        path.write_text(TINY_CONFIG.replace("power_w = 1e-3", f"power_w = {power}"))
+        out = tmp_path / power
+        assert main(["fig5", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        bodies.append((out / "fig5.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize(
+    "args", [["--config", "TINY"], ["--scale", "0.1"]], ids=["tiny", "default-scale-0.1"]
+)
+def test_figure_rows_are_columns_of_sweep_rows(tmp_path, tiny_config_path, args):
+    # fresh runs of TINY_CONFIG and of the default config at --scale 0.1
+    args = [str(tiny_config_path) if a == "TINY" else a for a in args]
+    config = load_config(tiny_config_path) if "--config" in args else default_config()
     out = tmp_path / "out"
     for scenario in ("sweep", "fig5", "fig6", "fig7"):
-        assert main([scenario, "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
+        assert main([scenario, *args, "--out", str(out)]) == EXIT_OK
     sweep_header, sweep_rows = read_csv(out / "sweep.csv")
     sweep = {(row[0], row[1]): dict(zip(sweep_header, row)) for row in sweep_rows}
-    # fig5 sits at 10 cm, fig6 and fig7 at 30 degrees: both lie on the TINY_CONFIG grid
+    # fig5 sits at 10 cm, fig6 and fig7 at 30 degrees: both lie on either config's grid
     figures = {
         "fig5": lambda row: (row["alpha_deg"], "0.1"),
         "fig6": lambda row: ("30.0", row["distance_m"]),
@@ -750,7 +881,7 @@ def test_figure_rows_are_columns_of_sweep_rows(tmp_path, tiny_config_path):
     }
     for scenario, placement in figures.items():
         header, rows = read_csv(out / f"{scenario}.csv")
-        assert len(rows) == 2
+        assert len(rows) == len(scenario_placements(scenario, config))
         for row in rows:
             named = dict(zip(header, row))
             expected = sweep[placement(named)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpcfocus.beamforming import LinkBudget, thermal_noise_power
+from dpcfocus.beamforming import LinkBudget, fold_placements, folded_snrs, thermal_noise_power
 from dpcfocus.channel import ChannelGeometry
 from dpcfocus.experiments import (
     DistributionStats,
@@ -381,16 +381,29 @@ def test_sweep_config_refuses_a_single_element_lattice():
         SweepConfig().scaled(1e-4)
 
 
-def test_sweep_config_refuses_distances_past_the_weakest_link_floor():
+def test_sweep_config_accepts_any_finite_distance():
+    # the improvements are ratios of budget-free gains, so no distance is refused for
+    # what P/N * (lambda / (4 pi (d + R)))^2, the rim link's old floor, would do
     config = SweepConfig()
     root = math.sqrt(config.transmit_power / config.noise_power)
-    # largest distance whose rim link keeps P/N * (lambda / (4 pi r))^2 above the floor
     floor = math.sqrt(sys.float_info.min)
     limit = root * config.wavelength / (4.0 * math.pi * floor) - config.radius
-    SweepConfig(distance_values=(0.1, limit * (1.0 - 1e-9)))
     for far in (limit * (1.0 + 1e-9), 1e200, sys.float_info.max):
-        with pytest.raises(ValueError, match="too large"):
-            SweepConfig(distance_values=(0.1, far))
+        assert SweepConfig(distance_values=(0.1, far)).distance_values == (0.1, far)
+
+
+def test_gains_next_to_an_antenna_give_finite_improvements(small_layout, coarse_grid):
+    # 1e-300 m above the centre antenna, r0 = 1e-300 m keeps every amplitude r0 / r at
+    # most 1, where the aperture radius made the centre antenna's 1e298 and its square
+    # overflowed. At v = +-z the centre antenna sits at the RX dipole's axial null and
+    # the other antennas' terms underflow to 0, so those directions are left out
+    grid = coarse_grid[np.abs(coarse_grid[:, 2]) < 1.0]
+    placements = fold_placements(
+        [rx_position(1e-300, 0.0)], grid, small_layout.radius, True, True
+    )
+    (gains,) = folded_snrs(small_layout, placements)
+    for baseline in ("switched", "dual"):
+        assert np.all(np.isfinite(improvements_db(gains, baseline)))
 
 
 def test_distribution_stats_sample_count_matches_grid(small_layout, coarse_grid):

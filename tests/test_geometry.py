@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpcfocus.geometry import (
+    LATTICE_CHUNK,
     SPEED_OF_LIGHT,
     ArrayLayout,
     build_circular_array,
@@ -119,6 +120,17 @@ def test_layout_validation():
         )
     with pytest.raises(ValueError):
         build_circular_array(radius=-1.0, wavelength=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("at", [(0, 0), (1, 1), (LATTICE_CHUNK + 2, 0)])
+def test_layout_refuses_non_finite_positions(bad, at):
+    # the last case sits in the second chunk of the checks
+    positions = np.zeros((LATTICE_CHUNK + 3, 3))
+    positions[:, 0] = np.linspace(-1e-3, 1e-3, positions.shape[0])
+    positions[at] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ArrayLayout(positions=positions, wavelength=1.0, dipole_length=0.5, radius=1.0)
 
 
 def test_rx_position_cases():

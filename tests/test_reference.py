@@ -8,6 +8,7 @@ files are only read. ``tests/reference`` holds whole CSVs of the other
 scenarios, compared by the same rule.
 """
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 
 from dpcfocus.cli import EXIT_OK, main
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.append(str(PERFBENCH))
 
@@ -115,3 +117,22 @@ def test_a_scale_one_tenth_run_matches_its_committed_csv(tmp_path, scenario):
 def test_a_full_size_run_matches_its_committed_csv(tmp_path, scenario):
     # 283 177 antennas; fig5 at full size is the reference.json row above
     assert_run_matches_committed_csv(tmp_path, scenario, "1")
+
+
+def test_the_readme_results_are_the_committed_sweep_at_the_printed_precision():
+    # each table row: alpha, d, switched and dual median gains in dB, three rates in Gbit/s
+    section = README.read_text().split("## Results\n", 1)[1].split("\n## ", 1)[0]
+    table = [line.strip("|").split("|") for line in section.splitlines()
+             if line.startswith("| ") and line[2].isdigit()]
+    with open(CSV_REFERENCES / "sweep_scale1.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    sweep = {(float(r["alpha_deg"]), float(r["distance_m"])): r for r in rows}
+    columns = [("switched_median_db", 1.0), ("dual_median_db", 1.0), ("rate_dpc_bps", 1e9),
+               ("rate_dual_bps", 1e9), ("rate_switched_bps", 1e9)]
+    assert len(table) == 14  # seven angles at 10 cm and at 1 m
+    for cells in table:
+        alpha, distance, *printed = (cell.strip() for cell in cells)
+        row = sweep[float(alpha), float(distance)]
+        for text, (column, unit) in zip(printed, columns, strict=True):
+            half_unit = 0.5 * 10.0 ** -len(text.partition(".")[2])
+            assert abs(float(text) - float(row[column]) / unit) <= half_unit, (alpha, column)
