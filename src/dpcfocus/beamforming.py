@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,8 +38,9 @@ UNIT_TOL = 1e-12
 ANTENNA_BLOCK = 4096
 """Antennas one ``folded_snrs`` task sums at a time.
 
-A kernel task reads its block's positions in place and builds their geometry
-in the compiled loop, 64 antennas at a time on the stack; what it holds in
+A kernel task reads the layout's row table in place and builds its block's
+positions and geometry in the compiled loop, 64 antennas at a time on the
+stack; what it holds in
 numpy is the block's (3, m) column sums for m evaluated directions, added in
 antenna order. The caller adds a placement's block sums in block order, so
 this size fixes the bits of every SNR. 2048 made ``sweep --scale 0.1`` about
@@ -100,14 +100,10 @@ class LinkBudget:
     def __post_init__(self):
         if self.transmit_power <= 0 or self.noise_power <= 0:
             raise ValueError("transmit_power and noise_power must be positive")
+        # a subnormal ratio is kept: only the rates read it, and log1p keeps their digits
         ratio = self.transmit_power / self.noise_power
-        if not math.isfinite(ratio):
-            raise ValueError("transmit_power / noise_power must be finite")
-        # below the smallest normal float the SNRs underflow toward 0
-        if ratio < sys.float_info.min:
-            raise ValueError(
-                f"transmit_power / noise_power must be at least {sys.float_info.min:.4g}"
-            )
+        if not (math.isfinite(ratio) and ratio > 0.0):
+            raise ValueError("transmit_power / noise_power must be positive and finite")
 
 
 def link_snrs(gains, budget: LinkBudget, wavelength: float, r0: float) -> np.ndarray:
@@ -228,8 +224,8 @@ def folded_snrs(layout: ArrayLayout, placements):
 
     def block_sums(task):
         rx, r0, fold, b0 = task
-        positions = layout.positions[b0:b0 + block]
-        return _tile_sums(kernel, positions, rx, r0, fold.directions, coeffs)
+        return _tile_sums(kernel, layout, range(b0, min(b0 + block, n)), rx, r0,
+                          fold.directions, coeffs)
 
     # one (rx, r0, fold, first antenna) task per antenna block of every placement
     tasks = [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, block)]
@@ -359,30 +355,39 @@ _COLOCATED = 16
 "The bit of ``tile_sums``' and ``field_z``'s return that marks an antenna at the RX."
 
 
-def _tile_sums(kernel, positions, rx, r0: float, v, coeffs) -> tuple[np.ndarray, int]:
+def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v, coeffs
+               ) -> tuple[np.ndarray, int]:
     """Column sums of one antenna block, a (3, m) array, and the flags the loop raised.
 
-    Per direction of ``v``, the array holds the sums over the antennas of
-    ``positions`` of sqrt(|h_x|^2 + |h_y|^2), |h_x| and |h_y| in units of
-    lambda / (4 pi r0) for an RX at ``rx``, added in antenna order by the
-    ``tile_sums`` of ``kernel`` (``_tile_kernel``), with the pattern series
-    ``coeffs``. The loop builds each antenna's geometry itself, its unit
-    displacement p and amplitude scales (s_x, s_y), and takes
+    Per direction of ``v``, the array holds the sums over the antennas
+    ``antennas`` of ``layout`` (a range of its antenna indices) of
+    sqrt(|h_x|^2 + |h_y|^2), |h_x| and |h_y| in units of lambda / (4 pi r0)
+    for an RX at ``rx``, added in antenna order by the ``tile_sums`` of
+    ``kernel`` (``_tile_kernel``), with the pattern series ``coeffs``. The
+    loop builds each antenna's position from the layout's row table, then its
+    unit displacement p and amplitude scales (s_x, s_y), and takes
     |h_u| = |s_u w_u| |w| h(c^2) with c = p . v and w = v - c p; the operands
     are read in place. The flags are for ``_raise_flags``, in the thread
     whose errstate should hold.
     """
-    positions, rx, v, coeffs = (
-        np.ascontiguousarray(a, dtype=float) for a in (positions, rx, v, coeffs)
-    )
-    k, m = positions.shape[0], v.shape[0]
-    # the loop reads and writes exactly these shapes
-    if positions.shape != (k, 3) or rx.shape != (3,) or v.shape != (m, 3):
+    rx, v, coeffs = (np.ascontiguousarray(a, dtype=float) for a in (rx, v, coeffs))
+    m = v.shape[0]
+    # the loop reads and writes exactly these: a run of the layout's antennas, and shapes
+    in_layout = antennas.step == 1 and 0 <= antennas.start < antennas.stop <= layout.n_tx
+    if not in_layout or rx.shape != (3,) or v.shape != (m, 3):
         raise ValueError("SNR kernel operands of mismatched shapes")
     out = np.empty((3, m))
-    raised = kernel.tile_sums(positions.ctypes.data, rx.ctypes.data, r0, v.ctypes.data,
-                              coeffs.ctypes.data, coeffs.size, k, m, out.ctypes.data)
+    raised = kernel.tile_sums(*_row_table(layout), antennas.start, len(antennas), rx.ctypes.data,
+                              r0, v.ctypes.data, coeffs.ctypes.data, coeffs.size, m,
+                              out.ctypes.data)
     return out, raised
+
+
+def _row_table(layout: ArrayLayout) -> tuple:
+    """The compiled loop's first five arguments: pointers to the arrays of ``layout.rows``
+    and its run count. The layout's constructors make them contiguous float64 and int64."""
+    rows = layout.rows
+    return (*(a.ctypes.data for a in rows), rows.y.size)
 
 
 def _raise_flags(raised: int) -> None:
@@ -480,8 +485,9 @@ def _open(path: str):
         tile_sums, field_z = library.tile_sums, library.field_z
     except (OSError, AttributeError) as exc:
         raise KernelBuildError(f"cannot load the SNR kernel from {path}: {exc}") from None
-    tile_sums.argtypes = (pointer, pointer, real, pointer, pointer, count, count, count, pointer)
-    field_z.argtypes = (pointer, pointer, real, pointer, count, count, pointer)
+    table = (pointer, pointer, pointer, pointer, count, count, count)  # rows, first, k
+    tile_sums.argtypes = (*table, pointer, real, pointer, pointer, count, count, pointer)
+    field_z.argtypes = (*table, pointer, real, pointer, count, pointer)
     tile_sums.restype = field_z.restype = ctypes.c_int
     return library
 
@@ -499,8 +505,9 @@ def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
     real, and the axis is atan2(a_x a_y, a_x^2) in (-pi/2, pi/2]. As there,
     an antenna with a_x == 0 radiates along y (pi/2) unless a_y == 0 too,
     when it puts its power on the x dipole (0). a_x and a_y of the whole
-    lattice come from one call of the compiled ``field_z``, which builds the
-    geometry as the SNR kernel's loop does, in the calling thread.
+    layout come from one call of the compiled ``field_z``, which reads the
+    row table and builds the geometry as the SNR kernel's loop does, in the
+    calling thread.
 
     Raises ``ValueError`` if ``rx`` is not a finite 3-vector or coincides
     with a TX element, and ``KernelBuildError`` if the kernel is not built
@@ -510,8 +517,8 @@ def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
     rx = np.ascontiguousarray(rx)
     coeffs = np.array(pattern_series(layout.dipole_length / layout.wavelength))
     a = np.empty((2, layout.n_tx))
-    raised = _tile_kernel().field_z(layout.positions.ctypes.data, rx.ctypes.data, r0,
-                                    coeffs.ctypes.data, coeffs.size, layout.n_tx, a.ctypes.data)
+    raised = _tile_kernel().field_z(*_row_table(layout), 0, layout.n_tx, rx.ctypes.data, r0,
+                                    coeffs.ctypes.data, coeffs.size, a.ctypes.data)
     _raise_flags(raised)
     a_x, a_y = a
     angles = np.arctan2(a_x * a_y, np.square(a_x))

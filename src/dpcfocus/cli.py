@@ -28,7 +28,6 @@ import time
 import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -75,6 +74,8 @@ FIG3_DISTANCES_M = (0.15, 1.0)
 FIG3_ALPHA = math.radians(30.0)
 FIG5_DISTANCE_M = 0.10
 FIG6_ALPHA = math.radians(30.0)
+FIG3_WRITE_ROWS = 4096
+"Rows of ``fig3.csv`` that ``run_fig3`` formats and writes at a time."
 
 REQUIRED_KEYS = (
     "radius_m",
@@ -276,8 +277,10 @@ def run_fig3(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     """Write ``fig3.csv``: one row per antenna and distance.
 
     The maps of both distances are worked out before the file is opened.
-    Rows are then formatted as they are written, as ``_write_csv`` formats
-    them, and never held all at once.
+    Each antenna's ``index,x,y,`` text is built once from the layout's rows,
+    with every coordinate formatted once, and serves both distances; rows are
+    then written ``FIG3_WRITE_ROWS`` at a time, formatted as ``_write_csv``
+    formats them, and never held all at once.
     An antenna's two channel entries share one complex factor, so its DPC
     weights are in phase or opposed and the ``nonlinear`` column is 0.
     """
@@ -286,21 +289,22 @@ def run_fig3(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
             for alpha, d in plan.placements]
     # lattice positions are finite by construction, and so is every angle: with r0 <= r,
     # a_x and a_y lie in [-1, 1], so atan2 never sees an inf
-    xs = layout.positions[:, 0].tolist()
-    ys = layout.positions[:, 1].tolist()
+    rows = layout.rows
+    xs = [repr(x) for x in rows.x_table.tolist()]
+    firsts = rows.first_antenna.tolist()
+    prefixes = []
+    for y, x0, a0, a1 in zip(map(repr, rows.y.tolist()), rows.first_x.tolist(), firsts,
+                             firsts[1:]):
+        prefixes.extend(f"{a},{x},{y}," for a, x in zip(range(a0, a1), xs[x0:x0 + a1 - a0]))
     path = out_dir / "fig3.csv"
     with _replaced(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
+        handle.write(",".join(header) + "\n")
         for d, angles_deg in maps:
-            writer.writerows(zip(
-                repeat(_fmt(d)),
-                map(str, range(layout.n_tx)),
-                map(repr, xs),
-                map(repr, ys),
-                map(repr, angles_deg.tolist()),
-                repeat("0"),
-            ))
+            lead = _fmt(d)
+            for k0 in range(0, layout.n_tx, FIG3_WRITE_ROWS):
+                angles = angles_deg[k0:k0 + FIG3_WRITE_ROWS].tolist()
+                handle.write("".join(f"{lead},{prefix}{angle!r},0\n" for prefix, angle
+                                     in zip(prefixes[k0:k0 + FIG3_WRITE_ROWS], angles)))
     return [path]
 
 
@@ -322,15 +326,13 @@ def run_placements(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     sweeps = folded_snrs(layout, plan.kernel)
     rows = []
     for (alpha, d), (_, r0, _), gains in zip(plan.placements, plan.kernel, sweeps, strict=True):
-        sw = improvement_stats(gains, "switched")
-        du = improvement_stats(gains, "dual")
-        snr = link_snrs(gains, budget, layout.wavelength, r0)
-        row = (
-            (_deg(alpha), d, sw.sample_count)
-            + _stats_values(sw)
-            + _stats_values(du)
-            + ergodic_rate(snr, config.bandwidth)
-        )
+        try:
+            sw = improvement_stats(gains, "switched")
+            du = improvement_stats(gains, "dual")
+            rates = ergodic_rate(link_snrs(gains, budget, layout.wavelength, r0), config.bandwidth)
+        except ValueError as exc:  # a gain that underflows to 0 has no dB improvement
+            raise ValueError(f"distance {d!r} m at alpha {_deg(alpha)!r} deg: {exc}") from None
+        row = (_deg(alpha), d, sw.sample_count) + _stats_values(sw) + _stats_values(du) + rates
         rows.append(tuple(row[i] for i in keep))
     path = out_dir / f"{plan.scenario}.csv"
     _write_csv(path, columns, rows)
@@ -384,26 +386,32 @@ class RunPlan(NamedTuple):
 def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     """The ``RunPlan`` of ``scenario`` under ``config``, or ``ConfigError``.
 
-    Refuses fig6 and fig7 distances that do not ascend strictly, a run whose
-    estimated peak memory exceeds physical memory, and a placement whose
-    rate bound is not finite. The charge is the float64 positions of the
-    lattice bound n = (2 R / pitch + 1)^2, in float arithmetic so that an
-    absurd configuration gives a huge or infinite estimate, never an
-    overflow, and the orientation grid with its temporaries (six float64 per
-    direction), held throughout, plus the largest of these phases:
+    Refuses fig6 and fig7 distances that do not ascend strictly, a lattice
+    bound n = (2 R / pitch + 1)^2 whose float64 positions would exceed
+    physical memory, a run whose estimated peak memory exceeds it, and a
+    placement whose rate bound is not finite. No run builds the positions,
+    but their bound caps the lattice: its build tests every point of the
+    bounding square and the kernel visits every antenna, so a larger lattice
+    would not end in useful time. Sizes are taken in float arithmetic, so
+    that an absurd configuration gives a huge or infinite estimate, never an
+    overflow. The charge is the lattice's row table (a float64 per
+    coordinate and at most five 8-byte numbers per row) and the orientation grid with its
+    temporaries (six float64 per direction), held throughout, plus the
+    largest of these phases:
 
-    * the lattice build: beside the positions, one chunk's temporaries, at
-      most 40 bytes a point of ``geometry.LATTICE_CHUNK`` points or of one
-      row if that is longer, and three integers per row;
+    * the lattice build: one chunk's temporaries, at most 40 bytes a point
+      of ``geometry.LATTICE_CHUNK`` points or of one row if that is longer,
+      and 200 bytes per row for the chunks' stretches (an int64 array with
+      its header per chunk, a chunk per row at most) and their concatenation;
     * fig3: every distance's map (a float64 angle per lattice point) and
       beside it the larger of what builds one map, the a_x and a_y of
       ``beamforming.polarization_angles`` and three float64 temporaries of
-      its ``atan2``, and what writes them, three lists of Python floats (x,
-      y and one map's angles);
+      its ``atan2``, and what writes them: each antenna's ``index,x,y,``
+      text and one write's ``FIG3_WRITE_ROWS`` rows;
     * the sweep kernel: each of its workers holds at most three blocks'
       column sums (two in flight per worker, one being added by the
       caller), each 3 m float64 for m directions; the compiled loop builds
-      each antenna's geometry on its own stack.
+      each antenna's position and geometry on its own stack.
 
     The grid is built only once the charge without the kernel fits. Every
     TX element lies on z = 0, so d cos(alpha) bounds each TX-RX distance
@@ -417,16 +425,24 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     placements = tuple(scenario_placements(scenario, config))
     side = 2.0 * (config.radius / (config.wavelength / 2.0)) + 1.0
     points = side * side
+    _refuse_beyond_memory(points * 3 * 8, f"a lattice bound of {points:.3g} antennas would take "
+                                          "as float64 positions")
     n_az = _even_divisions(2.0 * math.pi, config.azimuth_step, "azimuth_step")
     n_el = _even_divisions(math.pi, config.elevation_step, "elevation_step")
     grid_bytes = float(n_az) * n_el * 6 * 8
-    phase = 40.0 * max(LATTICE_CHUNK, side) + 3 * 8 * side  # the lattice build
+    table = 8 * side * (1 + 5)
+    phase = 40.0 * max(LATTICE_CHUNK, side) + 200 * side  # the lattice build
     if scenario == "fig3":
-        # a map is built from a_x, a_y and three atan2 temporaries; the writer holds three
-        # lists (x, y and one map's angles) whose entries point at 24-byte floats
-        build, writer = 2 * 8 + 3 * 8, 3 * (8 + 24)
-        phase = max(phase, points * (8 * len(FIG3_DISTANCES_M) + max(build, writer)))
-    _refuse_beyond_memory(points * 3 * 8 + phase + grid_bytes)
+        # a map is built from a_x, a_y and three atan2 temporaries. The writer holds each
+        # antenna's text, a str of at most 19 + 2 * 24 + 3 characters beside a 49-byte header
+        # and its list entry, and per row of a write an angle (a float and its list entry) and
+        # a line of at most 24 + 1 + text + 24 + 3 characters, in join's list and joined
+        text = 19 + 2 * 24 + 3
+        line = 24 + 1 + text + 24 + 3
+        build = points * (2 * 8 + 3 * 8)
+        writer = points * (8 + 49 + text) + FIG3_WRITE_ROWS * (8 + 24 + 8 + 49 + 2 * line)
+        phase = max(phase, points * 8 * len(FIG3_DISTANCES_M) + max(build, writer))
+    _refuse_beyond_memory(table + phase + grid_bytes)
     root = math.sqrt(config.transmit_power / config.noise_power)
     for alpha, d in placements:
         near = d * math.cos(alpha)
@@ -446,18 +462,17 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
         kernel = tuple(fold_placements(rx_centers, grid, config.radius, True, True, folds))
     workers = kernel_workers(int(min(points, 2.0**53)), kernel)
     kernel_bytes = workers * float(3 * 3 * 8 * grid.shape[0])
-    need = points * 3 * 8 + max(phase, kernel_bytes) + grid_bytes
+    need = table + max(phase, kernel_bytes) + grid_bytes
     _refuse_beyond_memory(need)
     classes = int(folds[True, False].directions.shape[0])
     return RunPlan(config, scenario, placements, grid, kernel, classes, points, workers, need)
 
 
-def _refuse_beyond_memory(need: float) -> None:
+def _refuse_beyond_memory(need: float, what: str = "the run needs an estimated") -> None:
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
         raise ConfigError(
-            f"the run needs an estimated {need:.3g} bytes, more than the "
-            f"{physical:.3g} bytes of physical memory"
+            f"{what} {need:.3g} bytes, more than the {physical:.3g} bytes of physical memory"
         )
 
 

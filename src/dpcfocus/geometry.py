@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,9 +19,9 @@ Z_HAT = np.array([0.0, 0.0, 1.0])
 LATTICE_CHUNK = 1 << 14
 """Lattice points whose clip test ``build_circular_array`` takes at a time.
 
-A chunk is whole rows of the lattice's x >= 0 half, at least one row, so
-the build holds at most about 40 bytes per chunk point beside the positions
-(0.6 MiB) and nothing that spans the lattice's bounding square.
+A chunk is whole rows of the lattice, at least one, tested on their x >= 0
+half, so the build holds at most about 40 bytes per chunk point beside its
+row table (0.6 MiB) and nothing that spans the lattice's bounding square.
 ``ArrayLayout`` checks that positions are finite and within its radius on as
 many positions at a time.
 """
@@ -30,26 +31,47 @@ def _positive_finite(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
-@dataclass(frozen=True)
+class AntennaRows(NamedTuple):
+    """A layout's antennas as runs, the form the compiled loop reads them in.
+
+    Run r holds antennas ``first_antenna[r]`` to ``first_antenna[r + 1] - 1``
+    in order, all at y = ``y[r]``, with x taken from consecutive entries of
+    ``x_table`` from ``first_x[r]`` on; every antenna lies on z = 0.
+    ``first_antenna`` ends with the antenna count. The float arrays are
+    contiguous float64 and the index arrays contiguous int64.
+    """
+
+    x_table: np.ndarray
+    y: np.ndarray
+    first_x: np.ndarray
+    first_antenna: np.ndarray
+
+
+@dataclass(frozen=True, init=False)
 class ArrayLayout:
     """Planar transmit array on z = 0, one crossed-dipole pair per element.
 
-    ``positions`` is an (n, 3) array in meters whose row order fixes the
-    antenna index used by the channel vectors and beamformer weights. The
-    lattice builder orders it row-major by y: y ascending, then x ascending
-    within each row.
+    ``ArrayLayout(positions, wavelength, dipole_length, radius)`` takes an
+    (n, 3) array in meters whose row order fixes the antenna index used by the
+    channel vectors and beamformer weights. It is kept as ``rows``: one run
+    per stretch of consecutive antennas with the same y, bit for bit, and one
+    ``x_table`` entry per antenna. ``build_circular_array`` makes its layout
+    from the lattice's coordinates instead, one run per kept stretch of each
+    row, ordered row-major by y: y ascending, then x ascending within each
+    row. Its table holds O(sqrt n) numbers, and no (n, 3) array exists until
+    ``positions`` is asked for.
     """
 
-    positions: np.ndarray
+    rows: AntennaRows
     wavelength: float
     dipole_length: float
     radius: float
 
-    def __post_init__(self):
-        pos = np.ascontiguousarray(self.positions, dtype=float)
+    def __init__(self, positions, wavelength: float, dipole_length: float, radius: float):
+        pos = np.ascontiguousarray(positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise ValueError("positions must be a non-empty (n, 3) array")
-        if not all(map(_positive_finite, (self.wavelength, self.dipole_length, self.radius))):
+        if not all(map(_positive_finite, (wavelength, dipole_length, radius))):
             raise ValueError("wavelength, dipole_length and radius must be positive and finite")
         if pos[:, 2].any():
             raise ValueError("array elements must lie on the z = 0 plane")
@@ -57,14 +79,33 @@ class ArrayLayout:
             chunk = pos[k0:k0 + LATTICE_CHUNK]
             if not np.isfinite(chunk).all():  # hypot(nan, y) > radius is False
                 raise ValueError("array element positions must be finite")
-            if np.any(np.hypot(chunk[:, 0], chunk[:, 1]) > self.radius * (1.0 + 1e-12)):
+            if np.any(np.hypot(chunk[:, 0], chunk[:, 1]) > radius * (1.0 + 1e-12)):
                 raise ValueError("array elements must lie within the aperture radius")
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
+        y = pos[:, 1]
+        bits = y.view(np.int64)  # -0.0 and 0.0 start separate runs
+        first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))).astype(np.int64)
+        rows = AntennaRows(pos[:, 0].copy(), y[first], first, np.append(first, pos.shape[0]))
+        _fill(self, rows, wavelength, dipole_length, radius)
 
     @property
     def n_tx(self) -> int:
-        return self.positions.shape[0]
+        return int(self.rows.first_antenna[-1])
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """The read-only (n, 3) positions in meters, row i for antenna i.
+
+        Built from ``rows`` on first use and cached: the tests, the oracles
+        and the symmetry checks of an explicit layout read it; the SNR kernel
+        and fig3 read ``rows``.
+        """
+        t, n = self.rows, self.n_tx
+        run = np.repeat(np.arange(t.y.size), np.diff(t.first_antenna))
+        pos = np.zeros((n, 3))
+        pos[:, 0] = t.x_table[t.first_x[run] + (np.arange(n) - t.first_antenna[run])]
+        pos[:, 1] = t.y[run]
+        pos.setflags(write=False)
+        return pos
 
     @cached_property
     def mirror_symmetric(self) -> bool:
@@ -108,7 +149,9 @@ def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
     under negation, and the test is taken on the sorted |x| and |y|, so the
     lattice is closed under all 8 symmetries of the square whatever the
     libm; the layout records ``mirror_symmetric`` and ``square_symmetric``
-    as true instead of sorting its positions to find out.
+    as true instead of sorting its positions to find out. Its ``rows`` take
+    x from the 2 floor(R / pitch) + 1 coordinates themselves, one run per
+    kept stretch of each row.
 
     Parameters
     ----------
@@ -123,24 +166,33 @@ def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
     n_max = int(math.floor(radius / pitch))
     coords = np.arange(-n_max, n_max + 1) * pitch
     size = coords[n_max:]  # |coordinate| from the centre out, exact under negation
-    # rows scan y; the rows at y and -y keep the same points, so count those at y >= 0
-    half = np.concatenate([kept.sum(axis=1) for _, kept in _kept_rows(size, size, radius)])
-    counts = np.concatenate((half[:0:-1], half))
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    positions = np.zeros((int(starts[-1]), 3))
-    for r0, kept in _kept_rows(coords, size, radius):
-        r1 = r0 + kept.shape[0]
-        rows = slice(starts[r0], starts[r1])
-        positions[rows, 0] = np.broadcast_to(coords, kept.shape)[kept]
-        positions[rows, 1] = np.repeat(coords[r0:r1], counts[r0:r1])
-    layout = ArrayLayout(
-        positions=positions,
-        wavelength=wavelength,
-        dipole_length=wavelength / 2.0,
-        radius=radius,
-    )
-    vars(layout).update(mirror_symmetric=True, square_symmetric=True)
+    runs = np.concatenate([_stretches(r0, kept) for r0, kept in _kept_rows(coords, size, radius)],
+                          axis=1)
+    row, first_x, stop = runs
+    rows = AntennaRows(coords, coords[row], first_x, np.append(0, np.cumsum(stop - first_x)))
+    # in the aperture and on z = 0 by construction, so ArrayLayout's checks are not run
+    layout = ArrayLayout.__new__(ArrayLayout)
+    _fill(layout, rows, wavelength, wavelength / 2.0, radius,
+          mirror_symmetric=True, square_symmetric=True)
     return layout
+
+
+def _fill(layout: ArrayLayout, rows: AntennaRows, wavelength, dipole_length, radius, **known):
+    """Set the fields of the frozen ``layout``, and any cached flags ``known``, with the
+    arrays of ``rows`` made read-only, as its positions are."""
+    for array in rows:
+        array.setflags(write=False)
+    vars(layout).update(rows=rows, wavelength=wavelength, dipole_length=dipole_length,
+                        radius=radius, **known)
+
+
+def _stretches(r0: int, kept) -> np.ndarray:
+    """The (row, first, stop) columns of a (3, s) int64 array, one per stretch of
+    consecutive kept points, in order: row ``r0 + row`` keeps columns ``first`` to
+    ``stop - 1`` of ``kept``."""
+    edges = np.diff(kept, axis=1, prepend=False, append=False)  # where a stretch starts or stops
+    row, column = np.nonzero(edges)  # row-major: each stretch's start, then its stop
+    return np.stack((r0 + row[::2], column[::2], column[1::2])).astype(np.int64, copy=False)
 
 
 def _kept_rows(ys, size, radius: float):

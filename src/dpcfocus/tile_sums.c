@@ -1,13 +1,17 @@
 /* The SNR kernel's column sums over one antenna block, and the per-antenna
    field factors of the fig3 polarization map, loaded by dpcfocus.beamforming.
 
-   Antenna i of a block sits at pos_i; d_i = rx - pos_i is its displacement
-   to the RX, r_i = |d_i| and p_i = d_i / r_i. Its TX dipole along axis u
-   (x or y) has the field vector e_u,i = s_u,i (u - p_u p_i), with
-   s_u,i = (r0 / r_i) h(p_u^2), h the polynomial `coeffs` (lowest degree
-   first), so |e_u,i| is |h_up| g_tx up to one constant. The geometry of
-   GROUP antennas at a time, p_i and (s_x,i, s_y,i), is built once into a
-   stack buffer, then read for every receive direction v_j. With
+   A layout's antennas come as rows (geometry.AntennaRows): run r holds
+   antennas first_antenna[r] .. first_antenna[r + 1] - 1 at y[r], with x from
+   consecutive entries of x_table from first_x[r] on, and z = 0; a call takes
+   the k antennas from `first` on. Antenna i sits at pos_i; d_i = rx - pos_i
+   is its displacement to the RX, r_i = |d_i| and p_i = d_i / r_i. Its TX
+   dipole along axis u (x or y) has the field vector
+   e_u,i = s_u,i (u - p_u p_i), with s_u,i = (r0 / r_i) h(p_u^2), h the
+   polynomial `coeffs` (lowest degree first), so |e_u,i| is |h_up| g_tx up to
+   one constant. The geometry of GROUP antennas at a time, their positions
+   from the rows, then p_i and (s_x,i, s_y,i), is built once into stack
+   buffers, then read for every receive direction v_j. With
    c = p_i . v_j, the part of v_j across the ray, w = v_j - c p_i, carries
    both factors: e_u,i . v_j = s_u,i w_u and |p_i x v_j| = |w|. So the RX
    pattern is g = |w| h(c^2), and the channel magnitudes are
@@ -30,6 +34,7 @@
 
 #include <fenv.h>
 #include <math.h>
+#include <stdint.h>
 
 #define J 16      /* directions summed at a time, in registers */
 #define GROUP 64  /* antennas whose geometry is held at a time */
@@ -43,15 +48,50 @@
 #endif
 #endif
 
-/* Unit displacements p[0..2] and field scales s[0..1] = (s_x, s_y) of antennas
-   pos[0..n-1]; returns nonzero if one of them sits at rx. */
-static inline int geometry(const double *pos, const double *rx, double r0, const double *coeffs,
-                           long n_coeffs, int n, double p[3][GROUP], double s[2][GROUP])
+/* A layout's row table, as geometry.AntennaRows holds it */
+struct rows {
+    const double *x_table, *y;
+    const int64_t *first_x, *first_antenna;
+    long count;
+};
+
+/* The run that holds antenna a */
+static long run_of(const struct rows *t, long a)
 {
-    double amp[GROUP];
+    long lo = 0, hi = t->count - 1;
+    while (lo < hi) {
+        long mid = (lo + hi + 1) / 2;
+        if (t->first_antenna[mid] <= a)
+            lo = mid;
+        else
+            hi = mid - 1;
+    }
+    return lo;
+}
+
+/* Unit displacements p[0..2] and field scales s[0..1] = (s_x, s_y) of antennas
+   a .. a + n - 1, of which the first sits in run *run, left at the run of the
+   last; returns nonzero if one of them sits at rx. Entries past n repeat the
+   last antenna: the same operations on the same values raise no new flag. */
+static inline int geometry(const struct rows *t, long *run, long a, const double *rx, double r0,
+                           const double *coeffs, long n_coeffs, int n, double p[3][GROUP],
+                           double s[2][GROUP])
+{
+    double x[GROUP], y[GROUP], amp[GROUP];
     int at_rx = 0;
-    for (int i = 0; i < n; i++) {
-        double dx = rx[0] - pos[3 * i], dy = rx[1] - pos[3 * i + 1], dz = rx[2] - pos[3 * i + 2];
+    for (int i = 0; i < n; i++, a++) {
+        while (a >= t->first_antenna[*run + 1])
+            ++*run;
+        x[i] = t->x_table[t->first_x[*run] + (a - t->first_antenna[*run])];
+        y[i] = t->y[*run];
+    }
+    /* a whole group has no scalar remainder loop, which GCC 12 unrolls seven times */
+    for (int i = n; i < GROUP; i++) {
+        x[i] = x[n - 1];
+        y[i] = y[n - 1];
+    }
+    for (int i = 0; i < GROUP; i++) {
+        double dx = rx[0] - x[i], dy = rx[1] - y[i], dz = rx[2]; /* rx[2] - 0.0, the same bits */
         /* scaled by the largest component, no finite displacement overflows its square */
         double ax = fabs(dx), ay = fabs(dy), az = fabs(dz);
         double big = ax > ay ? ax : ay;
@@ -68,28 +108,32 @@ static inline int geometry(const double *pos, const double *rx, double r0, const
     /* Horner's rule in the order of channel._series, one degree over the group at a time */
     for (long d = n_coeffs - 2; d >= 0; d--) {
         const double cd = coeffs[d];
-        for (int i = 0; i < n; i++) {
+        for (int i = 0; i < GROUP; i++) {
             s[0][i] = s[0][i] * (p[0][i] * p[0][i]) + cd;
             s[1][i] = s[1][i] * (p[1][i] * p[1][i]) + cd;
         }
     }
-    for (int i = 0; i < n; i++) {
+    for (int i = 0; i < GROUP; i++) {
         s[0][i] *= amp[i];
         s[1][i] *= amp[i];
     }
     return at_rx;
 }
 
-CLONES int tile_sums(const double *pos, const double *rx, double r0, const double *v,
-                     const double *coeffs, long n_coeffs, long k, long m, double *out)
+CLONES int tile_sums(const double *x_table, const double *y, const int64_t *first_x,
+                     const int64_t *first_antenna, long runs, long first, long k,
+                     const double *rx, double r0, const double *v, const double *coeffs,
+                     long n_coeffs, long m, double *out)
 {
+    const struct rows t = {x_table, y, first_x, first_antenna, runs};
     double p[3][GROUP], s[2][GROUP];
     const double top = coeffs[n_coeffs - 1];
+    long run = run_of(&t, first);
     int at_rx = 0;
     feclearexcept(FE_ALL_EXCEPT);
     for (long g0 = 0; g0 < k; g0 += GROUP) {
         int count = k - g0 < GROUP ? (int)(k - g0) : GROUP;
-        at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, s);
+        at_rx |= geometry(&t, &run, first + g0, rx, r0, coeffs, n_coeffs, count, p, s);
         for (long j0 = 0; j0 < m; j0 += J) {
             /* lanes past the last direction repeat the first one: the same
                operations on the same values raise no new flag, and are not stored */
@@ -147,19 +191,22 @@ CLONES int tile_sums(const double *pos, const double *rx, double r0, const doubl
            | (at_rx ? COLOCATED : 0);
 }
 
-/* a[i] and a[k + i]: the z components of e_x,i and e_y,i of antennas
-   pos[0..k-1]. Returns COLOCATED if one of them sits at rx, when those
+/* a[i] and a[k + i]: the z components of e_x,i and e_y,i of antenna
+   first + i, for i < k. Returns COLOCATED if one of them sits at rx, when those
    entries are undefined.
    Not cloned: a fig3 run is bound by its CSV writer, and clones would only
    add compile time. */
-int field_z(const double *pos, const double *rx, double r0, const double *coeffs, long n_coeffs,
-            long k, double *a)
+int field_z(const double *x_table, const double *y, const int64_t *first_x,
+            const int64_t *first_antenna, long runs, long first, long k, const double *rx,
+            double r0, const double *coeffs, long n_coeffs, double *a)
 {
+    const struct rows t = {x_table, y, first_x, first_antenna, runs};
     double p[3][GROUP], s[2][GROUP];
+    long run = run_of(&t, first);
     int at_rx = 0;
     for (long g0 = 0; g0 < k; g0 += GROUP) {
         int count = k - g0 < GROUP ? (int)(k - g0) : GROUP;
-        at_rx |= geometry(pos + 3 * g0, rx, r0, coeffs, n_coeffs, count, p, s);
+        at_rx |= geometry(&t, &run, first + g0, rx, r0, coeffs, n_coeffs, count, p, s);
         for (int i = 0; i < count; i++) {
             a[g0 + i] = p[2][i] * -(s[0][i] * p[0][i]);
             a[k + g0 + i] = p[2][i] * -(s[1][i] * p[1][i]);

@@ -39,6 +39,16 @@ def brute_force_disc_count(radius: float, pitch: float) -> int:
     return count
 
 
+def reference_lattice(radius: float, pitch: float) -> np.ndarray:
+    """Every lattice point (i * pitch, j * pitch, 0) with ``hypot <= radius``, as an
+    (n, 3) array, row-major by y: j ascending, then i ascending within each row."""
+    n_max = int(math.floor(radius / pitch))
+    span = range(-n_max, n_max + 1)
+    points = [(i * pitch, j * pitch, 0.0) for j in span for i in span
+              if math.hypot(i * pitch, j * pitch) <= radius]
+    return np.array(points)
+
+
 def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 

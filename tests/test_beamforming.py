@@ -4,7 +4,6 @@ import os
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,7 +69,9 @@ def test_link_budget_validation():
     with pytest.raises(ValueError):
         LinkBudget(transmit_power=math.nan, noise_power=1.0)
     with pytest.raises(ValueError):
-        LinkBudget(transmit_power=5e-324, noise_power=1.0)  # every SNR would underflow to 0
+        LinkBudget(transmit_power=5e-324, noise_power=2.0)  # P/N underflows to 0
+    # a subnormal P/N is kept: only the rates read it
+    LinkBudget(transmit_power=5e-324, noise_power=1.0)
     LinkBudget(transmit_power=sys.float_info.min, noise_power=1.0)
 
 
@@ -391,6 +392,26 @@ def test_orientation_snr_matches_evaluate_snr_random_placements(kernel_layout):
         assert_kernel_matches_oracle(kernel_layout, alpha, distance, GRID_30_20)
 
 
+@pytest.mark.parametrize("block", [1, 3, 64, 4096])
+def test_an_explicit_layout_with_gaps_and_repeated_rows(monkeypatch, block):
+    # rows with holes, a row whose y comes back after another, and 0.0 beside -0.0: each
+    # stretch of one y, bit for bit, is a run, and blocks start inside runs
+    pitch = KERNEL_WAVELENGTH / 2.0
+    points = [(-2, 0), (0, 0), (3, 0), (1, 1), (2, 1), (-1, 0), (0, -1), (2, -1), (4, -1),
+              (-3, 2), (0, 2), (1, 2), (3, 2)]
+    positions = np.array([(i * pitch, j * pitch, 0.0) for i, j in points])
+    positions[5, 1] = -0.0
+    layout = ArrayLayout(positions, KERNEL_WAVELENGTH, pitch, 5.0 * pitch)
+    assert layout.rows.first_antenna.tolist() == [0, 3, 5, 6, 9, 13]
+    assert layout.positions.tobytes() == positions.tobytes()
+    monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
+    for alpha, distance in ((0.0, 0.01), (math.radians(30.0), 0.05)):
+        assert_kernel_matches_oracle(layout, alpha, distance, GRID_30_20)
+    angles = polarization_angles(layout, rx_position(0.05, FIG3_ALPHA))
+    channel = ChannelGeometry(layout, rx_position(0.05, FIG3_ALPHA)).channel_for(Z_HAT)
+    assert np.max(np.abs(angles - polarization_angle_map(dpc_beamformer(channel)).angles)) <= 1e-12
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_orientation_snr_block_boundaries(kernel_layout, monkeypatch, offset):
     # two blocks of 128 antennas, each two groups of 64, and one antenna more or less;
@@ -404,10 +425,9 @@ def test_orientation_snr_block_boundaries(kernel_layout, monkeypatch, offset):
 
 def test_orientation_snr_long_dipoles():
     # a 1.5-wavelength dipole's pattern changes sign, so the kernel must use |g|
-    layout = replace(
-        build_circular_array(radius=0.005, wavelength=KERNEL_WAVELENGTH),
-        dipole_length=1.5 * KERNEL_WAVELENGTH,
-    )
+    lattice = build_circular_array(radius=0.005, wavelength=KERNEL_WAVELENGTH)
+    layout = ArrayLayout(lattice.positions, lattice.wavelength, 1.5 * KERNEL_WAVELENGTH,
+                         lattice.radius)
     assert_kernel_matches_oracle(layout, math.radians(30.0), 0.05, DEFAULT_GRID)
 
 
@@ -553,9 +573,9 @@ def test_a_one_degree_grid_runs_one_task_per_antenna_block(monkeypatch):
     tasks = []  # (antennas, directions) per task
     tile_sums = beamforming._tile_sums
 
-    def counted(kernel, positions, rx, r0, v, coeffs):
-        tasks.append((positions.shape[0], v.shape[0]))
-        return tile_sums(kernel, positions, rx, r0, v, coeffs)
+    def counted(kernel, layout, antennas, rx, r0, v, coeffs):
+        tasks.append((len(antennas), v.shape[0]))
+        return tile_sums(kernel, layout, antennas, rx, r0, v, coeffs)
 
     monkeypatch.setattr(beamforming, "_tile_sums", counted)
     snrs = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET))
@@ -777,14 +797,14 @@ def test_abandoning_orientation_snrs_cancels_its_queued_tasks(kernel_layout, thr
     both_held = threading.Event()
     tile_sums = beamforming._tile_sums
 
-    def counted(kernel, positions, rx, *args):
+    def counted(kernel, layout, antennas, rx, *args):
         i = next(i for i, r in enumerate(rxs) if np.array_equal(r, rx))
         started.append(i)
         if i >= 2:
             if {2, 3} <= set(started):
                 both_held.set()
             time.sleep(0.5)  # hold both workers while the consumer stops
-        return tile_sums(kernel, positions, rx, *args)
+        return tile_sums(kernel, layout, antennas, rx, *args)
 
     monkeypatch.setattr(beamforming, "_tile_sums", counted)
 

@@ -387,11 +387,11 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
 
 def test_preflight_charges_fig3_for_its_maps_and_writer(monkeypatch):
     config = default_config()
-    # fig3 holds its maps and the writer's lists, which outweigh a map's a_x, a_y and atan2
-    # temporaries
+    # fig3 holds its maps and each antenna's 'index,x,y,' text, which outweigh a map's a_x,
+    # a_y and atan2 temporaries
     fig3 = plan_run(config, "fig3").estimated_bytes
-    assert fig3 == 49222365.05095567
-    # the sweep kernel holds the positions and, per worker, column sums; the workers are
+    assert fig3 == 53147104.131109394
+    # the sweep kernel holds the row table and, per worker, column sums; the workers are
     # pinned to two CPUs' worth
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
     for scenario in ("fig5", "fig6", "fig7", "sweep", "check"):
@@ -441,8 +441,9 @@ def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
 
 
 def test_preflight_covers_the_lattice_build():
-    # the build holds its positions and one chunk of rows; it held the hypot of every
-    # point of the bounding square and its mask, 17.3 MiB beside 6.5 MiB of positions
+    # the build holds its row table and one chunk of rows; it held 6.5 MiB of positions
+    # beside them, and before that the hypot of every point of the bounding square and
+    # its mask, 17.3 MiB
     config = default_config()
     tracemalloc.start()
     try:
@@ -451,9 +452,27 @@ def test_preflight_covers_the_lattice_build():
     finally:
         tracemalloc.stop()
     assert layout.n_tx == 283177
+    assert "positions" not in vars(layout)
     # a check run holds only the lattice beside the grid
     assert peak <= plan_run(config, "check").estimated_bytes
-    assert peak <= 1.25 * layout.positions.nbytes
+    # a chunk's temporaries, at most 40 bytes a point, outweigh the table's 601 coordinates
+    assert peak <= 40 * geometry.LATTICE_CHUNK
+    assert sum(a.nbytes for a in layout.rows) < 0.1 * peak
+
+
+def test_a_full_size_fig5_run_holds_no_per_antenna_array(tmp_path):
+    # the kernel reads the lattice's row table, O(sqrt n); the (n, 3) positions took
+    # 6.5 MiB, and 7.1 MiB was traced in all
+    out = tmp_path / "out"
+    assert main(["fig5", "--out", str(out)]) == EXIT_OK  # builds the kernel, if need be
+    tracemalloc.start()
+    try:
+        assert main(["fig5", "--out", str(out)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((out / "manifest.json").read_text())["derived"]["n_tx"] == 283177
+    assert peak < 2**20
 
 
 def test_preflight_covers_a_fig3_run(tmp_path):
@@ -781,13 +800,14 @@ def test_bad_scale_is_a_one_line_usage_error(tmp_path, capsys, scale):
         ("fig5", "transmit_power_w = 1e-3", "transmit_power_w = 1e-3\nnoise_power_w = 1e-320"),
         ("check", "carrier_frequency_hz = 300e9", "carrier_frequency_hz = 5e-324"),
         ("check", "bandwidth_hz = 100e6", "bandwidth_hz = 5e-324\nnoise_power_w = 1e-13"),
-        ("fig5", "transmit_power_w = 1e-3", "transmit_power_w = 5e-324\nnoise_power_w = 1.0"),
         # one lattice element, which sits at the v = z axial null when alpha = 0
         ("sweep", "radius_m = 0.008", "radius_m = 0.0001"),
         # valid, but this far out an RX on the z axis sees v = z gains fall as (R/d)^4,
         # to float64's 0, which has no dB value
         ("sweep", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e200"),
         ("sweep", "distance_m = 0.1, 0.3", "distance_m = 0.1, 1e150"),
+        # and this close in, as (d / pitch)^2
+        ("sweep", "distance_m = 0.1, 0.3", "distance_m = 1e-100, 0.3"),
         # the rate bound, from an antenna at least d cos(alpha) away, would overflow
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-300, 0.3"),
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-160, 0.3"),
@@ -809,6 +829,8 @@ def test_bad_config_value_is_a_one_line_config_error(tmp_path, capsys, scenario,
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert one_line(err) and err.startswith("dpcfocus: config error:")
+    # a gain that underflows to 0 is refused at its placement, and the message names it
+    assert "zero SNR" not in err or err.startswith("dpcfocus: config error: distance ")
     assert not (out / f"{scenario}.csv").exists()
 
 
@@ -849,15 +871,23 @@ def test_far_and_low_budget_placements_are_run(tmp_path, scenario, old, new):
                 assert abs(got[i] - want[i]) <= 1e-12 * max(abs(want[i]), 1.0), header[i]
 
 
-def test_fig5_does_not_depend_on_the_link_budget(tmp_path):
-    # the statistics are ratios of budget-free gains, even at a P/N of 5.7e-296
+@pytest.mark.parametrize(
+    "budget", ["transmit_power_w = 2.3e-308", "transmit_power_w = 5e-324\nnoise_power_w = 1.0"],
+    ids=["5.7e-296", "subnormal"],
+)
+def test_fig5_does_not_depend_on_the_link_budget(tmp_path, budget):
+    # the statistics are ratios of budget-free gains, even at a P/N of 5.7e-296 or of
+    # 5e-324; only the rates read P/N, and they stay finite
     bodies = []
-    for power in ("1e-3", "2.3e-308"):
-        path = tmp_path / f"{power}.cfg"
-        path.write_text(TINY_CONFIG.replace("power_w = 1e-3", f"power_w = {power}"))
-        out = tmp_path / power
-        assert main(["fig5", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    for name, text in (("1mW", "transmit_power_w = 1e-3"), ("low", budget)):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(TINY_CONFIG.replace("transmit_power_w = 1e-3", text))
+        out = tmp_path / name
+        for scenario in ("fig5", "fig7"):
+            assert main([scenario, "--config", str(path), "--out", str(out)]) == EXIT_OK
         bodies.append((out / "fig5.csv").read_bytes())
+        _, rows = read_csv(out / "fig7.csv")
+        assert all(math.isfinite(float(v)) and float(v) >= 0.0 for row in rows for v in row[2:])
     assert bodies[0] == bodies[1]
 
 

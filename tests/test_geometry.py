@@ -12,7 +12,7 @@ from dpcfocus.geometry import (
     orientation_grid,
     rx_position,
 )
-from oracles import brute_force_disc_count
+from oracles import brute_force_disc_count, reference_lattice
 
 
 def test_single_element_array():
@@ -34,6 +34,22 @@ def test_full_scale_element_count_matches_enumeration():
     assert layout.n_tx == brute_force_disc_count(0.15, wavelength / 2.0)
     area_estimate = math.pi * (0.15 / (wavelength / 2.0)) ** 2
     assert abs(layout.n_tx - area_estimate) <= 0.01 * area_estimate
+
+
+@pytest.mark.parametrize(
+    "radius, wavelength",
+    # (0.5, 0) and (1.5, 2) lie exactly on the circle at the first two
+    [(0.5, 1.0), (2.5, 1.0), (2.6, 1.0), (0.008, SPEED_OF_LIGHT / 300e9),
+     (0.15, SPEED_OF_LIGHT / 300e9)],
+)
+def test_lattice_positions_are_the_reference_lattice(radius, wavelength):
+    layout = build_circular_array(radius, wavelength)
+    want = reference_lattice(radius, wavelength / 2.0)
+    assert layout.positions.shape == want.shape
+    assert layout.positions.tobytes() == want.tobytes()
+    # one run per row, each taking x from the lattice's 2 floor(R / pitch) + 1 coordinates
+    side = 2 * math.floor(radius / (wavelength / 2.0)) + 1
+    assert layout.rows.x_table.size == side and layout.rows.y.size == side
 
 
 def test_layout_reflection_symmetry():

@@ -23,7 +23,13 @@ from dpcfocus.beamforming import (
     polarization_angles,
 )
 from dpcfocus.channel import pattern_series
-from dpcfocus.geometry import SPEED_OF_LIGHT, build_circular_array, orientation_grid, rx_position
+from dpcfocus.geometry import (
+    SPEED_OF_LIGHT,
+    ArrayLayout,
+    build_circular_array,
+    orientation_grid,
+    rx_position,
+)
 from conftest import kernel_snr, kernel_snrs
 
 SOURCE = Path(beamforming.__file__).with_name(KERNEL_SOURCE)
@@ -116,15 +122,15 @@ def test_each_direction_sums_as_it_would_alone(m):
     # the loop takes 16 directions at a time and pads the last register tile with a real
     # one; the block splits into 64-antenna groups, and the last group is partial
     kernel = beamforming._tile_kernel()
-    positions = build_circular_array(radius=0.004, wavelength=SPEED_OF_LIGHT / 300e9).positions
-    assert positions.shape[0] % 64
+    antennas = range(LAYOUT.n_tx)
+    assert LAYOUT.n_tx % 64
     v = np.random.default_rng(m).normal(size=(m, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     coeffs = np.array(pattern_series(0.5))
-    together, raised = beamforming._tile_sums(kernel, positions, RX, 0.05, v, coeffs)
+    together, raised = beamforming._tile_sums(kernel, LAYOUT, antennas, RX, 0.05, v, coeffs)
     assert together.shape == (3, m) and raised == 0
     for j in range(m):
-        alone, _ = beamforming._tile_sums(kernel, positions, RX, 0.05, v[j:j + 1], coeffs)
+        alone, _ = beamforming._tile_sums(kernel, LAYOUT, antennas, RX, 0.05, v[j:j + 1], coeffs)
         assert np.array_equal(together[:, j], alone[:, 0])
 
 
@@ -172,7 +178,9 @@ def test_magnitudes_stay_exact_next_to_the_axial_null(theta):
     v /= np.linalg.norm(v)
     # a bound on this antenna's magnitudes: |w| <= 1 and h(0) = 1 is the RX pattern's peak
     peak = r0 / np.linalg.norm(d) * math.hypot(*np.polyval(coeffs[::-1], p[:2] ** 2))
-    got, _ = beamforming._tile_sums(beamforming._tile_kernel(), position, rx, r0, v[None], coeffs)
+    layout = ArrayLayout(position, wavelength=1.0, dipole_length=0.5, radius=1.0)
+    got, _ = beamforming._tile_sums(beamforming._tile_kernel(), layout, range(1), rx, r0, v[None],
+                                    coeffs)
     want = exact_sums(position[0].tolist(), rx.tolist(), r0, v.tolist(), coeffs.tolist())
     assert np.all(np.abs(got[:, 0] - want) <= 1e-15 * abs(theta) * peak)
 
