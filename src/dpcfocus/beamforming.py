@@ -114,23 +114,20 @@ def link_snrs(gains, budget: LinkBudget, wavelength: float, r0: float) -> np.nda
     return np.asarray(gains) * link * link
 
 
-def fold_placements(
-    rx_centers, directions, radius: float, mirror_symmetric: bool, square_symmetric: bool,
-    folds: dict | None = None,
-) -> list:
-    """Check the RX centers and fold the directions: ``(rx, r0, fold)`` per RX center.
+def fold_placements(layout: ArrayLayout, rx_centers, directions, folds: dict | None = None) -> list:
+    """Check the RX centers and fold the directions: ``(rx, r0, fold)`` per RX on ``layout``.
 
-    ``radius`` and the two flags are those of the ``ArrayLayout`` the
-    placements will run on, so the folds exist before it is built. ``folds``
+    A layout's symmetry is read only for an RX that can use it, so an
+    explicit layout sorts its positions only for an RX with y == 0. ``folds``
     maps ``(mirror, square)`` to folds of ``directions`` worked out earlier;
     the ones worked out here are added to it.
     """
     folds = {} if folds is None else folds
     placements = []
     for rx in rx_centers:
-        rx, r0 = _rx_center(rx, radius)
-        mirror = bool(rx[1] == 0.0 and mirror_symmetric)
-        square = bool(mirror and rx[0] == 0.0 and square_symmetric)
+        rx, r0 = _rx_center(rx, layout.radius)
+        mirror = bool(rx[1] == 0.0 and layout.mirror_symmetric)
+        square = bool(mirror and rx[0] == 0.0 and layout.square_symmetric)
         if (mirror, square) not in folds:
             folds[mirror, square] = fold_directions(directions, mirror, square)
         placements.append((rx, r0, folds[mirror, square]))
@@ -167,10 +164,10 @@ def fold_directions(directions, mirror: bool, square: bool = False) -> _Fold:
 def folded_snrs(layout: ArrayLayout, placements):
     """Iterator over the budget-free gains at each of ``placements``, in order.
 
-    ``placements`` is ``fold_placements`` worked out for ``layout``'s radius
-    and symmetry flags. Each item is an (m, 3) array whose row i holds
-    (DPC, dual, switched) for the placement's ``directions[i]``, with the
-    channel magnitudes a_u,k = |h_u,k| in units of lambda / (4 pi r0):
+    ``placements`` is ``fold_placements`` worked out for ``layout``. Each
+    item is an (m, 3) array whose row i holds (DPC, dual, switched) for the
+    placement's ``directions[i]``, with the channel magnitudes
+    a_u,k = |h_u,k| in units of lambda / (4 pi r0):
 
         dpc      = (sum_k sqrt(a_x,k^2 + a_y,k^2))^2 / n
         dual     = ((sum_k a_x,k)^2 + (sum_k a_y,k)^2) / n

@@ -59,6 +59,7 @@ from .experiments import (
 )
 from .geometry import (
     LATTICE_CHUNK,
+    ArrayLayout,
     _even_divisions,
     build_circular_array,
     orientation_grid,
@@ -273,7 +274,7 @@ def scenario_placements(name: str, config) -> list[tuple[float, float]]:
     return []
 
 
-def run_fig3(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
+def run_fig3(plan: RunPlan, out_dir: Path) -> list[Path]:
     """Write ``fig3.csv``: one row per antenna and distance.
 
     The maps of both distances are worked out before the file is opened.
@@ -285,11 +286,11 @@ def run_fig3(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     weights are in phase or opposed and the ``nonlinear`` column is 0.
     """
     header = ["distance_m", "antenna_index", "x_m", "y_m", "pol_angle_deg", "nonlinear"]
-    maps = [(d, np.degrees(polarization_angles(layout, rx_position(d, alpha))))
+    maps = [(d, np.degrees(polarization_angles(plan.layout, rx_position(d, alpha))))
             for alpha, d in plan.placements]
     # lattice positions are finite by construction, and so is every angle: with r0 <= r,
     # a_x and a_y lie in [-1, 1], so atan2 never sees an inf
-    rows = layout.rows
+    rows = plan.layout.rows
     xs = [repr(x) for x in rows.x_table.tolist()]
     firsts = rows.first_antenna.tolist()
     prefixes = []
@@ -301,14 +302,14 @@ def run_fig3(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
         handle.write(",".join(header) + "\n")
         for d, angles_deg in maps:
             lead = _fmt(d)
-            for k0 in range(0, layout.n_tx, FIG3_WRITE_ROWS):
+            for k0 in range(0, plan.layout.n_tx, FIG3_WRITE_ROWS):
                 angles = angles_deg[k0:k0 + FIG3_WRITE_ROWS].tolist()
                 handle.write("".join(f"{lead},{prefix}{angle!r},0\n" for prefix, angle
                                      in zip(prefixes[k0:k0 + FIG3_WRITE_ROWS], angles)))
     return [path]
 
 
-def run_placements(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
+def run_placements(plan: RunPlan, out_dir: Path) -> list[Path]:
     """Write ``<scenario>.csv``: one row per placement of the plan, from its kernel folds.
 
     Each row is the placement's full ``sweep.csv`` row (``SWEEP_COLUMNS``)
@@ -317,7 +318,7 @@ def run_placements(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     Every placement whose narrowband check fails issues a warning before the
     first sweep runs.
     """
-    config = plan.config
+    config, layout = plan.config, plan.layout
     columns = PLACEMENT_COLUMNS[plan.scenario]
     keep = [SWEEP_COLUMNS.index(c) for c in columns]
     for _, d in plan.placements:
@@ -339,7 +340,7 @@ def run_placements(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
     return [path]
 
 
-def run_check(plan: RunPlan, layout, out_dir: Path) -> list[Path]:
+def run_check(plan: RunPlan, out_dir: Path) -> list[Path]:
     config = plan.config
     header = [
         "distance_m",
@@ -364,21 +365,21 @@ SCENARIOS = {"fig3": run_fig3, **dict.fromkeys(PLACEMENT_COLUMNS, run_placements
 
 
 class RunPlan(NamedTuple):
-    """What ``plan_run`` works out for a run, once, before the lattice is allocated.
+    """What ``plan_run`` works out for a run, once, before any output is written.
 
-    ``kernel`` holds the ``fold_placements`` of the placements the SNR kernel
-    runs, none for fig3 and check; ``orientation_classes`` counts the classes
-    of a placement on the xz plane off the z axis; ``kernel_workers`` is
-    ``beamforming.kernel_workers`` of ``lattice_bound`` and ``kernel``.
+    ``kernel`` holds the ``fold_placements`` on ``layout`` of the placements the
+    SNR kernel runs, none for fig3 and check; ``orientation_classes`` counts
+    the classes of a placement on the xz plane off the z axis;
+    ``kernel_workers`` is ``beamforming.kernel_workers`` of it.
     """
 
     config: SweepConfig
     scenario: str
     placements: tuple
+    layout: ArrayLayout
     grid: np.ndarray
     kernel: tuple
     orientation_classes: int
-    lattice_bound: float
     kernel_workers: int
     estimated_bytes: float
 
@@ -389,10 +390,11 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     Refuses fig6 and fig7 distances that do not ascend strictly, a lattice
     bound n = (2 R / pitch + 1)^2 whose float64 positions would exceed
     physical memory, a run whose estimated peak memory exceeds it, and a
-    placement whose rate bound is not finite. No run builds the positions,
-    but their bound caps the lattice: its build tests every point of the
-    bounding square and the kernel visits every antenna, so a larger lattice
-    would not end in useful time. Sizes are taken in float arithmetic, so
+    kernel placement whose rate bound is not finite. No run builds the
+    positions, but their bound caps the lattice: its build tests every point
+    of the bounding square and the kernel visits every antenna, so a larger
+    lattice would not end in useful time. The lattice is built once the
+    charge without the kernel fits. Sizes are taken in float arithmetic, so
     that an absurd configuration gives a huge or infinite estimate, never an
     overflow. The charge is the lattice's row table (a float64 per
     coordinate and at most five 8-byte numbers per row) and the orientation grid with its
@@ -413,10 +415,9 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
       caller), each 3 m float64 for m directions; the compiled loop builds
       each antenna's position and geometry on its own stack.
 
-    The grid is built only once the charge without the kernel fits. Every
-    TX element lies on z = 0, so d cos(alpha) bounds each TX-RX distance
-    from below: P/N * n * (lambda / (4 pi d cos alpha))^2 bounds the SNRs of
-    a placement, and B log2(1 + that bound) its rates.
+    Every TX element lies on z = 0, so |rx_z| = d cos(alpha) bounds each
+    TX-RX distance from below: P/N * n * (lambda / (4 pi d cos alpha))^2
+    bounds the SNRs of a placement, and B log2(1 + that bound) its rates.
     """
     if scenario in ("fig6", "fig7"):
         d = config.distance_values
@@ -443,29 +444,30 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
         writer = points * (8 + 49 + text) + FIG3_WRITE_ROWS * (8 + 24 + 8 + 49 + 2 * line)
         phase = max(phase, points * 8 * len(FIG3_DISTANCES_M) + max(build, writer))
     _refuse_beyond_memory(table + phase + grid_bytes)
-    root = math.sqrt(config.transmit_power / config.noise_power)
-    for alpha, d in placements:
-        near = d * math.cos(alpha)
-        amp = root * (config.wavelength / (4.0 * math.pi * near)) if near > 0.0 else math.inf
-        if not math.isfinite(config.bandwidth * math.log1p(amp * amp * points) / math.log(2.0)):
-            raise ConfigError(
-                f"distance {d!r} m at alpha {_deg(alpha)!r} deg: the rate bound "
-                "B * log2(1 + P/N * n * (lambda / (4 pi d cos alpha))^2) overflows"
-            )
+    layout = build_circular_array(config.radius, config.wavelength)
 
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
     folds = {(True, False): fold_directions(grid, mirror=True)}
     kernel = ()
     if scenario in PLACEMENT_COLUMNS:
-        # build_circular_array's lattice is closed under the square's 8 symmetries
         rx_centers = [rx_position(d, alpha) for alpha, d in placements]
-        kernel = tuple(fold_placements(rx_centers, grid, config.radius, True, True, folds))
-    workers = kernel_workers(int(min(points, 2.0**53)), kernel)
+        kernel = tuple(fold_placements(layout, rx_centers, grid, folds))
+    root = math.sqrt(config.transmit_power / config.noise_power)
+    for (alpha, d), (rx, _, _) in zip(placements, kernel):
+        near = abs(float(rx[2]))
+        amp = root * (config.wavelength / (4.0 * math.pi * near)) if near > 0.0 else math.inf
+        rate = config.bandwidth * math.log1p(amp * amp * layout.n_tx) / math.log(2.0)
+        if not math.isfinite(rate):
+            raise ConfigError(
+                f"distance {d!r} m at alpha {_deg(alpha)!r} deg: the rate bound "
+                "B * log2(1 + P/N * n * (lambda / (4 pi d cos alpha))^2) overflows"
+            )
+    workers = kernel_workers(layout.n_tx, kernel)
     kernel_bytes = workers * float(3 * 3 * 8 * grid.shape[0])
     need = table + max(phase, kernel_bytes) + grid_bytes
     _refuse_beyond_memory(need)
     classes = int(folds[True, False].directions.shape[0])
-    return RunPlan(config, scenario, placements, grid, kernel, classes, points, workers, need)
+    return RunPlan(config, scenario, placements, layout, grid, kernel, classes, workers, need)
 
 
 def _refuse_beyond_memory(need: float, what: str = "the run needs an estimated") -> None:
@@ -529,13 +531,12 @@ def main(argv=None) -> int:
         print(f"dpcfocus: cannot write to output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_ERROR
 
-    layout = build_circular_array(config.radius, config.wavelength)
     started = time.perf_counter()
     issued = []
     try:
-        # recorded under the filters in force, then shown as they would have been
+        # recorded under the filters in force, then shown one stderr line each
         with warnings.catch_warnings(record=True) as issued:
-            outputs = SCENARIOS[args.command](plan, layout, out_dir)
+            outputs = SCENARIOS[args.command](plan, out_dir)
     except ValueError as exc:  # a value the plan admits but float64 cannot carry through
         print(f"dpcfocus: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -545,8 +546,9 @@ def main(argv=None) -> int:
         print(f"dpcfocus: cannot build the SNR kernel: {exc}", file=sys.stderr)
         return EXIT_BUILD_ERROR
     finally:
-        for w in issued:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+        notes = [f"{w.category.__name__}: {w.message}" for w in issued]
+        for note in notes:
+            print(f"dpcfocus: warning: {note}", file=sys.stderr)
     elapsed = time.perf_counter() - started
 
     try:
@@ -567,7 +569,7 @@ def main(argv=None) -> int:
         "runtime_s": elapsed,
         "config": config_to_mapping(config),
         "derived": {
-            "n_tx": layout.n_tx,
+            "n_tx": plan.layout.n_tx,
             "placements": len(plan.placements),
             "wavelength_m": config.wavelength,
             "noise_power_w": config.noise_power,
@@ -575,12 +577,11 @@ def main(argv=None) -> int:
             "orientation_classes": plan.orientation_classes,
             "directions_evaluated": evaluated,
             # the kernel's work: runtime_s / antenna_direction_pairs bounds the time per pair
-            "antenna_direction_pairs": layout.n_tx * evaluated,
+            "antenna_direction_pairs": plan.layout.n_tx * evaluated,
         },
         "host": {
             "cpus": available_cpus(),
-            # what the kernel ran: the plan's placements on the built lattice
-            "kernel_workers": kernel_workers(layout.n_tx, plan.kernel),
+            "kernel_workers": plan.kernel_workers,
             "numpy": np.__version__,
         },
         "peak_rss_bytes": peak_rss,
@@ -589,7 +590,7 @@ def main(argv=None) -> int:
             "whiskers": "1.5*IQR beyond the quartiles, clamped to data extremes",
         },
         "outputs": [p.name for p in outputs],
-        "warnings": [f"{w.category.__name__}: {w.message}" for w in issued],
+        "warnings": notes,
     }
     try:
         with _replaced(out_dir / MANIFEST) as handle:

@@ -157,9 +157,7 @@ def placement_sweeps(
         for _, distance in placements:
             _warn_if_not_narrowband(distance, layout.radius, bandwidth)
     rx_centers = [rx_position(distance, alpha) for alpha, distance in placements]
-    folded = fold_placements(
-        rx_centers, grid, layout.radius, layout.mirror_symmetric, layout.square_symmetric
-    )
+    folded = fold_placements(layout, rx_centers, grid)
     gains = folded_snrs(layout, folded)
     return (link_snrs(g, budget, layout.wavelength, r0) for (_, r0, _), g in zip(folded, gains))
 

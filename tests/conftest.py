@@ -14,9 +14,7 @@ def random_channel(rng: np.random.Generator, n: int, scale: float = 1.0) -> Pola
 def kernel_snrs(layout, rx_centers, directions, budget):
     """The SNRs of the kernel's (m, 3) gains under ``budget`` for each of ``rx_centers``,
     in order, folded for ``layout``."""
-    placements = fold_placements(
-        rx_centers, directions, layout.radius, layout.mirror_symmetric, layout.square_symmetric
-    )
+    placements = fold_placements(layout, rx_centers, directions)
     gains = folded_snrs(layout, placements)
     return (
         link_snrs(g, budget, layout.wavelength, r0) for (_, r0, _), g in zip(placements, gains)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dpcfocus import beamforming
 from dpcfocus.beamforming import (
     LinkBudget,
+    fold_placements,
     polarization_angles,
     thermal_noise_power,
 )
@@ -352,16 +353,9 @@ def oracle_snr(layout, rx_center, grid, budget):
     return np.array([evaluate_snr(geom.channel_for(v), budget) for v in grid])
 
 
-def folded(layout, rx_centers, grid):
-    "The kernel's (rx, r0, fold) for each RX center on ``layout``."
-    return beamforming.fold_placements(
-        rx_centers, grid, layout.radius, layout.mirror_symmetric, layout.square_symmetric
-    )
-
-
 def evaluated(layout, rx_centers, grid):
     "The number of directions the kernel evaluates for each RX center, after its fold."
-    return [fold.directions.shape[0] for _, _, fold in folded(layout, rx_centers, grid)]
+    return [fold.directions.shape[0] for _, _, fold in fold_placements(layout, rx_centers, grid)]
 
 
 def assert_kernel_matches_oracle(layout, alpha, distance, grid):
@@ -559,7 +553,7 @@ def test_orientation_snr_bits_do_not_depend_on_workers(
 
 def test_orientation_snr_on_threads_matches_evaluate_snr(kernel_layout, threaded):
     rx = rx_position(0.1, math.radians(30.0))
-    placements = folded(kernel_layout, [rx], DEFAULT_GRID)
+    placements = fold_placements(kernel_layout, [rx], DEFAULT_GRID)
     assert beamforming.kernel_workers(kernel_layout.n_tx, placements) == 2
     assert_kernel_matches_oracle(kernel_layout, math.radians(30.0), 0.1, DEFAULT_GRID)
 
@@ -656,7 +650,7 @@ def test_orientation_snr_distances_do_not_overflow(kernel_layout, monkeypatch, w
         # blocks of 141 antennas, nine blocks
         monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
         monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 141)
-    placements = folded(kernel_layout, [rx_position(1.0, 0.3)], GRID_30_20)
+    placements = fold_placements(kernel_layout, [rx_position(1.0, 0.3)], GRID_30_20)
     assert beamforming.kernel_workers(kernel_layout.n_tx, placements) == workers
     # |rx - p|^2 overflows float64 at 1e200 m; the SNRs underflow to 0 instead of NaN
     with np.errstate(over="raise", invalid="raise"):
@@ -727,7 +721,7 @@ def test_orientation_snrs_is_bit_equal_to_one_placement_calls(
     alone = [kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET) for rx in STREAM_RXS]
     monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
     # at least one block per placement: every worker asked for starts
-    stream = folded(kernel_layout, STREAM_RXS, DEFAULT_GRID)
+    stream = fold_placements(kernel_layout, STREAM_RXS, DEFAULT_GRID)
     assert beamforming.kernel_workers(kernel_layout.n_tx, stream) == workers
     streamed = list(kernel_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET))
     assert len(streamed) == len(alone)
@@ -752,11 +746,11 @@ def test_orientation_snrs_kernel_workers_count_every_placement(kernel_layout, mo
     rx = rx_position(0.1, math.radians(30.0))
     # one block per placement on the 163-class grid
     assert [
-        beamforming.kernel_workers(n, folded(kernel_layout, [rx] * p, DEFAULT_GRID))
+        beamforming.kernel_workers(n, fold_placements(kernel_layout, [rx] * p, DEFAULT_GRID))
         for p in (0, 1, 2, 70)
     ] == [0, 1, 2, 3]
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 402)  # four blocks each
-    one = folded(kernel_layout, [rx], DEFAULT_GRID)
+    one = fold_placements(kernel_layout, [rx], DEFAULT_GRID)
     assert beamforming.kernel_workers(n, one) == 3
     # more antennas never start fewer workers
     assert [beamforming.kernel_workers(k, one) for k in (1, 402, 403, n, 10**12)] == [1, 1, 2, 3, 3]
@@ -778,9 +772,8 @@ def test_orientation_snrs_raises_at_a_colocated_rx_after_earlier_placements(
 def test_orientation_snrs_keeps_the_callers_errstate_on_later_placements(kernel_layout, threaded):
     # as in test_orientation_snr_distances_do_not_overflow: v = (1e-310, 0, 1) underflows
     # in the loop, in worker threads, and only the second placement evaluates it
-    placements = folded(kernel_layout, [rx_position(0.1, 0.3)], GRID_30_20) + folded(
-        kernel_layout, [rx_position(0.1, 0.0)], [[1e-310, 0.0, 1.0]]
-    )
+    placements = fold_placements(kernel_layout, [rx_position(0.1, 0.3)], GRID_30_20)
+    placements += fold_placements(kernel_layout, [rx_position(0.1, 0.0)], [[1e-310, 0.0, 1.0]])
     assert beamforming.kernel_workers(kernel_layout.n_tx, placements) == 2
     with np.errstate(under="raise"):
         stream = beamforming.folded_snrs(kernel_layout, placements)

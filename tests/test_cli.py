@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpcfocus import beamforming, cli, experiments, geometry
-from dpcfocus.beamforming import LinkBudget
+from dpcfocus.beamforming import LinkBudget, folded_snrs, link_snrs
 from dpcfocus.channel import ChannelGeometry
 from dpcfocus.cli import (
     EXIT_BUILD_ERROR,
@@ -493,10 +493,11 @@ def test_preflight_covers_a_fig3_run(tmp_path):
 
 
 def test_a_fig5_run_derives_each_quantity_once(tmp_path, tiny_config_path, monkeypatch):
-    # the plan works out the placements, the grid and one fold per symmetry used (the
-    # square's at alpha = 0, the mirror's at 30 degrees) before the lattice exists;
-    # the kernel, the pre-flight and the manifest all read them from it
-    calls = {"scenario_placements": 0, "orientation_grid": 0, "orientation_classes": 0}
+    # the plan builds the lattice and works out the placements, the grid and one fold per
+    # symmetry used (the square's at alpha = 0, the mirror's at 30 degrees); the kernel,
+    # the pre-flight and the manifest all read them from it
+    calls = {"scenario_placements": 0, "build_circular_array": 0, "kernel_workers": 0,
+             "orientation_grid": 0, "orientation_classes": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -507,19 +508,23 @@ def test_a_fig5_run_derives_each_quantity_once(tmp_path, tiny_config_path, monke
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli, "scenario_placements")
+    for name in ("scenario_placements", "kernel_workers"):
+        counted(cli, name)
+    for module in (geometry, cli):
+        counted(module, "build_circular_array")
     for module in (geometry, experiments, cli):
         counted(module, "orientation_grid")
     for module in (geometry, beamforming):
         counted(module, "orientation_classes")
     out = tmp_path / "out"
     assert main(["fig5", "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
-    assert calls == {"scenario_placements": 1, "orientation_grid": 1, "orientation_classes": 2}
+    assert calls == {"scenario_placements": 1, "build_circular_array": 1, "kernel_workers": 1,
+                     "orientation_grid": 1, "orientation_classes": 2}
     assert not hasattr(beamforming, "kernel_plan")
 
 
-# a 5525-antenna lattice under a bound of 7225: the 13 classes of the square's fold
-# make 5041-antenna blocks, two for the lattice and two for its bound
+# a 5525-antenna lattice, two antenna blocks, whose one fig5 placement on the z axis
+# evaluates the 13 classes of the square's fold
 EDGE_CONFIG = (
     TINY_CONFIG.replace("radius_m = 0.008", "radius_m = 0.021")
     .replace("carrier_frequency_hz = 300e9", "carrier_frequency_hz = 299792458000.0")
@@ -544,17 +549,17 @@ def test_the_preflight_charges_the_kernel_workers_the_run_starts(
         path.write_text(text)
         args += ["--config", str(path)]
         config = load_config(path)
-    for scenario in ("fig5", "fig6", "fig7", "sweep"):
+    for scenario in cli.SCENARIOS:
         plan = plan_run(config, scenario)
         out = tmp_path / scenario
         assert main([scenario, "--out", str(out), *args]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
-        assert plan.lattice_bound >= manifest["derived"]["n_tx"]
-        assert plan.kernel_workers >= manifest["host"]["kernel_workers"]
+        assert plan.layout.n_tx == manifest["derived"]["n_tx"]
+        assert plan.kernel_workers == manifest["host"]["kernel_workers"]
         if text is EDGE_CONFIG and scenario == "fig5":
             assert manifest["derived"]["n_tx"] == 5525
             assert manifest["derived"]["directions_evaluated"] == 13
-            assert plan.kernel_workers == manifest["host"]["kernel_workers"] == 2
+            assert manifest["host"]["kernel_workers"] == 2
 
 
 @pytest.mark.parametrize("scenario", ["fig5", "sweep"])
@@ -599,7 +604,7 @@ def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, tiny_config_path,
 
 def test_manifest_records_the_narrowband_warnings(tmp_path):
     # at 1 THz the 1.07 ps delay spread at 0.1 m and 0.36 ps at 0.3 m both fail the
-    # 0.1 ps margin; each distinct warning is shown once on stderr, as before
+    # 0.1 ps margin; each distinct warning is shown once on stderr, on one line
     path = tmp_path / "wide.cfg"
     path.write_text(TINY_CONFIG.replace("bandwidth_hz = 100e6", "bandwidth_hz = 1e12"))
     delays = [(math.hypot(d, 0.008) - d) / SPEED_OF_LIGHT for d in (0.1, 0.3)]
@@ -614,8 +619,7 @@ def test_manifest_records_the_narrowband_warnings(tmp_path):
             "time 1.000e-12 s; narrowband results are questionable"
             for delay in delays
         ]
-        shown = [line for line in done.stderr.splitlines() if "RuntimeWarning" in line]
-        assert [line.split(": ", 1)[1] for line in shown] == recorded
+        assert done.stderr.splitlines() == [f"dpcfocus: warning: {note}" for note in recorded]
         bodies.append((out / "sweep.csv").read_bytes())
     assert bodies[0] == bodies[1]
 
@@ -810,6 +814,9 @@ def test_bad_scale_is_a_one_line_usage_error(tmp_path, capsys, scale):
         ("sweep", "distance_m = 0.1, 0.3", "distance_m = 1e-100, 0.3"),
         # the rate bound, from an antenna at least d cos(alpha) away, would overflow
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-300, 0.3"),
+        # d cos(alpha) underflows to 0: the RX lies on the array plane
+        ("sweep", "alpha_deg = 0, 30\ndistance_m = 0.1, 0.3",
+         "alpha_deg = 70\ndistance_m = 5e-324, 0.3"),
         ("fig6", "distance_m = 0.1, 0.3", "distance_m = 1e-160, 0.3"),
         ("sweep", "distance_m = 0.1, 0.3", "distance_m = 1e-300, 0.3"),
         ("fig7", "distance_m = 0.1, 0.3", "distance_m = 5e-324, 0.3"),
@@ -832,6 +839,59 @@ def test_bad_config_value_is_a_one_line_config_error(tmp_path, capsys, scenario,
     # a gain that underflows to 0 is refused at its placement, and the message names it
     assert "zero SNR" not in err or err.startswith("dpcfocus: config error: distance ")
     assert not (out / f"{scenario}.csv").exists()
+
+
+HUGE_RATE = TINY_CONFIG.replace("bandwidth_hz = 100e6",
+                                "bandwidth_hz = 1e306\nnoise_power_w = 1e-300")
+ON_PLANE = TINY_CONFIG.replace("alpha_deg = 0, 30\ndistance_m = 0.1, 0.3",
+                               "alpha_deg = 70\ndistance_m = 5e-324, 0.3")
+
+
+@pytest.mark.parametrize(
+    "scenario, text, placement",
+    [
+        ("fig7", HUGE_RATE, "distance 0.1 m at alpha 30.0 deg"),
+        ("sweep", HUGE_RATE, "distance 0.1 m at alpha 0.0 deg"),
+        # d cos(alpha) is 0.0, where the reference range r0 is the aperture radius
+        ("sweep", ON_PLANE, "distance 5e-324 m at alpha 70.0 deg"),
+    ],
+    ids=["fig7-huge-rate", "sweep-huge-rate", "sweep-on-plane"],
+)
+def test_the_rate_bound_refuses_its_placement(tmp_path, capsys, scenario, text, placement):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main([scenario, "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (
+        f"dpcfocus: config error: {placement}: the rate bound "
+        "B * log2(1 + P/N * n * (lambda / (4 pi d cos alpha))^2) overflows\n"
+    )
+
+
+def test_fig3_is_not_refused_for_a_rate_it_never_computes(tmp_path, tiny_config_path):
+    # fig3.csv reads neither B nor P/N, and fig3 runs no kernel placement
+    path = tmp_path / "huge.cfg"
+    path.write_text(HUGE_RATE)
+    for name, config in (("tiny", tiny_config_path), ("huge", path)):
+        assert main(["fig3", "--config", str(config), "--out", str(tmp_path / name)]) == EXIT_OK
+    assert (tmp_path / "huge" / "fig3.csv").read_bytes() == (
+        tmp_path / "tiny" / "fig3.csv"
+    ).read_bytes()
+
+
+def test_the_plan_folds_as_placement_sweeps_does(tiny_config_path):
+    # the CLI's kernel table and the library's sweeps give the same SNRs, bit for bit
+    config = load_config(tiny_config_path)
+    plan = plan_run(config, "sweep")
+    budget = config.budget()
+    gains = folded_snrs(plan.layout, plan.kernel)
+    via_plan = [link_snrs(g, budget, config.wavelength, r0)
+                for (_, r0, _), g in zip(plan.kernel, gains, strict=True)]
+    layout = build_circular_array(config.radius, config.wavelength)
+    grid = orientation_grid(config.azimuth_step, config.elevation_step)
+    via_sweeps = list(experiments.placement_sweeps(layout, plan.placements, budget, grid=grid))
+    assert len(via_plan) == len(via_sweeps) == 4
+    for a, b in zip(via_plan, via_sweeps):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 ONCE_REFUSED = [

@@ -398,9 +398,7 @@ def test_gains_next_to_an_antenna_give_finite_improvements(small_layout, coarse_
     # overflowed. At v = +-z the centre antenna sits at the RX dipole's axial null and
     # the other antennas' terms underflow to 0, so those directions are left out
     grid = coarse_grid[np.abs(coarse_grid[:, 2]) < 1.0]
-    placements = fold_placements(
-        [rx_position(1e-300, 0.0)], grid, small_layout.radius, True, True
-    )
+    placements = fold_placements(small_layout, [rx_position(1e-300, 0.0)], grid)
     (gains,) = folded_snrs(small_layout, placements)
     for baseline in ("switched", "dual"):
         assert np.all(np.isfinite(improvements_db(gains, baseline)))
