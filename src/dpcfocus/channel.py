@@ -27,6 +27,8 @@ Horner's rule then loses at most 10 of float64's 53 bits against the peak.
 """
 
 _PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494"
+_SERIES_BITS = 600
+"Fixed-point bits of ``pattern_series`` beyond those of the dipole length: about 180 digits."
 
 
 @lru_cache(maxsize=16)
@@ -38,15 +40,20 @@ def pattern_series(length_over_wavelength: float) -> tuple[float, ...]:
     With a_j = (-1)^j (pi*L)^(2j) / (2j)! the Taylor coefficients of
     cos(pi*L*sqrt(x)), the numerator vanishes at x = 1, so h's Taylor
     coefficients are the tail sums -sum_{j>n} a_j. These are formed in
-    60-digit decimal arithmetic until the terms fall below 1e-40, and then
-    Chebyshev-economized on [0, 1]: while the degree exceeds 1, the top term
-    h_N x^N is traded for the lower-degree rest of c T*_N, with
-    T*_N(x) = T_N(2x - 1) and c = h_N / 2^(2N-1) its shifted-Chebyshev
-    coefficient, which changes h by at most |c| on [0, 1]. Terms are dropped
-    while the sum of their |c| stays within 2^-53 of the Taylor coefficient
-    mass sum_n |h_n|, the scale of the rounding error of Horner's rule
-    itself, and the result is rounded once to float64. A half-wave dipole
-    needs N = 7, where the Taylor series itself would need 9.
+    integer fixed point, each value x held as the integer x * 2^b rounded
+    down, from pi to 60 digits and the exact binary value of L, until the
+    terms fall below 1e-40, and then Chebyshev-economized on [0, 1]: while
+    the degree exceeds 1, the top term h_N x^N is traded for the
+    lower-degree rest of c T*_N, with T*_N(x) = T_N(2x - 1) and
+    c = h_N / 2^(2N-1) its shifted-Chebyshev coefficient, which changes h by
+    at most |c| on [0, 1]. Terms are dropped while the sum of their |c|
+    stays within 2^-53 of the Taylor coefficient mass sum_n |h_n|, the scale
+    of the rounding error of Horner's rule itself, and the result is rounded
+    once to float64. b is ``_SERIES_BITS`` plus twice the bit length of L's
+    binary denominator, so (pi*L)^2 keeps about 180 digits however short
+    the dipole. The tests check the result bit for bit against the same
+    steps in 60-digit decimal arithmetic (``tests/oracles.py``). A half-wave
+    dipole needs N = 7, where the Taylor series itself would need 9.
 
     Raises
     ------
@@ -56,43 +63,46 @@ def pattern_series(length_over_wavelength: float) -> tuple[float, ...]:
         series of such a long dipole cancels too much to be summed to
         float64 accuracy.
     """
-    # imported on first use, so that importing the package does not pay for it
-    from decimal import Decimal, localcontext
-
     length = float(length_over_wavelength)
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError("the dipole length must be positive and finite")
-    with localcontext() as ctx:
-        ctx.prec = 60
-        k2 = (Decimal(_PI_DIGITS) * Decimal(length)) ** 2
-        a = [Decimal(1)]
-        # past j^2 > k2 the terms fall faster than geometrically; stop once negligible
-        while len(a) < 4 or len(a) ** 2 <= k2 or abs(a[-1]) > Decimal("1e-40"):
-            if len(a) > 1000:
-                raise ValueError(
-                    f"a dipole of {length!r} wavelengths is too long for the pattern series"
-                )
-            j = len(a)
-            a.append(-a[-1] * k2 / ((2 * j - 1) * (2 * j)))
-        tail = sum(a[1:])
-        h = []
-        for n in range(len(a) - 1):
-            h.append(-tail)
-            tail -= a[n + 1]
-        budget = sum(abs(c) for c in h) * Decimal(2) ** -53
-        chebyshev = _shifted_chebyshev(len(h) - 1)
-        while len(h) > 2:
-            top = len(h) - 1
-            c = h[top] / 2 ** (2 * top - 1)
-            if abs(c) > budget:
-                break
-            budget -= abs(c)
-            for n, t in enumerate(chebyshev[top][:top]):
-                h[n] -= c * t
-            h.pop()
-        coeffs = tuple(float(c) for c in h)
-    mass = sum(abs(c) for c in coeffs)
-    peak = float(np.max(np.abs(_series(np.linspace(0.0, 1.0, 257), coeffs))))
+    num, den = length.as_integer_ratio()
+    one = 1 << (_SERIES_BITS + 2 * den.bit_length())
+    pi_num, pi_den = int(_PI_DIGITS.replace(".", "")), 10 ** (len(_PI_DIGITS) - 2)
+    k2 = (pi_num * num) ** 2 * one // (pi_den * den) ** 2
+    a = [one]
+    # past j^2 > k2 the terms fall faster than geometrically; stop once negligible
+    while len(a) < 4 or len(a) ** 2 * one <= k2 or abs(a[-1]) * 10**40 > one:
+        # terms go on while j^2 <= k2, so a k2 of 1001^2 or more would reach 1000 of them
+        if len(a) > 1000 or k2 >= 1001**2 * one:
+            raise ValueError(
+                f"a dipole of {length!r} wavelengths is too long for the pattern series"
+            )
+        j = len(a)
+        a.append(-a[-1] * k2 // (one * (2 * j - 1) * (2 * j)))
+    tail = sum(a[1:])
+    h = []
+    for n in range(len(a) - 1):
+        h.append(-tail)
+        tail -= a[n + 1]
+    budget = sum(abs(c) for c in h) >> 53
+    chebyshev = _shifted_chebyshev(len(h) - 1)
+    while len(h) > 2:
+        top = len(h) - 1
+        c = h[top] >> (2 * top - 1)
+        if abs(c) > budget:
+            break
+        budget -= abs(c)
+        for n, t in enumerate(chebyshev[top][:top]):
+            h[n] -= c * t
+        h.pop()
+    try:
+        coeffs = tuple(c / one for c in h)  # int / int rounds correctly
+    except OverflowError:  # a coefficient past float64's range: it cancels past its accuracy
+        mass, peak = math.inf, 0.0
+    else:
+        mass = sum(abs(c) for c in coeffs)
+        peak = float(np.max(np.abs(_series(np.linspace(0.0, 1.0, 257), coeffs))))
     if not mass <= SERIES_CANCELLATION_LIMIT * peak:
         raise ValueError(
             f"a dipole of {length!r} wavelengths is too long for the pattern series: "

@@ -41,6 +41,7 @@ import numpy as np
 from . import __version__
 from .beamforming import (
     KernelBuildError,
+    _tile_kernel,
     available_cpus,
     fold_directions,
     fold_placements,
@@ -418,6 +419,10 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     Every TX element lies on z = 0, so |rx_z| = d cos(alpha) bounds each
     TX-RX distance from below: P/N * n * (lambda / (4 pi d cos alpha))^2
     bounds the SNRs of a placement, and B log2(1 + that bound) its rates.
+
+    Once every refusal has passed, every scenario but check loads the SNR
+    kernel, building it first if it is not built, so that the build is part
+    of a run's set-up; ``KernelBuildError`` if it cannot be built.
     """
     if scenario in ("fig6", "fig7"):
         d = config.distance_values
@@ -467,6 +472,8 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     need = table + max(phase, kernel_bytes) + grid_bytes
     _refuse_beyond_memory(need)
     classes = int(folds[True, False].directions.shape[0])
+    if scenario == "fig3" or scenario in PLACEMENT_COLUMNS:
+        _tile_kernel()
     return RunPlan(config, scenario, placements, layout, grid, kernel, classes, workers, need)
 
 
@@ -520,6 +527,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"dpcfocus: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except KernelBuildError as exc:
+        print(f"dpcfocus: cannot build the SNR kernel: {exc}", file=sys.stderr)
+        return EXIT_BUILD_ERROR
 
     out_dir = Path(args.out)
     try:
@@ -542,9 +552,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     except OSError as exc:  # the scenarios read no files: an output cannot be written
         return _output_error(exc)
-    except KernelBuildError as exc:
-        print(f"dpcfocus: cannot build the SNR kernel: {exc}", file=sys.stderr)
-        return EXIT_BUILD_ERROR
     finally:
         notes = [f"{w.category.__name__}: {w.message}" for w in issued]
         for note in notes:

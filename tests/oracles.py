@@ -11,7 +11,9 @@ fast paths are verified against it:
   which the SNR kernel ``folded_snrs`` and ``polarization_angles`` must
   match; they take the complex channel of ``ChannelGeometry``;
 * a brute-force search over weights, and the dipole pattern and its series
-  in decimal arithmetic.
+  in decimal arithmetic, among them ``pattern_series``' steps in 60-digit
+  decimals (``decimal_pattern_coefficients``), which its integer fixed
+  point must match bit for bit.
 """
 
 import cmath
@@ -23,7 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from dpcfocus.beamforming import LinkBudget
-from dpcfocus.channel import PolarizedChannel
+from dpcfocus.channel import (
+    SERIES_CANCELLATION_LIMIT,
+    PolarizedChannel,
+    _PI_DIGITS,
+    _series,
+    _shifted_chebyshev,
+)
 
 PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
@@ -359,3 +367,54 @@ def economized_pattern_series(length_over_wavelength: float):
     while len(c) > 2 and sum(dropped) + abs(c[-1]) <= budget:
         dropped.append(abs(c.pop()))
     return c, dropped, mass
+
+
+def decimal_pattern_coefficients(length_over_wavelength: float) -> tuple[float, ...]:
+    """``channel.pattern_series`` formed in 60-digit decimal arithmetic.
+
+    The same steps as the library's integer fixed point: the Taylor
+    coefficients of cos(pi*L*sqrt(x)) from the 60-digit pi, their tail sums,
+    the same stop rule and term guard, Chebyshev economization within
+    2^-53 of the coefficient mass, one rounding to float64 and the same
+    cancellation refusal.
+    """
+    length = float(length_over_wavelength)
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError("the dipole length must be positive and finite")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k2 = (Decimal(_PI_DIGITS) * Decimal(length)) ** 2
+        a = [Decimal(1)]
+        # past j^2 > k2 the terms fall faster than geometrically; stop once negligible
+        while len(a) < 4 or len(a) ** 2 <= k2 or abs(a[-1]) > Decimal("1e-40"):
+            if len(a) > 1000:
+                raise ValueError(
+                    f"a dipole of {length!r} wavelengths is too long for the pattern series"
+                )
+            j = len(a)
+            a.append(-a[-1] * k2 / ((2 * j - 1) * (2 * j)))
+        tail = sum(a[1:])
+        h = []
+        for n in range(len(a) - 1):
+            h.append(-tail)
+            tail -= a[n + 1]
+        budget = sum(abs(c) for c in h) * Decimal(2) ** -53
+        chebyshev = _shifted_chebyshev(len(h) - 1)
+        while len(h) > 2:
+            top = len(h) - 1
+            c = h[top] / 2 ** (2 * top - 1)
+            if abs(c) > budget:
+                break
+            budget -= abs(c)
+            for n, t in enumerate(chebyshev[top][:top]):
+                h[n] -= c * t
+            h.pop()
+        coeffs = tuple(float(c) for c in h)
+    mass = sum(abs(c) for c in coeffs)
+    peak = float(np.max(np.abs(_series(np.linspace(0.0, 1.0, 257), coeffs))))
+    if not mass <= SERIES_CANCELLATION_LIMIT * peak:
+        raise ValueError(
+            f"a dipole of {length!r} wavelengths is too long for the pattern series: "
+            "its coefficients cancel beyond float64 accuracy"
+        )
+    return coeffs

@@ -25,6 +25,7 @@ from dpcfocus.geometry import (
 from oracles import (
     decimal_chebyshev_value,
     decimal_pattern,
+    decimal_pattern_coefficients,
     economized_pattern_series,
     scalar_channel,
     scalar_gain,
@@ -152,6 +153,43 @@ def test_long_dipole_pattern_is_refused_not_miscomputed():
     # a 5-wavelength dipole's coefficients reach 3.5e5 against a pattern peak of about 6
     with pytest.raises(ValueError, match="cancel"):
         pattern_at(0.3, 5.0)
+
+
+def seeded_lengths():
+    "0.5, 1.0 and 1.5 wavelengths, and 100 seeded lengths in (0.01, 2.5)."
+    return [0.5, 1.0, 1.5] + np.random.default_rng(29).uniform(0.01, 2.5, size=100).tolist()
+
+
+def test_pattern_series_is_the_decimal_steps_bit_for_bit():
+    # integer fixed point at 2^600 and more against the same steps at 60 digits: each
+    # coefficient rounds once, so both land on the same float64
+    for length in seeded_lengths():
+        got = [c.hex() for c in pattern_series(length)]
+        assert got == [c.hex() for c in decimal_pattern_coefficients(length)], length
+
+
+@pytest.mark.parametrize("length", [1e-30, 1e-60, 1e-100])
+def test_a_short_dipoles_series_keeps_its_leading_terms(length):
+    # h(x) = k^2/2 - k^4/24 x + ... with k = pi L: the fixed point grows with L's
+    # denominator, so k^2 does not fall below its last bit (at 2^600 alone, 1e-100 would
+    # give h = 0)
+    k = math.pi * length
+    h0, h1 = pattern_series(length)
+    assert math.isclose(h0, k * k / 2.0, rel_tol=1e-15)
+    assert math.isclose(h1, -(k**4) / 24.0, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "length", [0.0, -0.5, math.inf, math.nan, 4.0, 5.0, 10.0, 160.0, 300.0, 1e300]
+)
+def test_pattern_series_refuses_in_the_decimal_steps_words(length):
+    # the cancellation check, also for coefficients beyond float64's range (160), and the
+    # term guard, also where k2 alone shows that it would be reached (1e300)
+    with pytest.raises(ValueError) as want, np.errstate(all="ignore"):
+        decimal_pattern_coefficients(length)
+    with pytest.raises(ValueError) as got:
+        pattern_series(length)
+    assert str(got.value) == str(want.value)
 
 
 def test_transverse_unit_cases():

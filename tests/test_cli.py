@@ -259,6 +259,16 @@ def test_check_never_builds_the_kernel(tmp_path, tiny_config_path, monkeypatch, 
     assert beamforming._kernel is None
 
 
+@pytest.mark.parametrize("scenario", ["fig3", "fig5", "fig6", "fig7", "sweep", "check"])
+def test_the_plan_loads_the_kernel_its_run_needs(tiny_config_path, monkeypatch, unbuilt_kernel,
+                                                 scenario):
+    # a build or a load is part of the run's set-up, not of its first placement
+    library = object()
+    monkeypatch.setattr(beamforming, "_load_kernel", lambda cache: library)
+    plan_run(load_config(tiny_config_path), scenario)
+    assert beamforming._kernel is (None if scenario == "check" else library)
+
+
 def test_main_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["does-not-exist"])
@@ -624,8 +634,9 @@ def test_manifest_records_the_narrowband_warnings(tmp_path):
     assert bodies[0] == bodies[1]
 
 
-def test_importing_the_cli_defers_threads_and_decimal(tmp_path, tiny_config_path):
-    # both are imported on first use, so a run's set-up does not pay for them
+def test_importing_the_cli_defers_threads_and_no_run_loads_decimal(tmp_path, tiny_config_path):
+    # threads are imported on first use, so a run's set-up does not pay for them, and the
+    # pattern series is formed in integers, so no run loads decimal at all
     code = (
         "import sys, dpcfocus.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'decimal') if m in sys.modules))"
@@ -634,15 +645,15 @@ def test_importing_the_cli_defers_threads_and_decimal(tmp_path, tiny_config_path
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     # the quartiles come from one sort: np.percentile would import numpy.ma
-    for scenario in ("fig5", "sweep"):
+    for scenario in ("fig3", "fig5", "sweep"):
         args = [scenario, "--config", str(tiny_config_path), "--out", str(tmp_path / scenario)]
         code = (
-            f"import sys, dpcfocus.cli; dpcfocus.cli.main({args!r}); "
-            "print('numpy.ma' in sys.modules)"
+            f"import sys, dpcfocus.cli; assert dpcfocus.cli.main({args!r}) == 0; "
+            "print(sorted(m for m in ('decimal', 'numpy.ma') if m in sys.modules))"
         )
         done = fresh_python("-c", code)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
 
 def test_a_threaded_run_imports_no_executor_or_logging(tmp_path):
