@@ -26,11 +26,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import pattern_series
+from .channel import HALF_WAVE_SERIES
 from .geometry import ArrayLayout, _positive_finite, orientation_classes
 
 BOLTZMANN = 1.380649e-23
 "Boltzmann constant in J/K (exact SI value)."
+
+NOISE_TEMPERATURE = 290.0
+"Reference noise temperature T_0 in K of ``thermal_noise_power``."
+
+_PATTERN_COEFFS = np.array(HALF_WAVE_SERIES)
+"``HALF_WAVE_SERIES`` as the float64 array the compiled loop reads."
+_PATTERN_COEFFS.setflags(write=False)
 
 UNIT_TOL = 1e-12
 "Largest | |v| - 1 | of a receive direction the SNR kernel accepts."
@@ -83,11 +90,11 @@ beyond that the scaling is untested.
 """
 
 
-def thermal_noise_power(bandwidth: float, temperature: float = 290.0) -> float:
-    "k_B * T * B noise floor in watts."
-    if not (_positive_finite(bandwidth) and _positive_finite(temperature)):
-        raise ValueError("bandwidth and temperature must be positive and finite")
-    return BOLTZMANN * temperature * bandwidth
+def thermal_noise_power(bandwidth: float) -> float:
+    "k_B * T_0 * B noise floor in watts, at the reference temperature ``NOISE_TEMPERATURE``."
+    if not _positive_finite(bandwidth):
+        raise ValueError("bandwidth must be positive and finite")
+    return BOLTZMANN * NOISE_TEMPERATURE * bandwidth
 
 
 @dataclass
@@ -215,14 +222,13 @@ def folded_snrs(layout: ArrayLayout, placements):
         is missing or fails.
     """
     n = layout.n_tx
-    coeffs = np.array(pattern_series(layout.dipole_length / layout.wavelength))
     kernel = _tile_kernel()  # built, if need be, before any task is queued
     block = ANTENNA_BLOCK
 
     def block_sums(task):
         rx, r0, fold, b0 = task
         return _tile_sums(kernel, layout, range(b0, min(b0 + block, n)), rx, r0,
-                          fold.directions, coeffs)
+                          fold.directions)
 
     # one (rx, r0, fold, first antenna) task per antenna block of every placement
     tasks = [(rx, r0, fold, b0) for rx, r0, fold in placements for b0 in range(0, n, block)]
@@ -352,7 +358,7 @@ _COLOCATED = 16
 "The bit of ``tile_sums``' and ``field_z``'s return that marks an antenna at the RX."
 
 
-def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v, coeffs
+def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v
                ) -> tuple[np.ndarray, int]:
     """Column sums of one antenna block, a (3, m) array, and the flags the loop raised.
 
@@ -360,14 +366,14 @@ def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v, c
     ``antennas`` of ``layout`` (a range of its antenna indices) of
     sqrt(|h_x|^2 + |h_y|^2), |h_x| and |h_y| in units of lambda / (4 pi r0)
     for an RX at ``rx``, added in antenna order by the ``tile_sums`` of
-    ``kernel`` (``_tile_kernel``), with the pattern series ``coeffs``. The
-    loop builds each antenna's position from the layout's row table, then its
-    unit displacement p and amplitude scales (s_x, s_y), and takes
-    |h_u| = |s_u w_u| |w| h(c^2) with c = p . v and w = v - c p; the operands
-    are read in place. The flags are for ``_raise_flags``, in the thread
-    whose errstate should hold.
+    ``kernel`` (``_tile_kernel``), with the half-wave pattern series
+    ``_PATTERN_COEFFS``. The loop builds each antenna's position from the
+    layout's row table, then its unit displacement p and amplitude scales
+    (s_x, s_y), and takes |h_u| = |s_u w_u| |w| h(c^2) with c = p . v and
+    w = v - c p; the operands are read in place. The flags are for
+    ``_raise_flags``, in the thread whose errstate should hold.
     """
-    rx, v, coeffs = (np.ascontiguousarray(a, dtype=float) for a in (rx, v, coeffs))
+    rx, v = (np.ascontiguousarray(a, dtype=float) for a in (rx, v))
     m = v.shape[0]
     # the loop reads and writes exactly these: a run of the layout's antennas, and shapes
     in_layout = antennas.step == 1 and 0 <= antennas.start < antennas.stop <= layout.n_tx
@@ -375,8 +381,8 @@ def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v, c
         raise ValueError("SNR kernel operands of mismatched shapes")
     out = np.empty((3, m))
     raised = kernel.tile_sums(*_row_table(layout), antennas.start, len(antennas), rx.ctypes.data,
-                              r0, v.ctypes.data, coeffs.ctypes.data, coeffs.size, m,
-                              out.ctypes.data)
+                              r0, v.ctypes.data, _PATTERN_COEFFS.ctypes.data,
+                              _PATTERN_COEFFS.size, m, out.ctypes.data)
     return out, raised
 
 
@@ -512,10 +518,10 @@ def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
     """
     rx, r0 = _rx_center(rx, layout.radius)
     rx = np.ascontiguousarray(rx)
-    coeffs = np.array(pattern_series(layout.dipole_length / layout.wavelength))
     a = np.empty((2, layout.n_tx))
     raised = _tile_kernel().field_z(*_row_table(layout), 0, layout.n_tx, rx.ctypes.data, r0,
-                                    coeffs.ctypes.data, coeffs.size, a.ctypes.data)
+                                    _PATTERN_COEFFS.ctypes.data, _PATTERN_COEFFS.size,
+                                    a.ctypes.data)
     _raise_flags(raised)
     a_x, a_y = a
     angles = np.arctan2(a_x * a_y, np.square(a_x))

@@ -49,11 +49,11 @@ class AntennaRows(NamedTuple):
 
 @dataclass(frozen=True, init=False)
 class ArrayLayout:
-    """Planar transmit array on z = 0, one crossed-dipole pair per element.
+    """Planar transmit array on z = 0, one crossed pair of half-wave dipoles per element.
 
-    ``ArrayLayout(positions, wavelength, dipole_length, radius)`` takes an
-    (n, 3) array in meters whose row order fixes the antenna index used by the
-    channel vectors and beamformer weights. It is kept as ``rows``: one run
+    ``ArrayLayout(positions, wavelength, radius)`` takes an (n, 3) array in
+    meters whose row order fixes the antenna index used by the channel
+    vectors and beamformer weights. It is kept as ``rows``: one run
     per stretch of consecutive antennas with the same y, bit for bit, and one
     ``x_table`` entry per antenna. ``build_circular_array`` makes its layout
     from the lattice's coordinates instead, one run per kept stretch of each
@@ -64,15 +64,14 @@ class ArrayLayout:
 
     rows: AntennaRows
     wavelength: float
-    dipole_length: float
     radius: float
 
-    def __init__(self, positions, wavelength: float, dipole_length: float, radius: float):
+    def __init__(self, positions, wavelength: float, radius: float):
         pos = np.ascontiguousarray(positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise ValueError("positions must be a non-empty (n, 3) array")
-        if not all(map(_positive_finite, (wavelength, dipole_length, radius))):
-            raise ValueError("wavelength, dipole_length and radius must be positive and finite")
+        if not (_positive_finite(wavelength) and _positive_finite(radius)):
+            raise ValueError("wavelength and radius must be positive and finite")
         if pos[:, 2].any():
             raise ValueError("array elements must lie on the z = 0 plane")
         for k0 in range(0, pos.shape[0], LATTICE_CHUNK):
@@ -85,7 +84,7 @@ class ArrayLayout:
         bits = y.view(np.int64)  # -0.0 and 0.0 start separate runs
         first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))).astype(np.int64)
         rows = AntennaRows(pos[:, 0].copy(), y[first], first, np.append(first, pos.shape[0]))
-        _fill(self, rows, wavelength, dipole_length, radius)
+        _fill(self, rows, wavelength, radius)
 
     @property
     def n_tx(self) -> int:
@@ -143,7 +142,6 @@ def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
 
     The lattice is centered on the origin (one element sits exactly there)
     and keeps every point with ``hypot(x, y) <= radius``, boundary included.
-    Its dipoles are half a wavelength long.
 
     The coordinates are the integer multiples of the pitch, which are exact
     under negation, and the test is taken on the sorted |x| and |y|, so the
@@ -172,18 +170,16 @@ def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
     rows = AntennaRows(coords, coords[row], first_x, np.append(0, np.cumsum(stop - first_x)))
     # in the aperture and on z = 0 by construction, so ArrayLayout's checks are not run
     layout = ArrayLayout.__new__(ArrayLayout)
-    _fill(layout, rows, wavelength, wavelength / 2.0, radius,
-          mirror_symmetric=True, square_symmetric=True)
+    _fill(layout, rows, wavelength, radius, mirror_symmetric=True, square_symmetric=True)
     return layout
 
 
-def _fill(layout: ArrayLayout, rows: AntennaRows, wavelength, dipole_length, radius, **known):
+def _fill(layout: ArrayLayout, rows: AntennaRows, wavelength, radius, **known):
     """Set the fields of the frozen ``layout``, and any cached flags ``known``, with the
     arrays of ``rows`` made read-only, as its positions are."""
     for array in rows:
         array.setflags(write=False)
-    vars(layout).update(rows=rows, wavelength=wavelength, dipole_length=dipole_length,
-                        radius=radius, **known)
+    vars(layout).update(rows=rows, wavelength=wavelength, radius=radius, **known)
 
 
 def _stretches(r0: int, kept) -> np.ndarray:

@@ -343,7 +343,6 @@ def first_antennas(layout, n):
     return ArrayLayout(
         positions=layout.positions[:n],
         wavelength=layout.wavelength,
-        dipole_length=layout.dipole_length,
         radius=layout.radius,
     )
 
@@ -395,7 +394,7 @@ def test_an_explicit_layout_with_gaps_and_repeated_rows(monkeypatch, block):
               (-3, 2), (0, 2), (1, 2), (3, 2)]
     positions = np.array([(i * pitch, j * pitch, 0.0) for i, j in points])
     positions[5, 1] = -0.0
-    layout = ArrayLayout(positions, KERNEL_WAVELENGTH, pitch, 5.0 * pitch)
+    layout = ArrayLayout(positions, KERNEL_WAVELENGTH, 5.0 * pitch)
     assert layout.rows.first_antenna.tolist() == [0, 3, 5, 6, 9, 13]
     assert layout.positions.tobytes() == positions.tobytes()
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
@@ -415,14 +414,6 @@ def test_orientation_snr_block_boundaries(kernel_layout, monkeypatch, offset):
     layout = first_antennas(kernel_layout, 256 + offset)
     assert not layout.mirror_symmetric
     assert_kernel_matches_oracle(layout, math.radians(30.0), 0.1, DEFAULT_GRID)
-
-
-def test_orientation_snr_long_dipoles():
-    # a 1.5-wavelength dipole's pattern changes sign, so the kernel must use |g|
-    lattice = build_circular_array(radius=0.005, wavelength=KERNEL_WAVELENGTH)
-    layout = ArrayLayout(lattice.positions, lattice.wavelength, 1.5 * KERNEL_WAVELENGTH,
-                         lattice.radius)
-    assert_kernel_matches_oracle(layout, math.radians(30.0), 0.05, DEFAULT_GRID)
 
 
 def test_orientation_snr_single_antenna(kernel_layout):
@@ -452,12 +443,11 @@ def test_single_antenna_nulls_leave_one_dipole(rx, v, null):
     layout = ArrayLayout(
         positions=np.zeros((1, 3)),
         wavelength=KERNEL_WAVELENGTH,
-        dipole_length=KERNEL_WAVELENGTH / 2.0,
         radius=KERNEL_WAVELENGTH,
     )
     ((dpc, dual, switched),) = kernel_snr(layout, np.array(rx), v[None, :], KERNEL_BUDGET)
     g_x, g_y = (
-        abs(scalar_gain(u, tuple(v), rx, KERNEL_WAVELENGTH, layout.dipole_length))
+        abs(scalar_gain(u, tuple(v), rx, KERNEL_WAVELENGTH, KERNEL_WAVELENGTH / 2.0))
         for u in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     )
     assert (g_x == 0.0, g_y == 0.0) == (null in ("x", "both"), null in ("y", "both"))
@@ -567,9 +557,9 @@ def test_a_one_degree_grid_runs_one_task_per_antenna_block(monkeypatch):
     tasks = []  # (antennas, directions) per task
     tile_sums = beamforming._tile_sums
 
-    def counted(kernel, layout, antennas, rx, r0, v, coeffs):
+    def counted(kernel, layout, antennas, rx, r0, v):
         tasks.append((len(antennas), v.shape[0]))
-        return tile_sums(kernel, layout, antennas, rx, r0, v, coeffs)
+        return tile_sums(kernel, layout, antennas, rx, r0, v)
 
     monkeypatch.setattr(beamforming, "_tile_sums", counted)
     snrs = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET))
@@ -695,7 +685,6 @@ def test_no_square_fold_for_a_layout_closed_under_the_mirror_only(kernel_layout)
     stretched = ArrayLayout(
         positions=kernel_layout.positions * [1.25, 1.0, 1.0],
         wavelength=kernel_layout.wavelength,
-        dipole_length=kernel_layout.dipole_length,
         radius=1.25 * kernel_layout.radius,
     )
     assert stretched.mirror_symmetric and not stretched.square_symmetric
@@ -912,7 +901,6 @@ def kernel_inputs(draw):
         layout = ArrayLayout(
             positions=layout.positions + offsets,
             wavelength=layout.wavelength,
-            dipole_length=layout.dipole_length,
             radius=radius + 0.3 * pitch,
         )
     rxs = []

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from dpcfocus.channel import (
+    HALF_WAVE_SERIES,
     ChannelGeometry,
     PolarizedChannel,
     _pattern,
     _transverse_unit,
-    pattern_series,
 )
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
@@ -36,7 +36,6 @@ def single_element_layout(wavelength=1.0):
     return ArrayLayout(
         positions=np.zeros((1, 3)),
         wavelength=wavelength,
-        dipole_length=wavelength / 2.0,
         radius=wavelength * 1e-6,
     )
 
@@ -46,9 +45,9 @@ def rotation_about_z(angle):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def pattern_at(theta, length_over_wavelength=0.5):
+def pattern_at(theta):
     "The dipole pattern at polar angles ``theta`` (an array), through ``_pattern``."
-    return _pattern(np.cos(np.atleast_1d(np.asarray(theta, dtype=float))), length_over_wavelength)
+    return _pattern(np.cos(np.atleast_1d(np.asarray(theta, dtype=float))))
 
 
 def transverse(u, p_hat):
@@ -106,90 +105,37 @@ def cosines_up_to_the_axis():
     return np.array(near + [-c for c in near] + [0.0, 0.5, -0.5] + random)
 
 
-@pytest.mark.parametrize("length", [0.5, 1.0, 1.5])
-def test_pattern_matches_a_decimal_reference(length):
+def test_pattern_matches_a_decimal_reference():
     c = cosines_up_to_the_axis()
-    got = _pattern(c, length)
-    want = np.array([decimal_pattern(x, length) for x in c])
-    # Horner's rule errs by a small multiple of eps * sum_n |h_n| x^n, and the
-    # sqrt(1 - c^2) factor carries that to the pattern
-    mass = sum(abs(h) for h in pattern_series(length))
-    sine = np.sqrt((1.0 - c) * (1.0 + c))
-    assert np.all(np.abs(got - want) <= 2.0 * EPS * (np.abs(want) + sine * mass))
-    if length == 0.5:
-        # h has no zero on [0, 1], so the half-wave pattern is accurate right up to the axis
-        assert np.all(np.abs(got - want) <= 2.0 * EPS * np.abs(want))
+    got = _pattern(c)
+    want = np.array([decimal_pattern(x, 0.5) for x in c])
+    # h has no zero on [0, 1], so the pattern is accurate right up to the axis
+    assert np.all(np.abs(got - want) <= 2.0 * EPS * np.abs(want))
 
 
-@pytest.mark.parametrize("length", [0.5, 1.0, 1.5])
-def test_pattern_series_degree_comes_from_the_tail_bound(length):
+def test_pattern_series_degree_comes_from_the_tail_bound():
     # the series is the Taylor series economized on [0, 1]: its degree is where the
     # dropped shifted-Chebyshev terms, each at most |c_k| there, reach 2^-53 of the
     # Taylor coefficient mass; one more term would pass it
-    coeffs = pattern_series(length)
-    kept, dropped, mass = economized_pattern_series(length)
-    degree = len(coeffs) - 1
-    assert degree == len(kept) - 1
+    kept, dropped, mass = economized_pattern_series(0.5)
+    degree = len(HALF_WAVE_SERIES) - 1
+    assert degree == len(kept) - 1 == 7  # the Taylor series itself needs 9
     assert sum(dropped) <= Decimal(2) ** -53 * mass < sum(dropped) + abs(kept[-1])
     # the rounded coefficients are the oracle's kept Chebyshev terms
     for x in np.linspace(0.0, 1.0, 33):
         with localcontext() as ctx:
             ctx.prec = 80
             got = Decimal(0)
-            for h in reversed(coeffs):
+            for h in reversed(HALF_WAVE_SERIES):
                 got = got * Decimal(x) + Decimal(h)
         assert abs(got - decimal_chebyshev_value(kept, x)) <= Decimal(EPS) * mass
-    if length == 0.5:
-        assert degree == 7  # the Taylor series itself needs 9
-
-
-@pytest.mark.parametrize("length", [5.0, 0.0, -0.5, math.inf, math.nan])
-def test_pattern_series_refuses_lengths_it_cannot_sum(length):
-    with pytest.raises(ValueError, match="dipole"):
-        pattern_series(length)
-
-
-def test_long_dipole_pattern_is_refused_not_miscomputed():
-    # a 5-wavelength dipole's coefficients reach 3.5e5 against a pattern peak of about 6
-    with pytest.raises(ValueError, match="cancel"):
-        pattern_at(0.3, 5.0)
-
-
-def seeded_lengths():
-    "0.5, 1.0 and 1.5 wavelengths, and 100 seeded lengths in (0.01, 2.5)."
-    return [0.5, 1.0, 1.5] + np.random.default_rng(29).uniform(0.01, 2.5, size=100).tolist()
 
 
 def test_pattern_series_is_the_decimal_steps_bit_for_bit():
-    # integer fixed point at 2^600 and more against the same steps at 60 digits: each
-    # coefficient rounds once, so both land on the same float64
-    for length in seeded_lengths():
-        got = [c.hex() for c in pattern_series(length)]
-        assert got == [c.hex() for c in decimal_pattern_coefficients(length)], length
-
-
-@pytest.mark.parametrize("length", [1e-30, 1e-60, 1e-100])
-def test_a_short_dipoles_series_keeps_its_leading_terms(length):
-    # h(x) = k^2/2 - k^4/24 x + ... with k = pi L: the fixed point grows with L's
-    # denominator, so k^2 does not fall below its last bit (at 2^600 alone, 1e-100 would
-    # give h = 0)
-    k = math.pi * length
-    h0, h1 = pattern_series(length)
-    assert math.isclose(h0, k * k / 2.0, rel_tol=1e-15)
-    assert math.isclose(h1, -(k**4) / 24.0, rel_tol=1e-14)
-
-
-@pytest.mark.parametrize(
-    "length", [0.0, -0.5, math.inf, math.nan, 4.0, 5.0, 10.0, 160.0, 300.0, 1e300]
-)
-def test_pattern_series_refuses_in_the_decimal_steps_words(length):
-    # the cancellation check, also for coefficients beyond float64's range (160), and the
-    # term guard, also where k2 alone shows that it would be reached (1e300)
-    with pytest.raises(ValueError) as want, np.errstate(all="ignore"):
-        decimal_pattern_coefficients(length)
-    with pytest.raises(ValueError) as got:
-        pattern_series(length)
-    assert str(got.value) == str(want.value)
+    # the constant is the 60-digit decimal steps for half a wavelength, each coefficient
+    # rounded once to float64
+    got = [c.hex() for c in HALF_WAVE_SERIES]
+    assert got == [c.hex() for c in decimal_pattern_coefficients(0.5)]
 
 
 def test_transverse_unit_cases():
@@ -305,7 +251,7 @@ def test_channel_for_matches_scalar_oracle():
         ch = ChannelGeometry(layout, rx).channel_for(v)
         h_x, h_y = scalar_channel(
             layout.positions.tolist(), rx.tolist(), v.tolist(),
-            wavelength, layout.dipole_length,
+            wavelength, wavelength / 2.0,
         )
         assert np.allclose(ch.h_x, h_x, rtol=1e-12, atol=1e-20)
         assert np.allclose(ch.h_y, h_y, rtol=1e-12, atol=1e-20)
@@ -323,8 +269,8 @@ def test_channel_for_equivariant_under_scene_rotation():
     v_rot = rot @ v
     for k in range(layout.n_tx):
         p_rot = rx_rot - rot @ layout.positions[k]
-        gx = scalar_gain(rot @ X_HAT, v_rot, p_rot, wavelength, layout.dipole_length)
-        gy = scalar_gain(rot @ Y_HAT, v_rot, p_rot, wavelength, layout.dipole_length)
+        gx = scalar_gain(rot @ X_HAT, v_rot, p_rot, wavelength, wavelength / 2.0)
+        gy = scalar_gain(rot @ Y_HAT, v_rot, p_rot, wavelength, wavelength / 2.0)
         assert cmath.isclose(gx, complex(ch.h_x[k]), rel_tol=1e-9, abs_tol=1e-18)
         assert cmath.isclose(gy, complex(ch.h_y[k]), rel_tol=1e-9, abs_tol=1e-18)
 

@@ -65,7 +65,7 @@ def test_layout_mirror_symmetry_is_exact_and_lazy():
     assert vars(layout)["mirror_symmetric"] is True
 
     def variant(positions, radius=2.6):
-        return ArrayLayout(positions=positions, wavelength=1.0, dipole_length=0.5, radius=radius)
+        return ArrayLayout(positions=positions, wavelength=1.0, radius=radius)
 
     fresh = variant(layout.positions)
     assert "mirror_symmetric" not in vars(fresh)  # construction does not pay for the check
@@ -82,7 +82,7 @@ def test_layout_square_symmetry_is_exact_and_lazy():
     layout = build_circular_array(radius=2.6, wavelength=1.0)
 
     def variant(positions, radius=2.6):
-        return ArrayLayout(positions=positions, wavelength=1.0, dipole_length=0.5, radius=radius)
+        return ArrayLayout(positions=positions, wavelength=1.0, radius=radius)
 
     fresh = variant(layout.positions[::-1])
     assert "square_symmetric" not in vars(fresh)
@@ -106,7 +106,7 @@ def test_lattice_records_the_symmetries_the_sorts_find(radius, wavelength):
     layout = build_circular_array(radius, wavelength)
     assert vars(layout)["mirror_symmetric"] is True
     assert vars(layout)["square_symmetric"] is True
-    fresh = ArrayLayout(layout.positions, wavelength, layout.dipole_length, radius)
+    fresh = ArrayLayout(layout.positions, wavelength, radius)
     assert fresh.mirror_symmetric and fresh.square_symmetric
 
 
@@ -120,19 +120,18 @@ def test_layout_elements_lie_in_plane_within_radius():
     layout = build_circular_array(radius=1.3, wavelength=0.7)
     assert np.all(layout.positions[:, 2] == 0.0)
     assert np.all(np.hypot(layout.positions[:, 0], layout.positions[:, 1]) <= 1.3)
-    assert layout.dipole_length == 0.35
 
 
 def test_layout_validation():
     with pytest.raises(ValueError):
         ArrayLayout(
             positions=np.array([[0.0, 0.0, 0.1]]),
-            wavelength=1.0, dipole_length=0.5, radius=1.0,
+            wavelength=1.0, radius=1.0,
         )
     with pytest.raises(ValueError):
         ArrayLayout(
             positions=np.array([[5.0, 0.0, 0.0]]),
-            wavelength=1.0, dipole_length=0.5, radius=1.0,
+            wavelength=1.0, radius=1.0,
         )
     with pytest.raises(ValueError):
         build_circular_array(radius=-1.0, wavelength=1.0)
@@ -146,7 +145,7 @@ def test_layout_refuses_non_finite_positions(bad, at):
     positions[:, 0] = np.linspace(-1e-3, 1e-3, positions.shape[0])
     positions[at] = bad
     with pytest.raises(ValueError, match="finite"):
-        ArrayLayout(positions=positions, wavelength=1.0, dipole_length=0.5, radius=1.0)
+        ArrayLayout(positions=positions, wavelength=1.0, radius=1.0)
 
 
 def test_rx_position_cases():

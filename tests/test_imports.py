@@ -1,9 +1,12 @@
-"""No module of the package or of its tests imports a name it never uses.
+"""No module imports a name it never uses, and the package defines none that nothing reads.
 
 No linter is among the test dependencies, so this reads each module's syntax
-tree with the standard library's ``ast``: every name an ``import`` binds
-must be read somewhere in the module, as a name or as the base of an
-attribute.
+tree with the standard library's ``ast``. Every name an ``import`` binds
+must be read somewhere in its module, as a name or as the base of an
+attribute. Every function, class and assigned name at the top level of a
+package module must be read somewhere in the package or its tests: as a
+name, an attribute, an imported name or a string such as a key of
+``dpcfocus._HOME_OF``. Dunder names are exempt.
 """
 
 import ast
@@ -12,7 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "dpcfocus").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "dpcfocus").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -39,3 +43,53 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_names(source: str) -> list[tuple[int, str]]:
+    "(line, name) of each function, class and assigned name at the top level of ``source``."
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined += [(node.lineno, name) for name in names
+                    if not (name.startswith("__") and name.endswith("__"))]
+    return defined
+
+
+def names_read(source: str) -> set[str]:
+    "Every name ``source`` reads: as a name, an attribute, an imported name or a string."
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def dead_names(source: str, readers) -> list[tuple[int, str]]:
+    "(line, name) of each top-level name of ``source`` that none of the sources ``readers`` reads."
+    read = set().union(*map(names_read, readers))
+    return [(line, name) for line, name in top_level_names(source) if name not in read]
+
+
+def test_the_check_finds_a_dead_name():
+    source = "import math\nA = 1\nB: int = 2\n__all__ = []\ndef f():\n    return g\n"
+    source += "def g():\n    return math.pi\nclass C:\n    pass\n"
+    reader = "from m import f\nx = {'B': 1}\n"
+    assert dead_names(source, [source, reader]) == [(2, "A"), (9, "C")]
+    assert dead_names(source, [source, reader, "import m\nm.A, m.C\n"]) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_dead_names(path):
+    assert dead_names(path.read_text(), [module.read_text() for module in MODULES]) == []

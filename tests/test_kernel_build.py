@@ -22,7 +22,7 @@ from dpcfocus.beamforming import (
     LinkBudget,
     polarization_angles,
 )
-from dpcfocus.channel import pattern_series
+from dpcfocus.channel import HALF_WAVE_SERIES
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
     ArrayLayout,
@@ -126,11 +126,10 @@ def test_each_direction_sums_as_it_would_alone(m):
     assert LAYOUT.n_tx % 64
     v = np.random.default_rng(m).normal(size=(m, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    coeffs = np.array(pattern_series(0.5))
-    together, raised = beamforming._tile_sums(kernel, LAYOUT, antennas, RX, 0.05, v, coeffs)
+    together, raised = beamforming._tile_sums(kernel, LAYOUT, antennas, RX, 0.05, v)
     assert together.shape == (3, m) and raised == 0
     for j in range(m):
-        alone, _ = beamforming._tile_sums(kernel, LAYOUT, antennas, RX, 0.05, v[j:j + 1], coeffs)
+        alone, _ = beamforming._tile_sums(kernel, LAYOUT, antennas, RX, 0.05, v[j:j + 1])
         assert np.array_equal(together[:, j], alone[:, 0])
 
 
@@ -170,7 +169,7 @@ def test_magnitudes_stay_exact_next_to_the_axial_null(theta):
     # error of the sine enters multiplied by |w_u| <= theta; a sine taken as
     # sqrt((1 - c)(1 + c)) is about 1e-16 off whatever theta, and fails here
     position, rx, r0 = np.array([[0.003, -0.002, 0.0]]), np.array([0.011, 0.023, 0.047]), 0.05
-    coeffs = np.array(pattern_series(0.5))
+    coeffs = np.array(HALF_WAVE_SERIES)
     d = rx - position[0]
     p = d / np.linalg.norm(d)
     across = np.cross(p, (0.3, 0.5, 0.8))
@@ -178,9 +177,8 @@ def test_magnitudes_stay_exact_next_to_the_axial_null(theta):
     v /= np.linalg.norm(v)
     # a bound on this antenna's magnitudes: |w| <= 1 and h(0) = 1 is the RX pattern's peak
     peak = r0 / np.linalg.norm(d) * math.hypot(*np.polyval(coeffs[::-1], p[:2] ** 2))
-    layout = ArrayLayout(position, wavelength=1.0, dipole_length=0.5, radius=1.0)
-    got, _ = beamforming._tile_sums(beamforming._tile_kernel(), layout, range(1), rx, r0, v[None],
-                                    coeffs)
+    layout = ArrayLayout(position, wavelength=1.0, radius=1.0)
+    got, _ = beamforming._tile_sums(beamforming._tile_kernel(), layout, range(1), rx, r0, v[None])
     want = exact_sums(position[0].tolist(), rx.tolist(), r0, v.tolist(), coeffs.tolist())
     assert np.all(np.abs(got[:, 0] - want) <= 1e-15 * abs(theta) * peak)
 
