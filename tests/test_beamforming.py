@@ -16,7 +16,7 @@ from dpcfocus.beamforming import (
     polarization_angles,
     thermal_noise_power,
 )
-from dpcfocus.channel import ChannelGeometry, PolarizedChannel
+from dpcfocus.channel import HALF_WAVE_SERIES, ChannelGeometry, PolarizedChannel
 from dpcfocus.cli import FIG3_ALPHA, FIG3_DISTANCES_M
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
@@ -58,6 +58,20 @@ def test_thermal_noise_power_default():
     assert math.isclose(thermal_noise_power(100e6), 4.0038821e-13, rel_tol=1e-12)
     with pytest.raises(ValueError):
         thermal_noise_power(-1.0)
+
+
+def test_thermal_noise_power_is_k_t0_b():
+    assert beamforming.NOISE_TEMPERATURE == 290.0
+    for bandwidth in (1.0, 100e6, 2.5e9):
+        want = beamforming.BOLTZMANN * beamforming.NOISE_TEMPERATURE * bandwidth
+        assert thermal_noise_power(bandwidth) == want
+
+
+def test_the_kernel_reads_the_half_wave_series_bit_for_bit():
+    coeffs = beamforming._PATTERN_COEFFS
+    assert coeffs.dtype == np.float64 and coeffs.flags.c_contiguous
+    assert not coeffs.flags.writeable
+    assert [c.hex() for c in coeffs.tolist()] == [c.hex() for c in HALF_WAVE_SERIES]
 
 
 def test_link_budget_validation():

@@ -138,6 +138,20 @@ def test_pattern_series_is_the_decimal_steps_bit_for_bit():
     assert got == [c.hex() for c in decimal_pattern_coefficients(0.5)]
 
 
+def test_half_wave_series_literals_round_trip():
+    # each literal is the shortest repr of its float64, so the source text is the value
+    assert len(HALF_WAVE_SERIES) == 8
+    assert all(type(h) is float and float(repr(h)) == h for h in HALF_WAVE_SERIES)
+    assert HALF_WAVE_SERIES[0] == 1.0 and HALF_WAVE_SERIES[-1] == -6.306190369412005e-11
+    # the signs alternate like those of cos(pi/2 * sqrt(x)) / (1 - x)
+    assert all((h > 0) == (n % 2 == 0) for n, h in enumerate(HALF_WAVE_SERIES))
+
+
+def test_half_wave_pattern_is_one_broadside_and_zero_on_the_axis():
+    got = _pattern(np.array([0.0, -0.0, 1.0, -1.0]))
+    assert got.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
 def test_transverse_unit_cases():
     assert np.allclose(transverse(X_HAT, Z_HAT), X_HAT, atol=1e-15)
     p = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
