@@ -124,8 +124,8 @@ def link_snrs(gains, budget: LinkBudget, wavelength: float, r0: float) -> np.nda
 def fold_placements(layout: ArrayLayout, rx_centers, directions, folds: dict | None = None) -> list:
     """Check the RX centers and fold the directions: ``(rx, r0, fold)`` per RX on ``layout``.
 
-    A layout's symmetry is read only for an RX that can use it, so an
-    explicit layout sorts its positions only for an RX with y == 0. ``folds``
+    The directions fold under the layout's recorded mirror symmetry for an RX
+    with y == 0, and under its square symmetry too on the z axis. ``folds``
     maps ``(mirror, square)`` to folds of ``directions`` worked out earlier;
     the ones worked out here are added to it.
     """

@@ -90,7 +90,6 @@ REQUIRED_KEYS = (
     "elevation_step_deg",
 )
 OPTIONAL_KEYS = ("noise_power_w",)
-LIST_KEYS = ("alpha_deg", "distance_m")
 MANIFEST = "manifest.json"
 
 class ConfigError(ValueError):
@@ -186,17 +185,6 @@ def config_to_mapping(config: SweepConfig) -> dict:
         "azimuth_step_deg": _deg(config.azimuth_step),
         "elevation_step_deg": _deg(config.elevation_step),
     }
-
-
-def mapping_to_config_text(mapping: dict) -> str:
-    "Render a config echo back into the flat file format."
-    lines = []
-    for key, value in mapping.items():
-        if isinstance(value, list):
-            lines.append(f"{key} = {', '.join(repr(float(v)) for v in value)}")
-        else:
-            lines.append(f"{key} = {float(value)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _fmt(value) -> str:

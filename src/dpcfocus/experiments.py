@@ -149,6 +149,10 @@ def placement_sweeps(
     is bit-identical to the one a call with its placement alone yields. When
     ``bandwidth`` is given, every placement whose narrowband check fails
     issues a warning before the first sweep runs; the sweeps still run.
+
+    The CLI does not call this: it folds its placements in ``plan_run``,
+    before its refusals, and its statistics read the budget-free gains of
+    ``folded_snrs``, where this yields SNRs.
     """
     if grid is None:
         grid = orientation_grid()

@@ -22,8 +22,6 @@ LATTICE_CHUNK = 1 << 14
 A chunk is whole rows of the lattice, at least one, tested on their x >= 0
 half, so the build holds at most about 40 bytes per chunk point beside its
 row table (0.6 MiB) and nothing that spans the lattice's bounding square.
-``ArrayLayout`` checks that positions are finite and within its radius on as
-many positions at a time.
 """
 
 
@@ -47,44 +45,30 @@ class AntennaRows(NamedTuple):
     first_antenna: np.ndarray
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ArrayLayout:
     """Planar transmit array on z = 0, one crossed pair of half-wave dipoles per element.
 
-    ``ArrayLayout(positions, wavelength, radius)`` takes an (n, 3) array in
-    meters whose row order fixes the antenna index used by the channel
-    vectors and beamformer weights. It is kept as ``rows``: one run
-    per stretch of consecutive antennas with the same y, bit for bit, and one
-    ``x_table`` entry per antenna. ``build_circular_array`` makes its layout
-    from the lattice's coordinates instead, one run per kept stretch of each
-    row, ordered row-major by y: y ascending, then x ascending within each
-    row. Its table holds O(sqrt n) numbers, and no (n, 3) array exists until
-    ``positions`` is asked for.
+    ``rows`` fixes the antenna index used by the channel vectors and
+    beamformer weights; its arrays are made read-only. ``mirror_symmetric``
+    records that the layout is closed under the reflection y -> -y, and
+    ``square_symmetric`` that it is closed under all 8 symmetries of the
+    square; the SNR kernel folds receive directions only under what they
+    record. ``build_circular_array`` makes every layout the program runs,
+    one run per kept stretch of each lattice row, ordered row-major by y: y
+    ascending, then x ascending within each row. Its table holds O(sqrt n)
+    numbers, and no (n, 3) array exists until ``positions`` is asked for.
     """
 
     rows: AntennaRows
     wavelength: float
     radius: float
+    mirror_symmetric: bool
+    square_symmetric: bool
 
-    def __init__(self, positions, wavelength: float, radius: float):
-        pos = np.ascontiguousarray(positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-            raise ValueError("positions must be a non-empty (n, 3) array")
-        if not (_positive_finite(wavelength) and _positive_finite(radius)):
-            raise ValueError("wavelength and radius must be positive and finite")
-        if pos[:, 2].any():
-            raise ValueError("array elements must lie on the z = 0 plane")
-        for k0 in range(0, pos.shape[0], LATTICE_CHUNK):
-            chunk = pos[k0:k0 + LATTICE_CHUNK]
-            if not np.isfinite(chunk).all():  # hypot(nan, y) > radius is False
-                raise ValueError("array element positions must be finite")
-            if np.any(np.hypot(chunk[:, 0], chunk[:, 1]) > radius * (1.0 + 1e-12)):
-                raise ValueError("array elements must lie within the aperture radius")
-        y = pos[:, 1]
-        bits = y.view(np.int64)  # -0.0 and 0.0 start separate runs
-        first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))).astype(np.int64)
-        rows = AntennaRows(pos[:, 0].copy(), y[first], first, np.append(first, pos.shape[0]))
-        _fill(self, rows, wavelength, radius)
+    def __post_init__(self):
+        for array in self.rows:
+            array.setflags(write=False)
 
     @property
     def n_tx(self) -> int:
@@ -94,9 +78,8 @@ class ArrayLayout:
     def positions(self) -> np.ndarray:
         """The read-only (n, 3) positions in meters, row i for antenna i.
 
-        Built from ``rows`` on first use and cached: the tests, the oracles
-        and the symmetry checks of an explicit layout read it; the SNR kernel
-        and fig3 read ``rows``.
+        Built from ``rows`` on first use and cached: ``ChannelGeometry`` and
+        the tests read it; the SNR kernel and fig3 read ``rows``.
         """
         t, n = self.rows, self.n_tx
         run = np.repeat(np.arange(t.y.size), np.diff(t.first_antenna))
@@ -105,36 +88,6 @@ class ArrayLayout:
         pos[:, 1] = t.y[run]
         pos.setflags(write=False)
         return pos
-
-    @cached_property
-    def mirror_symmetric(self) -> bool:
-        """Whether the positions are closed under the reflection y -> -y.
-
-        Worked out exactly on first use and cached (about 60 ms for 283 000
-        elements on a 2-vCPU Xeon), so constructing a layout does not pay for
-        it; ``build_circular_array`` records it instead, as its lattice is
-        closed by construction.
-        """
-        x, y = self.positions[:, 0], self.positions[:, 1]
-        return _same_points(x, y, x, -y)
-
-    @cached_property
-    def square_symmetric(self) -> bool:
-        """Whether the positions are closed under all 8 symmetries of the square.
-
-        These are generated by y -> -y and x <-> y, so this is
-        ``mirror_symmetric`` and closure under the swap, each checked exactly
-        by sorting, on first use, and cached.
-        """
-        x, y = self.positions[:, 0], self.positions[:, 1]
-        return self.mirror_symmetric and _same_points(x, y, y, x)
-
-
-def _same_points(x, y, x2, y2) -> bool:
-    "Whether the points (x, y) and (x2, y2) are the same multiset, compared exactly."
-    order = np.lexsort((y, x))
-    other = np.lexsort((y2, x2))
-    return bool(np.array_equal(x[order], x2[other]) and np.array_equal(y[order], y2[other]))
 
 
 def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
@@ -146,10 +99,9 @@ def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
     The coordinates are the integer multiples of the pitch, which are exact
     under negation, and the test is taken on the sorted |x| and |y|, so the
     lattice is closed under all 8 symmetries of the square whatever the
-    libm; the layout records ``mirror_symmetric`` and ``square_symmetric``
-    as true instead of sorting its positions to find out. Its ``rows`` take
-    x from the 2 floor(R / pitch) + 1 coordinates themselves, one run per
-    kept stretch of each row.
+    libm, and the layout records ``mirror_symmetric`` and ``square_symmetric``
+    as true. Its ``rows`` take x from the 2 floor(R / pitch) + 1 coordinates
+    themselves, one run per kept stretch of each row.
 
     Parameters
     ----------
@@ -168,18 +120,7 @@ def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
                           axis=1)
     row, first_x, stop = runs
     rows = AntennaRows(coords, coords[row], first_x, np.append(0, np.cumsum(stop - first_x)))
-    # in the aperture and on z = 0 by construction, so ArrayLayout's checks are not run
-    layout = ArrayLayout.__new__(ArrayLayout)
-    _fill(layout, rows, wavelength, radius, mirror_symmetric=True, square_symmetric=True)
-    return layout
-
-
-def _fill(layout: ArrayLayout, rows: AntennaRows, wavelength, radius, **known):
-    """Set the fields of the frozen ``layout``, and any cached flags ``known``, with the
-    arrays of ``rows`` made read-only, as its positions are."""
-    for array in rows:
-        array.setflags(write=False)
-    vars(layout).update(rows=rows, wavelength=wavelength, radius=radius, **known)
+    return ArrayLayout(rows, wavelength, radius, mirror_symmetric=True, square_symmetric=True)
 
 
 def _stretches(r0: int, kept) -> np.ndarray:

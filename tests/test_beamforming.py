@@ -20,7 +20,6 @@ from dpcfocus.channel import HALF_WAVE_SERIES, ChannelGeometry, PolarizedChannel
 from dpcfocus.cli import FIG3_ALPHA, FIG3_DISTANCES_M
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
-    ArrayLayout,
     X_HAT,
     Y_HAT,
     Z_HAT,
@@ -35,6 +34,7 @@ from oracles import (
     benchmark_weights,
     dpc_beamformer,
     evaluate_snr,
+    explicit_layout,
     grid_search_gain,
     polarization_angle_map,
     scalar_gain,
@@ -354,11 +354,7 @@ def kernel_layout():
 
 def first_antennas(layout, n):
     "The first ``n`` elements of ``layout`` as a layout of their own."
-    return ArrayLayout(
-        positions=layout.positions[:n],
-        wavelength=layout.wavelength,
-        radius=layout.radius,
-    )
+    return explicit_layout(layout.positions[:n], layout.wavelength, layout.radius)
 
 
 def oracle_snr(layout, rx_center, grid, budget):
@@ -408,7 +404,7 @@ def test_an_explicit_layout_with_gaps_and_repeated_rows(monkeypatch, block):
               (-3, 2), (0, 2), (1, 2), (3, 2)]
     positions = np.array([(i * pitch, j * pitch, 0.0) for i, j in points])
     positions[5, 1] = -0.0
-    layout = ArrayLayout(positions, KERNEL_WAVELENGTH, 5.0 * pitch)
+    layout = explicit_layout(positions, KERNEL_WAVELENGTH, 5.0 * pitch)
     assert layout.rows.first_antenna.tolist() == [0, 3, 5, 6, 9, 13]
     assert layout.positions.tobytes() == positions.tobytes()
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
@@ -454,11 +450,7 @@ def test_orientation_snr_single_antenna(kernel_layout):
 def test_single_antenna_nulls_leave_one_dipole(rx, v, null):
     # one antenna at the origin: dual == switched wherever one of its dipoles is
     # nulled, and each SNR is P/N |h|^2 with h the scalar oracle's gains
-    layout = ArrayLayout(
-        positions=np.zeros((1, 3)),
-        wavelength=KERNEL_WAVELENGTH,
-        radius=KERNEL_WAVELENGTH,
-    )
+    layout = explicit_layout(np.zeros((1, 3)), KERNEL_WAVELENGTH, KERNEL_WAVELENGTH)
     ((dpc, dual, switched),) = kernel_snr(layout, np.array(rx), v[None, :], KERNEL_BUDGET)
     g_x, g_y = (
         abs(scalar_gain(u, tuple(v), rx, KERNEL_WAVELENGTH, KERNEL_WAVELENGTH / 2.0))
@@ -696,10 +688,10 @@ def test_square_fold_on_the_z_axis_matches_the_mirror_fold_and_the_oracle(
 
 def test_no_square_fold_for_a_layout_closed_under_the_mirror_only(kernel_layout):
     # a lattice stretched along x keeps y -> -y (and x -> -x) but not x <-> y
-    stretched = ArrayLayout(
-        positions=kernel_layout.positions * [1.25, 1.0, 1.0],
-        wavelength=kernel_layout.wavelength,
-        radius=1.25 * kernel_layout.radius,
+    stretched = explicit_layout(
+        kernel_layout.positions * [1.25, 1.0, 1.0],
+        kernel_layout.wavelength,
+        1.25 * kernel_layout.radius,
     )
     assert stretched.mirror_symmetric and not stretched.square_symmetric
     rx = rx_position(0.1, 0.0)
@@ -741,6 +733,29 @@ def test_orientation_snrs_mixes_mirror_and_plain_placements(kernel_layout, threa
     for rx, fast in zip(STREAM_RXS, streamed, strict=True):
         slow = oracle_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
         assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
+
+
+def test_full_size_gains_match_correctly_rounded_sums():
+    # summation rounding grows with the antenna count, so check it at full size: 283 177
+    # antennas in 70 blocks, on the z axis at 1 m, where the fold leaves 46 classes. The
+    # oracle adds each class's channel magnitudes with math.fsum, correctly rounded, so it
+    # shares no summation order with the kernel's blocks
+    layout = build_circular_array(0.15, KERNEL_WAVELENGTH)
+    (placement,) = fold_placements(layout, [rx_position(1.0, 0.0)], DEFAULT_GRID)
+    rx, r0, fold = placement
+    assert (layout.n_tx, fold.directions.shape[0]) == (283177, 46)
+    (fast,) = beamforming.folded_snrs(layout, [placement])
+    geom = ChannelGeometry(layout, rx)
+    scale = 4.0 * math.pi * r0 / KERNEL_WAVELENGTH  # magnitudes in units of lambda / (4 pi r0)
+    slow = []
+    for v in fold.directions:
+        channel = geom.channel_for(v)
+        a_x, a_y = np.abs(channel.h_x) * scale, np.abs(channel.h_y) * scale
+        s_x, s_y = math.fsum(a_x.tolist()), math.fsum(a_y.tolist())
+        s_dpc = math.fsum(np.hypot(a_x, a_y).tolist())
+        slow.append((s_dpc**2, s_x**2 + s_y**2, max(s_x, s_y) ** 2))
+    slow = np.array(slow)[fold.inverse] / layout.n_tx
+    assert np.all(np.abs(fast - slow) <= 1e-12 * slow)
 
 
 def test_orientation_snrs_kernel_workers_count_every_placement(kernel_layout, monkeypatch):
@@ -912,11 +927,8 @@ def kernel_inputs(draw):
         pitch = KERNEL_WAVELENGTH / 2.0
         offsets = rng.uniform(-0.2 * pitch, 0.2 * pitch, size=layout.positions.shape)
         offsets[:, 2] = 0.0
-        layout = ArrayLayout(
-            positions=layout.positions + offsets,
-            wavelength=layout.wavelength,
-            radius=radius + 0.3 * pitch,
-        )
+        layout = explicit_layout(layout.positions + offsets, layout.wavelength,
+                                 radius + 0.3 * pitch)
     rxs = []
     for kind in draw(st.lists(st.sampled_from(["z axis", "xz plane", "off"]), min_size=1,
                               max_size=3)):

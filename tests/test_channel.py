@@ -18,7 +18,6 @@ from dpcfocus.geometry import (
     X_HAT,
     Y_HAT,
     Z_HAT,
-    ArrayLayout,
     build_circular_array,
     rx_position,
 )
@@ -27,17 +26,14 @@ from oracles import (
     decimal_pattern,
     decimal_pattern_coefficients,
     economized_pattern_series,
+    explicit_layout,
     scalar_channel,
     scalar_gain,
 )
 
 
 def single_element_layout(wavelength=1.0):
-    return ArrayLayout(
-        positions=np.zeros((1, 3)),
-        wavelength=wavelength,
-        radius=wavelength * 1e-6,
-    )
+    return explicit_layout(np.zeros((1, 3)), wavelength, wavelength * 1e-6)
 
 
 def rotation_about_z(angle):

@@ -22,7 +22,6 @@ from dpcfocus.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_OUTPUT_ERROR,
-    LIST_KEYS,
     OPTIONAL_KEYS,
     REQUIRED_KEYS,
     ConfigError,
@@ -31,7 +30,6 @@ from dpcfocus.cli import (
     default_config,
     load_config,
     main,
-    mapping_to_config_text,
     parse_config_text,
     plan_run,
     scenario_placements,
@@ -46,6 +44,20 @@ from dpcfocus.geometry import (
 )
 from conftest import kernel_snr
 from oracles import evaluate_snr
+
+LIST_KEYS = ("alpha_deg", "distance_m")
+
+
+def mapping_to_config_text(mapping: dict) -> str:
+    "Render a config echo back into the flat file format."
+    lines = []
+    for key, value in mapping.items():
+        if isinstance(value, list):
+            lines.append(f"{key} = {', '.join(repr(float(v)) for v in value)}")
+        else:
+            lines.append(f"{key} = {float(value)!r}")
+    return "\n".join(lines) + "\n"
+
 
 TINY_CONFIG = """\
 # reduced-size run for fast tests

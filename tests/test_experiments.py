@@ -19,7 +19,6 @@ from dpcfocus.experiments import (
 )
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
-    ArrayLayout,
     build_circular_array,
     orientation_grid,
     rx_position,
@@ -318,8 +317,6 @@ def test_improvements_invariant_under_joint_power_scaling(small_layout, coarse_g
 @pytest.mark.parametrize(
     "call",
     [
-        lambda bad: ArrayLayout(np.zeros((1, 3)), bad, 0.01),
-        lambda bad: ArrayLayout(np.zeros((1, 3)), 1e-3, bad),
         lambda bad: build_circular_array(bad, 1e-3),
         lambda bad: build_circular_array(0.01, bad),
         lambda bad: thermal_noise_power(bad),
@@ -330,7 +327,7 @@ def test_improvements_invariant_under_joint_power_scaling(small_layout, coarse_g
         lambda bad: narrowband_check(0.1, bad, 1e8),
         lambda bad: narrowband_check(0.1, 0.15, bad),
     ],
-    ids=["wavelength", "radius", "array-radius", "array-wavelength",
+    ids=["array-radius", "array-wavelength",
          "bandwidth", "rate-bandwidth", "rx-distance", "rx-alpha",
          "narrowband-distance", "narrowband-radius", "narrowband-bandwidth"],
 )

@@ -4,9 +4,11 @@ No linter is among the test dependencies, so this reads each module's syntax
 tree with the standard library's ``ast``. Every name an ``import`` binds
 must be read somewhere in its module, as a name or as the base of an
 attribute. Every function, class and assigned name at the top level of a
-package module must be read somewhere in the package or its tests: as a
-name, an attribute, an imported name or a string such as a key of
-``dpcfocus._HOME_OF``. Dunder names are exempt.
+package module must be read somewhere in the package, as a name, an
+attribute, an imported name or a string, or be public: the keys of
+``dpcfocus._HOME_OF``, which make up ``dpcfocus.__all__``, are such strings.
+The tests do not count as readers, since a name only they read belongs in
+the tests. Dunder names are exempt.
 """
 
 import ast
@@ -137,17 +139,30 @@ def test_the_check_exempts_dunders_and_names_below_the_top_level():
     assert dead_names(source, [source]) == [(3, "C")]
 
 
+def package_dead_names(path: Path, source: str) -> list[tuple[int, str]]:
+    "``dead_names`` of ``source``, standing for the package module ``path``, read by the package."
+    return dead_names(source, [source] + [module.read_text() for module in PACKAGE
+                                          if module != path])
+
+
 def test_the_check_flags_a_leftover_series_width_in_channel():
     # the fixed-point width the run-time pattern series used, left behind once the
-    # series became a constant, is read by nothing; this file is left out of the
-    # readers, since its own strings name it
+    # series became a constant, is read by nothing
     channel = ROOT / "src" / "dpcfocus" / "channel.py"
     source = channel.read_text() + "\n_SERIES_BITS = 600\n"
-    others = [module for module in MODULES if module not in (channel, Path(__file__).resolve())]
-    readers = [source] + [module.read_text() for module in others]
-    assert dead_names(source, readers) == [(source.count("\n"), "_SERIES_BITS")]
+    assert package_dead_names(channel, source) == [(source.count("\n"), "_SERIES_BITS")]
+
+
+def test_the_check_flags_a_name_only_the_tests_read():
+    # the config echo's renderer, read by test_cli.py alone, belongs there
+    cli = ROOT / "src" / "dpcfocus" / "cli.py"
+    stub = "\n\ndef mapping_to_config_text(mapping):\n    return ''\n"
+    source = cli.read_text() + stub
+    line = source.count("\n") - 1
+    assert "mapping_to_config_text" in names_read((ROOT / "tests" / "test_cli.py").read_text())
+    assert package_dead_names(cli, source) == [(line, "mapping_to_config_text")]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_no_dead_names(path):
-    assert dead_names(path.read_text(), [module.read_text() for module in MODULES]) == []
+    assert package_dead_names(path, path.read_text()) == []

@@ -119,20 +119,42 @@ def test_a_full_size_run_matches_its_committed_csv(tmp_path, scenario):
     assert_run_matches_committed_csv(tmp_path, scenario, "1")
 
 
+def results_tables() -> list[list[list[str]]]:
+    "Each table of README's Results, in order: the cells of its rows, below the header."
+    section = README.read_text().split("## Results\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [block.splitlines() for block in section.split("\n\n") if block.startswith("|")]
+    return [[[cell.strip() for cell in line.strip("|").split("|")] for line in block[2:]]
+            for block in blocks]
+
+
+def assert_printed(text: str, value: float, where) -> None:
+    "``text`` is ``value`` rounded to the digits it prints."
+    half_unit = 0.5 * 10.0 ** -len(text.partition(".")[2])
+    assert abs(float(text) - value) <= half_unit, where
+
+
 def test_the_readme_results_are_the_committed_sweep_at_the_printed_precision():
     # each table row: alpha, d, switched and dual median gains in dB, three rates in Gbit/s
-    section = README.read_text().split("## Results\n", 1)[1].split("\n## ", 1)[0]
-    table = [line.strip("|").split("|") for line in section.splitlines()
-             if line.startswith("| ") and line[2].isdigit()]
+    table = results_tables()[0]
     with open(CSV_REFERENCES / "sweep_scale1.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     sweep = {(float(r["alpha_deg"]), float(r["distance_m"])): r for r in rows}
     columns = [("switched_median_db", 1.0), ("dual_median_db", 1.0), ("rate_dpc_bps", 1e9),
                ("rate_dual_bps", 1e9), ("rate_switched_bps", 1e9)]
     assert len(table) == 14  # seven angles at 10 cm and at 1 m
-    for cells in table:
-        alpha, distance, *printed = (cell.strip() for cell in cells)
+    for alpha, distance, *printed in table:
         row = sweep[float(alpha), float(distance)]
         for text, (column, unit) in zip(printed, columns, strict=True):
-            half_unit = 0.5 * 10.0 ** -len(text.partition(".")[2])
-            assert abs(float(text) - float(row[column]) / unit) <= half_unit, (alpha, column)
+            assert_printed(text, float(row[column]) / unit, (alpha, column))
+
+
+def test_the_readme_fig3_table_is_the_full_size_map_at_the_printed_precision():
+    # each table row: d, then the least, the greatest and the standard deviation of the
+    # angles in degrees
+    (table,) = results_tables()[1:]
+    distances = REFERENCE["fig3_scale1"]["distances"]
+    assert len(table) == len(distances)
+    for (distance, *printed), want in zip(table, distances):
+        assert float(distance) == want["distance_m"]
+        for text, key in zip(printed, ("min", "max", "std"), strict=True):
+            assert_printed(text, want[key], (distance, key))
