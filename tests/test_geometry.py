@@ -118,6 +118,32 @@ def test_lattice_refuses_a_negative_radius():
         build_circular_array(radius=-1.0, wavelength=1.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.0, -math.inf])
+@pytest.mark.parametrize("argument", ["radius", "wavelength"])
+def test_lattice_refuses_a_size_that_is_not_positive(argument, bad):
+    sizes = {"radius": 0.01, "wavelength": 1e-3, argument: bad}
+    with pytest.raises(ValueError, match="positive and finite"):
+        build_circular_array(**sizes)
+
+
+@pytest.mark.parametrize("field", ["x_table", "y", "first_x", "first_antenna", "positions"])
+def test_layout_arrays_are_read_only(field):
+    layout = build_circular_array(radius=1.1, wavelength=1.0)
+    array = layout.positions if field == "positions" else getattr(layout.rows, field)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 1
+
+
+def test_explicit_layout_rebuilds_its_positions_bit_for_bit():
+    positions = np.array([[0.5, -0.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0],
+                          [1.0, 0.25, 0.0], [-1.0, 0.25, 0.0], [0.0, -0.0, 0.0]])
+    layout = explicit_layout(positions, wavelength=1.0, radius=1.1)
+    assert layout.positions.tobytes() == positions.tobytes()
+    # a run is a stretch of equal y bits, so -0.0 and 0.0 start separate runs
+    assert layout.rows.first_antenna.tolist() == [0, 1, 3, 5, 6]
+    assert layout.rows.x_table.tolist() == positions[:, 0].tolist()
+
+
 def test_rx_position_cases():
     assert np.allclose(rx_position(1.0, 0.0), [0.0, 0.0, 1.0])
     assert np.allclose(rx_position(1.0, math.pi / 2), [1.0, 0.0, 0.0], atol=1e-12)
