@@ -22,7 +22,6 @@ _HOME_OF = {
     "X_HAT": "geometry",
     "Y_HAT": "geometry",
     "Z_HAT": "geometry",
-    "ArrayLayout": "geometry",
     "ChannelGeometry": "channel",
     "DistributionStats": "experiments",
     "LinkBudget": "beamforming",

@@ -388,7 +388,8 @@ def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v
 
 def _row_table(layout: ArrayLayout) -> tuple:
     """The compiled loop's first five arguments: pointers to the arrays of ``layout.rows``
-    and its run count. The layout's constructors make them contiguous float64 and int64."""
+    and its run count. ``build_circular_array``, which makes every layout, makes them
+    contiguous float64 and int64 with every run inside ``x_table``."""
     rows = layout.rows
     return (*(a.ctypes.data for a in rows), rows.y.size)
 

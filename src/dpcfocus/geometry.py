@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -45,7 +45,7 @@ class AntennaRows(NamedTuple):
     first_antenna: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayLayout:
     """Planar transmit array on z = 0, one crossed pair of half-wave dipoles per element.
 
@@ -54,17 +54,18 @@ class ArrayLayout:
     records that the layout is closed under the reflection y -> -y, and
     ``square_symmetric`` that it is closed under all 8 symmetries of the
     square; the SNR kernel folds receive directions only under what they
-    record. ``build_circular_array`` makes every layout the program runs,
-    one run per kept stretch of each lattice row, ordered row-major by y: y
-    ascending, then x ascending within each row. Its table holds O(sqrt n)
-    numbers, and no (n, 3) array exists until ``positions`` is asked for.
+    record; both hold for the lattice. Layouts compare by identity. The
+    compiled loop reads ``rows`` unchecked, so the constructor is not public:
+    ``build_circular_array`` makes every layout, one run per kept stretch of
+    each lattice row, row-major by y: y ascending, then x ascending within
+    each row. No (n, 3) array exists until ``positions`` is asked for.
     """
 
     rows: AntennaRows
     wavelength: float
     radius: float
-    mirror_symmetric: bool
-    square_symmetric: bool
+    mirror_symmetric: bool = field(default=True, init=False)
+    square_symmetric: bool = field(default=True, init=False)
 
     def __post_init__(self):
         for array in self.rows:
@@ -120,7 +121,7 @@ def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
                           axis=1)
     row, first_x, stop = runs
     rows = AntennaRows(coords, coords[row], first_x, np.append(0, np.cumsum(stop - first_x)))
-    return ArrayLayout(rows, wavelength, radius, mirror_symmetric=True, square_symmetric=True)
+    return ArrayLayout(rows, wavelength, radius)
 
 
 def _stretches(r0: int, kept) -> np.ndarray:

@@ -68,7 +68,10 @@ def explicit_layout(positions, wavelength: float, radius: float) -> ArrayLayout:
     rows = AntennaRows(x.copy(), y[first], first, np.append(first, pos.shape[0]))
     mirror = _same_points(x, y, x, -y)
     square = mirror and _same_points(x, y, y, x)
-    return ArrayLayout(rows, wavelength, radius, mirror, square)
+    layout = ArrayLayout(rows, wavelength, radius)
+    object.__setattr__(layout, "mirror_symmetric", mirror)  # a fake: the lattice's flags are fixed
+    object.__setattr__(layout, "square_symmetric", square)
+    return layout
 
 
 def _same_points(x, y, x2, y2) -> bool:

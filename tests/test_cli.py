@@ -704,7 +704,7 @@ def test_the_package_exports_its_modules_objects():
     )
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "20"
+    assert done.stdout.strip() == "19"
     done = fresh_python("-m", "dpcfocus", "--version")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"dpcfocus {cli.__version__}"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import dpcfocus
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
+    ArrayLayout,
     build_circular_array,
     orientation_classes,
     orientation_grid,
@@ -132,6 +134,22 @@ def test_layout_arrays_are_read_only(field):
     array = layout.positions if field == "positions" else getattr(layout.rows, field)
     with pytest.raises(ValueError, match="read-only"):
         array[0] = 1
+
+
+def test_layouts_compare_and_hash_by_identity():
+    layout, twin = build_circular_array(0.01, 1e-3), build_circular_array(0.01, 1e-3)
+    assert layout == layout and layout != twin
+    assert len({layout, twin, layout}) == 2
+
+
+@pytest.mark.parametrize("flag", ["mirror_symmetric", "square_symmetric"])
+def test_layout_symmetry_flags_are_not_constructor_arguments(flag):
+    # a caller cannot claim a symmetry, and the kernel reads rows unchecked, so the
+    # layout's constructor is not public
+    layout = build_circular_array(radius=1.1, wavelength=1.0)
+    with pytest.raises(TypeError, match=flag):
+        ArrayLayout(layout.rows, 1.0, 1.1, **{flag: False})
+    assert "ArrayLayout" not in dpcfocus.__all__
 
 
 def test_explicit_layout_rebuilds_its_positions_bit_for_bit():
