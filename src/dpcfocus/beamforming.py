@@ -124,17 +124,19 @@ def link_snrs(gains, budget: LinkBudget, wavelength: float, r0: float) -> np.nda
 def fold_placements(layout: ArrayLayout, rx_centers, directions, folds: dict | None = None) -> list:
     """Check the RX centers and fold the directions: ``(rx, r0, fold)`` per RX on ``layout``.
 
-    The directions fold under the layout's recorded mirror symmetry for an RX
-    with y == 0, and under its square symmetry too on the z axis. ``folds``
-    maps ``(mirror, square)`` to folds of ``directions`` worked out earlier;
-    the ones worked out here are added to it.
+    ``layout`` is a lattice of ``build_circular_array``, closed under all 8
+    symmetries of the square, so the fold follows from the RX alone: the
+    directions fold under the mirror y -> -y for an RX with y == 0, and
+    under the square's symmetries too on the z axis. ``folds`` maps
+    ``(mirror, square)`` to folds of ``directions`` worked out earlier; the
+    ones worked out here are added to it.
     """
     folds = {} if folds is None else folds
     placements = []
     for rx in rx_centers:
         rx, r0 = _rx_center(rx, layout.radius)
-        mirror = bool(rx[1] == 0.0 and layout.mirror_symmetric)
-        square = bool(mirror and rx[0] == 0.0 and layout.square_symmetric)
+        mirror = bool(rx[1] == 0.0)
+        square = bool(mirror and rx[0] == 0.0)
         if (mirror, square) not in folds:
             folds[mirror, square] = fold_directions(directions, mirror, square)
         placements.append((rx, r0, folds[mirror, square]))

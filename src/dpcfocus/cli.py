@@ -79,17 +79,22 @@ FIG6_ALPHA = math.radians(30.0)
 FIG3_WRITE_ROWS = 4096
 "Rows of ``fig3.csv`` that ``run_fig3`` formats and writes at a time."
 
-REQUIRED_KEYS = (
-    "radius_m",
-    "carrier_frequency_hz",
-    "bandwidth_hz",
-    "transmit_power_w",
-    "alpha_deg",
-    "distance_m",
-    "azimuth_step_deg",
-    "elevation_step_deg",
-)
+CONFIG_KEYS = {
+    "radius_m": "radius",
+    "carrier_frequency_hz": "carrier_frequency",
+    "bandwidth_hz": "bandwidth",
+    "transmit_power_w": "transmit_power",
+    "noise_power_w": "noise_power",
+    "alpha_deg": "alpha_values",
+    "distance_m": "distance_values",
+    "azimuth_step_deg": "azimuth_step",
+    "elevation_step_deg": "elevation_step",
+}
+"""Each config file key and the ``SweepConfig`` field it sets, in the order of
+the manifest's echo. A key ending in ``_deg`` holds degrees, its field radians."""
+LIST_KEYS = ("alpha_deg", "distance_m")
 OPTIONAL_KEYS = ("noise_power_w",)
+REQUIRED_KEYS = tuple(key for key in CONFIG_KEYS if key not in OPTIONAL_KEYS)
 MANIFEST = "manifest.json"
 
 class ConfigError(ValueError):
@@ -118,7 +123,7 @@ def parse_config_text(text: str) -> SweepConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in REQUIRED_KEYS and key not in OPTIONAL_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -129,40 +134,29 @@ def parse_config_text(text: str) -> SweepConfig:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    def scalar(key: str) -> float:
+    def value(key: str):
+        listed = key in LIST_KEYS
         try:
-            return float(raw[key])
+            numbers = [float(part) for part in (raw[key].split(",") if listed else [raw[key]])]
         except ValueError:
-            raise ConfigError(f"key {key!r}: {raw[key]!r} is not a number") from None
+            kind = "a comma-separated list" if listed else "a number"
+            raise ConfigError(f"key {key!r}: {raw[key]!r} is not {kind}") from None
+        numbers = [math.radians(x) for x in numbers] if key.endswith("_deg") else numbers
+        return tuple(numbers) if listed else numbers[0]
 
-    def listing(key: str) -> list[float]:
-        try:
-            return [float(part) for part in raw[key].split(",")]
-        except ValueError:
-            raise ConfigError(f"key {key!r}: {raw[key]!r} is not a comma-separated list") from None
-
-    noise = scalar("noise_power_w") if "noise_power_w" in raw else None
+    # the optional key is converted first, so its error is the one reported
+    fields = {CONFIG_KEYS[key]: value(key) for key in OPTIONAL_KEYS + REQUIRED_KEYS if key in raw}
     try:
-        return SweepConfig(
-            radius=scalar("radius_m"),
-            carrier_frequency=scalar("carrier_frequency_hz"),
-            bandwidth=scalar("bandwidth_hz"),
-            transmit_power=scalar("transmit_power_w"),
-            alpha_values=tuple(math.radians(a) for a in listing("alpha_deg")),
-            distance_values=tuple(listing("distance_m")),
-            azimuth_step=math.radians(scalar("azimuth_step_deg")),
-            elevation_step=math.radians(scalar("elevation_step_deg")),
-            noise_power=noise,
-        )
+        return SweepConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def load_config(path) -> SweepConfig:
-    "Read and validate a configuration file."
+    "Read and validate a UTF-8 configuration file."
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text)
 
@@ -174,17 +168,12 @@ def _deg(angle_rad: float) -> float:
 
 def config_to_mapping(config: SweepConfig) -> dict:
     "Config echo in file units; feeding it back to the parser is equivalent."
-    return {
-        "radius_m": config.radius,
-        "carrier_frequency_hz": config.carrier_frequency,
-        "bandwidth_hz": config.bandwidth,
-        "transmit_power_w": config.transmit_power,
-        "noise_power_w": config.noise_power,
-        "alpha_deg": [_deg(a) for a in config.alpha_values],
-        "distance_m": list(config.distance_values),
-        "azimuth_step_deg": _deg(config.azimuth_step),
-        "elevation_step_deg": _deg(config.elevation_step),
-    }
+    mapping = {}
+    for key, name in CONFIG_KEYS.items():
+        unit = _deg if key.endswith("_deg") else float
+        value = getattr(config, name)
+        mapping[key] = [unit(x) for x in value] if key in LIST_KEYS else unit(value)
+    return mapping
 
 
 def _fmt(value) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -50,22 +50,18 @@ class ArrayLayout:
     """Planar transmit array on z = 0, one crossed pair of half-wave dipoles per element.
 
     ``rows`` fixes the antenna index used by the channel vectors and
-    beamformer weights; its arrays are made read-only. ``mirror_symmetric``
-    records that the layout is closed under the reflection y -> -y, and
-    ``square_symmetric`` that it is closed under all 8 symmetries of the
-    square; the SNR kernel folds receive directions only under what they
-    record; both hold for the lattice. Layouts compare by identity. The
-    compiled loop reads ``rows`` unchecked, so the constructor is not public:
-    ``build_circular_array`` makes every layout, one run per kept stretch of
-    each lattice row, row-major by y: y ascending, then x ascending within
-    each row. No (n, 3) array exists until ``positions`` is asked for.
+    beamformer weights; its arrays are made read-only. Layouts compare by
+    identity. The compiled loop reads ``rows`` unchecked, and the SNR kernel
+    folds receive directions by the square's symmetries, so the constructor
+    is not public: ``build_circular_array`` makes every layout, a lattice
+    closed under those symmetries, one run per kept stretch of each lattice
+    row, row-major by y: y ascending, then x ascending within each row. No
+    (n, 3) array exists until ``positions`` is asked for.
     """
 
     rows: AntennaRows
     wavelength: float
     radius: float
-    mirror_symmetric: bool = field(default=True, init=False)
-    square_symmetric: bool = field(default=True, init=False)
 
     def __post_init__(self):
         for array in self.rows:
@@ -100,8 +96,8 @@ def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
     The coordinates are the integer multiples of the pitch, which are exact
     under negation, and the test is taken on the sorted |x| and |y|, so the
     lattice is closed under all 8 symmetries of the square whatever the
-    libm, and the layout records ``mirror_symmetric`` and ``square_symmetric``
-    as true. Its ``rows`` take x from the 2 floor(R / pitch) + 1 coordinates
+    libm: the symmetries ``fold_placements`` folds receive directions by.
+    Its ``rows`` take x from the 2 floor(R / pitch) + 1 coordinates
     themselves, one run per kept stretch of each row.
 
     Parameters
@@ -230,8 +226,8 @@ def orientation_classes(
     the xz plane and the layout is closed under y -> -y. With ``square``,
     every sign change of vx, vy and vz and the swap vx <-> vy give the same
     SNRs, which holds when the RX center lies on the z axis and the layout
-    is closed under all 8 symmetries of the square
-    (``ArrayLayout.square_symmetric``): x -> -x and y -> -y map every
+    is closed under all 8 symmetries of the square, as every lattice of
+    ``build_circular_array`` is: x -> -x and y -> -y map every
     dipole's |h| to itself, and x <-> y swaps sum_k |h_x,k| and
     sum_k |h_y,k|, which the three SNRs treat alike. Returns
     ``(first, inverse)``: ``directions[first]`` holds one member of each

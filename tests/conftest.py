@@ -1,6 +1,6 @@
 import numpy as np
 
-from dpcfocus.beamforming import fold_placements, folded_snrs, link_snrs
+from dpcfocus.beamforming import fold_directions, fold_placements, folded_snrs, link_snrs
 from dpcfocus.channel import PolarizedChannel
 
 
@@ -11,17 +11,23 @@ def random_channel(rng: np.random.Generator, n: int, scale: float = 1.0) -> Pola
     return PolarizedChannel(h_x=h_x, h_y=h_y)
 
 
-def kernel_snrs(layout, rx_centers, directions, budget):
+def kernel_snrs(layout, rx_centers, directions, budget, plain=False):
     """The SNRs of the kernel's (m, 3) gains under ``budget`` for each of ``rx_centers``,
-    in order, folded for ``layout``."""
-    placements = fold_placements(layout, rx_centers, directions)
+    in order, folded for ``layout``.
+
+    The mirror and square folds of ``fold_placements`` rest on the symmetry of the
+    lattice; with ``plain``, every RX gets the fold by v -> -v alone, which holds for
+    any layout, as an ``explicit_layout`` needs."""
+    folds = (dict.fromkeys([(False, False), (True, False), (True, True)],
+                           fold_directions(directions, mirror=False)) if plain else None)
+    placements = fold_placements(layout, rx_centers, directions, folds)
     gains = folded_snrs(layout, placements)
     return (
         link_snrs(g, budget, layout.wavelength, r0) for (_, r0, _), g in zip(placements, gains)
     )
 
 
-def kernel_snr(layout, rx_center, directions, budget):
+def kernel_snr(layout, rx_center, directions, budget, plain=False):
     "The SNR kernel's (m, 3) array for the one RX center ``rx_center``."
-    (snr,) = kernel_snrs(layout, [rx_center], directions, budget)
+    (snr,) = kernel_snrs(layout, [rx_center], directions, budget, plain)
     return snr

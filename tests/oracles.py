@@ -3,8 +3,9 @@
 Everything here recomputes results on a separate route, so the library's
 fast paths are verified against it:
 
-* layouts of any positions (``explicit_layout``), whose symmetry flags are
-  found by sorting the positions, beside the lattice's recorded ones;
+* layouts of any positions (``explicit_layout``), beside the lattice of
+  ``build_circular_array``; as they need not share its symmetries, the SNR
+  kernel runs them under the fold by v -> -v alone (``conftest.kernel_snrs``);
 * the channel of one dipole pair, composed step by step with scalar
   math/cmath (``scalar_gain``, ``scalar_channel``);
 * the complex weights and the received SNRs by direct inner products
@@ -58,27 +59,14 @@ def explicit_layout(positions, wavelength: float, radius: float) -> ArrayLayout:
     """A layout of the (n, 3) ``positions`` on z = 0, antenna i at row i.
 
     Each stretch of consecutive antennas with the same y, bit for bit, is one
-    run, with one ``x_table`` entry per antenna. Both symmetry flags are
-    worked out exactly, by sorting the positions.
+    run, with one ``x_table`` entry per antenna.
     """
     pos = np.array(positions, dtype=float)
     x, y = pos[:, 0], pos[:, 1]
     bits = y.view(np.int64)  # -0.0 and 0.0 start separate runs
     first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))).astype(np.int64)
     rows = AntennaRows(x.copy(), y[first], first, np.append(first, pos.shape[0]))
-    mirror = _same_points(x, y, x, -y)
-    square = mirror and _same_points(x, y, y, x)
-    layout = ArrayLayout(rows, wavelength, radius)
-    object.__setattr__(layout, "mirror_symmetric", mirror)  # a fake: the lattice's flags are fixed
-    object.__setattr__(layout, "square_symmetric", square)
-    return layout
-
-
-def _same_points(x, y, x2, y2) -> bool:
-    "Whether the points (x, y) and (x2, y2) are the same multiset, compared exactly."
-    order = np.lexsort((y, x))
-    other = np.lexsort((y2, x2))
-    return bool(np.array_equal(x[order], x2[other]) and np.array_equal(y[order], y2[other]))
+    return ArrayLayout(rows, wavelength, radius)
 
 
 def _dot(a, b):

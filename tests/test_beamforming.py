@@ -367,12 +367,13 @@ def evaluated(layout, rx_centers, grid):
     return [fold.directions.shape[0] for _, _, fold in fold_placements(layout, rx_centers, grid)]
 
 
-def assert_kernel_matches_oracle(layout, alpha, distance, grid):
-    assert_rx_matches_oracle(layout, rx_position(distance, alpha), grid)
+def assert_kernel_matches_oracle(layout, alpha, distance, grid, plain=False):
+    assert_rx_matches_oracle(layout, rx_position(distance, alpha), grid, plain)
 
 
-def assert_rx_matches_oracle(layout, rx_center, grid):
-    fast = kernel_snr(layout, rx_center, grid, KERNEL_BUDGET)
+def assert_rx_matches_oracle(layout, rx_center, grid, plain=False):
+    "The kernel matches the oracle at ``rx_center``; ``plain`` as for ``kernel_snrs``."
+    fast = kernel_snr(layout, rx_center, grid, KERNEL_BUDGET, plain)
     slow = oracle_snr(layout, rx_center, grid, KERNEL_BUDGET)
     assert fast.shape == (grid.shape[0], 3)
     # exact zeros (an all-null channel) must stay exact
@@ -409,7 +410,7 @@ def test_an_explicit_layout_with_gaps_and_repeated_rows(monkeypatch, block):
     assert layout.positions.tobytes() == positions.tobytes()
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
     for alpha, distance in ((0.0, 0.01), (math.radians(30.0), 0.05)):
-        assert_kernel_matches_oracle(layout, alpha, distance, GRID_30_20)
+        assert_kernel_matches_oracle(layout, alpha, distance, GRID_30_20, plain=True)
     angles = polarization_angles(layout, rx_position(0.05, FIG3_ALPHA))
     channel = ChannelGeometry(layout, rx_position(0.05, FIG3_ALPHA)).channel_for(Z_HAT)
     assert np.max(np.abs(angles - polarization_angle_map(dpc_beamformer(channel)).angles)) <= 1e-12
@@ -418,17 +419,16 @@ def test_an_explicit_layout_with_gaps_and_repeated_rows(monkeypatch, block):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_orientation_snr_block_boundaries(kernel_layout, monkeypatch, offset):
     # two blocks of 128 antennas, each two groups of 64, and one antenna more or less;
-    # the lowest lattice rows are not mirror-symmetric, so every class of v and -v is
-    # evaluated
+    # the lowest lattice rows are not closed under y -> -y, so every class of v and -v
+    # is evaluated
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", 128)
     layout = first_antennas(kernel_layout, 256 + offset)
-    assert not layout.mirror_symmetric
-    assert_kernel_matches_oracle(layout, math.radians(30.0), 0.1, DEFAULT_GRID)
+    assert_kernel_matches_oracle(layout, math.radians(30.0), 0.1, DEFAULT_GRID, plain=True)
 
 
 def test_orientation_snr_single_antenna(kernel_layout):
     layout = first_antennas(kernel_layout, 1)
-    assert_kernel_matches_oracle(layout, math.radians(30.0), 0.1, DEFAULT_GRID)
+    assert_kernel_matches_oracle(layout, math.radians(30.0), 0.1, DEFAULT_GRID, plain=True)
 
 
 @pytest.mark.parametrize(
@@ -451,7 +451,8 @@ def test_single_antenna_nulls_leave_one_dipole(rx, v, null):
     # one antenna at the origin: dual == switched wherever one of its dipoles is
     # nulled, and each SNR is P/N |h|^2 with h the scalar oracle's gains
     layout = explicit_layout(np.zeros((1, 3)), KERNEL_WAVELENGTH, KERNEL_WAVELENGTH)
-    ((dpc, dual, switched),) = kernel_snr(layout, np.array(rx), v[None, :], KERNEL_BUDGET)
+    ((dpc, dual, switched),) = kernel_snr(layout, np.array(rx), v[None, :], KERNEL_BUDGET,
+                                          plain=True)
     g_x, g_y = (
         abs(scalar_gain(u, tuple(v), rx, KERNEL_WAVELENGTH, KERNEL_WAVELENGTH / 2.0))
         for u in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
@@ -478,7 +479,6 @@ def quarter_turn(a):
 def test_snrs_are_unchanged_by_a_quarter_turn_about_z(kernel_layout, rx):
     # the square lattice maps onto itself, and its x and y dipoles onto each other, so
     # the turn swaps sum_k |h_x,k| and sum_k |h_y,k|, which the three SNRs treat alike
-    assert kernel_layout.square_symmetric
     before = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     after = kernel_snr(kernel_layout, quarter_turn(rx), quarter_turn(DEFAULT_GRID), KERNEL_BUDGET)
     assert np.all(np.abs(after - before) <= 1e-12 * np.abs(before))
@@ -491,14 +491,13 @@ def test_orientation_snr_one_antenna_blocks(kernel_layout, monkeypatch):
 
 
 @pytest.mark.parametrize("alpha_deg, distance", [(30.0, 0.1), (60.0, 1.0)])
-def test_orientation_snr_without_mirror_symmetric_layout(kernel_layout, alpha_deg, distance):
+def test_orientation_snr_on_a_mirror_free_layout(kernel_layout, alpha_deg, distance):
     layout = first_antennas(kernel_layout, 24)  # the lowest rows of the lattice
-    assert not layout.mirror_symmetric
-    assert_kernel_matches_oracle(layout, math.radians(alpha_deg), distance, DEFAULT_GRID)
+    assert_kernel_matches_oracle(layout, math.radians(alpha_deg), distance, DEFAULT_GRID,
+                                 plain=True)
 
 
 def test_orientation_snr_with_rx_off_the_xz_plane(kernel_layout):
-    assert kernel_layout.mirror_symmetric
     assert_rx_matches_oracle(kernel_layout, np.array([0.02, 0.03, 0.1]), DEFAULT_GRID)
 
 
@@ -686,17 +685,15 @@ def test_square_fold_on_the_z_axis_matches_the_mirror_fold_and_the_oracle(
     assert_rx_matches_oracle(kernel_layout, rx, DEFAULT_GRID)
 
 
-def test_no_square_fold_for_a_layout_closed_under_the_mirror_only(kernel_layout):
-    # a lattice stretched along x keeps y -> -y (and x -> -x) but not x <-> y
+def test_a_stretched_layout_on_the_z_axis_matches_the_oracle(kernel_layout):
+    # a lattice stretched along x keeps y -> -y (and x -> -x) but not x <-> y, so the
+    # square fold would not hold for it on the z axis
     stretched = explicit_layout(
         kernel_layout.positions * [1.25, 1.0, 1.0],
         kernel_layout.wavelength,
         1.25 * kernel_layout.radius,
     )
-    assert stretched.mirror_symmetric and not stretched.square_symmetric
-    rx = rx_position(0.1, 0.0)
-    assert evaluated(stretched, [rx], DEFAULT_GRID) == [163]
-    assert_rx_matches_oracle(stretched, rx, DEFAULT_GRID)
+    assert_rx_matches_oracle(stretched, rx_position(0.1, 0.0), DEFAULT_GRID, plain=True)
 
 
 STREAM_RXS = [
@@ -727,7 +724,6 @@ def test_orientation_snrs_is_bit_equal_to_one_placement_calls(
 def test_orientation_snrs_mixes_mirror_and_plain_placements(kernel_layout, threaded):
     # the fold of the placement on the z axis evaluates 46 classes, of the other y = 0
     # placements 163, and of the one off the xz plane 307
-    assert kernel_layout.square_symmetric
     assert evaluated(kernel_layout, STREAM_RXS, DEFAULT_GRID) == [163, 46, 307, 163]
     streamed = kernel_snrs(kernel_layout, STREAM_RXS, DEFAULT_GRID, KERNEL_BUDGET)
     for rx, fast in zip(STREAM_RXS, streamed, strict=True):
@@ -913,8 +909,9 @@ def test_more_kernel_workers_than_cpus_keep_the_order(kernel_layout, monkeypatch
 
 @st.composite
 def kernel_inputs(draw):
-    """A small lattice, mirror-symmetric or perturbed, one to three RX centres on the z
-    axis, on the xz plane or off it, and an even grid or random unit directions.
+    """A small lattice, or a perturbed one that takes ``kernel_snrs``'s ``plain`` fold,
+    one to three RX centres on the z axis, on the xz plane or off it, and an even grid
+    or random unit directions.
 
     The RX ranges cover 0.5 to 150 aperture radii, far past the paper's 0.67 to 6.7; on
     the z axis there, every antenna lies close to the axis of an RX dipole near v = z
@@ -923,7 +920,8 @@ def kernel_inputs(draw):
     # at least one wavelength of radius: 13 antennas or more
     radius = draw(st.floats(1.0, 4.0)) * KERNEL_WAVELENGTH
     layout = build_circular_array(radius, KERNEL_WAVELENGTH)
-    if draw(st.booleans()):
+    plain = draw(st.booleans())
+    if plain:
         pitch = KERNEL_WAVELENGTH / 2.0
         offsets = rng.uniform(-0.2 * pitch, 0.2 * pitch, size=layout.positions.shape)
         offsets[:, 2] = 0.0
@@ -948,7 +946,7 @@ def kernel_inputs(draw):
     else:
         grid = rng.normal(size=(draw(st.integers(1, 60)), 3))
         grid /= np.linalg.norm(grid, axis=1, keepdims=True)
-    return layout, rxs, grid
+    return layout, rxs, grid, plain
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -956,13 +954,13 @@ def kernel_inputs(draw):
 def test_orientation_snrs_matches_the_oracle_on_drawn_inputs(inputs, workers, block):
     # the block size fixes which antennas each column sum adds; at one block size the
     # arrays are bit-equal across worker counts
-    layout, rxs, grid = inputs
+    layout, rxs, grid, plain = inputs
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(beamforming, "ANTENNA_BLOCK", block)
         patch.setattr(beamforming, "MAX_WORKERS", 1)
-        alone = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET))
+        alone = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET, plain))
         patch.setattr(beamforming, "MAX_WORKERS", workers)
-        streamed = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET))
+        streamed = list(kernel_snrs(layout, rxs, grid, KERNEL_BUDGET, plain))
     assert len(streamed) == len(rxs)
     for rx, fast, first in zip(rxs, streamed, alone):
         assert np.array_equal(fast, first)
@@ -976,9 +974,9 @@ def test_dpc_snr_never_exceeds_the_free_space_bound(inputs):
     # per antenna |h_x|^2 + |h_y|^2 <= |h_up|^2 = (lambda / (4 pi r))^2: the half-wave
     # pattern is at most sin(theta), and the two TX dipoles' transverse fields project
     # v onto the plane normal to the ray; so the DPC gain is at most sum_k |h_up,k| / sqrt(n)
-    layout, rxs, grid = inputs
+    layout, rxs, grid, plain = inputs
     rho = KERNEL_BUDGET.transmit_power / KERNEL_BUDGET.noise_power
-    for rx, snr in zip(rxs, kernel_snrs(layout, rxs, grid, KERNEL_BUDGET), strict=True):
+    for rx, snr in zip(rxs, kernel_snrs(layout, rxs, grid, KERNEL_BUDGET, plain), strict=True):
         r = np.linalg.norm(rx - layout.positions, axis=1)
         bound = rho * np.sum(layout.wavelength / (4.0 * math.pi * r)) ** 2 / layout.n_tx
         assert np.all(snr[:, 0] <= bound * (1.0 + 1e-12))

@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from dpcfocus.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_OUTPUT_ERROR,
+    LIST_KEYS,
     OPTIONAL_KEYS,
     REQUIRED_KEYS,
     ConfigError,
@@ -44,8 +46,6 @@ from dpcfocus.geometry import (
 )
 from conftest import kernel_snr
 from oracles import evaluate_snr
-
-LIST_KEYS = ("alpha_deg", "distance_m")
 
 
 def mapping_to_config_text(mapping: dict) -> str:
@@ -116,6 +116,12 @@ def test_parse_config_rejects_bad_input():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.cfg")
+    # a file that is not UTF-8 is refused the same way, naming the file
+    utf16 = tmp_path / "utf16.cfg"
+    utf16.write_bytes(TINY_CONFIG.encode("utf-16"))
+    with pytest.raises(ConfigError, match=f"cannot read config file {re.escape(str(utf16))}: "
+                                          "'utf-8' codec can't decode byte 0xff"):
+        load_config(utf16)
 
 
 def test_main_config_error_exit_code(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 import dpcfocus
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
-    ArrayLayout,
     build_circular_array,
     orientation_classes,
     orientation_grid,
@@ -52,55 +51,23 @@ def test_lattice_positions_are_the_reference_lattice(radius, wavelength):
     assert layout.rows.x_table.size == side and layout.rows.y.size == side
 
 
-def test_layout_reflection_symmetry():
-    layout = build_circular_array(radius=2.6, wavelength=1.0)
-    points = {(x, y) for x, y, _ in layout.positions.tolist()}
-    assert {(-x, y) for x, y in points} == points
-    assert {(x, -y) for x, y in points} == points
-
-
-def test_explicit_layout_finds_mirror_symmetry_exactly():
-    layout = build_circular_array(radius=2.6, wavelength=1.0)
-
-    def variant(positions, radius=2.6):
-        return explicit_layout(positions, wavelength=1.0, radius=radius)
-
-    assert variant(layout.positions).mirror_symmetric
-    assert variant(layout.positions[::-1]).mirror_symmetric
-    assert not variant(layout.positions[: layout.n_tx // 2]).mirror_symmetric
-    assert not variant(layout.positions + [0.0, 0.25, 0.0], radius=3.0).mirror_symmetric
-    nudged = layout.positions.copy()
-    nudged[-1, 1] = np.nextafter(nudged[-1, 1], 0.0)
-    assert not variant(nudged).mirror_symmetric
-
-
-def test_explicit_layout_finds_square_symmetry_exactly():
-    layout = build_circular_array(radius=2.6, wavelength=1.0)
-
-    def variant(positions, radius=2.6):
-        return explicit_layout(positions, wavelength=1.0, radius=radius)
-
-    assert variant(layout.positions[::-1]).square_symmetric
-    # stretched along x: closed under y -> -y and x -> -x, but not under x <-> y
-    stretched = variant(layout.positions * [1.5, 1.0, 1.0], radius=3.9)
-    assert stretched.mirror_symmetric and not stretched.square_symmetric
-    # closed under x <-> y, but not under y -> -y
-    upper = layout.positions[layout.positions[:, 0] + layout.positions[:, 1] >= 0.0]
-    assert not variant(upper).mirror_symmetric and not variant(upper).square_symmetric
-    nudged = layout.positions.copy()
-    nudged[0, 0] = np.nextafter(nudged[0, 0], 0.0)
-    assert not variant(nudged).square_symmetric
-
-
 @pytest.mark.parametrize(
     "radius, wavelength",
-    [(2.6, 1.0), (0.7, 1.0), (0.008, SPEED_OF_LIGHT / 300e9), (0.3, 0.07), (1.0, 0.3)],
+    [(2.6, 1.0), (0.7, 1.0), (0.008, SPEED_OF_LIGHT / 300e9), (0.3, 0.07), (1.0, 0.3),
+     # radii R / pitch through a lattice point: on an axis, off the diagonal and on it
+     (5 * 0.5, 1.0),
+     (math.hypot(3, 4) * SPEED_OF_LIGHT / 300e9 / 2, SPEED_OF_LIGHT / 300e9),
+     (math.hypot(3, 3) * 0.07 / 2, 0.07)],
 )
-def test_lattice_records_the_symmetries_the_sorts_find(radius, wavelength):
+def test_layout_reflection_symmetry(radius, wavelength):
+    # fold_placements folds by the square's symmetries for every layout, so the lattice
+    # must be closed under them exactly: x -> -x, y -> -y and x <-> y generate all 8
     layout = build_circular_array(radius, wavelength)
-    assert layout.mirror_symmetric is True and layout.square_symmetric is True
-    found = explicit_layout(layout.positions, wavelength, radius)
-    assert found.mirror_symmetric is True and found.square_symmetric is True
+    points = {(x, y) for x, y, _ in layout.positions.tolist()}
+    assert len(points) == layout.n_tx
+    assert {(-x, y) for x, y in points} == points
+    assert {(x, -y) for x, y in points} == points
+    assert {(y, x) for x, y in points} == points
 
 
 def test_layout_ordering_is_row_major_by_y_then_x():
@@ -142,13 +109,8 @@ def test_layouts_compare_and_hash_by_identity():
     assert len({layout, twin, layout}) == 2
 
 
-@pytest.mark.parametrize("flag", ["mirror_symmetric", "square_symmetric"])
-def test_layout_symmetry_flags_are_not_constructor_arguments(flag):
-    # a caller cannot claim a symmetry, and the kernel reads rows unchecked, so the
-    # layout's constructor is not public
-    layout = build_circular_array(radius=1.1, wavelength=1.0)
-    with pytest.raises(TypeError, match=flag):
-        ArrayLayout(layout.rows, 1.0, 1.1, **{flag: False})
+def test_the_layout_constructor_is_not_public():
+    # the kernel reads rows unchecked and folds by the lattice's symmetries
     assert "ArrayLayout" not in dpcfocus.__all__
 
 
