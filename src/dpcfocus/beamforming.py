@@ -83,8 +83,9 @@ def available_cpus() -> int:
 MAX_WORKERS = available_cpus()
 """Most threads ``folded_snrs`` runs its (placement, antenna block) tasks on.
 
-Each worker is first moved to its own CPU of the affinity mask and then given
-the whole mask back (``_place_thread``), so two workers share no CPU on a host
+At 1 the tasks still run on one worker thread, never in the caller. Each
+worker is first moved to its own CPU of the affinity mask and then given the
+whole mask back (``_place_thread``), so two workers share no CPU on a host
 that never rebalances threads. Speed-ups were measured on two CPUs only;
 beyond that the scaling is untested.
 """
@@ -277,11 +278,9 @@ def _in_order(task, args, workers: int):
     the iterator drops the queued tasks and joins the workers. Built on
     ``threading`` and ``queue.SimpleQueue`` alone: ``concurrent.futures``
     would import ``logging``, about 6 ms at the start of every stream. Each
-    worker first moves to its own CPU (``_place_thread``).
+    worker first moves to its own CPU (``_place_thread``). One worker takes
+    the same path as many; ``args`` must be empty when ``workers`` is 0.
     """
-    if workers <= 1:
-        yield from map(task, args)
-        return
     import threading
     from queue import Empty, SimpleQueue
 

@@ -53,7 +53,6 @@ from .beamforming import (
 from .experiments import (
     NARROWBAND_MARGIN,
     SweepConfig,
-    _warn_if_not_narrowband,
     ergodic_rate,
     improvement_stats,
     narrowband_check,
@@ -99,11 +98,6 @@ MANIFEST = "manifest.json"
 
 class ConfigError(ValueError):
     "Raised when a run configuration file is missing, malformed or invalid."
-
-
-def default_config() -> SweepConfig:
-    "Built-in configuration used when no config file is given."
-    return SweepConfig()
 
 
 def parse_config_text(text: str) -> SweepConfig:
@@ -177,16 +171,13 @@ def config_to_mapping(config: SweepConfig) -> dict:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
+    "A CSV cell of a row's float, int or bool; a bool is written as 0 or 1."
+    if isinstance(value, float):
+        value = float(value)  # numpy 2's repr of an np.float64 is not a number
         if not math.isfinite(value):
             raise ValueError("refusing to write a non-finite value to CSV")
         return repr(value)
-    return str(value)
+    return str(int(value))
 
 
 @contextmanager
@@ -227,16 +218,6 @@ PLACEMENT_COLUMNS = {
     "sweep": SWEEP_COLUMNS,
 }
 "The CSV columns of each scenario whose placements run the SNR kernel."
-
-
-def _stats_values(stats) -> tuple:
-    return (
-        stats.median,
-        stats.lower_quartile,
-        stats.upper_quartile,
-        stats.lower_whisker,
-        stats.upper_whisker,
-    )
 
 
 def scenario_placements(name: str, config) -> list[tuple[float, float]]:
@@ -300,7 +281,11 @@ def run_placements(plan: RunPlan, out_dir: Path) -> list[Path]:
     columns = PLACEMENT_COLUMNS[plan.scenario]
     keep = [SWEEP_COLUMNS.index(c) for c in columns]
     for _, d in plan.placements:
-        _warn_if_not_narrowband(d, config.radius, config.bandwidth)
+        delay, ok = narrowband_check(d, config.radius, config.bandwidth)
+        if not ok:
+            warnings.warn(f"delay spread {delay:.3e} s is not small against the symbol time "
+                          f"{1.0 / config.bandwidth:.3e} s; narrowband results are questionable",
+                          RuntimeWarning)
     budget = config.budget()
     sweeps = folded_snrs(layout, plan.kernel)
     rows = []
@@ -311,7 +296,7 @@ def run_placements(plan: RunPlan, out_dir: Path) -> list[Path]:
             rates = ergodic_rate(link_snrs(gains, budget, layout.wavelength, r0), config.bandwidth)
         except ValueError as exc:  # a gain that underflows to 0 has no dB improvement
             raise ValueError(f"distance {d!r} m at alpha {_deg(alpha)!r} deg: {exc}") from None
-        row = (_deg(alpha), d, sw.sample_count) + _stats_values(sw) + _stats_values(du) + rates
+        row = (_deg(alpha), d, sw.sample_count) + sw[:5] + du[:5] + rates
         rows.append(tuple(row[i] for i in keep))
     path = out_dir / f"{plan.scenario}.csv"
     _write_csv(path, columns, rows)
@@ -497,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else default_config()
+        config = load_config(args.config) if args.config else SweepConfig()
         if args.scale != 1.0:
             config = config.scaled(args.scale)
         plan = plan_run(config, args.command)

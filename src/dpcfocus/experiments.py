@@ -10,8 +10,8 @@ rates follow from averaging B*log2(1+SNR).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,12 +99,13 @@ class SweepConfig:
         return replace(self, radius=self.radius * factor)
 
 
-@dataclass
-class DistributionStats:
+class DistributionStats(NamedTuple):
     """Box-plot summary of a dB-improvement distribution.
 
     Quartiles use linear interpolation; whiskers sit 1.5 IQR beyond the
-    quartiles, clamped to the observed extremes.
+    quartiles, clamped to the observed extremes. The first five fields are
+    in the order of the CLI's statistics columns, so a row takes them as
+    ``stats[:5]``.
     """
 
     median: float
@@ -137,7 +138,6 @@ def placement_sweeps(
     budget: LinkBudget,
     *,
     grid: np.ndarray | None = None,
-    bandwidth: float | None = None,
 ):
     """Iterator over the SNRs of every receive-dipole orientation, per (alpha, distance).
 
@@ -146,36 +146,19 @@ def placement_sweeps(
     at ``rx_position(distance, alpha)``. The arrays come in placement order,
     each as soon as it is ready, from one ``folded_snrs`` stream: the antenna
     blocks of all placements share one set of worker threads, and each array
-    is bit-identical to the one a call with its placement alone yields. When
-    ``bandwidth`` is given, every placement whose narrowband check fails
-    issues a warning before the first sweep runs; the sweeps still run.
+    is bit-identical to the one a call with its placement alone yields.
 
     The CLI does not call this: it folds its placements in ``plan_run``,
-    before its refusals, and its statistics read the budget-free gains of
-    ``folded_snrs``, where this yields SNRs.
+    before its refusals, its statistics read the budget-free gains of
+    ``folded_snrs``, where this yields SNRs, and it warns of each placement
+    that fails ``narrowband_check``, which this leaves to the caller.
     """
     if grid is None:
         grid = orientation_grid()
-    placements = list(placements)
-    if bandwidth is not None:
-        for _, distance in placements:
-            _warn_if_not_narrowband(distance, layout.radius, bandwidth)
     rx_centers = [rx_position(distance, alpha) for alpha, distance in placements]
     folded = fold_placements(layout, rx_centers, grid)
     gains = folded_snrs(layout, folded)
     return (link_snrs(g, budget, layout.wavelength, r0) for (_, r0, _), g in zip(folded, gains))
-
-
-def _warn_if_not_narrowband(distance: float, radius: float, bandwidth: float) -> None:
-    "Warn, pointing at the caller of the public function, if the narrowband check fails."
-    delay, ok = narrowband_check(distance, radius, bandwidth)
-    if not ok:
-        warnings.warn(
-            f"delay spread {delay:.3e} s is not small against the symbol time "
-            f"{1.0 / bandwidth:.3e} s; narrowband results are questionable",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def _snr_rows(snr) -> np.ndarray:
@@ -218,7 +201,9 @@ def improvement_stats(snr, baseline: str) -> DistributionStats:
 
 def _linear_quantile(ordered: np.ndarray, q: float) -> float:
     """Quantile ``q`` of the ascending ``ordered``, as ``np.quantile``'s default
-    linear method gives it, bit for bit; NaN if ``ordered`` holds a NaN.
+    linear method gives it, bit for bit. ``ordered`` holds no NaN: its one
+    caller sorts ``improvements_db``, which refuses non-finite and zero SNRs,
+    and log1p of (a - b) / b, which is above -1, is never NaN.
 
     The index is (n - 1) q; from below, fraction t of the way to the next
     entry, the value is a + (b - a) t for t < 0.5 and b - (b - a)(1 - t)
@@ -227,8 +212,6 @@ def _linear_quantile(ordered: np.ndarray, q: float) -> float:
     import ``numpy.ma`` (through ``np.unique``) on first use: 1.2 MiB, 10 ms.
     """
     last = ordered.size - 1
-    if math.isnan(ordered[last]):
-        return math.nan
     at = last * q
     if at >= last:
         a = b = float(ordered[last])

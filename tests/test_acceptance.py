@@ -62,9 +62,7 @@ def alpha_sweep_snr(full_layout):
 def range_sweep_snr(full_layout):
     "(648, 3) SNR array per distance on the 10..100 cm grid, 30 degrees off axis."
     placements = [(math.radians(30.0), d) for d in DISTANCE_GRID]
-    sweeps = placement_sweeps(
-        full_layout, placements, BUDGET, grid=orientation_grid(), bandwidth=BANDWIDTH_HZ
-    )
+    sweeps = placement_sweeps(full_layout, placements, BUDGET, grid=orientation_grid())
     return dict(zip(DISTANCE_GRID, sweeps, strict=True))
 
 

@@ -831,6 +831,54 @@ def test_abandoning_orientation_snrs_cancels_its_queued_tasks(kernel_layout, thr
     assert sorted(started) == [0, 1, 2, 3]
 
 
+class TaskFailure(Exception):
+    "What the patched kernel task of a failing placement raises."
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_kernel_task_is_raised_at_its_placement(kernel_layout, monkeypatch, workers):
+    # one block per placement: the third task is the third placement's, and it raises in
+    # its worker; the caller gets the first two arrays, then that exception, and every
+    # worker is joined
+    monkeypatch.setattr(beamforming, "MAX_WORKERS", workers)
+    expected = [kernel_snr(kernel_layout, rx, GRID_30_20, KERNEL_BUDGET) for rx in STREAM_RXS[:2]]
+    tile_sums = beamforming._tile_sums
+
+    def failing(kernel, layout, antennas, rx, *args):
+        if np.array_equal(rx, STREAM_RXS[2]):
+            raise TaskFailure("the third task fails")
+        return tile_sums(kernel, layout, antennas, rx, *args)
+
+    monkeypatch.setattr(beamforming, "_tile_sums", failing)
+    placements = fold_placements(kernel_layout, STREAM_RXS, GRID_30_20)
+    assert beamforming.kernel_workers(kernel_layout.n_tx, placements) == workers
+    baseline = threading.active_count()
+    got = []
+
+    def consume():
+        try:
+            got.extend(kernel_snrs(kernel_layout, STREAM_RXS, GRID_30_20, KERNEL_BUDGET))
+        except TaskFailure as exc:
+            got.append(exc)
+
+    # consumed on a thread of its own, so that an exception lost in a worker fails the
+    # test instead of leaving it waiting for a reply that never comes
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    consumer.join(timeout=30.0)
+    assert not consumer.is_alive()
+    assert len(got) == 3 and isinstance(got[2], TaskFailure)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert threading.active_count() == baseline
+
+
+def test_available_cpus_without_an_affinity_mask_counts_the_cpus(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert beamforming.available_cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert beamforming.available_cpus() == 1
+
+
 needs_affinity = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
 )

@@ -29,7 +29,6 @@ from dpcfocus.cli import (
     ConfigError,
     _write_csv,
     config_to_mapping,
-    default_config,
     load_config,
     main,
     parse_config_text,
@@ -111,6 +110,18 @@ def test_parse_config_rejects_bad_input():
         parse_config_text(TINY_CONFIG.replace("radius_m = 0.008", "radius_m = -1"))
     with pytest.raises(ConfigError):
         parse_config_text("radius_m\n")
+
+
+def test_a_key_without_a_value_is_refused_naming_its_line(tmp_path, capsys):
+    text = TINY_CONFIG.replace("radius_m = 0.008", "radius_m =")
+    message = "line 2: empty value for 'radius_m'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_text(text)
+    path = tmp_path / "empty-value.cfg"
+    path.write_text(text)
+    code = main(["check", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"dpcfocus: config error: {message}\n"
 
 
 def test_load_config_missing_file(tmp_path):
@@ -407,14 +418,14 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
         assert manifest["host"]["numpy"] == np.__version__
         assert manifest["peak_rss_bytes"] > 2**20
         assert manifest["warnings"] == []  # every TINY_CONFIG placement is narrowband
-    config = default_config()
+    config = SweepConfig()
     assert len(scenario_placements("fig5", config)) == 7
     assert len(scenario_placements("fig6", config)) == 10
     assert len(scenario_placements("sweep", config)) == 70
 
 
 def test_preflight_charges_fig3_for_its_maps_and_writer(monkeypatch):
-    config = default_config()
+    config = SweepConfig()
     # fig3 holds its maps and each antenna's 'index,x,y,' text, which outweigh a map's a_x,
     # a_y and atan2 temporaries
     fig3 = plan_run(config, "fig3").estimated_bytes
@@ -433,7 +444,7 @@ def test_preflight_charges_each_kernel_worker(monkeypatch):
     # worker on
     two_degrees = {"azimuth_step": math.radians(2.0), "elevation_step": math.radians(2.0)}
     # about 70 000 antennas, 18 blocks
-    half = replace(default_config().scaled(0.5), **two_degrees)
+    half = replace(SweepConfig().scaled(0.5), **two_degrees)
     # one block per placement, four placements: a worker per placement up to the CPUs
     tiny = replace(parse_config_text(TINY_CONFIG), **two_degrees)
     estimates = []
@@ -472,7 +483,7 @@ def test_preflight_covers_the_lattice_build():
     # the build holds its row table and one chunk of rows; it held 6.5 MiB of positions
     # beside them, and before that the hypot of every point of the bounding square and
     # its mask, 17.3 MiB
-    config = default_config()
+    config = SweepConfig()
     tracemalloc.start()
     try:
         layout = build_circular_array(config.radius, config.wavelength)
@@ -571,7 +582,7 @@ def test_the_preflight_charges_the_kernel_workers_the_run_starts(
 ):
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
     args = ["--scale", repr(scale)]
-    config = default_config().scaled(scale)
+    config = SweepConfig().scaled(scale)
     if text is not None:
         path = tmp_path / "run.cfg"
         path.write_text(text)
@@ -796,7 +807,7 @@ def test_default_config_used_when_no_file_given(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert math.isclose(manifest["config"]["radius_m"], 0.015, rel_tol=1e-12)
     assert manifest["config"]["alpha_deg"] == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
-    defaults = default_config()
+    defaults = SweepConfig()
     assert math.isclose(
         manifest["derived"]["noise_power_w"], defaults.noise_power, rel_tol=1e-12
     )
@@ -986,7 +997,7 @@ def test_fig5_does_not_depend_on_the_link_budget(tmp_path, budget):
 def test_figure_rows_are_columns_of_sweep_rows(tmp_path, tiny_config_path, args):
     # fresh runs of TINY_CONFIG and of the default config at --scale 0.1
     args = [str(tiny_config_path) if a == "TINY" else a for a in args]
-    config = load_config(tiny_config_path) if "--config" in args else default_config()
+    config = load_config(tiny_config_path) if "--config" in args else SweepConfig()
     out = tmp_path / "out"
     for scenario in ("sweep", "fig5", "fig6", "fig7"):
         assert main([scenario, *args, "--out", str(out)]) == EXIT_OK

@@ -77,34 +77,12 @@ def test_orientation_sweep_duplicate_pole_orientations(small_layout):
     assert np.array_equal(snr[1:36], np.broadcast_to(snr[0], (35, 3)))
 
 
-def test_orientation_sweep_warns_when_narrowband_fails(small_layout, coarse_grid):
-    with pytest.warns(RuntimeWarning) as record:
-        placement_sweeps(small_layout, [(0.0, 0.1)], BUDGET, grid=coarse_grid, bandwidth=1e12)
-    assert [w.filename for w in record] == [__file__]  # points at the caller
-
-
 def test_placement_sweeps_match_one_placement_sweeps(small_layout, coarse_grid):
     placements = [(0.0, 0.1), (math.radians(30.0), 0.3), (math.radians(60.0), 1.0)]
     streamed = placement_sweeps(small_layout, placements, BUDGET, grid=coarse_grid)
     for (alpha, d), snr in zip(placements, streamed, strict=True):
         (expected,) = placement_sweeps(small_layout, [(alpha, d)], BUDGET, grid=coarse_grid)
         assert np.array_equal(snr, expected)
-
-
-def test_placement_sweeps_warn_for_each_failing_placement(small_layout, coarse_grid):
-    # at 1 THz the 0.1 m and 0.3 m placements fail the narrowband check; 10 m passes
-    placements = [(0.0, 0.1), (0.5, 10.0), (0.5, 0.3)]
-    assert narrowband_check(10.0, small_layout.radius, 1e12)[1]
-    with pytest.warns(RuntimeWarning) as record:
-        sweeps = placement_sweeps(
-            small_layout, placements, BUDGET, grid=coarse_grid, bandwidth=1e12
-        )
-    delays = [narrowband_check(d, small_layout.radius, 1e12)[0] for d in (0.1, 0.3)]
-    assert [str(w.message).split(" s ")[0] for w in record] == [
-        f"delay spread {delay:.3e}" for delay in delays
-    ]
-    assert {w.filename for w in record} == {__file__}
-    assert len(list(sweeps)) == 3  # the sweeps still run
 
 
 def test_improvement_stats_constant_distributions():

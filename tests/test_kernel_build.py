@@ -117,6 +117,24 @@ def test_every_instruction_set_gives_the_same_bits(tmp_path, monkeypatch):
     assert maps[0] == maps[1]
 
 
+@pytest.mark.parametrize(
+    "antennas, rx, v",
+    [
+        (range(LAYOUT.n_tx + 1), RX, GRID),
+        (range(0), RX, GRID),
+        (range(0, LAYOUT.n_tx, 2), RX, GRID),
+        (range(LAYOUT.n_tx), RX[:2], GRID),
+        (range(LAYOUT.n_tx), RX, GRID[:, :2]),
+    ],
+    ids=["past-n-tx", "empty", "step-2", "rx-of-two", "directions-of-two"],
+)
+def test_tile_sums_refuses_operands_the_loop_would_read_past(antennas, rx, v):
+    # the compiled loop reads its operands through raw pointers: this check keeps it
+    # inside the row table, the RX and the directions
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        beamforming._tile_sums(beamforming._tile_kernel(), LAYOUT, antennas, rx, 0.05, v)
+
+
 @pytest.mark.parametrize("m", [1, 15, 16, 17, 33, 163, 300])
 def test_each_direction_sums_as_it_would_alone(m):
     # the loop takes 16 directions at a time and pads the last register tile with a real
