@@ -122,20 +122,21 @@ def link_snrs(gains, budget: LinkBudget, wavelength: float, r0: float) -> np.nda
     return np.asarray(gains) * link * link
 
 
-def fold_placements(layout: ArrayLayout, rx_centers, directions, folds: dict | None = None) -> list:
+def fold_placements(layout: ArrayLayout, rx_centers, directions) -> list:
     """Check the RX centers and fold the directions: ``(rx, r0, fold)`` per RX on ``layout``.
 
     ``layout`` is a lattice of ``build_circular_array``, closed under all 8
     symmetries of the square, so the fold follows from the RX alone: the
     directions fold under the mirror y -> -y for an RX with y == 0, and
-    under the square's symmetries too on the z axis. ``folds`` maps
-    ``(mirror, square)`` to folds of ``directions`` worked out earlier; the
-    ones worked out here are added to it.
+    under the square's symmetries too on the z axis. Each fold is worked out
+    once per call and shared by the RX centers it serves. Raises
+    ``ValueError`` for an RX center that ``_rx_center`` refuses, one on the
+    array plane among them, or for bad directions.
     """
-    folds = {} if folds is None else folds
+    folds = {}
     placements = []
     for rx in rx_centers:
-        rx, r0 = _rx_center(rx, layout.radius)
+        rx, r0 = _rx_center(rx)
         mirror = bool(rx[1] == 0.0)
         square = bool(mirror and rx[0] == 0.0)
         if (mirror, square) not in folds:
@@ -144,19 +145,22 @@ def fold_placements(layout: ArrayLayout, rx_centers, directions, folds: dict | N
     return placements
 
 
-def _rx_center(rx, radius: float) -> tuple[np.ndarray, float]:
-    """The checked RX center as a float64 3-vector, and its reference range r0.
+def _rx_center(rx) -> tuple[np.ndarray, float]:
+    """The checked RX center as a float64 3-vector, and its reference range r0 = |rx_z|.
 
-    Amplitudes are taken relative to lambda / (4 pi r0). Every TX element lies
-    on z = 0, so r0 = |rx_z| bounds each TX-RX distance from below: every
-    amplitude r0 / r is at most 1, and no sum or square taken in the kernel
-    overflows, however near or far the RX is. An RX on the array plane takes
-    max(|rx|, ``radius``) instead.
+    The RX sits in front of the array, as in the paper: an RX on the array
+    plane z = 0 is refused, so none sits at an antenna. Amplitudes are taken
+    relative to lambda / (4 pi r0). Every TX element lies on z = 0, so r0
+    bounds each TX-RX distance from below: every amplitude r0 / r is at most
+    1, and no sum or square taken in the kernel overflows, however near or
+    far the RX is.
     """
     rx = np.asarray(rx, dtype=float)
     if rx.shape != (3,) or not np.all(np.isfinite(rx)):
         raise ValueError("an RX center must be a finite 3-vector")
-    return rx, abs(float(rx[2])) or max(float(np.hypot(rx[0], rx[1])), radius)
+    if rx[2] == 0.0:
+        raise ValueError("an RX center must lie off the array plane z = 0")
+    return rx, abs(float(rx[2]))
 
 
 def fold_directions(directions, mirror: bool, square: bool = False) -> _Fold:
@@ -204,22 +208,21 @@ def folded_snrs(layout: ArrayLayout, placements):
     ``_in_order``, each placed on its own CPU; a task runs no numpy pass and
     the loop runs without the interpreter lock, so the threads share the
     CPUs. A task hands back the loop's flags with its sums, and the calling
-    thread raises them as it adds that block, so ``np.errstate`` and the
-    co-location check act at the placement's item. The calling thread adds
-    each placement's block sums in block order, so a placement's array
-    depends on ``ANTENNA_BLOCK`` but on neither the number of threads nor
-    the other placements of the call, and repeated calls return identical
-    arrays. An array is yielded as soon as its last block is summed; at
-    most two tasks per thread are in flight, so the memory held grows with
-    neither the number of blocks nor of placements. Abandoning the iterator
-    cancels the queued tasks and stops its threads.
+    thread raises them as it adds that block, so ``np.errstate`` acts at the
+    placement's item. The calling thread adds each placement's block sums in
+    block order, so a placement's array depends on ``ANTENNA_BLOCK`` but on
+    neither the number of threads nor the other placements of the call, and
+    repeated calls return identical arrays. An array is yielded as soon as
+    its last block is summed; at most two tasks per thread are in flight, so
+    the memory held grows with neither the number of blocks nor of
+    placements. Abandoning the iterator cancels the queued tasks and stops
+    its threads.
+
+    ``fold_placements`` refuses bad directions and RX centers, so every input
+    error is raised before any task exists.
 
     Raises
     ------
-    ValueError
-        Once the iteration reaches it: if an RX center coincides with a TX
-        element. ``fold_placements`` refuses bad directions and RX centers
-        before any task exists.
     KernelBuildError
         At the first item, if the SNR kernel is not built yet and ``cc``
         is missing or fails.
@@ -355,10 +358,6 @@ _FP_REPLAYS = (
 "(bit of ``tile_sums``' return, ufunc, operands) that raise each exception in numpy."
 
 
-_COLOCATED = 16
-"The bit of ``tile_sums``' and ``field_z``'s return that marks an antenna at the RX."
-
-
 def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v
                ) -> tuple[np.ndarray, int]:
     """Column sums of one antenna block, a (3, m) array, and the flags the loop raised.
@@ -396,11 +395,8 @@ def _row_table(layout: ArrayLayout) -> tuple:
 
 
 def _raise_flags(raised: int) -> None:
-    """Raise what a kernel call returned in ``raised``: ``ValueError`` if an antenna
-    sits at the RX, else each floating-point exception again in numpy, under the
-    calling thread's errstate."""
-    if raised & _COLOCATED:
-        raise ValueError("RX is co-located with a TX element")
+    """Raise each floating-point exception a ``tile_sums`` call returned in ``raised``
+    again in numpy, under the calling thread's errstate."""
     for bit, op, a, b in _FP_REPLAYS:
         if raised & bit:
             op(np.full(1, a), b)
@@ -493,7 +489,7 @@ def _open(path: str):
     table = (pointer, pointer, pointer, pointer, count, count, count)  # rows, first, k
     tile_sums.argtypes = (*table, pointer, real, pointer, pointer, count, count, pointer)
     field_z.argtypes = (*table, pointer, real, pointer, count, pointer)
-    tile_sums.restype = field_z.restype = ctypes.c_int
+    tile_sums.restype, field_z.restype = ctypes.c_int, None
     return library
 
 
@@ -514,17 +510,15 @@ def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
     row table and builds the geometry as the SNR kernel's loop does, in the
     calling thread.
 
-    Raises ``ValueError`` if ``rx`` is not a finite 3-vector or coincides
-    with a TX element, and ``KernelBuildError`` if the kernel is not built
-    yet and ``cc`` is missing or fails.
+    Raises ``ValueError`` if ``rx`` is not a finite 3-vector or lies on the
+    array plane z = 0 (``_rx_center``), and ``KernelBuildError`` if the
+    kernel is not built yet and ``cc`` is missing or fails.
     """
-    rx, r0 = _rx_center(rx, layout.radius)
+    rx, r0 = _rx_center(rx)
     rx = np.ascontiguousarray(rx)
     a = np.empty((2, layout.n_tx))
-    raised = _tile_kernel().field_z(*_row_table(layout), 0, layout.n_tx, rx.ctypes.data, r0,
-                                    _PATTERN_COEFFS.ctypes.data, _PATTERN_COEFFS.size,
-                                    a.ctypes.data)
-    _raise_flags(raised)
+    _tile_kernel().field_z(*_row_table(layout), 0, layout.n_tx, rx.ctypes.data, r0,
+                           _PATTERN_COEFFS.ctypes.data, _PATTERN_COEFFS.size, a.ctypes.data)
     a_x, a_y = a
     angles = np.arctan2(a_x * a_y, np.square(a_x))
     angles[(a_x == 0.0) & (a_y != 0.0)] = math.pi / 2.0

@@ -43,7 +43,6 @@ from .beamforming import (
     KernelBuildError,
     _tile_kernel,
     available_cpus,
-    fold_directions,
     fold_placements,
     folded_snrs,
     kernel_workers,
@@ -62,6 +61,7 @@ from .geometry import (
     ArrayLayout,
     _even_divisions,
     build_circular_array,
+    orientation_classes,
     orientation_grid,
     rx_position,
 )
@@ -414,13 +414,11 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     layout = build_circular_array(config.radius, config.wavelength)
 
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
-    folds = {(True, False): fold_directions(grid, mirror=True)}
-    kernel = ()
-    if scenario in PLACEMENT_COLUMNS:
-        rx_centers = [rx_position(d, alpha) for alpha, d in placements]
-        kernel = tuple(fold_placements(layout, rx_centers, grid, folds))
+    kernel_run = scenario in PLACEMENT_COLUMNS
+    rx_centers = [rx_position(d, alpha) for alpha, d in placements] if kernel_run else []
     root = math.sqrt(config.transmit_power / config.noise_power)
-    for (alpha, d), (rx, _, _) in zip(placements, kernel):
+    # ahead of fold_placements, whose refusal of an RX on the array plane names no placement
+    for (alpha, d), rx in zip(placements, rx_centers):
         near = abs(float(rx[2]))
         amp = root * (config.wavelength / (4.0 * math.pi * near)) if near > 0.0 else math.inf
         rate = config.bandwidth * math.log1p(amp * amp * layout.n_tx) / math.log(2.0)
@@ -429,12 +427,13 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
                 f"distance {d!r} m at alpha {_deg(alpha)!r} deg: the rate bound "
                 "B * log2(1 + P/N * n * (lambda / (4 pi d cos alpha))^2) overflows"
             )
+    kernel = tuple(fold_placements(layout, rx_centers, grid))
     workers = kernel_workers(layout.n_tx, kernel)
     kernel_bytes = workers * float(3 * 3 * 8 * grid.shape[0])
     need = table + max(phase, kernel_bytes) + grid_bytes
     _refuse_beyond_memory(need)
-    classes = int(folds[True, False].directions.shape[0])
-    if scenario == "fig3" or scenario in PLACEMENT_COLUMNS:
+    classes = orientation_classes(grid, mirror=True)[0].size
+    if scenario == "fig3" or kernel_run:
         _tile_kernel()
     return RunPlan(config, scenario, placements, layout, grid, kernel, classes, workers, need)
 
@@ -498,7 +497,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         probe = out_dir / ".write-probe"
         probe.touch()
-        probe.unlink()
+        probe.unlink(missing_ok=True)  # a concurrent run sharing the directory may remove it first
     except OSError as exc:
         print(f"dpcfocus: cannot write to output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_ERROR

@@ -50,18 +50,19 @@ class ArrayLayout:
     """Planar transmit array on z = 0, one crossed pair of half-wave dipoles per element.
 
     ``rows`` fixes the antenna index used by the channel vectors and
-    beamformer weights; its arrays are made read-only. Layouts compare by
-    identity. The compiled loop reads ``rows`` unchecked, and the SNR kernel
-    folds receive directions by the square's symmetries, so the constructor
-    is not public: ``build_circular_array`` makes every layout, a lattice
-    closed under those symmetries, one run per kept stretch of each lattice
-    row, row-major by y: y ascending, then x ascending within each row. No
+    beamformer weights; its arrays are made read-only. Beside them a layout
+    holds only the carrier ``wavelength``: no computation reads the aperture
+    radius it was clipped to. Layouts compare by identity. The compiled
+    loop reads ``rows`` unchecked, and the SNR kernel folds receive
+    directions by the square's symmetries, so the constructor is not
+    public: ``build_circular_array`` makes every layout, a lattice closed
+    under those symmetries, one run per kept stretch of each lattice row,
+    row-major by y: y ascending, then x ascending within each row. No
     (n, 3) array exists until ``positions`` is asked for.
     """
 
     rows: AntennaRows
     wavelength: float
-    radius: float
 
     def __post_init__(self):
         for array in self.rows:
@@ -117,7 +118,7 @@ def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:
                           axis=1)
     row, first_x, stop = runs
     rows = AntennaRows(coords, coords[row], first_x, np.append(0, np.cumsum(stop - first_x)))
-    return ArrayLayout(rows, wavelength, radius)
+    return ArrayLayout(rows, wavelength)
 
 
 def _stretches(r0: int, kept) -> np.ndarray:

@@ -28,9 +28,9 @@
    rounds every step alike, and a direction's sums take the same bits
    whatever directions share its register tile. Returns the floating-point
    exceptions raised, as bits: 1 overflow, 2 invalid, 4 divide by zero,
-   8 underflow; and 16 if an antenna sits at the RX, when the sums are
-   undefined. field_z builds the same geometry and forms only the z
-   components of the field vectors, e_u,z = p_z (-(s_u p_u)). */
+   8 underflow. The caller admits no RX on z = 0, so every r_i is positive.
+   field_z builds the same geometry and forms only the z components of the
+   field vectors, e_u,z = p_z (-(s_u p_u)). */
 
 #include <fenv.h>
 #include <math.h>
@@ -38,7 +38,6 @@
 
 #define J 16      /* directions summed at a time, in registers */
 #define GROUP 64  /* antennas whose geometry is held at a time */
-#define COLOCATED 16
 
 #ifndef CLONES /* -DCLONES= builds the baseline instruction set alone */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -71,14 +70,13 @@ static long run_of(const struct rows *t, long a)
 
 /* Unit displacements p[0..2] and field scales s[0..1] = (s_x, s_y) of antennas
    a .. a + n - 1, of which the first sits in run *run, left at the run of the
-   last; returns nonzero if one of them sits at rx. Entries past n repeat the
-   last antenna: the same operations on the same values raise no new flag. */
-static inline int geometry(const struct rows *t, long *run, long a, const double *rx, double r0,
-                           const double *coeffs, long n_coeffs, int n, double p[3][GROUP],
-                           double s[2][GROUP])
+   last. Entries past n repeat the last antenna: the same operations on the
+   same values raise no new flag. */
+static inline void geometry(const struct rows *t, long *run, long a, const double *rx,
+                            double r0, const double *coeffs, long n_coeffs, int n,
+                            double p[3][GROUP], double s[2][GROUP])
 {
     double x[GROUP], y[GROUP], amp[GROUP];
-    int at_rx = 0;
     for (int i = 0; i < n; i++, a++) {
         while (a >= t->first_antenna[*run + 1])
             ++*run;
@@ -96,7 +94,6 @@ static inline int geometry(const struct rows *t, long *run, long a, const double
         double ax = fabs(dx), ay = fabs(dy), az = fabs(dz);
         double big = ax > ay ? ax : ay;
         big = big > az ? big : az;
-        at_rx |= big == 0.0;
         double qx = dx / big, qy = dy / big, qz = dz / big;
         double r = big * sqrt(qx * qx + qy * qy + qz * qz);
         p[0][i] = dx / r;
@@ -117,7 +114,6 @@ static inline int geometry(const struct rows *t, long *run, long a, const double
         s[0][i] *= amp[i];
         s[1][i] *= amp[i];
     }
-    return at_rx;
 }
 
 CLONES int tile_sums(const double *x_table, const double *y, const int64_t *first_x,
@@ -129,11 +125,10 @@ CLONES int tile_sums(const double *x_table, const double *y, const int64_t *firs
     double p[3][GROUP], s[2][GROUP];
     const double top = coeffs[n_coeffs - 1];
     long run = run_of(&t, first);
-    int at_rx = 0;
     feclearexcept(FE_ALL_EXCEPT);
     for (long g0 = 0; g0 < k; g0 += GROUP) {
         int count = k - g0 < GROUP ? (int)(k - g0) : GROUP;
-        at_rx |= geometry(&t, &run, first + g0, rx, r0, coeffs, n_coeffs, count, p, s);
+        geometry(&t, &run, first + g0, rx, r0, coeffs, n_coeffs, count, p, s);
         for (long j0 = 0; j0 < m; j0 += J) {
             /* lanes past the last direction repeat the first one: the same
                operations on the same values raise no new flag, and are not stored */
@@ -187,30 +182,26 @@ CLONES int tile_sums(const double *x_table, const double *y, const int64_t *firs
         }
     }
     return (fetestexcept(FE_OVERFLOW) ? 1 : 0) | (fetestexcept(FE_INVALID) ? 2 : 0)
-           | (fetestexcept(FE_DIVBYZERO) ? 4 : 0) | (fetestexcept(FE_UNDERFLOW) ? 8 : 0)
-           | (at_rx ? COLOCATED : 0);
+           | (fetestexcept(FE_DIVBYZERO) ? 4 : 0) | (fetestexcept(FE_UNDERFLOW) ? 8 : 0);
 }
 
 /* a[i] and a[k + i]: the z components of e_x,i and e_y,i of antenna
-   first + i, for i < k. Returns COLOCATED if one of them sits at rx, when those
-   entries are undefined.
+   first + i, for i < k.
    Not cloned: a fig3 run is bound by its CSV writer, and clones would only
    add compile time. */
-int field_z(const double *x_table, const double *y, const int64_t *first_x,
-            const int64_t *first_antenna, long runs, long first, long k, const double *rx,
-            double r0, const double *coeffs, long n_coeffs, double *a)
+void field_z(const double *x_table, const double *y, const int64_t *first_x,
+             const int64_t *first_antenna, long runs, long first, long k, const double *rx,
+             double r0, const double *coeffs, long n_coeffs, double *a)
 {
     const struct rows t = {x_table, y, first_x, first_antenna, runs};
     double p[3][GROUP], s[2][GROUP];
     long run = run_of(&t, first);
-    int at_rx = 0;
     for (long g0 = 0; g0 < k; g0 += GROUP) {
         int count = k - g0 < GROUP ? (int)(k - g0) : GROUP;
-        at_rx |= geometry(&t, &run, first + g0, rx, r0, coeffs, n_coeffs, count, p, s);
+        geometry(&t, &run, first + g0, rx, r0, coeffs, n_coeffs, count, p, s);
         for (int i = 0; i < count; i++) {
             a[g0 + i] = p[2][i] * -(s[0][i] * p[0][i]);
             a[k + g0 + i] = p[2][i] * -(s[1][i] * p[1][i]);
         }
     }
-    return at_rx ? COLOCATED : 0;
 }

@@ -16,11 +16,12 @@ def kernel_snrs(layout, rx_centers, directions, budget, plain=False):
     in order, folded for ``layout``.
 
     The mirror and square folds of ``fold_placements`` rest on the symmetry of the
-    lattice; with ``plain``, every RX gets the fold by v -> -v alone, which holds for
-    any layout, as an ``explicit_layout`` needs."""
-    folds = (dict.fromkeys([(False, False), (True, False), (True, True)],
-                           fold_directions(directions, mirror=False)) if plain else None)
-    placements = fold_placements(layout, rx_centers, directions, folds)
+    lattice; with ``plain``, the fold by v -> -v alone takes the place of each RX's
+    fold, as it holds for any layout, as an ``explicit_layout`` needs."""
+    placements = fold_placements(layout, rx_centers, directions)
+    if plain:
+        fold = fold_directions(directions, mirror=False)
+        placements = [(rx, r0, fold) for rx, r0, _ in placements]
     gains = folded_snrs(layout, placements)
     return (
         link_snrs(g, budget, layout.wavelength, r0) for (_, r0, _), g in zip(placements, gains)

@@ -55,7 +55,7 @@ def reference_lattice(radius: float, pitch: float) -> np.ndarray:
     return np.array(points)
 
 
-def explicit_layout(positions, wavelength: float, radius: float) -> ArrayLayout:
+def explicit_layout(positions, wavelength: float) -> ArrayLayout:
     """A layout of the (n, 3) ``positions`` on z = 0, antenna i at row i.
 
     Each stretch of consecutive antennas with the same y, bit for bit, is one
@@ -66,7 +66,7 @@ def explicit_layout(positions, wavelength: float, radius: float) -> ArrayLayout:
     bits = y.view(np.int64)  # -0.0 and 0.0 start separate runs
     first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))).astype(np.int64)
     rows = AntennaRows(x.copy(), y[first], first, np.append(first, pos.shape[0]))
-    return ArrayLayout(rows, wavelength, radius)
+    return ArrayLayout(rows, wavelength)
 
 
 def _dot(a, b):

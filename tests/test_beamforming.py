@@ -337,7 +337,8 @@ def test_polarization_angles_refuse_a_bad_rx(rx):
 
 
 def test_polarization_angles_refuse_a_colocated_rx():
-    with pytest.raises(ValueError, match="co-located"):
+    # every antenna lies on the array plane, which the RX may not
+    with pytest.raises(ValueError, match="off the array plane"):
         polarization_angles(FIG3_LAYOUT, FIG3_LAYOUT.positions[-1])
 
 
@@ -354,7 +355,7 @@ def kernel_layout():
 
 def first_antennas(layout, n):
     "The first ``n`` elements of ``layout`` as a layout of their own."
-    return explicit_layout(layout.positions[:n], layout.wavelength, layout.radius)
+    return explicit_layout(layout.positions[:n], layout.wavelength)
 
 
 def oracle_snr(layout, rx_center, grid, budget):
@@ -405,7 +406,7 @@ def test_an_explicit_layout_with_gaps_and_repeated_rows(monkeypatch, block):
               (-3, 2), (0, 2), (1, 2), (3, 2)]
     positions = np.array([(i * pitch, j * pitch, 0.0) for i, j in points])
     positions[5, 1] = -0.0
-    layout = explicit_layout(positions, KERNEL_WAVELENGTH, 5.0 * pitch)
+    layout = explicit_layout(positions, KERNEL_WAVELENGTH)
     assert layout.rows.first_antenna.tolist() == [0, 3, 5, 6, 9, 13]
     assert layout.positions.tobytes() == positions.tobytes()
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
@@ -437,20 +438,18 @@ def test_orientation_snr_single_antenna(kernel_layout):
         # broadside: the y dipole is cross-polarized to v = x, the x dipole to v = y
         ((0.0, 0.0, 1.0), X_HAT, "y"),
         ((0.0, 0.0, 1.0), Y_HAT, "x"),
-        # along the x dipole's own axis, which does not radiate there
-        ((1.0, 0.0, 0.0), Y_HAT, "x"),
         # along the receive dipole's own axis: no channel at all
         ((0.0, 0.0, 1.0), Z_HAT, "both"),
         # 30 degrees off boresight at 15 cm, the ray whose x-dipole gain
         # test_scalar_gain_off_axis_ray_is_frozen pins: the y dipole's field is along y
         ((0.075, 0.0, 0.15 * math.sqrt(3.0) / 2.0), Z_HAT, "y"),
     ],
-    ids=["broadside-x", "broadside-y", "tx-axis", "rx-axis", "off-axis"],
+    ids=["broadside-x", "broadside-y", "rx-axis", "off-axis"],
 )
 def test_single_antenna_nulls_leave_one_dipole(rx, v, null):
     # one antenna at the origin: dual == switched wherever one of its dipoles is
     # nulled, and each SNR is P/N |h|^2 with h the scalar oracle's gains
-    layout = explicit_layout(np.zeros((1, 3)), KERNEL_WAVELENGTH, KERNEL_WAVELENGTH)
+    layout = explicit_layout(np.zeros((1, 3)), KERNEL_WAVELENGTH)
     ((dpc, dual, switched),) = kernel_snr(layout, np.array(rx), v[None, :], KERNEL_BUDGET,
                                           plain=True)
     g_x, g_y = (
@@ -632,11 +631,35 @@ def test_kernel_refuses_a_two_element_rx_center(kernel_layout, no_kernel_tasks):
 
 
 @pytest.mark.parametrize("antenna", [7, -1])
-def test_orientation_snr_rejects_a_colocated_rx(kernel_layout, threaded, antenna):
-    # antenna -1 sits in the last block, which a worker thread evaluates
+def test_orientation_snr_rejects_a_colocated_rx(kernel_layout, antenna):
+    # every antenna lies on the array plane, which the RX may not
     rx = kernel_layout.positions[antenna]
-    with pytest.raises(ValueError, match="co-located"):
+    with pytest.raises(ValueError, match="off the array plane"):
         kernel_snr(kernel_layout, rx, GRID_30_20, KERNEL_BUDGET)
+
+
+@pytest.mark.parametrize("rx", [(0.0, 0.0, 0.0), (0.5, -0.25, -0.0), (1.0, 0.0, 0.0)],
+                         ids=["at-an-antenna", "off-aperture", "on-the-x-axis"])
+def test_an_rx_on_the_array_plane_is_refused_at_the_call(kernel_layout, no_kernel_tasks,
+                                                        monkeypatch, rx):
+    def refuse(*args):
+        raise AssertionError("a thread or the kernel started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(beamforming, "_tile_kernel", refuse)
+    rxs = [rx_position(0.1, 0.3), np.array(rx)]
+    refused_at_the_call(kernel_layout, rxs, GRID_30_20, "off the array plane")
+    with pytest.raises(ValueError, match="off the array plane"):
+        polarization_angles(kernel_layout, np.array(rx))
+
+
+def test_an_rx_a_subnormal_height_above_an_antenna_is_accepted(kernel_layout):
+    rx = kernel_layout.positions[7] + [0.0, 0.0, 5e-324]
+    (placement,) = fold_placements(kernel_layout, [rx], GRID_30_20)
+    assert placement[1] == 5e-324
+    (gains,) = beamforming.folded_snrs(kernel_layout, [placement])
+    assert np.all(np.isfinite(gains)) and np.any(gains > 0.0)
+    assert np.all(np.isfinite(polarization_angles(kernel_layout, rx)))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -688,11 +711,8 @@ def test_square_fold_on_the_z_axis_matches_the_mirror_fold_and_the_oracle(
 def test_a_stretched_layout_on_the_z_axis_matches_the_oracle(kernel_layout):
     # a lattice stretched along x keeps y -> -y (and x -> -x) but not x <-> y, so the
     # square fold would not hold for it on the z axis
-    stretched = explicit_layout(
-        kernel_layout.positions * [1.25, 1.0, 1.0],
-        kernel_layout.wavelength,
-        1.25 * kernel_layout.radius,
-    )
+    stretched = explicit_layout(kernel_layout.positions * [1.25, 1.0, 1.0],
+                                kernel_layout.wavelength)
     assert_rx_matches_oracle(stretched, rx_position(0.1, 0.0), DEFAULT_GRID, plain=True)
 
 
@@ -768,19 +788,6 @@ def test_orientation_snrs_kernel_workers_count_every_placement(kernel_layout, mo
     assert beamforming.kernel_workers(n, one) == 3
     # more antennas never start fewer workers
     assert [beamforming.kernel_workers(k, one) for k in (1, 402, 403, n, 10**12)] == [1, 1, 2, 3, 3]
-
-
-def test_orientation_snrs_raises_at_a_colocated_rx_after_earlier_placements(
-    kernel_layout, threaded
-):
-    baseline = threading.active_count()
-    rxs = [STREAM_RXS[0], kernel_layout.positions[-1], STREAM_RXS[1]]
-    stream = kernel_snrs(kernel_layout, rxs, GRID_30_20, KERNEL_BUDGET)
-    first = next(stream)
-    assert np.array_equal(first, kernel_snr(kernel_layout, rxs[0], GRID_30_20, KERNEL_BUDGET))
-    with pytest.raises(ValueError, match="co-located"):
-        next(stream)
-    assert threading.active_count() == baseline
 
 
 def test_orientation_snrs_keeps_the_callers_errstate_on_later_placements(kernel_layout, threaded):
@@ -973,8 +980,7 @@ def kernel_inputs(draw):
         pitch = KERNEL_WAVELENGTH / 2.0
         offsets = rng.uniform(-0.2 * pitch, 0.2 * pitch, size=layout.positions.shape)
         offsets[:, 2] = 0.0
-        layout = explicit_layout(layout.positions + offsets, layout.wavelength,
-                                 radius + 0.3 * pitch)
+        layout = explicit_layout(layout.positions + offsets, layout.wavelength)
     rxs = []
     for kind in draw(st.lists(st.sampled_from(["z axis", "xz plane", "off"]), min_size=1,
                               max_size=3)):
@@ -1038,4 +1044,4 @@ def test_orientation_snr_far_on_the_z_axis_near_v_equals_z():
     layout = build_circular_array(KERNEL_WAVELENGTH, KERNEL_WAVELENGTH)
     assert layout.n_tx == 13
     grid = orientation_grid(math.pi / 2.0, math.pi / 2.0)
-    assert_rx_matches_oracle(layout, rx_position(75.0 * layout.radius, 0.0), grid)
+    assert_rx_matches_oracle(layout, rx_position(75.0 * KERNEL_WAVELENGTH, 0.0), grid)

@@ -33,7 +33,7 @@ from oracles import (
 
 
 def single_element_layout(wavelength=1.0):
-    return explicit_layout(np.zeros((1, 3)), wavelength, wavelength * 1e-6)
+    return explicit_layout(np.zeros((1, 3)), wavelength)
 
 
 def rotation_about_z(angle):

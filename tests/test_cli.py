@@ -154,6 +154,22 @@ def test_main_unwritable_output_exit_code(tmp_path, tiny_config_path):
     assert code == EXIT_OUTPUT_ERROR
 
 
+def test_a_probe_removed_by_a_concurrent_run_is_no_output_error(
+    tmp_path, tiny_config_path, monkeypatch
+):
+    # two runs sharing --out share its write probe: the other run removes it first here
+    real = Path.touch
+
+    def touch_then_lose(path, *args, **kwargs):
+        real(path, *args, **kwargs)
+        path.unlink()
+
+    monkeypatch.setattr(Path, "touch", touch_then_lose)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
+    assert sorted(path.name for path in out.iterdir()) == ["check.csv", "manifest.json"]
+
+
 @pytest.mark.parametrize(
     "scenario, name",
     [("check", "check.csv"), ("check", "manifest.json"), ("fig3", "fig3.csv"),
@@ -892,7 +908,7 @@ ON_PLANE = TINY_CONFIG.replace("alpha_deg = 0, 30\ndistance_m = 0.1, 0.3",
     [
         ("fig7", HUGE_RATE, "distance 0.1 m at alpha 30.0 deg"),
         ("sweep", HUGE_RATE, "distance 0.1 m at alpha 0.0 deg"),
-        # d cos(alpha) is 0.0, where the reference range r0 is the aperture radius
+        # d cos(alpha) is 0.0: the bound, checked first, names the placement on the plane
         ("sweep", ON_PLANE, "distance 5e-324 m at alpha 70.0 deg"),
     ],
     ids=["fig7-huge-rate", "sweep-huge-rate", "sweep-on-plane"],

@@ -117,7 +117,7 @@ def test_the_layout_constructor_is_not_public():
 def test_explicit_layout_rebuilds_its_positions_bit_for_bit():
     positions = np.array([[0.5, -0.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0],
                           [1.0, 0.25, 0.0], [-1.0, 0.25, 0.0], [0.0, -0.0, 0.0]])
-    layout = explicit_layout(positions, wavelength=1.0, radius=1.1)
+    layout = explicit_layout(positions, wavelength=1.0)
     assert layout.positions.tobytes() == positions.tobytes()
     # a run is a stretch of equal y bits, so -0.0 and 0.0 start separate runs
     assert layout.rows.first_antenna.tolist() == [0, 1, 3, 5, 6]

@@ -195,7 +195,7 @@ def test_magnitudes_stay_exact_next_to_the_axial_null(theta):
     v /= np.linalg.norm(v)
     # a bound on this antenna's magnitudes: |w| <= 1 and h(0) = 1 is the RX pattern's peak
     peak = r0 / np.linalg.norm(d) * math.hypot(*np.polyval(coeffs[::-1], p[:2] ** 2))
-    layout = explicit_layout(position, wavelength=1.0, radius=1.0)
+    layout = explicit_layout(position, wavelength=1.0)
     got, _ = beamforming._tile_sums(beamforming._tile_kernel(), layout, range(1), rx, r0, v[None])
     want = exact_sums(position[0].tolist(), rx.tolist(), r0, v.tolist(), coeffs.tolist())
     assert np.all(np.abs(got[:, 0] - want) <= 1e-15 * abs(theta) * peak)

@@ -77,12 +77,14 @@ H0_SLOPE = 1.0 - math.pi**2 / 8.0
 KAPPA = 7.0 / 4.0
 "2 + h'(1) / h(1) = 2 - 1/4."
 PHI = math.radians(10.0)
+RADIUS = 0.015
+"The aperture radius R of ``layout`` in meters."
 
 
 @pytest.fixture(scope="module")
 def layout():
     "The 15 mm aperture at 300 GHz: 2837 antennas."
-    layout = build_circular_array(0.015, SPEED_OF_LIGHT / 300e9)
+    layout = build_circular_array(RADIUS, SPEED_OF_LIGHT / 300e9)
     assert layout.n_tx == 2837
     return layout
 
@@ -103,8 +105,8 @@ def test_axial_null_ratio_tends_to_the_lattice_sum(layout, radii):
     assert limit == pytest.approx(1.2323288807, rel=1e-10)
     d_n = (-KAPPA * np.sum(r**4) + H0_SLOPE * np.sum(x**4 + y**4)) / s2
     d_a = (-KAPPA * np.sum(r**3 * x) + H0_SLOPE * np.sum(r * x**3)) / x1
-    gap = 2.0 * limit * (d_n - d_a) / layout.radius**2  # C, about -0.0305
-    dpc, dual, _ = on_axis_snr(layout, radii * layout.radius, (0.0, 0.0, 1.0))
+    gap = 2.0 * limit * (d_n - d_a) / RADIUS**2  # C, about -0.0305
+    dpc, dual, _ = on_axis_snr(layout, radii * RADIUS, (0.0, 0.0, 1.0))
     measured = (dpc / dual - limit) * radii**2
     # the next order is (R/d)^2 relative to the gap
     assert abs(measured / gap - 1.0) <= 2.0 / radii**2
@@ -113,13 +115,13 @@ def test_axial_null_ratio_tends_to_the_lattice_sum(layout, radii):
 @pytest.mark.parametrize("radii", [10, 30, 100])
 def test_in_plane_ratios_tend_to_their_limits(layout, radii):
     dpc, dual, switched = on_axis_snr(
-        layout, radii * layout.radius, (math.cos(PHI), math.sin(PHI), 0.0)
+        layout, radii * RADIUS, (math.cos(PHI), math.sin(PHI), 0.0)
     )
     # dual/switched -> 1/cos^2 phi, its first order cancelling on the square lattice
     assert abs(dual / switched * math.cos(PHI) ** 2 - 1.0) <= 1e-3 / radii**4
     # DPC/dual - 1 -> sin^2(2 phi) Var(q) / (4 d^4)
     x, y = layout.positions[:, 0], layout.positions[:, 1]
     q = (math.pi**2 / 8.0) * (x * x - y * y) - (2.0 / math.tan(2.0 * PHI)) * x * y
-    spread = math.sin(2.0 * PHI) ** 2 * np.var(q) / (4.0 * layout.radius**4)  # about 0.0447
+    spread = math.sin(2.0 * PHI) ** 2 * np.var(q) / (4.0 * RADIUS**4)  # about 0.0447
     measured = (dpc / dual - 1.0) * radii**4
     assert abs(measured / spread - 1.0) <= 2.0 / radii**2
