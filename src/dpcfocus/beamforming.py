@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import HALF_WAVE_SERIES
 from .geometry import ArrayLayout, _positive_finite, orientation_classes
 
 BOLTZMANN = 1.380649e-23
@@ -34,6 +33,21 @@ BOLTZMANN = 1.380649e-23
 
 NOISE_TEMPERATURE = 290.0
 "Reference noise temperature T_0 in K of ``thermal_noise_power``."
+
+HALF_WAVE_SERIES = (1.0, -0.23370055013616783, 0.019968957764836173, -0.0008945229981384011,
+                    2.473727504180939e-05, -4.6476318193697227e-07, 6.318120398963926e-09,
+                    -6.306190369412005e-11)
+"""Coefficients h_0..h_7, lowest first, of a polynomial for the half-wave pattern's entire part.
+
+The pattern of a half-wave dipole is sqrt(1 - c^2) * h(c^2), with
+c = cos(theta) and h(x) = cos(pi/2 * sqrt(x)) / (1 - x). The Taylor
+coefficients of h are the tail sums of those of cos(pi/2 * sqrt(x)); the
+series is Chebyshev-economized on [0, 1] while the dropped terms stay within
+2^-53 of the Taylor coefficient mass, which leaves degree 7 where the Taylor
+series itself would need 9, and each coefficient is rounded once to float64.
+The tests check these values bit for bit against the same steps in 60-digit
+decimal arithmetic (``decimal_pattern_coefficients`` in ``tests/oracles.py``).
+"""
 
 _PATTERN_COEFFS = np.array(HALF_WAVE_SERIES)
 "``HALF_WAVE_SERIES`` as the float64 array the compiled loop reads."
@@ -460,11 +474,11 @@ def _load_kernel(cache: str):
     return _open(path)
 
 
-def _compile(source: str, target: str, *extra: str) -> None:
+def _compile(source: str, target: str) -> None:
     "Build the shared library ``target`` from ``source`` with ``cc``, or raise KernelBuildError."
     import subprocess
 
-    command = ["cc", *KERNEL_FLAGS, *extra, "-o", target, source, "-lm"]
+    command = ["cc", *KERNEL_FLAGS, "-o", target, source, "-lm"]
     try:
         subprocess.run(command, check=True, capture_output=True, text=True)
     except FileNotFoundError:
@@ -486,8 +500,9 @@ def _open(path: str):
         tile_sums, field_z = library.tile_sums, library.field_z
     except (OSError, AttributeError) as exc:
         raise KernelBuildError(f"cannot load the SNR kernel from {path}: {exc}") from None
-    table = (pointer, pointer, pointer, pointer, count, count, count)  # rows, first, k
-    tile_sums.argtypes = (*table, pointer, real, pointer, pointer, count, count, pointer)
+    table = (pointer, pointer, pointer, pointer, count)  # a layout's rows
+    tile_sums.argtypes = (*table, count, count, pointer, real, pointer, pointer, count, count,
+                          pointer)
     field_z.argtypes = (*table, pointer, real, pointer, count, pointer)
     tile_sums.restype, field_z.restype = ctypes.c_int, None
     return library
@@ -517,8 +532,8 @@ def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
     rx, r0 = _rx_center(rx)
     rx = np.ascontiguousarray(rx)
     a = np.empty((2, layout.n_tx))
-    _tile_kernel().field_z(*_row_table(layout), 0, layout.n_tx, rx.ctypes.data, r0,
-                           _PATTERN_COEFFS.ctypes.data, _PATTERN_COEFFS.size, a.ctypes.data)
+    _tile_kernel().field_z(*_row_table(layout), rx.ctypes.data, r0, _PATTERN_COEFFS.ctypes.data,
+                           _PATTERN_COEFFS.size, a.ctypes.data)
     a_x, a_y = a
     angles = np.arctan2(a_x * a_y, np.square(a_x))
     angles[(a_x == 0.0) & (a_y != 0.0)] = math.pi / 2.0

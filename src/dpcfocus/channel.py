@@ -5,8 +5,12 @@ of four factors: the free-space amplitude and delay phase, the field patterns
 of the transmitting and receiving dipoles, and the projection of the impinging
 electric field onto the receive dipole. All four vary across a large aperture
 at short range, so every antenna gets its own evaluation. Every dipole is a
-half-wave dipole, whose pattern is summed from the constant polynomial
-``HALF_WAVE_SERIES``.
+half-wave dipole, whose pattern is summed from the kernel's constant
+polynomial ``beamforming.HALF_WAVE_SERIES``.
+
+No command-line run loads this module: the SNR kernel and fig3's map read
+the layout's row table. The complex channel is the tests' reference route,
+and only it decodes the table into (n, 3) positions (``_positions``).
 """
 
 from __future__ import annotations
@@ -16,25 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beamforming import HALF_WAVE_SERIES
 from .geometry import X_HAT, Y_HAT, ArrayLayout
 
 TRANSVERSE_FLOOR = 1e-12
 "Below this transverse norm the impinging-field direction is degenerate."
-
-HALF_WAVE_SERIES = (1.0, -0.23370055013616783, 0.019968957764836173, -0.0008945229981384011,
-                    2.473727504180939e-05, -4.6476318193697227e-07, 6.318120398963926e-09,
-                    -6.306190369412005e-11)
-"""Coefficients h_0..h_7, lowest first, of a polynomial for the half-wave pattern's entire part.
-
-The pattern of a half-wave dipole is sqrt(1 - c^2) * h(c^2), with
-c = cos(theta) and h(x) = cos(pi/2 * sqrt(x)) / (1 - x). The Taylor
-coefficients of h are the tail sums of those of cos(pi/2 * sqrt(x)); the
-series is Chebyshev-economized on [0, 1] while the dropped terms stay within
-2^-53 of the Taylor coefficient mass, which leaves degree 7 where the Taylor
-series itself would need 9, and each coefficient is rounded once to float64.
-The tests check these values bit for bit against the same steps in 60-digit
-decimal arithmetic (``decimal_pattern_coefficients`` in ``tests/oracles.py``).
-"""
 
 
 def _series(x: np.ndarray) -> np.ndarray:
@@ -64,7 +54,7 @@ def _pattern(cos_theta: np.ndarray) -> np.ndarray:
 class PolarizedChannel:
     """Complex channel vectors for the x- and y-oriented TX dipole sets.
 
-    Entries follow the row order of the layout's ``positions``.
+    Entry i is antenna i of the layout, as ``_positions`` orders them.
     """
 
     h_x: np.ndarray
@@ -93,7 +83,7 @@ class ChannelGeometry:
 
     def __init__(self, layout: ArrayLayout, rx_center):
         rx = np.asarray(rx_center, dtype=float)
-        disp = rx[None, :] - layout.positions
+        disp = rx[None, :] - _positions(layout)
         dist = np.linalg.norm(disp, axis=1)
         if np.any(dist == 0.0):
             raise ValueError("RX is co-located with a TX element")
@@ -125,6 +115,16 @@ class ChannelGeometry:
         real_y = self.g_tx_y * g_rx
         real_y *= self.e_y @ v
         return PolarizedChannel(h_x=self.h_up * real_x, h_y=self.h_up * real_y)
+
+
+def _positions(layout: ArrayLayout) -> np.ndarray:
+    "The (n, 3) positions in meters of ``layout``'s antennas, row i for antenna i."
+    t, n = layout.rows, layout.n_tx
+    run = np.repeat(np.arange(t.y.size), np.diff(t.first_antenna))
+    pos = np.zeros((n, 3))
+    pos[:, 0] = t.x_table[t.first_x[run] + (np.arange(n) - t.first_antenna[run])]
+    pos[:, 1] = t.y[run]
+    return pos
 
 
 def _transverse_unit(u, p_hat, cos_up):

@@ -75,8 +75,6 @@ FIG3_DISTANCES_M = (0.15, 1.0)
 FIG3_ALPHA = math.radians(30.0)
 FIG5_DISTANCE_M = 0.10
 FIG6_ALPHA = math.radians(30.0)
-FIG3_WRITE_ROWS = 4096
-"Rows of ``fig3.csv`` that ``run_fig3`` formats and writes at a time."
 
 CONFIG_KEYS = {
     "radius_m": "radius",
@@ -147,9 +145,9 @@ def parse_config_text(text: str) -> SweepConfig:
 
 
 def load_config(path) -> SweepConfig:
-    "Read and validate a UTF-8 configuration file."
+    "Read and validate a UTF-8 configuration file, with or without a byte-order mark."
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text)
@@ -196,12 +194,11 @@ def _replaced(path: Path):
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    # format every row first, so a refused value never reaches the file
-    body = [[_fmt(v) for v in row] for row in rows]
+    # rows are formatted as they are written: a value _fmt refuses removes the partial file
     with _replaced(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(body)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 STATS_COLUMNS = [
@@ -236,11 +233,12 @@ def scenario_placements(name: str, config) -> list[tuple[float, float]]:
 def run_fig3(plan: RunPlan, out_dir: Path) -> list[Path]:
     """Write ``fig3.csv``: one row per antenna and distance.
 
-    The maps of both distances are worked out before the file is opened.
-    Each antenna's ``index,x,y,`` text is built once from the layout's rows,
-    with every coordinate formatted once, and serves both distances; rows are
-    then written ``FIG3_WRITE_ROWS`` at a time, formatted as ``_write_csv``
-    formats them, and never held all at once.
+    The maps of both distances are worked out before the per-antenna text:
+    built after it, a map's build temporaries would sit beside the text and
+    raise the run's peak. Each antenna's ``index,x,y,`` text is built once
+    from the layout's rows, with every coordinate formatted once, and serves
+    both distances; rows are then written one lattice run at a time,
+    formatted as ``_write_csv`` formats them, and never held all at once.
     An antenna's two channel entries share one complex factor, so its DPC
     weights are in phase or opposed and the ``nonlinear`` column is 0.
     """
@@ -261,10 +259,10 @@ def run_fig3(plan: RunPlan, out_dir: Path) -> list[Path]:
         handle.write(",".join(header) + "\n")
         for d, angles_deg in maps:
             lead = _fmt(d)
-            for k0 in range(0, plan.layout.n_tx, FIG3_WRITE_ROWS):
-                angles = angles_deg[k0:k0 + FIG3_WRITE_ROWS].tolist()
-                handle.write("".join(f"{lead},{prefix}{angle!r},0\n" for prefix, angle
-                                     in zip(prefixes[k0:k0 + FIG3_WRITE_ROWS], angles)))
+            for a0, a1 in zip(firsts, firsts[1:]):
+                angles = angles_deg[a0:a1].tolist()
+                handle.write("".join(f"{lead},{prefix}{angle!r},0\n"
+                                     for prefix, angle in zip(prefixes[a0:a1], angles)))
     return [path]
 
 
@@ -372,7 +370,8 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
       beside it the larger of what builds one map, the a_x and a_y of
       ``beamforming.polarization_angles`` and three float64 temporaries of
       its ``atan2``, and what writes them: each antenna's ``index,x,y,``
-      text and one write's ``FIG3_WRITE_ROWS`` rows;
+      text and one write's rows, one lattice run of at most 2 R / pitch + 1
+      antennas;
     * the sweep kernel: each of its workers holds at most three blocks'
       column sums (two in flight per worker, one being added by the
       caller), each 3 m float64 for m directions; the compiled loop builds
@@ -403,12 +402,13 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     if scenario == "fig3":
         # a map is built from a_x, a_y and three atan2 temporaries. The writer holds each
         # antenna's text, a str of at most 19 + 2 * 24 + 3 characters beside a 49-byte header
-        # and its list entry, and per row of a write an angle (a float and its list entry) and
-        # a line of at most 24 + 1 + text + 24 + 3 characters, in join's list and joined
+        # and its list entry, and per row of a write (one lattice run, at most `side` rows) an
+        # angle (a float and its list entry) and a line of at most 24 + 1 + text + 24 + 3
+        # characters, in join's list and joined
         text = 19 + 2 * 24 + 3
         line = 24 + 1 + text + 24 + 3
         build = points * (2 * 8 + 3 * 8)
-        writer = points * (8 + 49 + text) + FIG3_WRITE_ROWS * (8 + 24 + 8 + 49 + 2 * line)
+        writer = points * (8 + 49 + text) + side * (8 + 24 + 8 + 49 + 2 * line)
         phase = max(phase, points * 8 * len(FIG3_DISTANCES_M) + max(build, writer))
     _refuse_beyond_memory(table + phase + grid_bytes)
     layout = build_circular_array(config.radius, config.wavelength)

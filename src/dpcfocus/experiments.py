@@ -56,10 +56,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.noise_power is None:
             object.__setattr__(self, "noise_power", thermal_noise_power(self.bandwidth))
-        object.__setattr__(self, "alpha_values", tuple(float(a) for a in self.alpha_values))
-        object.__setattr__(
-            self, "distance_values", tuple(float(d) for d in self.distance_values)
-        )
+        # + 0.0 turns an angle of -0.0 into 0.0, which the CSVs and manifest then echo
+        for name in ("alpha_values", "distance_values"):
+            object.__setattr__(self, name, tuple(float(x) + 0.0 for x in getattr(self, name)))
         for name in ("radius", "carrier_frequency", "azimuth_step", "elevation_step",
                      "bandwidth", "transmit_power", "noise_power"):
             if not _positive_finite(getattr(self, name)):

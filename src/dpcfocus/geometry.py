@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -49,16 +48,16 @@ class AntennaRows(NamedTuple):
 class ArrayLayout:
     """Planar transmit array on z = 0, one crossed pair of half-wave dipoles per element.
 
-    ``rows`` fixes the antenna index used by the channel vectors and
-    beamformer weights; its arrays are made read-only. Beside them a layout
-    holds only the carrier ``wavelength``: no computation reads the aperture
-    radius it was clipped to. Layouts compare by identity. The compiled
-    loop reads ``rows`` unchecked, and the SNR kernel folds receive
-    directions by the square's symmetries, so the constructor is not
-    public: ``build_circular_array`` makes every layout, a lattice closed
-    under those symmetries, one run per kept stretch of each lattice row,
-    row-major by y: y ascending, then x ascending within each row. No
-    (n, 3) array exists until ``positions`` is asked for.
+    A layout is its row table: ``rows`` fixes the antenna index used by the
+    channel vectors and beamformer weights, and its arrays are made
+    read-only. Beside them it holds only the carrier ``wavelength``: no
+    computation reads the aperture radius it was clipped to, and no (n, 3)
+    positions are kept. Layouts compare by identity. The compiled loop reads
+    ``rows`` unchecked, and the SNR kernel folds receive directions by the
+    square's symmetries, so the constructor is not public:
+    ``build_circular_array`` makes every layout, a lattice closed under
+    those symmetries, one run per kept stretch of each lattice row,
+    row-major by y: y ascending, then x ascending within each row.
     """
 
     rows: AntennaRows
@@ -71,21 +70,6 @@ class ArrayLayout:
     @property
     def n_tx(self) -> int:
         return int(self.rows.first_antenna[-1])
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """The read-only (n, 3) positions in meters, row i for antenna i.
-
-        Built from ``rows`` on first use and cached: ``ChannelGeometry`` and
-        the tests read it; the SNR kernel and fig3 read ``rows``.
-        """
-        t, n = self.rows, self.n_tx
-        run = np.repeat(np.arange(t.y.size), np.diff(t.first_antenna))
-        pos = np.zeros((n, 3))
-        pos[:, 0] = t.x_table[t.first_x[run] + (np.arange(n) - t.first_antenna[run])]
-        pos[:, 1] = t.y[run]
-        pos.setflags(write=False)
-        return pos
 
 
 def build_circular_array(radius: float, wavelength: float) -> ArrayLayout:

@@ -3,7 +3,7 @@
 
    A layout's antennas come as rows (geometry.AntennaRows): run r holds
    antennas first_antenna[r] .. first_antenna[r + 1] - 1 at y[r], with x from
-   consecutive entries of x_table from first_x[r] on, and z = 0; a call takes
+   consecutive entries of x_table from first_x[r] on, and z = 0; tile_sums takes
    the k antennas from `first` on. Antenna i sits at pos_i; d_i = rx - pos_i
    is its displacement to the RX, r_i = |d_i| and p_i = d_i / r_i. Its TX
    dipole along axis u (x or y) has the field vector
@@ -185,20 +185,20 @@ CLONES int tile_sums(const double *x_table, const double *y, const int64_t *firs
            | (fetestexcept(FE_DIVBYZERO) ? 4 : 0) | (fetestexcept(FE_UNDERFLOW) ? 8 : 0);
 }
 
-/* a[i] and a[k + i]: the z components of e_x,i and e_y,i of antenna
-   first + i, for i < k.
-   Not cloned: a fig3 run is bound by its CSV writer, and clones would only
-   add compile time. */
+/* a[i] and a[k + i]: the z components of e_x,i and e_y,i of antenna i, for
+   each of the layout's k antennas. Not cloned: a fig3 run is bound by its
+   CSV writer, and clones would only add compile time. */
 void field_z(const double *x_table, const double *y, const int64_t *first_x,
-             const int64_t *first_antenna, long runs, long first, long k, const double *rx,
-             double r0, const double *coeffs, long n_coeffs, double *a)
+             const int64_t *first_antenna, long runs, const double *rx, double r0,
+             const double *coeffs, long n_coeffs, double *a)
 {
     const struct rows t = {x_table, y, first_x, first_antenna, runs};
+    const long k = first_antenna[runs];
     double p[3][GROUP], s[2][GROUP];
-    long run = run_of(&t, first);
+    long run = 0;
     for (long g0 = 0; g0 < k; g0 += GROUP) {
         int count = k - g0 < GROUP ? (int)(k - g0) : GROUP;
-        geometry(&t, &run, first + g0, rx, r0, coeffs, n_coeffs, count, p, s);
+        geometry(&t, &run, g0, rx, r0, coeffs, n_coeffs, count, p, s);
         for (int i = 0; i < count; i++) {
             a[g0 + i] = p[2][i] * -(s[0][i] * p[0][i]);
             a[k + g0 + i] = p[2][i] * -(s[1][i] * p[1][i]);

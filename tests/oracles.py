@@ -16,7 +16,7 @@ fast paths are verified against it:
 * a brute-force search over weights, and the dipole pattern and its series
   in decimal arithmetic, among them the steps that form the pattern series
   in 60-digit decimals (``decimal_pattern_coefficients``), which the
-  constant ``channel.HALF_WAVE_SERIES`` must match bit for bit.
+  constant ``beamforming.HALF_WAVE_SERIES`` must match bit for bit.
 """
 
 import cmath
@@ -402,7 +402,7 @@ def shifted_chebyshev(degree: int) -> list[list[int]]:
 def decimal_pattern_coefficients(length_over_wavelength: float) -> tuple[float, ...]:
     """The economized pattern series of a dipole of L wavelengths, in 60-digit decimals.
 
-    The steps ``channel.HALF_WAVE_SERIES`` records for L = 1/2: the Taylor
+    The steps ``beamforming.HALF_WAVE_SERIES`` records for L = 1/2: the Taylor
     coefficients a_j of cos(pi*L*sqrt(x)) from the 60-digit ``PI``, until
     they fall below 1e-40 past j^2 > (pi*L)^2, and their tail sums
     h_n = -sum_{j>n} a_j; then, while the degree exceeds 1, the top term

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from dpcfocus import beamforming
 from dpcfocus.beamforming import (
+    HALF_WAVE_SERIES,
     LinkBudget,
     fold_placements,
     polarization_angles,
     thermal_noise_power,
 )
-from dpcfocus.channel import HALF_WAVE_SERIES, ChannelGeometry, PolarizedChannel
+from dpcfocus.channel import ChannelGeometry, PolarizedChannel, _positions
 from dpcfocus.cli import FIG3_ALPHA, FIG3_DISTANCES_M
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
@@ -318,7 +319,7 @@ def test_polarization_angles_keep_the_edge_rules_on_the_z_axis():
     # over the centre, the x = 0 column has a_x = 0 and radiates along y; the centre
     # antenna itself has a_x = a_y = 0 and puts its power on the x dipole
     angles = np.degrees(polarization_angles(FIG3_LAYOUT, rx_position(0.15, 0.0)))
-    x, y = FIG3_LAYOUT.positions[:, 0], FIG3_LAYOUT.positions[:, 1]
+    x, y, _ = _positions(FIG3_LAYOUT).T
     column = (x == 0.0) & (y != 0.0)
     assert column.sum() == 60
     assert np.all(angles[column] == 90.0)
@@ -339,7 +340,7 @@ def test_polarization_angles_refuse_a_bad_rx(rx):
 def test_polarization_angles_refuse_a_colocated_rx():
     # every antenna lies on the array plane, which the RX may not
     with pytest.raises(ValueError, match="off the array plane"):
-        polarization_angles(FIG3_LAYOUT, FIG3_LAYOUT.positions[-1])
+        polarization_angles(FIG3_LAYOUT, _positions(FIG3_LAYOUT)[-1])
 
 
 KERNEL_WAVELENGTH = SPEED_OF_LIGHT / 300e9
@@ -355,7 +356,7 @@ def kernel_layout():
 
 def first_antennas(layout, n):
     "The first ``n`` elements of ``layout`` as a layout of their own."
-    return explicit_layout(layout.positions[:n], layout.wavelength)
+    return explicit_layout(_positions(layout)[:n], layout.wavelength)
 
 
 def oracle_snr(layout, rx_center, grid, budget):
@@ -408,7 +409,7 @@ def test_an_explicit_layout_with_gaps_and_repeated_rows(monkeypatch, block):
     positions[5, 1] = -0.0
     layout = explicit_layout(positions, KERNEL_WAVELENGTH)
     assert layout.rows.first_antenna.tolist() == [0, 3, 5, 6, 9, 13]
-    assert layout.positions.tobytes() == positions.tobytes()
+    assert _positions(layout).tobytes() == positions.tobytes()
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
     for alpha, distance in ((0.0, 0.01), (math.radians(30.0), 0.05)):
         assert_kernel_matches_oracle(layout, alpha, distance, GRID_30_20, plain=True)
@@ -633,7 +634,7 @@ def test_kernel_refuses_a_two_element_rx_center(kernel_layout, no_kernel_tasks):
 @pytest.mark.parametrize("antenna", [7, -1])
 def test_orientation_snr_rejects_a_colocated_rx(kernel_layout, antenna):
     # every antenna lies on the array plane, which the RX may not
-    rx = kernel_layout.positions[antenna]
+    rx = _positions(kernel_layout)[antenna]
     with pytest.raises(ValueError, match="off the array plane"):
         kernel_snr(kernel_layout, rx, GRID_30_20, KERNEL_BUDGET)
 
@@ -654,7 +655,7 @@ def test_an_rx_on_the_array_plane_is_refused_at_the_call(kernel_layout, no_kerne
 
 
 def test_an_rx_a_subnormal_height_above_an_antenna_is_accepted(kernel_layout):
-    rx = kernel_layout.positions[7] + [0.0, 0.0, 5e-324]
+    rx = _positions(kernel_layout)[7] + [0.0, 0.0, 5e-324]
     (placement,) = fold_placements(kernel_layout, [rx], GRID_30_20)
     assert placement[1] == 5e-324
     (gains,) = beamforming.folded_snrs(kernel_layout, [placement])
@@ -711,7 +712,7 @@ def test_square_fold_on_the_z_axis_matches_the_mirror_fold_and_the_oracle(
 def test_a_stretched_layout_on_the_z_axis_matches_the_oracle(kernel_layout):
     # a lattice stretched along x keeps y -> -y (and x -> -x) but not x <-> y, so the
     # square fold would not hold for it on the z axis
-    stretched = explicit_layout(kernel_layout.positions * [1.25, 1.0, 1.0],
+    stretched = explicit_layout(_positions(kernel_layout) * [1.25, 1.0, 1.0],
                                 kernel_layout.wavelength)
     assert_rx_matches_oracle(stretched, rx_position(0.1, 0.0), DEFAULT_GRID, plain=True)
 
@@ -978,9 +979,9 @@ def kernel_inputs(draw):
     plain = draw(st.booleans())
     if plain:
         pitch = KERNEL_WAVELENGTH / 2.0
-        offsets = rng.uniform(-0.2 * pitch, 0.2 * pitch, size=layout.positions.shape)
+        offsets = rng.uniform(-0.2 * pitch, 0.2 * pitch, size=_positions(layout).shape)
         offsets[:, 2] = 0.0
-        layout = explicit_layout(layout.positions + offsets, layout.wavelength)
+        layout = explicit_layout(_positions(layout) + offsets, layout.wavelength)
     rxs = []
     for kind in draw(st.lists(st.sampled_from(["z axis", "xz plane", "off"]), min_size=1,
                               max_size=3)):
@@ -1031,7 +1032,7 @@ def test_dpc_snr_never_exceeds_the_free_space_bound(inputs):
     layout, rxs, grid, plain = inputs
     rho = KERNEL_BUDGET.transmit_power / KERNEL_BUDGET.noise_power
     for rx, snr in zip(rxs, kernel_snrs(layout, rxs, grid, KERNEL_BUDGET, plain), strict=True):
-        r = np.linalg.norm(rx - layout.positions, axis=1)
+        r = np.linalg.norm(rx - _positions(layout), axis=1)
         bound = rho * np.sum(layout.wavelength / (4.0 * math.pi * r)) ** 2 / layout.n_tx
         assert np.all(snr[:, 0] <= bound * (1.0 + 1e-12))
 

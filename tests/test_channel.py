@@ -6,11 +6,12 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from dpcfocus.beamforming import HALF_WAVE_SERIES
 from dpcfocus.channel import (
-    HALF_WAVE_SERIES,
     ChannelGeometry,
     PolarizedChannel,
     _pattern,
+    _positions,
     _transverse_unit,
 )
 from dpcfocus.geometry import (
@@ -260,7 +261,7 @@ def test_channel_for_matches_scalar_oracle():
         rx = rx_position(float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.0, math.radians(60.0))))
         ch = ChannelGeometry(layout, rx).channel_for(v)
         h_x, h_y = scalar_channel(
-            layout.positions.tolist(), rx.tolist(), v.tolist(),
+            _positions(layout).tolist(), rx.tolist(), v.tolist(),
             wavelength, wavelength / 2.0,
         )
         assert np.allclose(ch.h_x, h_x, rtol=1e-12, atol=1e-20)
@@ -278,7 +279,7 @@ def test_channel_for_equivariant_under_scene_rotation():
     rx_rot = rot @ rx
     v_rot = rot @ v
     for k in range(layout.n_tx):
-        p_rot = rx_rot - rot @ layout.positions[k]
+        p_rot = rx_rot - rot @ _positions(layout)[k]
         gx = scalar_gain(rot @ X_HAT, v_rot, p_rot, wavelength, wavelength / 2.0)
         gy = scalar_gain(rot @ Y_HAT, v_rot, p_rot, wavelength, wavelength / 2.0)
         assert cmath.isclose(gx, complex(ch.h_x[k]), rel_tol=1e-9, abs_tol=1e-18)

@@ -135,6 +135,41 @@ def test_load_config_missing_file(tmp_path):
         load_config(utf16)
 
 
+@pytest.mark.parametrize("scenario", ["fig5", "sweep"])
+def test_a_byte_order_mark_is_read_past(tmp_path, tiny_config_path, scenario):
+    # Windows Notepad saves UTF-8 with a BOM, which is no part of the first key
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(TINY_CONFIG.encode("utf-8-sig"))
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(bom) == load_config(tiny_config_path)
+    bodies = []
+    for path in (tiny_config_path, bom):
+        out = tmp_path / path.stem
+        assert main([scenario, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        bodies.append((out / f"{scenario}.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
+def test_an_angle_of_minus_zero_is_written_as_zero(tmp_path, tiny_config_path):
+    # -0 degrees is the placement 0 degrees is, and is echoed as 0.0
+    minus = tmp_path / "minus.cfg"
+    minus.write_text(TINY_CONFIG.replace("alpha_deg = 0, 30", "alpha_deg = -0, 30"))
+    config = load_config(minus)
+    assert config == load_config(tiny_config_path)
+    assert math.copysign(1.0, config.alpha_values[0]) == 1.0
+    for scenario in ("fig5", "sweep"):
+        outputs = []
+        for path in (tiny_config_path, minus):
+            out = tmp_path / path.stem / scenario
+            assert main([scenario, "--config", str(path), "--out", str(out)]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            outputs.append(((out / f"{scenario}.csv").read_bytes(), manifest["config"]))
+        assert outputs[0] == outputs[1]
+        assert b"-0.0" not in outputs[1][0]
+        assert outputs[1][1]["alpha_deg"] == [0.0, 30.0]
+        assert math.copysign(1.0, outputs[1][1]["alpha_deg"][0]) == 1.0
+
+
 def test_main_config_error_exit_code(tmp_path):
     code = main(["check", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
@@ -361,10 +396,17 @@ def test_manifest_peak_rss_is_null_without_resource(tmp_path, tiny_config_path, 
 
 
 def test_refused_csv_value_leaves_no_file(tmp_path):
+    # rows are formatted as they are written: the partial file goes, and an older copy
+    # stays whole
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError):
         _write_csv(path, ["a"], [(1.0,), (math.nan,)])
-    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
+    _write_csv(path, ["a"], [(2.0,)])
+    with pytest.raises(ValueError):
+        _write_csv(path, ["a"], [(1.0,), (math.inf,)])
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "a\n2.0\n"
 
 
 def test_manifest_config_echo_roundtrips(tmp_path, tiny_config_path):
@@ -443,9 +485,9 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
 def test_preflight_charges_fig3_for_its_maps_and_writer(monkeypatch):
     config = SweepConfig()
     # fig3 holds its maps and each antenna's 'index,x,y,' text, which outweigh a map's a_x,
-    # a_y and atan2 temporaries
+    # a_y and atan2 temporaries; its writer holds one lattice run's rows at a time
     fig3 = plan_run(config, "fig3").estimated_bytes
-    assert fig3 == 53147104.131109394
+    assert fig3 == 51983407.449771166
     # the sweep kernel holds the row table and, per worker, column sums; the workers are
     # pinned to two CPUs' worth
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
@@ -507,7 +549,6 @@ def test_preflight_covers_the_lattice_build():
     finally:
         tracemalloc.stop()
     assert layout.n_tx == 283177
-    assert "positions" not in vars(layout)
     # a check run holds only the lattice beside the grid
     assert peak <= plan_run(config, "check").estimated_bytes
     # a chunk's temporaries, at most 40 bytes a point, outweigh the table's 601 coordinates
@@ -681,7 +722,7 @@ def test_manifest_records_the_narrowband_warnings(tmp_path):
 
 def test_importing_the_cli_defers_threads_and_no_run_loads_decimal(tmp_path, tiny_config_path):
     # threads are imported on first use, so a run's set-up does not pay for them, and the
-    # pattern series is formed in integers, so no run loads decimal at all
+    # pattern series is a constant of the kernel, so no run loads decimal at all
     code = (
         "import sys, dpcfocus.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'decimal') if m in sys.modules))"
@@ -689,12 +730,14 @@ def test_importing_the_cli_defers_threads_and_no_run_loads_decimal(tmp_path, tin
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
-    # the quartiles come from one sort: np.percentile would import numpy.ma
-    for scenario in ("fig3", "fig5", "sweep"):
+    # the quartiles come from one sort: np.percentile would import numpy.ma; and the
+    # complex channel, the tests' reference route, is no module any run needs
+    for scenario in ("fig3", "fig5", "sweep", "check"):
         args = [scenario, "--config", str(tiny_config_path), "--out", str(tmp_path / scenario)]
         code = (
             f"import sys, dpcfocus.cli; assert dpcfocus.cli.main({args!r}) == 0; "
-            "print(sorted(m for m in ('decimal', 'numpy.ma') if m in sys.modules))"
+            "print(sorted(m for m in ('decimal', 'numpy.ma', 'dpcfocus.channel') "
+            "if m in sys.modules))"
         )
         done = fresh_python("-c", code)
         assert done.returncode == 0, done.stderr

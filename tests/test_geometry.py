@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dpcfocus
+from dpcfocus.channel import _positions
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
     build_circular_array,
@@ -17,13 +18,13 @@ from oracles import brute_force_disc_count, explicit_layout, reference_lattice
 def test_single_element_array():
     layout = build_circular_array(radius=0.2, wavelength=1.0)
     assert layout.n_tx == 1
-    assert np.array_equal(layout.positions, [[0.0, 0.0, 0.0]])
+    assert np.array_equal(_positions(layout), [[0.0, 0.0, 0.0]])
 
 
 def test_boundary_lattice_points_are_kept():
     layout = build_circular_array(radius=0.5, wavelength=1.0)
     assert layout.n_tx == 5
-    got = {(x, y) for x, y, _ in layout.positions.tolist()}
+    got = {(x, y) for x, y, _ in _positions(layout).tolist()}
     assert got == {(0.0, 0.0), (0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)}
 
 
@@ -44,8 +45,9 @@ def test_full_scale_element_count_matches_enumeration():
 def test_lattice_positions_are_the_reference_lattice(radius, wavelength):
     layout = build_circular_array(radius, wavelength)
     want = reference_lattice(radius, wavelength / 2.0)
-    assert layout.positions.shape == want.shape
-    assert layout.positions.tobytes() == want.tobytes()
+    positions = _positions(layout)
+    assert positions.shape == want.shape
+    assert positions.tobytes() == want.tobytes()
     # one run per row, each taking x from the lattice's 2 floor(R / pitch) + 1 coordinates
     side = 2 * math.floor(radius / (wavelength / 2.0)) + 1
     assert layout.rows.x_table.size == side and layout.rows.y.size == side
@@ -63,7 +65,7 @@ def test_layout_reflection_symmetry(radius, wavelength):
     # fold_placements folds by the square's symmetries for every layout, so the lattice
     # must be closed under them exactly: x -> -x, y -> -y and x <-> y generate all 8
     layout = build_circular_array(radius, wavelength)
-    points = {(x, y) for x, y, _ in layout.positions.tolist()}
+    points = {(x, y) for x, y, _ in _positions(layout).tolist()}
     assert len(points) == layout.n_tx
     assert {(-x, y) for x, y in points} == points
     assert {(x, -y) for x, y in points} == points
@@ -72,14 +74,15 @@ def test_layout_reflection_symmetry(radius, wavelength):
 
 def test_layout_ordering_is_row_major_by_y_then_x():
     layout = build_circular_array(radius=1.1, wavelength=1.0)
-    keys = [(y, x) for x, y, _ in layout.positions.tolist()]
+    keys = [(y, x) for x, y, _ in _positions(layout).tolist()]
     assert keys == sorted(keys)
 
 
 def test_layout_elements_lie_in_plane_within_radius():
     layout = build_circular_array(radius=1.3, wavelength=0.7)
-    assert np.all(layout.positions[:, 2] == 0.0)
-    assert np.all(np.hypot(layout.positions[:, 0], layout.positions[:, 1]) <= 1.3)
+    x, y, z = _positions(layout).T
+    assert np.all(z == 0.0)
+    assert np.all(np.hypot(x, y) <= 1.3)
 
 
 def test_lattice_refuses_a_negative_radius():
@@ -95,12 +98,11 @@ def test_lattice_refuses_a_size_that_is_not_positive(argument, bad):
         build_circular_array(**sizes)
 
 
-@pytest.mark.parametrize("field", ["x_table", "y", "first_x", "first_antenna", "positions"])
+@pytest.mark.parametrize("field", ["x_table", "y", "first_x", "first_antenna"])
 def test_layout_arrays_are_read_only(field):
     layout = build_circular_array(radius=1.1, wavelength=1.0)
-    array = layout.positions if field == "positions" else getattr(layout.rows, field)
     with pytest.raises(ValueError, match="read-only"):
-        array[0] = 1
+        getattr(layout.rows, field)[0] = 1
 
 
 def test_layouts_compare_and_hash_by_identity():
@@ -118,7 +120,7 @@ def test_explicit_layout_rebuilds_its_positions_bit_for_bit():
     positions = np.array([[0.5, -0.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0],
                           [1.0, 0.25, 0.0], [-1.0, 0.25, 0.0], [0.0, -0.0, 0.0]])
     layout = explicit_layout(positions, wavelength=1.0)
-    assert layout.positions.tobytes() == positions.tobytes()
+    assert _positions(layout).tobytes() == positions.tobytes()
     # a run is a stretch of equal y bits, so -0.0 and 0.0 start separate runs
     assert layout.rows.first_antenna.tolist() == [0, 1, 3, 5, 6]
     assert layout.rows.x_table.tolist() == positions[:, 0].tolist()

@@ -16,13 +16,13 @@ import pytest
 
 from dpcfocus import beamforming
 from dpcfocus.beamforming import (
+    HALF_WAVE_SERIES,
     KERNEL_FLAGS,
     KERNEL_SOURCE,
     KernelBuildError,
     LinkBudget,
     polarization_angles,
 )
-from dpcfocus.channel import HALF_WAVE_SERIES
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
     build_circular_array,
@@ -52,7 +52,7 @@ def refuse_to_compile(*args):
 
 def copy_of(library):
     "A stand-in for ``_compile`` that writes the bytes of ``library`` to its target."
-    def compile_copy(source, target, *extra):
+    def compile_copy(source, target):
         shutil.copyfile(library, target)
 
     return compile_copy
@@ -68,8 +68,10 @@ def built(tmp_path_factory):
     return SimpleNamespace(cache=cache, library=library, kernel=kernel)
 
 
-def test_the_source_compiles_without_warnings(tmp_path):
-    beamforming._compile(str(SOURCE), str(tmp_path / "kernel.so"), "-Wall", "-Wextra", "-Werror")
+def test_the_source_compiles_without_warnings(tmp_path, monkeypatch):
+    strict = KERNEL_FLAGS + ("-Wall", "-Wextra", "-Werror")
+    monkeypatch.setattr(beamforming, "KERNEL_FLAGS", strict)
+    beamforming._compile(str(SOURCE), str(tmp_path / "kernel.so"))
 
 
 def gcc_on_x86_64() -> bool:
@@ -102,7 +104,9 @@ def test_the_avx512_clone_keeps_the_register_tile_in_vector_registers(tmp_path):
 def test_every_instruction_set_gives_the_same_bits(tmp_path, monkeypatch):
     # without contraction the clone this CPU runs rounds each step as the baseline does
     target = tmp_path / "baseline.so"
-    beamforming._compile(str(SOURCE), str(target), "-DCLONES=")
+    with monkeypatch.context() as patch:
+        patch.setattr(beamforming, "KERNEL_FLAGS", KERNEL_FLAGS + ("-DCLONES=",))
+        beamforming._compile(str(SOURCE), str(target))
     baseline = beamforming._open(str(target))
     layout = build_circular_array(radius=0.01, wavelength=SPEED_OF_LIGHT / 300e9)
     rxs = [rx_position(d, math.radians(a)) for a in (0.0, 30.0) for d in (0.02, 1.0)]

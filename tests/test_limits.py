@@ -68,6 +68,7 @@ import numpy as np
 import pytest
 
 from dpcfocus.beamforming import LinkBudget
+from dpcfocus.channel import _positions
 from dpcfocus.geometry import SPEED_OF_LIGHT, build_circular_array, rx_position
 from conftest import kernel_snr
 
@@ -97,7 +98,7 @@ def on_axis_snr(layout, distance, v):
 
 @pytest.mark.parametrize("radii", [10, 30, 100, 300])
 def test_axial_null_ratio_tends_to_the_lattice_sum(layout, radii):
-    x, y = np.abs(layout.positions[:, 0]), np.abs(layout.positions[:, 1])
+    x, y, _ = np.abs(_positions(layout).T)
     r = np.hypot(x, y)
     s2 = np.sum(r * r)
     x1 = np.sum(x * r)
@@ -120,7 +121,7 @@ def test_in_plane_ratios_tend_to_their_limits(layout, radii):
     # dual/switched -> 1/cos^2 phi, its first order cancelling on the square lattice
     assert abs(dual / switched * math.cos(PHI) ** 2 - 1.0) <= 1e-3 / radii**4
     # DPC/dual - 1 -> sin^2(2 phi) Var(q) / (4 d^4)
-    x, y = layout.positions[:, 0], layout.positions[:, 1]
+    x, y, _ = _positions(layout).T
     q = (math.pi**2 / 8.0) * (x * x - y * y) - (2.0 / math.tan(2.0 * PHI)) * x * y
     spread = math.sin(2.0 * PHI) ** 2 * np.var(q) / (4.0 * RADIUS**4)  # about 0.0447
     measured = (dpc / dual - 1.0) * radii**4
