@@ -221,10 +221,8 @@ def folded_snrs(layout: ArrayLayout, placements):
     placements form one stream, run in order on ``kernel_workers`` threads of
     ``_in_order``, each placed on its own CPU; a task runs no numpy pass and
     the loop runs without the interpreter lock, so the threads share the
-    CPUs. A task hands back the loop's flags with its sums, and the calling
-    thread raises them as it adds that block, so ``np.errstate`` acts at the
-    placement's item. The calling thread adds each placement's block sums in
-    block order, so a placement's array depends on ``ANTENNA_BLOCK`` but on
+    CPUs. The calling thread adds each placement's block sums in block order
+    as they arrive, so a placement's array depends on ``ANTENNA_BLOCK`` but on
     neither the number of threads nor the other placements of the call, and
     repeated calls return identical arrays. An array is yielded as soon as
     its last block is summed; at most two tasks per thread are in flight, so
@@ -259,9 +257,7 @@ def folded_snrs(layout: ArrayLayout, placements):
             # per direction: sum_k sqrt(a_x,k^2 + a_y,k^2), sum_k a_x,k, sum_k a_y,k
             sums = np.zeros((3, m))
             for _ in range(0, n, block):
-                part, raised = next(results)
-                _raise_flags(raised)
-                sums += part
+                sums += next(results)
             sums /= math.sqrt(n)
             gains = np.empty((m, 3))
             gains[:, 0] = np.square(sums[0])
@@ -363,18 +359,8 @@ def _place_thread(i: int) -> None:
         pass
 
 
-_FP_REPLAYS = (
-    (1, np.multiply, 1e308, 10.0),  # overflow
-    (2, np.subtract, math.inf, math.inf),  # invalid
-    (4, np.divide, 1.0, 0.0),  # divide by zero
-    (8, np.multiply, 1e-300, 1e-300),  # underflow
-)
-"(bit of ``tile_sums``' return, ufunc, operands) that raise each exception in numpy."
-
-
-def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v
-               ) -> tuple[np.ndarray, int]:
-    """Column sums of one antenna block, a (3, m) array, and the flags the loop raised.
+def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v) -> np.ndarray:
+    """Column sums of one antenna block, a (3, m) array.
 
     Per direction of ``v``, the array holds the sums over the antennas
     ``antennas`` of ``layout`` (a range of its antenna indices) of
@@ -384,8 +370,10 @@ def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v
     ``_PATTERN_COEFFS``. The loop builds each antenna's position from the
     layout's row table, then its unit displacement p and amplitude scales
     (s_x, s_y), and takes |h_u| = |s_u w_u| |w| h(c^2) with c = p . v and
-    w = v - c p; the operands are read in place. The flags are for
-    ``_raise_flags``, in the thread whose errstate should hold.
+    w = v - c p; the operands are read in place. No admitted operand makes
+    the loop overflow, divide by zero or form a NaN: ``_rx_center`` and
+    ``fold_directions`` refuse non-finite operands and an RX on z = 0, and
+    r0 <= r bounds every term by 1.
     """
     rx, v = (np.ascontiguousarray(a, dtype=float) for a in (rx, v))
     m = v.shape[0]
@@ -394,10 +382,10 @@ def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v
     if not in_layout or rx.shape != (3,) or v.shape != (m, 3):
         raise ValueError("SNR kernel operands of mismatched shapes")
     out = np.empty((3, m))
-    raised = kernel.tile_sums(*_row_table(layout), antennas.start, len(antennas), rx.ctypes.data,
-                              r0, v.ctypes.data, _PATTERN_COEFFS.ctypes.data,
-                              _PATTERN_COEFFS.size, m, out.ctypes.data)
-    return out, raised
+    kernel.tile_sums(*_row_table(layout), antennas.start, len(antennas), rx.ctypes.data, r0,
+                     v.ctypes.data, _PATTERN_COEFFS.ctypes.data, _PATTERN_COEFFS.size, m,
+                     out.ctypes.data)
+    return out
 
 
 def _row_table(layout: ArrayLayout) -> tuple:
@@ -406,14 +394,6 @@ def _row_table(layout: ArrayLayout) -> tuple:
     contiguous float64 and int64 with every run inside ``x_table``."""
     rows = layout.rows
     return (*(a.ctypes.data for a in rows), rows.y.size)
-
-
-def _raise_flags(raised: int) -> None:
-    """Raise each floating-point exception a ``tile_sums`` call returned in ``raised``
-    again in numpy, under the calling thread's errstate."""
-    for bit, op, a, b in _FP_REPLAYS:
-        if raised & bit:
-            op(np.full(1, a), b)
 
 
 _kernel = None
@@ -504,7 +484,7 @@ def _open(path: str):
     tile_sums.argtypes = (*table, count, count, pointer, real, pointer, pointer, count, count,
                           pointer)
     field_z.argtypes = (*table, pointer, real, pointer, count, pointer)
-    tile_sums.restype, field_z.restype = ctypes.c_int, None
+    tile_sums.restype = field_z.restype = None
     return library
 
 

@@ -23,9 +23,9 @@ import csv
 import json
 import math
 import os
+import resource
 import sys
 import time
-import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -272,18 +272,10 @@ def run_placements(plan: RunPlan, out_dir: Path) -> list[Path]:
     Each row is the placement's full ``sweep.csv`` row (``SWEEP_COLUMNS``)
     cut down to the scenario's ``PLACEMENT_COLUMNS``: the statistics read the
     kernel's budget-free gains, and only the rates apply the link budget.
-    Every placement whose narrowband check fails issues a warning before the
-    first sweep runs.
     """
     config, layout = plan.config, plan.layout
     columns = PLACEMENT_COLUMNS[plan.scenario]
     keep = [SWEEP_COLUMNS.index(c) for c in columns]
-    for _, d in plan.placements:
-        delay, ok = narrowband_check(d, config.radius, config.bandwidth)
-        if not ok:
-            warnings.warn(f"delay spread {delay:.3e} s is not small against the symbol time "
-                          f"{1.0 / config.bandwidth:.3e} s; narrowband results are questionable",
-                          RuntimeWarning)
     budget = config.budget()
     sweeps = folded_snrs(layout, plan.kernel)
     rows = []
@@ -331,7 +323,9 @@ class RunPlan(NamedTuple):
     ``kernel`` holds the ``fold_placements`` on ``layout`` of the placements the
     SNR kernel runs, none for fig3 and check; ``orientation_classes`` counts
     the classes of a placement on the xz plane off the z axis;
-    ``kernel_workers`` is ``beamforming.kernel_workers`` of it.
+    ``kernel_workers`` is ``beamforming.kernel_workers`` of it. ``notes`` holds
+    the warning of each kernel placement that fails ``narrowband_check``,
+    each distinct text once, in placement order.
     """
 
     config: SweepConfig
@@ -343,6 +337,7 @@ class RunPlan(NamedTuple):
     orientation_classes: int
     kernel_workers: int
     estimated_bytes: float
+    notes: tuple
 
 
 def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
@@ -417,6 +412,7 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     kernel_run = scenario in PLACEMENT_COLUMNS
     rx_centers = [rx_position(d, alpha) for alpha, d in placements] if kernel_run else []
     root = math.sqrt(config.transmit_power / config.noise_power)
+    notes = {}  # each warning text once, in first-seen order
     # ahead of fold_placements, whose refusal of an RX on the array plane names no placement
     for (alpha, d), rx in zip(placements, rx_centers):
         near = abs(float(rx[2]))
@@ -427,6 +423,11 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
                 f"distance {d!r} m at alpha {_deg(alpha)!r} deg: the rate bound "
                 "B * log2(1 + P/N * n * (lambda / (4 pi d cos alpha))^2) overflows"
             )
+        delay, ok = narrowband_check(d, config.radius, config.bandwidth)
+        if not ok:
+            notes.setdefault(f"RuntimeWarning: delay spread {delay:.3e} s is not small against "
+                             f"the symbol time {1.0 / config.bandwidth:.3e} s; narrowband results "
+                             "are questionable")
     kernel = tuple(fold_placements(layout, rx_centers, grid))
     workers = kernel_workers(layout.n_tx, kernel)
     kernel_bytes = workers * float(3 * 3 * 8 * grid.shape[0])
@@ -435,7 +436,8 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     classes = orientation_classes(grid, mirror=True)[0].size
     if scenario == "fig3" or kernel_run:
         _tile_kernel()
-    return RunPlan(config, scenario, placements, layout, grid, kernel, classes, workers, need)
+    return RunPlan(config, scenario, placements, layout, grid, kernel, classes, workers, need,
+                   tuple(notes))
 
 
 def _refuse_beyond_memory(need: float, what: str = "the run needs an estimated") -> None:
@@ -503,30 +505,21 @@ def main(argv=None) -> int:
         return EXIT_OUTPUT_ERROR
 
     started = time.perf_counter()
-    issued = []
     try:
-        # recorded under the filters in force, then shown one stderr line each
-        with warnings.catch_warnings(record=True) as issued:
-            outputs = SCENARIOS[args.command](plan, out_dir)
+        outputs = SCENARIOS[args.command](plan, out_dir)
     except ValueError as exc:  # a value the plan admits but float64 cannot carry through
         print(f"dpcfocus: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except OSError as exc:  # the scenarios read no files: an output cannot be written
         return _output_error(exc)
-    finally:
-        notes = [f"{w.category.__name__}: {w.message}" for w in issued]
-        for note in notes:
+    finally:  # the plan's notes, after any error line, whether or not the scenario finished
+        for note in plan.notes:
             print(f"dpcfocus: warning: {note}", file=sys.stderr)
     elapsed = time.perf_counter() - started
 
-    try:
-        import resource
-    except ImportError:  # not on every platform; the manifest then records null
-        peak_rss = None
-    else:
-        # ru_maxrss is in KiB on Linux and in bytes on macOS
-        peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        peak_rss *= 1 if sys.platform == "darwin" else 1024
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_rss *= 1 if sys.platform == "darwin" else 1024
     evaluated = sum(fold.directions.shape[0] for _, _, fold in plan.kernel)
     manifest = {
         "tool": "dpcfocus",
@@ -558,7 +551,7 @@ def main(argv=None) -> int:
             "whiskers": "1.5*IQR beyond the quartiles, clamped to data extremes",
         },
         "outputs": [p.name for p in outputs],
-        "warnings": notes,
+        "warnings": list(plan.notes),
     }
     try:
         with _replaced(out_dir / MANIFEST) as handle:

@@ -23,16 +23,14 @@
    go back to `out` once per group. An error in c moves w only along p_i,
    so it enters |w| at second order, and the sine stays accurate next to the
    RX dipole's axial null. A last partial register tile repeats its first
-   direction in the spare lanes, which are not stored, so they raise no flag
-   the real lane does not. Built with -ffp-contract=off, so every clone
-   rounds every step alike, and a direction's sums take the same bits
-   whatever directions share its register tile. Returns the floating-point
-   exceptions raised, as bits: 1 overflow, 2 invalid, 4 divide by zero,
-   8 underflow. The caller admits no RX on z = 0, so every r_i is positive.
+   direction in the spare lanes: they hold a real direction, so they compute
+   finite values, which are never stored. Built with -ffp-contract=off, so
+   every clone rounds every step alike, and a direction's sums take the same
+   bits whatever directions share its register tile. The caller admits no RX
+   on z = 0, so every r_i is positive.
    field_z builds the same geometry and forms only the z components of the
    field vectors, e_u,z = p_z (-(s_u p_u)). */
 
-#include <fenv.h>
 #include <math.h>
 #include <stdint.h>
 
@@ -70,8 +68,8 @@ static long run_of(const struct rows *t, long a)
 
 /* Unit displacements p[0..2] and field scales s[0..1] = (s_x, s_y) of antennas
    a .. a + n - 1, of which the first sits in run *run, left at the run of the
-   last. Entries past n repeat the last antenna: the same operations on the
-   same values raise no new flag. */
+   last. Entries past n repeat the last antenna, a real one: their values are
+   finite and never read. */
 static inline void geometry(const struct rows *t, long *run, long a, const double *rx,
                             double r0, const double *coeffs, long n_coeffs, int n,
                             double p[3][GROUP], double s[2][GROUP])
@@ -116,22 +114,21 @@ static inline void geometry(const struct rows *t, long *run, long a, const doubl
     }
 }
 
-CLONES int tile_sums(const double *x_table, const double *y, const int64_t *first_x,
-                     const int64_t *first_antenna, long runs, long first, long k,
-                     const double *rx, double r0, const double *v, const double *coeffs,
-                     long n_coeffs, long m, double *out)
+CLONES void tile_sums(const double *x_table, const double *y, const int64_t *first_x,
+                      const int64_t *first_antenna, long runs, long first, long k,
+                      const double *rx, double r0, const double *v, const double *coeffs,
+                      long n_coeffs, long m, double *out)
 {
     const struct rows t = {x_table, y, first_x, first_antenna, runs};
     double p[3][GROUP], s[2][GROUP];
     const double top = coeffs[n_coeffs - 1];
     long run = run_of(&t, first);
-    feclearexcept(FE_ALL_EXCEPT);
     for (long g0 = 0; g0 < k; g0 += GROUP) {
         int count = k - g0 < GROUP ? (int)(k - g0) : GROUP;
         geometry(&t, &run, first + g0, rx, r0, coeffs, n_coeffs, count, p, s);
         for (long j0 = 0; j0 < m; j0 += J) {
-            /* lanes past the last direction repeat the first one: the same
-               operations on the same values raise no new flag, and are not stored */
+            /* lanes past the last direction repeat the first one, a real direction:
+               their values are finite, and are not stored */
             long lane[J];
             double vx[J], vy[J], vz[J], s0[J], s1[J], s2[J];
             for (int j = 0; j < J; j++) {
@@ -181,8 +178,6 @@ CLONES int tile_sums(const double *x_table, const double *y, const int64_t *firs
             }
         }
     }
-    return (fetestexcept(FE_OVERFLOW) ? 1 : 0) | (fetestexcept(FE_INVALID) ? 2 : 0)
-           | (fetestexcept(FE_DIVBYZERO) ? 4 : 0) | (fetestexcept(FE_UNDERFLOW) ? 8 : 0);
 }
 
 /* a[i] and a[k + i]: the z components of e_x,i and e_y,i of antenna i, for

@@ -387,14 +387,6 @@ def test_check_scenario_outputs(tmp_path, tiny_config_path):
     assert isinstance(manifest["peak_rss_bytes"], int) and manifest["peak_rss_bytes"] > 2**20
 
 
-def test_manifest_peak_rss_is_null_without_resource(tmp_path, tiny_config_path, monkeypatch):
-    # platforms without the resource module still run; the manifest records null
-    monkeypatch.setitem(sys.modules, "resource", None)
-    out = tmp_path / "out"
-    assert main(["check", "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
-    assert json.loads((out / "manifest.json").read_text())["peak_rss_bytes"] is None
-
-
 def test_refused_csv_value_leaves_no_file(tmp_path):
     # rows are formatted as they are written: the partial file goes, and an older copy
     # stays whole
@@ -698,16 +690,21 @@ def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, tiny_config_path,
     assert bodies[0] == bodies[1]
 
 
-def test_manifest_records_the_narrowband_warnings(tmp_path):
+@pytest.mark.parametrize("filters", ["", "error", "ignore", "always"],
+                         ids=["unset", "error", "ignore", "always"])
+def test_manifest_records_the_narrowband_warnings(tmp_path, filters):
     # at 1 THz the 1.07 ps delay spread at 0.1 m and 0.36 ps at 0.3 m both fail the
-    # 0.1 ps margin; each distinct warning is shown once on stderr, on one line
+    # 0.1 ps margin at both angles; each distinct warning is shown once on stderr, on one
+    # line, and neither the notes nor the exit code depend on the interpreter's warning
+    # filters
     path = tmp_path / "wide.cfg"
     path.write_text(TINY_CONFIG.replace("bandwidth_hz = 100e6", "bandwidth_hz = 1e12"))
     delays = [(math.hypot(d, 0.008) - d) / SPEED_OF_LIGHT for d in (0.1, 0.3)]
     bodies = []
     for run in ("a", "b"):
         out = tmp_path / run
-        done = fresh_python("-m", "dpcfocus", "sweep", "--config", str(path), "--out", str(out))
+        done = fresh_python("-m", "dpcfocus", "sweep", "--config", str(path), "--out", str(out),
+                            PYTHONWARNINGS=filters)
         assert done.returncode == EXIT_OK, done.stderr
         recorded = json.loads((out / "manifest.json").read_text())["warnings"]
         assert recorded == [
@@ -718,6 +715,23 @@ def test_manifest_records_the_narrowband_warnings(tmp_path):
         assert done.stderr.splitlines() == [f"dpcfocus: warning: {note}" for note in recorded]
         bodies.append((out / "sweep.csv").read_bytes())
     assert bodies[0] == bodies[1]
+
+
+def test_the_notes_follow_the_error_line_of_a_failed_scenario(tmp_path, capsys):
+    # at 1 THz the 0.1 m placements fail the narrowband check, and at 1e200 m the v = z
+    # gains underflow to 0 once the kernel has run: exit 3, and the notes still follow
+    path = tmp_path / "far.cfg"
+    path.write_text(TINY_CONFIG.replace("bandwidth_hz = 100e6", "bandwidth_hz = 1e12")
+                    .replace("distance_m = 0.1, 0.3", "distance_m = 0.1, 1e200"))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    error, *notes = capsys.readouterr().err.splitlines()
+    assert error.startswith("dpcfocus: config error: distance 1e+200 m at alpha 0.0 deg: ")
+    delay = (math.hypot(0.1, 0.008) - 0.1) / SPEED_OF_LIGHT
+    assert notes == [
+        f"dpcfocus: warning: RuntimeWarning: delay spread {delay:.3e} s is not small against "
+        "the symbol time 1.000e-12 s; narrowband results are questionable"
+    ]
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_importing_the_cli_defers_threads_and_no_run_loads_decimal(tmp_path, tiny_config_path):
