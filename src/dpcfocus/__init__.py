@@ -15,13 +15,13 @@ import importlib
 __version__ = "0.1.0"
 
 # Each public name, keyed to its home module, is imported on first access (PEP 562),
-# so ``import dpcfocus`` loads no numpy. That lets ``dpcfocus.cli`` set the
-# BLAS defaults before numpy starts its thread pool.
+# so ``import dpcfocus`` loads only what a name needs: no run needs ``channel``, the
+# one module that imports numpy.
 _HOME_OF = {
     "SPEED_OF_LIGHT": "geometry",
-    "X_HAT": "geometry",
-    "Y_HAT": "geometry",
-    "Z_HAT": "geometry",
+    "X_HAT": "channel",
+    "Y_HAT": "channel",
+    "Z_HAT": "channel",
     "ChannelGeometry": "channel",
     "DistributionStats": "experiments",
     "LinkBudget": "beamforming",

@@ -20,13 +20,21 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .geometry import ArrayLayout, _positive_finite, orientation_classes
+from .geometry import (
+    ArrayLayout,
+    _classes,
+    _positive_finite,
+    _real,
+    _row_array,
+    _row_lists,
+    _rows,
+    _sequence,
+)
 
 BOLTZMANN = 1.380649e-23
 "Boltzmann constant in J/K (exact SI value)."
@@ -49,9 +57,9 @@ The tests check these values bit for bit against the same steps in 60-digit
 decimal arithmetic (``decimal_pattern_coefficients`` in ``tests/oracles.py``).
 """
 
-_PATTERN_COEFFS = np.array(HALF_WAVE_SERIES)
-"``HALF_WAVE_SERIES`` as the float64 array the compiled loop reads."
-_PATTERN_COEFFS.setflags(write=False)
+_PATTERN_COEFFS = memoryview(array("d", HALF_WAVE_SERIES).tobytes()).cast("d")
+"""``HALF_WAVE_SERIES`` as the read-only float64 view the compiled loop reads,
+over a ``bytes`` object whose address it is passed."""
 
 UNIT_TOL = 1e-12
 "Largest | |v| - 1 | of a receive direction the SNR kernel accepts."
@@ -61,15 +69,14 @@ ANTENNA_BLOCK = 4096
 
 A kernel task reads the layout's row table in place and builds its block's
 positions and geometry in the compiled loop, 64 antennas at a time on the
-stack; what it holds in
-numpy is the block's (3, m) column sums for m evaluated directions, added in
-antenna order. The caller adds a placement's block sums in block order, so
+stack; what it holds is the block's (3, m) column sums for m evaluated
+directions, added in antenna order. The caller adds a placement's block sums in block order, so
 this size fixes the bits of every SNR. 2048 made ``sweep --scale 0.1`` about
 10% slower, as its 2837-antenna lattice then takes two blocks per placement.
 """
 
 KERNEL_SOURCE = "tile_sums.c"
-"The C source of the SNR kernel and of fig3's field factors, beside this module."
+"The C source of the SNR kernel, its per-class terms and fig3's angles, beside this module."
 
 KERNEL_FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
 """Flags ``cc`` builds the SNR kernel with.
@@ -128,12 +135,15 @@ class LinkBudget:
             raise ValueError("transmit_power / noise_power must be positive and finite")
 
 
-def link_snrs(gains, budget: LinkBudget, wavelength: float, r0: float) -> np.ndarray:
-    """The SNRs of the budget-free ``gains`` that ``folded_snrs`` yields for a placement
-    of reference range ``r0``: P/N * (lambda / (4 pi r0))^2 times each. The root of
-    that factor is applied twice, so the factor itself need not be a normal float."""
+def link_snrs(gains, budget: LinkBudget, wavelength: float, r0: float) -> memoryview:
+    """The SNRs of the budget-free (m, 3) ``gains`` that ``folded_snrs`` yields for a
+    placement of reference range ``r0``, as new rows: P/N * (lambda / (4 pi r0))^2 times
+    each. The root of that factor is applied twice, by the compiled ``apply_link``, so
+    the factor itself need not be a normal float."""
     link = math.sqrt(budget.transmit_power / budget.noise_power) * wavelength / (4 * math.pi * r0)
-    return np.asarray(gains) * link * link
+    values = _row_array(gains, "gains")
+    _tile_kernel().apply_link(_address(values), len(values), link)
+    return _rows(values)
 
 
 def fold_placements(layout: ArrayLayout, rx_centers, directions) -> list:
@@ -151,16 +161,16 @@ def fold_placements(layout: ArrayLayout, rx_centers, directions) -> list:
     placements = []
     for rx in rx_centers:
         rx, r0 = _rx_center(rx)
-        mirror = bool(rx[1] == 0.0)
-        square = bool(mirror and rx[0] == 0.0)
+        mirror = rx[1] == 0.0
+        square = mirror and rx[0] == 0.0
         if (mirror, square) not in folds:
             folds[mirror, square] = fold_directions(directions, mirror, square)
         placements.append((rx, r0, folds[mirror, square]))
     return placements
 
 
-def _rx_center(rx) -> tuple[np.ndarray, float]:
-    """The checked RX center as a float64 3-vector, and its reference range r0 = |rx_z|.
+def _rx_center(rx) -> tuple[tuple, float]:
+    """The checked RX center as a 3-tuple of floats, and its reference range r0 = |rx_z|.
 
     The RX sits in front of the array, as in the paper: an RX on the array
     plane z = 0 is refused, so none sits at an antenna. Amplitudes are taken
@@ -169,32 +179,37 @@ def _rx_center(rx) -> tuple[np.ndarray, float]:
     1, and no sum or square taken in the kernel overflows, however near or
     far the RX is.
     """
-    rx = np.asarray(rx, dtype=float)
-    if rx.shape != (3,) or not np.all(np.isfinite(rx)):
+    try:
+        rx = tuple(map(_real, _sequence(rx)))
+    except (TypeError, ValueError):  # not a sequence of real numbers
+        rx = ()
+    if len(rx) != 3 or not all(map(math.isfinite, rx)):
         raise ValueError("an RX center must be a finite 3-vector")
     if rx[2] == 0.0:
         raise ValueError("an RX center must lie off the array plane z = 0")
-    return rx, abs(float(rx[2]))
+    return rx, abs(rx[2])
 
 
 def fold_directions(directions, mirror: bool, square: bool = False) -> _Fold:
-    "Check the directions and return their ``orientation_classes``."
-    v = np.asarray(directions, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] == 0:
-        raise ValueError("directions must be a non-empty (m, 3) array")
-    norm = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
-    if not np.all(np.abs(norm - 1.0) <= UNIT_TOL):  # also refuses NaN and inf
+    "Check the (m, 3) directions and return their ``orientation_classes``."
+    v = _row_lists(directions, "directions")
+    # also refuses NaN and inf
+    if not all(abs(math.hypot(math.hypot(x, y), z) - 1.0) <= UNIT_TOL for x, y, z in v):
         raise ValueError(f"directions must be unit vectors, to within {UNIT_TOL:g}")
-    first, inverse = orientation_classes(v, mirror, square)
-    return _Fold(v[first], inverse)
+    first, inverse = _classes(v, mirror, square)
+    counts = array("q", [0]) * len(first)
+    for c in inverse:
+        counts[c] += 1
+    return _Fold(_rows(array("d", [x for i in first for x in v[i]])), inverse, counts)
 
 
 def folded_snrs(layout: ArrayLayout, placements):
     """Iterator over the budget-free gains at each of ``placements``, in order.
 
     ``placements`` is ``fold_placements`` worked out for ``layout``. Each
-    item is an (m, 3) array whose row i holds (DPC, dual, switched) for the
-    placement's ``directions[i]``, with the channel magnitudes
+    item is an (m, 3) float64 view whose row c holds (DPC, dual, switched)
+    for the placement's class direction ``fold.directions[c]``, shared by
+    ``fold.counts[c]`` members, with the channel magnitudes
     a_u,k = |h_u,k| in units of lambda / (4 pi r0):
 
         dpc      = (sum_k sqrt(a_x,k^2 + a_y,k^2))^2 / n
@@ -212,20 +227,21 @@ def folded_snrs(layout: ArrayLayout, placements):
     v = +-z, which only its off-axis antennas reach.
 
     Directions that share their gains by symmetry (``orientation_classes``
-    of the fold) are evaluated once and the result is copied to every
-    member.
+    of the fold) are evaluated once, as one class; ``fold.inverse`` maps
+    each direction to its class.
 
     Each task is one call of the compiled loop (``_tile_sums``) on a block
     of ``ANTENNA_BLOCK`` antennas, which returns the block's (3, m) column
-    sums, added in antenna order. The (placement, block) tasks of all the
-    placements form one stream, run in order on ``kernel_workers`` threads of
-    ``_in_order``, each placed on its own CPU; a task runs no numpy pass and
-    the loop runs without the interpreter lock, so the threads share the
-    CPUs. The calling thread adds each placement's block sums in block order
-    as they arrive, so a placement's array depends on ``ANTENNA_BLOCK`` but on
-    neither the number of threads nor the other placements of the call, and
-    repeated calls return identical arrays. An array is yielded as soon as
-    its last block is summed; at most two tasks per thread are in flight, so
+    sums, added in antenna order, in an output buffer of its own. The
+    (placement, block) tasks of all the placements form one stream, run in
+    order on ``kernel_workers`` threads of ``_in_order``, each placed on its
+    own CPU; the loop runs without the interpreter lock, so the threads share
+    the CPUs. The calling thread adds each placement's block sums in block
+    order as they arrive (the compiled ``add_sums``) and turns the total into
+    gains (``class_gains``), so a placement's gains depend on
+    ``ANTENNA_BLOCK`` but on neither the number of threads nor the other
+    placements of the call, and repeated calls return identical gains. They
+    are yielded as soon as the last block is summed; at most two tasks per thread are in flight, so
     the memory held grows with neither the number of blocks nor of
     placements. Abandoning the iterator cancels the queued tasks and stops
     its threads.
@@ -253,26 +269,26 @@ def folded_snrs(layout: ArrayLayout, placements):
     results = _in_order(block_sums, tasks, kernel_workers(n, placements))
     try:
         for _, _, fold in placements:
-            m = fold.directions.shape[0]
-            # per direction: sum_k sqrt(a_x,k^2 + a_y,k^2), sum_k a_x,k, sum_k a_y,k
-            sums = np.zeros((3, m))
+            m = len(fold.directions)
+            # per class: sum_k sqrt(a_x,k^2 + a_y,k^2), sum_k a_x,k, sum_k a_y,k
+            sums = array("d", bytes(24 * m))
             for _ in range(0, n, block):
-                sums += next(results)
-            sums /= math.sqrt(n)
-            gains = np.empty((m, 3))
-            gains[:, 0] = np.square(sums[0])
-            gains[:, 1] = np.square(sums[1]) + np.square(sums[2])
-            gains[:, 2] = np.square(np.maximum(sums[1], sums[2]))
-            yield gains[fold.inverse]
+                part = next(results)  # held until the call returns
+                kernel.add_sums(_address(sums), _address(part), 3 * m)
+            gains = array("d", bytes(24 * m))
+            kernel.class_gains(_address(sums), m, math.sqrt(n), _address(gains))
+            yield _rows(gains)
     finally:
         results.close()
 
 
 class _Fold(NamedTuple):
-    "The directions a placement evaluates and the member -> class map."
+    """The class directions a placement evaluates, as (m, 3) rows, the class of
+    each direction of the grid, and each class's number of members (int64)."""
 
-    directions: np.ndarray
-    inverse: np.ndarray
+    directions: memoryview
+    inverse: tuple
+    counts: array
 
 
 def kernel_workers(n_tx: int, placements) -> int:
@@ -359,8 +375,9 @@ def _place_thread(i: int) -> None:
         pass
 
 
-def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v) -> np.ndarray:
-    """Column sums of one antenna block, a (3, m) array.
+def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v) -> array:
+    """Column sums of one antenna block, for the (m, 3) directions ``v``: a float64
+    array of 3 m, row-major (3, m).
 
     Per direction of ``v``, the array holds the sums over the antennas
     ``antennas`` of ``layout`` (a range of its antenna indices) of
@@ -370,30 +387,34 @@ def _tile_sums(kernel, layout: ArrayLayout, antennas: range, rx, r0: float, v) -
     ``_PATTERN_COEFFS``. The loop builds each antenna's position from the
     layout's row table, then its unit displacement p and amplitude scales
     (s_x, s_y), and takes |h_u| = |s_u w_u| |w| h(c^2) with c = p . v and
-    w = v - c p; the operands are read in place. No admitted operand makes
+    w = v - c p; the row table is read in place. No admitted operand makes
     the loop overflow, divide by zero or form a NaN: ``_rx_center`` and
     ``fold_directions`` refuse non-finite operands and an RX on z = 0, and
     r0 <= r bounds every term by 1.
     """
-    rx, v = (np.ascontiguousarray(a, dtype=float) for a in (rx, v))
-    m = v.shape[0]
     # the loop reads and writes exactly these: a run of the layout's antennas, and shapes
     in_layout = antennas.step == 1 and 0 <= antennas.start < antennas.stop <= layout.n_tx
-    if not in_layout or rx.shape != (3,) or v.shape != (m, 3):
+    if not in_layout or len(rx) != 3:
         raise ValueError("SNR kernel operands of mismatched shapes")
-    out = np.empty((3, m))
-    kernel.tile_sums(*_row_table(layout), antennas.start, len(antennas), rx.ctypes.data, r0,
-                     v.ctypes.data, _PATTERN_COEFFS.ctypes.data, _PATTERN_COEFFS.size, m,
-                     out.ctypes.data)
+    rx, v = array("d", rx), _row_array(v, "directions")
+    m = len(v) // 3
+    out = array("d", bytes(24 * m))
+    kernel.tile_sums(*_row_table(layout), antennas.start, len(antennas), _address(rx), r0,
+                     _address(v), _PATTERN_COEFFS.obj, len(_PATTERN_COEFFS), m, _address(out))
     return out
 
 
+def _address(values: array) -> int:
+    "The address of the first item of ``values``, for the compiled loop."
+    return values.buffer_info()[0]
+
+
 def _row_table(layout: ArrayLayout) -> tuple:
-    """The compiled loop's first five arguments: pointers to the arrays of ``layout.rows``
-    and its run count. ``build_circular_array``, which makes every layout, makes them
-    contiguous float64 and int64 with every run inside ``x_table``."""
-    rows = layout.rows
-    return (*(a.ctypes.data for a in rows), rows.y.size)
+    """The compiled loop's first five arguments: the ``bytes`` under the four fields of
+    ``layout.rows``, which ``ctypes`` passes by address, and its run count.
+    ``build_circular_array``, which makes every layout, puts every run inside
+    ``x_table``."""
+    return (*(field.obj for field in layout.rows), len(layout.rows.y))
 
 
 _kernel = None
@@ -419,14 +440,13 @@ def _load_kernel(cache: str):
     private temporary directory, which is removed once it is loaded.
     ``ctypes.CDLL`` functions release the interpreter lock.
     """
-    import platform
     import tempfile
     import zlib
 
     source = os.path.join(os.path.dirname(__file__), KERNEL_SOURCE)
     with open(source, "rb") as handle:
         key = zlib.crc32(handle.read())
-    key = zlib.crc32(" ".join((*KERNEL_FLAGS, platform.machine())).encode(), key)
+    key = zlib.crc32(" ".join((*KERNEL_FLAGS, os.uname().machine)).encode(), key)
     name = f"tile_sums-{key:08x}.so"
     path = os.path.join(cache, name)
     if not os.path.isfile(path):
@@ -470,52 +490,55 @@ def _compile(source: str, target: str) -> None:
 
 
 def _open(path: str):
-    """The shared library at ``path``, its ``tile_sums`` typed for ``_tile_sums`` and its
-    ``field_z`` for ``polarization_angles``."""
+    "The shared library at ``path``, each of its functions typed as ``tile_sums.c`` declares it."
     import ctypes
 
     pointer, real, count = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
+    table = (pointer, pointer, pointer, pointer, count)  # a layout's rows
+    signatures = {  # name: (argument types, result type)
+        "tile_sums": ((*table, count, count, pointer, real, pointer, pointer, count, count,
+                       pointer), None),
+        "field_angles": ((*table, pointer, real, pointer, count, pointer), None),
+        "add_sums": ((pointer, pointer, count), None),
+        "class_gains": ((pointer, count, real, pointer), None),
+        "apply_link": ((pointer, count, real), None),
+        "db_terms": ((pointer, count, count, real, pointer), count),
+        "rate_terms": ((pointer, count, pointer, real, pointer), count),
+    }
     try:
         library = ctypes.CDLL(path)
-        tile_sums, field_z = library.tile_sums, library.field_z
+        for name, (argtypes, restype) in signatures.items():
+            function = getattr(library, name)
+            function.argtypes, function.restype = argtypes, restype
     except (OSError, AttributeError) as exc:
         raise KernelBuildError(f"cannot load the SNR kernel from {path}: {exc}") from None
-    table = (pointer, pointer, pointer, pointer, count)  # a layout's rows
-    tile_sums.argtypes = (*table, count, count, pointer, real, pointer, pointer, count, count,
-                          pointer)
-    field_z.argtypes = (*table, pointer, real, pointer, count, pointer)
-    tile_sums.restype = field_z.restype = None
     return library
 
 
-def polarization_angles(layout: ArrayLayout, rx) -> np.ndarray:
-    """Polarization axis of each antenna's DPC weights, in radians, for an RX dipole along z.
+def polarization_angles(layout: ArrayLayout, rx) -> array:
+    """Polarization axis of each antenna's DPC weights, in degrees, for an RX dipole along z.
 
-    The same angles as the test oracle's ``polarization_angle_map(
+    The same angles, in radians, as the test oracle's ``polarization_angle_map(
     dpc_beamformer(ChannelGeometry(layout, rx).channel_for(Z_HAT)))``
     (``tests/oracles.py``), taken from the kernel's real factors: the z
     component of the field vector e_u of the TX dipole along u is
     a_u = p_z * (-(r0 / r) h(p_u^2) p_u), with p the unit displacement to the
     RX and r its length. h_u = K a_u for a complex K shared by both dipoles
     of an antenna, so the weight pair's relative phasor is |K|^2 a_x a_y,
-    real, and the axis is atan2(a_x a_y, a_x^2) in (-pi/2, pi/2]. As there,
-    an antenna with a_x == 0 radiates along y (pi/2) unless a_y == 0 too,
-    when it puts its power on the x dipole (0). a_x and a_y of the whole
-    layout come from one call of the compiled ``field_z``, which reads the
-    row table and builds the geometry as the SNR kernel's loop does, in the
-    calling thread.
+    real, and the axis is atan2(a_x a_y, a_x^2) in (-90, 90]. As there,
+    an antenna with a_x == 0 radiates along y (90) unless a_y == 0 too,
+    when it puts its power on the x dipole (0). The angles of the whole
+    layout, a float64 array in antenna order, come from one call of the
+    compiled ``field_angles``, which reads the row table and builds the
+    geometry as the SNR kernel's loop does, in the calling thread.
 
     Raises ``ValueError`` if ``rx`` is not a finite 3-vector or lies on the
     array plane z = 0 (``_rx_center``), and ``KernelBuildError`` if the
     kernel is not built yet and ``cc`` is missing or fails.
     """
     rx, r0 = _rx_center(rx)
-    rx = np.ascontiguousarray(rx)
-    a = np.empty((2, layout.n_tx))
-    _tile_kernel().field_z(*_row_table(layout), rx.ctypes.data, r0, _PATTERN_COEFFS.ctypes.data,
-                           _PATTERN_COEFFS.size, a.ctypes.data)
-    a_x, a_y = a
-    angles = np.arctan2(a_x * a_y, np.square(a_x))
-    angles[(a_x == 0.0) & (a_y != 0.0)] = math.pi / 2.0
-    angles += 0.0  # -0.0 -> +0.0
+    rx = array("d", rx)
+    angles = array("d", bytes(8 * layout.n_tx))
+    _tile_kernel().field_angles(*_row_table(layout), _address(rx), r0, _PATTERN_COEFFS.obj,
+                                len(_PATTERN_COEFFS), _address(angles))
     return angles

@@ -8,9 +8,10 @@ at short range, so every antenna gets its own evaluation. Every dipole is a
 half-wave dipole, whose pattern is summed from the kernel's constant
 polynomial ``beamforming.HALF_WAVE_SERIES``.
 
-No command-line run loads this module: the SNR kernel and fig3's map read
-the layout's row table. The complex channel is the tests' reference route,
-and only it decodes the table into (n, 3) positions (``_positions``).
+No command-line run loads this module, and it is the package's only user of
+numpy: the SNR kernel and fig3's map read the layout's row table. The complex
+channel is the tests' reference route, and only it decodes the table into
+(n, 3) positions (``_positions``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import HALF_WAVE_SERIES
-from .geometry import X_HAT, Y_HAT, ArrayLayout
+from .geometry import ArrayLayout
+
+X_HAT = np.array([1.0, 0.0, 0.0])
+Y_HAT = np.array([0.0, 1.0, 0.0])
+Z_HAT = np.array([0.0, 0.0, 1.0])
 
 TRANSVERSE_FLOOR = 1e-12
 "Below this transverse norm the impinging-field direction is degenerate."
@@ -119,11 +124,12 @@ class ChannelGeometry:
 
 def _positions(layout: ArrayLayout) -> np.ndarray:
     "The (n, 3) positions in meters of ``layout``'s antennas, row i for antenna i."
-    t, n = layout.rows, layout.n_tx
-    run = np.repeat(np.arange(t.y.size), np.diff(t.first_antenna))
+    x_table, y, first_x, first_antenna = map(np.array, layout.rows)
+    n = layout.n_tx
+    run = np.repeat(np.arange(y.size), np.diff(first_antenna))
     pos = np.zeros((n, 3))
-    pos[:, 0] = t.x_table[t.first_x[run] + (np.arange(n) - t.first_antenna[run])]
-    pos[:, 1] = t.y[run]
+    pos[:, 0] = x_table[first_x[run] + (np.arange(n) - first_antenna[run])]
+    pos[:, 1] = y[run]
     return pos
 
 

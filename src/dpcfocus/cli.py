@@ -31,13 +31,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-# No CLI path calls BLAS, yet numpy's OpenBLAS starts a worker per extra CPU
-# on load, and each spins for about 0.1 s of CPU before it parks. Set before
-# numpy is first imported; a value the caller set wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
-
 from . import __version__
 from .beamforming import (
     KernelBuildError,
@@ -57,7 +50,6 @@ from .experiments import (
     narrowband_check,
 )
 from .geometry import (
-    LATTICE_CHUNK,
     ArrayLayout,
     _even_divisions,
     build_circular_array,
@@ -93,6 +85,12 @@ LIST_KEYS = ("alpha_deg", "distance_m")
 OPTIONAL_KEYS = ("noise_power_w",)
 REQUIRED_KEYS = tuple(key for key in CONFIG_KEYS if key not in OPTIONAL_KEYS)
 MANIFEST = "manifest.json"
+ROW_BYTES = 256
+"""Bytes ``plan_run`` charges per lattice row for the row table and its build: the
+coordinate's float, its int offsets, their tuple entries and the table's bytes."""
+DIRECTION_BYTES = 1024
+"""Bytes ``plan_run`` charges per direction of the orientation grid: its rows, and the
+lists, forms and class maps ``orientation_classes`` works them out with."""
 
 class ConfigError(ValueError):
     "Raised when a run configuration file is missing, malformed or invalid."
@@ -171,7 +169,6 @@ def config_to_mapping(config: SweepConfig) -> dict:
 def _fmt(value) -> str:
     "A CSV cell of a row's float, int or bool; a bool is written as 0 or 1."
     if isinstance(value, float):
-        value = float(value)  # numpy 2's repr of an np.float64 is not a number
         if not math.isfinite(value):
             raise ValueError("refusing to write a non-finite value to CSV")
         return repr(value)
@@ -233,26 +230,25 @@ def scenario_placements(name: str, config) -> list[tuple[float, float]]:
 def run_fig3(plan: RunPlan, out_dir: Path) -> list[Path]:
     """Write ``fig3.csv``: one row per antenna and distance.
 
-    The maps of both distances are worked out before the per-antenna text:
-    built after it, a map's build temporaries would sit beside the text and
-    raise the run's peak. Each antenna's ``index,x,y,`` text is built once
-    from the layout's rows, with every coordinate formatted once, and serves
-    both distances; rows are then written one lattice run at a time,
-    formatted as ``_write_csv`` formats them, and never held all at once.
+    The maps of both distances, each a float64 array of angles in degrees,
+    are worked out before the per-antenna text. Each antenna's ``index,x,y,``
+    text is built once from the layout's rows, with every coordinate
+    formatted once, and serves both distances; rows are then written one
+    lattice run at a time, formatted as ``_write_csv`` formats them, and
+    never held all at once.
     An antenna's two channel entries share one complex factor, so its DPC
     weights are in phase or opposed and the ``nonlinear`` column is 0.
     """
     header = ["distance_m", "antenna_index", "x_m", "y_m", "pol_angle_deg", "nonlinear"]
-    maps = [(d, np.degrees(polarization_angles(plan.layout, rx_position(d, alpha))))
+    maps = [(d, polarization_angles(plan.layout, rx_position(d, alpha)))
             for alpha, d in plan.placements]
     # lattice positions are finite by construction, and so is every angle: with r0 <= r,
     # a_x and a_y lie in [-1, 1], so atan2 never sees an inf
     rows = plan.layout.rows
-    xs = [repr(x) for x in rows.x_table.tolist()]
-    firsts = rows.first_antenna.tolist()
+    xs = [repr(x) for x in rows.x_table]
+    firsts = rows.first_antenna
     prefixes = []
-    for y, x0, a0, a1 in zip(map(repr, rows.y.tolist()), rows.first_x.tolist(), firsts,
-                             firsts[1:]):
+    for y, x0, a0, a1 in zip(map(repr, rows.y), rows.first_x, firsts, firsts[1:]):
         prefixes.extend(f"{a},{x},{y}," for a, x in zip(range(a0, a1), xs[x0:x0 + a1 - a0]))
     path = out_dir / "fig3.csv"
     with _replaced(path) as handle:
@@ -261,8 +257,8 @@ def run_fig3(plan: RunPlan, out_dir: Path) -> list[Path]:
             lead = _fmt(d)
             for a0, a1 in zip(firsts, firsts[1:]):
                 angles = angles_deg[a0:a1].tolist()
-                handle.write("".join(f"{lead},{prefix}{angle!r},0\n"
-                                     for prefix, angle in zip(prefixes[a0:a1], angles)))
+                handle.write("".join([f"{lead},{prefix}{angle!r},0\n"
+                                      for prefix, angle in zip(prefixes[a0:a1], angles)]))
     return [path]
 
 
@@ -272,6 +268,7 @@ def run_placements(plan: RunPlan, out_dir: Path) -> list[Path]:
     Each row is the placement's full ``sweep.csv`` row (``SWEEP_COLUMNS``)
     cut down to the scenario's ``PLACEMENT_COLUMNS``: the statistics read the
     kernel's budget-free gains, and only the rates apply the link budget.
+    Both read one row per direction class, weighted by its members.
     """
     config, layout = plan.config, plan.layout
     columns = PLACEMENT_COLUMNS[plan.scenario]
@@ -279,11 +276,13 @@ def run_placements(plan: RunPlan, out_dir: Path) -> list[Path]:
     budget = config.budget()
     sweeps = folded_snrs(layout, plan.kernel)
     rows = []
-    for (alpha, d), (_, r0, _), gains in zip(plan.placements, plan.kernel, sweeps, strict=True):
+    for (alpha, d), (_, r0, fold), gains in zip(plan.placements, plan.kernel, sweeps,
+                                                strict=True):
         try:
-            sw = improvement_stats(gains, "switched")
-            du = improvement_stats(gains, "dual")
-            rates = ergodic_rate(link_snrs(gains, budget, layout.wavelength, r0), config.bandwidth)
+            sw = improvement_stats(gains, "switched", fold.counts)
+            du = improvement_stats(gains, "dual", fold.counts)
+            rates = ergodic_rate(link_snrs(gains, budget, layout.wavelength, r0),
+                                 config.bandwidth, fold.counts)
         except ValueError as exc:  # a gain that underflows to 0 has no dB improvement
             raise ValueError(f"distance {d!r} m at alpha {_deg(alpha)!r} deg: {exc}") from None
         row = (_deg(alpha), d, sw.sample_count) + sw[:5] + du[:5] + rates
@@ -332,7 +331,7 @@ class RunPlan(NamedTuple):
     scenario: str
     placements: tuple
     layout: ArrayLayout
-    grid: np.ndarray
+    grid: memoryview
     kernel: tuple
     orientation_classes: int
     kernel_workers: int
@@ -352,21 +351,14 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     lattice would not end in useful time. The lattice is built once the
     charge without the kernel fits. Sizes are taken in float arithmetic, so
     that an absurd configuration gives a huge or infinite estimate, never an
-    overflow. The charge is the lattice's row table (a float64 per
-    coordinate and at most five 8-byte numbers per row) and the orientation grid with its
-    temporaries (six float64 per direction), held throughout, plus the
-    largest of these phases:
+    overflow. The charge is the lattice's row table with what builds it
+    (``ROW_BYTES`` per lattice row) and the orientation grid with its folds
+    (``DIRECTION_BYTES`` per direction), held throughout, plus the larger of
+    these phases:
 
-    * the lattice build: one chunk's temporaries, at most 40 bytes a point
-      of ``geometry.LATTICE_CHUNK`` points or of one row if that is longer,
-      and 200 bytes per row for the chunks' stretches (an int64 array with
-      its header per chunk, a chunk per row at most) and their concatenation;
     * fig3: every distance's map (a float64 angle per lattice point) and
-      beside it the larger of what builds one map, the a_x and a_y of
-      ``beamforming.polarization_angles`` and three float64 temporaries of
-      its ``atan2``, and what writes them: each antenna's ``index,x,y,``
-      text and one write's rows, one lattice run of at most 2 R / pitch + 1
-      antennas;
+      beside them what writes them: each antenna's ``index,x,y,`` text and
+      one write's rows, one lattice run of at most 2 R / pitch + 1 antennas;
     * the sweep kernel: each of its workers holds at most three blocks'
       column sums (two in flight per worker, one being added by the
       caller), each 3 m float64 for m directions; the compiled loop builds
@@ -391,20 +383,18 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
                                           "as float64 positions")
     n_az = _even_divisions(2.0 * math.pi, config.azimuth_step, "azimuth_step")
     n_el = _even_divisions(math.pi, config.elevation_step, "elevation_step")
-    grid_bytes = float(n_az) * n_el * 6 * 8
-    table = 8 * side * (1 + 5)
-    phase = 40.0 * max(LATTICE_CHUNK, side) + 200 * side  # the lattice build
+    grid_bytes = float(n_az) * n_el * DIRECTION_BYTES
+    table = side * ROW_BYTES
+    phase = 0.0
     if scenario == "fig3":
-        # a map is built from a_x, a_y and three atan2 temporaries. The writer holds each
-        # antenna's text, a str of at most 19 + 2 * 24 + 3 characters beside a 49-byte header
-        # and its list entry, and per row of a write (one lattice run, at most `side` rows) an
-        # angle (a float and its list entry) and a line of at most 24 + 1 + text + 24 + 3
-        # characters, in join's list and joined
+        # the writer holds each antenna's text, a str of at most 19 + 2 * 24 + 3 characters
+        # beside a 49-byte header and its list entry, and per row of a write (one lattice
+        # run, at most `side` rows) an angle (a float and its list entry) and a line of at
+        # most 24 + 1 + text + 24 + 3 characters, in join's list and joined
         text = 19 + 2 * 24 + 3
         line = 24 + 1 + text + 24 + 3
-        build = points * (2 * 8 + 3 * 8)
         writer = points * (8 + 49 + text) + side * (8 + 24 + 8 + 49 + 2 * line)
-        phase = max(phase, points * 8 * len(FIG3_DISTANCES_M) + max(build, writer))
+        phase = points * 8 * len(FIG3_DISTANCES_M) + writer
     _refuse_beyond_memory(table + phase + grid_bytes)
     layout = build_circular_array(config.radius, config.wavelength)
 
@@ -415,7 +405,7 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
     notes = {}  # each warning text once, in first-seen order
     # ahead of fold_placements, whose refusal of an RX on the array plane names no placement
     for (alpha, d), rx in zip(placements, rx_centers):
-        near = abs(float(rx[2]))
+        near = abs(rx[2])
         amp = root * (config.wavelength / (4.0 * math.pi * near)) if near > 0.0 else math.inf
         rate = config.bandwidth * math.log1p(amp * amp * layout.n_tx) / math.log(2.0)
         if not math.isfinite(rate):
@@ -430,10 +420,12 @@ def plan_run(config: SweepConfig, scenario: str) -> RunPlan:
                              "are questionable")
     kernel = tuple(fold_placements(layout, rx_centers, grid))
     workers = kernel_workers(layout.n_tx, kernel)
-    kernel_bytes = workers * float(3 * 3 * 8 * grid.shape[0])
+    kernel_bytes = workers * float(3 * 3 * 8 * len(grid))
     need = table + max(phase, kernel_bytes) + grid_bytes
     _refuse_beyond_memory(need)
-    classes = orientation_classes(grid, mirror=True)[0].size
+    # every RX sits on the xz plane: an off-axis one has the mirror fold the count reads
+    mirrored = [fold.directions for rx, _, fold in kernel if rx[0] != 0.0]
+    classes = len(mirrored[0] if mirrored else orientation_classes(grid, mirror=True)[0])
     if scenario == "fig3" or kernel_run:
         _tile_kernel()
     return RunPlan(config, scenario, placements, layout, grid, kernel, classes, workers, need,
@@ -520,7 +512,7 @@ def main(argv=None) -> int:
     # ru_maxrss is in KiB on Linux and in bytes on macOS
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak_rss *= 1 if sys.platform == "darwin" else 1024
-    evaluated = sum(fold.directions.shape[0] for _, _, fold in plan.kernel)
+    evaluated = sum(len(fold.directions) for _, _, fold in plan.kernel)
     manifest = {
         "tool": "dpcfocus",
         "tool_version": __version__,
@@ -534,7 +526,7 @@ def main(argv=None) -> int:
             "placements": len(plan.placements),
             "wavelength_m": config.wavelength,
             "noise_power_w": config.noise_power,
-            "orientation_count": int(plan.grid.shape[0]),
+            "orientation_count": len(plan.grid),
             "orientation_classes": plan.orientation_classes,
             "directions_evaluated": evaluated,
             # the kernel's work: runtime_s / antenna_direction_pairs bounds the time per pair
@@ -543,7 +535,7 @@ def main(argv=None) -> int:
         "host": {
             "cpus": available_cpus(),
             "kernel_workers": plan.kernel_workers,
-            "numpy": np.__version__,
+            "python": ".".join(map(str, sys.version_info[:3])),
         },
         "peak_rss_bytes": peak_rss,
         "box_plot": {

@@ -2,25 +2,38 @@
 
 A sweep fixes the RX center, walks the receive dipole over an orientation
 grid, and returns the three architecture SNRs per orientation as one (m, 3)
-array with columns (DPC, dual, switched). Distributions of the DPC advantage
-(in dB over a benchmark) are then summarized with box-plot statistics, and
-rates follow from averaging B*log2(1+SNR).
+float64 view with columns (DPC, dual, switched). Distributions of the DPC
+advantage (in dB over a benchmark) are then summarized with box-plot
+statistics, and rates follow from averaging B*log2(1+SNR). Both take rows
+with a multiplicity each, so the SNRs of a fold's direction classes stand
+for every member; the compiled kernel forms their elementwise terms.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple
 
-import numpy as np
-
-from .beamforming import LinkBudget, fold_placements, folded_snrs, link_snrs, thermal_noise_power
+from .beamforming import (
+    LinkBudget,
+    _address,
+    _tile_kernel,
+    fold_placements,
+    folded_snrs,
+    link_snrs,
+    thermal_noise_power,
+)
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayLayout,
     _even_divisions,
     _positive_finite,
+    _row_array,
+    _rows,
     orientation_grid,
     rx_position,
 )
@@ -136,16 +149,18 @@ def placement_sweeps(
     placements,
     budget: LinkBudget,
     *,
-    grid: np.ndarray | None = None,
+    grid=None,
 ):
     """Iterator over the SNRs of every receive-dipole orientation, per (alpha, distance).
 
-    Each item is an (m, 3) array whose row i holds the (DPC, dual, switched)
-    SNRs for ``grid[i]`` (default ``orientation_grid()``) with the RX center
-    at ``rx_position(distance, alpha)``. The arrays come in placement order,
-    each as soon as it is ready, from one ``folded_snrs`` stream: the antenna
-    blocks of all placements share one set of worker threads, and each array
-    is bit-identical to the one a call with its placement alone yields.
+    Each item is an (m, 3) float64 view whose row i holds the (DPC, dual,
+    switched) SNRs for row i of ``grid`` (default ``orientation_grid()``)
+    with the RX center at ``rx_position(distance, alpha)``. The views come in
+    placement order, each as soon as it is ready, from one ``folded_snrs``
+    stream: the antenna blocks of all placements share one set of worker
+    threads, and each view is bit-identical to the one a call with its
+    placement alone yields. A bad placement, RX center or grid is refused at
+    the call, before any kernel work.
 
     The CLI does not call this: it folds its placements in ``plan_run``,
     before its refusals, its statistics read the budget-free gains of
@@ -155,82 +170,114 @@ def placement_sweeps(
     if grid is None:
         grid = orientation_grid()
     rx_centers = [rx_position(distance, alpha) for alpha, distance in placements]
-    folded = fold_placements(layout, rx_centers, grid)
+    folded = fold_placements(layout, rx_centers, grid)  # refuses bad input at the call
     gains = folded_snrs(layout, folded)
-    return (link_snrs(g, budget, layout.wavelength, r0) for (_, r0, _), g in zip(folded, gains))
+    return (_expanded(link_snrs(g, budget, layout.wavelength, r0), fold.inverse)
+            for (_, r0, fold), g in zip(folded, gains))
 
 
-def _snr_rows(snr) -> np.ndarray:
-    snr = np.asarray(snr, dtype=float)
-    if snr.ndim != 2 or snr.shape[1] != 3 or snr.shape[0] == 0:
-        raise ValueError("snr must be a non-empty (m, 3) array of (DPC, dual, switched)")
+def _expanded(snr, inverse) -> memoryview:
+    "The (m, 3) rows of class SNRs ``snr`` repeated per direction: row i is class ``inverse[i]``'s."
+    rows = snr.tolist()
+    return _rows(array("d", [x for c in inverse for x in rows[c]]))
+
+
+def _refuse(code: int) -> None:
+    "Raise the refusal that a compiled ``db_terms`` or ``rate_terms`` returned ``code`` for."
     # NaN fails both tests; a zero SNR is allowed, with rate 0
-    if not np.all((snr >= 0.0) & (snr < math.inf)):
+    if code == 1:
         raise ValueError("SNRs must be finite and non-negative")
-    return snr
+    if code == 2:
+        raise ValueError("SNRs must be positive: a zero SNR has no dB improvement")
 
 
-def improvements_db(snr, baseline: str) -> np.ndarray:
-    "Per-orientation DPC SNR advantage over ``baseline`` (switched or dual), in dB."
+def improvements_db(snr, baseline: str) -> list[float]:
+    "Per-row DPC SNR advantage over ``baseline`` (switched or dual), in dB, of (m, 3) rows."
     if baseline not in BASELINE_COLUMNS:
         raise ValueError(f"unknown baseline {baseline!r}; expected 'switched' or 'dual'")
-    snr = _snr_rows(snr)[:, [0, BASELINE_COLUMNS[baseline]]]
-    if not np.all(snr > 0.0):
-        raise ValueError("SNRs must be positive: a zero SNR has no dB improvement")
-    a, b = snr[:, 0], snr[:, 1]
+    rows = _row_array(snr, "snr")
+    out = array("d", bytes(len(rows) // 3 * 8))
     # log1p of the relative difference keeps every digit when a is close to b, where
     # log10(a / b) keeps only those of the rounded a / b past 1
-    return (10.0 / math.log(10.0)) * np.log1p((a - b) / b)
+    _refuse(_tile_kernel().db_terms(_address(rows), len(out), BASELINE_COLUMNS[baseline],
+                                    10.0 / math.log(10.0), _address(out)))
+    return out.tolist()
 
 
-def improvement_stats(snr, baseline: str) -> DistributionStats:
-    "Box-plot statistics of the dB improvement over ``baseline``."
-    imp = np.sort(improvements_db(snr, baseline))
-    q1, med, q3 = (_linear_quantile(imp, q) for q in (0.25, 0.5, 0.75))
+def improvement_stats(snr, baseline: str, counts=None) -> DistributionStats:
+    """Box-plot statistics of the dB improvement over ``baseline``.
+
+    Row i of the (m, 3) ``snr`` stands for ``counts[i]`` samples (default 1
+    each), so the statistics are those of the rows repeated that often, bit
+    for bit, taken from one sort of the m rows.
+    """
+    imp = improvements_db(snr, baseline)
+    counts = _multiplicities(counts, len(imp))
+    order = sorted(range(len(imp)), key=imp.__getitem__)
+    ends = list(accumulate([counts[i] for i in order]))  # samples up to each row's last
+
+    def sample(i: int) -> float:
+        return imp[order[bisect_right(ends, i)]]
+
+    q1, med, q3 = (_linear_quantile(sample, ends[-1], q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     return DistributionStats(
         median=med,
         lower_quartile=q1,
         upper_quartile=q3,
-        lower_whisker=float(max(q1 - 1.5 * iqr, imp[0])),
-        upper_whisker=float(min(q3 + 1.5 * iqr, imp[-1])),
-        sample_count=int(imp.size),
+        lower_whisker=max(q1 - 1.5 * iqr, imp[order[0]]),
+        upper_whisker=min(q3 + 1.5 * iqr, imp[order[-1]]),
+        sample_count=ends[-1],
     )
 
 
-def _linear_quantile(ordered: np.ndarray, q: float) -> float:
-    """Quantile ``q`` of the ascending ``ordered``, as ``np.quantile``'s default
-    linear method gives it, bit for bit. ``ordered`` holds no NaN: its one
-    caller sorts ``improvements_db``, which refuses non-finite and zero SNRs,
-    and log1p of (a - b) / b, which is above -1, is never NaN.
+def _multiplicities(counts, m: int) -> array:
+    "``counts``, one positive int per row of m, or 1 for each row when None, as int64."
+    counts = array("q", [1]) * m if counts is None else array("q", counts)
+    if len(counts) != m or min(counts) < 1:
+        raise ValueError("counts must hold one positive integer per row")
+    return counts
+
+
+def _linear_quantile(sample, size: int, q: float) -> float:
+    """Quantile ``q`` of ``size`` ascending samples, ``sample(i)`` the i-th, as
+    ``np.quantile``'s default linear method gives it, bit for bit. No sample is
+    NaN: its one caller sorts ``improvements_db``, which refuses non-finite and
+    zero SNRs, and log1p of (a - b) / b, which is above -1, is never NaN.
 
     The index is (n - 1) q; from below, fraction t of the way to the next
     entry, the value is a + (b - a) t for t < 0.5 and b - (b - a)(1 - t)
     otherwise. numpy takes an index at or past the last entry as the last
-    entry both ways, with t = index + 1. ``np.percentile`` itself would
-    import ``numpy.ma`` (through ``np.unique``) on first use: 1.2 MiB, 10 ms.
+    entry both ways, with t = index + 1.
     """
-    last = ordered.size - 1
+    last = size - 1
     at = last * q
     if at >= last:
-        a = b = float(ordered[last])
+        a = b = sample(last)
         t = at + 1.0
     else:
         i = math.floor(at)
-        a, b, t = float(ordered[i]), float(ordered[i + 1]), at - i
+        a, b, t = sample(i), sample(i + 1), at - i
     d = b - a
     return a + d * t if t < 0.5 else b - d * (1.0 - t)
 
 
-def ergodic_rate(snr, bandwidth: float) -> tuple[float, float, float]:
+def ergodic_rate(snr, bandwidth: float, counts=None) -> tuple[float, float, float]:
     """Mean achievable rate B*log2(1+SNR) per architecture, in bits/second.
 
     Returns (rate_dpc, rate_dual, rate_switched), each averaged over the
-    rows of the (m, 3) SNR array with equal weight.
+    rows of the (m, 3) SNR array, row i weighted by ``counts[i]`` (default
+    1 each).
     """
-    snr = _snr_rows(snr)
+    rows = _row_array(snr, "snr")
+    m = len(rows) // 3
+    counts = _multiplicities(counts, m)
+    terms = array("d", bytes(len(rows) * 8))
+    # log1p keeps the rate of an SNR below the spacing of floats near 1
+    _refuse(_tile_kernel().rate_terms(_address(rows), m, _address(counts), math.log(2.0),
+                                      _address(terms)))
     if not _positive_finite(bandwidth):
         raise ValueError("bandwidth must be positive and finite")
-    # log1p keeps the rate of an SNR below the spacing of floats near 1
-    rates = bandwidth * (np.log1p(snr) / math.log(2.0)).mean(axis=0)
-    return float(rates[0]), float(rates[1]), float(rates[2])
+    total = sum(counts)
+    dpc, dual, switched = (bandwidth * (math.fsum(terms[k::3]) / total) for k in range(3))
+    return dpc, dual, switched

@@ -1,5 +1,6 @@
-/* The SNR kernel's column sums over one antenna block, and the per-antenna
-   field factors of the fig3 polarization map, loaded by dpcfocus.beamforming.
+/* The SNR kernel's column sums over one antenna block, the per-class terms
+   the statistics and rates read, and the per-antenna polarization angles of
+   the fig3 map, loaded by dpcfocus.beamforming.
 
    A layout's antennas come as rows (geometry.AntennaRows): run r holds
    antennas first_antenna[r] .. first_antenna[r + 1] - 1 at y[r], with x from
@@ -28,8 +29,12 @@
    every clone rounds every step alike, and a direction's sums take the same
    bits whatever directions share its register tile. The caller admits no RX
    on z = 0, so every r_i is positive.
-   field_z builds the same geometry and forms only the z components of the
-   field vectors, e_u,z = p_z (-(s_u p_u)). */
+   field_angles builds the same geometry and forms only the z components of
+   the field vectors, e_u,z = p_z (-(s_u p_u)), and from them each antenna's
+   polarization angle.
+   The per-class functions below it read or write (m, 3) rows, row-major, of
+   the (DPC, dual, switched) gains or SNRs of a placement's m direction
+   classes: the elementwise terms of the statistics and rates. */
 
 #include <math.h>
 #include <stdint.h>
@@ -180,12 +185,14 @@ CLONES void tile_sums(const double *x_table, const double *y, const int64_t *fir
     }
 }
 
-/* a[i] and a[k + i]: the z components of e_x,i and e_y,i of antenna i, for
-   each of the layout's k antennas. Not cloned: a fig3 run is bound by its
-   CSV writer, and clones would only add compile time. */
-void field_z(const double *x_table, const double *y, const int64_t *first_x,
-             const int64_t *first_antenna, long runs, const double *rx, double r0,
-             const double *coeffs, long n_coeffs, double *a)
+/* angle[i]: the polarization axis, in degrees in (-90, 90], of the DPC weights of
+   each of the layout's k antennas for an RX dipole along z. a_x and a_y are the z
+   components of e_x,i and e_y,i; the axis is atan2(a_x a_y, a_x^2), or 90 degrees
+   where a_x == 0 but a_y is not. Not cloned: a fig3 run is bound by its CSV writer,
+   and clones would only add compile time. */
+void field_angles(const double *x_table, const double *y, const int64_t *first_x,
+                  const int64_t *first_antenna, long runs, const double *rx, double r0,
+                  const double *coeffs, long n_coeffs, double *angle)
 {
     const struct rows t = {x_table, y, first_x, first_antenna, runs};
     const long k = first_antenna[runs];
@@ -195,8 +202,78 @@ void field_z(const double *x_table, const double *y, const int64_t *first_x,
         int count = k - g0 < GROUP ? (int)(k - g0) : GROUP;
         geometry(&t, &run, g0, rx, r0, coeffs, n_coeffs, count, p, s);
         for (int i = 0; i < count; i++) {
-            a[g0 + i] = p[2][i] * -(s[0][i] * p[0][i]);
-            a[k + g0 + i] = p[2][i] * -(s[1][i] * p[1][i]);
+            double ax = p[2][i] * -(s[0][i] * p[0][i]);
+            double ay = p[2][i] * -(s[1][i] * p[1][i]);
+            double a = ax == 0.0 && ay != 0.0 ? M_PI / 2.0 : atan2(ax * ay, ax * ax);
+            a += 0.0; /* -0.0 -> +0.0 */
+            angle[g0 + i] = a * (180.0 / M_PI);
         }
     }
+}
+
+/* sums[i] += block[i]: one block's column sums added to a placement's */
+void add_sums(double *sums, const double *block, long count)
+{
+    for (long i = 0; i < count; i++)
+        sums[i] += block[i];
+}
+
+/* The (DPC, dual, switched) gains of m classes, as rows, from a placement's column
+   sums (sums[0..2][j] as tile_sums writes them) over n antennas, root = sqrt(n):
+   with S_u = sums[u][j] / root, (S_0^2, S_1^2 + S_2^2, max(S_1, S_2)^2) */
+void class_gains(const double *sums, long m, double root, double *gains)
+{
+    for (long j = 0; j < m; j++) {
+        double s0 = sums[j] / root, s1 = sums[m + j] / root, s2 = sums[2 * m + j] / root;
+        double top = s1 > s2 ? s1 : s2;
+        gains[3 * j] = s0 * s0;
+        gains[3 * j + 1] = s1 * s1 + s2 * s2;
+        gains[3 * j + 2] = top * top;
+    }
+}
+
+/* values[i] * link * link for each of count values, in place: the budget-free gains
+   to SNRs */
+void apply_link(double *values, long count, double link)
+{
+    for (long i = 0; i < count; i++)
+        values[i] = values[i] * link * link;
+}
+
+/* 1 if a value of the m rows is NaN, infinite or negative, else 0 */
+static long refused(const double *rows, long m)
+{
+    for (long i = 0; i < 3 * m; i++)
+        if (!(rows[i] >= 0.0 && rows[i] < INFINITY))
+            return 1;
+    return 0;
+}
+
+/* out[j] = scale * log1p((a - b) / b) of row j's DPC value a and its value b in
+   `column`: with scale = 10 / ln 10, the dB improvement. Returns 1 as `refused` does,
+   else 2 if an a or b is 0, else 0; out is complete only at 0. */
+long db_terms(const double *rows, long m, long column, double scale, double *out)
+{
+    if (refused(rows, m))
+        return 1;
+    for (long j = 0; j < m; j++) {
+        double a = rows[3 * j], b = rows[3 * j + column];
+        if (a == 0.0 || b == 0.0)
+            return 2;
+        out[j] = scale * log1p((a - b) / b);
+    }
+    return 0;
+}
+
+/* out[3 j + c] = counts[j] * (log1p(rows[j][c]) / ln2): the rate terms in bits per
+   symbol, each weighted by its row's count of samples. Returns 1 as `refused` does,
+   else 0, and out is complete only at 0. */
+long rate_terms(const double *rows, long m, const int64_t *counts, double ln2, double *out)
+{
+    if (refused(rows, m))
+        return 1;
+    for (long j = 0; j < m; j++)
+        for (int c = 0; c < 3; c++)
+            out[3 * j + c] = (double)counts[j] * (log1p(rows[3 * j + c]) / ln2);
+    return 0;
 }

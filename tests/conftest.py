@@ -12,8 +12,8 @@ def random_channel(rng: np.random.Generator, n: int, scale: float = 1.0) -> Pola
 
 
 def kernel_snrs(layout, rx_centers, directions, budget, plain=False):
-    """The SNRs of the kernel's (m, 3) gains under ``budget`` for each of ``rx_centers``,
-    in order, folded for ``layout``.
+    """The SNRs of the kernel's gains under ``budget`` for each of ``rx_centers``, in
+    order, folded for ``layout``: an (m, 3) array per RX, a row per direction.
 
     The mirror and square folds of ``fold_placements`` rest on the symmetry of the
     lattice; with ``plain``, the fold by v -> -v alone takes the place of each RX's
@@ -24,7 +24,8 @@ def kernel_snrs(layout, rx_centers, directions, budget, plain=False):
         placements = [(rx, r0, fold) for rx, r0, _ in placements]
     gains = folded_snrs(layout, placements)
     return (
-        link_snrs(g, budget, layout.wavelength, r0) for (_, r0, _), g in zip(placements, gains)
+        np.asarray(link_snrs(g, budget, layout.wavelength, r0))[list(fold.inverse)]
+        for (_, r0, fold), g in zip(placements, gains)
     )
 
 

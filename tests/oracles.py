@@ -6,6 +6,10 @@ fast paths are verified against it:
 * layouts of any positions (``explicit_layout``), beside the lattice of
   ``build_circular_array``; as they need not share its symmetries, the SNR
   kernel runs them under the fold by v -> -v alone (``conftest.kernel_snrs``);
+* the numpy routes the library took to the lattice's row table, the
+  orientation grid and its classes (``numpy_lattice_rows``,
+  ``numpy_orientation_grid``, ``numpy_orientation_classes``), which the
+  standard-library routes must match element for element;
 * the channel of one dipole pair, composed step by step with scalar
   math/cmath (``scalar_gain``, ``scalar_channel``);
 * the complex weights and the received SNRs by direct inner products
@@ -55,6 +59,109 @@ def reference_lattice(radius: float, pitch: float) -> np.ndarray:
     return np.array(points)
 
 
+LATTICE_CHUNK = 1 << 14
+"Lattice points whose clip test ``numpy_lattice_rows`` takes at a time."
+
+
+def numpy_lattice_rows(radius: float, wavelength: float) -> AntennaRows:
+    """The row table of ``build_circular_array(radius, wavelength)``, as numpy arrays.
+
+    Every point of the lattice's x >= 0 half is tested, ``LATTICE_CHUNK`` at a time,
+    with ``np.hypot`` of the sorted |x| and |y|, and each stretch of kept points of a
+    row is one run: float64 ``x_table`` and ``y``, int64 ``first_x`` and
+    ``first_antenna``.
+    """
+    pitch = wavelength / 2.0
+    n_max = int(math.floor(radius / pitch))
+    coords = np.arange(-n_max, n_max + 1) * pitch
+    size = coords[n_max:]  # |coordinate| from the centre out, exact under negation
+    runs = np.concatenate([_stretches(r0, kept) for r0, kept in _kept_rows(coords, size, radius)],
+                          axis=1)
+    row, first_x, stop = runs
+    return AntennaRows(coords, coords[row], first_x, np.append(0, np.cumsum(stop - first_x)))
+
+
+def _stretches(r0: int, kept) -> np.ndarray:
+    """The (row, first, stop) columns of a (3, s) int64 array, one per stretch of
+    consecutive kept points, in order: row ``r0 + row`` keeps columns ``first`` to
+    ``stop - 1`` of ``kept``."""
+    edges = np.diff(kept, axis=1, prepend=False, append=False)  # where a stretch starts or stops
+    row, column = np.nonzero(edges)  # row-major: each stretch's start, then its stop
+    return np.stack((r0 + row[::2], column[::2], column[1::2])).astype(np.int64, copy=False)
+
+
+def _kept_rows(ys, size, radius: float):
+    """Yield ``(first, kept)`` for chunks of the lattice rows at ``ys``, in order.
+
+    ``kept[i]`` marks the points of row ``ys[first + i]`` in the aperture,
+    over the columns at x = -size[-1], ..., size[-1] (``size`` ascends from
+    0). The test is taken on the x >= 0 half, ``LATTICE_CHUNK`` points at a
+    time, and mirrored onto x < 0, whose |x| are the same floats.
+    """
+    step = max(1, LATTICE_CHUNK // size.size)
+    for first in range(0, ys.size, step):
+        a = np.abs(ys[first:first + step])
+        radial = np.maximum.outer(a, size)
+        np.hypot(radial, np.minimum.outer(a, size), out=radial)
+        kept = radial <= radius
+        del radial
+        yield first, np.concatenate((kept[:, :0:-1], kept), axis=1)
+
+
+def numpy_orientation_grid(azimuth_step: float, elevation_step: float) -> np.ndarray:
+    """``orientation_grid(azimuth_step, elevation_step)`` as an (m, 3) array, from
+    ``np.cos`` and ``np.sin`` tables with the same reflections."""
+    n_az = round(2.0 * math.pi / azimuth_step)
+    n_el = round(math.pi / elevation_step)
+    cos_az, sin_az = _numpy_full_turn(n_az, azimuth_step)
+    # n_el steps of elevation are half of a 2 * n_el step turn
+    cos_el, sin_el = _numpy_full_turn(2 * n_el, elevation_step)[:, :n_el]
+    dirs = np.column_stack(
+        (
+            np.multiply.outer(sin_el, cos_az).ravel(),
+            np.multiply.outer(sin_el, sin_az).ravel(),
+            np.repeat(cos_el, n_az),
+        )
+    )
+    return dirs
+
+
+def _numpy_full_turn(n: int, step: float) -> np.ndarray:
+    "(cos, sin) of ``i * step`` for i < n, as a (2, n) array, reflected as ``_full_turn`` is."
+    i = np.arange(n)
+    table = np.stack((np.cos(i * step), np.sin(i * step)))
+    if n % 4 == 0:
+        quarter = n // 4
+        up = i[(2 * i > quarter) & (i <= quarter)]
+        table[:, up] = table[::-1, quarter - up]
+        if quarter % 2 == 0:
+            table[1, quarter // 2] = table[0, quarter // 2]  # a = pi/4 is its own partner
+    if n % 2 == 0:
+        half = n // 2
+        up = i[(2 * i > half) & (i <= half)]
+        table[:, up] = table[:, half - up] * [[-1.0], [1.0]]
+    up = i[2 * i > n]
+    table[:, up] = table[:, n - up] * [[1.0], [-1.0]]
+    return table
+
+
+def numpy_orientation_classes(directions, mirror: bool, square: bool = False):
+    """``orientation_classes`` by ``np.unique`` of the canonical forms: ``(first,
+    inverse)`` as int arrays."""
+    v = np.array(directions, dtype=float)
+    if square:
+        a = np.abs(v)
+        v = np.column_stack((np.maximum(a[:, 0], a[:, 1]), np.minimum(a[:, 0], a[:, 1]), a[:, 2]))
+    else:
+        lead = np.where(v[:, 2] != 0.0, v[:, 2], np.where(v[:, 0] != 0.0, v[:, 0], v[:, 1]))
+        v[lead < 0.0] *= -1.0
+        if mirror:
+            v[:, 1] = np.abs(v[:, 1])
+    v += 0.0  # -0.0 -> +0.0
+    _, first, inverse = np.unique(v, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)  # numpy 2.0.0 returns inverse as (m, 1)
+
+
 def explicit_layout(positions, wavelength: float) -> ArrayLayout:
     """A layout of the (n, 3) ``positions`` on z = 0, antenna i at row i.
 
@@ -64,8 +171,9 @@ def explicit_layout(positions, wavelength: float) -> ArrayLayout:
     pos = np.array(positions, dtype=float)
     x, y = pos[:, 0], pos[:, 1]
     bits = y.view(np.int64)  # -0.0 and 0.0 start separate runs
-    first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))).astype(np.int64)
-    rows = AntennaRows(x.copy(), y[first], first, np.append(first, pos.shape[0]))
+    first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    rows = AntennaRows(tuple(x.tolist()), tuple(y[first].tolist()), tuple(first.tolist()),
+                       tuple(first.tolist()) + (pos.shape[0],))
     return ArrayLayout(rows, wavelength)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dpcfocus.beamforming import LinkBudget, polarization_angles, thermal_noise_power
-from dpcfocus.channel import ChannelGeometry, PolarizedChannel
+from dpcfocus.channel import Z_HAT, ChannelGeometry, PolarizedChannel
 from dpcfocus.cli import main
 from dpcfocus.experiments import (
     ergodic_rate,
@@ -24,7 +24,6 @@ from dpcfocus.experiments import (
 )
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
-    Z_HAT,
     build_circular_array,
     orientation_grid,
     rx_position,

@@ -17,15 +17,12 @@ from dpcfocus.beamforming import (
     polarization_angles,
     thermal_noise_power,
 )
-from dpcfocus.channel import ChannelGeometry, PolarizedChannel, _positions
+from dpcfocus.channel import X_HAT, Y_HAT, Z_HAT, ChannelGeometry, PolarizedChannel, _positions
 from dpcfocus.cli import FIG3_ALPHA, FIG3_DISTANCES_M
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
-    X_HAT,
-    Y_HAT,
-    Z_HAT,
+    _classes,
     build_circular_array,
-    orientation_classes,
     orientation_grid,
     rx_position,
 )
@@ -69,9 +66,11 @@ def test_thermal_noise_power_is_k_t0_b():
 
 
 def test_the_kernel_reads_the_half_wave_series_bit_for_bit():
+    # the loop reads the coefficients at the address of their bytes, unchecked
     coeffs = beamforming._PATTERN_COEFFS
-    assert coeffs.dtype == np.float64 and coeffs.flags.c_contiguous
-    assert not coeffs.flags.writeable
+    assert coeffs.format == "d" and coeffs.readonly and isinstance(coeffs.obj, bytes)
+    with pytest.raises(TypeError, match="read-only"):
+        coeffs[0] = 2.0
     assert [c.hex() for c in coeffs.tolist()] == [c.hex() for c in HALF_WAVE_SERIES]
 
 
@@ -312,13 +311,13 @@ def test_polarization_angles_match_the_complex_map(alpha, distance):
     channel = ChannelGeometry(FIG3_LAYOUT, rx).channel_for(Z_HAT)
     pol = polarization_angle_map(dpc_beamformer(channel))
     assert not pol.nonlinear.any()
-    assert np.max(np.abs(np.degrees(real) - np.degrees(pol.angles))) <= 1e-12
+    assert np.max(np.abs(np.asarray(real) - np.degrees(pol.angles))) <= 1e-12
 
 
 def test_polarization_angles_keep_the_edge_rules_on_the_z_axis():
     # over the centre, the x = 0 column has a_x = 0 and radiates along y; the centre
     # antenna itself has a_x = a_y = 0 and puts its power on the x dipole
-    angles = np.degrees(polarization_angles(FIG3_LAYOUT, rx_position(0.15, 0.0)))
+    angles = np.asarray(polarization_angles(FIG3_LAYOUT, rx_position(0.15, 0.0)))
     x, y, _ = _positions(FIG3_LAYOUT).T
     column = (x == 0.0) & (y != 0.0)
     assert column.sum() == 60
@@ -345,8 +344,8 @@ def test_polarization_angles_refuse_a_colocated_rx():
 
 KERNEL_WAVELENGTH = SPEED_OF_LIGHT / 300e9
 KERNEL_BUDGET = LinkBudget(transmit_power=1e-3, noise_power=thermal_noise_power(100e6))
-DEFAULT_GRID = orientation_grid()
-GRID_30_20 = orientation_grid(math.radians(30.0), math.radians(20.0))
+DEFAULT_GRID = np.asarray(orientation_grid())
+GRID_30_20 = np.asarray(orientation_grid(math.radians(30.0), math.radians(20.0)))
 
 
 @pytest.fixture(scope="module")
@@ -408,14 +407,15 @@ def test_an_explicit_layout_with_gaps_and_repeated_rows(monkeypatch, block):
     positions = np.array([(i * pitch, j * pitch, 0.0) for i, j in points])
     positions[5, 1] = -0.0
     layout = explicit_layout(positions, KERNEL_WAVELENGTH)
-    assert layout.rows.first_antenna.tolist() == [0, 3, 5, 6, 9, 13]
+    assert list(layout.rows.first_antenna) == [0, 3, 5, 6, 9, 13]
     assert _positions(layout).tobytes() == positions.tobytes()
     monkeypatch.setattr(beamforming, "ANTENNA_BLOCK", block)
     for alpha, distance in ((0.0, 0.01), (math.radians(30.0), 0.05)):
         assert_kernel_matches_oracle(layout, alpha, distance, GRID_30_20, plain=True)
     angles = polarization_angles(layout, rx_position(0.05, FIG3_ALPHA))
     channel = ChannelGeometry(layout, rx_position(0.05, FIG3_ALPHA)).channel_for(Z_HAT)
-    assert np.max(np.abs(angles - polarization_angle_map(dpc_beamformer(channel)).angles)) <= 1e-12
+    want = np.degrees(polarization_angle_map(dpc_beamformer(channel)).angles)
+    assert np.max(np.abs(np.asarray(angles) - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -631,6 +631,23 @@ def test_kernel_refuses_a_two_element_rx_center(kernel_layout, no_kernel_tasks):
     refused_at_the_call(kernel_layout, [np.array([0.0, 0.1])], GRID_30_20, "finite 3-vector")
 
 
+@pytest.mark.parametrize(
+    "rx", ["123", b"123", ["0", "0", "1"], np.array([[0.0], [0.0], [0.1]]), 0.1],
+    ids=["str", "bytes", "number-strings", "column", "scalar"],
+)
+def test_kernel_refuses_an_rx_center_that_is_not_three_numbers(kernel_layout, no_kernel_tasks, rx):
+    refused_at_the_call(kernel_layout, [rx], GRID_30_20, "finite 3-vector")
+    with pytest.raises(ValueError, match="finite 3-vector"):
+        polarization_angles(FIG3_LAYOUT, rx)
+
+
+def test_kernel_takes_rows_and_rx_centers_as_lists(kernel_layout):
+    rx = rx_position(0.1, 0.3)
+    want = kernel_snr(kernel_layout, rx, GRID_30_20, KERNEL_BUDGET)
+    got = kernel_snr(kernel_layout, list(rx), GRID_30_20.tolist(), KERNEL_BUDGET)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("antenna", [7, -1])
 def test_orientation_snr_rejects_a_colocated_rx(kernel_layout, antenna):
     # every antenna lies on the array plane, which the RX may not
@@ -658,7 +675,7 @@ def test_an_rx_a_subnormal_height_above_an_antenna_is_accepted(kernel_layout):
     rx = _positions(kernel_layout)[7] + [0.0, 0.0, 5e-324]
     (placement,) = fold_placements(kernel_layout, [rx], GRID_30_20)
     assert placement[1] == 5e-324
-    (gains,) = beamforming.folded_snrs(kernel_layout, [placement])
+    gains = np.asarray(next(beamforming.folded_snrs(kernel_layout, [placement])))
     assert np.all(np.isfinite(gains)) and np.any(gains > 0.0)
     assert np.all(np.isfinite(polarization_angles(kernel_layout, rx)))
 
@@ -693,10 +710,7 @@ def test_square_fold_on_the_z_axis_matches_the_mirror_fold_and_the_oracle(
     assert evaluated(kernel_layout, [rx], DEFAULT_GRID) == [46]
     square = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     with monkeypatch.context() as patch:
-        patch.setattr(
-            beamforming, "orientation_classes",
-            lambda v, mirror, square=False: orientation_classes(v, mirror),
-        )
+        patch.setattr(beamforming, "_classes", lambda v, mirror, square: _classes(v, mirror, False))
         assert evaluated(kernel_layout, [rx], DEFAULT_GRID) == [163]
         mirror = kernel_snr(kernel_layout, rx, DEFAULT_GRID, KERNEL_BUDGET)
     assert np.all(np.abs(square - mirror) <= 1e-12 * np.abs(mirror))
@@ -750,22 +764,22 @@ def test_full_size_gains_match_correctly_rounded_sums():
     # summation rounding grows with the antenna count, so check it at full size: 283 177
     # antennas in 70 blocks, on the z axis at 1 m, where the fold leaves 46 classes. The
     # oracle adds each class's channel magnitudes with math.fsum, correctly rounded, so it
-    # shares no summation order with the kernel's blocks
+    # shares no summation order with the kernel's blocks; the kernel yields a row per class
     layout = build_circular_array(0.15, KERNEL_WAVELENGTH)
     (placement,) = fold_placements(layout, [rx_position(1.0, 0.0)], DEFAULT_GRID)
     rx, r0, fold = placement
     assert (layout.n_tx, fold.directions.shape[0]) == (283177, 46)
-    (fast,) = beamforming.folded_snrs(layout, [placement])
+    fast = np.asarray(next(beamforming.folded_snrs(layout, [placement])))
     geom = ChannelGeometry(layout, rx)
     scale = 4.0 * math.pi * r0 / KERNEL_WAVELENGTH  # magnitudes in units of lambda / (4 pi r0)
     slow = []
-    for v in fold.directions:
+    for v in np.asarray(fold.directions):
         channel = geom.channel_for(v)
         a_x, a_y = np.abs(channel.h_x) * scale, np.abs(channel.h_y) * scale
         s_x, s_y = math.fsum(a_x.tolist()), math.fsum(a_y.tolist())
         s_dpc = math.fsum(np.hypot(a_x, a_y).tolist())
         slow.append((s_dpc**2, s_x**2 + s_y**2, max(s_x, s_y) ** 2))
-    slow = np.array(slow)[fold.inverse] / layout.n_tx
+    slow = np.array(slow) / layout.n_tx
     assert np.all(np.abs(fast - slow) <= 1e-12 * slow)
 
 
@@ -977,8 +991,8 @@ def kernel_inputs(draw):
             rxs.append(d * np.array([math.sin(alpha) * math.cos(azimuth),
                                      math.sin(alpha) * math.sin(azimuth), math.cos(alpha)]))
     if draw(st.booleans()):
-        grid = orientation_grid(2.0 * math.pi / draw(st.sampled_from([4, 6, 8, 12])),
-                                math.pi / draw(st.sampled_from([2, 3, 6])))
+        grid = np.asarray(orientation_grid(2.0 * math.pi / draw(st.sampled_from([4, 6, 8, 12])),
+                                           math.pi / draw(st.sampled_from([2, 3, 6]))))
     else:
         grid = rng.normal(size=(draw(st.integers(1, 60)), 3))
         grid /= np.linalg.norm(grid, axis=1, keepdims=True)
@@ -1025,5 +1039,5 @@ def test_orientation_snr_far_on_the_z_axis_near_v_equals_z():
     # 1.4e-12 relative while the sine came from it instead of |p x v|
     layout = build_circular_array(KERNEL_WAVELENGTH, KERNEL_WAVELENGTH)
     assert layout.n_tx == 13
-    grid = orientation_grid(math.pi / 2.0, math.pi / 2.0)
+    grid = np.asarray(orientation_grid(math.pi / 2.0, math.pi / 2.0))
     assert_rx_matches_oracle(layout, rx_position(75.0 * KERNEL_WAVELENGTH, 0.0), grid)

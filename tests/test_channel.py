@@ -8,6 +8,9 @@ import pytest
 
 from dpcfocus.beamforming import HALF_WAVE_SERIES
 from dpcfocus.channel import (
+    X_HAT,
+    Y_HAT,
+    Z_HAT,
     ChannelGeometry,
     PolarizedChannel,
     _pattern,
@@ -16,9 +19,6 @@ from dpcfocus.channel import (
 )
 from dpcfocus.geometry import (
     SPEED_OF_LIGHT,
-    X_HAT,
-    Y_HAT,
-    Z_HAT,
     build_circular_array,
     rx_position,
 )
@@ -261,7 +261,7 @@ def test_channel_for_matches_scalar_oracle():
         rx = rx_position(float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.0, math.radians(60.0))))
         ch = ChannelGeometry(layout, rx).channel_for(v)
         h_x, h_y = scalar_channel(
-            _positions(layout).tolist(), rx.tolist(), v.tolist(),
+            _positions(layout).tolist(), list(rx), v.tolist(),
             wavelength, wavelength / 2.0,
         )
         assert np.allclose(ch.h_x, h_x, rtol=1e-12, atol=1e-20)

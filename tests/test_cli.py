@@ -382,7 +382,7 @@ def test_check_scenario_outputs(tmp_path, tiny_config_path):
     assert manifest["host"] == {
         "cpus": beamforming.available_cpus(),
         "kernel_workers": 0,
-        "numpy": np.__version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
     }
     assert isinstance(manifest["peak_rss_bytes"], int) and manifest["peak_rss_bytes"] > 2**20
 
@@ -424,6 +424,30 @@ def test_scale_flag_shrinks_radius_and_is_recorded(tmp_path, tiny_config_path):
     assert math.isclose(manifest["config"]["radius_m"], 0.004, rel_tol=1e-12)
 
 
+def test_sweep_is_unchanged_when_every_length_doubles(tmp_path):
+    # the dB gains follow the geometry in wavelengths and the rates lambda / d: at twice
+    # the radius, half the carrier and twice the distances every cell but distance_m
+    # keeps its bits, so no length enters the lattice, the kernel or the link budget
+    # without its partners. Doubling is exact in binary, so no rounding can hide one
+    bodies = {}
+    for factor in (1, 2):
+        text = (TINY_CONFIG.replace("radius_m = 0.008", f"radius_m = {factor * 0.008!r}")
+                .replace("carrier_frequency_hz = 300e9",
+                         f"carrier_frequency_hz = {300e9 / factor!r}")
+                .replace("distance_m = 0.1, 0.3",
+                         f"distance_m = {factor * 0.1!r}, {factor * 0.3!r}"))
+        path = tmp_path / f"{factor}.cfg"
+        path.write_text(text)
+        out = tmp_path / str(factor)
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "sweep.csv")
+        bodies[factor] = [[cell for name, cell in zip(header, row) if name != "distance_m"]
+                          for row in rows]
+        distances = [float(row[header.index("distance_m")]) for row in rows]
+        assert distances == [factor * d for d in (0.1, 0.3, 0.1, 0.3)]
+    assert bodies[1] == bodies[2] and len(bodies[1]) == 4
+
+
 def test_fig5_runs_are_byte_identical(tmp_path, tiny_config_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -445,8 +469,8 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
     # on the 72-direction grid an RX on the z axis (alpha = 0) evaluates the 7 classes of
     # the square's symmetries, and one at alpha = 30 degrees the 19 of the mirror's
     grid = orientation_grid(math.radians(30.0), math.radians(30.0))
-    assert orientation_classes(grid, True, True)[0].size == 7
-    assert orientation_classes(grid, True)[0].size == 19
+    assert len(orientation_classes(grid, True, True)[0]) == 7
+    assert len(orientation_classes(grid, True)[0]) == 19
     cpus = beamforming.available_cpus()
     for scenario, placements, workers, evaluated in (
         ("fig5", 2, min(cpus, 2), 7 + 19),
@@ -461,11 +485,11 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
         # every evaluated direction of a placement is summed over the whole lattice
         plan = plan_run(load_config(tiny_config_path), scenario)
         assert manifest["derived"]["antenna_direction_pairs"] == manifest["derived"]["n_tx"] * sum(
-            fold.directions.shape[0] for _, _, fold in plan.kernel
+            len(fold.directions) for _, _, fold in plan.kernel
         )
         assert manifest["host"]["cpus"] == beamforming.available_cpus()
         assert manifest["host"]["kernel_workers"] == workers
-        assert manifest["host"]["numpy"] == np.__version__
+        assert manifest["host"]["python"] == ".".join(map(str, sys.version_info[:3]))
         assert manifest["peak_rss_bytes"] > 2**20
         assert manifest["warnings"] == []  # every TINY_CONFIG placement is narrowband
     config = SweepConfig()
@@ -476,10 +500,10 @@ def test_manifest_counts_placements(tmp_path, tiny_config_path):
 
 def test_preflight_charges_fig3_for_its_maps_and_writer(monkeypatch):
     config = SweepConfig()
-    # fig3 holds its maps and each antenna's 'index,x,y,' text, which outweigh a map's a_x,
-    # a_y and atan2 temporaries; its writer holds one lattice run's rows at a time
+    # fig3 holds its maps and each antenna's 'index,x,y,' text; its writer holds one
+    # lattice run's rows at a time
     fig3 = plan_run(config, "fig3").estimated_bytes
-    assert fig3 == 51983407.449771166
+    assert fig3 == 52740949.847013354
     # the sweep kernel holds the row table and, per worker, column sums; the workers are
     # pinned to two CPUs' worth
     monkeypatch.setattr(beamforming, "MAX_WORKERS", 2)
@@ -530,10 +554,11 @@ def test_preflight_covers_the_kernel_on_a_one_degree_grid(monkeypatch):
 
 
 def test_preflight_covers_the_lattice_build():
-    # the build holds its row table and one chunk of rows; it held 6.5 MiB of positions
+    # the build holds its row table and a count per row; it held 6.5 MiB of positions
     # beside them, and before that the hypot of every point of the bounding square and
     # its mask, 17.3 MiB
     config = SweepConfig()
+    build_circular_array(config.radius, config.wavelength)  # loads ctypes, for the libm hypot
     tracemalloc.start()
     try:
         layout = build_circular_array(config.radius, config.wavelength)
@@ -543,9 +568,8 @@ def test_preflight_covers_the_lattice_build():
     assert layout.n_tx == 283177
     # a check run holds only the lattice beside the grid
     assert peak <= plan_run(config, "check").estimated_bytes
-    # a chunk's temporaries, at most 40 bytes a point, outweigh the table's 601 coordinates
-    assert peak <= 40 * geometry.LATTICE_CHUNK
-    assert sum(a.nbytes for a in layout.rows) < 0.1 * peak
+    # at most cli.ROW_BYTES a row of the 601 of the lattice's bounding square
+    assert peak <= cli.ROW_BYTES * len(layout.rows.x_table)
 
 
 def test_a_full_size_fig5_run_holds_no_per_antenna_array(tmp_path):
@@ -583,9 +607,9 @@ def test_preflight_covers_a_fig3_run(tmp_path):
 def test_a_fig5_run_derives_each_quantity_once(tmp_path, tiny_config_path, monkeypatch):
     # the plan builds the lattice and works out the placements, the grid and one fold per
     # symmetry used (the square's at alpha = 0, the mirror's at 30 degrees); the kernel,
-    # the pre-flight and the manifest all read them from it
+    # the pre-flight and the manifest's class count all read them from it
     calls = {"scenario_placements": 0, "build_circular_array": 0, "kernel_workers": 0,
-             "orientation_grid": 0, "orientation_classes": 0}
+             "orientation_grid": 0, "orientation_classes": 0, "_classes": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -602,12 +626,14 @@ def test_a_fig5_run_derives_each_quantity_once(tmp_path, tiny_config_path, monke
         counted(module, "build_circular_array")
     for module in (geometry, experiments, cli):
         counted(module, "orientation_grid")
-    for module in (geometry, beamforming):
+    for module in (geometry, cli):
         counted(module, "orientation_classes")
+    for module in (geometry, beamforming):
+        counted(module, "_classes")
     out = tmp_path / "out"
     assert main(["fig5", "--config", str(tiny_config_path), "--out", str(out)]) == EXIT_OK
     assert calls == {"scenario_placements": 1, "build_circular_array": 1, "kernel_workers": 1,
-                     "orientation_grid": 1, "orientation_classes": 2}
+                     "orientation_grid": 1, "orientation_classes": 0, "_classes": 2}
     assert not hasattr(beamforming, "kernel_plan")
 
 
@@ -665,29 +691,11 @@ def test_csvs_do_not_depend_on_the_worker_count(tmp_path, tiny_config_path, monk
 
 def fresh_python(*args, **env):
     """Run a fresh interpreter on this test run's import path, with ``env`` added to the
-    environment; returns the completed process. ``OPENBLAS_NUM_THREADS`` comes only from
-    ``env``: this process holds the value that importing ``dpcfocus.cli`` set."""
-    inherited = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    env = dict(inherited, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    environment; returns the completed process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
-
-
-@pytest.mark.parametrize("scenario", ["fig5", "sweep"])
-def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, tiny_config_path, scenario):
-    # BLAS may split what numpy gives it across its own threads; no CSV cell may
-    # depend on that
-    bodies = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        done = fresh_python(
-            "-m", "dpcfocus", scenario, "--config", str(tiny_config_path), "--out", str(out),
-            OPENBLAS_NUM_THREADS=threads,
-        )
-        assert done.returncode == EXIT_OK, done.stderr
-        bodies.append((out / f"{scenario}.csv").read_bytes())
-    assert bodies[0] == bodies[1]
 
 
 @pytest.mark.parametrize("filters", ["", "error", "ignore", "always"],
@@ -744,13 +752,13 @@ def test_importing_the_cli_defers_threads_and_no_run_loads_decimal(tmp_path, tin
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
-    # the quartiles come from one sort: np.percentile would import numpy.ma; and the
-    # complex channel, the tests' reference route, is no module any run needs
+    # the library runs on the standard library and its compiled kernel: no run loads
+    # numpy, nor the complex channel, the tests' reference route and numpy's one user
     for scenario in ("fig3", "fig5", "sweep", "check"):
         args = [scenario, "--config", str(tiny_config_path), "--out", str(tmp_path / scenario)]
         code = (
             f"import sys, dpcfocus.cli; assert dpcfocus.cli.main({args!r}) == 0; "
-            "print(sorted(m for m in ('decimal', 'numpy.ma', 'dpcfocus.channel') "
+            "print(sorted(m for m in ('decimal', 'numpy', 'numpy.ma', 'dpcfocus.channel') "
             "if m in sys.modules))"
         )
         done = fresh_python("-c", code)
@@ -774,7 +782,8 @@ def test_a_threaded_run_imports_no_executor_or_logging(tmp_path):
 
 
 def test_importing_the_package_loads_no_numpy():
-    # its names load on first use, so dpcfocus.cli can set BLAS defaults before numpy loads
+    # its names load on first use, so only X_HAT, Y_HAT, Z_HAT and the complex channel's
+    # names, from dpcfocus.channel, load numpy
     done = fresh_python("-c", "import sys, dpcfocus; print('numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
@@ -798,30 +807,6 @@ def test_the_package_exports_its_modules_objects():
     done = fresh_python("-m", "dpcfocus", "--version")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"dpcfocus {cli.__version__}"
-
-
-@pytest.mark.parametrize("preset", [None, "2"])
-def test_the_cli_defaults_blas_to_one_thread(preset):
-    # no CLI path calls BLAS, and an idle OpenBLAS worker spins for about 0.1 s of CPU;
-    # a value the caller set wins
-    code = (
-        "import os, dpcfocus.cli\n"
-        "tasks = '/proc/self/task'\n"
-        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else 0\n"
-        "print(os.environ['OPENBLAS_NUM_THREADS'], threads)"
-    )
-    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-    done = fresh_python("-c", code, **env)
-    assert done.returncode == 0, done.stderr
-    value, threads = done.stdout.split()
-    assert value == (preset or "1")
-    if threads == "0":
-        pytest.skip("no /proc/self/task to count threads in")
-    if preset is None:
-        assert int(threads) == 1
-    elif beamforming.available_cpus() >= 2:
-        # the same probe sees OpenBLAS's worker, so the count above is not vacuous
-        assert int(threads) >= 2
 
 
 def test_fig3_output_schema(tmp_path, tiny_config_path):
@@ -997,11 +982,12 @@ def test_the_plan_folds_as_placement_sweeps_does(tiny_config_path):
     plan = plan_run(config, "sweep")
     budget = config.budget()
     gains = folded_snrs(plan.layout, plan.kernel)
-    via_plan = [link_snrs(g, budget, config.wavelength, r0)
-                for (_, r0, _), g in zip(plan.kernel, gains, strict=True)]
+    via_plan = [np.asarray(link_snrs(g, budget, config.wavelength, r0))[list(fold.inverse)]
+                for (_, r0, fold), g in zip(plan.kernel, gains, strict=True)]
     layout = build_circular_array(config.radius, config.wavelength)
     grid = orientation_grid(config.azimuth_step, config.elevation_step)
-    via_sweeps = list(experiments.placement_sweeps(layout, plan.placements, budget, grid=grid))
+    via_sweeps = [np.asarray(snr) for snr in
+                  experiments.placement_sweeps(layout, plan.placements, budget, grid=grid)]
     assert len(via_plan) == len(via_sweeps) == 4
     for a, b in zip(via_plan, via_sweeps):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -1241,7 +1227,7 @@ def test_cli_rows_match_the_oracle_on_drawn_configs(text):
     # perfbench/rowcheck.py: 1e-9 relative or 1e-9 absolute
     config = parse_config_text(text)
     layout = build_circular_array(config.radius, config.wavelength)
-    grid = orientation_grid(config.azimuth_step, config.elevation_step)
+    grid = np.asarray(orientation_grid(config.azimuth_step, config.elevation_step))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cfg"
         path.write_text(text)

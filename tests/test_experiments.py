@@ -37,7 +37,12 @@ def small_layout():
 
 @pytest.fixture(scope="module")
 def coarse_grid():
-    return orientation_grid(math.radians(30.0), math.radians(30.0))
+    return np.asarray(orientation_grid(math.radians(30.0), math.radians(30.0)))
+
+
+def sweeps(layout, placements, budget, grid=None):
+    "``placement_sweeps`` as a list of (m, 3) arrays."
+    return [np.asarray(snr) for snr in placement_sweeps(layout, placements, budget, grid=grid)]
 
 
 def snr_from_ratios(ratios, base=1.0):
@@ -48,41 +53,53 @@ def snr_from_ratios(ratios, base=1.0):
 
 def test_orientation_sweep_shape_and_ordering(small_layout):
     alpha = math.radians(30.0)
-    (snr,) = placement_sweeps(small_layout, [(alpha, 0.1)], BUDGET)
-    assert snr.shape == (648, 3) and snr.dtype == np.float64
+    (view,) = placement_sweeps(small_layout, [(alpha, 0.1)], BUDGET)
+    assert view.shape == (648, 3) and view.format == "d"
     rx = rx_position(0.1, alpha)
-    assert np.array_equal(snr, kernel_snr(small_layout, rx, orientation_grid(), BUDGET))
+    assert np.array_equal(view, kernel_snr(small_layout, rx, orientation_grid(), BUDGET))
 
 
 def test_orientation_sweep_never_builds_channel_geometry(small_layout, coarse_grid, monkeypatch):
-    (expected,) = placement_sweeps(small_layout, [(0.4, 0.2)], BUDGET, grid=coarse_grid)
+    (expected,) = sweeps(small_layout, [(0.4, 0.2)], BUDGET, grid=coarse_grid)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep path built a ChannelGeometry")
 
     monkeypatch.setattr(ChannelGeometry, "__init__", refuse)
-    (got,) = placement_sweeps(small_layout, [(0.4, 0.2)], BUDGET, grid=coarse_grid)
+    (got,) = sweeps(small_layout, [(0.4, 0.2)], BUDGET, grid=coarse_grid)
     assert np.array_equal(got, expected)
 
 
 def test_orientation_sweep_hierarchy_per_record(small_layout, coarse_grid):
-    (snr,) = placement_sweeps(small_layout, [(math.radians(20.0), 0.15)], BUDGET, grid=coarse_grid)
+    (snr,) = sweeps(small_layout, [(math.radians(20.0), 0.15)], BUDGET, grid=coarse_grid)
     assert np.all(snr[:, 0] >= snr[:, 1] * (1.0 - 1e-12))
     assert np.all(snr[:, 1] >= snr[:, 2] * (1.0 - 1e-12))
 
 
 def test_orientation_sweep_duplicate_pole_orientations(small_layout):
-    (snr,) = placement_sweeps(small_layout, [(math.radians(30.0), 0.1)], BUDGET)
+    (snr,) = sweeps(small_layout, [(math.radians(30.0), 0.1)], BUDGET)
     # elevation 0 repeats the +z dipole for every azimuth
     assert np.array_equal(snr[1:36], np.broadcast_to(snr[0], (35, 3)))
 
 
 def test_placement_sweeps_match_one_placement_sweeps(small_layout, coarse_grid):
     placements = [(0.0, 0.1), (math.radians(30.0), 0.3), (math.radians(60.0), 1.0)]
-    streamed = placement_sweeps(small_layout, placements, BUDGET, grid=coarse_grid)
+    streamed = sweeps(small_layout, placements, BUDGET, grid=coarse_grid)
     for (alpha, d), snr in zip(placements, streamed, strict=True):
-        (expected,) = placement_sweeps(small_layout, [(alpha, d)], BUDGET, grid=coarse_grid)
+        (expected,) = sweeps(small_layout, [(alpha, d)], BUDGET, grid=coarse_grid)
         assert np.array_equal(snr, expected)
+
+
+@pytest.mark.parametrize("bad", [
+    {"placements": [(0.0, -0.1)]},
+    {"placements": [(math.nan, 0.1)]},
+    {"grid": np.empty((0, 3))},
+    {"grid": np.full((2, 3), 2.0)},
+], ids=["distance", "alpha", "empty-grid", "not-unit"])
+def test_placement_sweeps_refuse_bad_input_at_the_call(small_layout, coarse_grid, bad):
+    args = {"placements": [(0.0, 0.1)], "grid": coarse_grid, **bad}
+    with pytest.raises(ValueError):
+        placement_sweeps(small_layout, args["placements"], BUDGET, grid=args["grid"])
 
 
 def test_improvement_stats_constant_distributions():
@@ -102,7 +119,7 @@ def test_improvement_stats_quartiles_match_inclusive_convention():
     snr = snr_from_ratios(ratios)
     stats = improvement_stats(snr, "switched")
     imp = improvements_db(snr, "switched")
-    q1, q2, q3 = statistics.quantiles(imp.tolist(), n=4, method="inclusive")
+    q1, q2, q3 = statistics.quantiles(imp, n=4, method="inclusive")
     assert math.isclose(stats.lower_quartile, q1, rel_tol=1e-12)
     assert math.isclose(stats.median, q2, rel_tol=1e-12)
     assert math.isclose(stats.upper_quartile, q3, rel_tol=1e-12)
@@ -129,7 +146,7 @@ def test_improvement_stats_are_numpys_quartiles_bit_for_bit(n, distinct, spread_
     pool = 10.0 ** (rng.uniform(-spread_db, spread_db, size=(3, distinct)) / 10.0)
     snr = np.column_stack([rng.choice(levels, size=n) for levels in pool])
     for baseline in ("switched", "dual"):
-        imp = improvements_db(snr, baseline)
+        imp = np.array(improvements_db(snr, baseline))
         q1, med, q3 = np.percentile(imp, [25.0, 50.0, 75.0])
         iqr = q3 - q1
         expected = [med, q1, q3, max(q1 - 1.5 * iqr, imp.min()), min(q3 + 1.5 * iqr, imp.max())]
@@ -138,6 +155,49 @@ def test_improvement_stats_are_numpys_quartiles_bit_for_bit(n, distinct, spread_
                stats.lower_whisker, stats.upper_whisker]
         assert np.array(got).tobytes() == np.array(expected, dtype=float).tobytes()
         assert stats.sample_count == n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 200),
+    distinct=st.integers(1, 200),
+    most=st.sampled_from([1, 2, 8, 100]),
+    spread_db=st.sampled_from([1e-9, 0.5, 6.0, 40.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_rows_give_the_statistics_of_the_repeated_rows(m, distinct, most, spread_db,
+                                                                seed):
+    # row i stands for counts[i] samples, as a direction class stands for its members:
+    # numpy on the rows repeated that often is the oracle, bit for bit for the order
+    # statistics of the same dB values, and to 1e-14 for the rates' weighted means
+    rng = np.random.default_rng(seed)
+    pool = 10.0 ** (rng.uniform(-spread_db, spread_db, size=(3, distinct)) / 10.0)
+    snr = np.column_stack([rng.choice(levels, size=m) for levels in pool])
+    counts = rng.integers(1, most + 1, size=m).tolist()
+    expanded = np.repeat(snr, counts, axis=0)
+    for baseline in ("switched", "dual"):
+        imp = np.repeat(improvements_db(snr, baseline), counts)
+        q1, med, q3 = np.percentile(imp, [25.0, 50.0, 75.0])
+        iqr = q3 - q1
+        expected = [med, q1, q3, max(q1 - 1.5 * iqr, imp.min()), min(q3 + 1.5 * iqr, imp.max())]
+        stats = improvement_stats(snr, baseline, counts)
+        assert np.array(stats[:5]).tobytes() == np.array(expected, dtype=float).tobytes()
+        assert stats.sample_count == sum(counts)
+    # numpy's terms, summed correctly rounded: np.mean's own rounding passed 1e-14 on a
+    # few hundred equal rows
+    want = np.array([1e8 * (math.fsum(column) / len(column))
+                     for column in (np.log1p(expanded.T) / math.log(2.0)).tolist()])
+    got = ergodic_rate(snr, 1e8, counts)
+    assert np.all(np.abs(np.array(got) - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("counts", [[1, 1], [1, 2, 3, 4], [1, 0, 1], [2, -1, 2], [1.5, 1, 1]])
+def test_multiplicities_must_be_one_positive_integer_per_row(counts):
+    snr = snr_from_ratios([2.0, 3.0, 4.0])
+    with pytest.raises((ValueError, TypeError), match="integer"):
+        improvement_stats(snr, "dual", counts)
+    with pytest.raises((ValueError, TypeError), match="integer"):
+        ergodic_rate(snr, 1e8, counts)
 
 
 def test_improvement_stats_whiskers_clamp_to_extremes():
@@ -200,6 +260,21 @@ def test_a_zero_snr_has_rate_zero():
     assert rates == (5e7, 5e7, 0.0)
 
 
+@pytest.mark.parametrize("convert", [
+    lambda snr: snr.tolist(),
+    lambda snr: [tuple(row) for row in snr.tolist()],
+    lambda snr: snr.astype(np.float32),
+    lambda snr: snr.astype(np.int64),
+], ids=["lists", "tuples", "float32", "int64"])
+def test_statistics_take_any_rows_of_real_numbers(convert):
+    snr = np.array([[3.0, 1.0, 2.0], [8.0, 2.0, 4.0], [5.0, 5.0, 1.0], [9.0, 3.0, 3.0]])
+    rows = convert(snr)
+    want = np.asarray(rows, dtype=float)
+    assert improvements_db(rows, "dual") == improvements_db(want, "dual")
+    assert improvement_stats(rows, "switched") == improvement_stats(want, "switched")
+    assert ergodic_rate(rows, 1e8) == ergodic_rate(want, 1e8)
+
+
 def test_improvement_stats_rejects_bad_input():
     with pytest.raises(ValueError):
         improvement_stats(np.empty((0, 3)), "switched")
@@ -210,14 +285,14 @@ def test_improvement_stats_rejects_bad_input():
 
 
 def test_improvements_are_nonnegative_for_model_channels(small_layout, coarse_grid):
-    (snr,) = placement_sweeps(small_layout, [(math.radians(40.0), 0.12)], BUDGET, grid=coarse_grid)
-    assert np.all(improvements_db(snr, "switched") >= -1e-12)
-    assert np.all(improvements_db(snr, "dual") >= -1e-12)
+    (snr,) = sweeps(small_layout, [(math.radians(40.0), 0.12)], BUDGET, grid=coarse_grid)
+    assert min(improvements_db(snr, "switched")) >= -1e-12
+    assert min(improvements_db(snr, "dual")) >= -1e-12
 
 
 def test_distance_sweep_dual_advantage_fades_with_range(small_layout, coarse_grid):
     placements = [(math.radians(30.0), d) for d in (0.1, 1.0)]
-    near, far = placement_sweeps(small_layout, placements, BUDGET, grid=coarse_grid)
+    near, far = sweeps(small_layout, placements, BUDGET, grid=coarse_grid)
     assert improvement_stats(far, "dual").median < improvement_stats(near, "dual").median
     assert improvement_stats(near, "switched").median >= 0.0
     assert improvement_stats(far, "switched").median >= 0.0
@@ -238,7 +313,7 @@ def test_ergodic_rate_keeps_the_rate_of_a_tiny_snr():
 
 
 def test_ergodic_rate_preserves_hierarchy(small_layout, coarse_grid):
-    (snr,) = placement_sweeps(small_layout, [(math.radians(10.0), 0.1)], BUDGET, grid=coarse_grid)
+    (snr,) = sweeps(small_layout, [(math.radians(10.0), 0.1)], BUDGET, grid=coarse_grid)
     rate_dpc, rate_dual, rate_sw = ergodic_rate(snr, bandwidth=100e6)
     assert rate_dpc >= rate_dual >= rate_sw
     assert rate_sw > 0.0
@@ -281,13 +356,13 @@ def test_narrowband_check_monotonicity_and_threshold():
 
 
 def test_improvements_invariant_under_joint_power_scaling(small_layout, coarse_grid):
-    (base,) = placement_sweeps(small_layout, [(0.2, 0.15)], BUDGET, grid=coarse_grid)
+    (base,) = sweeps(small_layout, [(0.2, 0.15)], BUDGET, grid=coarse_grid)
     scaled_budget = LinkBudget(
         transmit_power=BUDGET.transmit_power * 7.0, noise_power=BUDGET.noise_power * 7.0
     )
-    (scaled,) = placement_sweeps(small_layout, [(0.2, 0.15)], scaled_budget, grid=coarse_grid)
-    da = improvements_db(base, "switched")
-    db = improvements_db(scaled, "switched")
+    (scaled,) = sweeps(small_layout, [(0.2, 0.15)], scaled_budget, grid=coarse_grid)
+    da = np.array(improvements_db(base, "switched"))
+    db = np.array(improvements_db(scaled, "switched"))
     assert np.all(np.abs(da - db) <= 1e-12)
 
 
@@ -378,7 +453,7 @@ def test_gains_next_to_an_antenna_give_finite_improvements(small_layout, coarse_
 
 
 def test_distribution_stats_sample_count_matches_grid(small_layout, coarse_grid):
-    (snr,) = placement_sweeps(small_layout, [(0.1, 0.3)], BUDGET, grid=coarse_grid)
+    (snr,) = sweeps(small_layout, [(0.1, 0.3)], BUDGET, grid=coarse_grid)
     stats = improvement_stats(snr, "dual")
     assert stats.sample_count == coarse_grid.shape[0]
     assert isinstance(stats, DistributionStats)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dpcfocus
 from dpcfocus.channel import _positions
@@ -12,7 +13,14 @@ from dpcfocus.geometry import (
     orientation_grid,
     rx_position,
 )
-from oracles import brute_force_disc_count, explicit_layout, reference_lattice
+from oracles import (
+    brute_force_disc_count,
+    explicit_layout,
+    numpy_lattice_rows,
+    numpy_orientation_classes,
+    numpy_orientation_grid,
+    reference_lattice,
+)
 
 
 def test_single_element_array():
@@ -50,7 +58,7 @@ def test_lattice_positions_are_the_reference_lattice(radius, wavelength):
     assert positions.tobytes() == want.tobytes()
     # one run per row, each taking x from the lattice's 2 floor(R / pitch) + 1 coordinates
     side = 2 * math.floor(radius / (wavelength / 2.0)) + 1
-    assert layout.rows.x_table.size == side and layout.rows.y.size == side
+    assert len(layout.rows.x_table) == side and len(layout.rows.y) == side
 
 
 @pytest.mark.parametrize(
@@ -100,9 +108,12 @@ def test_lattice_refuses_a_size_that_is_not_positive(argument, bad):
 
 @pytest.mark.parametrize("field", ["x_table", "y", "first_x", "first_antenna"])
 def test_layout_arrays_are_read_only(field):
+    # the compiled loop reads the table at the address of each field's bytes, unchecked
     layout = build_circular_array(radius=1.1, wavelength=1.0)
-    with pytest.raises(ValueError, match="read-only"):
-        getattr(layout.rows, field)[0] = 1
+    values = getattr(layout.rows, field)
+    assert values.readonly and isinstance(values.obj, bytes)
+    with pytest.raises(TypeError, match="read-only"):
+        values[0] = 1
 
 
 def test_layouts_compare_and_hash_by_identity():
@@ -146,7 +157,7 @@ def test_rx_position_norm_and_zero_y():
 
 
 def test_orientation_grid_default():
-    grid = orientation_grid()
+    grid = np.asarray(orientation_grid())
     assert grid.shape == (648, 3)
     assert np.array_equal(grid[0], [0.0, 0.0, 1.0])
     # elevation-major ordering: el=90deg, az=90deg sits at 9*36 + 9
@@ -176,7 +187,8 @@ def test_orientation_grid_rejects_uneven_steps():
 def test_orientation_grid_partners_are_exact_reflections(az_deg, el_deg):
     n_az = round(360 / az_deg)
     n_el = round(180 / el_deg)
-    grid = orientation_grid(math.radians(az_deg), math.radians(el_deg)).reshape(n_el, n_az, 3)
+    grid = np.asarray(orientation_grid(math.radians(az_deg), math.radians(el_deg)))
+    grid = grid.reshape(n_el, n_az, 3)
     j = np.arange(n_az)
     # azimuth j -> n_az - j is vy -> -vy
     assert np.array_equal(grid[:, -j % n_az], grid * [1.0, -1.0, 1.0])
@@ -199,9 +211,9 @@ def test_orientation_grid_partners_are_exact_reflections(az_deg, el_deg):
 )
 def test_orientation_class_counts(az_deg, el_deg, mirrored, unmirrored, squared):
     grid = orientation_grid(math.radians(az_deg), math.radians(el_deg))
-    assert orientation_classes(grid, mirror=True)[0].size == mirrored
-    assert orientation_classes(grid, mirror=False)[0].size == unmirrored
-    assert orientation_classes(grid, True, True)[0].size == squared
+    assert len(orientation_classes(grid, mirror=True)[0]) == mirrored
+    assert len(orientation_classes(grid, mirror=False)[0]) == unmirrored
+    assert len(orientation_classes(grid, True, True)[0]) == squared
 
 
 @pytest.mark.parametrize("az_deg, el_deg", [(10, 10), (30, 20), (7.5, 10), (90, 45)])
@@ -209,15 +221,16 @@ def test_orientation_grid_is_exactly_symmetric_under_the_swap(az_deg, el_deg):
     # azimuth j -> n_az/4 - j (az -> 90 deg - az) is vx <-> vy when 4 divides n_az
     n_az = round(360 / az_deg)
     n_el = round(180 / el_deg)
-    grid = orientation_grid(math.radians(az_deg), math.radians(el_deg)).reshape(n_el, n_az, 3)
+    grid = np.asarray(orientation_grid(math.radians(az_deg), math.radians(el_deg)))
+    grid = grid.reshape(n_el, n_az, 3)
     j = np.arange(n_az)
     assert np.array_equal(grid[:, (n_az // 4 - j) % n_az], grid[:, :, [1, 0, 2]])
 
 
 @pytest.mark.parametrize("mirror, square", [(False, False), (True, False), (True, True)])
 def test_orientation_class_members_are_sign_flips_of_their_representative(mirror, square):
-    grid = np.random.default_rng(5).permutation(orientation_grid())
-    first, inverse = orientation_classes(grid, mirror, square)
+    grid = np.random.default_rng(5).permutation(np.asarray(orientation_grid()))
+    first, inverse = map(np.array, orientation_classes(grid, mirror, square))
     assert np.array_equal(inverse[first], np.arange(first.size))
     rep = grid[first][inverse]
     if square:
@@ -234,17 +247,77 @@ def test_orientation_class_members_are_sign_flips_of_their_representative(mirror
     assert related.all()
 
 
+@pytest.mark.parametrize("convert", [
+    lambda grid: grid.tolist(),
+    lambda grid: [tuple(row) for row in grid.tolist()],
+    lambda grid: list(grid),
+    lambda grid: grid.astype(np.float32).astype(np.float64),
+    lambda grid: np.asfortranarray(grid),
+], ids=["lists", "tuples", "numpy-rows", "float64-copy", "fortran"])
+def test_orientation_classes_take_any_rows_of_real_numbers(convert):
+    grid = np.asarray(orientation_grid(math.radians(30.0), math.radians(20.0)))
+    want = orientation_classes(grid, mirror=True)
+    assert orientation_classes(convert(grid), mirror=True) == want
+    ints = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0]])
+    assert orientation_classes(ints, mirror=True) == orientation_classes(ints * 1.0, True)
+    assert orientation_classes(ints.tolist(), mirror=True) == ((0, 2), (0, 0, 1))
+
+
+@pytest.mark.parametrize("rows", [
+    [], np.empty((0, 3)), [[1.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]], np.zeros(3), "100",
+    ["100"], [["1", "0", "0"]], [[np.zeros(1), 0.0, 1.0]], np.zeros((2, 3, 1)),
+], ids=["empty-list", "empty-array", "short-row", "long-row", "flat", "string",
+        "row-string", "number-strings", "array-entry", "three-d"])
+def test_orientation_classes_refuse_what_is_not_rows_of_three_numbers(rows):
+    with pytest.raises(ValueError, match=r"non-empty \(m, 3\) array of real numbers"):
+        orientation_classes(rows, mirror=True)
+
+
 def test_orientation_classes_never_group_by_tolerance():
     rng = np.random.default_rng(9)
     v = rng.normal(size=(200, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    first, inverse = orientation_classes(v, mirror=True)
+    first, inverse = map(np.array, orientation_classes(v, mirror=True))
     assert first.size == 200 and np.array_equal(first[inverse], np.arange(200))
     # an exact negation is the same class, one ulp off is not
     exact = np.array([[0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]])
-    assert orientation_classes(exact, mirror=False)[0].size == 1
+    assert len(orientation_classes(exact, mirror=False)[0]) == 1
     exact[1, 2] = np.nextafter(-0.8, 0.0)
-    assert orientation_classes(exact, mirror=True)[0].size == 2
-    assert orientation_classes(exact, True, True)[0].size == 2
+    assert len(orientation_classes(exact, mirror=True)[0]) == 2
+    assert len(orientation_classes(exact, True, True)[0]) == 2
     swapped = np.array([[0.6, 0.0, 0.8], [0.0, -0.6, 0.8], [0.0, np.nextafter(0.6, 1.0), 0.8]])
-    assert orientation_classes(swapped, True, True)[0].size == 2
+    assert len(orientation_classes(swapped, True, True)[0]) == 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    wavelength=st.floats(1e-4, 10.0),
+    pitches=st.floats(0.5, 80.0),
+    point=st.tuples(st.integers(0, 60), st.integers(1, 60)),
+    on_a_point=st.booleans(),
+)
+def test_the_row_table_is_the_numpy_oracles(wavelength, pitches, point, on_a_point):
+    # the bisection of each row against numpy's test of every point, bit for bit; half the
+    # radii run through a lattice point, hypot(i p, j p), where the test is decided by
+    # the last bit
+    pitch = wavelength / 2.0
+    radius = math.hypot(point[0] * pitch, point[1] * pitch) if on_a_point else pitches * pitch
+    got = build_circular_array(radius, wavelength).rows
+    want = numpy_lattice_rows(radius, wavelength)
+    for got_field, want_field in zip(got, want, strict=True):
+        assert np.array(got_field, dtype=want_field.dtype).tobytes() == want_field.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n_az=st.integers(1, 72), n_el=st.integers(1, 36))
+def test_the_grid_and_its_classes_are_the_numpy_oracles(n_az, n_el):
+    # math.cos and math.sin against numpy's, and classes by equal tuples against
+    # np.unique: the same directions, members and class order, bit for bit
+    steps = math.radians(360.0 / n_az), math.radians(180.0 / n_el)
+    grid = orientation_grid(*steps)
+    want = numpy_orientation_grid(*steps)
+    assert np.asarray(grid).tobytes() == want.tobytes()
+    for mirror, square in ((False, False), (True, False), (True, True)):
+        first, inverse = numpy_orientation_classes(want, mirror, square)
+        assert orientation_classes(grid, mirror, square) == (tuple(first.tolist()),
+                                                             tuple(inverse.tolist()))

@@ -1,4 +1,5 @@
-"""No module imports a name it never uses, and the package defines none that nothing reads.
+"""No module imports a name it never uses, the package defines none that nothing reads,
+and only its complex channel imports numpy.
 
 No linter is among the test dependencies, so this reads each module's syntax
 tree with the standard library's ``ast``. Every name an ``import`` binds
@@ -166,3 +167,28 @@ def test_the_check_flags_a_name_only_the_tests_read():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_no_dead_names(path):
     assert package_dead_names(path, path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    "The top-level package of each module that ``source`` imports."
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_check_finds_each_form_of_a_numpy_import():
+    for source in ("import numpy as np\n", "import numpy.linalg\n", "from numpy import ones\n",
+                   "def f():\n    import numpy\n"):
+        assert "numpy" in imported_modules(source)
+    assert "numpy" not in imported_modules("from . import numpy_like\nimport numbers\n")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_only_the_complex_channel_imports_numpy(path):
+    # the library runs on the standard library and its compiled kernel; numpy is the
+    # tests' and the complex channel's, the reference route no run loads
+    assert ("numpy" in imported_modules(path.read_text())) == (path.name == "channel.py")

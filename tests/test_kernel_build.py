@@ -34,9 +34,14 @@ from oracles import explicit_layout
 
 SOURCE = Path(beamforming.__file__).with_name(KERNEL_SOURCE)
 LAYOUT = build_circular_array(radius=0.004, wavelength=SPEED_OF_LIGHT / 300e9)
-GRID = orientation_grid(math.radians(30.0), math.radians(30.0))
+GRID = np.asarray(orientation_grid(math.radians(30.0), math.radians(30.0)))
 BUDGET = LinkBudget(transmit_power=1e-3, noise_power=1e-12)
 RX = rx_position(0.05, math.radians(30.0))
+
+
+def tile_sums(*args):
+    "``beamforming._tile_sums`` of ``args`` with the loaded kernel, as a (3, m) array."
+    return np.asarray(beamforming._tile_sums(beamforming._tile_kernel(), *args)).reshape(3, -1)
 
 
 def snr_with(monkeypatch, kernel):
@@ -115,7 +120,8 @@ def test_every_instruction_set_gives_the_same_bits(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(beamforming, "_kernel", kernel)
             runs.append(list(kernel_snrs(layout, rxs, orientation_grid(), BUDGET)))
-            # fig3's angles: field_z is built for the baseline set in both, until it is cloned
+            # fig3's angles: field_angles is built for the baseline set in both, until it is
+            # cloned
             maps.append(b"".join(polarization_angles(layout, rx).tobytes() for rx in rxs))
     assert all(np.array_equal(a, b) for a, b in zip(*runs, strict=True))
     assert maps[0] == maps[1]
@@ -135,23 +141,22 @@ def test_every_instruction_set_gives_the_same_bits(tmp_path, monkeypatch):
 def test_tile_sums_refuses_operands_the_loop_would_read_past(antennas, rx, v):
     # the compiled loop reads its operands through raw pointers: this check keeps it
     # inside the row table, the RX and the directions
-    with pytest.raises(ValueError, match="mismatched shapes"):
-        beamforming._tile_sums(beamforming._tile_kernel(), LAYOUT, antennas, rx, 0.05, v)
+    with pytest.raises(ValueError, match=r"mismatched shapes|non-empty \(m, 3\)"):
+        tile_sums(LAYOUT, antennas, rx, 0.05, v)
 
 
 @pytest.mark.parametrize("m", [1, 15, 16, 17, 33, 163, 300])
 def test_each_direction_sums_as_it_would_alone(m):
     # the loop takes 16 directions at a time and pads the last register tile with a real
     # one; the block splits into 64-antenna groups, and the last group is partial
-    kernel = beamforming._tile_kernel()
     antennas = range(LAYOUT.n_tx)
     assert LAYOUT.n_tx % 64
     v = np.random.default_rng(m).normal(size=(m, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    together = beamforming._tile_sums(kernel, LAYOUT, antennas, RX, 0.05, v)
+    together = tile_sums(LAYOUT, antennas, RX, 0.05, v)
     assert together.shape == (3, m)
     for j in range(m):
-        alone = beamforming._tile_sums(kernel, LAYOUT, antennas, RX, 0.05, v[j:j + 1])
+        alone = tile_sums(LAYOUT, antennas, RX, 0.05, v[j:j + 1])
         assert np.array_equal(together[:, j], alone[:, 0])
 
 
@@ -200,7 +205,7 @@ def test_magnitudes_stay_exact_next_to_the_axial_null(theta):
     # a bound on this antenna's magnitudes: |w| <= 1 and h(0) = 1 is the RX pattern's peak
     peak = r0 / np.linalg.norm(d) * math.hypot(*np.polyval(coeffs[::-1], p[:2] ** 2))
     layout = explicit_layout(position, wavelength=1.0)
-    got = beamforming._tile_sums(beamforming._tile_kernel(), layout, range(1), rx, r0, v[None])
+    got = tile_sums(layout, range(1), rx, r0, v[None])
     want = exact_sums(position[0].tolist(), rx.tolist(), r0, v.tolist(), coeffs.tolist())
     assert np.all(np.abs(got[:, 0] - want) <= 1e-15 * abs(theta) * peak)
 
