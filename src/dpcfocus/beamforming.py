@@ -138,12 +138,22 @@ class LinkBudget:
 def link_snrs(gains, budget: LinkBudget, wavelength: float, r0: float) -> memoryview:
     """The SNRs of the budget-free (m, 3) ``gains`` that ``folded_snrs`` yields for a
     placement of reference range ``r0``, as new rows: P/N * (lambda / (4 pi r0))^2 times
-    each. The root of that factor is applied twice, by the compiled ``apply_link``, so
-    the factor itself need not be a normal float."""
-    link = math.sqrt(budget.transmit_power / budget.noise_power) * wavelength / (4 * math.pi * r0)
+    each. The root of that factor (``link_factor``) is applied twice, by the compiled
+    ``apply_link``, so the factor itself need not be a normal float. ``ValueError``
+    unless ``wavelength`` and ``r0`` are positive and finite."""
+    link = link_factor(budget, wavelength, r0)
     values = _row_array(gains, "gains")
     _tile_kernel().apply_link(_address(values), len(values), link)
     return _rows(values)
+
+
+def link_factor(budget: LinkBudget, wavelength: float, r0: float) -> float:
+    """sqrt(P/N) * lambda / (4 pi r0), the root of the factor that turns a placement's
+    budget-free gains into SNRs, or ``ValueError`` unless ``wavelength`` and ``r0`` are
+    positive and finite."""
+    if not (_positive_finite(wavelength) and _positive_finite(r0)):
+        raise ValueError("wavelength and r0 must be positive and finite")
+    return math.sqrt(budget.transmit_power / budget.noise_power) * wavelength / (4 * math.pi * r0)
 
 
 def fold_placements(layout: ArrayLayout, rx_centers, directions) -> list:
@@ -502,8 +512,10 @@ def _open(path: str):
         "add_sums": ((pointer, pointer, count), None),
         "class_gains": ((pointer, count, real, pointer), None),
         "apply_link": ((pointer, count, real), None),
-        "db_terms": ((pointer, count, count, real, pointer), count),
-        "rate_terms": ((pointer, count, pointer, real, pointer), count),
+        "db_terms": ((pointer, count, count, pointer), count),
+        "box_stats": ((pointer, count, count, pointer, pointer, pointer), count),
+        "mean_rates": ((pointer, count, pointer, real, real, pointer, pointer), count),
+        "placement_row": ((pointer, count, pointer, real, real, pointer, pointer), count),
     }
     try:
         library = ctypes.CDLL(path)

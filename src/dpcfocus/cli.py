@@ -26,6 +26,7 @@ import os
 import resource
 import sys
 import time
+from array import array
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,19 +35,19 @@ from typing import NamedTuple
 from . import __version__
 from .beamforming import (
     KernelBuildError,
+    _address,
     _tile_kernel,
     available_cpus,
     fold_placements,
     folded_snrs,
     kernel_workers,
-    link_snrs,
+    link_factor,
     polarization_angles,
 )
 from .experiments import (
     NARROWBAND_MARGIN,
+    REFUSALS,
     SweepConfig,
-    ergodic_rate,
-    improvement_stats,
     narrowband_check,
 )
 from .geometry import (
@@ -190,8 +191,9 @@ def _replaced(path: Path):
         partial.unlink(missing_ok=True)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    # rows are formatted as they are written: a value _fmt refuses removes the partial file
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    # rows, any iterable of them, are formatted as they are written: a value _fmt refuses,
+    # or any error that ends the rows early, removes the partial file
     with _replaced(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -266,29 +268,38 @@ def run_placements(plan: RunPlan, out_dir: Path) -> list[Path]:
     """Write ``<scenario>.csv``: one row per placement of the plan, from its kernel folds.
 
     Each row is the placement's full ``sweep.csv`` row (``SWEEP_COLUMNS``)
-    cut down to the scenario's ``PLACEMENT_COLUMNS``: the statistics read the
-    kernel's budget-free gains, and only the rates apply the link budget.
-    Both read one row per direction class, weighted by its members.
+    cut down to the scenario's ``PLACEMENT_COLUMNS``. One call of the
+    compiled ``placement_row`` per placement forms its statistics from the
+    kernel's budget-free gains and its rates from those gains under the
+    link budget (``link_factor``), both from one row per direction class,
+    weighted by its members: the numbers of ``improvement_stats`` and
+    ``ergodic_rate``, bit for bit. Each row is formatted and written as its
+    placement's gains arrive, while the kernel works on the next ones.
     """
     config, layout = plan.config, plan.layout
     columns = PLACEMENT_COLUMNS[plan.scenario]
     keep = [SWEEP_COLUMNS.index(c) for c in columns]
     budget = config.budget()
-    sweeps = folded_snrs(layout, plan.kernel)
-    rows = []
-    for (alpha, d), (_, r0, fold), gains in zip(plan.placements, plan.kernel, sweeps,
-                                                strict=True):
-        try:
-            sw = improvement_stats(gains, "switched", fold.counts)
-            du = improvement_stats(gains, "dual", fold.counts)
-            rates = ergodic_rate(link_snrs(gains, budget, layout.wavelength, r0),
-                                 config.bandwidth, fold.counts)
-        except ValueError as exc:  # a gain that underflows to 0 has no dB improvement
-            raise ValueError(f"distance {d!r} m at alpha {_deg(alpha)!r} deg: {exc}") from None
-        row = (_deg(alpha), d, sw.sample_count) + sw[:5] + du[:5] + rates
-        rows.append(tuple(row[i] for i in keep))
+    kernel = _tile_kernel()
+    m = max(len(fold.directions) for _, _, fold in plan.kernel)
+    work, out = array("d", bytes(32 * m)), array("d", bytes(8 * 13))
+
+    def rows():
+        sweeps = folded_snrs(layout, plan.kernel)
+        for (alpha, d), (_, r0, fold), gains in zip(plan.placements, plan.kernel, sweeps,
+                                                    strict=True):
+            link = link_factor(budget, layout.wavelength, r0)
+            # gains.obj: the float64 array under the yielded (m, 3) view
+            code = kernel.placement_row(_address(gains.obj), len(gains), _address(fold.counts),
+                                        link, config.bandwidth, _address(work), _address(out))
+            if code:  # a gain that underflows to 0 has no dB improvement
+                raise ValueError(f"distance {d!r} m at alpha {_deg(alpha)!r} deg: "
+                                 f"{REFUSALS[code]}")
+            row = (_deg(alpha), d, len(fold.inverse), *out)
+            yield [row[i] for i in keep]
+
     path = out_dir / f"{plan.scenario}.csv"
-    _write_csv(path, columns, rows)
+    _write_csv(path, columns, rows())
     return [path]
 
 

@@ -6,16 +6,14 @@ float64 view with columns (DPC, dual, switched). Distributions of the DPC
 advantage (in dB over a benchmark) are then summarized with box-plot
 statistics, and rates follow from averaging B*log2(1+SNR). Both take rows
 with a multiplicity each, so the SNRs of a fold's direction classes stand
-for every member; the compiled kernel forms their elementwise terms.
+for every member; the compiled kernel takes both, sort and sums included.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import NamedTuple
 
 from .beamforming import (
@@ -182,26 +180,35 @@ def _expanded(snr, inverse) -> memoryview:
     return _rows(array("d", [x for c in inverse for x in rows[c]]))
 
 
+REFUSALS = {
+    1: "SNRs must be finite and non-negative",
+    2: "SNRs must be positive: a zero SNR has no dB improvement",
+}
+"""The refusal of each nonzero code the compiled ``db_terms``, ``box_stats``,
+``mean_rates`` and ``placement_row`` return. NaN fails both tests; a zero SNR is
+allowed in the rates, with rate 0."""
+
+
 def _refuse(code: int) -> None:
-    "Raise the refusal that a compiled ``db_terms`` or ``rate_terms`` returned ``code`` for."
-    # NaN fails both tests; a zero SNR is allowed, with rate 0
-    if code == 1:
-        raise ValueError("SNRs must be finite and non-negative")
-    if code == 2:
-        raise ValueError("SNRs must be positive: a zero SNR has no dB improvement")
+    "Raise the refusal that a compiled statistics or rate function returned ``code`` for."
+    if code:
+        raise ValueError(REFUSALS[code])
 
 
 def improvements_db(snr, baseline: str) -> list[float]:
     "Per-row DPC SNR advantage over ``baseline`` (switched or dual), in dB, of (m, 3) rows."
-    if baseline not in BASELINE_COLUMNS:
-        raise ValueError(f"unknown baseline {baseline!r}; expected 'switched' or 'dual'")
+    column = _column(baseline)
     rows = _row_array(snr, "snr")
     out = array("d", bytes(len(rows) // 3 * 8))
-    # log1p of the relative difference keeps every digit when a is close to b, where
-    # log10(a / b) keeps only those of the rounded a / b past 1
-    _refuse(_tile_kernel().db_terms(_address(rows), len(out), BASELINE_COLUMNS[baseline],
-                                    10.0 / math.log(10.0), _address(out)))
+    _refuse(_tile_kernel().db_terms(_address(rows), len(out), column, _address(out)))
     return out.tolist()
+
+
+def _column(baseline: str) -> int:
+    "The column of ``baseline`` in (m, 3) SNR rows (``BASELINE_COLUMNS``), or ``ValueError``."
+    if baseline not in BASELINE_COLUMNS:
+        raise ValueError(f"unknown baseline {baseline!r}; expected 'switched' or 'dual'")
+    return BASELINE_COLUMNS[baseline]
 
 
 def improvement_stats(snr, baseline: str, counts=None) -> DistributionStats:
@@ -209,57 +216,30 @@ def improvement_stats(snr, baseline: str, counts=None) -> DistributionStats:
 
     Row i of the (m, 3) ``snr`` stands for ``counts[i]`` samples (default 1
     each), so the statistics are those of the rows repeated that often, bit
-    for bit, taken from one sort of the m rows.
+    for bit, taken by the compiled ``box_stats`` from one sort of the m rows:
+    numpy's linear quartiles, with whiskers clamped as Python's ``max`` and
+    ``min`` clamp. ``tests/oracles.py`` holds the same steps in Python.
     """
-    imp = improvements_db(snr, baseline)
-    counts = _multiplicities(counts, len(imp))
-    order = sorted(range(len(imp)), key=imp.__getitem__)
-    ends = list(accumulate([counts[i] for i in order]))  # samples up to each row's last
-
-    def sample(i: int) -> float:
-        return imp[order[bisect_right(ends, i)]]
-
-    q1, med, q3 = (_linear_quantile(sample, ends[-1], q) for q in (0.25, 0.5, 0.75))
-    iqr = q3 - q1
-    return DistributionStats(
-        median=med,
-        lower_quartile=q1,
-        upper_quartile=q3,
-        lower_whisker=max(q1 - 1.5 * iqr, imp[order[0]]),
-        upper_whisker=min(q3 + 1.5 * iqr, imp[order[-1]]),
-        sample_count=ends[-1],
-    )
+    column = _column(baseline)
+    rows = _row_array(snr, "snr")
+    m = len(rows) // 3
+    counts = _multiplicities(counts, m)
+    work, out = array("d", bytes(32 * m)), array("d", bytes(40))
+    _refuse(_tile_kernel().box_stats(_address(rows), m, column, _address(counts),
+                                     _address(work), _address(out)))
+    return DistributionStats(*out, sample_count=sum(counts))
 
 
 def _multiplicities(counts, m: int) -> array:
-    "``counts``, one positive int per row of m, or 1 for each row when None, as int64."
-    counts = array("q", [1]) * m if counts is None else array("q", counts)
-    if len(counts) != m or min(counts) < 1:
-        raise ValueError("counts must hold one positive integer per row")
+    """``counts``, one positive int per row of m, or 1 for each row when None, as int64,
+    refused unless their total fits int64 too: the compiled statistics add them up."""
+    try:
+        counts = array("q", [1]) * m if counts is None else array("q", counts)
+    except OverflowError:  # a count beyond int64
+        counts = array("q")
+    if len(counts) != m or min(counts) < 1 or sum(counts) >= 2**63:
+        raise ValueError("counts must hold one positive integer per row, totalling below 2**63")
     return counts
-
-
-def _linear_quantile(sample, size: int, q: float) -> float:
-    """Quantile ``q`` of ``size`` ascending samples, ``sample(i)`` the i-th, as
-    ``np.quantile``'s default linear method gives it, bit for bit. No sample is
-    NaN: its one caller sorts ``improvements_db``, which refuses non-finite and
-    zero SNRs, and log1p of (a - b) / b, which is above -1, is never NaN.
-
-    The index is (n - 1) q; from below, fraction t of the way to the next
-    entry, the value is a + (b - a) t for t < 0.5 and b - (b - a)(1 - t)
-    otherwise. numpy takes an index at or past the last entry as the last
-    entry both ways, with t = index + 1.
-    """
-    last = size - 1
-    at = last * q
-    if at >= last:
-        a = b = sample(last)
-        t = at + 1.0
-    else:
-        i = math.floor(at)
-        a, b, t = sample(i), sample(i + 1), at - i
-    d = b - a
-    return a + d * t if t < 0.5 else b - d * (1.0 - t)
 
 
 def ergodic_rate(snr, bandwidth: float, counts=None) -> tuple[float, float, float]:
@@ -267,17 +247,18 @@ def ergodic_rate(snr, bandwidth: float, counts=None) -> tuple[float, float, floa
 
     Returns (rate_dpc, rate_dual, rate_switched), each averaged over the
     rows of the (m, 3) SNR array, row i weighted by ``counts[i]`` (default
-    1 each).
+    1 each): the compiled ``mean_rates`` sums each column's weighted terms
+    correctly rounded, as ``math.fsum`` does in ``tests/oracles.py``.
     """
     rows = _row_array(snr, "snr")
     m = len(rows) // 3
     counts = _multiplicities(counts, m)
-    terms = array("d", bytes(len(rows) * 8))
-    # log1p keeps the rate of an SNR below the spacing of floats near 1
-    _refuse(_tile_kernel().rate_terms(_address(rows), m, _address(counts), math.log(2.0),
-                                      _address(terms)))
+    work, means = array("d", bytes(8 * m)), array("d", bytes(24))
+    # the rows are SNRs already, and a link factor and bandwidth of 1 leave them and
+    # their mean rates in bits per symbol as they are
+    _refuse(_tile_kernel().mean_rates(_address(rows), m, _address(counts), 1.0, 1.0,
+                                      _address(work), _address(means)))
     if not _positive_finite(bandwidth):
         raise ValueError("bandwidth must be positive and finite")
-    total = sum(counts)
-    dpc, dual, switched = (bandwidth * (math.fsum(terms[k::3]) / total) for k in range(3))
+    dpc, dual, switched = (bandwidth * mean for mean in means)
     return dpc, dual, switched

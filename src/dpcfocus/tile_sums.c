@@ -34,7 +34,11 @@
    polarization angle.
    The per-class functions below it read or write (m, 3) rows, row-major, of
    the (DPC, dual, switched) gains or SNRs of a placement's m direction
-   classes: the elementwise terms of the statistics and rates. */
+   classes, row j standing for counts[j] samples: the box statistics of the
+   dB improvements and the mean rates, bit for bit as the Python of
+   tests/oracles.py takes them (a stable sort, numpy's linear quantiles,
+   Python's max and min, math.fsum). placement_row forms one placement's
+   statistics and rates in one call. */
 
 #include <math.h>
 #include <stdint.h>
@@ -232,12 +236,18 @@ void class_gains(const double *sums, long m, double root, double *gains)
     }
 }
 
+/* A gain times the link factor twice: a budget-free gain to its SNR */
+static inline double linked(double gain, double link)
+{
+    return gain * link * link;
+}
+
 /* values[i] * link * link for each of count values, in place: the budget-free gains
    to SNRs */
 void apply_link(double *values, long count, double link)
 {
     for (long i = 0; i < count; i++)
-        values[i] = values[i] * link * link;
+        values[i] = linked(values[i], link);
 }
 
 /* 1 if a value of the m rows is NaN, infinite or negative, else 0 */
@@ -249,31 +259,218 @@ static long refused(const double *rows, long m)
     return 0;
 }
 
-/* out[j] = scale * log1p((a - b) / b) of row j's DPC value a and its value b in
-   `column`: with scale = 10 / ln 10, the dB improvement. Returns 1 as `refused` does,
-   else 2 if an a or b is 0, else 0; out is complete only at 0. */
-long db_terms(const double *rows, long m, long column, double scale, double *out)
-{
-    if (refused(rows, m))
-        return 1;
-    for (long j = 0; j < m; j++) {
-        double a = rows[3 * j], b = rows[3 * j + column];
-        if (a == 0.0 || b == 0.0)
-            return 2;
-        out[j] = scale * log1p((a - b) / b);
-    }
-    return 0;
-}
-
-/* out[3 j + c] = counts[j] * (log1p(rows[j][c]) / ln2): the rate terms in bits per
-   symbol, each weighted by its row's count of samples. Returns 1 as `refused` does,
-   else 0, and out is complete only at 0. */
-long rate_terms(const double *rows, long m, const int64_t *counts, double ln2, double *out)
+/* 1 as `refused`, else 2 if a row's DPC value or its value in `column` is 0, else 0 */
+static long db_refused(const double *rows, long m, long column)
 {
     if (refused(rows, m))
         return 1;
     for (long j = 0; j < m; j++)
-        for (int c = 0; c < 3; c++)
-            out[3 * j + c] = (double)counts[j] * (log1p(rows[3 * j + c]) / ln2);
+        if (rows[3 * j] == 0.0 || rows[3 * j + column] == 0.0)
+            return 2;
     return 0;
+}
+
+/* 10 log10(a / b) as 10 / ln 10 * log1p((a - b) / b): the scale rounds as Python's
+   10.0 / math.log(10.0), and log1p of the relative difference keeps every digit when
+   a is close to b, where log10(a / b) keeps only those of the rounded a / b past 1 */
+static inline double db(double a, double b)
+{
+    return 10.0 / M_LN10 * log1p((a - b) / b);
+}
+
+/* out[j]: the dB improvement of row j's DPC value over its value in `column`.
+   Returns as `db_refused`; out is complete only at 0. */
+long db_terms(const double *rows, long m, long column, double *out)
+{
+    long code = db_refused(rows, m, column);
+    if (code)
+        return code;
+    for (long j = 0; j < m; j++)
+        out[j] = db(rows[3 * j], rows[3 * j + column]);
+    return 0;
+}
+
+/* A row's dB improvement and its count of samples; sorted, `count` becomes the
+   number of samples up to and including the row's last */
+struct sample {
+    double value;
+    int64_t count;
+};
+
+/* The m samples of s in ascending order, stably, as Python's sorted orders them: a
+   tie, -0.0 and 0.0 among them, keeps row order. A bottom-up merge sort between s and
+   the m samples of room at t; returns whichever of the two holds the result. */
+static struct sample *sorted_samples(struct sample *s, struct sample *t, long m)
+{
+    for (long width = 1; width < m; width *= 2) {
+        for (long lo = 0; lo < m; lo += 2 * width) {
+            long mid = lo + width < m ? lo + width : m;
+            long hi = lo + 2 * width < m ? lo + 2 * width : m;
+            long i = lo, j = mid, k = lo;
+            while (i < mid && j < hi)
+                t[k++] = s[j].value < s[i].value ? s[j++] : s[i++];
+            while (i < mid)
+                t[k++] = s[i++];
+            while (j < hi)
+                t[k++] = s[j++];
+        }
+        struct sample *u = s;
+        s = t;
+        t = u;
+    }
+    return s;
+}
+
+/* Sample i of the repeated samples: the value of the first sorted row whose last
+   sample is past i, as Python's bisect_right over those ends */
+static double nth(const struct sample *s, long m, int64_t i)
+{
+    long lo = 0, hi = m - 1;
+    while (lo < hi) {
+        long mid = (lo + hi) / 2;
+        if (s[mid].count > i)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return s[lo].value;
+}
+
+/* Quantile q of the size sorted samples, as numpy's default linear method gives it:
+   the index is (n - 1) q; from below, fraction t of the way to the next sample, the
+   value is a + (b - a) t for t < 0.5 and b - (b - a)(1 - t) otherwise; an index at or
+   past the last sample is the last sample both ways, with t = index + 1. Only a
+   single sample's index reaches the last, at q < 1, so comparing with last as a
+   double, which may round, picks the branch Python's exact comparison picks. */
+static double quantile(const struct sample *s, long m, int64_t size, double q)
+{
+    int64_t last = size - 1;
+    double at = (double)last * q, a, b, t;
+    if (at >= (double)last) {
+        a = b = nth(s, m, last);
+        t = at + 1.0;
+    } else {
+        double i = floor(at);
+        a = nth(s, m, (int64_t)i);
+        b = nth(s, m, (int64_t)i + 1);
+        t = at - i;
+    }
+    double d = b - a;
+    return t < 0.5 ? a + d * t : b - d * (1.0 - t);
+}
+
+/* out[0..4] = (median, lower quartile, upper quartile, lower whisker, upper whisker)
+   of the dB improvements over `column` of the m rows, row j repeated counts[j] times,
+   whose total int64 carries; work holds 2 m samples, 4 m doubles. The whiskers sit
+   1.5 IQR beyond the quartiles, clamped to the extremes as Python's max and min clamp,
+   each keeping its first argument, the fence, unless the extreme lies strictly beyond
+   it. Returns as `db_refused`; out is complete only at 0. */
+long box_stats(const double *rows, long m, long column, const int64_t *counts, double *work,
+               double *out)
+{
+    struct sample *s = (struct sample *)work;
+    long code = db_refused(rows, m, column);
+    if (code)
+        return code;
+    for (long j = 0; j < m; j++)
+        s[j] = (struct sample){db(rows[3 * j], rows[3 * j + column]), counts[j]};
+    s = sorted_samples(s, s + m, m);
+    for (long j = 1; j < m; j++)
+        s[j].count += s[j - 1].count;
+    int64_t size = s[m - 1].count;
+    double q1 = quantile(s, m, size, 0.25), med = quantile(s, m, size, 0.5);
+    double q3 = quantile(s, m, size, 0.75), iqr = q3 - q1;
+    double low = q1 - 1.5 * iqr, high = q3 + 1.5 * iqr;
+    out[0] = med;
+    out[1] = q1;
+    out[2] = q3;
+    out[3] = s[0].value > low ? s[0].value : low;
+    out[4] = s[m - 1].value < high ? s[m - 1].value : high;
+    return 0;
+}
+
+/* Adds x to the *n partials p, CPython's math.fsum step: the partials stay
+   non-overlapping, in increasing magnitude, and sum exactly to the terms added so far.
+   Each step adds at most one partial, so the terms' count bounds theirs. For finite
+   terms whose sum stays finite. */
+static void fsum_add(double *p, long *n, double x)
+{
+    long i = 0;
+    for (long j = 0; j < *n; j++) {
+        double y = p[j];
+        if (fabs(x) < fabs(y)) {
+            double t = x;
+            x = y;
+            y = t;
+        }
+        double hi = x + y, lo = y - (hi - x);
+        if (lo != 0.0)
+            p[i++] = lo;
+        x = hi;
+    }
+    *n = i;
+    if (x != 0.0)
+        p[(*n)++] = x;
+}
+
+/* The correctly rounded sum of the n partials p, as math.fsum ends: from the top,
+   until a sum is inexact, then half-even rounding across the partials below */
+static double fsum_total(const double *p, long n)
+{
+    double hi = 0.0, lo = 0.0;
+    if (n > 0) {
+        hi = p[--n];
+        while (n > 0) {
+            double x = hi, y = p[--n];
+            hi = x + y;
+            lo = y - (hi - x);
+            if (lo != 0.0)
+                break;
+        }
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            double y = lo * 2.0, x = hi + y;
+            if (y == x - hi)
+                hi = x;
+        }
+    }
+    return hi;
+}
+
+/* out[c] = bandwidth * (sum_j counts[j] log2(1 + snr_j,c) / sum_j counts[j]), the mean
+   rate of each column c, with snr = rows[j][c] * link * link; the sums are correctly
+   rounded and the counts' total int64 carries. log1p keeps the rate of an SNR below the
+   spacing of floats near 1. work holds m partials. Returns 1 if an SNR is NaN,
+   infinite or negative, else 0; out is complete only at 0. */
+long mean_rates(const double *rows, long m, const int64_t *counts, double link,
+                double bandwidth, double *work, double *out)
+{
+    int64_t total = 0;
+    for (long j = 0; j < m; j++)
+        total += counts[j];
+    for (int c = 0; c < 3; c++) {
+        long n = 0;
+        for (long j = 0; j < m; j++) {
+            double snr = linked(rows[3 * j + c], link);
+            if (!(snr >= 0.0 && snr < INFINITY))
+                return 1;
+            fsum_add(work, &n, (double)counts[j] * (log1p(snr) / M_LN2));
+        }
+        out[c] = bandwidth * (fsum_total(work, n) / (double)total);
+    }
+    return 0;
+}
+
+/* One placement's row from its budget-free gains: out[0..4] and out[5..9] the box
+   statistics over switched and over dual, out[10..12] the mean rates of its SNRs under
+   the link factor. work holds 4 m doubles. Returns the first refusal in that order:
+   that of the statistics over switched, over dual, then of the rates. */
+long placement_row(const double *gains, long m, const int64_t *counts, double link,
+                   double bandwidth, double *work, double *out)
+{
+    long code = box_stats(gains, m, 2, counts, work, out);
+    if (!code)
+        code = box_stats(gains, m, 1, counts, work, out + 5);
+    if (!code)
+        code = mean_rates(gains, m, counts, link, bandwidth, work, out + 10);
+    return code;
 }

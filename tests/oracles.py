@@ -20,20 +20,28 @@ fast paths are verified against it:
 * a brute-force search over weights, and the dipole pattern and its series
   in decimal arithmetic, among them the steps that form the pattern series
   in 60-digit decimals (``decimal_pattern_coefficients``), which the
-  constant ``beamforming.HALF_WAVE_SERIES`` must match bit for bit.
+  constant ``beamforming.HALF_WAVE_SERIES`` must match bit for bit;
+* the box statistics and mean rates of weighted SNR rows step by step in
+  Python (``python_improvement_stats``, ``python_ergodic_rate``): a stable
+  sort, numpy's linear quantile, Python's ``max`` and ``min`` and
+  ``math.fsum``, which the compiled ``box_stats``, ``mean_rates`` and
+  ``placement_row`` must match bit for bit.
 """
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from dpcfocus.beamforming import LinkBudget
 from dpcfocus.channel import PolarizedChannel
-from dpcfocus.geometry import AntennaRows, ArrayLayout
+from dpcfocus.experiments import REFUSALS, DistributionStats, _multiplicities, improvements_db
+from dpcfocus.geometry import AntennaRows, ArrayLayout, _positive_finite, _row_lists
 
 PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
@@ -544,3 +552,62 @@ def decimal_pattern_coefficients(length_over_wavelength: float) -> tuple[float, 
                 h[n] -= c * t
             h.pop()
         return tuple(float(c) for c in h)
+
+
+def python_improvement_stats(snr, baseline: str, counts=None) -> DistributionStats:
+    """``experiments.improvement_stats`` in Python: the statistics of the rows of ``snr``
+    repeated ``counts[i]`` times, from one stable sort of the m rows."""
+    imp = improvements_db(snr, baseline)
+    counts = _multiplicities(counts, len(imp))
+    order = sorted(range(len(imp)), key=imp.__getitem__)
+    ends = list(accumulate([counts[i] for i in order]))  # samples up to each row's last
+
+    def sample(i: int) -> float:
+        return imp[order[bisect_right(ends, i)]]
+
+    q1, med, q3 = (linear_quantile(sample, ends[-1], q) for q in (0.25, 0.5, 0.75))
+    iqr = q3 - q1
+    return DistributionStats(
+        median=med,
+        lower_quartile=q1,
+        upper_quartile=q3,
+        lower_whisker=max(q1 - 1.5 * iqr, imp[order[0]]),
+        upper_whisker=min(q3 + 1.5 * iqr, imp[order[-1]]),
+        sample_count=ends[-1],
+    )
+
+
+def linear_quantile(sample, size: int, q: float) -> float:
+    """Quantile ``q`` of ``size`` ascending samples, ``sample(i)`` the i-th, as
+    ``np.quantile``'s default linear method gives it, bit for bit.
+
+    The index is (n - 1) q; from below, fraction t of the way to the next
+    entry, the value is a + (b - a) t for t < 0.5 and b - (b - a)(1 - t)
+    otherwise. numpy takes an index at or past the last entry as the last
+    entry both ways, with t = index + 1.
+    """
+    last = size - 1
+    at = last * q
+    if at >= last:
+        a = b = sample(last)
+        t = at + 1.0
+    else:
+        i = math.floor(at)
+        a, b, t = sample(i), sample(i + 1), at - i
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1.0 - t)
+
+
+def python_ergodic_rate(snr, bandwidth: float, counts=None) -> tuple[float, float, float]:
+    """``experiments.ergodic_rate`` in Python: per column, the count-weighted terms
+    log1p(SNR) / ln 2 summed by ``math.fsum``, over the counts' total, times B."""
+    rows = _row_lists(snr, "snr")
+    counts = _multiplicities(counts, len(rows))
+    if not all(0.0 <= x < math.inf for row in rows for x in row):
+        raise ValueError(REFUSALS[1])
+    if not _positive_finite(bandwidth):
+        raise ValueError("bandwidth must be positive and finite")
+    terms = [c * (math.log1p(x) / math.log(2.0)) for c, row in zip(counts, rows) for x in row]
+    total = sum(counts)
+    dpc, dual, switched = (bandwidth * (math.fsum(terms[k::3]) / total) for k in range(3))
+    return dpc, dual, switched

@@ -14,6 +14,7 @@ from dpcfocus.beamforming import (
     HALF_WAVE_SERIES,
     LinkBudget,
     fold_placements,
+    link_snrs,
     polarization_angles,
     thermal_noise_power,
 )
@@ -88,6 +89,20 @@ def test_link_budget_validation():
     # a subnormal P/N is kept: only the rates read it
     LinkBudget(transmit_power=5e-324, noise_power=1.0)
     LinkBudget(transmit_power=sys.float_info.min, noise_power=1.0)
+
+
+@pytest.mark.parametrize("wavelength, r0", [
+    (1e-3, 0.0), (1e-3, -0.1), (1e-3, math.nan), (1e-3, math.inf),
+    (0.0, 0.1), (-1e-3, 0.1), (math.nan, 0.1), (math.inf, 0.1),
+])
+def test_link_snrs_refuses_a_wavelength_or_r0_not_positive_and_finite(wavelength, r0):
+    # r0 = 0 raised ZeroDivisionError, a negative r0 or wavelength gave SNRs as if
+    # positive, and a NaN wavelength gave NaN rows
+    with pytest.raises(ValueError, match="wavelength and r0 must be positive and finite"):
+        link_snrs([[1.0, 0.5, 0.25]], UNIT_BUDGET, wavelength, r0)
+    link = (1e-3 / (4 * math.pi * 0.1)) ** 2
+    (row,) = link_snrs([[1.0, 0.5, 0.25]], UNIT_BUDGET, 1e-3, 0.1).tolist()
+    assert row == pytest.approx([link, 0.5 * link, 0.25 * link], rel=1e-15)
 
 
 def test_dpc_beamformer_single_polarization_channel():

@@ -965,6 +965,26 @@ def test_the_rate_bound_refuses_its_placement(tmp_path, capsys, scenario, text, 
     )
 
 
+@pytest.mark.parametrize("distances, placement", [
+    ("0.1, 1e200", "distance 1e+200 m at alpha 0.0 deg"),
+    ("0.1, 1e150", "distance 1e+150 m at alpha 0.0 deg"),
+    ("1e-100, 0.3", "distance 1e-100 m at alpha 0.0 deg"),
+])
+def test_a_gain_that_underflows_ends_the_run_with_one_line(tmp_path, capsys, distances,
+                                                            placement):
+    # on the z axis, the v = z gains fall to float64's 0 this far out and this close in;
+    # the compiled row of that placement refuses it, and the CSV being written goes
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY_CONFIG.replace("distance_m = 0.1, 0.3", f"distance_m = {distances}"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (
+        f"dpcfocus: config error: {placement}: "
+        "SNRs must be positive: a zero SNR has no dB improvement\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_fig3_is_not_refused_for_a_rate_it_never_computes(tmp_path, tiny_config_path):
     # fig3.csv reads neither B nor P/N, and fig3 runs no kernel placement
     path = tmp_path / "huge.cfg"

@@ -1,14 +1,24 @@
 import math
 import statistics
+import struct
 import sys
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpcfocus.beamforming import LinkBudget, fold_placements, folded_snrs, thermal_noise_power
+from dpcfocus.beamforming import (
+    LinkBudget,
+    _address,
+    _tile_kernel,
+    fold_placements,
+    folded_snrs,
+    thermal_noise_power,
+)
 from dpcfocus.channel import ChannelGeometry
 from dpcfocus.experiments import (
+    REFUSALS,
     DistributionStats,
     SweepConfig,
     ergodic_rate,
@@ -24,6 +34,7 @@ from dpcfocus.geometry import (
     rx_position,
 )
 from conftest import kernel_snr
+from oracles import python_ergodic_rate, python_improvement_stats
 
 BUDGET = LinkBudget(transmit_power=1e-3, noise_power=thermal_noise_power(100e6))
 WAVELENGTH = SPEED_OF_LIGHT / 300e9
@@ -191,7 +202,101 @@ def test_weighted_rows_give_the_statistics_of_the_repeated_rows(m, distinct, mos
     assert np.all(np.abs(np.array(got) - want) <= 1e-14 * want)
 
 
-@pytest.mark.parametrize("counts", [[1, 1], [1, 2, 3, 4], [1, 0, 1], [2, -1, 2], [1.5, 1, 1]])
+def outcome(call) -> list | str:
+    "The float results of ``call()`` as their bits, or its ValueError's message."
+    try:
+        values = call()
+    except ValueError as exc:
+        return str(exc)
+    return [struct.pack("<d", x) for x in values]
+
+
+# SNRs log-uniform over 1e-300 .. 1e300, as their exponents
+magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def weighted_rows(draw):
+    """(m, 3) SNR rows and their counts. Rows draw their values from a small pool, so
+    dB values tie, some with DPC equal to a benchmark (0.0 dB); SNRs of 0 and -0.0
+    reach the rates, and counts run up to 2**63, one past int64, so some totals are
+    refused."""
+    m = draw(st.integers(1, 40))
+    pool = draw(st.lists(magnitudes, min_size=1, max_size=6))
+    value = st.sampled_from(pool)
+    rows = []
+    for _ in range(m):
+        a, b, c = draw(value), draw(value), draw(value)
+        if draw(st.booleans()):
+            b = a
+        rows.append([a, b, c])
+    if draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, 2))] = draw(st.sampled_from(
+            [0.0, -0.0]))
+    big = draw(st.sampled_from([3, 2**40, 2**60, 2**62, 2**63]))
+    counts = draw(st.lists(st.integers(1, big), min_size=m, max_size=m))
+    return rows, counts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(weighted_rows(), st.floats(1e-300, 1e300), st.sampled_from([1e8, 3.5e9]))
+def test_compiled_statistics_and_rates_are_the_python_reference_bit_for_bit(drawn, link,
+                                                                          bandwidth):
+    # the compiled sort, quantiles, whiskers and correctly rounded sums against the
+    # Python of tests/oracles.py, results and refusals alike; a dB value is never -0.0:
+    # (a - b) / b is +0.0 at a == b and at least 2**-53 in size otherwise
+    rows, counts = drawn
+    if sum(counts) >= 2**63:
+        # refused before the rows are read, where the Python refuses a zero SNR first
+        for call in (lambda: improvement_stats(rows, "dual", counts),
+                     lambda: ergodic_rate(rows, bandwidth, counts)):
+            with pytest.raises(ValueError, match="totalling below"):
+                call()
+        return
+    for baseline in ("switched", "dual"):
+        assert outcome(lambda: improvement_stats(rows, baseline, counts)) == outcome(
+            lambda: python_improvement_stats(rows, baseline, counts))
+    assert outcome(lambda: ergodic_rate(rows, bandwidth, counts)) == outcome(
+        lambda: python_ergodic_rate(rows, bandwidth, counts))
+    # the dB formula in Python: 10 / ln 10 * log1p((a - b) / b), where C's log1p(-1) is
+    # -inf and Python's raises
+    if all(x > 0.0 for row in rows for x in row):
+        for baseline, column in (("switched", 2), ("dual", 1)):
+            ratios = [(row[0] - row[column]) / row[column] for row in rows]
+            want = [-math.inf if x == -1.0 else 10.0 / math.log(10.0) * math.log1p(x)
+                    for x in ratios]
+            assert outcome(lambda: improvements_db(rows, baseline)) == outcome(lambda: want)
+    # the CLI's one call per placement: both statistics of the gains, then the rates of
+    # the gains times the link factor twice
+    snrs = [[x * link * link for x in row] for row in rows]
+
+    def reference():
+        switched = python_improvement_stats(rows, "switched", counts)
+        dual = python_improvement_stats(rows, "dual", counts)
+        return (*switched[:5], *dual[:5], *python_ergodic_rate(snrs, bandwidth, counts))
+
+    def compiled():
+        gains, weights = array("d", [x for row in rows for x in row]), array("q", counts)
+        work, out = array("d", bytes(32 * len(rows))), array("d", bytes(8 * 13))
+        code = _tile_kernel().placement_row(_address(gains), len(rows), _address(weights), link,
+                                            bandwidth, _address(work), _address(out))
+        if code:
+            raise ValueError(REFUSALS[code])
+        return out
+
+    assert outcome(compiled) == outcome(reference)
+
+
+def test_counts_may_total_up_to_the_largest_int64():
+    # the compiled statistics add the counts up in int64, which carries this total
+    snr = snr_from_ratios([2.0, 3.0])
+    for counts in ([2**62, 2**62 - 1], [1, 2**63 - 2]):
+        assert improvement_stats(snr, "dual", counts).sample_count == 2**63 - 1
+        assert ergodic_rate(snr, 1e8, counts) == python_ergodic_rate(snr, 1e8, counts)
+
+
+@pytest.mark.parametrize("counts", [[1, 1], [1, 2, 3, 4], [1, 0, 1], [2, -1, 2], [1.5, 1, 1],
+                                    [2**62, 2**62, 1], [1, 2**63 - 1, 1], [1, 2**63, 1]])
 def test_multiplicities_must_be_one_positive_integer_per_row(counts):
     snr = snr_from_ratios([2.0, 3.0, 4.0])
     with pytest.raises((ValueError, TypeError), match="integer"):
